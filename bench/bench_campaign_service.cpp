@@ -16,10 +16,6 @@
 //     watchers vs 8 concurrent `watch` subscribers, gating the
 //     progress-fan-out overhead (ratio must stay under 4x -- generous
 //     because VM wall clocks swing 2x on their own)
-//   * daemon+spool      -- the same job with the write-ahead job spool
-//     on (vs the --no-spool rows above), gating what the durable
-//     accept promise costs: a handful of fsyncs per job, amortized
-//     over the whole campaign (ratio must stay under 3x)
 //
 // Every service row is checked byte-identical against the in-process
 // report -- the bench doubles as the determinism contract's stopwatch.
@@ -229,12 +225,10 @@ int main(int argc, char** argv) {
   // send threads; byte-identity of every watcher's report is checked
   // against the in-process reference.
   double watch0_ms = 0.0, watch8_ms = 0.0;
-  auto run_daemon = [&](const std::string& config, unsigned n_watchers, double& wall_out,
-                        std::vector<std::string> extra_flags) {
+  auto run_daemon = [&](const std::string& config, unsigned n_watchers, double& wall_out) {
     std::string sock = std::string(dir) + "/" + config + ".sock";
     std::string work = std::string(dir) + "/" + config + ".work";
     std::vector<std::string> argv = {hlsavd, "serve", "--socket=" + sock, "--work-dir=" + work};
-    for (std::string& f : extra_flags) argv.push_back(std::move(f));
     StatusOr<Subprocess> daemon = Subprocess::spawn(argv, /*capture_stdout=*/false);
     if (!daemon.ok()) {
       std::cerr << config << ": " << daemon.status().to_string() << "\n";
@@ -285,29 +279,14 @@ int main(int argc, char** argv) {
     row.sites = rows.front().sites;
     rows.push_back(row);
   };
-  // --no-spool on the watcher rows keeps them measuring exactly what
-  // they always did: fan-out cost, nothing else.
-  run_daemon("daemon-w2-watch0", 0, watch0_ms, {"--no-spool"});
-  run_daemon("daemon-w2-watch8", 8, watch8_ms, {"--no-spool"});
+  run_daemon("daemon-w2-watch0", 0, watch0_ms);
+  run_daemon("daemon-w2-watch8", 8, watch8_ms);
   double watcher_overhead = watch0_ms > 0 ? watch8_ms / watch0_ms : 0.0;
   // Generous gate: VM wall clocks alone swing ~2x; fan-out to 8
   // never-blocking buffers should be lost in the noise, so 4x means a
   // real regression (publish blocking on subscriber I/O, say).
   constexpr double kWatcherOverheadGate = 4.0;
   bool watcher_overhead_ok = watch0_ms == 0.0 || watcher_overhead < kWatcherOverheadGate;
-
-  // ---- write-ahead spool overhead ----
-  // Same daemon, same job, spool on (the serve default): the accept
-  // path gains an atomic header write + two directory/entry fsyncs and
-  // each state transition one more. Against a whole campaign that must
-  // stay in the noise; 3x catches a real regression (an fsync per
-  // frame, say) while ignoring VM clock swing.
-  double spool_ms = 0.0;
-  run_daemon("daemon-w2-spool", 0, spool_ms, {});
-  double spool_overhead = watch0_ms > 0 ? spool_ms / watch0_ms : 0.0;
-  constexpr double kSpoolOverheadGate = 3.0;
-  bool spool_overhead_ok =
-      watch0_ms == 0.0 || spool_ms == 0.0 || spool_overhead < kSpoolOverheadGate;
 
   // ---- report ----
   TextTable t("Campaign service: crash-containment cost (" +
@@ -323,9 +302,6 @@ int main(int argc, char** argv) {
 
   std::cout << "watcher overhead (8 subscribers vs 0): " << fmt_double(watcher_overhead, 2)
             << "x (gate " << fmt_double(kWatcherOverheadGate, 1) << "x)\n";
-  std::cout << "spool overhead (write-ahead spool vs --no-spool): "
-            << fmt_double(spool_overhead, 2) << "x (gate " << fmt_double(kSpoolOverheadGate, 1)
-            << "x)\n";
 
   bool all_identical = true;
   for (const ServiceRow& r : rows) all_identical = all_identical && r.identical;
@@ -338,11 +314,6 @@ int main(int argc, char** argv) {
               << fmt_double(watcher_overhead, 2) << "x (gate "
               << fmt_double(kWatcherOverheadGate, 1) << "x)\n";
   }
-  if (!spool_overhead_ok) {
-    std::cerr << "SPOOL OVERHEAD VIOLATION: the write-ahead spool cost "
-              << fmt_double(spool_overhead, 2) << "x (gate "
-              << fmt_double(kSpoolOverheadGate, 1) << "x)\n";
-  }
 
   {
     bench::BenchJsonDoc doc(json_path, "campaign_service", "configs");
@@ -350,9 +321,7 @@ int main(int argc, char** argv) {
     doc.field("byte_identical", all_identical ? "true" : "false");
     doc.field("watcher_overhead", fmt_double(watcher_overhead, 3));
     doc.field("watcher_overhead_gate", fmt_double(kWatcherOverheadGate, 1));
-    doc.field("spool_overhead", fmt_double(spool_overhead, 3));
-    doc.field("spool_overhead_gate", fmt_double(kSpoolOverheadGate, 1));
   }
   std::cout << "wrote " << json_path << "\n";
-  return all_identical && watcher_overhead_ok && spool_overhead_ok ? 0 : 1;
+  return all_identical && watcher_overhead_ok ? 0 : 1;
 }

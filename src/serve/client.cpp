@@ -23,32 +23,15 @@ struct FdCloser {
   ~FdCloser() { ::close(fd); }
 };
 
-}  // namespace
-
-namespace {
-
-/// One submit attempt. Sets `retryable` for the failure classes a
-/// keyed resubmit can safely repeat: connect refused (daemon down or
-/// restarting), a typed kUnavailable rejection (back-pressure,
-/// drain), and a connection lost mid-stream (daemon killed; the spool
-/// has the job).
-int submit_once(const std::string& socket_path, const CampaignSpec& spec,
-                const std::string& out_path, bool quiet, bool& retryable) {
-  retryable = false;
-  StatusOr<int> fd = unix_connect(socket_path);
-  if (!fd.ok()) {
-    std::cerr << "hlsavd: " << fd.status().to_string() << "\n";
-    retryable = true;
-    return 1;
-  }
-  FdCloser closer{*fd};
-  Status sent = send_line(*fd, encode_submit(spec));
-  if (!sent.ok()) {
-    std::cerr << "hlsavd: " << sent.to_string() << "\n";
-    retryable = true;
-    return 1;
-  }
-  LineReader reader(*fd);
+/// Reads one job's frame stream to its "done" frame: the loop submit
+/// and watch share. `retryable` turns true for failures a keyed
+/// resubmit can safely repeat: a connection lost mid-stream (daemon
+/// killed; the spool has the job) and a typed kUnavailable rejection
+/// (back-pressure, drain). `unknown` turns true (instead of a printed
+/// error) when the daemon does not know the watched job id yet.
+int stream_frames(int fd, const std::string& out_path, bool quiet, bool& retryable,
+                  bool& unknown) {
+  LineReader reader(fd);
   std::string report;
   bool have_report = false;
   for (;;) {
@@ -58,40 +41,25 @@ int submit_once(const std::string& socket_path, const CampaignSpec& spec,
       retryable = true;
       return 1;
     }
-    std::string type;
+    std::string type, text;
+    std::uint64_t job = 0, done = 0, total = 0, site = 0, worker = 0;
     if (!jsonl::parse_string(*line, "type", type)) continue;
-    if (type == "accepted") continue;
+    (void)jsonl::parse_u64(*line, "job", job);
+    (void)jsonl::parse_u64(*line, "done", done);
+    (void)jsonl::parse_u64(*line, "total", total);
+    (void)jsonl::parse_u64(*line, "site", site);
+    (void)jsonl::parse_u64(*line, "worker", worker);
     if (type == "rejected") {
       std::string code, message;
       (void)jsonl::parse_string(*line, "code", code);
       (void)jsonl::parse_string(*line, "message", message);
+      if (message.rfind("unknown job", 0) == 0) {
+        unknown = true;
+        return 1;
+      }
       std::cerr << "hlsavd: rejected (" << code << "): " << message << "\n";
       retryable = code == "unavailable";
       return 7;
-    }
-    if (type == "progress") {
-      std::uint64_t done = 0, total = 0;
-      (void)jsonl::parse_u64(*line, "done", done);
-      (void)jsonl::parse_u64(*line, "total", total);
-      if (!quiet) std::cerr << "hlsavd: " << done << "/" << total << " sites\n";
-      continue;
-    }
-    if (type == "worker-crashed") {
-      std::uint64_t site = 0;
-      std::string detail;
-      (void)jsonl::parse_u64(*line, "site", site);
-      (void)jsonl::parse_string(*line, "detail", detail);
-      if (!quiet) {
-        std::cerr << "hlsavd: worker crashed on site s" << site << " (" << detail
-                  << "); contained, respawning\n";
-      }
-      continue;
-    }
-    if (type == "quarantined") {
-      std::uint64_t site = 0;
-      (void)jsonl::parse_u64(*line, "site", site);
-      if (!quiet) std::cerr << "hlsavd: site s" << site << " quarantined (worker-crashed)\n";
-      continue;
     }
     if (type == "report") {
       std::uint64_t bytes = 0;
@@ -103,9 +71,7 @@ int submit_once(const std::string& socket_path, const CampaignSpec& spec,
       }
       report = std::move(*payload);
       have_report = true;
-      continue;
-    }
-    if (type == "done") {
+    } else if (type == "done") {
       std::string status, message;
       (void)jsonl::parse_string(*line, "status", status);
       (void)jsonl::parse_string(*line, "message", message);
@@ -136,8 +102,59 @@ int submit_once(const std::string& socket_path, const CampaignSpec& spec,
         return 6;
       }
       return 0;
+    } else if (quiet) {
+      continue;
+    } else if (type == "snapshot") {
+      std::string design;
+      (void)jsonl::parse_string(*line, "state", text);
+      (void)jsonl::parse_string(*line, "design", design);
+      std::cerr << "hlsavd: job " << job << " (" << design << "): " << text << ", " << done
+                << "/" << total << " sites\n";
+    } else if (type == "state") {
+      (void)jsonl::parse_string(*line, "state", text);
+      std::cerr << "hlsavd: job " << job << " -> " << text << "\n";
+    } else if (type == "progress") {
+      std::cerr << "hlsavd: " << done << "/" << total << " sites\n";
+    } else if (type == "site-started" || type == "site-done") {
+      (void)jsonl::parse_string(*line, "outcome", text);
+      std::cerr << "hlsavd: w" << worker << " s" << site
+                << (type == "site-started" ? " started" : " " + text) << "\n";
+    } else if (type == "worker-crashed") {
+      (void)jsonl::parse_string(*line, "detail", text);
+      std::cerr << "hlsavd: worker crashed on site s" << site << " (" << text
+                << "); contained, respawning\n";
+    } else if (type == "quarantined") {
+      std::cerr << "hlsavd: site s" << site << " quarantined (worker-crashed)\n";
     }
   }
+}
+
+/// One connection: sends `request`, optionally stalls (the watch
+/// slow-reader hook), then streams the job's frames.
+int request_stream(const std::string& socket_path, const std::string& request,
+                   const std::string& out_path, bool quiet, int stall_ms, bool& retryable,
+                   bool& unknown) {
+  retryable = false;
+  unknown = false;
+  StatusOr<int> fd = unix_connect(socket_path);
+  if (!fd.ok()) {
+    std::cerr << "hlsavd: " << fd.status().to_string() << "\n";
+    retryable = true;
+    return 1;
+  }
+  FdCloser closer{*fd};
+  Status sent = send_line(*fd, request);
+  if (!sent.ok()) {
+    std::cerr << "hlsavd: " << sent.to_string() << "\n";
+    retryable = true;
+    return 1;
+  }
+  if (stall_ms > 0) {
+    // Deliberate slow reader: the daemon's coalescing buffers (and the
+    // campaign's immunity to them) are what this hook exists to test.
+    std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms));
+  }
+  return stream_frames(*fd, out_path, quiet, retryable, unknown);
 }
 
 /// A process-unique idempotency key for auto-keyed retries.
@@ -162,8 +179,9 @@ int submit_job(const std::string& socket_path, CampaignSpec spec, const SubmitOp
   if (opt.retries > 0 && spec.key.empty()) spec.key = generate_key();
   std::mt19937_64 rng(std::random_device{}() ^ static_cast<std::uint64_t>(::getpid()));
   for (int attempt = 0;; ++attempt) {
-    bool retryable = false;
-    int rc = submit_once(socket_path, spec, opt.out_path, opt.quiet, retryable);
+    bool retryable = false, unknown = false;
+    int rc = request_stream(socket_path, encode_submit(spec), opt.out_path, opt.quiet,
+                            /*stall_ms=*/0, retryable, unknown);
     if (!retryable || attempt >= opt.retries) return rc;
     std::uint64_t base = opt.retry_base_ms == 0 ? 1 : opt.retry_base_ms;
     std::uint64_t delay = attempt < 63 ? base << attempt : opt.retry_cap_ms;
@@ -234,157 +252,14 @@ StatusOr<std::string> query_status(const std::string& socket_path) {
   return out;
 }
 
-namespace {
-
-/// One watch attempt: connect, subscribe, stream frames. `retry` turns
-/// true (instead of an error return) when the job id is not known yet.
-int watch_once(const std::string& socket_path, std::uint64_t job, const WatchOptions& opt,
-               bool& retry) {
-  retry = false;
-  StatusOr<int> fd = unix_connect(socket_path);
-  if (!fd.ok()) {
-    std::cerr << "hlsavd: " << fd.status().to_string() << "\n";
-    return 1;
-  }
-  FdCloser closer{*fd};
-  Status sent = send_line(*fd, encode_watch(job));
-  if (!sent.ok()) {
-    std::cerr << "hlsavd: " << sent.to_string() << "\n";
-    return 1;
-  }
-  if (opt.stall_reads_ms > 0) {
-    // Deliberate slow reader: the daemon's coalescing buffers (and the
-    // campaign's immunity to them) are what this hook exists to test.
-    std::this_thread::sleep_for(std::chrono::milliseconds(opt.stall_reads_ms));
-  }
-  LineReader reader(*fd);
-  std::string report;
-  bool have_report = false;
-  for (;;) {
-    StatusOr<std::string> line = reader.read_line();
-    if (!line.ok()) {
-      std::cerr << "hlsavd: connection lost: " << line.status().to_string() << "\n";
-      return 1;
-    }
-    std::string type;
-    if (!jsonl::parse_string(*line, "type", type)) continue;
-    if (type == "rejected") {
-      std::string code, message;
-      (void)jsonl::parse_string(*line, "code", code);
-      (void)jsonl::parse_string(*line, "message", message);
-      if (message.rfind("unknown job", 0) == 0) {
-        retry = true;
-        return 1;
-      }
-      std::cerr << "hlsavd: rejected (" << code << "): " << message << "\n";
-      return 7;
-    }
-    if (type == "snapshot") {
-      if (!opt.quiet) {
-        std::string state, design;
-        std::uint64_t done = 0, total = 0;
-        (void)jsonl::parse_string(*line, "state", state);
-        (void)jsonl::parse_string(*line, "design", design);
-        (void)jsonl::parse_u64(*line, "done", done);
-        (void)jsonl::parse_u64(*line, "total", total);
-        std::cerr << "hlsavd: watching job " << job << " (" << design << "): " << state << ", "
-                  << done << "/" << total << " sites\n";
-      }
-      continue;
-    }
-    if (type == "state") {
-      std::string state;
-      (void)jsonl::parse_string(*line, "state", state);
-      if (!opt.quiet) std::cerr << "hlsavd: job " << job << " -> " << state << "\n";
-      continue;
-    }
-    if (type == "progress") {
-      std::uint64_t done = 0, total = 0;
-      (void)jsonl::parse_u64(*line, "done", done);
-      (void)jsonl::parse_u64(*line, "total", total);
-      if (!opt.quiet) std::cerr << "hlsavd: " << done << "/" << total << " sites\n";
-      continue;
-    }
-    if (type == "site-started" || type == "site-done") {
-      if (!opt.quiet) {
-        std::uint64_t site = 0, worker = 0;
-        std::string outcome;
-        (void)jsonl::parse_u64(*line, "site", site);
-        (void)jsonl::parse_u64(*line, "worker", worker);
-        (void)jsonl::parse_string(*line, "outcome", outcome);
-        std::cerr << "hlsavd: w" << worker << " s" << site
-                  << (type == "site-started" ? " started" : " " + outcome) << "\n";
-      }
-      continue;
-    }
-    if (type == "worker-crashed") {
-      std::uint64_t site = 0;
-      std::string detail;
-      (void)jsonl::parse_u64(*line, "site", site);
-      (void)jsonl::parse_string(*line, "detail", detail);
-      if (!opt.quiet) {
-        std::cerr << "hlsavd: worker crashed on site s" << site << " (" << detail
-                  << "); contained, respawning\n";
-      }
-      continue;
-    }
-    if (type == "quarantined") {
-      std::uint64_t site = 0;
-      (void)jsonl::parse_u64(*line, "site", site);
-      if (!opt.quiet) std::cerr << "hlsavd: site s" << site << " quarantined (worker-crashed)\n";
-      continue;
-    }
-    if (type == "report") {
-      std::uint64_t bytes = 0;
-      (void)jsonl::parse_u64(*line, "bytes", bytes);
-      StatusOr<std::string> payload = reader.read_bytes(bytes);
-      if (!payload.ok()) {
-        std::cerr << "hlsavd: truncated report: " << payload.status().to_string() << "\n";
-        return 1;
-      }
-      report = std::move(*payload);
-      have_report = true;
-      continue;
-    }
-    if (type == "done") {
-      std::string status, message;
-      (void)jsonl::parse_string(*line, "status", status);
-      (void)jsonl::parse_string(*line, "message", message);
-      if (status == "error") {
-        std::cerr << "hlsavd: job failed: " << message << "\n";
-        return 1;
-      }
-      if (status == "deadline-expired") {
-        std::cerr << "hlsavd: job deadline expired before it ran"
-                  << (message.empty() ? "" : ": " + message) << "\n";
-        return 8;
-      }
-      if (have_report) {
-        if (opt.out_path.empty()) {
-          std::cout << report;
-        } else {
-          std::ofstream os(opt.out_path, std::ios::binary);
-          os << report;
-          if (!os) {
-            std::cerr << "hlsavd: cannot write '" << opt.out_path << "'\n";
-            return 1;
-          }
-        }
-      }
-      return status == "drained" ? 6 : 0;
-    }
-  }
-}
-
-}  // namespace
-
 int watch_job(const std::string& socket_path, std::uint64_t job, const WatchOptions& opt) {
   auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(opt.wait_ms);
   for (;;) {
-    bool retry = false;
-    int rc = watch_once(socket_path, job, opt, retry);
-    if (!retry) return rc;
+    bool retryable = false, unknown = false;
+    int rc = request_stream(socket_path, encode_watch(job), opt.out_path, opt.quiet,
+                            opt.stall_reads_ms, retryable, unknown);
+    if (!unknown) return rc;
     if (std::chrono::steady_clock::now() >= deadline) {
       std::cerr << "hlsavd: unknown job " << job << "\n";
       return 1;

@@ -11,12 +11,6 @@ void ProgressHub::open_job(const JobView& view) {
   std::lock_guard<std::mutex> lock(mu_);
   Channel& ch = channels_[view.id];
   ch.view = view;
-}
-
-void ProgressHub::reset_job(const JobView& view) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Channel& ch = channels_[view.id];
-  ch.view = view;
   ch.closed = false;
   ch.retained.clear();
   for (auto& sub : ch.subs) sub->detached = true;
@@ -24,23 +18,7 @@ void ProgressHub::reset_job(const JobView& view) {
   cv_.notify_all();
 }
 
-void ProgressHub::update_job(std::uint64_t job,
-                             const std::function<void(JobView&)>& mutate) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = channels_.find(job);
-  if (it == channels_.end()) return;
-  mutate(it->second.view);
-}
-
-std::optional<JobView> ProgressHub::view_of(std::uint64_t job) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = channels_.find(job);
-  if (it == channels_.end()) return std::nullopt;
-  return it->second.view;
-}
-
-void ProgressHub::push_frame(Channel& ch, Subscription& sub, WatchFrame frame) {
-  (void)ch;
+void ProgressHub::push_frame(Subscription& sub, WatchFrame frame) {
   if (frame.cls != WatchFrame::Cls::kCritical && sub.buf.size() >= coalesce_after_) {
     // Back-pressure: replace the newest queued frame of the same class
     // so the buffer stops growing but the latest level is preserved.
@@ -56,22 +34,24 @@ void ProgressHub::push_frame(Channel& ch, Subscription& sub, WatchFrame frame) {
   sub.buf.push_back(std::move(frame));
 }
 
-void ProgressHub::publish(std::uint64_t job, WatchFrame frame) {
+void ProgressHub::publish(const JobView& view, std::vector<WatchFrame> frames) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = channels_.find(job);
+  auto it = channels_.find(view.id);
   if (it == channels_.end()) return;
   Channel& ch = it->second;
-  ++published_total_;
-  // Report/done frames outlive the job: they are what a late subscriber
-  // of a finished job needs after its snapshot.
-  if (frame.cls == WatchFrame::Cls::kCritical &&
-      (!frame.payload.empty() ||
-       frame.line.find("\"type\":\"done\"") != std::string::npos)) {
-    ch.retained.push_back(frame);
-  }
-  for (auto& sub : ch.subs) {
-    if (sub->detached) continue;
-    push_frame(ch, *sub, frame);
+  ch.view = view;
+  for (WatchFrame& frame : frames) {
+    ++published_total_;
+    // Terminal frames outlive the job: they are what a late subscriber
+    // of a finished job needs after its snapshot.
+    if (frame.cls == WatchFrame::Cls::kCritical &&
+        (!frame.payload.empty() || frame.line.find("\"type\":\"done\"") != std::string::npos ||
+         frame.line.find("\"type\":\"rejected\"") != std::string::npos)) {
+      ch.retained.push_back(frame);
+    }
+    for (auto& sub : ch.subs) {
+      if (!sub->detached) push_frame(*sub, frame);
+    }
   }
   cv_.notify_all();
 }

@@ -1,9 +1,10 @@
 // ProgressHub: fan-out of per-job progress frames to N watchers.
 //
-// Every accepted job gets a channel. The supervisor's executor thread
-// *publishes* frames (progress, site heartbeats, crashes, state
-// transitions, the final report, done) into the channel; any number of
-// watcher threads *subscribe* and drain their own bounded buffer.
+// Every accepted job gets a channel. Service::emit *publishes* frames
+// (progress, site heartbeats, crashes, state transitions, the final
+// report, done) into the channel; any number of subscriber threads --
+// the submitting client's among them -- drain their own bounded
+// buffer.
 // The contract that makes watchers safe to attach to a production
 // campaign:
 //
@@ -28,7 +29,6 @@
 #include <cstdint>
 #include <condition_variable>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -72,21 +72,19 @@ class ProgressHub {
   explicit ProgressHub(std::size_t coalesce_after = 64)
       : coalesce_after_(coalesce_after) {}
 
-  /// Registers a job the moment it is accepted (state "queued").
+  /// Registers a job the moment it is admitted, or re-arms a finished
+  /// job's channel for another run (idempotent resubmit): fresh view,
+  /// closed flag and retained terminal frames cleared, stale
+  /// subscribers detached.
   void open_job(const JobView& view);
-  /// Re-arms a finished job's channel for another run (idempotent
-  /// resubmit of a terminally-failed job): fresh view, closed flag and
-  /// retained terminal frames cleared, stale subscribers detached.
-  void reset_job(const JobView& view);
-  /// Read-modify-write of a job's snapshot view under the hub lock;
-  /// no-op for unknown jobs.
-  void update_job(std::uint64_t job, const std::function<void(JobView&)>& mutate);
-  [[nodiscard]] std::optional<JobView> view_of(std::uint64_t job) const;
 
-  /// Fans `frame` out to every subscriber of `job` and -- for critical
-  /// report/done frames -- retains it for late subscribers. Never
-  /// blocks on subscriber I/O (there is none here by construction).
-  void publish(std::uint64_t job, WatchFrame frame);
+  /// Replaces the job's snapshot view and fans `frames` out to every
+  /// subscriber, under one lock so a late subscriber's snapshot never
+  /// disagrees with the frames that follow it. Terminal frames (report,
+  /// done, rejected) are retained for late subscribers. Never blocks on
+  /// subscriber I/O (there is none here by construction); unknown jobs
+  /// are ignored.
+  void publish(const JobView& view, std::vector<WatchFrame> frames);
   /// Marks the job finished: subscribers drain their buffers and then
   /// see end-of-stream; later subscribers get snapshot + retained
   /// terminal frames. The channel itself is kept until the hub dies so
@@ -137,7 +135,7 @@ class ProgressHub {
     std::vector<WatchFrame> retained;
   };
 
-  void push_frame(Channel& ch, Subscription& sub, WatchFrame frame);
+  void push_frame(Subscription& sub, WatchFrame frame);
 
   const std::size_t coalesce_after_;
   mutable std::mutex mu_;

@@ -14,11 +14,10 @@
 //   daemon -> client (submit):
 //     {"type":"accepted","job":N}
 //   | {"type":"rejected","code":"unavailable","message":...}
-//     {"type":"progress","job":N,"done":D,"total":T}*
-//     {"type":"worker-crashed","job":N,"site":S,"worker":W,"detail":...}*
-//     {"type":"quarantined","job":N,"site":S}*
+//     then the job's watch stream (below), which ends in
 //     {"type":"report","job":N,"bytes":N} + N raw bytes
 //     {"type":"done","job":N,"status":"ok"|"drained"}
+//     or, for a job aborted before it ran, in a "rejected" line
 //
 // Worker heartbeat lines (worker stdout -> supervisor) share the
 // dialect: {"type":"starting","site":N} before a site runs and

@@ -20,16 +20,11 @@
 
 namespace hlsav::serve {
 
-/// One accepted campaign submission. The client fd travels with the
-/// job: whichever executor runs it streams progress and the final
-/// report back over that connection.
+/// One accepted campaign submission. Its submitting client, if any,
+/// follows it as a ProgressHub subscriber, not through the queue.
 struct Job {
   std::uint64_t id = 0;
   CampaignSpec spec;
-  /// Connected client socket; the executor owns (and closes) it. -1
-  /// for a job re-adopted at boot: it runs with no one watching (the
-  /// spool and retained hub frames serve any later resubmit).
-  int client_fd = -1;
   /// Queue-assigned arrival number; ties within a priority stay FIFO.
   std::uint64_t seq = 0;
   /// Absolute wall-clock deadline (unix ms); 0 = none. Checked when

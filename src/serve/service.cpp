@@ -18,6 +18,8 @@ namespace hlsav::serve {
 
 namespace {
 
+using K = JobEvent::Kind;
+
 Status ensure_dir(const std::string& path) {
   if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return Status::ok_status();
   return Status::io_error("cannot create directory '" + path + "'");
@@ -47,27 +49,19 @@ StatusOr<std::unique_ptr<Service>> Service::start(ServiceOptions opt) {
     return Status::invalid_argument("service needs the hlsavd binary path for workers");
   }
   HLSAV_RETURN_IF_ERROR(ensure_dir(opt.work_dir));
+  if (opt.spool_dir.empty()) opt.spool_dir = opt.work_dir + "/spool";
+  StatusOr<JobSpool> spool = JobSpool::open(opt.spool_dir);
+  HLSAV_RETURN_IF_ERROR(spool.status());
   StatusOr<int> listen_fd = unix_listen(opt.socket_path);
   HLSAV_RETURN_IF_ERROR(listen_fd.status());
-  auto service = std::unique_ptr<Service>(new Service(std::move(opt), *listen_fd));
-  service->started_unix_ms_ = unix_ms();
-  service->incarnation_ = std::to_string(service->started_unix_ms_) + "-" +
-                          std::to_string(static_cast<long>(::getpid()));
-  if (!service->opt_.spool_dir.empty()) {
-    StatusOr<JobSpool> spool = JobSpool::open(service->opt_.spool_dir);
-    if (!spool.ok()) {
-      ::close(service->listen_fd_);
-      service->listen_fd_ = -1;
-      ::unlink(service->opt_.socket_path.c_str());
-      return spool.status();
-    }
-    service->spool_.emplace(std::move(*spool));
-  }
+  std::uint64_t started = unix_ms();
+  std::string incarnation = std::to_string(started) + "-" + std::to_string(::getpid());
+  auto service = std::unique_ptr<Service>(
+      new Service(std::move(opt), *listen_fd, std::move(*spool), std::move(incarnation)));
+  service->started_unix_ms_ = started;
   if (!service->opt_.events_out.empty()) {
     Status opened = service->events_.open(service->opt_.events_out);
     if (!opened.ok()) {
-      ::close(service->listen_fd_);
-      service->listen_fd_ = -1;
       ::unlink(service->opt_.socket_path.c_str());
       return opened;
     }
@@ -79,28 +73,135 @@ Service::~Service() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
-void Service::init_metrics() {
-  counters_.jobs_submitted = registry_.counter("jobs_submitted");
-  counters_.jobs_rejected = registry_.counter("jobs_rejected");
-  counters_.jobs_completed = registry_.counter("jobs_completed");
-  counters_.jobs_drained = registry_.counter("jobs_drained");
-  counters_.jobs_failed = registry_.counter("jobs_failed");
-  counters_.worker_respawns = registry_.counter("worker_respawns");
-  counters_.sites_quarantined = registry_.counter("sites_quarantined");
-  counters_.sites_done = registry_.counter("sites_done");
-  counters_.journal_bytes = registry_.counter("journal_bytes");
-  counters_.watch_subscribers = registry_.counter("watch_subscribers");
-  counters_.watch_frames_sent = registry_.counter("watch_frames_sent");
-  counters_.watch_frames_coalesced = registry_.counter("watch_frames_coalesced");
-  counters_.jobs_recovered = registry_.counter("jobs_recovered");
-  counters_.jobs_duplicate = registry_.counter("jobs_duplicate");
-  counters_.jobs_deadline_expired = registry_.counter("jobs_deadline_expired");
-  counters_.spool_quarantined = registry_.counter("spool_quarantined");
-  counters_.job_wall_ms = registry_.histogram("job_wall_ms");
+void Service::emit(JobEvent e) {
+  std::lock_guard<std::recursive_mutex> lock(emit_mu_);
+  const std::uint64_t now = tracer_.now_us();
+  EventFold::LogLine line = fold_.apply(e, now);
+  const JobView* view = fold_.view(e.job);
+  const std::uint64_t id = e.job;
+  const std::uint64_t life = ServiceTracer::kLifecycleTid;
+  const std::uint64_t wtid =
+      ServiceTracer::kWorkerTidBase + static_cast<std::uint64_t>(e.worker < 0 ? 0 : e.worker);
+  const std::string site = "s" + std::to_string(e.site);
+  std::vector<WatchFrame> frames;
+  auto frame = [&](std::string l, WatchFrame::Cls cls = WatchFrame::Cls::kCritical) {
+    frames.push_back(WatchFrame{cls, std::move(l), {}});
+  };
+  auto spool = [&](const std::string& state, const std::string& detail) {
+    (void)spool_.record_state(id, state, detail);
+  };
+  bool close = false;
+
+  switch (e.kind) {
+    case K::kDaemonStart:
+      tracer_.name_job(0, "daemon");
+      tracer_.begin_span(0, life, "recovery");
+      break;
+    case K::kRecovered:
+      tracer_.end_span(0, life, "recovery");
+      break;
+    case K::kSettled:
+      spool(e.state, e.detail);
+      break;
+    case K::kAdmitted:
+      // The channel opens before the queue push: an executor that pops
+      // instantly must find it.
+      hub_.open_job(*view);
+      if (e.detail == "resubmit") spool("queued", "resubmitted");
+      if (e.detail == "re-adopt") spool("queued", "re-adopted at boot");
+      break;
+    case K::kQueued:
+      tracer_.name_job(id, "job " + std::to_string(id) + " " + basename_of(view->design));
+      tracer_.instant(id, life, e.detail);
+      tracer_.begin_span(id, life, "queued");
+      break;
+    case K::kRejected:
+      if (!e.state.empty()) {
+        spool(e.state, e.detail);
+        close = true;
+      }
+      break;
+    case K::kAborted:
+      // The spool remembers the abort: a restarted daemon will not
+      // re-run the job unprompted, but a resubmit with the same key
+      // requeues it (resuming any journaled progress).
+      spool("aborted", e.detail);
+      tracer_.end_span(id, life, "queued");
+      frame(encode_state(id, "aborted"));
+      frame(encode_rejected(Status::unavailable(e.detail)));
+      close = true;
+      break;
+    case K::kStarted:
+      spool("running", "");
+      tracer_.end_span(id, life, "queued");
+      tracer_.begin_span(id, life, "run");
+      frame(encode_state(id, "running"));
+      break;
+    case K::kPhaseBegin:
+      tracer_.begin_span(id, life, e.detail);
+      if (e.detail == "merge") frame(encode_state(id, "merging"));
+      break;
+    case K::kPhaseEnd:
+      tracer_.end_span(id, life, e.detail);
+      break;
+    case K::kProgress:
+      frame(encode_progress(id, e.done, e.total), WatchFrame::Cls::kProgress);
+      break;
+    case K::kSiteStarted:
+      frame(encode_site_started(id, e.site, e.worker), WatchFrame::Cls::kSite);
+      tracer_.begin_span(id, wtid, site);
+      break;
+    case K::kSiteDone:
+      frame(encode_site_done(id, e.site, e.worker, e.detail), WatchFrame::Cls::kSite);
+      tracer_.end_span(id, wtid, site);
+      break;
+    case K::kWorkerCrashed:
+      frame(encode_worker_crashed(id, e.site, e.worker, e.detail));
+      tracer_.instant(id, wtid, "respawn site " + site);
+      break;
+    case K::kQuarantined:
+      frame(encode_quarantined(id, e.site));
+      tracer_.instant(id, wtid, "quarantine site " + site);
+      break;
+    case K::kReport:
+      // Every subscriber, the submitting client included, receives the
+      // identical sized report frame.
+      frames.push_back(WatchFrame{WatchFrame::Cls::kCritical,
+                                  encode_report_header(id, e.payload.size()),
+                                  std::move(e.payload)});
+      break;
+    case K::kFinished: {
+      std::string done_line = encode_done(id, e.state == "done" ? "ok" : e.state, e.detail);
+      tracer_.end_span(id, life, "queued");
+      tracer_.end_span(id, life, "run");
+      // Counters (folded above) and the terminal spool record land
+      // before the done frame: once a client has read "done", a status
+      // query counts the job and a restarted daemon agrees it is over.
+      spool(e.state, e.state == "done" ? "" : done_line);
+      frame(encode_state(id, e.state));
+      frame(std::move(done_line));
+      close = true;
+      break;
+    }
+    case K::kDaemonStop:
+      hub_.shutdown();
+      break;
+    case K::kRestored:
+    case K::kDuplicate:
+    case K::kWatchSubscribed:
+    case K::kWatchFrame:
+    case K::kWatchClosed:
+      break;
+  }
+  if (view != nullptr && (!frames.empty() || close)) hub_.publish(*view, std::move(frames));
+  if (close) hub_.close_job(id);
+  if (!line.name.empty()) events_.record(now, line.name, line.fields);
+  if (e.kind == K::kDaemonStop) events_.close();
 }
 
-void Service::log_event(const std::string& name, const std::vector<EventLog::Field>& fields) {
-  events_.record(tracer_.now_us(), name, fields);
+std::optional<EventFold::KeyInfo> Service::key_info(const std::string& key) {
+  std::lock_guard<std::recursive_mutex> lock(emit_mu_);
+  return fold_.key_info(key);
 }
 
 std::string Service::depths_field() {
@@ -114,30 +215,25 @@ std::string Service::depths_field() {
 
 std::string Service::workers_field() {
   std::string out;
-  std::lock_guard<std::mutex> lock(metrics_mu_);
-  for (std::size_t w = 0; w < worker_stats_.size(); ++w) {
+  for (std::size_t w = 0; w < fold_.worker_stats.size(); ++w) {
     if (!out.empty()) out += ';';
-    out += std::to_string(w) + ":" + std::to_string(worker_stats_[w].first) + "/" +
-           std::to_string(worker_stats_[w].second);
+    out += std::to_string(w) + ":" + std::to_string(fold_.worker_stats[w].first) + "/" +
+           std::to_string(fold_.worker_stats[w].second);
   }
   return out;
 }
 
 std::string Service::status_reply() {
-  std::string reply = "{\"type\":\"status\",\"queued\":" +
-                      std::to_string(queued_.load(std::memory_order_relaxed)) +
-                      ",\"running\":" +
-                      std::to_string(running_.load(std::memory_order_relaxed)) +
-                      ",\"completed\":" +
-                      std::to_string(completed_.load(std::memory_order_relaxed)) +
-                      ",\"rejected\":" +
-                      std::to_string(rejected_.load(std::memory_order_relaxed)) +
-                      ",\"incarnation\":";
-  jsonl::append_escaped(reply, incarnation_);
+  std::lock_guard<std::recursive_mutex> lock(emit_mu_);
+  std::string reply = "{\"type\":\"status\",\"queued\":" + std::to_string(fold_.queued) +
+                      ",\"running\":" + std::to_string(fold_.running) +
+                      ",\"completed\":" + std::to_string(fold_.completed) +
+                      ",\"rejected\":" + std::to_string(fold_.rejected) + ",\"incarnation\":";
+  jsonl::append_escaped(reply, fold_.incarnation);
   reply += ",\"started_unix_ms\":" + std::to_string(started_unix_ms_);
   reply += ",\"uptime_ms\":" +
            jsonl::format_double(static_cast<double>(tracer_.now_us()) / 1000.0);
-  reply += ",\"recovered\":" + std::to_string(recovered_.load(std::memory_order_relaxed));
+  reply += ",\"recovered\":" + std::to_string(fold_.recovered);
   reply += ",\"depths\":";
   jsonl::append_escaped(reply, depths_field());
   reply += ",\"workers\":";
@@ -147,40 +243,38 @@ std::string Service::status_reply() {
 }
 
 std::string Service::metrics_snapshot() {
+  std::lock_guard<std::recursive_mutex> lock(emit_mu_);
   std::uint64_t uptime_us = tracer_.now_us();
   std::string out = "{\"type\":\"metrics\",\"uptime_ms\":" +
                     jsonl::format_double(static_cast<double>(uptime_us) / 1000.0);
-  out += ",\"jobs_queued_now\":" + std::to_string(queued_.load(std::memory_order_relaxed));
-  out += ",\"jobs_running_now\":" + std::to_string(running_.load(std::memory_order_relaxed));
+  out += ",\"jobs_queued_now\":" + std::to_string(fold_.queued);
+  out += ",\"jobs_running_now\":" + std::to_string(fold_.running);
   out += ",\"queue_depths\":";
   jsonl::append_escaped(out, depths_field());
   out += ",\"worker_tallies\":";
   jsonl::append_escaped(out, workers_field());
   out += ",\"watch_subscribers_now\":" + std::to_string(hub_.subscriber_count());
   out += ",\"events_logged\":" + std::to_string(events_.sequence());
-  {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    double uptime_s = static_cast<double>(uptime_us) / 1e6;
-    double rate = uptime_s > 0
-                      ? static_cast<double>(counters_.sites_done->value) / uptime_s
-                      : 0.0;
-    out += ",\"sites_per_sec\":" + jsonl::format_double(rate);
-    out += "," + registry_.to_json();
-  }
-  out += '}';
+  double uptime_s = static_cast<double>(uptime_us) / 1e6;
+  double rate = uptime_s > 0
+                    ? static_cast<double>(fold_.counters.sites_done->value) / uptime_s
+                    : 0.0;
+  out += ",\"sites_per_sec\":" + jsonl::format_double(rate);
+  out += "," + fold_.registry.to_json() + '}';
   return out;
 }
 
 Status Service::serve() {
-  log_event("daemon-start", {EventLog::Field::str("socket", opt_.socket_path),
-                             EventLog::Field::str("incarnation", incarnation_)});
+  emit({.kind = K::kDaemonStart, .detail = opt_.socket_path});
   // Re-adopt spooled jobs *before* the executors start: recovered work
   // is already in the queue when the first pop happens, so boot order
   // (recovered first, FIFO within priority) is deterministic.
   HLSAV_RETURN_IF_ERROR(recover_jobs());
   executors_.reserve(opt_.executors);
   for (unsigned i = 0; i < opt_.executors; ++i) {
-    executors_.emplace_back([this] { executor_loop(); });
+    executors_.emplace_back([this] {
+      while (std::optional<Job> job = queue_.pop()) run_job(std::move(*job));
+    });
   }
 
   Status accept_status;
@@ -195,59 +289,55 @@ Status Service::serve() {
   }
 
   // Graceful degradation: running jobs drain (workers flush journals
-  // and exit; clients get a "drained" result), queued jobs get a typed
-  // abort so no client is left hanging on a silent close.
+  // and exit; subscribers get a "drained" result), queued jobs get a
+  // typed abort so no client is left hanging on a silent close.
   drain_.store(true, std::memory_order_relaxed);
   for (Job& job : queue_.close()) {
-    // The spool remembers the abort: a restarted daemon will not
-    // re-run the job unprompted, but a resubmit with the same key
-    // requeues it (resuming any journaled progress).
-    record_terminal(job, "aborted", "daemon shutdown before the job started");
-    if (job.client_fd >= 0) {
-      (void)send_line(job.client_fd, encode_rejected(Status::unavailable(
-                                         "service shutting down before the job started; "
-                                         "resubmit when it is back")));
-      ::close(job.client_fd);
-    }
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    queued_.fetch_sub(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      counters_.jobs_rejected->add();
-    }
-    // Watchers of the aborted job see the transition and end-of-stream
-    // rather than a silent hang.
-    hub_.update_job(job.id, [](JobView& v) { v.state = "aborted"; });
-    WatchFrame f;
-    f.cls = WatchFrame::Cls::kCritical;
-    f.line = encode_state(job.id, "aborted");
-    hub_.publish(job.id, std::move(f));
-    WatchFrame d;
-    d.cls = WatchFrame::Cls::kCritical;
-    d.line = encode_done(job.id, "error", "aborted by daemon shutdown before starting");
-    hub_.publish(job.id, std::move(d));
-    hub_.close_job(job.id);
-    tracer_.end_span(job.id, ServiceTracer::kLifecycleTid, "queued");
-    log_event("job-aborted", {EventLog::Field::num("job", job.id)});
+    emit({.kind = K::kAborted,
+          .job = job.id,
+          .detail = "service shutting down before the job started; resubmit when it is back"});
   }
   for (std::thread& t : executors_) t.join();
   executors_.clear();
 
-  // Wake every watcher (hub close + stop flag interrupts in-flight
-  // sends to stalled readers) and join their threads.
+  // Every channel is closed now, so each subscriber sends what is left
+  // and ends; one whose reader stalls past the grace period has its
+  // send cut off by the stop flag.
+  auto grace_end = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  auto all_finished = [&] {
+    std::lock_guard<std::mutex> lock(watchers_mu_);
+    for (const Watcher& w : watchers_) {
+      if (!w.finished->load()) return false;
+    }
+    return true;
+  };
+  while (!all_finished() && std::chrono::steady_clock::now() < grace_end) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   stopping_.store(true, std::memory_order_relaxed);
-  hub_.shutdown();
   {
     std::lock_guard<std::mutex> lock(watchers_mu_);
-    for (std::thread& t : watchers_) t.join();
+    for (Watcher& w : watchers_) w.thread.join();
     watchers_.clear();
   }
-  log_event("daemon-stop",
-            {EventLog::Field::num("jobs_completed", completed_.load(std::memory_order_relaxed)),
-             EventLog::Field::num("jobs_rejected", rejected_.load(std::memory_order_relaxed))});
-  events_.close();
+  emit({.kind = K::kDaemonStop});
   ::unlink(opt_.socket_path.c_str());
   return accept_status;
+}
+
+void Service::spawn_watcher(std::function<void()> body) {
+  std::lock_guard<std::mutex> lock(watchers_mu_);
+  std::erase_if(watchers_, [](Watcher& w) {
+    if (!w.finished->load()) return false;
+    w.thread.join();
+    return true;
+  });
+  auto finished = std::make_shared<std::atomic<bool>>(false);
+  watchers_.push_back(Watcher{std::thread([body = std::move(body), finished] {
+                                body();
+                                finished->store(true);
+                              }),
+                              finished});
 }
 
 void Service::handle_connection(int fd) {
@@ -258,24 +348,29 @@ void Service::handle_connection(int fd) {
     return;
   }
   std::string type;
+  std::uint64_t job = 0;
+  (void)jsonl::parse_u64(*line, "job", job);
   if (!jsonl::parse_string(*line, "type", type)) {
     (void)send_line(fd, encode_rejected(Status::invalid_argument("request has no type")));
-    ::close(fd);
+  } else if (type == "submit") {
+    handle_submit(fd, *line);
     return;
-  }
-  if (type == "status") {
+  } else if (type == "watch") {
+    StatusOr<std::shared_ptr<ProgressHub::Subscription>> sub =
+        Status::invalid_argument("watch request has no job");
+    if (job != 0) sub = hub_.subscribe(job);
+    if (sub.ok()) {
+      // Served on its own thread: the accept loop must never block
+      // behind one watcher's socket buffer.
+      spawn_watcher([this, fd, sub = *sub, job] { stream(fd, sub, job, /*submitter=*/false); });
+      return;
+    }
+    (void)send_line(fd, encode_rejected(sub.status()));
+  } else if (type == "status") {
     (void)send_line(fd, status_reply());
-    ::close(fd);
-    return;
-  }
-  if (type == "metrics") {
+  } else if (type == "metrics") {
     (void)send_line(fd, metrics_snapshot());
-    ::close(fd);
-    return;
-  }
-  if (type == "trace") {
-    std::uint64_t job = 0;
-    (void)jsonl::parse_u64(*line, "job", job);
+  } else if (type == "trace") {
     StatusOr<std::string> json = tracer_.export_json(job);
     if (!json.ok()) {
       (void)send_line(fd, encode_rejected(json.status()));
@@ -284,35 +379,14 @@ void Service::handle_connection(int fd) {
                            ",\"bytes\":" + std::to_string(json->size()) + "}";
       if (send_line(fd, header).ok()) (void)send_bytes(fd, *json);
     }
-    ::close(fd);
-    return;
-  }
-  if (type == "watch") {
-    std::uint64_t job = 0;
-    if (!jsonl::parse_u64(*line, "job", job)) {
-      (void)send_line(fd, encode_rejected(Status::invalid_argument("watch request has no job")));
-      ::close(fd);
-      return;
-    }
-    // The subscription lives on its own thread: the accept loop must
-    // never block behind one watcher's socket buffer.
-    std::lock_guard<std::mutex> lock(watchers_mu_);
-    watchers_.emplace_back([this, fd, job] { watch_connection(fd, job); });
-    return;
-  }
-  if (type == "shutdown") {
+  } else if (type == "shutdown") {
     (void)send_line(fd, "{\"type\":\"ok\"}");
-    ::close(fd);
     shutdown_.store(true, std::memory_order_relaxed);
-    return;
-  }
-  if (type != "submit") {
+  } else {
     (void)send_line(fd, encode_rejected(Status::invalid_argument("unknown request type '" +
                                                                  type + "'")));
-    ::close(fd);
-    return;
   }
-  handle_submit(fd, *line);
+  ::close(fd);
 }
 
 void Service::maybe_die_at(const std::string& phase) {
@@ -325,22 +399,7 @@ void Service::maybe_die_at(const std::string& phase) {
   (void)::raise(SIGKILL);
 }
 
-void Service::note_state(const std::string& key, const std::string& state) {
-  if (key.empty()) return;
-  std::lock_guard<std::mutex> lock(keys_mu_);
-  auto it = keys_.find(key);
-  if (it != keys_.end()) it->second.state = state;
-}
-
-void Service::record_terminal(const Job& job, const std::string& state,
-                              const std::string& detail) {
-  if (spool_.has_value() && !job.spec.key.empty()) {
-    (void)spool_->record_state(job.id, state, detail);
-  }
-  note_state(job.spec.key, state);
-}
-
-void Service::replay_done(int fd, std::uint64_t job_id, const std::string& final_state) {
+void Service::replay_done(int fd, std::uint64_t job_id) {
   (void)send_line(fd, encode_accepted(job_id, /*duplicate=*/true));
   std::string report =
       slurp_file(opt_.work_dir + "/job_" + std::to_string(job_id) + "/report.txt");
@@ -349,377 +408,163 @@ void Service::replay_done(int fd, std::uint64_t job_id, const std::string& final
       (void)send_bytes(fd, report);
     }
   }
-  (void)send_line(fd, encode_done(job_id, final_state == "done" ? "ok" : final_state));
+  (void)send_line(fd, encode_done(job_id, "ok"));
   ::close(fd);
 }
 
 Status Service::recover_jobs() {
-  if (!spool_.has_value()) return Status::ok_status();
-  StatusOr<SpoolScan> scan = spool_->scan();
+  StatusOr<SpoolScan> scan = spool_.scan();
   HLSAV_RETURN_IF_ERROR(scan.status());
-  tracer_.name_job(0, "daemon");
-  tracer_.begin_span(0, ServiceTracer::kLifecycleTid, "recovery");
   std::uint64_t max_id = 0;
-  std::uint64_t requeued = 0;
-  std::uint64_t expired = 0;
   for (const SpoolEntry& e : scan->entries) {
     max_id = std::max(max_id, e.job);
-    {
-      std::lock_guard<std::mutex> lock(keys_mu_);
-      auto [it, inserted] = keys_.emplace(e.key, KeyInfo{e.job, e.submit_line, e.state});
-      (void)it;
-      if (!inserted) {
-        // The same key in two entries (an interrupted incarnation's
-        // near-miss): the earliest job owns the key, the other entry
-        // stays on disk but is never re-adopted.
-        log_event("spool-duplicate-key", {EventLog::Field::num("job", e.job),
-                                          EventLog::Field::str("key", e.key)});
-        continue;
-      }
-    }
-    if (e.terminal()) continue;
+    emit({.kind = K::kRestored, .job = e.job, .state = e.state, .detail = e.submit_line,
+          .key = e.key});
+    // A key already owned by an earlier entry stays on disk but is
+    // never re-adopted.
+    if (e.terminal() || key_info(e.key)->job != e.job) continue;
     StatusOr<CampaignSpec> spec = decode_submit(e.submit_line);
     if (!spec.ok()) {
-      (void)spool_->record_state(e.job, "error",
-                                 "unreadable spooled spec: " + spec.status().message());
-      note_state(e.key, "error");
+      emit({.kind = K::kSettled, .job = e.job, .state = "error",
+            .detail = "unreadable spooled spec: " + spec.status().message(), .key = e.key});
       continue;
     }
     if (e.deadline_ms > 0 && unix_ms() > e.submitted_unix_ms + e.deadline_ms) {
       // Expired while the daemon was down: typed terminal state, never
       // a silent drop -- a resubmit with the key learns what happened.
-      (void)spool_->record_state(e.job, "deadline-expired",
-                                 "deadline passed while the daemon was down");
-      note_state(e.key, "deadline-expired");
-      {
-        std::lock_guard<std::mutex> lock(metrics_mu_);
-        counters_.jobs_deadline_expired->add();
-      }
-      log_event("job-deadline-expired", {EventLog::Field::num("job", e.job)});
-      ++expired;
+      emit({.kind = K::kSettled, .job = e.job, .state = "deadline-expired",
+            .detail = "deadline passed while the daemon was down", .key = e.key});
       continue;
     }
     Job job;
     job.id = e.job;
     job.spec = std::move(*spec);
-    job.client_fd = -1;
     if (e.deadline_ms > 0) job.deadline_unix_ms = e.submitted_unix_ms + e.deadline_ms;
-    JobView view;
-    view.id = e.job;
-    view.priority = job.spec.priority;
-    view.design = job.spec.design_path;
-    view.state = "queued";
-    hub_.open_job(view);
-    tracer_.name_job(e.job, "job " + std::to_string(e.job) + " " +
-                                basename_of(job.spec.design_path));
-    tracer_.instant(e.job, ServiceTracer::kLifecycleTid, "re-adopt");
-    tracer_.begin_span(e.job, ServiceTracer::kLifecycleTid, "queued");
-    (void)spool_->record_state(e.job, "queued", "re-adopted at boot");
-    std::string key = e.key;
-    Status pushed = queue_.push(std::move(job), /*force=*/true);
-    if (!pushed.ok()) break;  // queue already closed: shutting down
-    queued_.fetch_add(1, std::memory_order_relaxed);
-    recovered_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      counters_.jobs_recovered->add();
-    }
-    log_event("job-requeued",
-              {EventLog::Field::num("job", e.job), EventLog::Field::str("key", key)});
-    ++requeued;
+    if (!admit(std::move(job), -1, "re-adopt", e.state)) break;  // shutting down
   }
-  if (max_id != 0) {
-    std::uint64_t expect = next_job_id_.load(std::memory_order_relaxed);
-    while (expect <= max_id &&
-           !next_job_id_.compare_exchange_weak(expect, max_id + 1, std::memory_order_relaxed)) {
-    }
-  }
-  if (scan->quarantined > 0) {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    counters_.spool_quarantined->add(scan->quarantined);
-  }
-  tracer_.end_span(0, ServiceTracer::kLifecycleTid, "recovery");
-  log_event("daemon-recovered",
-            {EventLog::Field::str("incarnation", incarnation_),
-             EventLog::Field::num("requeued", requeued),
-             EventLog::Field::num("expired", expired),
-             EventLog::Field::num("quarantined", scan->quarantined),
-             EventLog::Field::num("torn_tails", scan->torn_tails)});
+  if (max_id >= next_job_id_.load()) next_job_id_.store(max_id + 1);
+  emit({.kind = K::kRecovered, .done = scan->quarantined, .total = scan->torn_tails});
   return Status::ok_status();
 }
 
-void Service::handle_submit(int fd, const std::string& line) {
-  auto reject = [&](const Status& st, std::uint64_t job_id) {
-    (void)send_line(fd, encode_rejected(st));
-    ::close(fd);
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      counters_.jobs_rejected->add();
-    }
-    std::vector<EventLog::Field> fields;
-    if (job_id != 0) fields.push_back(EventLog::Field::num("job", job_id));
-    fields.push_back(EventLog::Field::str("reason", st.message()));
-    log_event("job-rejected", fields);
-  };
+void Service::reject(int fd, const Status& st, std::uint64_t job, const std::string& state) {
+  emit({.kind = K::kRejected, .job = job, .state = state, .detail = st.message()});
+  if (fd < 0) return;
+  (void)send_line(fd, encode_rejected(st));
+  ::close(fd);
+}
 
-  StatusOr<CampaignSpec> spec = decode_submit(line);
-  if (!spec.ok()) {
-    reject(spec.status(), 0);
-    return;
+bool Service::admit(Job job, int fd, const std::string& origin, const std::string& bounce_state) {
+  const std::uint64_t id = job.id;
+  emit({.kind = K::kAdmitted, .job = id, .detail = origin, .spec = &job.spec});
+  if (origin == "submit") maybe_die_at("spooled");
+  // The submitter follows its job as an ordinary subscriber, attached
+  // before the push so it cannot miss the first frame.
+  std::shared_ptr<ProgressHub::Subscription> sub;
+  if (fd >= 0) sub = *hub_.subscribe(id);
+  Status pushed;
+  {
+    // Push and announce under the emit lock, so an executor that pops
+    // the job at once cannot emit kStarted before kQueued.
+    std::lock_guard<std::recursive_mutex> lock(emit_mu_);
+    pushed = queue_.push(std::move(job), /*force=*/origin == "re-adopt");
+    if (pushed.ok()) emit({.kind = K::kQueued, .job = id, .detail = origin});
   }
-  maybe_die_at("accept");
-
-  // Idempotency: with the spool on, every job has a key (the daemon
-  // assigns one when the client does not). Without the spool, keyless
-  // submits skip the whole key path -- the historic behavior.
-  if (spec->key.empty() && spool_.has_value()) {
-    spec->key = "d" + incarnation_ + "-" +
-                std::to_string(next_job_id_.load(std::memory_order_relaxed)) + "-" +
-                std::to_string(tracer_.now_us());
-  }
-  const std::string canonical = encode_submit(*spec);
-
-  if (!spec->key.empty()) {
-    std::unique_lock<std::mutex> lock(keys_mu_);
-    auto it = keys_.find(spec->key);
-    if (it != keys_.end()) {
-      KeyInfo info = it->second;
-      lock.unlock();
-      if (info.submit_line != canonical) {
-        reject(Status::invalid_argument("idempotency key '" + spec->key +
-                                        "' was already used with a different spec"),
-               info.job);
-        return;
-      }
-      {
-        std::lock_guard<std::mutex> mlock(metrics_mu_);
-        counters_.jobs_duplicate->add();
-      }
-      log_event("job-duplicate", {EventLog::Field::num("job", info.job),
-                                  EventLog::Field::str("key", spec->key),
-                                  EventLog::Field::str("state", info.state)});
-      if (info.state == "done") {
-        // Completed (possibly in a previous incarnation): replay the
-        // persisted report -- byte-identical, never a re-run.
-        std::lock_guard<std::mutex> wlock(watchers_mu_);
-        std::uint64_t job_id = info.job;
-        watchers_.emplace_back([this, fd, job_id] { replay_done(fd, job_id, "done"); });
-        return;
-      }
-      if (!JobSpool::state_terminal(info.state)) {
-        // Still queued or running: attach this client to the live
-        // stream. The submit client ignores watch-only frame types, so
-        // the terminal frames it cares about arrive byte-identical.
-        (void)send_line(fd, encode_accepted(info.job, /*duplicate=*/true));
-        std::lock_guard<std::mutex> wlock(watchers_mu_);
-        std::uint64_t job_id = info.job;
-        watchers_.emplace_back([this, fd, job_id] { watch_connection(fd, job_id); });
-        return;
-      }
-      // Terminal failure (error/aborted/drained/deadline-expired):
-      // requeue the *same* job id -- its job_dir and journal shards
-      // resume byte-identically behind the fingerprint gate.
-      Job job;
-      job.id = info.job;
-      job.spec = *spec;
-      job.client_fd = fd;
-      if (spec->deadline_ms > 0) job.deadline_unix_ms = unix_ms() + spec->deadline_ms;
-      JobView view;
-      view.id = job.id;
-      view.priority = job.spec.priority;
-      view.design = job.spec.design_path;
-      view.state = "queued";
-      hub_.reset_job(view);
-      if (spool_.has_value()) (void)spool_->record_state(job.id, "queued", "resubmitted");
-      note_state(spec->key, "queued");
-      std::uint64_t id = job.id;
-      Status pushed = queue_.push(std::move(job));
-      if (!pushed.ok()) {
-        if (spool_.has_value()) (void)spool_->record_state(id, info.state, "requeue bounced");
-        note_state(spec->key, info.state);
-        reject(pushed, id);
-        return;
-      }
-      queued_.fetch_add(1, std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> mlock(metrics_mu_);
-        counters_.jobs_submitted->add();
-      }
-      tracer_.instant(id, ServiceTracer::kLifecycleTid, "resubmit");
-      tracer_.begin_span(id, ServiceTracer::kLifecycleTid, "queued");
-      log_event("job-requeued", {EventLog::Field::num("job", id),
-                                 EventLog::Field::str("key", spec->key)});
-      (void)send_line(fd, encode_accepted(id, /*duplicate=*/true));
-      return;
-    }
-    lock.unlock();
-  }
-
-  Job job;
-  job.id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
-  job.spec = std::move(*spec);
-  job.client_fd = fd;
-  std::uint64_t now_ms = unix_ms();
-  if (job.spec.deadline_ms > 0) job.deadline_unix_ms = now_ms + job.spec.deadline_ms;
-  std::uint64_t id = job.id;
-  int priority = job.spec.priority;
-  std::string design = job.spec.design_path;
-  std::string key = job.spec.key;
-
-  if (spool_.has_value()) {
-    // Write-ahead rule: the job is on disk (entry fsync'd, directory
-    // fsync'd) before the accept promise goes out or an executor can
-    // see it.
-    SpoolEntry entry;
-    entry.job = id;
-    entry.key = key;
-    entry.submit_line = canonical;
-    entry.priority = priority;
-    entry.deadline_ms = job.spec.deadline_ms;
-    entry.submitted_unix_ms = now_ms;
-    Status spooled = spool_->record_accepted(entry);
-    if (!spooled.ok()) {
-      reject(spooled, id);
-      return;
-    }
-  }
-  if (!key.empty()) {
-    std::lock_guard<std::mutex> lock(keys_mu_);
-    keys_[key] = KeyInfo{id, canonical, "queued"};
-  }
-  maybe_die_at("spooled");
-
-  // The hub channel opens before the queue push: an executor that pops
-  // instantly must find the channel (frames to a non-existent channel
-  // are dropped).
-  JobView view;
-  view.id = id;
-  view.priority = priority;
-  view.design = design;
-  view.state = "queued";
-  hub_.open_job(view);
-  Status pushed = queue_.push(std::move(job));
   if (!pushed.ok()) {
     // Typed back-pressure: the client learns *why* (queue full vs
     // shutting down) and can retry later; nothing is silently dropped.
-    if (spool_.has_value() && !key.empty()) {
-      (void)spool_->record_state(id, "aborted", pushed.message());
-    }
-    note_state(key, "aborted");
-    hub_.close_job(id);
-    reject(pushed, id);
-    return;
+    if (sub != nullptr) hub_.unsubscribe(sub);
+    reject(fd, pushed, id, bounce_state);
+    return false;
   }
-  queued_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    counters_.jobs_submitted->add();
+  if (fd >= 0) {
+    (void)send_line(fd, encode_accepted(id, /*duplicate=*/origin != "submit"));
+    spawn_watcher([this, fd, sub, id] { stream(fd, sub, id, /*submitter=*/true); });
   }
-  tracer_.name_job(id, "job " + std::to_string(id) + " " + basename_of(design));
-  tracer_.instant(id, ServiceTracer::kLifecycleTid, "submit");
-  tracer_.begin_span(id, ServiceTracer::kLifecycleTid, "queued");
-  log_event("job-submitted",
-            {EventLog::Field::num("job", id),
-             EventLog::Field{"priority", std::to_string(priority), /*raw=*/true},
-             EventLog::Field::str("design", design)});
-  (void)send_line(fd, encode_accepted(id));
+  return true;
 }
 
-void Service::executor_loop() {
-  for (;;) {
-    std::optional<Job> job = queue_.pop();
-    if (!job.has_value()) return;
-    queued_.fetch_sub(1, std::memory_order_relaxed);
-    running_.fetch_add(1, std::memory_order_relaxed);
-    run_job(std::move(*job));
+void Service::handle_submit(int fd, const std::string& line) {
+  StatusOr<CampaignSpec> spec = decode_submit(line);
+  if (!spec.ok()) return reject(fd, spec.status(), 0);
+  maybe_die_at("accept");
+
+  // Idempotency: every job has a key (the daemon assigns one when the
+  // client does not).
+  if (spec->key.empty()) {
+    spec->key = "d" + fold_.incarnation + "-" + std::to_string(next_job_id_.load()) + "-" +
+                std::to_string(tracer_.now_us());
   }
+  const std::string canonical = encode_submit(*spec);
+  const std::uint64_t now_ms = unix_ms();
+  Job job;
+  job.spec = std::move(*spec);
+  if (job.spec.deadline_ms > 0) job.deadline_unix_ms = now_ms + job.spec.deadline_ms;
+
+  if (std::optional<EventFold::KeyInfo> known = key_info(job.spec.key)) {
+    if (known->submit_line != canonical) {
+      return reject(fd,
+                    Status::invalid_argument("idempotency key '" + job.spec.key +
+                                             "' was already used with a different spec"),
+                    known->job);
+    }
+    emit({.kind = K::kDuplicate, .job = known->job, .state = known->state, .key = job.spec.key});
+    if (known->state == "done") {
+      // Completed (possibly in a previous incarnation): replay the
+      // persisted report -- byte-identical, never a re-run.
+      spawn_watcher([this, fd, id = known->job] { replay_done(fd, id); });
+    } else if (!JobSpool::state_terminal(known->state)) {
+      // Still queued or running: attach this client to the live stream.
+      StatusOr<std::shared_ptr<ProgressHub::Subscription>> sub = hub_.subscribe(known->job);
+      if (!sub.ok()) return reject(fd, sub.status(), known->job);
+      (void)send_line(fd, encode_accepted(known->job, /*duplicate=*/true));
+      spawn_watcher([this, fd, sub = *sub, id = known->job] {
+        stream(fd, sub, id, /*submitter=*/true);
+      });
+    } else {
+      // Terminal failure (error/aborted/drained/deadline-expired):
+      // requeue the *same* job id -- its job_dir and journal shards
+      // resume byte-identically behind the fingerprint gate.
+      job.id = known->job;
+      (void)admit(std::move(job), fd, "resubmit", known->state);
+    }
+    return;
+  }
+
+  // Write-ahead rule: the job is on disk (entry fsync'd, directory
+  // fsync'd) before the accept promise goes out or an executor can
+  // see it.
+  job.id = next_job_id_.fetch_add(1);
+  SpoolEntry entry;
+  entry.job = job.id;
+  entry.key = job.spec.key;
+  entry.submit_line = canonical;
+  entry.priority = job.spec.priority;
+  entry.deadline_ms = job.spec.deadline_ms;
+  entry.submitted_unix_ms = now_ms;
+  Status spooled = spool_.record_accepted(entry);
+  if (!spooled.ok()) return reject(fd, spooled, job.id);
+  (void)admit(std::move(job), fd, "submit", "aborted");
 }
 
 void Service::run_job(Job job) {
-  std::uint64_t start_us = tracer_.now_us();
-  tracer_.end_span(job.id, ServiceTracer::kLifecycleTid, "queued");
-  tracer_.begin_span(job.id, ServiceTracer::kLifecycleTid, "run");
-  hub_.update_job(job.id, [](JobView& v) { v.state = "running"; });
-  {
-    WatchFrame f;
-    f.cls = WatchFrame::Cls::kCritical;
-    f.line = encode_state(job.id, "running");
-    hub_.publish(job.id, std::move(f));
-  }
-  log_event("job-started", {EventLog::Field::num("job", job.id)});
-
-  // Counters move *before* the done line goes out: a client that reads
-  // "done" and immediately queries status must see itself counted.
-  auto finish = [&](const std::string& done_line, const std::string& final_state) {
-    running_.fetch_sub(1, std::memory_order_relaxed);
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    tracer_.end_span(job.id, ServiceTracer::kLifecycleTid, "run");
-    hub_.update_job(job.id, [&](JobView& v) { v.state = final_state; });
-    {
-      WatchFrame f;
-      f.cls = WatchFrame::Cls::kCritical;
-      f.line = encode_state(job.id, final_state);
-      hub_.publish(job.id, std::move(f));
-    }
-    {
-      WatchFrame f;
-      f.cls = WatchFrame::Cls::kCritical;
-      f.line = done_line;
-      hub_.publish(job.id, std::move(f));
-    }
-    hub_.close_job(job.id);
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      if (final_state == "done") {
-        counters_.jobs_completed->add();
-      } else if (final_state == "drained") {
-        counters_.jobs_drained->add();
-      } else {
-        counters_.jobs_failed->add();
-      }
-      counters_.job_wall_ms->record((tracer_.now_us() - start_us) / 1000);
-    }
-    std::optional<JobView> v = hub_.view_of(job.id);
-    log_event("job-completed",
-              {EventLog::Field::num("job", job.id),
-               EventLog::Field::str("status", final_state),
-               EventLog::Field::num("done", v.has_value() ? v->done : 0),
-               EventLog::Field::num("total", v.has_value() ? v->total : 0)});
-    // Terminal spool record *before* the done line: once a client has
-    // read "done", a restarted daemon must agree the job is over.
-    record_terminal(job, final_state, final_state == "done" ? "" : done_line);
-    if (job.client_fd >= 0) {
-      (void)send_line(job.client_fd, done_line);
-      ::close(job.client_fd);
-    }
+  const std::uint64_t id = job.id;
+  auto finish = [&](const std::string& state, const std::string& message,
+                    std::uint64_t journal_bytes = 0) {
+    emit({.kind = K::kFinished, .job = id, .total = journal_bytes, .state = state,
+          .detail = message});
   };
-
   // A deadline that passed while the job sat in the queue is a typed
-  // terminal outcome, never a silent drop: the client (and the spool)
-  // see "deadline-expired".
+  // terminal outcome, never a silent drop.
   if (job.deadline_unix_ms > 0 && unix_ms() > job.deadline_unix_ms) {
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      counters_.jobs_deadline_expired->add();
-    }
-    finish(encode_done(job.id, "deadline-expired",
-                       "deadline of " + std::to_string(job.spec.deadline_ms) +
-                           "ms passed while the job was queued"),
-           "deadline-expired");
-    return;
+    return finish("deadline-expired", "deadline of " + std::to_string(job.spec.deadline_ms) +
+                                          "ms passed while the job was queued");
   }
-  if (spool_.has_value() && !job.spec.key.empty()) {
-    (void)spool_->record_state(job.id, "running");
-  }
-  note_state(job.spec.key, "running");
+  emit({.kind = K::kStarted, .job = id});
 
-  std::string job_dir = opt_.work_dir + "/job_" + std::to_string(job.id);
+  std::string job_dir = opt_.work_dir + "/job_" + std::to_string(id);
   Status dir_ok = ensure_dir(job_dir);
-  if (!dir_ok.ok()) {
-    finish(encode_done(job.id, "error", dir_ok.to_string()), "error");
-    return;
-  }
+  if (!dir_ok.ok()) return finish("error", dir_ok.to_string());
 
   SupervisorOptions sup;
   sup.worker_binary = opt_.worker_binary;
@@ -730,176 +575,46 @@ void Service::run_job(Job job) {
   sup.backoff_cap_ms = opt_.backoff_cap_ms;
   sup.heartbeat_timeout_ms = opt_.heartbeat_timeout_ms;
   sup.drain = &drain_;
-  // A client that vanished mid-job must not kill the job (its journals
-  // are still valuable); sends just stop. A job re-adopted at boot has
-  // no client at all (fd -1).
-  bool client_gone = job.client_fd < 0;
-  auto send = [&](const std::string& line) {
-    if (client_gone) return;
-    if (!send_line(job.client_fd, line).ok()) client_gone = true;
-  };
-  auto fanout = [&](WatchFrame::Cls cls, std::string line) {
-    WatchFrame f;
-    f.cls = cls;
-    f.line = std::move(line);
-    hub_.publish(job.id, std::move(f));
-  };
-  auto bump_worker_stat = [&](int worker, bool quarantine) {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    if (worker < 0) return;
-    auto w = static_cast<std::size_t>(worker);
-    if (worker_stats_.size() <= w) worker_stats_.resize(w + 1, {0, 0});
-    if (quarantine) {
-      ++worker_stats_[w].second;
-    } else {
-      ++worker_stats_[w].first;
-    }
-  };
-  sup.event_sink = [&](const SupervisorEvent& e) {
-    std::uint64_t wtid = ServiceTracer::kWorkerTidBase +
-                         static_cast<std::uint64_t>(e.worker < 0 ? 0 : e.worker);
-    switch (e.kind) {
-      case SupervisorEvent::Kind::kProgress: {
-        std::string line = encode_progress(job.id, e.done, e.total);
-        send(line);
-        hub_.update_job(job.id, [&](JobView& v) {
-          v.done = e.done;
-          v.total = e.total;
-        });
-        fanout(WatchFrame::Cls::kProgress, std::move(line));
-        break;
-      }
-      case SupervisorEvent::Kind::kWorkerCrashed: {
-        std::string line = encode_worker_crashed(job.id, e.site, e.worker, e.detail);
-        send(line);
-        hub_.update_job(job.id, [](JobView& v) { ++v.respawns; });
-        fanout(WatchFrame::Cls::kCritical, std::move(line));
-        tracer_.instant(job.id, wtid, "respawn site s" + std::to_string(e.site));
-        bump_worker_stat(e.worker, /*quarantine=*/false);
-        {
-          std::lock_guard<std::mutex> lock(metrics_mu_);
-          counters_.worker_respawns->add();
-        }
-        log_event("worker-crashed", {EventLog::Field::num("job", job.id),
-                                     EventLog::Field::num("site", e.site),
-                                     EventLog::Field::num("worker", static_cast<std::uint64_t>(
-                                                                        e.worker < 0 ? 0
-                                                                                     : e.worker)),
-                                     EventLog::Field::str("detail", e.detail)});
-        break;
-      }
-      case SupervisorEvent::Kind::kQuarantined: {
-        std::string line = encode_quarantined(job.id, e.site);
-        send(line);
-        hub_.update_job(job.id, [](JobView& v) { ++v.quarantined; });
-        fanout(WatchFrame::Cls::kCritical, std::move(line));
-        tracer_.instant(job.id, wtid, "quarantine site s" + std::to_string(e.site));
-        bump_worker_stat(e.worker, /*quarantine=*/true);
-        {
-          std::lock_guard<std::mutex> lock(metrics_mu_);
-          counters_.sites_quarantined->add();
-        }
-        log_event("site-quarantined", {EventLog::Field::num("job", job.id),
-                                       EventLog::Field::num("site", e.site)});
-        break;
-      }
-      case SupervisorEvent::Kind::kSiteStarted:
-        // Crash injection: the first site heartbeat proves worker
-        // shards exist on disk -- the daemon dying *here* leaves
-        // half-swept journals for the restart to resume.
-        maybe_die_at("shard-spawned");
-        // Watch-only frames: the submit stream stays byte-compatible
-        // with the pre-observability protocol.
-        fanout(WatchFrame::Cls::kSite, encode_site_started(job.id, e.site, e.worker));
-        tracer_.begin_span(job.id, wtid, "s" + std::to_string(e.site));
-        break;
-      case SupervisorEvent::Kind::kSiteDone:
-        fanout(WatchFrame::Cls::kSite, encode_site_done(job.id, e.site, e.worker, e.detail));
-        tracer_.end_span(job.id, wtid, "s" + std::to_string(e.site));
-        {
-          std::lock_guard<std::mutex> lock(metrics_mu_);
-          counters_.sites_done->add();
-        }
-        break;
-      case SupervisorEvent::Kind::kPhaseBegin:
-        if (e.detail == "merge") maybe_die_at("pre-merge");
-        tracer_.begin_span(job.id, ServiceTracer::kLifecycleTid, e.detail);
-        if (e.detail == "merge") {
-          hub_.update_job(job.id, [](JobView& v) { v.state = "merging"; });
-          fanout(WatchFrame::Cls::kCritical, encode_state(job.id, "merging"));
-        }
-        break;
-      case SupervisorEvent::Kind::kPhaseEnd:
-        tracer_.end_span(job.id, ServiceTracer::kLifecycleTid, e.detail);
-        break;
-    }
+  sup.event_sink = [&](JobEvent e) {
+    // Crash injection: the first site heartbeat proves worker shards
+    // exist on disk -- the daemon dying *here* leaves half-swept
+    // journals for the restart to resume.
+    if (e.kind == K::kSiteStarted) maybe_die_at("shard-spawned");
+    if (e.kind == K::kPhaseBegin && e.detail == "merge") maybe_die_at("pre-merge");
+    e.job = id;
+    emit(std::move(e));
   };
 
   StatusOr<SupervisedResult> result = run_sharded_campaign(job.spec, sup);
-  if (!result.ok()) {
-    finish(encode_done(job.id, "error", result.status().to_string()), "error");
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    counters_.journal_bytes->add(result->journal_bytes);
-  }
+  if (!result.ok()) return finish("error", result.status().to_string());
   // Persist the report before the terminal spool record can say "done":
   // a duplicate resubmit of a finished job replays these exact bytes,
   // and "done" in the spool must imply the report is on disk.
-  if (spool_.has_value() && !job.spec.key.empty() && !result->rendered.empty() &&
-      !result->drained) {
+  if (!result->rendered.empty() && !result->drained) {
     Status saved = write_file_atomic(job_dir + "/report.txt", result->rendered);
-    if (!saved.ok()) {
-      finish(encode_done(job.id, "error", saved.to_string()), "error");
-      return;
-    }
+    if (!saved.ok()) return finish("error", saved.to_string(), result->journal_bytes);
   }
   maybe_die_at("pre-done");
   if (!result->rendered.empty()) {
-    std::string header = encode_report_header(job.id, result->rendered.size());
-    send(header);
-    if (!client_gone && !send_bytes(job.client_fd, result->rendered).ok()) client_gone = true;
-    // Watchers receive the identical sized report frame: terminal
-    // frames are byte-identical across every subscriber and the
-    // submitting client.
-    WatchFrame f;
-    f.cls = WatchFrame::Cls::kCritical;
-    f.line = std::move(header);
-    f.payload = result->rendered;
-    hub_.publish(job.id, std::move(f));
+    emit({.kind = K::kReport, .job = id, .payload = std::move(result->rendered)});
   }
-  finish(encode_done(job.id, result->drained ? "drained" : "ok"),
-         result->drained ? "drained" : "done");
+  finish(result->drained ? "drained" : "done", "", result->journal_bytes);
 }
 
-void Service::watch_connection(int fd, std::uint64_t job_id) {
-  StatusOr<std::shared_ptr<ProgressHub::Subscription>> sub = hub_.subscribe(job_id);
-  if (!sub.ok()) {
-    (void)send_line(fd, encode_rejected(sub.status()));
-    ::close(fd);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    counters_.watch_subscribers->add();
-  }
-  log_event("watch-subscribed", {EventLog::Field::num("job", job_id)});
+void Service::stream(int fd, std::shared_ptr<ProgressHub::Subscription> sub, std::uint64_t job,
+                     bool submitter) {
+  emit({.kind = K::kWatchSubscribed, .job = job, .submitter = submitter});
   std::uint64_t sent = 0;
   for (;;) {
-    if (stopping_.load(std::memory_order_relaxed)) break;
-    std::optional<WatchFrame> frame = hub_.next(*sub, /*timeout_ms=*/200);
+    std::optional<WatchFrame> frame = hub_.next(sub, /*timeout_ms=*/200);
     if (!frame.has_value()) {
-      if ((*sub)->finished()) break;
+      if (sub->finished() || stopping_.load(std::memory_order_relaxed)) break;
       continue;  // timeout: poll the stop flag again
     }
     // Count the frame before writing it so a client that acts on a
     // received frame (e.g. queries metrics right after the done frame)
     // observes a counter that already includes it.
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      counters_.watch_frames_sent->add();
-    }
+    emit({.kind = K::kWatchFrame, .job = job, .submitter = submitter});
     Status st = send_line_interruptible(fd, frame->line, stopping_);
     if (st.ok() && !frame->payload.empty()) {
       st = send_bytes_interruptible(fd, frame->payload, stopping_);
@@ -907,16 +622,10 @@ void Service::watch_connection(int fd, std::uint64_t job_id) {
     if (!st.ok()) break;  // client vanished or daemon stopping
     ++sent;
   }
-  std::uint64_t coalesced = (*sub)->coalesced();
-  hub_.unsubscribe(*sub);
+  hub_.unsubscribe(sub);
   ::close(fd);
-  {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    counters_.watch_frames_coalesced->add(coalesced);
-  }
-  log_event("watch-closed", {EventLog::Field::num("job", job_id),
-                             EventLog::Field::num("frames", sent),
-                             EventLog::Field::num("coalesced", coalesced)});
+  emit({.kind = K::kWatchClosed, .job = job, .done = sent, .total = sub->coalesced(),
+        .submitter = submitter});
 }
 
 }  // namespace hlsav::serve

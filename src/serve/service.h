@@ -2,32 +2,31 @@
 // the observability plane.
 //
 // One thread accepts connections on the unix socket and turns submit
-// requests into queued jobs (or typed rejections when the bounded
-// queue pushes back); `executors` threads pop jobs and run the sharded
-// supervisor (serve/shard.h), streaming progress and the final report
-// to the submitting client over its own connection.
+// requests into spooled, queued jobs (or typed rejections when the
+// bounded queue pushes back); `executors` threads pop jobs and run the
+// sharded supervisor (serve/shard.h).
 //
-// Observability (DESIGN.md §3.7): every job's frames also flow into a
-// ProgressHub that fans them out to any number of `watch` subscribers
-// (each on its own thread, with a bounded coalescing buffer -- a slow
-// watcher can never stall a campaign); a ServiceTracer records the
-// job-lifecycle span tree (queued -> run{compile,shard,merge}, per-site
-// worker spans, respawn/quarantine instants) exportable as Chrome
-// trace JSON; a MetricsRegistry + append-only JSONL event log make the
-// daemon's behaviour queryable (`hlsavd metrics`) and auditable
-// (`--events-out`).
+// Every transition of a job -- admitted, queued, started, progress,
+// per-site heartbeats, crashes, the report, done -- is one JobEvent
+// (serve/events.h) passed to emit(), the only place that touches the
+// sinks: the ProgressHub fans frames out to subscribers, the
+// ServiceTracer records the job-lifecycle span tree, the EventFold
+// keeps counters, job views and the idempotency-key table, the
+// EventLog records a line, and the JobSpool a durable state record.
+// The submitting client is an ordinary hub subscriber (subscribed
+// before its job is queued), served on its own thread exactly like a
+// `watch` client: a slow reader can never stall a campaign.
 //
 // Graceful shutdown (SIGTERM or a shutdown request): the accept loop
-// stops, queued-but-unstarted jobs get a typed abort reply, running
-// jobs drain -- workers flush their journals and exit, the client gets
-// whatever was durably classified plus status "drained", watcher
-// threads are woken and joined, and every journal shard is resumable
-// by a later submission of the same spec.
+// stops, queued-but-unstarted jobs get a typed abort, running jobs
+// drain -- workers flush their journals and exit, subscribers get
+// whatever was durably classified plus status "drained" -- and every
+// journal shard is resumable by a later submission of the same spec.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -35,7 +34,6 @@
 #include <thread>
 #include <vector>
 
-#include "metrics/metrics.h"
 #include "serve/events.h"
 #include "serve/hub.h"
 #include "serve/queue.h"
@@ -64,8 +62,7 @@ struct ServiceOptions {
   std::string work_dir = ".";
   /// Append-only JSONL structured event log; empty = no log.
   std::string events_out;
-  /// Write-ahead job spool directory; empty = spool disabled (jobs are
-  /// in-memory only, exactly the pre-spool behavior).
+  /// Write-ahead job spool directory; empty = `<work_dir>/spool`.
   std::string spool_dir;
   /// Crash-injection hook (test-only): SIGKILL the daemon the first
   /// time it reaches this phase (accept | spooled | shard-spawned |
@@ -91,111 +88,81 @@ class Service {
   [[nodiscard]] std::atomic<bool>& shutdown_flag() { return shutdown_; }
 
  private:
-  explicit Service(ServiceOptions opt, int listen_fd)
-      : opt_(std::move(opt)), listen_fd_(listen_fd), queue_(opt_.queue_cap) {
-    init_metrics();
-  }
+  Service(ServiceOptions opt, int listen_fd, JobSpool spool, std::string incarnation)
+      : opt_(std::move(opt)),
+        listen_fd_(listen_fd),
+        queue_(opt_.queue_cap),
+        spool_(std::move(spool)),
+        fold_(std::move(incarnation)) {}
 
-  void init_metrics();
+  /// The one sink fan-out: folds `e` and derives its hub frames, spans,
+  /// spool record and event-log line, all under one lock so every sink
+  /// sees the same order.
+  void emit(JobEvent e);
   void handle_connection(int fd);
   void handle_submit(int fd, const std::string& line);
-  void executor_loop();
+  /// Admits `job`: registers it, subscribes its client (fd >= 0),
+  /// queues it and answers "accepted". `origin` is submit | resubmit |
+  /// re-adopt; a bounced push leaves the job in `bounce_state`.
+  bool admit(Job job, int fd, const std::string& origin, const std::string& bounce_state);
+  void reject(int fd, const Status& st, std::uint64_t job, const std::string& state = "");
   void run_job(Job job);
-  void watch_connection(int fd, std::uint64_t job_id);
+  /// Streams a subscription's frames to `fd` until the job ends.
+  void stream(int fd, std::shared_ptr<ProgressHub::Subscription> sub, std::uint64_t job,
+              bool submitter);
   /// Boot-time spool recovery: re-adopts every non-terminal spooled job
   /// (force-pushed past the queue cap -- they were already accepted
-  /// once), registers every idempotency key, expires overdue queued
-  /// jobs, and emits the daemon-recovered event.
+  /// once), registers every idempotency key, and expires overdue queued
+  /// jobs.
   [[nodiscard]] Status recover_jobs();
   /// Durable-token crash injection: first pass through the configured
   /// phase writes a token and raises SIGKILL; the token makes the
   /// restarted daemon immune.
   void maybe_die_at(const std::string& phase);
   /// Replays a previously completed job (accept/report/done) from its
-  /// persisted report to a duplicate submitter. Runs on its own thread.
-  void replay_done(int fd, std::uint64_t job_id, const std::string& final_state);
-  /// Updates the in-memory key table's view of a job's state.
-  void note_state(const std::string& key, const std::string& state);
-  /// Terminal spool/key bookkeeping shared by run_job and the drain
-  /// path.
-  void record_terminal(const Job& job, const std::string& state, const std::string& detail);
+  /// persisted report to a duplicate submitter.
+  void replay_done(int fd, std::uint64_t job_id);
+  /// Runs `body` on a subscriber thread, first joining every one that
+  /// has finished (an exited, unjoined thread keeps its stack mapped).
+  void spawn_watcher(std::function<void()> body);
+  [[nodiscard]] std::optional<EventFold::KeyInfo> key_info(const std::string& key);
   /// One-line status reply JSON (aggregate counts + per-priority queue
   /// depths + per-worker respawn/quarantine tallies).
   [[nodiscard]] std::string status_reply();
   /// One-line metrics snapshot JSON ({"type":"metrics",...}).
   [[nodiscard]] std::string metrics_snapshot();
-  void log_event(const std::string& name, const std::vector<EventLog::Field>& fields);
   /// Compact "P:D;P:D" / "W:R/Q;W:R/Q" renderings for the flat-JSON
   /// status + metrics replies (jsonl parsing keeps keys unique, so
-  /// repeated-key arrays are off the table by design).
+  /// repeated-key arrays are off the table by design). workers_field
+  /// expects emit_mu_ held.
   [[nodiscard]] std::string depths_field();
   [[nodiscard]] std::string workers_field();
 
   ServiceOptions opt_;
   int listen_fd_ = -1;
   JobQueue queue_;
-  /// Write-ahead spool; nullopt when disabled.
-  std::optional<JobSpool> spool_;
-  /// "<boot unix ms>-<pid>": names this daemon process across restarts
-  /// sharing a socket path.
-  std::string incarnation_;
+  JobSpool spool_;
   std::uint64_t started_unix_ms_ = 0;
-  std::atomic<std::uint64_t> recovered_{0};
-  /// Idempotency-key table (rebuilt from the spool at boot).
-  struct KeyInfo {
-    std::uint64_t job = 0;
-    /// Canonical submit line (encode_submit of the decoded spec):
-    /// byte-compared against duplicate submits.
-    std::string submit_line;
-    /// Mirrors the job's spool state.
-    std::string state;
-  };
-  std::mutex keys_mu_;
-  std::map<std::string, KeyInfo> keys_;
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> drain_{false};     // handed to running supervisors
-  std::atomic<bool> stopping_{false};  // watcher threads: abort sends, exit
+  std::atomic<bool> stopping_{false};  // subscriber threads: abort sends, exit
   std::atomic<std::uint64_t> next_job_id_{1};
-  std::atomic<std::uint64_t> queued_{0};
-  std::atomic<std::uint64_t> running_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> rejected_{0};
   std::vector<std::thread> executors_;
 
-  // ---- observability plane ----
   ProgressHub hub_;
   ServiceTracer tracer_;
   EventLog events_;
-  /// Registry + every mutation guarded by metrics_mu_ (MetricsRegistry
-  /// itself is single-threaded by design; the event rate here is far
-  /// too low for the lock to matter).
-  mutable std::mutex metrics_mu_;
-  metrics::MetricsRegistry registry_;
-  struct {
-    metrics::Counter* jobs_submitted = nullptr;
-    metrics::Counter* jobs_rejected = nullptr;
-    metrics::Counter* jobs_completed = nullptr;
-    metrics::Counter* jobs_drained = nullptr;
-    metrics::Counter* jobs_failed = nullptr;
-    metrics::Counter* worker_respawns = nullptr;
-    metrics::Counter* sites_quarantined = nullptr;
-    metrics::Counter* sites_done = nullptr;
-    metrics::Counter* journal_bytes = nullptr;
-    metrics::Counter* watch_subscribers = nullptr;
-    metrics::Counter* watch_frames_sent = nullptr;
-    metrics::Counter* watch_frames_coalesced = nullptr;
-    metrics::Counter* jobs_recovered = nullptr;
-    metrics::Counter* jobs_duplicate = nullptr;
-    metrics::Counter* jobs_deadline_expired = nullptr;
-    metrics::Counter* spool_quarantined = nullptr;
-    metrics::Histogram* job_wall_ms = nullptr;
-  } counters_;
-  /// Per-worker-index respawn/quarantine tallies across all jobs
-  /// (guarded by metrics_mu_).
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> worker_stats_;
+  /// Serializes emit() and guards fold_; recursive so admit() can hold
+  /// it across a queue push and the kQueued event.
+  std::recursive_mutex emit_mu_;
+  EventFold fold_;
 
+  struct Watcher {
+    std::thread thread;
+    std::shared_ptr<std::atomic<bool>> finished;
+  };
   std::mutex watchers_mu_;
-  std::vector<std::thread> watchers_;
+  std::vector<Watcher> watchers_;
 };
 
 }  // namespace hlsav::serve

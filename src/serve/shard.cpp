@@ -62,17 +62,14 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
   }
   if (opt.job_dir.empty()) return Status::invalid_argument("supervisor needs a job directory");
 
-  auto emit = [&](const SupervisorEvent& e) {
-    if (opt.event_sink) opt.event_sink(e);
+  auto emit = [&](JobEvent e) {
+    if (opt.event_sink) opt.event_sink(std::move(e));
   };
-  auto emit_phase = [&](SupervisorEvent::Kind kind, const char* name) {
-    SupervisorEvent e;
-    e.kind = kind;
-    e.detail = name;
-    emit(e);
+  auto emit_phase = [&](JobEvent::Kind kind, const char* name) {
+    emit({.kind = kind, .detail = name});
   };
 
-  emit_phase(SupervisorEvent::Kind::kPhaseBegin, "compile");
+  emit_phase(JobEvent::Kind::kPhaseBegin, "compile");
   // Compile and golden-run exactly as the worker will: the supervisor's
   // sampled selection and golden cycle count must match the workers'
   // byte for byte, or the shard fingerprints would disagree.
@@ -130,7 +127,7 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
     spec_by_id[sites[idx].id] = &sites[idx];
   }
   if (selected.empty()) return Status::invalid_argument("campaign selects no fault sites");
-  emit_phase(SupervisorEvent::Kind::kPhaseEnd, "compile");
+  emit_phase(JobEvent::Kind::kPhaseEnd, "compile");
 
   unsigned workers = std::max(1u, opt.workers);
   workers = static_cast<unsigned>(std::min<std::size_t>(workers, selected.size()));
@@ -157,11 +154,7 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
     std::uint64_t done = done_sites.size();
     if (done == last_reported_done) return;
     last_reported_done = done;
-    SupervisorEvent e;
-    e.kind = SupervisorEvent::Kind::kProgress;
-    e.done = done;
-    e.total = selected.size();
-    emit(e);
+    emit({.kind = JobEvent::Kind::kProgress, .done = done, .total = selected.size()});
   };
 
   auto remaining_sites = [&](const WorkerState& w,
@@ -258,25 +251,15 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
     result.respawns++;
     unsigned& crashes = crash_counts[blamed];
     crashes++;
-    {
-      SupervisorEvent e;
-      e.kind = SupervisorEvent::Kind::kWorkerCrashed;
-      e.site = blamed;
-      e.worker = w.index;
-      e.detail = info.describe();
-      e.done = done_sites.size();
-      e.total = selected.size();
-      emit(e);
-    }
+    emit({.kind = JobEvent::Kind::kWorkerCrashed,
+          .site = blamed,
+          .worker = w.index,
+          .detail = info.describe()});
     if (crashes >= opt.quarantine_cap) {
       quarantined.insert(blamed);
       done_sites.insert(blamed);
       result.quarantined.push_back(blamed);
-      SupervisorEvent e;
-      e.kind = SupervisorEvent::Kind::kQuarantined;
-      e.site = blamed;
-      e.worker = w.index;
-      emit(e);
+      emit({.kind = JobEvent::Kind::kQuarantined, .site = blamed, .worker = w.index});
       rem = remaining_sites(w, journaled);
       if (rem.empty()) {
         w.complete = true;
@@ -303,26 +286,23 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
       w.last_heartbeat = Clock::now();
       if (type == "starting") {
         w.inflight = static_cast<std::int64_t>(site);
-        SupervisorEvent e;
-        e.kind = SupervisorEvent::Kind::kSiteStarted;
-        e.site = static_cast<std::uint32_t>(site);
-        e.worker = w.index;
-        emit(e);
+        emit({.kind = JobEvent::Kind::kSiteStarted,
+              .site = static_cast<std::uint32_t>(site),
+              .worker = w.index});
       } else if (type == "site") {
         done_sites.insert(static_cast<std::uint32_t>(site));
         if (w.inflight == static_cast<std::int64_t>(site)) w.inflight = -1;
-        SupervisorEvent e;
-        e.kind = SupervisorEvent::Kind::kSiteDone;
-        e.site = static_cast<std::uint32_t>(site);
-        e.worker = w.index;
+        JobEvent e{.kind = JobEvent::Kind::kSiteDone,
+                   .site = static_cast<std::uint32_t>(site),
+                   .worker = w.index};
         (void)jsonl::parse_string(line, "outcome", e.detail);
-        emit(e);
+        emit(std::move(e));
       }
     }
   };
 
   emit_progress();
-  emit_phase(SupervisorEvent::Kind::kPhaseBegin, "shard");
+  emit_phase(JobEvent::Kind::kPhaseBegin, "shard");
   for (WorkerState& w : pool) {
     HLSAV_RETURN_IF_ERROR(spawn_worker(w, w.assigned));
   }
@@ -397,10 +377,10 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 
-  emit_phase(SupervisorEvent::Kind::kPhaseEnd, "shard");
+  emit_phase(JobEvent::Kind::kPhaseEnd, "shard");
 
   // ---- merge: shard journals -> one site-ordered report ----
-  emit_phase(SupervisorEvent::Kind::kPhaseBegin, "merge");
+  emit_phase(JobEvent::Kind::kPhaseBegin, "merge");
   std::vector<std::string> shard_paths;
   for (const WorkerState& w : pool) {
     if (!file_exists(w.journal_path)) continue;
@@ -416,7 +396,7 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
       result.report.sites_total = sites.size();
       result.report.golden_cycles = golden.cycles;
       result.report.interrupted = true;
-      emit_phase(SupervisorEvent::Kind::kPhaseEnd, "merge");
+      emit_phase(JobEvent::Kind::kPhaseEnd, "merge");
       return result;
     }
     return Status::internal("no shard journal was ever written");
@@ -448,7 +428,7 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
     report.results.push_back(std::move(r));
   }
   result.rendered = report.render(design);
-  emit_phase(SupervisorEvent::Kind::kPhaseEnd, "merge");
+  emit_phase(JobEvent::Kind::kPhaseEnd, "merge");
   return result;
 }
 

@@ -28,31 +28,12 @@
 #include <string>
 #include <vector>
 
+#include "serve/events.h"
 #include "serve/protocol.h"
 #include "sim/campaign.h"
 #include "support/status.h"
 
 namespace hlsav::serve {
-
-/// What the supervisor tells the outside world while a job runs. The
-/// service encodes these as protocol lines to the submitting client.
-struct SupervisorEvent {
-  enum class Kind {
-    kProgress,       // done/total changed
-    kWorkerCrashed,  // a worker died; `site` is the blamed in-flight site
-    kQuarantined,    // `site` hit the crash cap and was classified worker-crashed
-    kSiteStarted,    // worker `worker` announced "starting" for `site`
-    kSiteDone,       // `site` journaled; `detail` is the outcome name
-    kPhaseBegin,     // `detail` names the phase: compile | shard | merge
-    kPhaseEnd,       // matching end of the named phase
-  };
-  Kind kind = Kind::kProgress;
-  std::uint64_t done = 0;
-  std::uint64_t total = 0;
-  std::uint32_t site = 0;
-  int worker = -1;
-  std::string detail;  // ExitInfo::describe() / outcome name / phase name
-};
 
 struct SupervisorOptions {
   /// The hlsavd binary (workers are `hlsavd worker ...` of the same
@@ -70,8 +51,9 @@ struct SupervisorOptions {
   std::uint64_t backoff_cap_ms = 1000;
   /// SIGKILL a worker silent for this long; 0 disables the watchdog.
   double heartbeat_timeout_ms = 0.0;
-  /// Event stream (progress, crashes, quarantines); may be null.
-  std::function<void(const SupervisorEvent&)> event_sink;
+  /// The run's events (JobEvent kinds kPhaseBegin through kQuarantined,
+  /// job id left 0 for the caller to fill); may be null.
+  std::function<void(JobEvent)> event_sink;
   /// Graceful-degradation flag: when it turns true the supervisor
   /// SIGTERMs its workers (they flush + exit 21), stops respawning,
   /// and returns what was durably journaled.

@@ -1,6 +1,5 @@
 #include "serve/spool.h"
 
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -9,11 +8,10 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "support/io.h"
 #include "support/jsonl.h"
+#include "support/wal.h"
 
 namespace hlsav::serve {
 
@@ -105,11 +103,8 @@ Status JobSpool::record_accepted(const SpoolEntry& entry) const {
   // unambiguous.
   line += ",\"submit\":";
   jsonl::append_escaped(line, entry.submit_line);
-  line += "}\n";
-  HLSAV_RETURN_IF_ERROR(write_file_atomic(entry_path(entry.job), line));
-  // The rename made the header durable; the directory entry needs its
-  // own fsync before the accept promise goes out.
-  return fsync_dir(dir_);
+  line += '}';
+  return wal::create(entry_path(entry.job), line);
 }
 
 Status JobSpool::record_state(std::uint64_t job, const std::string& state,
@@ -120,32 +115,10 @@ Status JobSpool::record_state(std::uint64_t job, const std::string& state,
     line += ",\"detail\":";
     jsonl::append_escaped(line, detail);
   }
-  line += "}\n";
-  const std::string path = entry_path(job);
-  int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-  if (fd < 0) return errno_status("cannot open spool entry", path);
-  const char* p = line.data();
-  std::size_t left = line.size();
-  while (left > 0) {
-    ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status st = errno_status("spool write failed", path);
-      ::close(fd);
-      return st;
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  // Durable before anyone acts on the transition: recovery trusts
-  // every complete record.
-  if (::fsync(fd) != 0) {
-    Status st = errno_status("spool fsync failed", path);
-    ::close(fd);
-    return st;
-  }
-  ::close(fd);
-  return Status::ok_status();
+  line += '}';
+  StatusOr<std::unique_ptr<wal::Log>> log = wal::Log::open(entry_path(job));
+  HLSAV_RETURN_IF_ERROR(log.status());
+  return (*log)->append(line);
 }
 
 StatusOr<SpoolScan> JobSpool::scan() const {
@@ -161,50 +134,28 @@ StatusOr<SpoolScan> JobSpool::scan() const {
     // atomic write are leftovers, not jobs.
     if (name.size() < 7 || name.compare(name.size() - 6, 6, ".spool") != 0) continue;
 
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-      quarantine_entry(dir_, path, "cannot read spool entry");
-      ++out.quarantined;
-      continue;
-    }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    std::string data = buf.str();
-    is.close();
-
-    std::size_t eol = data.find('\n');
-    if (eol == std::string::npos) {
-      quarantine_entry(dir_, path, "no complete header line");
-      ++out.quarantined;
-      continue;
-    }
     SpoolEntry entry;
-    if (!parse_header(data.substr(0, eol), entry)) {
-      quarantine_entry(dir_, path, "unparseable spool header");
+    bool saw_header = false, header_ok = false;
+    // State records stop at the first torn/corrupt one. Only the last
+    // record can be torn (single writer, fsync per record), so
+    // everything before the stop point is real.
+    StatusOr<wal::Prefix> prefix = wal::load(path, [&](const std::string& line) {
+      if (saw_header) return parse_state_record(line, entry);
+      saw_header = true;
+      return header_ok = parse_header(line, entry);
+    });
+    if (!prefix.ok() || !header_ok) {
+      quarantine_entry(dir_, path,
+                       !prefix.ok()  ? "cannot read spool entry"
+                       : saw_header ? "unparseable spool header"
+                                    : "no complete header line");
       ++out.quarantined;
       continue;
     }
     entry.path = path;
-
-    // State records: stop at the first torn/corrupt one. Only the last
-    // record can be torn (single writer, fsync per record), so
-    // everything before the stop point is real.
-    std::size_t valid = eol + 1;
-    std::size_t pos = valid;
-    while (pos < data.size()) {
-      std::size_t next = data.find('\n', pos);
-      if (next == std::string::npos) break;
-      if (!parse_state_record(data.substr(pos, next - pos), entry)) break;
-      pos = next + 1;
-      valid = pos;
-    }
-    if (valid < data.size()) {
+    if (prefix->torn()) {
       // Drop the torn tail now so the next record_state appends cleanly.
-      int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
-      if (fd >= 0) {
-        (void)::ftruncate(fd, static_cast<off_t>(valid));
-        ::close(fd);
-      }
+      (void)wal::Log::open(path, prefix->valid_bytes);
       ++out.torn_tails;
     }
     out.entries.push_back(std::move(entry));

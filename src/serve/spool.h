@@ -6,10 +6,10 @@
 // canonical submit line, idempotency key, priority, deadline) followed
 // by fsync'd append records for each state transition
 // (queued -> running -> done/error/aborted/drained/deadline-expired).
-// The format deliberately mirrors the campaign journal
-// (sim/journal.*): a crash can only tear the last record, so a loader
-// that stops at the first unparseable line -- and truncates it away --
-// recovers exactly what was durable. A restarted daemon scans the
+// Each entry is a support/wal log, like the campaign journal: a crash
+// can only tear the last record, so a loader that stops at the first
+// unparseable line -- and truncates it away -- recovers exactly what
+// was durable. A restarted daemon scans the
 // spool, re-adopts every unfinished job (their journal shards resume
 // byte-identically behind the fingerprint gate), and answers duplicate
 // idempotency keys with the original job id so clients can blindly

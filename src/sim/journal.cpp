@@ -1,14 +1,5 @@
 #include "sim/journal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-
-#include "support/io.h"
 #include "support/jsonl.h"
 
 namespace hlsav::sim {
@@ -64,32 +55,7 @@ bool parse_result_line(const std::string& line, FaultResult& r) {
   return true;
 }
 
-Status errno_status(const std::string& what, const std::string& path) {
-  return Status::io_error(what + " '" + path + "': " + std::strerror(errno));
-}
-
-// Test-injectable write/fsync (set_journal_io_hooks_for_test). The
-// indirection only exists so fault-injection tests can fail an append
-// with a chosen errno on a healthy filesystem.
-const JournalIoHooks* g_io_hooks = nullptr;
-
-ssize_t journal_write(int fd, const void* buf, std::size_t count) {
-  if (g_io_hooks != nullptr && g_io_hooks->write_fn != nullptr) {
-    return g_io_hooks->write_fn(fd, buf, count);
-  }
-  return ::write(fd, buf, count);
-}
-
-int journal_fsync(int fd) {
-  if (g_io_hooks != nullptr && g_io_hooks->fsync_fn != nullptr) {
-    return g_io_hooks->fsync_fn(fd);
-  }
-  return ::fsync(fd);
-}
-
 }  // namespace
-
-void set_journal_io_hooks_for_test(const JournalIoHooks* hooks) { g_io_hooks = hooks; }
 
 std::string JournalHeader::fingerprint() const {
   std::string out = "{\"type\":\"header\",\"design\":";
@@ -134,96 +100,52 @@ std::string journal_line(const FaultResult& r) {
 }
 
 StatusOr<JournalContents> load_journal(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::io_error("cannot read journal '" + path + "'");
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  std::string data = buf.str();
-
   JournalContents out;
-  out.total_bytes = data.size();
-  std::size_t eol = data.find('\n');
-  if (eol == std::string::npos) {
-    return Status::invalid_argument("journal '" + path + "' has no complete header line");
-  }
-  std::string header_line = data.substr(0, eol);
-  bool header_ok = jsonl::parse_string(header_line, "design", out.header.design) &&
-                   jsonl::parse_u64(header_line, "seed", out.header.seed) &&
-                   jsonl::parse_u64(header_line, "sites_total", out.header.sites_total) &&
-                   jsonl::parse_u64(header_line, "max_faults", out.header.max_faults) &&
-                   jsonl::parse_u64(header_line, "max_cycles", out.header.max_cycles) &&
-                   jsonl::parse_u64(header_line, "golden_cycles", out.header.golden_cycles) &&
-                   jsonl::parse_double(header_line, "site_wall_ms", out.header.site_wall_ms) &&
-                   jsonl::parse_bool(header_line, "profile", out.header.profile);
-  if (!header_ok) {
-    return Status::invalid_argument("journal '" + path + "' has an unparseable header");
-  }
-  out.valid_bytes = eol + 1;
-
-  // Site lines: stop at the first torn/corrupt one. A crash can only
+  bool saw_header = false;
+  // Site lines stop at the first torn/corrupt one: a crash can only
   // tear the *last* line, so everything before the stop point is real.
-  std::size_t pos = eol + 1;
-  while (pos < data.size()) {
-    std::size_t next = data.find('\n', pos);
-    if (next == std::string::npos) break;  // no newline: torn tail
+  StatusOr<wal::Prefix> prefix = wal::load(path, [&](const std::string& line) {
+    if (!saw_header) {
+      saw_header = true;
+      return jsonl::parse_string(line, "design", out.header.design) &&
+             jsonl::parse_u64(line, "seed", out.header.seed) &&
+             jsonl::parse_u64(line, "sites_total", out.header.sites_total) &&
+             jsonl::parse_u64(line, "max_faults", out.header.max_faults) &&
+             jsonl::parse_u64(line, "max_cycles", out.header.max_cycles) &&
+             jsonl::parse_u64(line, "golden_cycles", out.header.golden_cycles) &&
+             jsonl::parse_double(line, "site_wall_ms", out.header.site_wall_ms) &&
+             jsonl::parse_bool(line, "profile", out.header.profile);
+    }
     FaultResult r;
-    if (!parse_result_line(data.substr(pos, next - pos), r)) break;
+    if (!parse_result_line(line, r)) return false;
     out.results.insert_or_assign(r.site.id, std::move(r));
-    pos = next + 1;
-    out.valid_bytes = pos;
+    return true;
+  });
+  if (!prefix.ok()) return Status::io_error("cannot read journal '" + path + "'");
+  if (prefix->lines.empty()) {
+    return Status::invalid_argument("journal '" + path + "' has " +
+                                    (saw_header ? "an unparseable header"
+                                                : "no complete header line"));
   }
+  out.valid_bytes = prefix->valid_bytes;
+  out.total_bytes = prefix->total_bytes;
   return out;
 }
 
 StatusOr<std::unique_ptr<CampaignJournal>> CampaignJournal::create(std::string path,
                                                                    const JournalHeader& header) {
-  Status st = write_file_atomic(path, header.fingerprint() + "\n");
-  HLSAV_RETURN_IF_ERROR(st);
-  // The rename made the header durable; the *directory entry* needs its
-  // own fsync or a power loss can forget the journal existed at all.
-  std::size_t slash = path.find_last_of('/');
-  st = fsync_dir(slash == std::string::npos ? "." : path.substr(0, slash));
-  HLSAV_RETURN_IF_ERROR(st);
-  int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-  if (fd < 0) return errno_status("cannot reopen journal", path);
-  return std::unique_ptr<CampaignJournal>(new CampaignJournal(std::move(path), fd));
+  HLSAV_RETURN_IF_ERROR(wal::create(path, header.fingerprint()));
+  return append_to(std::move(path), wal::Log::kKeepAll);
 }
 
 StatusOr<std::unique_ptr<CampaignJournal>> CampaignJournal::append_to(std::string path,
                                                                       std::uint64_t valid_bytes) {
-  int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-  if (fd < 0) return errno_status("cannot open journal", path);
-  // Drop the torn tail (if any) before the first new append lands.
-  if (::ftruncate(fd, static_cast<off_t>(valid_bytes)) != 0) {
-    Status st = errno_status("cannot truncate journal", path);
-    ::close(fd);
-    return st;
-  }
-  return std::unique_ptr<CampaignJournal>(new CampaignJournal(std::move(path), fd));
+  StatusOr<std::unique_ptr<wal::Log>> log = wal::Log::open(std::move(path), valid_bytes);
+  HLSAV_RETURN_IF_ERROR(log.status());
+  return std::unique_ptr<CampaignJournal>(new CampaignJournal(std::move(*log)));
 }
 
-CampaignJournal::~CampaignJournal() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-Status CampaignJournal::append(const FaultResult& r) {
-  std::string line = journal_line(r) + "\n";
-  std::lock_guard<std::mutex> lock(mu_);
-  const char* p = line.data();
-  std::size_t left = line.size();
-  while (left > 0) {
-    ssize_t n = journal_write(fd_, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return errno_status("journal write failed", path_);
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  // Durable before the site counts as done: resume trusts every line.
-  if (journal_fsync(fd_) != 0) return errno_status("journal fsync failed", path_);
-  return Status::ok_status();
-}
+Status CampaignJournal::append(const FaultResult& r) { return log_->append(journal_line(r)); }
 
 StatusOr<ShardMergeResult> merge_journal_shards(const std::vector<std::string>& paths) {
   if (paths.empty()) return Status::invalid_argument("no journal shards to merge");

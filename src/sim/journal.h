@@ -2,7 +2,7 @@
 //
 // A fault campaign over a real design can run for hours; a crash, OOM
 // kill or pre-empted CI job must not throw the completed sites away.
-// The journal is the classic append-only write-ahead log:
+// The journal is a write-ahead log (support/wal.h):
 //
 //  * One JSONL file. The first line is a header describing the campaign
 //    (design, seed, sampling, resolved cycle backstop) -- its canonical
@@ -13,24 +13,22 @@
 //    report is rebuilt in site order, so an interrupted-then-resumed
 //    campaign renders byte-identically to an uninterrupted one at any
 //    thread count.
-//  * The header is written via write-temp-then-rename, so a crash
-//    during creation leaves either no journal or a valid one -- never a
-//    file with half a header.
-//  * A kill mid-append leaves at most one torn trailing line. The
-//    loader stops at the first unparseable line and reports how many
-//    bytes were valid; resume truncates to that point before it starts
-//    appending again.
+//  * A crash during creation leaves either no journal or a valid one,
+//    and a kill mid-append leaves at most one torn trailing line: the
+//    loader reports how many bytes were valid, and resume truncates to
+//    that point before it starts appending again. Tests fail the
+//    appends through wal::set_io_hooks_for_test.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "sim/campaign.h"
 #include "support/status.h"
+#include "support/wal.h"
 
 namespace hlsav::sim {
 
@@ -71,12 +69,11 @@ struct JournalContents {
 /// when even the header line is unusable.
 [[nodiscard]] StatusOr<JournalContents> load_journal(const std::string& path);
 
-/// The append handle. Not movable (owns a mutex and an fd); create()
-/// hands back a unique_ptr.
+/// The append handle over a wal::Log (support/wal.h).
 class CampaignJournal {
  public:
   /// Starts a fresh journal at `path`: header written atomically
-  /// (temp + rename), then reopened for appending.
+  /// (temp + rename + directory fsync), then opened for appending.
   [[nodiscard]] static StatusOr<std::unique_ptr<CampaignJournal>> create(
       std::string path, const JournalHeader& header);
 
@@ -86,40 +83,20 @@ class CampaignJournal {
   [[nodiscard]] static StatusOr<std::unique_ptr<CampaignJournal>> append_to(
       std::string path, std::uint64_t valid_bytes);
 
-  ~CampaignJournal();
-  CampaignJournal(const CampaignJournal&) = delete;
-  CampaignJournal& operator=(const CampaignJournal&) = delete;
-
   /// Appends one classified site and fsyncs. Thread-safe: parallel
   /// workers call this directly in completion order.
   [[nodiscard]] Status append(const FaultResult& r);
 
-  [[nodiscard]] const std::string& path() const { return path_; }
+  [[nodiscard]] const std::string& path() const { return log_->path(); }
 
  private:
-  CampaignJournal(std::string path, int fd) : path_(std::move(path)), fd_(fd) {}
+  explicit CampaignJournal(std::unique_ptr<wal::Log> log) : log_(std::move(log)) {}
 
-  std::string path_;
-  int fd_ = -1;
-  std::mutex mu_;
+  std::unique_ptr<wal::Log> log_;
 };
 
 /// Serialized JSONL form of one site outcome (exposed for tests).
 [[nodiscard]] std::string journal_line(const FaultResult& r);
-
-// ------------------------------------------------------- fault injection --
-
-/// Injectable low-level IO used by CampaignJournal::append. Tests swap
-/// these to simulate ENOSPC/EIO on a healthy filesystem; production
-/// never touches them.
-struct JournalIoHooks {
-  ssize_t (*write_fn)(int fd, const void* buf, std::size_t count);
-  int (*fsync_fn)(int fd);
-};
-
-/// Installs `hooks` for every subsequent append (nullptr restores the
-/// real syscalls). Test-only; not thread-safe against in-flight appends.
-void set_journal_io_hooks_for_test(const JournalIoHooks* hooks);
 
 // ----------------------------------------------------------- shard merge --
 

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "support/wal.h"
+
 namespace hlsav {
 
 std::string temp_sibling_path(const std::string& path) {
@@ -19,24 +21,12 @@ Status write_file_atomic(const std::string& path, std::string_view content) {
   if (fd < 0) {
     return Status::io_error("cannot open '" + tmp + "' for writing: " + std::strerror(errno));
   }
-  auto fail = [&](const std::string& what) {
-    int saved = errno;
+  Status written = wal::write_and_sync(fd, content, tmp);
+  if (!written.ok()) {
     ::close(fd);
     ::unlink(tmp.c_str());
-    return Status::io_error(what + " '" + tmp + "': " + std::strerror(saved));
-  };
-  const char* p = content.data();
-  std::size_t left = content.size();
-  while (left > 0) {
-    ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return fail("write to");
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
+    return written;
   }
-  if (::fsync(fd) != 0) return fail("fsync of");
   if (::close(fd) != 0) {
     ::unlink(tmp.c_str());
     return Status::io_error("close of '" + tmp + "': " + std::strerror(errno));

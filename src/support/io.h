@@ -19,7 +19,8 @@ namespace hlsav {
 [[nodiscard]] std::string temp_sibling_path(const std::string& path);
 
 /// Writes `content` to `path` atomically: temp sibling, fsync, rename.
-/// The temp file is removed on any failure.
+/// The temp file is removed on any failure. The write and fsync go
+/// through wal::write_and_sync, so wal's test hooks reach them.
 [[nodiscard]] Status write_file_atomic(const std::string& path, std::string_view content);
 
 /// fsyncs the directory itself so a just-renamed entry survives a

@@ -1,12 +1,14 @@
 // Hand-rolled single-line JSON ("JSONL") helpers.
 //
-// Three subsystems speak the same flat one-object-per-line dialect: the
-// campaign journal (sim/journal.*), the hlsavd socket protocol
-// (serve/protocol.*), and worker heartbeat lines. Every value any of
-// them stores is an integer, a double, a short string, or a list of
-// integers -- a general JSON library would be a dependency for no
-// expressive gain, but the emit/parse primitives must not be
-// re-implemented three times, so they live here.
+// Every JSONL writer and reader in the tree speaks the same flat
+// one-object-per-line dialect: the write-ahead logs built on
+// support/wal.h (the campaign journal, the hlsavd job spool and its
+// event log), the hlsavd socket protocol (serve/protocol.*), and worker
+// heartbeat lines. Every value any of them stores is an integer, a
+// double, a short string, or a list of integers -- a general JSON
+// library would be a dependency for no expressive gain, but the
+// emit/parse primitives must not be re-implemented per format, so they
+// live here.
 //
 // Parsing is by key lookup over the whole line (`"key":`), which is
 // exactly right for flat objects with distinct key names and wrong for

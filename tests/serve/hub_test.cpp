@@ -71,9 +71,9 @@ TEST(ProgressHub, FramesFlowInOrderToAnActiveSubscriber) {
   StatusOr<std::shared_ptr<ProgressHub::Subscription>> sub = hub.subscribe(1);
   ASSERT_TRUE(sub.ok());
 
-  hub.publish(1, progress_frame(1));
-  hub.publish(1, critical_frame("{\"type\":\"state\",\"state\":\"running\"}"));
-  hub.publish(1, progress_frame(2));
+  hub.publish(make_view(1), {progress_frame(1)});
+  hub.publish(make_view(1), {critical_frame("{\"type\":\"state\",\"state\":\"running\"}")});
+  hub.publish(make_view(1), {progress_frame(2)});
   hub.close_job(1);
 
   std::vector<WatchFrame> frames = drain(hub, *sub);
@@ -96,16 +96,16 @@ TEST(ProgressHub, SlowSubscriberCoalescesProgressButKeepsEveryCriticalFrame) {
   // A subscriber that never reads while 100 progress ticks, 100 site
   // heartbeats, and 10 critical frames land.
   for (int i = 0; i < 100; ++i) {
-    hub.publish(1, progress_frame(static_cast<std::uint64_t>(i)));
-    hub.publish(1, site_frame(static_cast<std::uint64_t>(i)));
+    hub.publish(make_view(1), {progress_frame(static_cast<std::uint64_t>(i))});
+    hub.publish(make_view(1), {site_frame(static_cast<std::uint64_t>(i))});
   }
   std::vector<std::string> critical_lines;
   for (int i = 0; i < 10; ++i) {
     std::string line = "{\"type\":\"worker-crashed\",\"n\":" + std::to_string(i) + "}";
     critical_lines.push_back(line);
-    hub.publish(1, critical_frame(line));
+    hub.publish(make_view(1), {critical_frame(line)});
   }
-  hub.publish(1, critical_frame("{\"type\":\"done\",\"job\":1,\"status\":\"ok\"}"));
+  hub.publish(make_view(1), {critical_frame("{\"type\":\"done\",\"job\":1,\"status\":\"ok\"}")});
   hub.close_job(1);
 
   std::vector<WatchFrame> frames = drain(hub, *sub);
@@ -141,14 +141,14 @@ TEST(ProgressHub, SlowSubscriberCoalescesProgressButKeepsEveryCriticalFrame) {
 TEST(ProgressHub, LateSubscriberOfAClosedJobGetsSnapshotThenTerminalFrames) {
   ProgressHub hub;
   hub.open_job(make_view(7));
-  hub.update_job(7, [](JobView& v) {
-    v.state = "done";
-    v.done = 19;
-    v.total = 19;
-  });
+  JobView finished = make_view(7);
+  finished.state = "done";
+  finished.done = 19;
+  finished.total = 19;
   // Report (critical, with payload) then done, as the service publishes.
-  hub.publish(7, critical_frame("{\"type\":\"report\",\"job\":7,\"bytes\":11}", "report body"));
-  hub.publish(7, critical_frame("{\"type\":\"done\",\"job\":7,\"status\":\"ok\"}"));
+  hub.publish(finished, {critical_frame("{\"type\":\"report\",\"job\":7,\"bytes\":11}",
+                                        "report body")});
+  hub.publish(finished, {critical_frame("{\"type\":\"done\",\"job\":7,\"status\":\"ok\"}")});
   hub.close_job(7);
 
   StatusOr<std::shared_ptr<ProgressHub::Subscription>> sub = hub.subscribe(7);
@@ -172,7 +172,9 @@ TEST(ProgressHub, PublishNeverBlocksOnAStuckSubscriber) {
   // 10k publishes against a subscriber that never reads must finish
   // promptly; a blocking or unbounded hub would hang or balloon here.
   auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < 10000; ++i) hub.publish(1, progress_frame(static_cast<std::uint64_t>(i)));
+  for (int i = 0; i < 10000; ++i) {
+    hub.publish(make_view(1), {progress_frame(static_cast<std::uint64_t>(i))});
+  }
   double ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
   EXPECT_LT(ms, 5000.0);
   EXPECT_EQ(hub.published_total(), 10000u);
@@ -208,7 +210,7 @@ TEST(ProgressHub, UnsubscribeDropsTheSubscriberFromFanout) {
   EXPECT_EQ(hub.subscriber_count(), 1u);
   hub.unsubscribe(*sub);
   EXPECT_EQ(hub.subscriber_count(), 0u);
-  hub.publish(1, progress_frame(1));  // must not crash or enqueue
+  hub.publish(make_view(1), {progress_frame(1)});  // must not crash or enqueue
   hub.close_job(1);
 }
 

@@ -278,6 +278,38 @@ TEST(Observability, MetricsSnapshotReconcilesWithTheEventLog) {
   EXPECT_GE(prev_seq, 6);
 }
 
+/// VmSize of `pid` in kB (its whole virtual mapping), or -1.
+long vm_size_kb(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  }
+  return -1;
+}
+
+TEST(Observability, FinishedWatcherThreadsAreReaped) {
+  // Every watch runs on its own daemon thread; one that has exited but
+  // was never joined keeps its stack mapped, so a daemon serving many
+  // watches would grow without bound.
+  std::string design = write_temp("obs_reap.c", kClampSrc);
+  Daemon d;
+  ASSERT_EQ(submit_job(d.socket, clamp_spec(design), temp_path("obs_reap.txt"), true), 0);
+  WatchOptions wopt;
+  wopt.quiet = true;
+  wopt.out_path = temp_path("obs_reap_watch.txt");
+  long before = -1;
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_EQ(watch_job(d.socket, 1, wopt), 0) << "watch " << i;
+    if (i == 4) before = vm_size_kb(d.proc->pid());
+  }
+  long after = vm_size_kb(d.proc->pid());
+  ASSERT_GT(before, 0);
+  // 25 leaked watcher stacks would add ~200 MB; allow a couple of live
+  // threads' worth of slack.
+  EXPECT_LT(after - before, 20 * 1024) << "VmSize " << before << " kB -> " << after << " kB";
+}
+
 TEST(Observability, StatusReportsQueueDepthsAndWorkerTallies) {
   std::string design = write_temp("obs_status.c", kClampSrc);
   // One executor so queued jobs are observable; quick respawns.

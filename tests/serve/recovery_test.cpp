@@ -278,25 +278,5 @@ TEST(Recovery, DeadlineExpiredWhileQueuedExitsEight) {
   j1.join();
 }
 
-TEST(Recovery, NoSpoolPreservesThePlainInMemoryBehavior) {
-  std::string design = write_temp("rec_nospool.c", kClampSrc);
-  std::string ref =
-      run_hlsavc("faultsim " + design + " --campaign --seed=7 --feed clamp.in=1,2,3,300,5,6");
-  ASSERT_NE(ref.find("Fault-injection campaign"), std::string::npos) << ref;
-
-  CrashDaemon d("nospool", {"--no-spool"});
-  CampaignSpec spec = clamp_spec(design);
-  SubmitOptions opt;
-  opt.quiet = true;
-  opt.out_path = temp_path("rec_nospool.txt");
-  EXPECT_EQ(submit_job(d.socket, spec, opt), 0);
-  EXPECT_EQ(slurp(opt.out_path), ref);
-  EXPECT_FALSE(std::filesystem::exists(d.work_dir + "/spool"));
-
-  StatusOr<std::string> status = query_status(d.socket);
-  ASSERT_TRUE(status.ok());
-  EXPECT_NE(status->find("recovered 0 job(s) at boot"), std::string::npos) << *status;
-}
-
 }  // namespace
 }  // namespace hlsav::serve

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -19,7 +20,9 @@
 
 #include "serve/client.h"
 #include "serve/protocol.h"
+#include "serve/service.h"
 #include "support/subprocess.h"
+#include "support/wal.h"
 
 #ifndef HLSAVD_PATH
 #define HLSAVD_PATH "hlsavd"
@@ -231,6 +234,39 @@ TEST(Service, ShutdownMidJobDrainsInsteadOfDropping) {
   // Drained (6): the shutdown landed while the worker was stalled, the
   // journaled prefix was kept, and the client got a typed outcome.
   EXPECT_EQ(rc, 6) << rc;
+}
+
+ssize_t enospc_write(int, const void*, std::size_t) {
+  errno = ENOSPC;
+  return -1;
+}
+
+TEST(Service, SpoolWriteFailureIsATypedRejection) {
+  // In-process daemon, so the WAL hooks reach its spool: the
+  // write-ahead record of the job cannot land, and the client must get
+  // a typed rejection (7) instead of an accept the daemon cannot keep.
+  std::string design = write_temp("svc_enospc.c", kClampSrc);
+  ServiceOptions sopt;
+  sopt.socket_path = temp_path("svc_enospc.sock");
+  sopt.work_dir = temp_path("svcwork_enospc");
+  sopt.worker_binary = HLSAVD_PATH;
+  StatusOr<std::unique_ptr<Service>> service = Service::start(sopt);
+  ASSERT_TRUE(service.ok()) << service.status().to_string();
+  Status served;
+  std::thread loop([&] { served = (*service)->serve(); });
+
+  static wal::IoHooks hooks{enospc_write, nullptr};
+  wal::set_io_hooks_for_test(&hooks);
+  int rc = submit_job(sopt.socket_path, clamp_spec(design), temp_path("svc_enospc.txt"), true);
+  wal::set_io_hooks_for_test(nullptr);
+  EXPECT_EQ(rc, 7);
+  StatusOr<std::string> status = query_status(sopt.socket_path);
+  ASSERT_TRUE(status.ok()) << status.status().to_string();
+  EXPECT_NE(status->find("rejected=1"), std::string::npos) << *status;
+
+  (*service)->shutdown_flag().store(true);
+  loop.join();
+  EXPECT_TRUE(served.ok()) << served.to_string();
 }
 
 TEST(Service, SubmittingAMissingDesignFailsTheJobNotTheDaemon) {

@@ -7,10 +7,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cerrno>
+
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+
+#include "support/wal.h"
 
 namespace hlsav::serve {
 namespace {
@@ -181,6 +185,48 @@ TEST(Spool, TempSiblingsAndForeignFilesAreIgnored) {
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(scan->entries.size(), 1u);
   EXPECT_EQ(scan->quarantined, 0u);
+}
+
+// ------------------------------------------- IO fault injection (WAL) --
+
+ssize_t eio_write(int, const void*, std::size_t) {
+  errno = EIO;
+  return -1;
+}
+
+int failing_fsync(int) {
+  errno = EIO;
+  return -1;
+}
+
+struct HookGuard {
+  explicit HookGuard(const wal::IoHooks* hooks) { wal::set_io_hooks_for_test(hooks); }
+  ~HookGuard() { wal::set_io_hooks_for_test(nullptr); }
+};
+
+TEST(Spool, StateRecordWriteFailureIsAnIoErrorWithTheErrnoText) {
+  StatusOr<JobSpool> spool = JobSpool::open(fresh_dir("eio"));
+  ASSERT_TRUE(spool.ok());
+  ASSERT_TRUE(spool->record_accepted(entry(6, "key-eio")).ok());
+  static wal::IoHooks hooks{eio_write, nullptr};
+  HookGuard guard(&hooks);
+  Status st = spool->record_state(6, "running");
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
+  EXPECT_NE(st.message().find("Input/output error"), std::string::npos) << st.message();
+  EXPECT_NE(st.message().find("job_00000006.spool"), std::string::npos) << st.message();
+}
+
+TEST(Spool, StateRecordFsyncFailureIsAnIoErrorNotSilentDataLoss) {
+  StatusOr<JobSpool> spool = JobSpool::open(fresh_dir("fsyncfail"));
+  ASSERT_TRUE(spool.ok());
+  ASSERT_TRUE(spool->record_accepted(entry(7, "key-fsync")).ok());
+  static wal::IoHooks hooks{nullptr, failing_fsync};
+  HookGuard guard(&hooks);
+  Status st = spool->record_state(7, "done");
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
+  EXPECT_NE(st.message().find("Input/output error"), std::string::npos) << st.message();
 }
 
 TEST(Spool, TerminalStateVocabulary) {

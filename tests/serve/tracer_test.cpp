@@ -144,6 +144,34 @@ TEST(EventLog, AppendModeExtendsAcrossIncarnations) {
   EXPECT_EQ(lines, 3u);  // 1 from the first incarnation, 2 from the second
 }
 
+TEST(EventLog, OpeningCutsALineTornByACrash) {
+  // A daemon killed mid-append leaves a partial last line; the next
+  // incarnation must not glue its first record onto it.
+  std::string path = temp_path("events_torn.jsonl");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "{\"seq\":1,\"ts_ms\":1.000,\"event\":\"daemon-start\"}\n"
+        << "{\"seq\":2,\"ts_ms\":2.000,\"event\":\"job-submitted\",\"job\":1}\n"
+        << "{\"seq\":3,\"ts";
+  }
+  EventLog log;
+  ASSERT_TRUE(log.open(path).ok());
+  log.record(10, "daemon-start", {});
+  log.close();
+
+  std::istringstream in(slurp(path));
+  std::string line;
+  std::size_t lines = 0;
+  while (std::getline(in, line)) {
+    ++lines;
+    EXPECT_EQ(line.front(), '{') << line;
+    EXPECT_EQ(line.back(), '}') << line;
+    EXPECT_EQ(line.find('{', 1), std::string::npos) << "glued lines: " << line;
+    EXPECT_NE(line.find("\"event\":"), std::string::npos) << line;
+  }
+  EXPECT_EQ(lines, 3u);
+}
+
 TEST(EventLog, ClosedLogIgnoresRecords) {
   EventLog log;
   log.record(10, "never-lands", {});

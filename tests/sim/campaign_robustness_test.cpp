@@ -173,14 +173,14 @@ int failing_fsync(int) {
 }
 
 struct HookGuard {
-  explicit HookGuard(const JournalIoHooks* hooks) { set_journal_io_hooks_for_test(hooks); }
-  ~HookGuard() { set_journal_io_hooks_for_test(nullptr); }
+  explicit HookGuard(const wal::IoHooks* hooks) { wal::set_io_hooks_for_test(hooks); }
+  ~HookGuard() { wal::set_io_hooks_for_test(nullptr); }
 };
 
 TEST(CampaignRobustness, JournalEnospcSurfacesAsStatusNamingThePath) {
   H h = make_clamp();
   std::string journal = temp_path("enospc.jsonl");
-  static JournalIoHooks hooks{enospc_write, nullptr};
+  static wal::IoHooks hooks{enospc_write, nullptr};
   HookGuard guard(&hooks);
 
   CampaignOptions opt;
@@ -199,7 +199,7 @@ TEST(CampaignRobustness, JournalEnospcSurfacesAsStatusNamingThePath) {
 TEST(CampaignRobustness, JournalShortWriteThenEioIsContained) {
   H h = make_clamp();
   std::string journal = temp_path("eio.jsonl");
-  static JournalIoHooks hooks{short_then_eio_write, nullptr};
+  static wal::IoHooks hooks{short_then_eio_write, nullptr};
   HookGuard guard(&hooks);
 
   CampaignOptions opt;
@@ -215,7 +215,7 @@ TEST(CampaignRobustness, JournalShortWriteThenEioIsContained) {
 TEST(CampaignRobustness, JournalFsyncFailureIsAnErrorNotSilentDataLoss) {
   H h = make_clamp();
   std::string journal = temp_path("fsyncfail.jsonl");
-  static JournalIoHooks hooks{nullptr, failing_fsync};
+  static wal::IoHooks hooks{nullptr, failing_fsync};
   HookGuard guard(&hooks);
 
   CampaignOptions opt;

@@ -31,8 +31,6 @@
 //   --spool-dir=DIR          write-ahead job spool (default
 //                            WORK_DIR/spool); a restarted daemon
 //                            re-adopts every unfinished spooled job
-//   --no-spool               disable the spool: jobs are in-memory
-//                            only, exactly the pre-spool behaviour
 //   --die-at=PHASE           test-only crash injection: SIGKILL the
 //                            daemon the first time it reaches PHASE
 //                            (accept | spooled | shard-spawned |
@@ -147,7 +145,7 @@ bool parse_double_flag(const std::string& text, double& out) {
 void print_usage(std::ostream& os) {
   os << "usage: hlsavd serve    --socket=PATH [--queue-cap=N --jobs=N --workers=N\n"
         "                        --quarantine-cap=N --heartbeat-timeout-ms=N --work-dir=DIR\n"
-        "                        --events-out=FILE --spool-dir=DIR --no-spool --die-at=PHASE]\n"
+        "                        --events-out=FILE --spool-dir=DIR --die-at=PHASE]\n"
         "       hlsavd submit   --socket=PATH --design=FILE [--feed stream=v1,v2,...\n"
         "                        --assertions=MODE --seed=N --max-faults=N --max-cycles=N\n"
         "                        --site-wall-ms=N --workers=N --priority=N --out=FILE --quiet\n"
@@ -367,7 +365,6 @@ int main(int argc, char** argv) {
   WorkerArgs wargs;
   std::string out_path;
   bool quiet = false;
-  bool no_spool = false;
   serve::SubmitOptions subopt;
   std::vector<std::string> feed_parts;
   std::uint64_t watch_job_id = 0;
@@ -467,8 +464,6 @@ int main(int argc, char** argv) {
       sopt.events_out = val("--events-out=");
     } else if (a.rfind("--spool-dir=", 0) == 0) {
       sopt.spool_dir = val("--spool-dir=");
-    } else if (a == "--no-spool") {
-      no_spool = true;
     } else if (a.rfind("--die-at=", 0) == 0) {
       sopt.die_at = val("--die-at=");
     } else if (a.rfind("--key=", 0) == 0) {
@@ -524,10 +519,6 @@ int main(int argc, char** argv) {
       if (socket_path.empty()) return usage();
       sopt.socket_path = socket_path;
       sopt.worker_binary = self_binary(argv[0]);
-      // The spool defaults on (WORK_DIR/spool); --no-spool wins over an
-      // explicit --spool-dir so wrapper scripts can force it off.
-      if (sopt.spool_dir.empty()) sopt.spool_dir = sopt.work_dir + "/spool";
-      if (no_spool) sopt.spool_dir.clear();
       return run_serve(sopt);
     }
     if (command == "submit") {
