@@ -28,6 +28,7 @@ void report(const char* label, const sim::RunResult& r) {
       std::cout << "ABORTED -- " << r.failures[0].message;
       break;
     case sim::RunStatus::kHung: std::cout << "hung"; break;
+    case sim::RunStatus::kDeadline: std::cout << "stopped by the wall-clock deadline"; break;
   }
   std::cout << '\n';
 }

@@ -70,9 +70,10 @@ unsigned callback_slot(OpKind k) {
   }
 }
 
-// The shared C prelude: two typedefs mirroring sim/compiled.h and the
+// The shared C prelude: two typedefs mirroring sim/compiled.h, the
 // width-exact arithmetic helpers that replicate BitVector semantics on
-// native uint64_t (results always masked to their declared width).
+// native uint64_t (results always masked to their declared width), and
+// the fault-hook helpers.
 void emit_prelude(std::ostringstream& os) {
   os << "/* hlsav compiled-simulation module (generated; do not edit). */\n"
         "#include <stdint.h>\n"
@@ -125,6 +126,16 @@ void emit_prelude(std::ostringstream& os) {
         "  v = a >> sh;\n"
         "  if (s && sh != 0u) v |= m ^ (m >> sh);\n"
         "  return v;\n"
+        "}\n"
+        // Fault hooks (sim/compiled.h ProcLayout). A signed compare
+        // is an unsigned one with the sign bit `s` flipped; a narrowing
+        // mask `m` drops that bit too, so a narrowed signed compare turns
+        // unsigned, as in Simulator::eval_bin_op.
+        "static inline uint64_t hlsav_lts(uint64_t a, uint64_t b, uint64_t s, uint64_t m) {\n"
+        "  return ((a ^ s) & m) < ((b ^ s) & m);\n"
+        "}\n"
+        "static inline uint64_t hlsav_les(uint64_t a, uint64_t b, uint64_t s, uint64_t m) {\n"
+        "  return ((a ^ s) & m) <= ((b ^ s) & m);\n"
         "}\n\n";
 }
 
@@ -183,9 +194,8 @@ std::string decline_reason(const ir::Design& design, const Process& p,
 
 class ProcEmitter {
  public:
-  ProcEmitter(const ir::Design& design, const Process& p, const sched::ProcessSchedule& sched,
-              std::uint32_t pidx, std::string symbol)
-      : design_(design), p_(p), sched_(sched), pidx_(pidx), symbol_(std::move(symbol)) {
+  ProcEmitter(const ir::Design& design, const Process& p, const sched::ProcessSchedule& sched)
+      : design_(design), p_(p), sched_(sched), layout_(sim::ProcLayout::of(p)) {
     for (std::size_t i = 0; i < p_.loops.size(); ++i) {
       const ir::LoopInfo& l = p_.loops[i];
       if (!l.pipelined) continue;
@@ -194,10 +204,11 @@ class ProcEmitter {
     }
   }
 
+  /// The function's parameter list and body, without its name: the
+  /// body names neither the process nor its memories (sim::ProcLayout),
+  /// so identical processes emit identical text.
   std::string emit() {
-    os_ << "/* process '" << c_escape(p_.name) << "' */\n";
-    os_ << "static uint64_t " << symbol_
-        << "(uint64_t* r, uint64_t* st, uint64_t* const* mem, void* sim,\n"
+    os_ << "(uint64_t* r, uint64_t* st, uint64_t* const* mem, void* sim,\n"
         << "    const void* const* cb) {\n"
         << "  uint64_t ib = 0;\n"
         << "  (void)r; (void)mem; (void)ib;\n";
@@ -220,6 +231,7 @@ class ProcEmitter {
   static std::string blk_f(ir::BlockId b) { return "B" + std::to_string(b) + "_f"; }
   static std::string blk_c(ir::BlockId b) { return "B" + std::to_string(b) + "_c"; }
   static std::string blk_loop(ir::BlockId b) { return "B" + std::to_string(b) + "_loop"; }
+  static std::string blk_retire(ir::BlockId b) { return "B" + std::to_string(b) + "_r"; }
   static std::string op_label(ir::BlockId b, std::size_t i) {
     return "L" + std::to_string(b) + "_" + std::to_string(i);
   }
@@ -306,7 +318,8 @@ class ProcEmitter {
       os_ << op_label(b.id, resume_idx) << ": ;\n";
       os_ << "  " << stw(sim::kStResumeOp) << " = " << resume_idx << "u;\n";
       os_ << "  {\n    uint32_t s_ = ((hlsav_cb_op_fn)cb[" << callback_slot(op.kind)
-          << "])(sim, " << pidx_ << "u, " << cb_block << "u, " << cb_op << "u, " << at_expr
+          << "])(sim, (uint32_t)" << stw(sim::kStPidx) << ", " << cb_block << "u, " << cb_op
+          << "u, " << at_expr
           << ");\n"
           << "    if (s_ == " << sim::kCbBlocked << "u) return HLSAV_RET(" << sim::kRetBlocked
           << "u);\n"
@@ -355,15 +368,18 @@ class ProcEmitter {
       case OpKind::kLoad: {
         const ir::Memory& mm = design_.memory(op.mem);
         os_ << "  {\n    uint64_t i_ = " << val(op.args[0]) << ";\n"
-            << "    " << d << " = i_ < " << u64_lit(mm.size) << " ? (mem[" << op.mem
-            << "][i_] & " << mask_lit(mm.width) << ") : 0u;\n  }\n";
+            << "    " << d << " = i_ < " << u64_lit(mm.size) << " ? (mem["
+            << layout_.mem_slot(op.mem) << "][i_] & " << mask_lit(mm.width) << ") : 0u;\n  }\n";
         break;
       }
       case OpKind::kStore: {
+        // The stored word passes the memory's BRAM fault masks.
         const ir::Memory& mm = design_.memory(op.mem);
+        const std::uint32_t f = layout_.store_word(op.mem);
         os_ << "  {\n    uint64_t i_ = " << val(op.args[0]) << ";\n"
-            << "    if (i_ < " << u64_lit(mm.size) << ") mem[" << op.mem << "][i_] = "
-            << val(op.args[1]) << ";\n  }\n";
+            << "    if (i_ < " << u64_lit(mm.size) << ") mem[" << layout_.mem_slot(op.mem)
+            << "][i_] = (" << val(op.args[1]) << " & " << stw(f) << ") ^ " << stw(f + 1)
+            << ";\n  }\n";
         break;
       }
       default:
@@ -377,6 +393,30 @@ class ProcEmitter {
     const unsigned w = width_of(op.args[0]);
     const std::string ws = std::to_string(w) + "u";
     const std::string m = mask_lit(p_.reg(op.dest).width);
+    // A comparison on a source line ANDs its operands with the line's
+    // narrowing mask (all ones unless a narrow-compare fault is armed).
+    // 1-bit operands have no narrower width to fall to.
+    const std::uint32_t k = layout_.compare_word(op.loc.line);
+    if (k != 0 && w > 1 && ir::bin_is_comparison(op.bin)) {
+      const std::string fm = stw(k);
+      const std::string sign = u64_lit(std::uint64_t{1} << (w - 1));
+      switch (op.bin) {
+        case BinKind::kCmpEq:
+          return "(uint64_t)(((" + a + " ^ " + b + ") & " + fm + ") == 0u)";
+        case BinKind::kCmpNe:
+          return "(uint64_t)(((" + a + " ^ " + b + ") & " + fm + ") != 0u)";
+        case BinKind::kCmpLtU:
+          return "(uint64_t)((" + a + " & " + fm + ") < (" + b + " & " + fm + "))";
+        case BinKind::kCmpLeU:
+          return "(uint64_t)((" + a + " & " + fm + ") <= (" + b + " & " + fm + "))";
+        case BinKind::kCmpLtS:
+          return "hlsav_lts(" + a + ", " + b + ", " + sign + ", " + fm + ")";
+        case BinKind::kCmpLeS:
+          return "hlsav_les(" + a + ", " + b + ", " + sign + ", " + fm + ")";
+        default:
+          break;
+      }
+    }
     switch (op.bin) {
       case BinKind::kAdd:
         return "(" + a + " + " + b + ") & " + m;
@@ -439,6 +479,11 @@ class ProcEmitter {
         << "  }\n";
   }
 
+  /// Branch outcome of `b`'s condition through its stuck-branch word.
+  [[nodiscard]] std::string branch_taken(const BasicBlock& b) const {
+    return "(" + stw(layout_.branch + b.id) + " >> (" + val(b.term.cond) + " != 0u)) & 1u";
+  }
+
   void emit_goto_block(ir::BlockId target) { os_ << "  goto " << blk_f(target) << ";\n"; }
 
   void emit_terminator(const BasicBlock& b) {
@@ -447,8 +492,8 @@ class ProcEmitter {
         emit_goto_block(b.term.on_true);
         break;
       case ir::TermKind::kBranch:
-        os_ << "  if (" << val(b.term.cond) << " != 0u) goto " << blk_f(b.term.on_true)
-            << "; else goto " << blk_f(b.term.on_false) << ";\n";
+        os_ << "  if (" << branch_taken(b) << ") goto " << blk_f(b.term.on_true) << "; else goto "
+            << blk_f(b.term.on_false) << ";\n";
         break;
       case ir::TermKind::kReturn:
         os_ << "  return HLSAV_RET(" << sim::kRetDone << "u);\n";
@@ -465,6 +510,14 @@ class ProcEmitter {
         << "  " << stw(sim::kStBlockEntry) << " = " << stw(sim::kStCycle) << ";\n";
     os_ << blk_c(b.id) << ": ;\n";
     emit_checks();
+    // Skip-block fault: the datapath ops never run; control falls
+    // through to the retire on stale register values. A skipped block
+    // never runs an op, so it is never resumed mid-block: testing on
+    // every pass through here is the interpreter's op_idx == 0 test.
+    if (!b.ops.empty()) {
+      os_ << "  if (" << stw(sim::kStSkipBlock) << " == " << b.id << "u) goto "
+          << blk_retire(b.id) << ";\n";
+    }
     std::vector<std::size_t> resume;
     for (std::size_t i = 0; i < b.ops.size(); ++i) {
       if (is_callback_op(b.ops[i].kind)) resume.push_back(i);
@@ -476,6 +529,7 @@ class ProcEmitter {
       emit_op(b, b.ops[i], i, b.id, i, at, /*progressed_before=*/i > 0);
     }
     // Retire: the block consumed its scheduled states.
+    if (!b.ops.empty()) os_ << blk_retire(b.id) << ": ;\n";
     os_ << "  " << stw(sim::kStCycle) << " = " << stw(sim::kStBlockEntry) << " + "
         << bs.num_states << "u;\n"
         << "  " << stw(sim::kStProgress) << " = 1u;\n";
@@ -526,7 +580,7 @@ class ProcEmitter {
     }
     // Loop test (combined index h; never a resume point).
     os_ << "  /* loop test */\n"
-        << "  if (" << val(header.term.cond) << " == 0u) {\n"
+        << "  if (!(" << branch_taken(header) << ")) {\n"
         << "    " << stw(sim::kStCycle) << " = " << stw(sim::kStPipeIter) << " == 0u ? "
         << stw(sim::kStPipeStart) << " + 1u : " << stw(sim::kStPipeStart) << " + " << bs.latency
         << "u + (" << stw(sim::kStPipeIter) << " - 1u) * " << ii << "u;\n"
@@ -555,8 +609,7 @@ class ProcEmitter {
   const ir::Design& design_;
   const Process& p_;
   const sched::ProcessSchedule& sched_;
-  std::uint32_t pidx_;
-  std::string symbol_;
+  sim::ProcLayout layout_;
   std::map<ir::BlockId, std::uint32_t> header_loop_;
   std::vector<ir::BlockId> pipe_body_;
   std::ostringstream os_;
@@ -569,7 +622,9 @@ EmitResult emit_design(const ir::Design& design, const sched::DesignSchedule& sc
   std::ostringstream os;
   emit_prelude(os);
 
-  std::uint32_t pidx = 0;
+  // Processes with identical bodies (replicated stages) share one
+  // function, so the host compiler sees each distinct body once.
+  std::map<std::string, std::string> symbol_of_body;
   for (const auto& up : design.processes) {
     const Process& p = *up;
     if (p.role != ir::ProcessRole::kApplication) continue;
@@ -578,12 +633,16 @@ EmitResult emit_design(const ir::Design& design, const sched::DesignSchedule& sc
     const sched::ProcessSchedule* ps = schedule.find(p.name);
     pe.decline_reason = decline_reason(design, p, ps);
     if (pe.decline_reason.empty()) {
-      pe.symbol = "hlsav_p" + std::to_string(pidx);
-      os << ProcEmitter(design, p, *ps, pidx, pe.symbol).emit();
+      std::string body = ProcEmitter(design, p, *ps).emit();
+      auto [it, fresh] = symbol_of_body.try_emplace(
+          std::move(body), "hlsav_p" + std::to_string(symbol_of_body.size()));
+      if (fresh) {
+        os << "/* process '" << c_escape(p.name) << "' */\n"
+           << "static uint64_t " << it->second << it->first;
+      }
+      pe.symbol = it->second;
     }
     result.procs.push_back(std::move(pe));
-    ++pidx;  // pidx indexes the simulator's ProcState array: count every
-             // application process, declined or not.
   }
 
   // Exported registry: the loader resolves these four symbols.

@@ -26,7 +26,7 @@ namespace hlsav::codegen {
 /// Outcome of emitting one application process.
 struct ProcEmit {
   std::string process;
-  std::string symbol;          // exported function name; empty when declined
+  std::string symbol;          // function name (shared by identical bodies); empty when declined
   std::string decline_reason;  // why codegen declined (symbol empty)
 
   [[nodiscard]] bool compiled() const { return !symbol.empty(); }

@@ -210,6 +210,8 @@ FaultResult run_fault(const ir::Design& design, const sched::DesignSchedule& sch
   FaultResult res;
   res.site = fault;
   res.cycles = r.cycles;
+  res.ran_compiled = sim.engine_active();
+  res.engine_note = sim.engine_note();
   if (profile_out != nullptr) {
     *profile_out = prof->summary();
     res.profile = *profile_out;
@@ -379,6 +381,13 @@ StatusOr<CampaignReport> run_campaign_st(
   // An interrupted sweep keeps exactly the classified sites, still in
   // site order -- the shape a --resume continuation rebuilds from.
   auto finish = [&]() -> CampaignReport {
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if (done[i] == 0 || restored[i] != 0) continue;
+      const FaultResult& r = report.results[i];
+      ++report.sites_run;
+      if (r.ran_compiled) ++report.sites_compiled;
+      if (report.engine_note.empty()) report.engine_note = r.engine_note;
+    }
     if (report.interrupted) {
       std::vector<FaultResult> kept;
       for (std::size_t i = 0; i < order.size(); ++i) {

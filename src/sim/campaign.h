@@ -76,6 +76,11 @@ struct FaultResult {
   /// Cycle-attribution totals of the faulted run; only populated when
   /// CampaignOptions::profile is set (timelines stay off in campaigns).
   std::optional<metrics::ProfileSummary> profile;
+  /// Which engine ran the site, and the simulator's engine note (why a
+  /// compiled request interpreted). In memory only: never journaled or
+  /// rendered, so reports and journals do not depend on the engine.
+  bool ran_compiled = false;
+  std::string engine_note;
 };
 
 struct CampaignOptions {
@@ -157,6 +162,13 @@ struct CampaignReport {
   /// Attribution of the un-faulted reference run; set iff
   /// CampaignOptions::profile was on.
   std::optional<metrics::ProfileSummary> golden_profile;
+  /// Faulted sites this call ran (journal-restored ones excluded), how
+  /// many of them ran on the compiled engine, and the first engine note
+  /// of a site that interpreted. In memory only, like
+  /// FaultResult::ran_compiled.
+  std::size_t sites_run = 0;
+  std::size_t sites_compiled = 0;
+  std::string engine_note;
 
   [[nodiscard]] std::size_t count(FaultOutcome o) const;
   /// Detected / (everything that was not benign).

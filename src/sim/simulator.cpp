@@ -159,9 +159,9 @@ void Simulator::init_engine() {
     engine_note_ = "profiler armed; compiled engine declines, interpreting";
     return;
   }
-  if (!opt_.faults.empty()) {
-    engine_note_ = "fault injection armed; compiled engine declines, interpreting";
-    return;
+  if (inject_faults_) {
+    engine_note_ = compiled_fault_decline();
+    if (!engine_note_.empty()) return;
   }
   for (const ir::Memory& m : design_.memories) {
     if (m.width > 64) {
@@ -171,7 +171,8 @@ void Simulator::init_engine() {
   }
 
   std::size_t attached = 0;
-  for (ProcState& ps : procs_) {
+  for (std::size_t pidx = 0; pidx < procs_.size(); ++pidx) {
+    ProcState& ps = procs_[pidx];
     const CompiledProc* match = nullptr;
     for (const CompiledProc& cp : opt_.compiled->procs) {
       if (cp.process == ps.proc->name && cp.fn != nullptr) {
@@ -181,11 +182,14 @@ void Simulator::init_engine() {
     }
     if (match == nullptr) continue;
     ps.cfn = match->fn;
+    ps.layout = &match->layout;
     ps.regs64.assign(ps.proc->regs.size(), 0);
-    ps.st.fill(0);
+    ps.st.assign(ps.layout->words, 0);
     ps.st[kStMaxCycles] = opt_.max_cycles;
     ps.st[kStResumeBlock] = ps.proc->entry;
+    ps.st[kStPidx] = pidx;
     if (deadline_ != nullptr) ps.st[kStFlags] |= kStFlagDeadline;
+    arm_fault_words(ps);
     ++attached;
   }
   if (attached == 0) {
@@ -197,20 +201,89 @@ void Simulator::init_engine() {
   // One coherent memory image for both engines: compiled code indexes
   // raw u64 arrays, interpreted processes and checkers branch to them.
   mem64_.resize(design_.memories.size());
-  mem64_ptrs_.resize(design_.memories.size());
   for (const ir::Memory& m : design_.memories) {
     auto& mem = mem64_[m.id];
     mem.assign(m.size, 0);
     for (std::size_t i = 0; i < m.init.size() && i < mem.size(); ++i) {
       mem[i] = m.init[i].to_u64();
     }
-    mem64_ptrs_[m.id] = mem.data();
+  }
+  for (ProcState& ps : procs_) {
+    if (ps.cfn == nullptr) continue;
+    for (std::uint32_t m : ps.layout->mems) ps.mems64.push_back(mem64_[m].data());
   }
   cb_table_[kCbStreamRead] = reinterpret_cast<const void*>(&Simulator::cb_exec_trampoline);
   cb_table_[kCbStreamWrite] = reinterpret_cast<const void*>(&Simulator::cb_exec_trampoline);
   cb_table_[kCbExtern] = reinterpret_cast<const void*>(&Simulator::cb_exec_trampoline);
   cb_table_[kCbAssert] = reinterpret_cast<const void*>(&Simulator::cb_exec_trampoline);
   cb_table_[kCbPoll] = reinterpret_cast<const void*>(&Simulator::cb_poll_trampoline);
+}
+
+std::string Simulator::compiled_fault_decline() const {
+  const std::vector<FaultSpec>& faults = opt_.faults.faults();
+  if (faults.size() > 1) {
+    return "fault injection armed with " + std::to_string(faults.size()) +
+           " faults; compiled engine applies one, interpreting";
+  }
+  const FaultSpec& f = faults.front();
+  if (f.kind == FaultKind::kNarrowCompare && (f.process.empty() || f.line == 0)) {
+    return "fault injection armed with a wildcard narrow-compare spec; compiled engine "
+           "declines, interpreting";
+  }
+  if ((f.kind == FaultKind::kBramBitFlip || f.kind == FaultKind::kBramStuckAt) &&
+      f.mem < design_.memories.size() &&
+      (f.addr_lo != 0 || f.addr_hi < design_.memory(f.mem).size - 1)) {
+    return "fault injection armed with an address-ranged BRAM fault; compiled engine "
+           "declines, interpreting";
+  }
+  return {};
+}
+
+void Simulator::arm_fault_words(ProcState& ps) const {
+  const ProcLayout& layout = *ps.layout;
+  std::uint64_t* st = ps.st.data();
+  st[kStSkipBlock] = kNoSkipBlock;
+  std::fill(st + layout.branch, st + layout.store, kBranchFree);
+  for (std::uint32_t w = layout.store; w < layout.compare; w += 2) {
+    st[w] = ~std::uint64_t{0};  // AND; XOR stays 0
+  }
+  std::fill(st + layout.compare, st + layout.words, ~std::uint64_t{0});
+  if (!inject_faults_) return;
+
+  // The one fault compiled_fault_decline() accepted, under the same
+  // matching rules FaultEngine applies for the interpreter. Stream and
+  // extern faults apply in compiled_exec_op, channel faults when
+  // draining CPU streams.
+  const FaultSpec& f = opt_.faults.faults().front();
+  const bool mine = f.process == ps.proc->name;
+  switch (f.kind) {
+    case FaultKind::kNarrowCompare:
+      if (std::uint32_t k = layout.compare_word(f.line); mine && k != 0 && f.width != 0) {
+        st[k] = f.width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << f.width) - 1;
+      }
+      break;
+    case FaultKind::kBramBitFlip:
+    case FaultKind::kBramStuckAt: {
+      // A bit at or beyond the memory width is left unchanged.
+      const std::uint32_t k = layout.store_word(f.mem);
+      if (k == 0 || f.bit >= design_.memory(f.mem).width) break;
+      std::uint64_t* m = st + k;
+      const std::uint64_t bit = std::uint64_t{1} << f.bit;
+      if (f.kind == FaultKind::kBramStuckAt) m[0] = ~bit;
+      if (f.kind == FaultKind::kBramBitFlip || f.stuck_one) m[1] = bit;
+      break;
+    }
+    case FaultKind::kFsmStuckBranch:
+      if (mine && f.block < ps.proc->blocks.size()) {
+        st[layout.branch + f.block] = f.branch_taken ? kBranchTaken : kBranchNotTaken;
+      }
+      break;
+    case FaultKind::kFsmSkipBlock:
+      if (mine) st[kStSkipBlock] = f.block;
+      break;
+    default:
+      break;
+  }
 }
 
 ir::StreamId Simulator::stream_by_name(std::string_view name) const {
@@ -550,8 +623,18 @@ bool Simulator::exec_op(ProcState& ps, const Op& op, std::uint64_t at) {
     case OpKind::kStore: {
       std::uint64_t idx = value_of(ps, op.args[0]).to_u64();
       if (engine_active_) {
+        // An interpreted process of a compiled run: same fault rule,
+        // written to the shared u64 image.
         auto& mem = mem64_[op.mem];
-        if (idx < mem.size()) mem[idx] = value_of(ps, op.args[1]).to_u64();
+        if (idx < mem.size()) {
+          if (inject_faults_) {
+            BitVector v = value_of(ps, op.args[1]);
+            opt_.faults.on_bram_write(op.mem, idx, v);
+            mem[idx] = v.to_u64();
+          } else {
+            mem[idx] = value_of(ps, op.args[1]).to_u64();
+          }
+        }
         return true;
       }
       auto& mem = memories_[op.mem];
@@ -832,7 +915,7 @@ bool Simulator::step_process(ProcState& ps) {
 bool Simulator::step_process_compiled(ProcState& ps) {
   ps.st[kStProgress] = 0;
   ps.st[kStHalt] = halt_ ? 1 : 0;
-  std::uint64_t r = ps.cfn(ps.regs64.data(), ps.st.data(), mem64_ptrs_.data(), this,
+  std::uint64_t r = ps.cfn(ps.regs64.data(), ps.st.data(), ps.mems64.data(), this,
                            cb_table_.data());
   ps.cycle = ps.st[kStCycle];
   switch (ret_tag(r)) {
@@ -885,8 +968,8 @@ std::uint32_t Simulator::compiled_exec_op(std::uint32_t pidx, std::uint32_t bloc
   const Op& op = b.ops[op_idx];
   // The generated code already evaluated the op's predicate and
   // timestamp; this executes the shared-state side exactly as exec_op
-  // would with trace/ELA/profiler/faults unarmed (the engine declines
-  // those configurations).
+  // would with trace/ELA/profiler unarmed (the engine declines those
+  // configurations), stream and extern faults included.
   switch (op.kind) {
     case OpKind::kStreamRead: {
       StreamState& st = streams_[op.stream];
@@ -918,8 +1001,17 @@ std::uint32_t Simulator::compiled_exec_op(std::uint32_t pidx, std::uint32_t bloc
         ps.blocked_stream = op.stream;
         return kCbBlocked;
       }
-      st.fifo.push_back(FifoEntry{value64_of(ps, op.args[0]), at + 1});
-      mark_cpu_dirty(op.stream);
+      BitVector v = value64_of(ps, op.args[0]);
+      FaultEngine::StreamAction act = FaultEngine::StreamAction::kPass;
+      if (inject_faults_) {
+        // As in try_stream_write: a dropped word still counts as sent.
+        act = opt_.faults.on_stream_write(op.stream, stream_write_seq_[op.stream]++, v);
+      }
+      if (act != FaultEngine::StreamAction::kDrop) {
+        if (act == FaultEngine::StreamAction::kDup) st.fifo.push_back(FifoEntry{v, at + 1});
+        st.fifo.push_back(FifoEntry{std::move(v), at + 1});
+        mark_cpu_dirty(op.stream);
+      }
       break;
     }
     case OpKind::kCallExtern: {
@@ -927,8 +1019,9 @@ std::uint32_t Simulator::compiled_exec_op(std::uint32_t pidx, std::uint32_t bloc
       HLSAV_CHECK(fn != nullptr, "unbound extern function '" + op.callee + "'");
       extern_args_.clear();
       for (const Operand& a : op.args) extern_args_.push_back(value64_of(ps, a));
-      ps.regs64[op.dest] =
-          (*fn)(extern_args_).resize(ps.proc->reg(op.dest).width, false).to_u64();
+      BitVector r = (*fn)(extern_args_).resize(ps.proc->reg(op.dest).width, false);
+      if (inject_faults_) opt_.faults.on_extern_result(op.callee, r);
+      ps.regs64[op.dest] = r.to_u64();
       break;
     }
     case OpKind::kAssert: {

@@ -114,11 +114,14 @@ struct SimOptions {
   /// Execution engine. kCompiled/kAuto use the functions in `compiled`
   /// for the processes they cover and interpret the rest; the simulator
   /// itself falls back to full interpretation (and says why in
-  /// engine_note()) when no handle is attached or when an armed
-  /// observability feature -- trace, ELA, profiler, fault injection --
-  /// needs the interpreter's per-op hooks. Cycle counts, RunResults and
-  /// received words are bit-identical across engines; the differential
-  /// suite (tests/codegen) enforces that.
+  /// engine_note()) when no handle is attached, when an armed
+  /// observability feature -- trace, ELA, profiler -- needs the
+  /// interpreter's per-op hooks, or when the fault engine holds more
+  /// than one fault, a wildcard narrow-compare spec or an address-ranged
+  /// BRAM fault. A single armed fault (every campaign site) runs
+  /// compiled. Cycle counts,
+  /// RunResults and received words are bit-identical across engines;
+  /// the differential suite (tests/codegen) enforces that.
   SimEngine engine = SimEngine::kInterpreter;
   /// Borrowed compiled design (see codegen::compile_design). Must
   /// outlive the simulator. Ignored when engine == kInterpreter.
@@ -287,8 +290,10 @@ class Simulator {
     /// process): the AOT function, its u64 register file, and the state
     /// words it communicates through (sim/compiled.h layout).
     CompiledProcFn cfn = nullptr;
+    const ProcLayout* layout = nullptr;  // owned by the attached handle
     std::vector<std::uint64_t> regs64;
-    std::array<std::uint64_t, kStWords> st{};
+    std::vector<std::uint64_t> st;       // fixed words, then fault words
+    std::vector<std::uint64_t*> mems64;  // the memory table, into mem64_
     /// Local time of the last assert_cycles marker (timing assertions).
     std::uint64_t cycle_marker = 0;
     /// Profiler slot (metrics::Profiler::index_of), 0 when unarmed.
@@ -380,7 +385,6 @@ class Simulator {
   /// and checker evaluations branch to them) so both engines see one
   /// coherent memory. memories_ is the BitVector image used otherwise.
   std::vector<std::vector<std::uint64_t>> mem64_;
-  std::vector<std::uint64_t*> mem64_ptrs_;
   std::array<const void*, kCbCount> cb_table_{};
 
   /// Throttled deadline poll: reads the clock once per 256 calls.
@@ -411,6 +415,11 @@ class Simulator {
   /// Attaches SimOptions::compiled if the engine can run this
   /// configuration; records the fallback reason otherwise.
   void init_engine();
+  /// Why the compiled engine cannot apply the armed faults (empty when
+  /// it can: one fault, not a wildcard, not address-ranged).
+  [[nodiscard]] std::string compiled_fault_decline() const;
+  /// Sets a compiled process's fault words for the armed fault.
+  void arm_fault_words(ProcState& ps) const;
   /// Callback surface for compiled code (cb_table_ slots). The generated
   /// function has already evaluated the op's predicate and timestamp.
   std::uint32_t compiled_exec_op(std::uint32_t pidx, std::uint32_t block, std::uint32_t op_idx,

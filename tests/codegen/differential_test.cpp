@@ -379,10 +379,9 @@ TEST(Differential, EdgeDetector) {
 TEST(Differential, CampaignCoverageTablesIdentical) {
   HLSAV_REQUIRE_COMPILER();
   // A campaign with the compiled engine attached runs its golden pass
-  // compiled and every faulted site interpreted (fault injection makes
-  // the engine decline per-run). The classification table, coverage
-  // attribution and cycle columns must match a fully interpreted
-  // campaign byte for byte.
+  // and every faulted site compiled (each site arms one fault). The
+  // classification table, coverage attribution and cycle columns must
+  // match a fully interpreted campaign byte for byte.
   DiffRig rig = make_rig(kLoopbackSrc, Options::optimized());
   ASSERT_EQ(rig.prep_error, "");
   std::map<std::string, std::vector<std::uint64_t>> feeds{{"f.in", {10, 20, 30, 40}}};
@@ -400,6 +399,7 @@ TEST(Differential, CampaignCoverageTablesIdentical) {
       sim::run_campaign(rig.design, rig.schedule, rig.externs, feeds, comp_opt);
 
   EXPECT_EQ(interp.golden_cycles, comp.golden_cycles);
+  EXPECT_EQ(comp.sites_compiled, comp.sites_run) << comp.engine_note;
   ASSERT_EQ(interp.results.size(), comp.results.size());
   for (std::size_t i = 0; i < interp.results.size(); ++i) {
     EXPECT_EQ(interp.results[i].outcome, comp.results[i].outcome) << "site " << i;

@@ -146,7 +146,9 @@ TEST(Fallback, MixedDesignCompilesWhatItCanInterpretsTheRest) {
       EXPECT_FALSE(pe.decline_reason.empty());
       saw_decline = true;
     }
-    if (pe.process == "producer") EXPECT_TRUE(pe.compiled());
+    if (pe.process == "producer") {
+      EXPECT_TRUE(pe.compiled());
+    }
   }
   EXPECT_TRUE(saw_decline);
 
@@ -217,23 +219,75 @@ TEST(Fallback, ProfilerArmedDeclines) {
   EXPECT_EQ(comp.result.status, sim::RunStatus::kCompleted);
 }
 
-TEST(Fallback, FaultInjectionArmedDeclinesWithIdenticalResult) {
+TEST(Fallback, SingleFaultRunsCompiledWithIdenticalResult) {
   HLSAV_REQUIRE_COMPILER();
+  // One armed fault -- what every campaign site arms -- no longer needs
+  // the interpreter: the compiled engine applies it and must produce
+  // the interpreter's result.
   DiffRig rig = make_rig(kSrc, Options::unoptimized());
   ASSERT_EQ(rig.prep_error, "");
   ir::StreamId out = rig.design.find_process("f")->find_port("out")->stream;
   std::map<std::string, std::vector<std::uint64_t>> feeds{{"f.in", {10, 20, 30, 40}}};
 
-  auto faulted = [&](sim::SimEngine engine) {
-    sim::SimOptions base;
-    base.faults.add(sim::FaultSpec::stream_drop(out, 1));
-    return run_engine(rig, engine, feeds, {"f.out"}, base);
-  };
-  EngineRun interp = faulted(sim::SimEngine::kInterpreter);
-  EngineRun comp = faulted(sim::SimEngine::kCompiled);
-  EXPECT_FALSE(comp.engine_active);
-  EXPECT_NE(comp.engine_note.find("fault"), std::string::npos) << comp.engine_note;
+  sim::SimOptions base;
+  base.faults.add(sim::FaultSpec::stream_drop(out, 1));
+  EngineRun interp = run_engine(rig, sim::SimEngine::kInterpreter, feeds, {"f.out"}, base);
+  EngineRun comp = run_engine(rig, sim::SimEngine::kCompiled, feeds, {"f.out"}, base);
+  EXPECT_TRUE(comp.engine_active) << comp.engine_note;
+  EXPECT_EQ(comp.engine_note, "");
   expect_identical(interp, comp);
+  EXPECT_EQ(comp.outputs["f.out"], (std::vector<std::uint64_t>{11, 31, 41}));
+}
+
+TEST(Fallback, MultiFaultDeclinesWithIdenticalResult) {
+  HLSAV_REQUIRE_COMPILER();
+  // The compiled hooks hold one fault; a fault engine with several, a
+  // wildcard narrow-compare spec or an address-ranged BRAM fault keeps
+  // the fallback contract: interpret, say why, same result.
+  DiffRig rig = make_rig(R"(
+    void f(stream_in<32> in, stream_out<32> out) {
+      uint32 buf[4];
+      for (uint32 i = 0; i < 4; i++) {
+        buf[i] = stream_read(in);
+        assert(buf[i] < 1000);
+        stream_write(out, buf[i] + 1);
+      }
+    }
+  )",
+                         Options::unoptimized());
+  ASSERT_EQ(rig.prep_error, "");
+  ir::StreamId out = rig.design.find_process("f")->find_port("out")->stream;
+  std::map<std::string, std::vector<std::uint64_t>> feeds{{"f.in", {10, 20, 30, 40}}};
+
+  ir::MemId buf = ir::kNoMem;
+  for (const ir::Memory& m : rig.design.memories) {
+    if (m.role == ir::MemRole::kData) buf = m.id;
+  }
+  ASSERT_NE(buf, ir::kNoMem);
+  sim::FaultSpec ranged = sim::FaultSpec::bram_bit_flip(buf, 0);
+  ranged.addr_lo = 1;
+  struct Case {
+    std::vector<sim::FaultSpec> faults;
+    std::string note;
+  };
+  std::vector<Case> cases = {
+      {{sim::FaultSpec::stream_drop(out, 1), sim::FaultSpec::stream_dup(out, 2)}, "2 faults"},
+      {{sim::FaultSpec::narrow_compare("", 0, 3)}, "wildcard"},
+      {{sim::FaultSpec::narrow_compare("f", 0, 3)}, "wildcard"},
+      {{sim::FaultSpec::narrow_compare("", 3, 3)}, "wildcard"},
+      {{ranged}, "address-ranged"},
+  };
+  for (const Case& c : cases) {
+    sim::SimOptions base;
+    for (const sim::FaultSpec& f : c.faults) base.faults.add(f);
+    EngineRun interp = run_engine(rig, sim::SimEngine::kInterpreter, feeds, {"f.out"}, base);
+    EngineRun comp = run_engine(rig, sim::SimEngine::kCompiled, feeds, {"f.out"}, base);
+    EXPECT_FALSE(comp.engine_active);
+    EXPECT_NE(comp.engine_note.find("fault injection armed"), std::string::npos)
+        << comp.engine_note;
+    EXPECT_NE(comp.engine_note.find(c.note), std::string::npos) << comp.engine_note;
+    expect_identical(interp, comp);
+  }
 }
 
 // ----------------------------------------------- CLI fallback contract --

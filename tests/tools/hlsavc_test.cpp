@@ -9,6 +9,8 @@
 #include <iterator>
 #include <string>
 
+#include "codegen/jit.h"
+
 #ifndef HLSAVC_PATH
 #define HLSAVC_PATH "hlsavc"
 #endif
@@ -305,6 +307,31 @@ TEST(Hlsavc, CampaignProfileShowsDeltas) {
   CmdResult r = run_cmd("faultsim " + f + " --feed f.in=1,2,3 --campaign --profile");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("profile deltas vs golden"), std::string::npos);
+}
+
+TEST(Hlsavc, CompiledCampaignRunsEverySiteCompiledWithTheSameReport) {
+  if (hlsav::codegen::find_compiler().empty()) GTEST_SKIP() << "no host C compiler";
+  ::setenv("HLSAV_CACHE_DIR", temp_path("jit-cache").c_str(), 1);
+  std::string f = write_temp("good.c", kGoodSrc);
+  const std::string campaign = "faultsim " + f + " --feed f.in=1,2,3 --campaign";
+  CmdResult interp = run_cmd(campaign + " --engine=interpreter");
+  CmdResult comp = run_cmd(campaign + " --engine=compiled");
+  ASSERT_EQ(interp.exit_code, 0) << interp.output;
+  ASSERT_EQ(comp.exit_code, 0) << comp.output;
+  const std::string line = "hlsavc: compiled engine ran ";
+  EXPECT_EQ(interp.output.find(line), std::string::npos) << interp.output;
+  std::size_t at = comp.output.find(line);
+  ASSERT_NE(at, std::string::npos) << comp.output;
+  std::size_t eol = comp.output.find('\n', at);
+  // "N/M faulted sites" with N == M: no site fell back to the interpreter.
+  std::string counts = comp.output.substr(at + line.size(), eol - at - line.size());
+  std::size_t slash = counts.find('/');
+  ASSERT_NE(slash, std::string::npos) << counts;
+  EXPECT_EQ(counts.substr(0, slash), counts.substr(slash + 1, counts.find(' ') - slash - 1));
+  // The line is the only difference; the report itself is byte-identical.
+  std::string report = comp.output;
+  report.erase(at, eol + 1 - at);
+  EXPECT_EQ(report, interp.output);
 }
 
 // ---- robustness: every malformed input exits with a diagnostic ----

@@ -651,9 +651,9 @@ int run(const Args& args) {
 
     if (args.campaign) {
       sim::CampaignOptions copt = args.campaign_opts;
-      // The compiled engine serves the campaign's golden runs; faulted
-      // sites arm fault injection, which the engine auto-declines, so
-      // they interpret as before.
+      // The compiled engine serves the golden run and every faulted
+      // site: each site arms one fault, which the generated code and
+      // its callbacks apply themselves.
       arm_engine(copt.sim);
       // SIGINT/SIGTERM stop the sweep cooperatively: the in-flight site
       // finishes, its journal line is fsync'd, and we exit 6 with a
@@ -670,6 +670,13 @@ int run(const Args& args) {
         return 1;
       }
       sim::CampaignReport rep = *std::move(rep_or);
+      if (args.engine != sim::SimEngine::kInterpreter) {
+        std::cerr << "hlsavc: compiled engine ran " << rep.sites_compiled << "/" << rep.sites_run
+                  << " faulted sites\n";
+        if (rep.sites_compiled != rep.sites_run && !rep.engine_note.empty()) {
+          std::cerr << "hlsavc: " << rep.engine_note << "\n";
+        }
+      }
       if (rep.interrupted) {
         std::cerr << "hlsavc: campaign interrupted by signal after " << rep.results.size()
                   << " classified site(s)";
