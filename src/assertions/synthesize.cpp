@@ -23,18 +23,13 @@ namespace {
 
 constexpr unsigned kFailIdWidth = 32;
 
-bool is_assert_meta(const Op& op) {
-  return op.kind == OpKind::kAssert || op.kind == OpKind::kAssertTap ||
-         op.kind == OpKind::kAssertFailWire || op.kind == OpKind::kAssertCycles;
-}
-
 SynthesisReport strip_all(Design& d) {
   SynthesisReport rep;
   rep.assertions_stripped = static_cast<unsigned>(d.assertions.size());
   for (auto& proc : d.processes) {
     for (BasicBlock& b : proc->blocks) {
       std::erase_if(b.ops, [](const Op& op) {
-        return op.assert_tag != ir::kNoAssertTag || is_assert_meta(op);
+        return op.assert_tag != ir::kNoAssertTag || ir::op_traits(op.kind).zero_cost;
       });
     }
   }

@@ -42,21 +42,6 @@ std::string c_escape(const std::string& s) {
   return out;
 }
 
-bool is_callback_op(OpKind k) {
-  switch (k) {
-    case OpKind::kStreamRead:
-    case OpKind::kStreamWrite:
-    case OpKind::kCallExtern:
-    case OpKind::kAssert:
-    case OpKind::kAssertTap:
-    case OpKind::kAssertFailWire:
-    case OpKind::kAssertCycles:
-      return true;
-    default:
-      return false;
-  }
-}
-
 unsigned callback_slot(OpKind k) {
   switch (k) {
     case OpKind::kStreamRead:
@@ -65,9 +50,20 @@ unsigned callback_slot(OpKind k) {
       return sim::kCbStreamWrite;
     case OpKind::kCallExtern:
       return sim::kCbExtern;
-    default:
+    case OpKind::kAssert:
+    case OpKind::kAssertTap:
+    case OpKind::kAssertFailWire:
+    case OpKind::kAssertCycles:
       return sim::kCbAssert;
+    case OpKind::kBin:
+    case OpKind::kUn:
+    case OpKind::kResize:
+    case OpKind::kCopy:
+    case OpKind::kLoad:
+    case OpKind::kStore:
+      break;
   }
+  HLSAV_UNREACHABLE("callback_slot on a pure op");
 }
 
 // The shared C prelude: two typedefs mirroring sim/compiled.h, the
@@ -195,7 +191,11 @@ std::string decline_reason(const ir::Design& design, const Process& p,
 class ProcEmitter {
  public:
   ProcEmitter(const ir::Design& design, const Process& p, const sched::ProcessSchedule& sched)
-      : design_(design), p_(p), sched_(sched), layout_(sim::ProcLayout::of(p)) {
+      : design_(design),
+        p_(p),
+        sched_(sched),
+        dbg_(sched::debug_info(p, sched)),
+        layout_(sim::ProcLayout::of(p)) {
     for (std::size_t i = 0; i < p_.loops.size(); ++i) {
       const ir::LoopInfo& l = p_.loops[i];
       if (!l.pipelined) continue;
@@ -297,7 +297,7 @@ class ProcEmitter {
   /// simulator re-fetches the Op from the design by those.
   void emit_op(const BasicBlock& b, const Op& op, std::size_t resume_idx, ir::BlockId cb_block,
                std::size_t cb_op, const std::string& at_expr, bool progressed_before) {
-    os_ << "  /* op " << resume_idx << ": " << ir::op_kind_name(op.kind) << " */\n";
+    os_ << "  /* op " << resume_idx << ": " << ir::op_traits(op.kind).name << " */\n";
     // Predicate: immediates fold at emission time.
     bool close_pred = false;
     if (!op.pred.is_none()) {
@@ -310,7 +310,7 @@ class ProcEmitter {
         close_pred = true;
       }
     }
-    if (is_callback_op(op.kind)) {
+    if (ir::op_traits(op.kind).callback) {
       // The label sits after the progress mark so a resumed (re-tried)
       // op that blocks again reports no progress, exactly like the
       // interpreter re-entering exec_op at the saved op index.
@@ -382,7 +382,13 @@ class ProcEmitter {
             << ";\n  }\n";
         break;
       }
-      default:
+      case OpKind::kStreamRead:
+      case OpKind::kStreamWrite:
+      case OpKind::kCallExtern:
+      case OpKind::kAssert:
+      case OpKind::kAssertTap:
+      case OpKind::kAssertFailWire:
+      case OpKind::kAssertCycles:
         internal_error("codegen", 0, "emit_pure_op on a callback op");
     }
   }
@@ -397,7 +403,7 @@ class ProcEmitter {
     // narrowing mask (all ones unless a narrow-compare fault is armed).
     // 1-bit operands have no narrower width to fall to.
     const std::uint32_t k = layout_.compare_word(op.loc.line);
-    if (k != 0 && w > 1 && ir::bin_is_comparison(op.bin)) {
+    if (k != 0 && w > 1 && op.is_comparison()) {
       const std::string fm = stw(k);
       const std::string sign = u64_lit(std::uint64_t{1} << (w - 1));
       switch (op.bin) {
@@ -520,11 +526,11 @@ class ProcEmitter {
     }
     std::vector<std::size_t> resume;
     for (std::size_t i = 0; i < b.ops.size(); ++i) {
-      if (is_callback_op(b.ops[i].kind)) resume.push_back(i);
+      if (ir::op_traits(b.ops[i].kind).callback) resume.push_back(i);
     }
     emit_resume_switch(b.id, resume, 0, /*pipe=*/false);
     for (std::size_t i = 0; i < b.ops.size(); ++i) {
-      unsigned state = i < bs.op_state.size() ? bs.op_state[i] : 0;
+      unsigned state = dbg_.state_of(b.id, i);
       std::string at = stw(sim::kStBlockEntry) + " + " + std::to_string(state) + "u";
       emit_op(b, b.ops[i], i, b.id, i, at, /*progressed_before=*/i > 0);
     }
@@ -557,10 +563,10 @@ class ProcEmitter {
     emit_checks();
     std::vector<std::size_t> resume;
     for (std::size_t i = 0; i < h; ++i) {
-      if (is_callback_op(header.ops[i].kind)) resume.push_back(i);
+      if (ir::op_traits(header.ops[i].kind).callback) resume.push_back(i);
     }
     for (std::size_t j = 0; j < body.ops.size(); ++j) {
-      if (is_callback_op(body.ops[j].kind)) resume.push_back(h + 1 + j);
+      if (ir::op_traits(body.ops[j].kind).callback) resume.push_back(h + 1 + j);
     }
     emit_resume_switch(header.id, resume, ii, /*pipe=*/true);
 
@@ -574,7 +580,7 @@ class ProcEmitter {
         << "  ib = " << stw(sim::kStPipeStart) << " + " << stw(sim::kStPipeIter) << " * " << ii
         << "u;\n";
     for (std::size_t i = 0; i < h; ++i) {
-      unsigned state = i < bs.header_op_state.size() ? bs.header_op_state[i] : 0;
+      unsigned state = dbg_.header_state_of(loop.body, i);
       std::string at = "ib + " + std::to_string(state) + "u";
       emit_op(header, header.ops[i], i, header.id, i, at, /*progressed_before=*/i > 0);
     }
@@ -589,7 +595,7 @@ class ProcEmitter {
         << "    goto " << blk_f(loop.exit) << ";\n"
         << "  }\n";
     for (std::size_t j = 0; j < body.ops.size(); ++j) {
-      unsigned state = j < bs.op_state.size() ? bs.op_state[j] : 0;
+      unsigned state = dbg_.state_of(loop.body, j);
       std::string at = "ib + " + std::to_string(state) + "u";
       // The loop test already counts as executed work for this pass.
       emit_op(header, body.ops[j], h + 1 + j, loop.body, j, at, /*progressed_before=*/true);
@@ -609,6 +615,7 @@ class ProcEmitter {
   const ir::Design& design_;
   const Process& p_;
   const sched::ProcessSchedule& sched_;
+  ir::ProcessDebugInfo dbg_;
   sim::ProcLayout layout_;
   std::map<ir::BlockId, std::uint32_t> header_loop_;
   std::vector<ir::BlockId> pipe_body_;

@@ -12,33 +12,20 @@ namespace {
 double fu_aluts(const rtl::FuInst& fu, const CostModel& m) {
   switch (fu.kind) {
     case ir::OpKind::kBin:
-      switch (fu.bin) {
-        case ir::BinKind::kAdd:
-        case ir::BinKind::kSub:
+      switch (ir::bin_traits(fu.bin).area) {
+        case ir::BinArea::kAddSub:
           return m.alut_per_addsub_bit * fu.width;
-        case ir::BinKind::kAnd:
-        case ir::BinKind::kOr:
-        case ir::BinKind::kXor:
+        case ir::BinArea::kLogic:
           return m.alut_per_logic_bit * fu.width;
-        case ir::BinKind::kShl:
-        case ir::BinKind::kShrL:
-        case ir::BinKind::kShrA:
+        case ir::BinArea::kShift:
           // Barrel shifter: width x log2(width) mux levels.
           return m.alut_per_varshift * fu.width *
                  std::max(1.0, std::log2(static_cast<double>(fu.width)));
-        case ir::BinKind::kMul:
+        case ir::BinArea::kMul:
           return m.alut_mul_fixed;  // DSP block + glue
-        case ir::BinKind::kDivU:
-        case ir::BinKind::kDivS:
-        case ir::BinKind::kRemU:
-        case ir::BinKind::kRemS:
+        case ir::BinArea::kDiv:
           return m.alut_div_per_bit * fu.width;
-        case ir::BinKind::kCmpEq:
-        case ir::BinKind::kCmpNe:
-        case ir::BinKind::kCmpLtU:
-        case ir::BinKind::kCmpLtS:
-        case ir::BinKind::kCmpLeU:
-        case ir::BinKind::kCmpLeS:
+        case ir::BinArea::kCmp:
           return m.alut_per_cmp_bit * fu.width + 1.0;
       }
       return fu.width;
@@ -53,9 +40,15 @@ double fu_aluts(const rtl::FuInst& fu, const CostModel& m) {
       return m.alut_stream_op;
     case ir::OpKind::kCallExtern:
       return m.alut_call_fixed;
-    default:
+    case ir::OpKind::kResize:  // wiring: the netlist never makes an FU of these
+    case ir::OpKind::kCopy:
+    case ir::OpKind::kAssert:
+    case ir::OpKind::kAssertTap:
+    case ir::OpKind::kAssertFailWire:
+    case ir::OpKind::kAssertCycles:
       return 0.0;
   }
+  return 0.0;
 }
 
 }  // namespace

@@ -1,8 +1,5 @@
 #include "ir/ir.h"
 
-#include <algorithm>
-#include <array>
-
 namespace hlsav::ir {
 
 // ------------------------------------------------------------ Process --
@@ -244,95 +241,6 @@ Design Design::clone() const {
 std::string AssertionRecord::failure_message() const {
   return file + ":" + std::to_string(line) + ": " + function + ": Assertion `" +
          condition_text + "' failed.";
-}
-
-// ------------------------------------------------------------ Utilities --
-
-const char* bin_kind_name(BinKind k) {
-  switch (k) {
-    case BinKind::kAdd: return "add";
-    case BinKind::kSub: return "sub";
-    case BinKind::kMul: return "mul";
-    case BinKind::kDivU: return "divu";
-    case BinKind::kDivS: return "divs";
-    case BinKind::kRemU: return "remu";
-    case BinKind::kRemS: return "rems";
-    case BinKind::kAnd: return "and";
-    case BinKind::kOr: return "or";
-    case BinKind::kXor: return "xor";
-    case BinKind::kShl: return "shl";
-    case BinKind::kShrL: return "shrl";
-    case BinKind::kShrA: return "shra";
-    case BinKind::kCmpEq: return "cmpeq";
-    case BinKind::kCmpNe: return "cmpne";
-    case BinKind::kCmpLtU: return "cmpltu";
-    case BinKind::kCmpLtS: return "cmplts";
-    case BinKind::kCmpLeU: return "cmpleu";
-    case BinKind::kCmpLeS: return "cmples";
-  }
-  return "?";
-}
-
-const char* op_kind_name(OpKind k) {
-  switch (k) {
-    case OpKind::kBin: return "bin";
-    case OpKind::kUn: return "un";
-    case OpKind::kResize: return "resize";
-    case OpKind::kCopy: return "copy";
-    case OpKind::kLoad: return "load";
-    case OpKind::kStore: return "store";
-    case OpKind::kStreamRead: return "stream_read";
-    case OpKind::kStreamWrite: return "stream_write";
-    case OpKind::kCallExtern: return "call";
-    case OpKind::kAssert: return "assert";
-    case OpKind::kAssertTap: return "assert_tap";
-    case OpKind::kAssertFailWire: return "assert_fail_wire";
-    case OpKind::kAssertCycles: return "assert_cycles";
-  }
-  return "?";
-}
-
-bool bin_is_comparison(BinKind k) {
-  switch (k) {
-    case BinKind::kCmpEq:
-    case BinKind::kCmpNe:
-    case BinKind::kCmpLtU:
-    case BinKind::kCmpLtS:
-    case BinKind::kCmpLeU:
-    case BinKind::kCmpLeS:
-      return true;
-    default:
-      return false;
-  }
-}
-
-unsigned bin_result_width(BinKind k, unsigned w) { return bin_is_comparison(k) ? 1 : w; }
-
-namespace {
-// Flat evaluator table indexed by BinKind: a stable function pointer
-// hot loops can cache per op (inline eval_bin covers the common path).
-constexpr std::size_t kNumBinKinds = static_cast<std::size_t>(BinKind::kCmpLeS) + 1;
-
-template <BinKind K>
-BitVector eval_one(const BitVector& a, const BitVector& b) {
-  return eval_bin(K, a, b);
-}
-
-const std::array<BinEvalFn, kNumBinKinds> kBinEvalTable = {
-    eval_one<BinKind::kAdd>,    eval_one<BinKind::kSub>,    eval_one<BinKind::kMul>,
-    eval_one<BinKind::kDivU>,   eval_one<BinKind::kDivS>,   eval_one<BinKind::kRemU>,
-    eval_one<BinKind::kRemS>,   eval_one<BinKind::kAnd>,    eval_one<BinKind::kOr>,
-    eval_one<BinKind::kXor>,    eval_one<BinKind::kShl>,    eval_one<BinKind::kShrL>,
-    eval_one<BinKind::kShrA>,   eval_one<BinKind::kCmpEq>,  eval_one<BinKind::kCmpNe>,
-    eval_one<BinKind::kCmpLtU>, eval_one<BinKind::kCmpLtS>, eval_one<BinKind::kCmpLeU>,
-    eval_one<BinKind::kCmpLeS>,
-};
-}  // namespace
-
-BinEvalFn bin_eval_fn(BinKind k) {
-  std::size_t i = static_cast<std::size_t>(k);
-  HLSAV_CHECK(i < kNumBinKinds, "bad BinKind");
-  return kBinEvalTable[i];
 }
 
 }  // namespace hlsav::ir

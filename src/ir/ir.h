@@ -11,7 +11,9 @@
 // scheduler's resource accounting and the area model direct.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -93,6 +95,121 @@ enum class OpKind : std::uint8_t {
 
 inline constexpr std::uint32_t kNoAssertTag = std::numeric_limits<std::uint32_t>::max();
 
+// -------------------------------------------------------- Kind traits --
+//
+// Every fact about an op kind lives in exactly one row of these tables:
+// the printer, scheduler, optimizer, assertion synthesis, RTL/area model
+// and code generator all read them instead of keeping their own switch.
+// The rows are indexed by the enum; the static_asserts below reject a
+// table that is missing a row or lists one out of order. A new kind is
+// one new row here plus a case in each dispatch switch (every switch
+// over OpKind is exhaustive, so -Wswitch names them all).
+
+/// One past the last enumerator (keep in step with the enums above).
+inline constexpr std::size_t kNumBinKinds = static_cast<std::size_t>(BinKind::kCmpLeS) + 1;
+inline constexpr std::size_t kNumOpKinds = static_cast<std::size_t>(OpKind::kAssertCycles) + 1;
+
+/// Area-model class of a binary operator (fpga::estimate_area).
+enum class BinArea : std::uint8_t { kAddSub, kLogic, kShift, kMul, kDiv, kCmp };
+
+struct BinTraits {
+  BinKind kind;
+  const char* name;     // IR mnemonic (print_design)
+  const char* verilog;  // Verilog operator
+  bool is_comparison;   // 1-bit result
+  bool is_shift;        // the shift amount may be narrower than the value
+  bool is_signed;       // two's-complement divide/compare ($signed operands)
+  bool carry_chain;     // ripple-carry adder or magnitude comparator
+  unsigned depth;       // chained combinational levels
+  unsigned latency;     // registered cycles (0 = usable in the same state)
+  BinArea area;
+};
+
+struct OpTraits {
+  OpKind kind;
+  const char* name;  // IR mnemonic (print_design, traces, schedules)
+  bool has_dest;     // writes `dest`
+  bool side_effect;  // observable beyond its dest: never dead code
+  /// Zero-cost assertion wire: takes no state, resource or delay in the
+  /// schedule (assertion synthesis lowers it to taps and wires).
+  bool zero_cost;
+  bool wiring;       // synthesizes to wires only (no LUTs, no FU)
+  bool callback;     // compiled code calls back into the simulator
+  unsigned depth;    // chained combinational levels (kBin: per BinKind)
+  unsigned latency;  // registered cycles (kBin: per BinKind)
+};
+
+// Columns: hdl = verilog, dp = depth, lt = latency. Dividers iterate:
+// 4 cycles before the quotient is registered.
+inline constexpr BinTraits kBinTraits[] = {
+    // kind            name      hdl    cmp    shift  signed carry  dp lt area
+    {BinKind::kAdd,    "add",    "+",   false, false, false, true,  1, 0, BinArea::kAddSub},
+    {BinKind::kSub,    "sub",    "-",   false, false, false, true,  1, 0, BinArea::kAddSub},
+    {BinKind::kMul,    "mul",    "*",   false, false, false, false, 3, 0, BinArea::kMul},
+    {BinKind::kDivU,   "divu",   "/",   false, false, false, false, 4, 4, BinArea::kDiv},
+    {BinKind::kDivS,   "divs",   "/",   false, false, true,  false, 4, 4, BinArea::kDiv},
+    {BinKind::kRemU,   "remu",   "%",   false, false, false, false, 4, 4, BinArea::kDiv},
+    {BinKind::kRemS,   "rems",   "%",   false, false, true,  false, 4, 4, BinArea::kDiv},
+    {BinKind::kAnd,    "and",    "&",   false, false, false, false, 1, 0, BinArea::kLogic},
+    {BinKind::kOr,     "or",     "|",   false, false, false, false, 1, 0, BinArea::kLogic},
+    {BinKind::kXor,    "xor",    "^",   false, false, false, false, 1, 0, BinArea::kLogic},
+    {BinKind::kShl,    "shl",    "<<",  false, true,  false, false, 1, 0, BinArea::kShift},
+    {BinKind::kShrL,   "shrl",   ">>",  false, true,  false, false, 1, 0, BinArea::kShift},
+    {BinKind::kShrA,   "shra",   ">>>", false, true,  false, false, 1, 0, BinArea::kShift},
+    {BinKind::kCmpEq,  "cmpeq",  "==",  true,  false, false, false, 1, 0, BinArea::kCmp},
+    {BinKind::kCmpNe,  "cmpne",  "!=",  true,  false, false, false, 1, 0, BinArea::kCmp},
+    {BinKind::kCmpLtU, "cmpltu", "<",   true,  false, false, true,  1, 0, BinArea::kCmp},
+    {BinKind::kCmpLtS, "cmplts", "<",   true,  false, true,  true,  1, 0, BinArea::kCmp},
+    {BinKind::kCmpLeU, "cmpleu", "<=",  true,  false, false, true,  1, 0, BinArea::kCmp},
+    {BinKind::kCmpLeS, "cmples", "<=",  true,  false, true,  true,  1, 0, BinArea::kCmp},
+};
+
+// Columns: effect = side_effect, zero = zero_cost, callbk = callback,
+// dp = depth, lt = latency. Latency 1 is a synchronous BRAM read, a
+// registered FIFO pop or a registered external-core output. A stream
+// read consumes a FIFO entry and an extern call is externally visible,
+// so both have side effects.
+inline constexpr OpTraits kOpTraits[] = {
+    // kind                   name                dest   effect zero   wiring callbk dp lt
+    {OpKind::kBin,            "bin",              true,  false, false, false, false, 1, 0},
+    {OpKind::kUn,             "un",               true,  false, false, false, false, 1, 0},
+    {OpKind::kResize,         "resize",           true,  false, false, true,  false, 0, 0},
+    {OpKind::kCopy,           "copy",             true,  false, false, true,  false, 0, 0},
+    {OpKind::kLoad,           "load",             true,  false, false, false, false, 1, 1},
+    {OpKind::kStore,          "store",            false, true,  false, false, false, 1, 0},
+    {OpKind::kStreamRead,     "stream_read",      true,  true,  false, false, true,  1, 1},
+    {OpKind::kStreamWrite,    "stream_write",     false, true,  false, false, true,  1, 0},
+    {OpKind::kCallExtern,     "call",             true,  true,  false, false, true,  1, 1},
+    {OpKind::kAssert,         "assert",           false, true,  true,  true,  true,  0, 0},
+    {OpKind::kAssertTap,      "assert_tap",       false, true,  true,  true,  true,  0, 0},
+    {OpKind::kAssertFailWire, "assert_fail_wire", false, true,  true,  true,  true,  0, 0},
+    {OpKind::kAssertCycles,   "assert_cycles",    false, true,  true,  true,  true,  0, 0},
+};
+
+template <typename Row, std::size_t N>
+constexpr bool rows_in_enum_order(const Row (&rows)[N]) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (static_cast<std::size_t>(rows[i].kind) != i) return false;
+  }
+  return true;
+}
+static_assert(std::size(kBinTraits) == kNumBinKinds, "one kBinTraits row per BinKind");
+static_assert(std::size(kOpTraits) == kNumOpKinds, "one kOpTraits row per OpKind");
+static_assert(rows_in_enum_order(kBinTraits), "kBinTraits rows must follow BinKind order");
+static_assert(rows_in_enum_order(kOpTraits), "kOpTraits rows must follow OpKind order");
+
+[[nodiscard]] constexpr const BinTraits& bin_traits(BinKind k) {
+  return kBinTraits[static_cast<std::size_t>(k)];
+}
+[[nodiscard]] constexpr const OpTraits& op_traits(OpKind k) {
+  return kOpTraits[static_cast<std::size_t>(k)];
+}
+
+/// Result width of a binary op given operand width w.
+[[nodiscard]] constexpr unsigned bin_result_width(BinKind k, unsigned w) {
+  return bin_traits(k).is_comparison ? 1 : w;
+}
+
 /// One primitive operation. `pred`, when set, predicates execution on the
 /// register being non-zero (used for if-converted bodies of pipelined
 /// loops, notably the failure-send of unoptimized in-circuit assertions).
@@ -127,6 +244,14 @@ struct Op {
   }
   [[nodiscard]] bool is_stream_access() const {
     return kind == OpKind::kStreamRead || kind == OpKind::kStreamWrite;
+  }
+  /// Registered latency in cycles (0 = result usable in the same state).
+  [[nodiscard]] unsigned latency() const {
+    return kind == OpKind::kBin ? bin_traits(bin).latency : op_traits(kind).latency;
+  }
+  /// A comparison (1-bit result): the op narrow-compare faults target.
+  [[nodiscard]] bool is_comparison() const {
+    return kind == OpKind::kBin && bin_traits(bin).is_comparison;
   }
 };
 
@@ -353,16 +478,6 @@ struct Design {
 };
 
 // ------------------------------------------------------------ Utilities --
-
-[[nodiscard]] const char* bin_kind_name(BinKind k);
-[[nodiscard]] const char* op_kind_name(OpKind k);
-[[nodiscard]] bool bin_is_comparison(BinKind k);
-/// Result width of a binary op given operand width w.
-[[nodiscard]] unsigned bin_result_width(BinKind k, unsigned w);
-/// Evaluator function for one BinKind, resolvable once per op via
-/// bin_eval_fn for loops that want a cached function pointer.
-using BinEvalFn = BitVector (*)(const BitVector&, const BitVector&);
-[[nodiscard]] BinEvalFn bin_eval_fn(BinKind k);
 
 /// Shift amounts saturate at 256 (any shift >= the operand width clears
 /// or sign-fills anyway, and BitVector caps at 256 bits).

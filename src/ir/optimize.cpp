@@ -8,22 +8,6 @@ namespace hlsav::ir {
 
 namespace {
 
-bool has_side_effects(const Op& op) {
-  switch (op.kind) {
-    case OpKind::kStore:
-    case OpKind::kStreamRead:   // consumes a FIFO entry
-    case OpKind::kStreamWrite:
-    case OpKind::kCallExtern:   // externally visible
-    case OpKind::kAssert:
-    case OpKind::kAssertTap:
-    case OpKind::kAssertFailWire:
-    case OpKind::kAssertCycles:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// Evaluates a pure op whose inputs are all immediates; returns false if
 /// the op is not foldable.
 bool fold_op(const Process& proc, const Op& op, BitVector& out) {
@@ -45,9 +29,18 @@ bool fold_op(const Process& proc, const Op& op, BitVector& out) {
     case OpKind::kResize:
       out = imm(0).resize(proc.reg(op.dest).width, op.resize == ResizeKind::kSext);
       return true;
-    default:
+    case OpKind::kLoad:
+    case OpKind::kStore:
+    case OpKind::kStreamRead:
+    case OpKind::kStreamWrite:
+    case OpKind::kCallExtern:
+    case OpKind::kAssert:
+    case OpKind::kAssertTap:
+    case OpKind::kAssertFailWire:
+    case OpKind::kAssertCycles:
       return false;
   }
+  HLSAV_UNREACHABLE("bad OpKind");
 }
 
 class Optimizer {
@@ -161,7 +154,7 @@ class Optimizer {
     }
     for (BasicBlock& b : p_.blocks) {
       std::erase_if(b.ops, [&](const Op& op) {
-        if (has_side_effects(op)) return false;
+        if (op_traits(op.kind).side_effect) return false;
         if (op.kind == OpKind::kLoad) {
           // Loads are removable only when the value is dead: reads have
           // no architectural effect, but keep tagged condition loads --

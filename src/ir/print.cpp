@@ -26,9 +26,11 @@ void print_op(std::ostringstream& os, const Design& d, const Process& p, const O
     os << "if " << (op.pred_negated ? "!" : "") << operand_str(p, op.pred) << ": ";
   }
   if (op.dest != kNoReg) os << "%" << p.reg(op.dest).name << " = ";
+  // kBin, kUn and kResize print their sub-kind; every other op its own name.
+  const char* name = op_traits(op.kind).name;
   switch (op.kind) {
     case OpKind::kBin:
-      os << bin_kind_name(op.bin) << ' ' << operand_str(p, op.args[0]) << ", "
+      os << bin_traits(op.bin).name << ' ' << operand_str(p, op.args[0]) << ", "
          << operand_str(p, op.args[1]);
       break;
     case OpKind::kUn:
@@ -42,23 +44,23 @@ void print_op(std::ostringstream& os, const Design& d, const Process& p, const O
       break;
     }
     case OpKind::kCopy:
-      os << "copy " << operand_str(p, op.args[0]);
+      os << name << ' ' << operand_str(p, op.args[0]);
       break;
     case OpKind::kLoad:
-      os << "load " << d.memory(op.mem).name << "[" << operand_str(p, op.args[0]) << "]";
+      os << name << ' ' << d.memory(op.mem).name << "[" << operand_str(p, op.args[0]) << "]";
       break;
     case OpKind::kStore:
-      os << "store " << d.memory(op.mem).name << "[" << operand_str(p, op.args[0])
+      os << name << ' ' << d.memory(op.mem).name << "[" << operand_str(p, op.args[0])
          << "] = " << operand_str(p, op.args[1]);
       break;
     case OpKind::kStreamRead:
-      os << "stream_read " << d.stream(op.stream).name;
+      os << name << ' ' << d.stream(op.stream).name;
       break;
     case OpKind::kStreamWrite:
-      os << "stream_write " << d.stream(op.stream).name << ", " << operand_str(p, op.args[0]);
+      os << name << ' ' << d.stream(op.stream).name << ", " << operand_str(p, op.args[0]);
       break;
     case OpKind::kCallExtern: {
-      os << "call " << op.callee << "(";
+      os << name << ' ' << op.callee << "(";
       for (std::size_t i = 0; i < op.args.size(); ++i) {
         if (i != 0) os << ", ";
         os << operand_str(p, op.args[i]);
@@ -67,18 +69,18 @@ void print_op(std::ostringstream& os, const Design& d, const Process& p, const O
       break;
     }
     case OpKind::kAssert:
-      os << "assert #" << op.assert_id << ' ' << operand_str(p, op.args[0]);
+      os << name << " #" << op.assert_id << ' ' << operand_str(p, op.args[0]);
       break;
     case OpKind::kAssertTap: {
-      os << "assert_tap #" << op.assert_id;
+      os << name << " #" << op.assert_id;
       for (const Operand& a : op.args) os << ' ' << operand_str(p, a);
       break;
     }
     case OpKind::kAssertFailWire:
-      os << "assert_fail_wire #" << op.assert_id << ' ' << operand_str(p, op.args[0]);
+      os << name << " #" << op.assert_id << ' ' << operand_str(p, op.args[0]);
       break;
     case OpKind::kAssertCycles:
-      os << "assert_cycles #" << op.assert_id << " bound=" << op.cycle_bound;
+      os << name << " #" << op.assert_id << " bound=" << op.cycle_bound;
       break;
   }
   os << '\n';

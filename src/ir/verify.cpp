@@ -73,9 +73,10 @@ class Verifier {
   }
 
   void check_dest_width(const Op& op, unsigned expect) const {
-    if (op.dest == kNoReg) fail(std::string(op_kind_name(op.kind)) + " without destination");
+    const char* kind = op_traits(op.kind).name;
+    if (op.dest == kNoReg) fail(std::string(kind) + " without destination");
     if (proc_->reg(op.dest).width != expect) {
-      fail(std::string(op_kind_name(op.kind)) + " destination width mismatch: reg '" +
+      fail(std::string(kind) + " destination width mismatch: reg '" +
            proc_->reg(op.dest).name + "' is " + std::to_string(proc_->reg(op.dest).width) +
            " bits, expected " + std::to_string(expect));
     }
@@ -87,10 +88,8 @@ class Verifier {
     switch (op.kind) {
       case OpKind::kBin: {
         if (op.args.size() != 2) fail("bin op needs 2 args");
-        // Shift amounts may be narrower than the shifted value.
-        bool is_shift = op.bin == BinKind::kShl || op.bin == BinKind::kShrL ||
-                        op.bin == BinKind::kShrA;
-        if (!is_shift) check_width_eq(op.args[0], op.args[1], bin_kind_name(op.bin));
+        const BinTraits& bt = bin_traits(op.bin);
+        if (!bt.is_shift) check_width_eq(op.args[0], op.args[1], bt.name);
         check_dest_width(op, bin_result_width(op.bin, proc_->operand_width(op.args[0])));
         break;
       }

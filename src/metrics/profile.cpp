@@ -16,15 +16,8 @@ namespace {
 /// scheduler merges those into application states) or one of the
 /// dedicated assertion op kinds.
 bool is_assert_op(const ir::Op& op) {
-  switch (op.kind) {
-    case ir::OpKind::kAssert:
-    case ir::OpKind::kAssertTap:
-    case ir::OpKind::kAssertFailWire:
-    case ir::OpKind::kAssertCycles:
-      return true;
-    default:
-      return op.assert_tag != ir::kNoAssertTag && !op.is_extraction;
-  }
+  return ir::op_traits(op.kind).zero_cost ||
+         (op.assert_tag != ir::kNoAssertTag && !op.is_extraction);
 }
 
 std::uint64_t state_key(ir::BlockId block, unsigned state) {

@@ -8,21 +8,6 @@ namespace hlsav::rtl {
 
 namespace {
 
-/// True for ops that synthesize to pure wiring (no LUTs).
-bool is_wiring(const ir::Op& op) {
-  switch (op.kind) {
-    case ir::OpKind::kCopy:
-    case ir::OpKind::kResize:
-    case ir::OpKind::kAssert:
-    case ir::OpKind::kAssertTap:
-    case ir::OpKind::kAssertFailWire:
-    case ir::OpKind::kAssertCycles:
-      return true;
-    default:
-      return false;
-  }
-}
-
 unsigned operand_width(const ir::Process& p, const ir::Op& op) {
   if (!op.args.empty()) {
     unsigned w = 0;
@@ -32,15 +17,15 @@ unsigned operand_width(const ir::Process& p, const ir::Op& op) {
   return op.dest != ir::kNoReg ? p.reg(op.dest).width : 1;
 }
 
-void add_block_ops(const ir::Design& design, const ir::Process& p, const ir::BasicBlock& b,
-                   const sched::BlockSchedule& bs, ProcessNetlist& out,
+void add_block_ops(const ir::Process& p, const ir::BasicBlock& b, const sched::BlockSchedule& bs,
+                   const ir::ProcessDebugInfo& dbg, ProcessNetlist& out,
                    std::map<ir::RegId, unsigned>& writers) {
   // Group ops per state to find carry widths and chain depths.
   std::map<unsigned, unsigned> state_carry;
   for (std::size_t i = 0; i < b.ops.size(); ++i) {
     const ir::Op& op = b.ops[i];
     if (op.dest != ir::kNoReg) ++writers[op.dest];
-    if (is_wiring(op)) continue;
+    if (ir::op_traits(op.kind).wiring) continue;
 
     FuInst fu;
     fu.kind = op.kind;
@@ -54,28 +39,16 @@ void add_block_ops(const ir::Design& design, const ir::Process& p, const ir::Bas
 
     out.max_chain_depth = std::max(out.max_chain_depth, fu.chain_depth);
     if (op.kind == ir::OpKind::kBin) {
-      switch (op.bin) {
-        case ir::BinKind::kAdd:
-        case ir::BinKind::kSub:
-        case ir::BinKind::kCmpLtU:
-        case ir::BinKind::kCmpLtS:
-        case ir::BinKind::kCmpLeU:
-        case ir::BinKind::kCmpLeS: {
-          // Carry chains in one state do not concatenate their ripple
-          // delays (each settles in parallel off its own inputs); the
-          // state's carry delay is the widest single chain.
-          unsigned s = i < bs.op_state.size() ? bs.op_state[i] : 0;
-          state_carry[s] = std::max(state_carry[s], fu.width);
-          break;
-        }
-        case ir::BinKind::kMul:
-          out.has_multiplier = true;
-          break;
-        default:
-          break;
+      const ir::BinTraits& bt = ir::bin_traits(op.bin);
+      if (bt.carry_chain) {
+        // Carry chains in one state do not concatenate their ripple
+        // delays (each settles in parallel off its own inputs); the
+        // state's carry delay is the widest single chain.
+        unsigned s = dbg.state_of(b.id, i);
+        state_carry[s] = std::max(state_carry[s], fu.width);
       }
+      if (bt.area == ir::BinArea::kMul) out.has_multiplier = true;
     }
-    (void)design;
   }
   for (const auto& [state, carry] : state_carry) {
     out.max_carry_width = std::max(out.max_carry_width, carry);
@@ -83,16 +56,14 @@ void add_block_ops(const ir::Design& design, const ir::Process& p, const ir::Bas
 }
 
 std::uint64_t pipeline_stage_regs(const ir::Process& p, const ir::BasicBlock& header,
-                                  const ir::BasicBlock& body, const sched::BlockSchedule& bs) {
+                                  const ir::BasicBlock& body, const ir::ProcessDebugInfo& dbg) {
   // Modulo variable expansion: every value produced at stage s and
   // consumed at stage s' > s needs (s' - s) pipeline copies of its width.
   std::uint64_t bits = 0;
   std::map<ir::RegId, unsigned> def_stage;
   auto state_of = [&](std::size_t i) -> unsigned {
     std::size_t h = header.ops.size();
-    if (i < h) return i < bs.header_op_state.size() ? bs.header_op_state[i] : 0;
-    std::size_t j = i - h;
-    return j < bs.op_state.size() ? bs.op_state[j] : 0;
+    return i < h ? dbg.header_state_of(body.id, i) : dbg.state_of(body.id, i - h);
   };
   auto op_at = [&](std::size_t i) -> const ir::Op& {
     std::size_t h = header.ops.size();
@@ -144,13 +115,14 @@ Netlist build_netlist(const ir::Design& design, const sched::DesignSchedule& sch
     }
 
     std::map<ir::RegId, unsigned> writers;
+    const ir::ProcessDebugInfo dbg = sched::debug_info(p, *ps);
     for (const ir::BasicBlock& b : p.blocks) {
       const sched::BlockSchedule& bs = ps->of(b.id);
-      add_block_ops(design, p, b, bs, out, writers);
+      add_block_ops(p, b, bs, dbg, out, writers);
       if (bs.pipelined) {
         const ir::LoopInfo* loop = p.loop_with_body(b.id);
         HLSAV_CHECK(loop != nullptr, "pipelined block without loop info");
-        out.pipeline_stage_reg_bits += pipeline_stage_regs(p, p.block(loop->header), b, bs);
+        out.pipeline_stage_reg_bits += pipeline_stage_regs(p, p.block(loop->header), b, dbg);
       }
     }
 

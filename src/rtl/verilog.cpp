@@ -25,43 +25,6 @@ std::string operand_v(const ir::Process& p, const ir::Operand& o) {
   return "?";
 }
 
-const char* bin_v(ir::BinKind k) {
-  switch (k) {
-    case ir::BinKind::kAdd: return "+";
-    case ir::BinKind::kSub: return "-";
-    case ir::BinKind::kMul: return "*";
-    case ir::BinKind::kDivU:
-    case ir::BinKind::kDivS: return "/";
-    case ir::BinKind::kRemU:
-    case ir::BinKind::kRemS: return "%";
-    case ir::BinKind::kAnd: return "&";
-    case ir::BinKind::kOr: return "|";
-    case ir::BinKind::kXor: return "^";
-    case ir::BinKind::kShl: return "<<";
-    case ir::BinKind::kShrL: return ">>";
-    case ir::BinKind::kShrA: return ">>>";
-    case ir::BinKind::kCmpEq: return "==";
-    case ir::BinKind::kCmpNe: return "!=";
-    case ir::BinKind::kCmpLtU:
-    case ir::BinKind::kCmpLtS: return "<";
-    case ir::BinKind::kCmpLeU:
-    case ir::BinKind::kCmpLeS: return "<=";
-  }
-  return "?";
-}
-
-bool bin_signed(ir::BinKind k) {
-  switch (k) {
-    case ir::BinKind::kDivS:
-    case ir::BinKind::kRemS:
-    case ir::BinKind::kCmpLtS:
-    case ir::BinKind::kCmpLeS:
-      return true;
-    default:
-      return false;
-  }
-}
-
 void emit_op(std::ostringstream& os, const ir::Design& d, const ir::Process& p,
              const ir::Op& op) {
   std::string guard;
@@ -72,13 +35,14 @@ void emit_op(std::ostringstream& os, const ir::Design& d, const ir::Process& p,
   os << "          " << guard;
   switch (op.kind) {
     case ir::OpKind::kBin: {
+      const ir::BinTraits& bt = ir::bin_traits(op.bin);
       std::string a = operand_v(p, op.args[0]);
       std::string b = operand_v(p, op.args[1]);
-      if (bin_signed(op.bin)) {
+      if (bt.is_signed) {
         a = "$signed(" + a + ")";
         b = "$signed(" + b + ")";
       }
-      os << dest() << " <= " << a << ' ' << bin_v(op.bin) << ' ' << b << ";\n";
+      os << dest() << " <= " << a << ' ' << bt.verilog << ' ' << b << ";\n";
       break;
     }
     case ir::OpKind::kUn:
@@ -178,6 +142,7 @@ std::string emit_process(const ir::Design& d, const ir::Process& p,
   os << "  always @(posedge clk) begin\n    if (rst) begin\n      state <= 0;\n"
      << "    end else begin\n      case (state)\n";
 
+  const ir::ProcessDebugInfo dbg = sched::debug_info(p, sched);
   unsigned state_base = 0;
   for (const ir::BasicBlock& b : p.blocks) {
     const sched::BlockSchedule& bs = sched.of(b.id);
@@ -188,8 +153,7 @@ std::string emit_process(const ir::Design& d, const ir::Process& p,
     for (unsigned s = 0; s < nstates; ++s) {
       os << "        " << state_base + s << ": begin\n";
       for (std::size_t i = 0; i < b.ops.size(); ++i) {
-        unsigned op_state = i < bs.op_state.size() ? bs.op_state[i] : 0;
-        if (op_state != s) continue;
+        if (dbg.state_of(b.id, i) != s) continue;
         emit_op(os, d, p, b.ops[i]);
       }
       if (s + 1 < nstates) {

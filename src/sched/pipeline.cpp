@@ -21,17 +21,6 @@ namespace hlsav::sched {
 
 namespace {
 
-bool is_zero_cost(const ir::Op& op) {
-  return op.kind == ir::OpKind::kAssert || op.kind == ir::OpKind::kAssertTap ||
-         op.kind == ir::OpKind::kAssertFailWire ||
-         op.kind == ir::OpKind::kAssertCycles;
-}
-
-bool assert_only_stage(const ir::Op& op) {
-  return op.assert_tag != ir::kNoAssertTag && !op.is_extraction &&
-         op.kind != ir::OpKind::kLoad && !is_zero_cost(op);
-}
-
 struct TrialResult {
   bool ok = false;
   std::vector<unsigned> state;
@@ -63,12 +52,12 @@ TrialResult try_schedule(const ir::Process& proc, const std::vector<ir::Op>& ops
       earliest = std::max(earliest, r.state[e->from] + e->min_delta);
     }
 
-    if (is_zero_cost(op)) {
+    if (ir::op_traits(op.kind).zero_cost) {
       r.state[i] = earliest;
       continue;
     }
 
-    bool want_assert_only = assert_only_stage(op);
+    bool want_assert_only = assert_only(op);
     unsigned s = earliest;
     for (;; ++s) {
       if (s > stage_limit) return r;  // infeasible at this II
@@ -94,7 +83,7 @@ TrialResult try_schedule(const ir::Process& proc, const std::vector<ir::Op>& ops
       bool has_pred = false;
       for (const DepEdge* e : in[i]) {
         if (!e->carries_value || !e->chainable) continue;
-        if (r.state[e->from] == s && !is_zero_cost(ops[e->from])) {
+        if (r.state[e->from] == s && !ir::op_traits(ops[e->from].kind).zero_cost) {
           has_pred = true;
           d = std::max(d, depth[e->from] + op_depth(proc, op));
         }
@@ -140,7 +129,7 @@ bool carried_deps_ok(const std::vector<ir::Op>& ops, const std::vector<unsigned>
     if (fit == first_def.end() || u < fit->second) {
       if (fit == first_def.end()) return true;  // live-in, loop-invariant
       std::size_t d = last_def.at(o.reg);
-      unsigned lat = std::max(1u, op_latency(ops[d]));
+      unsigned lat = std::max(1u, ops[d].latency());
       return state[u] + ii >= state[d] + lat;
     }
     return true;

@@ -6,61 +6,20 @@
 
 namespace hlsav::sched {
 
-unsigned op_depth(const ir::Op& op) {
-  switch (op.kind) {
-    case ir::OpKind::kCopy:
-    case ir::OpKind::kResize:
-    case ir::OpKind::kAssert:
-    case ir::OpKind::kAssertTap:
-      return 0;
-    case ir::OpKind::kBin:
-      switch (op.bin) {
-        case ir::BinKind::kMul: return 3;
-        case ir::BinKind::kDivU:
-        case ir::BinKind::kDivS:
-        case ir::BinKind::kRemU:
-        case ir::BinKind::kRemS: return 4;
-        default: return 1;
-      }
-    case ir::OpKind::kUn:
-      return 1;
-    case ir::OpKind::kLoad:
-    case ir::OpKind::kStore:
-    case ir::OpKind::kStreamRead:
-    case ir::OpKind::kStreamWrite:
-    case ir::OpKind::kCallExtern:
-      return 1;
-  }
-  return 1;
-}
-
 unsigned op_depth(const ir::Process& proc, const ir::Op& op) {
-  if (op.kind == ir::OpKind::kBin &&
-      (op.bin == ir::BinKind::kAnd || op.bin == ir::BinKind::kOr ||
-       op.bin == ir::BinKind::kXor) &&
-      !op.args.empty() && proc.operand_width(op.args[0]) == 1) {
+  if (op.kind != ir::OpKind::kBin) return ir::op_traits(op.kind).depth;
+  const ir::BinTraits& bt = ir::bin_traits(op.bin);
+  // 1-bit logic gates pack into wide LUTs: no level of their own.
+  if (bt.area == ir::BinArea::kLogic && !op.args.empty() &&
+      proc.operand_width(op.args[0]) == 1) {
     return 0;
   }
-  return op_depth(op);
+  return bt.depth;
 }
 
-unsigned op_latency(const ir::Op& op) {
-  switch (op.kind) {
-    case ir::OpKind::kLoad:         // synchronous block RAM read
-    case ir::OpKind::kStreamRead:   // registered FIFO pop
-    case ir::OpKind::kCallExtern:   // registered external-core output
-      return 1;
-    case ir::OpKind::kBin:
-      switch (op.bin) {
-        case ir::BinKind::kDivU:
-        case ir::BinKind::kDivS:
-        case ir::BinKind::kRemU:
-        case ir::BinKind::kRemS: return 4;  // iterative divider
-        default: return 0;
-      }
-    default:
-      return 0;
-  }
+bool assert_only(const ir::Op& op) {
+  return op.assert_tag != ir::kNoAssertTag && !op.is_extraction &&
+         op.kind != ir::OpKind::kLoad && !ir::op_traits(op.kind).zero_cost;
 }
 
 std::vector<DepEdge> build_deps(const ir::Design& design, const ir::Process& proc,
@@ -85,7 +44,7 @@ std::vector<DepEdge> build_deps(const ir::Design& design, const ir::Process& pro
     auto it = last_def.find(o.reg);
     if (it != last_def.end()) {
       const ir::Op& def = ops[it->second];
-      unsigned lat = op_latency(def);
+      unsigned lat = def.latency();
       add(it->second, i, lat, lat == 0, /*value=*/true);
     }
     uses_since_def[o.reg].push_back(i);
@@ -276,7 +235,7 @@ std::string print_schedule(const ir::Design& design, const ProcessSchedule& sche
     }
     os << '\n';
     for (std::size_t i = 0; i < b.ops.size(); ++i) {
-      os << "    s" << bs.op_state[i] << ": " << ir::op_kind_name(b.ops[i].kind);
+      os << "    s" << bs.op_state[i] << ": " << ir::op_traits(b.ops[i].kind).name;
       if (b.ops[i].assert_tag != ir::kNoAssertTag) {
         os << (b.ops[i].is_extraction ? " [extract#" : " [assert#")
            << b.ops[i].assert_tag << "]";

@@ -41,13 +41,10 @@ struct SchedOptions {
   unsigned max_ii = 64;
 };
 
-/// Combinational depth contributed by an op (0 = wire).
-[[nodiscard]] unsigned op_depth(const ir::Op& op);
-/// Width-aware variant: 1-bit logic gates pack into wide LUTs and
+/// Combinational depth contributed by an op (0 = wire): its trait-table
+/// depth, except that 1-bit logic gates pack into wide LUTs and
 /// contribute no level of their own.
 [[nodiscard]] unsigned op_depth(const ir::Process& proc, const ir::Op& op);
-/// Registered latency of an op in cycles (0 = result usable same state).
-[[nodiscard]] unsigned op_latency(const ir::Op& op);
 
 struct BlockSchedule {
   ir::BlockId block = ir::kNoBlock;
@@ -129,6 +126,11 @@ struct DepEdge {
   bool chainable = false;   // same-state OK if depth budget allows
   bool carries_value = false;  // RAW edge: contributes to chain depth
 };
+
+/// The state-sharing rule for inlined assertion logic: a tagged op that
+/// is not an extraction, a load or a zero-cost wire may share a state
+/// (or pipeline stage) only with other such ops.
+[[nodiscard]] bool assert_only(const ir::Op& op);
 
 /// Builds intra-block dependence edges over `ops` (program order indices).
 /// Pipelined bodies pass `ignore_war = true`: write-after-read edges are

@@ -16,12 +16,6 @@ namespace {
 
 enum class StateMark : std::uint8_t { kFree, kApp, kAssertOnly, kExclusive };
 
-bool is_zero_cost(const ir::Op& op) {
-  return op.kind == ir::OpKind::kAssert || op.kind == ir::OpKind::kAssertTap ||
-         op.kind == ir::OpKind::kAssertFailWire ||
-         op.kind == ir::OpKind::kAssertCycles;
-}
-
 struct StateInfo {
   StateMark mark = StateMark::kFree;
   std::map<ir::MemId, unsigned> port_use;
@@ -31,11 +25,7 @@ struct StateInfo {
 /// What kind of state this op may share.
 StateMark desired_mark(const ir::Op& op, bool streams_exclusive) {
   if (op.is_stream_access() && streams_exclusive) return StateMark::kExclusive;
-  if (op.assert_tag != ir::kNoAssertTag && !op.is_extraction &&
-      op.kind != ir::OpKind::kLoad && !is_zero_cost(op)) {
-    return StateMark::kAssertOnly;
-  }
-  return StateMark::kApp;
+  return assert_only(op) ? StateMark::kAssertOnly : StateMark::kApp;
 }
 
 bool mark_compatible(StateMark state, StateMark want) {
@@ -70,7 +60,7 @@ SeqResult schedule_sequential(const ir::Design& design, const ir::Process& proc,
       earliest = std::max(earliest, state[e->from] + e->min_delta);
     }
 
-    if (is_zero_cost(op)) {
+    if (ir::op_traits(op.kind).zero_cost) {
       // Taps and residual assert markers are wires: they take no
       // resources and never open a new state on their own unless a
       // dependence forces one.
@@ -97,7 +87,7 @@ SeqResult schedule_sequential(const ir::Design& design, const ir::Process& proc,
       bool has_same_state_pred = false;
       for (const DepEdge* e : in[i]) {
         if (!e->carries_value || !e->chainable) continue;
-        if (state[e->from] == s && !is_zero_cost(ops[e->from])) {
+        if (state[e->from] == s && !ir::op_traits(ops[e->from].kind).zero_cost) {
           has_same_state_pred = true;
           d = std::max(d, depth[e->from] + op_depth(proc, op));
         }
@@ -130,7 +120,7 @@ SeqResult schedule_sequential(const ir::Design& design, const ir::Process& proc,
   if (term_cond.is_reg()) {
     for (std::size_t i = 0; i < ops.size(); ++i) {
       if (ops[i].dest == term_cond.reg) {
-        need = std::max(need, out.op_state[i] + op_latency(ops[i]));
+        need = std::max(need, out.op_state[i] + ops[i].latency());
       }
     }
   }

@@ -107,7 +107,7 @@ struct ProcLayout {
     for (const ir::BasicBlock& b : p.blocks) {
       for (const ir::Op& op : b.ops) {
         if (op.is_memory_access()) l.mems.push_back(op.mem);
-        if (op.kind == ir::OpKind::kBin && ir::bin_is_comparison(op.bin) && op.loc.line != 0) {
+        if (op.is_comparison() && op.loc.line != 0) {
           l.lines.push_back(op.loc.line);
         }
       }

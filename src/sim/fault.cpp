@@ -158,7 +158,7 @@ std::string FaultSpec::describe(const ir::Design& design) const {
 // --------------------------------------------------------- engine hooks --
 
 unsigned FaultEngine::narrow_width(const std::string& process, const ir::Op& op) const {
-  if (op.kind != ir::OpKind::kBin || !ir::bin_is_comparison(op.bin)) return 0;
+  if (!op.is_comparison()) return 0;
   for (const FaultSpec& f : faults_) {
     if (f.kind != FaultKind::kNarrowCompare) continue;
     if (!f.process.empty() && f.process != process) continue;
@@ -271,7 +271,7 @@ std::vector<FaultSpec> enumerate_fault_sites(const ir::Design& design,
     std::uint32_t last_line = 0;
     for (const ir::BasicBlock& b : p->blocks) {
       for (const ir::Op& op : b.ops) {
-        if (op.kind != ir::OpKind::kBin || !ir::bin_is_comparison(op.bin)) continue;
+        if (!op.is_comparison()) continue;
         unsigned w = p->operand_width(op.args[0]);
         unsigned narrow = w > 5 ? 5u : (w > 1 ? w - 1 : 0u);
         if (narrow == 0 || op.loc.line == 0 || op.loc.line == last_line) continue;

@@ -76,18 +76,7 @@ void Simulator::init_state() {
     cc.scratch = cc.fresh;
     cc.touched.assign(rec.checker_inputs.begin(), rec.checker_inputs.end());
     for (const Op& op : cc.block->ops) {
-      switch (op.kind) {
-        case OpKind::kBin:
-        case OpKind::kUn:
-        case OpKind::kCopy:
-        case OpKind::kResize:
-        case OpKind::kLoad:
-        case OpKind::kCallExtern:
-          cc.touched.push_back(op.dest);
-          break;
-        default:
-          break;
-      }
+      if (ir::op_traits(op.kind).has_dest) cc.touched.push_back(op.dest);
     }
     std::sort(cc.touched.begin(), cc.touched.end());
     cc.touched.erase(std::unique(cc.touched.begin(), cc.touched.end()), cc.touched.end());
@@ -97,23 +86,15 @@ void Simulator::init_state() {
   for (const auto& p : design_.processes) {
     for (const BasicBlock& b : p->blocks) {
       for (const Op& op : b.ops) {
-        switch (op.kind) {
-          case OpKind::kAssertTap:
-          case OpKind::kAssertFailWire:
-          case OpKind::kAssertCycles: {
-            auto it = records_by_id.find(op.assert_id);
-            OpAssertInfo info;
-            info.rec = it == records_by_id.end() ? nullptr : it->second;
-            if (info.rec != nullptr) {
-              auto cit = checkers_.find(info.rec);
-              if (cit != checkers_.end()) info.checker = &cit->second;
-            }
-            op_assertions_.emplace(&op, info);
-            break;
-          }
-          default:
-            break;
+        if (!ir::op_traits(op.kind).zero_cost) continue;
+        auto it = records_by_id.find(op.assert_id);
+        OpAssertInfo info;
+        info.rec = it == records_by_id.end() ? nullptr : it->second;
+        if (info.rec != nullptr) {
+          auto cit = checkers_.find(info.rec);
+          if (cit != checkers_.end()) info.checker = &cit->second;
         }
+        op_assertions_.emplace(&op, info);
       }
     }
   }
@@ -559,7 +540,11 @@ void Simulator::eval_checker(const ir::AssertionRecord& rec, CheckerCache& cc,
         }
         break;
       }
-      default:
+      case OpKind::kStore:
+      case OpKind::kStreamRead:
+      case OpKind::kAssert:
+      case OpKind::kAssertTap:
+      case OpKind::kAssertCycles:
         internal_error("sim", 0, "unexpected op in checker process");
     }
   }
@@ -781,7 +766,15 @@ bool Simulator::run_sequential_block(ProcState& ps) {
                                  .resize(ps.proc->reg(op.dest).width,
                                          op.resize == ir::ResizeKind::kSext);
           break;
-        default:
+        case OpKind::kLoad:
+        case OpKind::kStore:
+        case OpKind::kStreamRead:
+        case OpKind::kStreamWrite:
+        case OpKind::kCallExtern:
+        case OpKind::kAssert:
+        case OpKind::kAssertTap:
+        case OpKind::kAssertFailWire:
+        case OpKind::kAssertCycles:
           took_fast = false;
           break;
       }
@@ -1068,7 +1061,12 @@ std::uint32_t Simulator::compiled_exec_op(std::uint32_t pidx, std::uint32_t bloc
       }
       break;
     }
-    default:
+    case OpKind::kBin:
+    case OpKind::kUn:
+    case OpKind::kResize:
+    case OpKind::kCopy:
+    case OpKind::kLoad:
+    case OpKind::kStore:
       internal_error("sim", 0, "compiled callback on a pure op");
   }
   ps.st[kStProgress] = 1;
@@ -1307,7 +1305,7 @@ void Simulator::drain_cpu_streams() {
 std::string Simulator::render_trace(const SourceManager* sm) const {
   std::ostringstream os;
   for (const TraceEvent& e : trace_) {
-    os << "[" << e.cycle << "] " << e.process << ": " << ir::op_kind_name(e.kind);
+    os << "[" << e.cycle << "] " << e.process << ": " << ir::op_traits(e.kind).name;
     if (e.loc.valid()) {
       os << " @ ";
       if (sm != nullptr) os << sm->name(e.loc.file) << ":";

@@ -258,9 +258,7 @@ TEST(FaultDifferential, HandBuiltSpecsMatchTheInterpreterRules) {
   // width (0 means "no fault" to the interpreter).
   for (const ir::BasicBlock& b : p.blocks) {
     for (const ir::Op& op : b.ops) {
-      if (op.kind != ir::OpKind::kBin || !ir::bin_is_comparison(op.bin) || op.loc.line == 0) {
-        continue;
-      }
+      if (!op.is_comparison() || op.loc.line == 0) continue;
       for (unsigned w : {0u, 1u, 2u, 3u, 5u, 31u, 32u, 33u, 64u, 200u}) {
         specs.push_back(sim::FaultSpec::narrow_compare("f", op.loc.line, w));
       }

@@ -254,7 +254,7 @@ TEST(Lower, ConstEval) {
     }
   )");
   ASSERT_FALSE(diags.has_errors());
-  lang::analyze(*prog, sm, diags);
+  ASSERT_TRUE(lang::analyze(*prog, sm, diags).ok);
   const lang::Stmt& decl = *prog->functions[0]->body[0];
   auto v = eval_const_expr(*decl.decl_init[0]);
   ASSERT_TRUE(v.has_value());

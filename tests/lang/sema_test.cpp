@@ -175,7 +175,7 @@ TEST(Sema, PipelinePragmaOnNonLoopWarns) {
   a->diags.attach(&a->sm);
   a->program = parse_source(a->sm, a->diags, "t.c",
                             "void f(stream_in<32> in) {\n#pragma HLS pipeline\nuint32 x;\n}");
-  analyze(*a->program, a->sm, a->diags);
+  EXPECT_TRUE(analyze(*a->program, a->sm, a->diags).ok);
   bool warned = false;
   for (const auto& d : a->diags.diagnostics()) {
     if (d.severity == Severity::kWarning) warned = true;

@@ -19,16 +19,6 @@ ProcessSchedule sched_of(hlsav::testing::Compiled& c, const std::string& name,
   return schedule_process(c.design, c.process(name), opts);
 }
 
-/// Number of states of the block containing the given op kind.
-const ir::BasicBlock* find_block_with(const ir::Process& p, ir::OpKind kind) {
-  for (const ir::BasicBlock& b : p.blocks) {
-    for (const ir::Op& op : b.ops) {
-      if (op.kind == kind) return &b;
-    }
-  }
-  return nullptr;
-}
-
 TEST(SequentialSched, ChainedAddsShareAState) {
   auto c = compile(R"(
     void f(stream_in<32> in, stream_out<32> out) {
@@ -213,7 +203,9 @@ TEST(SequentialSched, InlineAssertOpsDoNotShareAppStates) {
     bool tagged = op.assert_tag != ir::kNoAssertTag && op.kind != ir::OpKind::kLoad;
     int kind = tagged ? 2 : 1;
     auto [it, inserted] = state_kind.emplace(bs.op_state[i], kind);
-    if (!inserted) EXPECT_EQ(it->second, kind) << print_schedule(c->design, s);
+    if (!inserted) {
+      EXPECT_EQ(it->second, kind) << print_schedule(c->design, s);
+    }
   }
 }
 
@@ -239,7 +231,9 @@ TEST(SequentialSched, BranchConditionLatencyExtendsBlock) {
     if (b.term.kind == ir::TermKind::kBranch) {
       bool has_load = false;
       for (const ir::Op& op : b.ops) has_load |= op.kind == ir::OpKind::kLoad;
-      if (has_load) EXPECT_GE(s.of(b.id).num_states, 2u);
+      if (has_load) {
+        EXPECT_GE(s.of(b.id).num_states, 2u);
+      }
     }
   }
 }

@@ -41,7 +41,9 @@ TEST(BitVectorFastPath, MaskingInvariantAtBoundaryWidths) {
     // Doubling all-ones shifts in a zero at the bottom: 0b111..10.
     BitVector doubled = ones.add(ones);
     EXPECT_FALSE(doubled.bit(0)) << "width " << w;
-    if (w > 1) EXPECT_TRUE(doubled.bit(w - 1)) << "width " << w;
+    if (w > 1) {
+      EXPECT_TRUE(doubled.bit(w - 1)) << "width " << w;
+    }
     // neg(1) is all-ones in two's complement.
     EXPECT_TRUE(BitVector::from_u64(w, 1).neg() == ones) << "width " << w;
   }

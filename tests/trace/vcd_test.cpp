@@ -251,7 +251,9 @@ TEST(Vcd, TimestampsAreStrictlyIncreasing) {
   std::uint64_t prev = 0;
   bool first = true;
   for (const auto& c : doc.changes) {
-    if (!first) EXPECT_GE(c.time, prev);
+    if (!first) {
+      EXPECT_GE(c.time, prev);
+    }
     prev = c.time;
     first = false;
   }
