@@ -18,6 +18,9 @@
 //                              (hang tracing with assert(0), §5.1).
 #pragma once
 
+#include <optional>
+#include <string_view>
+
 namespace hlsav::assertions {
 
 struct Options {
@@ -49,6 +52,14 @@ struct Options {
     o.replicate = true;
     o.share_channels = true;
     return o;
+  }
+  /// `--assertions=ndebug|unoptimized|optimized`; nullopt for any other
+  /// name.
+  static std::optional<Options> by_name(std::string_view name) {
+    if (name == "ndebug") return ndebug();
+    if (name == "unoptimized") return unoptimized();
+    if (name == "optimized") return optimized();
+    return std::nullopt;
   }
 };
 

@@ -97,8 +97,8 @@ int stream_frames(int fd, const std::string& out_path, bool quiet, bool& retryab
         }
       }
       if (status == "drained") {
-        std::cerr << "hlsavd: daemon drained mid-job; partial result written, shard "
-                     "journals are resumable\n";
+        std::cerr << "hlsavd: daemon drained mid-job; partial result written, the job "
+                     "journal is resumable\n";
         return 6;
       }
       return 0;

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "assertions/options.h"
 #include "serve/hub.h"
 #include "support/jsonl.h"
 #include "support/str.h"
@@ -40,8 +41,7 @@ StatusOr<CampaignSpec> decode_submit(const std::string& line) {
   }
   (void)jsonl::parse_string(line, "feeds", spec.feeds);
   (void)jsonl::parse_string(line, "assertions", spec.assertions);
-  if (spec.assertions != "ndebug" && spec.assertions != "unoptimized" &&
-      spec.assertions != "optimized") {
+  if (!assertions::Options::by_name(spec.assertions)) {
     return Status::invalid_argument("unknown assertions mode '" + spec.assertions + "'");
   }
   (void)jsonl::parse_u64(line, "seed", spec.seed);
@@ -184,11 +184,8 @@ std::string encode_worker_starting(std::uint32_t site) {
   return "{\"type\":\"starting\",\"site\":" + std::to_string(site) + "}";
 }
 
-std::string encode_worker_site(std::uint32_t site, const char* outcome) {
-  std::string out = "{\"type\":\"site\",\"site\":" + std::to_string(site) + ",\"outcome\":";
-  jsonl::append_escaped(out, outcome);
-  out += '}';
-  return out;
+std::string encode_worker_site(const std::string& record) {
+  return "{\"type\":\"site\"," + record.substr(1);
 }
 
 }  // namespace hlsav::serve

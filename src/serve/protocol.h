@@ -19,9 +19,12 @@
 //     {"type":"done","job":N,"status":"ok"|"drained"}
 //     or, for a job aborted before it ran, in a "rejected" line
 //
-// Worker heartbeat lines (worker stdout -> supervisor) share the
-// dialect: {"type":"starting","site":N} before a site runs and
-// {"type":"site","site":N,"outcome":...} once it is journaled.
+// Workers speak the same dialect. The supervisor writes one site id per
+// line to a worker's stdin (EOF: no more sites); the worker answers
+// with {"type":"starting","site":N} before the site runs and
+// {"type":"site",...} -- the site's journal record (sim::journal_line)
+// -- once it is classified. Both are heartbeats. The supervisor, the
+// only journal writer, journals each result before the next id.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +50,7 @@ struct CampaignSpec {
   std::uint64_t max_faults = 0;
   std::uint64_t max_cycles = 0;
   double site_wall_ms = 0.0;
-  /// Worker subprocesses to shard the site list across; 0 = service
+  /// Worker subprocesses to run the sites on; 0 = service
   /// default.
   unsigned workers = 0;
   /// Higher runs first; equal priorities stay FIFO.
@@ -122,7 +125,12 @@ struct JobView;  // serve/hub.h
 
 // ------------------------------------------------ worker -> supervisor --
 
+/// Worker exit code: drained by SIGTERM after reporting its in-flight
+/// site.
+inline constexpr int kWorkerDrainedExit = 21;
+
 [[nodiscard]] std::string encode_worker_starting(std::uint32_t site);
-[[nodiscard]] std::string encode_worker_site(std::uint32_t site, const char* outcome);
+/// `record` is the site's journal line ({"site":N,...}).
+[[nodiscard]] std::string encode_worker_site(const std::string& record);
 
 }  // namespace hlsav::serve

@@ -288,9 +288,10 @@ Status Service::serve() {
     handle_connection(*fd);
   }
 
-  // Graceful degradation: running jobs drain (workers flush journals
-  // and exit; subscribers get a "drained" result), queued jobs get a
-  // typed abort so no client is left hanging on a silent close.
+  // Graceful degradation: running jobs drain (workers report their
+  // in-flight sites and exit; subscribers get a "drained" result),
+  // queued jobs get a typed abort so no client is left hanging on a
+  // silent close.
   drain_.store(true, std::memory_order_relaxed);
   for (Job& job : queue_.close()) {
     emit({.kind = K::kAborted,
@@ -523,8 +524,8 @@ void Service::handle_submit(int fd, const std::string& line) {
       });
     } else {
       // Terminal failure (error/aborted/drained/deadline-expired):
-      // requeue the *same* job id -- its job_dir and journal shards
-      // resume byte-identically behind the fingerprint gate.
+      // requeue the *same* job id -- its job journal resumes
+      // byte-identically behind the fingerprint gate.
       job.id = known->job;
       (void)admit(std::move(job), fd, "resubmit", known->state);
     }
@@ -576,9 +577,9 @@ void Service::run_job(Job job) {
   sup.heartbeat_timeout_ms = opt_.heartbeat_timeout_ms;
   sup.drain = &drain_;
   sup.event_sink = [&](JobEvent e) {
-    // Crash injection: the first site heartbeat proves worker shards
-    // exist on disk -- the daemon dying *here* leaves half-swept
-    // journals for the restart to resume.
+    // Crash injection: the first site heartbeat proves the job journal
+    // exists on disk -- the daemon dying *here* leaves a half-swept
+    // journal for the restart to resume.
     if (e.kind == K::kSiteStarted) maybe_die_at("shard-spawned");
     if (e.kind == K::kPhaseBegin && e.detail == "merge") maybe_die_at("pre-merge");
     e.job = id;

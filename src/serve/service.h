@@ -19,9 +19,10 @@
 //
 // Graceful shutdown (SIGTERM or a shutdown request): the accept loop
 // stops, queued-but-unstarted jobs get a typed abort, running jobs
-// drain -- workers flush their journals and exit, subscribers get
-// whatever was durably classified plus status "drained" -- and every
-// journal shard is resumable by a later submission of the same spec.
+// drain -- workers report their in-flight sites and exit, subscribers
+// get whatever was durably classified plus status "drained" -- and
+// every job journal is resumable by a later submission of the same
+// spec.
 #pragma once
 
 #include <atomic>
@@ -58,7 +59,7 @@ struct ServiceOptions {
   std::uint64_t backoff_cap_ms = 1000;
   /// The hlsavd binary itself (workers are `hlsavd worker ...`).
   std::string worker_binary;
-  /// Per-job shard journals land in `<work_dir>/job_<id>/`.
+  /// Each job's journal is `<work_dir>/job_<id>/journal.jsonl`.
   std::string work_dir = ".";
   /// Append-only JSONL structured event log; empty = no log.
   std::string events_out;

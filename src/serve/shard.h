@@ -1,23 +1,26 @@
-// Sharded campaign supervisor: crash containment for fault sweeps.
+// Campaign supervisor: crash containment for fault sweeps.
 //
-// One campaign, W worker subprocesses, one journal shard per worker.
-// The supervisor compiles the design, samples the site list exactly as
-// the in-process runner would, deals the selected sites round-robin
-// across the workers, and then watches them:
+// One campaign, W worker subprocesses, one journal. The supervisor
+// compiles the design, plans the campaign exactly as the in-process
+// runner does (sim::plan_campaign), and hands the selected sites out
+// one at a time: each worker reads a site id on its stdin, runs it, and
+// prints the result, and gets its next id as soon as that result is
+// journaled. A slow site never holds back the sites behind it.
 //
-//  * A worker that segfaults, gets OOM-killed, is kill -9'ed, or
-//    overruns its heartbeat watchdog is *contained*: the supervisor
-//    reloads its journal shard (the loader drops any torn tail),
-//    blames the in-flight site, and respawns the worker on the
-//    remaining sites after a capped exponential backoff.
+//  * The supervisor is the only journal writer. JOB_DIR/journal.jsonl
+//    is an ordinary campaign journal (sim/journal.h): same header
+//    fingerprint, fsync per site, torn-tail truncation and resume as
+//    `hlsavc faultsim --campaign --journal`. A re-adopted or
+//    resubmitted job resumes it and hands out only unclassified sites.
+//  * A worker that segfaults, gets OOM-killed, is kill -9'ed, overruns
+//    its heartbeat watchdog, or reports a site it was not handed is
+//    *contained*: the supervisor blames its in-flight site, requeues
+//    it, and respawns the worker after a capped exponential backoff.
 //  * A site that keeps killing workers is quarantined after
 //    `quarantine_cap` crashes and classified worker-crashed -- one
 //    poisonous site can never pin a campaign or respawn forever.
-//  * Every worker journal shard carries the *full campaign's* header
-//    fingerprint, so shards can be merged -- and individually resumed
-//    -- with the same identity check the single-process path uses.
 //
-// The merged report renders byte-identically to an uninterrupted
+// The report renders byte-identically to an uninterrupted
 // single-process sweep: CampaignReport::render depends only on
 // seed/site outcomes, never on worker count or completion order.
 #pragma once
@@ -39,8 +42,8 @@ struct SupervisorOptions {
   /// The hlsavd binary (workers are `hlsavd worker ...` of the same
   /// build, so simulation determinism is guaranteed by construction).
   std::string worker_binary;
-  /// Directory for this job's shard journals and fault-token files;
-  /// must exist and be writable.
+  /// Directory for this job's journal and fault-token files; must exist
+  /// and be writable.
   std::string job_dir;
   unsigned workers = 2;
   /// Crashes a single site may cause before it is quarantined.
@@ -55,8 +58,9 @@ struct SupervisorOptions {
   /// job id left 0 for the caller to fill); may be null.
   std::function<void(JobEvent)> event_sink;
   /// Graceful-degradation flag: when it turns true the supervisor
-  /// SIGTERMs its workers (they flush + exit 21), stops respawning,
-  /// and returns what was durably journaled.
+  /// SIGTERMs its workers (each reports its in-flight site and exits
+  /// 21), stops handing out sites and respawning, and returns what was
+  /// durably journaled.
   const std::atomic<bool>* drain = nullptr;
 };
 
@@ -72,12 +76,12 @@ struct SupervisedResult {
   /// True when the drain flag stopped the job early; `report` carries
   /// interrupted=true and only the journaled sites.
   bool drained = false;
-  /// Bytes of shard journal written on disk at merge time (the durable
-  /// footprint the metrics plane reports).
+  /// Size of the job journal at merge time (the durable footprint the
+  /// metrics plane reports).
   std::uint64_t journal_bytes = 0;
 };
 
-/// Runs one campaign sharded across worker subprocesses. Compile
+/// Runs one campaign across worker subprocesses. Compile
 /// errors, unusable specs and supervision failures come back as
 /// Status; worker deaths do not -- those are contained and classified.
 [[nodiscard]] StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,

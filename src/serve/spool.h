@@ -10,7 +10,7 @@
 // can only tear the last record, so a loader that stops at the first
 // unparseable line -- and truncates it away -- recovers exactly what
 // was durable. A restarted daemon scans the
-// spool, re-adopts every unfinished job (their journal shards resume
+// spool, re-adopts every unfinished job (their journals resume
 // byte-identically behind the fingerprint gate), and answers duplicate
 // idempotency keys with the original job id so clients can blindly
 // resubmit.

@@ -80,30 +80,6 @@ metrics::ProfileConfig campaign_profile_config() {
   return pc;
 }
 
-/// Transient-failure shield around run_fault: a thrown error (resource
-/// exhaustion in a worker, a failed allocation under memory pressure)
-/// gets bounded retries with exponential backoff before it is allowed
-/// to kill the sweep. Deterministic failures simply fail again and
-/// propagate after the last attempt -- a retry never changes what a
-/// site *is*, only whether a flaky host got a second chance.
-FaultResult run_fault_with_retry(const ir::Design& design, const sched::DesignSchedule& schedule,
-                                 const ExternRegistry& externs,
-                                 const std::map<std::string, std::vector<std::uint64_t>>& feeds,
-                                 const GoldenRef& golden, const FaultSpec& fault,
-                                 const SimOptions& base, std::uint64_t max_cycles,
-                                 metrics::ProfileSummary* profile_out,
-                                 const CampaignOptions& opt) {
-  for (unsigned attempt = 0;; ++attempt) {
-    try {
-      return run_fault(design, schedule, externs, feeds, golden, fault, base, max_cycles,
-                       profile_out, opt.site_wall_ms);
-    } catch (...) {
-      if (attempt >= opt.site_retries) throw;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1u << attempt));
-    }
-  }
-}
-
 /// Shared heartbeat state for the serial and parallel sweeps. Emission
 /// is mutex-serialized; tallies update under the same lock, so a line
 /// never reports a torn classification count.
@@ -246,52 +222,86 @@ FaultResult run_fault(const ir::Design& design, const sched::DesignSchedule& sch
   return res;
 }
 
+StatusOr<CampaignPlan> plan_campaign(
+    const ir::Design& design, const sched::DesignSchedule& schedule,
+    const ExternRegistry& externs,
+    const std::map<std::string, std::vector<std::uint64_t>>& feeds,
+    const CampaignOptions& opt) {
+  CampaignPlan plan;
+  plan.design = &design;
+  plan.schedule = &schedule;
+  plan.externs = &externs;
+  plan.feeds = &feeds;
+  GoldenRef& golden = plan.golden;
+  try {
+    metrics::ProfileSummary golden_profile;
+    golden = golden_run(design, schedule, externs, feeds, opt.sim,
+                        opt.profile ? &golden_profile : nullptr);
+    if (opt.profile) plan.golden_profile = golden_profile;
+  } catch (const InternalError& e) {
+    return Status::error(StatusCode::kSimError, e.what());
+  }
+  plan.sites = enumerate_fault_sites(design, schedule);
+
+  std::vector<std::uint32_t> ids(plan.sites.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = plan.sites[i].id;
+  if (opt.max_faults != 0 && opt.max_faults < ids.size()) {
+    std::mt19937_64 rng(opt.seed);
+    std::shuffle(ids.begin(), ids.end(), rng);
+    ids.resize(opt.max_faults);
+    std::sort(ids.begin(), ids.end());
+  }
+  plan.selected = std::move(ids);
+
+  plan.header.design = design.name;
+  plan.header.seed = opt.seed;
+  plan.header.sites_total = plan.sites.size();
+  plan.header.max_faults = opt.max_faults;
+  plan.header.max_cycles =
+      opt.max_cycles != 0 ? opt.max_cycles : std::max<std::uint64_t>(10'000, 16 * golden.cycles);
+  plan.header.golden_cycles = golden.cycles;
+  plan.header.site_wall_ms = opt.site_wall_ms;
+  plan.header.profile = opt.profile;
+  return plan;
+}
+
+FaultResult run_site(const CampaignPlan& plan, const FaultSpec& site, const CampaignOptions& opt,
+                     metrics::ProfileSummary* profile_out) {
+  // A retry never changes what a site *is*: a deterministic failure
+  // fails again. It gives a flaky host a second chance.
+  for (unsigned attempt = 0;; ++attempt) {
+    try {
+      return run_fault(*plan.design, *plan.schedule, *plan.externs, *plan.feeds, plan.golden,
+                       site, opt.sim, plan.header.max_cycles, profile_out, opt.site_wall_ms);
+    } catch (...) {
+      if (attempt >= opt.site_retries) throw;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1u << attempt));
+    }
+  }
+}
+
 StatusOr<CampaignReport> run_campaign_st(
     const ir::Design& design, const sched::DesignSchedule& schedule,
     const ExternRegistry& externs,
     const std::map<std::string, std::vector<std::uint64_t>>& feeds,
     const CampaignOptions& opt) {
-  metrics::ProfileSummary golden_profile;
-  GoldenRef golden;
-  try {
-    golden = golden_run(design, schedule, externs, feeds, opt.sim,
-                        opt.profile ? &golden_profile : nullptr);
-  } catch (const InternalError& e) {
-    return Status::error(StatusCode::kSimError, e.what());
-  }
-  std::uint64_t max_cycles =
-      opt.max_cycles != 0 ? opt.max_cycles : std::max<std::uint64_t>(10'000, 16 * golden.cycles);
-
-  std::vector<FaultSpec> sites = enumerate_fault_sites(design, schedule);
+  StatusOr<CampaignPlan> planned = plan_campaign(design, schedule, externs, feeds, opt);
+  HLSAV_RETURN_IF_ERROR(planned.status());
+  const CampaignPlan& plan = *planned;
 
   CampaignReport report;
   report.seed = opt.seed;
-  report.sites_total = sites.size();
-  report.golden_cycles = golden.cycles;
-  if (opt.profile) report.golden_profile = golden_profile;
+  report.sites_total = plan.sites.size();
+  report.golden_cycles = plan.golden.cycles;
+  report.golden_profile = plan.golden_profile;
 
-  // Sampling only chooses *which* sites run; the list and the ids are
-  // seed-independent, so campaigns stay comparable across seeds.
-  std::vector<std::size_t> order(sites.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (opt.max_faults != 0 && opt.max_faults < sites.size()) {
-    std::mt19937_64 rng(opt.seed);
-    std::shuffle(order.begin(), order.end(), rng);
-    order.resize(opt.max_faults);
-    std::sort(order.begin(), order.end());
-  }
-
-  // A shard (worker entrypoint) runs only its assigned subset of the
-  // sampled selection; the journal header below still describes the
-  // whole campaign, so every shard shares one resume fingerprint.
+  std::vector<std::uint32_t> order = plan.selected;
   if (!opt.only_sites.empty()) {
     std::vector<std::uint32_t> wanted = opt.only_sites;
     std::sort(wanted.begin(), wanted.end());
-    std::vector<std::size_t> filtered;
-    for (std::size_t idx : order) {
-      if (std::binary_search(wanted.begin(), wanted.end(), sites[idx].id)) {
-        filtered.push_back(idx);
-      }
+    std::vector<std::uint32_t> filtered;
+    for (std::uint32_t id : order) {
+      if (std::binary_search(wanted.begin(), wanted.end(), id)) filtered.push_back(id);
     }
     if (filtered.size() != wanted.size()) {
       return Status::invalid_argument(
@@ -316,42 +326,15 @@ StatusOr<CampaignReport> run_campaign_st(
   report.results.assign(order.size(), FaultResult{});
   std::vector<char> done(order.size(), 0);  // restored or freshly classified
   if (!opt.journal.empty()) {
-    JournalHeader hdr;
-    hdr.design = design.name;
-    hdr.seed = opt.seed;
-    hdr.sites_total = sites.size();
-    hdr.max_faults = opt.max_faults;
-    hdr.max_cycles = max_cycles;
-    hdr.golden_cycles = golden.cycles;
-    hdr.site_wall_ms = opt.site_wall_ms;
-    hdr.profile = opt.profile;
-
-    bool reopen = false;
-    std::uint64_t valid_bytes = 0;
-    if (opt.resume) {
-      StatusOr<JournalContents> loaded = load_journal(opt.journal);
-      // An unreadable or foreign journal is not this campaign's log:
-      // start fresh rather than mix outcomes from a different sweep.
-      if (loaded.ok() && loaded->header.fingerprint() == hdr.fingerprint()) {
-        reopen = true;
-        valid_bytes = loaded->valid_bytes;
-        for (std::size_t i = 0; i < order.size(); ++i) {
-          auto it = loaded->results.find(sites[order[i]].id);
-          if (it == loaded->results.end()) continue;
-          report.results[i] = it->second;
-          report.results[i].site = sites[order[i]];  // reattach the full spec
-          done[i] = 1;
-        }
-      }
+    StatusOr<OpenedJournal> opened = open_journal(plan, opt.journal, opt.resume);
+    HLSAV_RETURN_IF_ERROR(opened.status());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      auto it = opened->restored.find(order[i]);
+      if (it == opened->restored.end()) continue;
+      report.results[i] = std::move(it->second);
+      done[i] = 1;
     }
-    StatusOr<std::unique_ptr<CampaignJournal>> j =
-        reopen ? CampaignJournal::append_to(opt.journal, valid_bytes)
-               : CampaignJournal::create(opt.journal, hdr);
-    if (!j.ok()) {
-      return Status::error(j.status().code(), "cannot open campaign journal '" + opt.journal +
-                                                  "': " + j.status().message());
-    }
-    journal = std::move(*j);
+    journal = std::move(opened->journal);
   }
   std::vector<char> restored = done;
 
@@ -408,11 +391,9 @@ StatusOr<CampaignReport> run_campaign_st(
         heartbeat.site_done(report.results[i].outcome);
         continue;
       }
-      if (opt.site_start_hook) opt.site_start_hook(sites[order[i]].id);
+      if (opt.site_start_hook) opt.site_start_hook(order[i]);
       try {
-        report.results[i] =
-            run_fault_with_retry(design, schedule, externs, feeds, golden, sites[order[i]],
-                                 opt.sim, max_cycles, site_profile_ptr, opt);
+        report.results[i] = run_site(plan, plan.sites[order[i]], opt, site_profile_ptr);
       } catch (const InternalError& e) {
         return Status::internal(e.what());
       } catch (const std::exception& e) {
@@ -449,12 +430,10 @@ StatusOr<CampaignReport> run_campaign_st(
         heartbeat.site_done(report.results[i].outcome);
         continue;
       }
-      if (opt.site_start_hook) opt.site_start_hook(sites[order[i]].id);
+      if (opt.site_start_hook) opt.site_start_hook(order[i]);
       try {
         report.results[i] =
-            run_fault_with_retry(design, schedule, externs, feeds, golden, sites[order[i]],
-                                 opt.sim, max_cycles,
-                                 opt.profile ? &local_profile : nullptr, opt);
+            run_site(plan, plan.sites[order[i]], opt, opt.profile ? &local_profile : nullptr);
       } catch (const InternalError& e) {
         fail_with(Status::internal(e.what()));
         return;
@@ -570,16 +549,12 @@ std::string CampaignReport::render(const ir::Design& design) const {
   return os.str();
 }
 
-std::vector<TraceArtifact> trace_nonbenign_sites(
-    const ir::Design& design, const sched::DesignSchedule& schedule,
-    const ExternRegistry& externs,
-    const std::map<std::string, std::vector<std::uint64_t>>& feeds,
-    const CampaignReport& report, const CampaignOptions& opt,
-    const TraceRerunOptions& trace_opt) {
+std::vector<TraceArtifact> trace_nonbenign_sites(const CampaignPlan& plan,
+                                                 const CampaignReport& report,
+                                                 const CampaignOptions& opt,
+                                                 const TraceRerunOptions& trace_opt) {
+  const ir::Design& design = *plan.design;
   std::vector<TraceArtifact> out;
-  GoldenRef golden = golden_run(design, schedule, externs, feeds, opt.sim);
-  std::uint64_t max_cycles =
-      opt.max_cycles != 0 ? opt.max_cycles : std::max<std::uint64_t>(10'000, 16 * golden.cycles);
   std::filesystem::create_directories(trace_opt.dir);
 
   for (const FaultResult& r : report.results) {
@@ -591,12 +566,12 @@ std::vector<TraceArtifact> trace_nonbenign_sites(
     trace::TraceEngine engine(design, trace_opt.config);
     SimOptions opts = opt.sim;
     opts.mode = SimMode::kHardware;
-    opts.max_cycles = max_cycles;
+    opts.max_cycles = plan.header.max_cycles;
     opts.faults = FaultEngine{};
     opts.faults.add(r.site);
     opts.ela = &engine;
-    Simulator sim(design, schedule, externs, opts);
-    for (const auto& [name, values] : feeds) sim.feed(name, values);
+    Simulator sim(design, *plan.schedule, *plan.externs, opts);
+    for (const auto& [name, values] : *plan.feeds) sim.feed(name, values);
     RunResult rr = sim.run();
     std::vector<trace::TraceRecord> window = engine.window();
 
@@ -623,11 +598,12 @@ std::vector<TraceArtifact> trace_nonbenign_sites(
     os << trace::render_replay(design, window, ro);
     if (r.outcome == FaultOutcome::kSilentCorruption) {
       auto outputs = collect_outputs(design, sim);
-      for (std::size_t i = 0; i < outputs.size() && i < golden.outputs.size(); ++i) {
-        if (outputs[i] != golden.outputs[i]) {
+      const auto& golden = plan.golden.outputs;
+      for (std::size_t i = 0; i < outputs.size() && i < golden.size(); ++i) {
+        if (outputs[i] != golden[i]) {
           os << "first divergent output stream: '" << outputs[i].first << "' ("
              << outputs[i].second.size() << " words vs golden "
-             << golden.outputs[i].second.size() << ")\n";
+             << golden[i].second.size() << ")\n";
           break;
         }
       }

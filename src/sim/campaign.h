@@ -48,8 +48,8 @@ enum class FaultOutcome : std::uint8_t {
   kHangTimeout,
   kBudgetExceeded,  // per-site wall-clock watchdog fired (site_wall_ms)
   /// The site killed its worker subprocess repeatedly (segfault,
-  /// OOM-kill, watchdog SIGKILL) and was quarantined by the sharded
-  /// campaign supervisor after the retry cap. Only the service path
+  /// OOM-kill, watchdog SIGKILL) and was quarantined by the campaign
+  /// supervisor after the retry cap. Only the service path
   /// (serve/shard.h) produces this; in-process sweeps never do.
   kWorkerCrashed,
 };
@@ -87,7 +87,8 @@ struct CampaignOptions {
   std::uint64_t seed = 1;
   /// 0 = run every enumerated site; otherwise a seeded sample.
   std::size_t max_faults = 0;
-  /// Livelock backstop per faulted run; 0 = max(10'000, 16 * golden).
+  /// Livelock backstop per faulted run; 0 = derive it from the golden
+  /// run (see plan_campaign).
   std::uint64_t max_cycles = 0;
   /// Worker threads running fault sites concurrently (one Simulator per
   /// worker; results land in site order either way). 0 = one per
@@ -120,23 +121,20 @@ struct CampaignOptions {
   /// With `journal` set: load it first and skip sites it already
   /// classified, provided its header fingerprint matches this campaign.
   bool resume = false;
-  /// Restrict the sweep to these site ids (a shard of the sampled
+  /// Restrict the sweep to these site ids (a subset of the sampled
   /// list); empty = run everything. Ids must belong to the campaign's
-  /// sampled selection -- the worker entrypoint gets its shard this
-  /// way while the journal header keeps the full-campaign identity, so
-  /// every shard journal carries the same resume fingerprint.
+  /// sampled selection; the journal header keeps the full campaign's
+  /// identity either way.
   std::vector<std::uint32_t> only_sites;
   /// Cooperative cancellation (SIGINT/SIGTERM): when the pointee turns
   /// true no further site starts; already-journaled work is kept and
   /// the report comes back with `interrupted` set. Null = never.
   const std::atomic<bool>* cancel = nullptr;
   /// Called after each freshly-run site is classified AND durably
-  /// journaled (restored sites are skipped): the worker entrypoint's
-  /// per-site heartbeat. Serialized by the journal append order.
+  /// journaled (restored sites are skipped). Serialized by the journal
+  /// append order.
   std::function<void(const FaultResult&)> site_sink;
-  /// Called just before each freshly-run site starts. Test-only crash
-  /// flags (--crash-at-site) hook here so crash-containment paths are
-  /// deterministically exercisable.
+  /// Called just before each freshly-run site starts.
   std::function<void(std::uint32_t site_id)> site_start_hook;
   /// Base simulation options (mode, channel mux) shared by every run.
   SimOptions sim;
@@ -147,6 +145,45 @@ struct CampaignOptions {
 struct GoldenRef {
   std::uint64_t cycles = 0;
   std::vector<std::pair<std::string, std::vector<std::uint64_t>>> outputs;
+};
+
+/// Campaign identity, logged as the first line of a journal
+/// (sim/journal.h). Two campaigns with equal fingerprints enumerate the
+/// same sites with the same backstops, so their per-site outcomes are
+/// interchangeable.
+struct JournalHeader {
+  std::string design;
+  std::uint64_t seed = 0;
+  std::uint64_t sites_total = 0;
+  std::uint64_t max_faults = 0;
+  std::uint64_t max_cycles = 0;  // resolved livelock backstop
+  std::uint64_t golden_cycles = 0;
+  double site_wall_ms = 0.0;
+  bool profile = false;
+
+  /// Canonical one-line identity (also the serialized header payload).
+  [[nodiscard]] std::string fingerprint() const;
+};
+
+/// What one campaign runs, computed once by plan_campaign() for every
+/// caller (the in-process sweep, trace reruns, hlsavc's one-site
+/// repros, the hlsavd supervisor and its workers). It points at the
+/// inputs it was built from; they must outlive it.
+struct CampaignPlan {
+  const ir::Design* design = nullptr;
+  const sched::DesignSchedule* schedule = nullptr;
+  const ExternRegistry* externs = nullptr;
+  const std::map<std::string, std::vector<std::uint64_t>>* feeds = nullptr;
+  GoldenRef golden;
+  /// Attribution of the golden run; set iff CampaignOptions::profile.
+  std::optional<metrics::ProfileSummary> golden_profile;
+  /// Every enumerated site; sites[i].id == i.
+  std::vector<FaultSpec> sites;
+  /// Ids of the sites the campaign runs, ascending: all, or a sample
+  /// seeded by CampaignOptions::seed.
+  std::vector<std::uint32_t> selected;
+  /// Identity, including the resolved backstop `header.max_cycles`.
+  JournalHeader header;
 };
 
 struct CampaignReport {
@@ -202,6 +239,23 @@ struct CampaignReport {
                                     metrics::ProfileSummary* profile_out = nullptr,
                                     double site_wall_ms = 0.0);
 
+/// Runs the golden run, resolves the backstop (max_cycles, or 16
+/// golden runs' worth of cycles and at least 10'000), enumerates and
+/// samples the sites. A golden run that does not complete cleanly is a
+/// kSimError.
+[[nodiscard]] StatusOr<CampaignPlan> plan_campaign(
+    const ir::Design& design, const sched::DesignSchedule& schedule,
+    const ExternRegistry& externs,
+    const std::map<std::string, std::vector<std::uint64_t>>& feeds,
+    const CampaignOptions& opt);
+
+/// Runs one site of `plan` as every campaign does: with
+/// CampaignOptions::site_wall_ms as its budget, and site_retries
+/// retries with backoff when it throws (then the error propagates).
+[[nodiscard]] FaultResult run_site(const CampaignPlan& plan, const FaultSpec& site,
+                                   const CampaignOptions& opt,
+                                   metrics::ProfileSummary* profile_out = nullptr);
+
 /// The full campaign: enumerate sites, (optionally sample,) run each,
 /// classify every one -- no fault is ever left unclassified. Journal
 /// open/write/fsync failures (ENOSPC, EIO, unwritable directory) come
@@ -254,14 +308,12 @@ struct TraceArtifact {
   std::string replay;
 };
 
-/// Re-runs every non-benign site of `report` with a TraceEngine armed
-/// and exports the surviving capture window: the campaign sweep stays
-/// cheap (tracing off), and only the interesting sites pay for capture.
+/// Re-runs every non-benign site of `report` (a campaign of `plan`)
+/// with a TraceEngine armed and exports the surviving capture window:
+/// the campaign sweep stays cheap (tracing off), and only the
+/// interesting sites pay for capture.
 [[nodiscard]] std::vector<TraceArtifact> trace_nonbenign_sites(
-    const ir::Design& design, const sched::DesignSchedule& schedule,
-    const ExternRegistry& externs,
-    const std::map<std::string, std::vector<std::uint64_t>>& feeds,
-    const CampaignReport& report, const CampaignOptions& opt,
+    const CampaignPlan& plan, const CampaignReport& report, const CampaignOptions& opt,
     const TraceRerunOptions& trace_opt = {});
 
 }  // namespace hlsav::sim

@@ -22,39 +22,6 @@ bool parse_outcome(const std::string& line, FaultOutcome& out) {
   return false;
 }
 
-/// Parses one site line into `r` (site carries only the id). False on
-/// any malformed field: the caller treats the line -- and everything
-/// after it -- as a torn tail.
-bool parse_result_line(const std::string& line, FaultResult& r) {
-  if (line.empty() || line.front() != '{' || line.back() != '}') return false;
-  std::uint64_t site = 0;
-  if (!jsonl::parse_u64(line, "site", site)) return false;
-  r.site = FaultSpec{};
-  r.site.id = static_cast<std::uint32_t>(site);
-  if (!parse_outcome(line, r.outcome)) return false;
-  if (!jsonl::parse_u32_list(line, "detected_by", r.detected_by)) return false;
-  if (!jsonl::parse_u64(line, "cycles", r.cycles)) return false;
-  r.profile.reset();
-  std::size_t ppos = 0;
-  if (jsonl::find_value(line, "profile", ppos)) {
-    metrics::ProfileSummary p;
-    bool ok = jsonl::parse_u64(line, "run_cycles", p.run_cycles) &&
-              jsonl::parse_u64(line, "compute_cycles", p.compute_cycles) &&
-              jsonl::parse_u64(line, "assert_cycles", p.assert_cycles) &&
-              jsonl::parse_u64(line, "stall_cycles", p.stall_cycles) &&
-              jsonl::parse_u64(line, "tail_cycles", p.tail_cycles) &&
-              jsonl::parse_u64(line, "discarded_stall_cycles", p.discarded_stall_cycles) &&
-              jsonl::parse_u64(line, "blocked_polls", p.blocked_polls) &&
-              jsonl::parse_u64(line, "assert_evals", p.assert_evals) &&
-              jsonl::parse_u64(line, "assert_failures", p.assert_failures) &&
-              jsonl::parse_string(line, "hottest_stall_stream", p.hottest_stall_stream) &&
-              jsonl::parse_u64(line, "hottest_stall_cycles", p.hottest_stall_cycles);
-    if (!ok) return false;
-    r.profile = std::move(p);
-  }
-  return true;
-}
-
 }  // namespace
 
 std::string JournalHeader::fingerprint() const {
@@ -99,6 +66,36 @@ std::string journal_line(const FaultResult& r) {
   return out;
 }
 
+bool parse_journal_line(const std::string& line, FaultResult& r) {
+  if (line.empty() || line.front() != '{' || line.back() != '}') return false;
+  std::uint64_t site = 0;
+  if (!jsonl::parse_u64(line, "site", site)) return false;
+  r.site = FaultSpec{};
+  r.site.id = static_cast<std::uint32_t>(site);
+  if (!parse_outcome(line, r.outcome)) return false;
+  if (!jsonl::parse_u32_list(line, "detected_by", r.detected_by)) return false;
+  if (!jsonl::parse_u64(line, "cycles", r.cycles)) return false;
+  r.profile.reset();
+  std::size_t ppos = 0;
+  if (jsonl::find_value(line, "profile", ppos)) {
+    metrics::ProfileSummary p;
+    bool ok = jsonl::parse_u64(line, "run_cycles", p.run_cycles) &&
+              jsonl::parse_u64(line, "compute_cycles", p.compute_cycles) &&
+              jsonl::parse_u64(line, "assert_cycles", p.assert_cycles) &&
+              jsonl::parse_u64(line, "stall_cycles", p.stall_cycles) &&
+              jsonl::parse_u64(line, "tail_cycles", p.tail_cycles) &&
+              jsonl::parse_u64(line, "discarded_stall_cycles", p.discarded_stall_cycles) &&
+              jsonl::parse_u64(line, "blocked_polls", p.blocked_polls) &&
+              jsonl::parse_u64(line, "assert_evals", p.assert_evals) &&
+              jsonl::parse_u64(line, "assert_failures", p.assert_failures) &&
+              jsonl::parse_string(line, "hottest_stall_stream", p.hottest_stall_stream) &&
+              jsonl::parse_u64(line, "hottest_stall_cycles", p.hottest_stall_cycles);
+    if (!ok) return false;
+    r.profile = std::move(p);
+  }
+  return true;
+}
+
 StatusOr<JournalContents> load_journal(const std::string& path) {
   JournalContents out;
   bool saw_header = false;
@@ -116,8 +113,10 @@ StatusOr<JournalContents> load_journal(const std::string& path) {
              jsonl::parse_double(line, "site_wall_ms", out.header.site_wall_ms) &&
              jsonl::parse_bool(line, "profile", out.header.profile);
     }
+    // A malformed site line ends the valid prefix: the loader treats it,
+    // and everything after it, as a torn tail.
     FaultResult r;
-    if (!parse_result_line(line, r)) return false;
+    if (!parse_journal_line(line, r)) return false;
     out.results.insert_or_assign(r.site.id, std::move(r));
     return true;
   });
@@ -128,7 +127,6 @@ StatusOr<JournalContents> load_journal(const std::string& path) {
                                                 : "no complete header line"));
   }
   out.valid_bytes = prefix->valid_bytes;
-  out.total_bytes = prefix->total_bytes;
   return out;
 }
 
@@ -147,50 +145,31 @@ StatusOr<std::unique_ptr<CampaignJournal>> CampaignJournal::append_to(std::strin
 
 Status CampaignJournal::append(const FaultResult& r) { return log_->append(journal_line(r)); }
 
-StatusOr<ShardMergeResult> merge_journal_shards(const std::vector<std::string>& paths) {
-  if (paths.empty()) return Status::invalid_argument("no journal shards to merge");
-  ShardMergeResult out;
-  std::string fingerprint;
-  for (const std::string& path : paths) {
-    StatusOr<JournalContents> shard = load_journal(path);
-    if (!shard.ok()) {
-      return Status::error(shard.status().code(),
-                           "shard merge: " + shard.status().message());
-    }
-    std::string fp = shard->header.fingerprint();
-    if (fingerprint.empty()) {
-      fingerprint = fp;
-      out.header = shard->header;
-    } else if (fp != fingerprint) {
-      return Status::invalid_argument("shard '" + path +
-                                      "' belongs to a different campaign (header fingerprint "
-                                      "mismatch); shards cannot be mixed");
-    }
-    for (auto& [id, result] : shard->results) {
-      auto it = out.results.find(id);
-      if (it == out.results.end()) {
-        out.results.emplace(id, std::move(result));
-        continue;
-      }
-      // Duplicate: a site journaled by one worker, then reassigned after
-      // that worker died before the supervisor observed the append. The
-      // sweep is deterministic, so both classifications must agree.
-      if (journal_line(it->second) != journal_line(result)) {
-        return Status::invalid_argument("shards disagree on site " + std::to_string(id) +
-                                        " ('" + path + "' conflicts with an earlier shard)");
+StatusOr<OpenedJournal> open_journal(const CampaignPlan& plan, const std::string& path,
+                                     bool resume) {
+  OpenedJournal out;
+  bool reopen = false;
+  std::uint64_t valid_bytes = 0;
+  if (resume) {
+    StatusOr<JournalContents> loaded = load_journal(path);
+    if (loaded.ok() && loaded->header.fingerprint() == plan.header.fingerprint()) {
+      reopen = true;
+      valid_bytes = loaded->valid_bytes;
+      for (auto& [id, r] : loaded->results) {
+        if (id >= plan.sites.size()) continue;
+        r.site = plan.sites[id];  // reattach the full spec
+        out.restored.emplace(id, std::move(r));
       }
     }
-    out.shards_loaded++;
-    if (shard->torn_tail()) out.torn_shards++;
   }
-  // Every shard crashed mid-append and nothing parseable survived:
-  // an "ok, 0 sites" answer here would silently discard the campaign.
-  if (out.results.empty() && out.torn_shards == out.shards_loaded && out.torn_shards > 0) {
-    return Status::io_error(
-        "all " + std::to_string(out.shards_loaded) +
-        " shard(s) end in torn tails with no classified sites recovered; refusing to merge "
-        "an empty result from crashed workers");
+  StatusOr<std::unique_ptr<CampaignJournal>> j =
+      reopen ? CampaignJournal::append_to(path, valid_bytes)
+             : CampaignJournal::create(path, plan.header);
+  if (!j.ok()) {
+    return Status::error(j.status().code(),
+                         "cannot open campaign journal '" + path + "': " + j.status().message());
   }
+  out.journal = std::move(*j);
   return out;
 }
 

@@ -9,10 +9,11 @@
 //    `fingerprint()` is what --resume matches against, so a journal can
 //    never be replayed into a *different* campaign.
 //  * One line per classified site, appended and fsync'd the moment the
-//    site completes. Workers append in completion order; the aggregate
+//    site completes. Sites land in completion order; the aggregate
 //    report is rebuilt in site order, so an interrupted-then-resumed
 //    campaign renders byte-identically to an uninterrupted one at any
-//    thread count.
+//    thread or worker count. hlsavc and an hlsavd job write the same
+//    format: either can resume the other's journal.
 //  * A crash during creation leaves either no journal or a valid one,
 //    and a kill mid-append leaves at most one torn trailing line: the
 //    loader reports how many bytes were valid, and resume truncates to
@@ -32,23 +33,6 @@
 
 namespace hlsav::sim {
 
-/// Campaign identity, logged as the journal's first line. Two campaigns
-/// with equal fingerprints enumerate the same sites with the same
-/// backstops, so their per-site outcomes are interchangeable.
-struct JournalHeader {
-  std::string design;
-  std::uint64_t seed = 0;
-  std::uint64_t sites_total = 0;
-  std::uint64_t max_faults = 0;
-  std::uint64_t max_cycles = 0;  // resolved livelock backstop
-  std::uint64_t golden_cycles = 0;
-  double site_wall_ms = 0.0;
-  bool profile = false;
-
-  /// Canonical one-line identity (also the serialized header payload).
-  [[nodiscard]] std::string fingerprint() const;
-};
-
 /// Everything load_journal() recovers from disk. Restored FaultResults
 /// carry only the site *id* in `site` -- the caller re-attaches the
 /// full FaultSpec from its own deterministic enumeration.
@@ -58,11 +42,6 @@ struct JournalContents {
   /// Prefix of the file that parsed cleanly; anything past it is a torn
   /// trailing write and must be truncated before appending resumes.
   std::uint64_t valid_bytes = 0;
-  /// Bytes actually on disk. valid_bytes < total_bytes means the file
-  /// ends in a torn line (crash mid-append).
-  std::uint64_t total_bytes = 0;
-
-  [[nodiscard]] bool torn_tail() const { return valid_bytes < total_bytes; }
 };
 
 /// Parses a journal file. kIoError when unreadable; kInvalidArgument
@@ -87,48 +66,36 @@ class CampaignJournal {
   /// workers call this directly in completion order.
   [[nodiscard]] Status append(const FaultResult& r);
 
-  [[nodiscard]] const std::string& path() const { return log_->path(); }
-
  private:
   explicit CampaignJournal(std::unique_ptr<wal::Log> log) : log_(std::move(log)) {}
 
   std::unique_ptr<wal::Log> log_;
 };
 
-/// Serialized JSONL form of one site outcome (exposed for tests).
-[[nodiscard]] std::string journal_line(const FaultResult& r);
-
-// ----------------------------------------------------------- shard merge --
-
-/// What merge_journal_shards() recovers from a set of worker shard
-/// journals. Same contract as JournalContents: restored results carry
-/// only the site id, and the caller re-attaches FaultSpecs.
-struct ShardMergeResult {
-  JournalHeader header;
-  std::map<std::uint32_t, FaultResult> results;
-  std::size_t shards_loaded = 0;
-  /// Shards whose files ended in a torn line (crashed workers).
-  std::size_t torn_shards = 0;
+/// A journal opened against a campaign plan.
+struct OpenedJournal {
+  std::unique_ptr<CampaignJournal> journal;
+  /// Sites the file already classified, by id, each with its full
+  /// FaultSpec from the plan. Empty unless an existing journal of the
+  /// same campaign was resumed.
+  std::map<std::uint32_t, FaultResult> restored;
 };
 
-/// Merges K worker shard journals into one result map. Every shard must
-/// carry the same header fingerprint (kInvalidArgument otherwise --
-/// shards of different campaigns can never be mixed); an unreadable
-/// shard is kIoError. A site id appearing in several shards is fine iff
-/// every copy serializes to identical bytes (a worker died after the
-/// append landed but before the supervisor saw it, then the site was
-/// reassigned); disagreeing duplicates are an error, because they mean
-/// the determinism contract broke.
-///
-/// Two degenerate inputs are typed errors, never an empty-merge
-/// success: an empty `paths` list (kInvalidArgument -- the caller lost
-/// track of its shards), and a merge where *every* shard ends in a torn
-/// tail and not a single classified site survived (kIoError -- all
-/// workers crashed mid-append and reporting "0 sites, ok" would
-/// silently discard the campaign). Header-only shards without torn
-/// tails still merge to an ok empty result: a drained-before-first-site
-/// campaign is a real, resumable state.
-[[nodiscard]] StatusOr<ShardMergeResult> merge_journal_shards(
-    const std::vector<std::string>& paths);
+/// Opens `path` as the journal of `plan`. With `resume`, an existing
+/// journal whose header fingerprint matches plan.header is reopened for
+/// appending (a torn tail is truncated) and its classified sites are
+/// restored. An unreadable or foreign file is not this campaign's log:
+/// it is replaced by a fresh one rather than mixing outcomes from a
+/// different sweep. Open failures name the path.
+[[nodiscard]] StatusOr<OpenedJournal> open_journal(const CampaignPlan& plan,
+                                                   const std::string& path, bool resume);
+
+/// Serialized JSONL form of one site outcome: the journal's site line,
+/// and the payload of a worker's result line (serve/protocol.h).
+[[nodiscard]] std::string journal_line(const FaultResult& r);
+
+/// Parses a journal_line() payload into `r` (its site carries only the
+/// id). False on any missing or malformed field.
+[[nodiscard]] bool parse_journal_line(const std::string& line, FaultResult& r);
 
 }  // namespace hlsav::sim

@@ -12,6 +12,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <initializer_list>
 #include <utility>
 
 namespace hlsav {
@@ -29,15 +30,22 @@ std::string ExitInfo::describe() const {
 }
 
 StatusOr<Subprocess> Subprocess::spawn(const std::vector<std::string>& argv,
-                                       bool capture_stdout,
-                                       bool kill_on_parent_death) {
+                                       bool capture_stdout, bool kill_on_parent_death,
+                                       bool pipe_stdin) {
   if (argv.empty()) return Status::invalid_argument("cannot spawn an empty argv");
 
-  int pipe_fds[2] = {-1, -1};
-  if (capture_stdout) {
-    if (::pipe(pipe_fds) != 0) {
-      return Status::io_error(std::string("pipe failed: ") + std::strerror(errno));
+  int out_fds[2] = {-1, -1};
+  int in_fds[2] = {-1, -1};
+  auto close_all = [&] {
+    for (int fd : {out_fds[0], out_fds[1], in_fds[0], in_fds[1]}) {
+      if (fd >= 0) ::close(fd);
     }
+  };
+  if ((capture_stdout && ::pipe2(out_fds, O_CLOEXEC) != 0) ||
+      (pipe_stdin && ::pipe2(in_fds, O_CLOEXEC) != 0)) {
+    Status st = Status::io_error(std::string("pipe failed: ") + std::strerror(errno));
+    close_all();
+    return st;
   }
 
   std::vector<char*> cargv;
@@ -48,10 +56,7 @@ StatusOr<Subprocess> Subprocess::spawn(const std::vector<std::string>& argv,
   pid_t pid = ::fork();
   if (pid < 0) {
     Status st = Status::io_error(std::string("fork failed: ") + std::strerror(errno));
-    if (capture_stdout) {
-      ::close(pipe_fds[0]);
-      ::close(pipe_fds[1]);
-    }
+    close_all();
     return st;
   }
   if (pid == 0) {
@@ -66,11 +71,15 @@ StatusOr<Subprocess> Subprocess::spawn(const std::vector<std::string>& argv,
 #else
     (void)kill_on_parent_death;
 #endif
-    if (capture_stdout) {
-      ::close(pipe_fds[0]);
-      while (::dup2(pipe_fds[1], STDOUT_FILENO) < 0 && errno == EINTR) {
+    // dup2 clears close-on-exec on its copy. A pipe end that already is
+    // the target (the parent had that fd closed) must clear it itself.
+    for (auto [fd, target] : {std::pair{capture_stdout ? out_fds[1] : -1, STDOUT_FILENO},
+                              std::pair{pipe_stdin ? in_fds[0] : -1, STDIN_FILENO}}) {
+      if (fd == target) {
+        (void)::fcntl(fd, F_SETFD, 0);
+      } else if (fd >= 0) {
+        (void)::dup2(fd, target);
       }
-      ::close(pipe_fds[1]);
     }
     ::execvp(cargv[0], cargv.data());
     // exec failed: report on the (possibly piped) stderr and die with a
@@ -86,10 +95,14 @@ StatusOr<Subprocess> Subprocess::spawn(const std::vector<std::string>& argv,
   Subprocess p;
   p.pid_ = pid;
   if (capture_stdout) {
-    ::close(pipe_fds[1]);
-    int flags = ::fcntl(pipe_fds[0], F_GETFL, 0);
-    if (flags >= 0) (void)::fcntl(pipe_fds[0], F_SETFL, flags | O_NONBLOCK);
-    p.stdout_fd_ = pipe_fds[0];
+    ::close(out_fds[1]);
+    int flags = ::fcntl(out_fds[0], F_GETFL, 0);
+    if (flags >= 0) (void)::fcntl(out_fds[0], F_SETFL, flags | O_NONBLOCK);
+    p.stdout_fd_ = out_fds[0];
+  }
+  if (pipe_stdin) {
+    ::close(in_fds[0]);
+    p.stdin_fd_ = in_fds[1];
   }
   return p;
 }
@@ -97,13 +110,16 @@ StatusOr<Subprocess> Subprocess::spawn(const std::vector<std::string>& argv,
 Subprocess::Subprocess(Subprocess&& other) noexcept
     : pid_(std::exchange(other.pid_, -1)),
       stdout_fd_(std::exchange(other.stdout_fd_, -1)),
+      stdin_fd_(std::exchange(other.stdin_fd_, -1)),
       exit_(std::exchange(other.exit_, std::nullopt)) {}
 
 Subprocess& Subprocess::operator=(Subprocess&& other) noexcept {
   if (this != &other) {
     if (stdout_fd_ >= 0) ::close(stdout_fd_);
+    close_stdin();
     pid_ = std::exchange(other.pid_, -1);
     stdout_fd_ = std::exchange(other.stdout_fd_, -1);
+    stdin_fd_ = std::exchange(other.stdin_fd_, -1);
     exit_ = std::exchange(other.exit_, std::nullopt);
   }
   return *this;
@@ -111,6 +127,7 @@ Subprocess& Subprocess::operator=(Subprocess&& other) noexcept {
 
 Subprocess::~Subprocess() {
   if (stdout_fd_ >= 0) ::close(stdout_fd_);
+  close_stdin();
 }
 
 namespace {
@@ -170,6 +187,34 @@ bool Subprocess::read_stdout(std::string& buf) {
     if (errno == EINTR) continue;
     return errno == EAGAIN || errno == EWOULDBLOCK;  // drained for now
   }
+}
+
+Status Subprocess::write_stdin(const std::string& data) {
+  // Writing to a pipe whose reader has exited raises SIGPIPE, which
+  // would kill the caller: block it on this thread and consume the one
+  // a failed write leaves pending.
+  sigset_t pipe_set;
+  sigset_t old_set;
+  sigemptyset(&pipe_set);
+  sigaddset(&pipe_set, SIGPIPE);
+  (void)::pthread_sigmask(SIG_BLOCK, &pipe_set, &old_set);
+  ssize_t n = 0;
+  do {
+    n = ::write(stdin_fd_, data.data(), data.size());  // <= PIPE_BUF: all or nothing
+  } while (n < 0 && errno == EINTR);
+  int err = n < 0 ? errno : 0;
+  if (err == EPIPE) {
+    timespec zero{};
+    (void)::sigtimedwait(&pipe_set, nullptr, &zero);
+  }
+  (void)::pthread_sigmask(SIG_SETMASK, &old_set, nullptr);
+  if (err != 0) return Status::io_error(std::string("write to child stdin: ") + std::strerror(err));
+  return Status::ok_status();
+}
+
+void Subprocess::close_stdin() {
+  if (stdin_fd_ >= 0) ::close(stdin_fd_);
+  stdin_fd_ = -1;
 }
 
 }  // namespace hlsav

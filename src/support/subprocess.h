@@ -3,9 +3,10 @@
 // The campaign service supervises a pool of worker subprocesses whose
 // whole point is that they may die arbitrarily (segfault, OOM-kill,
 // kill -9, watchdog overrun). This wrapper keeps the supervisor's view
-// simple: spawn with an argv, read the child's stdout through a pipe,
-// poll for exit without blocking, and classify every death as a clean
-// exit code or a terminating signal -- never an exception.
+// simple: spawn with an argv, write the child's stdin and read its
+// stdout through pipes, poll for exit without blocking, and classify
+// every death as a clean exit code or a terminating signal -- never an
+// exception.
 #pragma once
 
 #include <sys/types.h>
@@ -30,7 +31,7 @@ struct ExitInfo {
   [[nodiscard]] std::string describe() const;
 };
 
-/// One spawned child. Movable, not copyable (owns the stdout pipe fd).
+/// One spawned child. Movable, not copyable (owns the pipe fds).
 /// The destructor never blocks and never kills: a still-running child
 /// is the caller's responsibility (the supervisor always reaps).
 class Subprocess {
@@ -38,14 +39,18 @@ class Subprocess {
   /// fork/execvp of `argv` (argv[0] is the binary, PATH-resolved). With
   /// `capture_stdout` the child's stdout is a pipe readable via
   /// stdout_fd() (O_NONBLOCK so a supervisor poll loop never sticks);
-  /// stderr always passes through to the parent's. With
+  /// stderr always passes through to the parent's. With `pipe_stdin`
+  /// the child's stdin is a pipe fed by write_stdin() and ended by
+  /// close_stdin(); otherwise it is the parent's. With
   /// `kill_on_parent_death` (Linux) the kernel delivers SIGKILL to the
   /// child when the spawning thread exits -- a daemon killed by -9
-  /// cannot leave orphan workers appending to journal shards a restarted
-  /// daemon is about to adopt.
+  /// cannot leave orphan workers running sites that a restarted daemon
+  /// is about to hand out again. The pipes are close-on-exec, so a
+  /// later child never holds another child's stdin open.
   [[nodiscard]] static StatusOr<Subprocess> spawn(const std::vector<std::string>& argv,
                                                   bool capture_stdout,
-                                                  bool kill_on_parent_death = false);
+                                                  bool kill_on_parent_death = false,
+                                                  bool pipe_stdin = false);
 
   Subprocess(Subprocess&& other) noexcept;
   Subprocess& operator=(Subprocess&& other) noexcept;
@@ -72,11 +77,20 @@ class Subprocess {
   /// and been closed.
   bool read_stdout(std::string& buf);
 
+  /// Writes `data` (at most PIPE_BUF bytes, so one atomic write) to the
+  /// child's stdin pipe. A child that has exited makes this a kIoError,
+  /// never a SIGPIPE.
+  [[nodiscard]] Status write_stdin(const std::string& data);
+
+  /// Closes the stdin pipe: the child reads EOF. Idempotent.
+  void close_stdin();
+
  private:
   Subprocess() = default;
 
   pid_t pid_ = -1;
   int stdout_fd_ = -1;
+  int stdin_fd_ = -1;
   std::optional<ExitInfo> exit_;
 };
 

@@ -98,7 +98,9 @@ TEST(Protocol, RejectedReplyCarriesCodeAndMessage) {
 
 TEST(Protocol, WorkerHeartbeatLinesParse) {
   std::string starting = encode_worker_starting(17);
-  std::string site = encode_worker_site(17, "detected");
+  // A result line is the site's journal record, tagged with its type.
+  std::string site =
+      encode_worker_site("{\"site\":17,\"outcome\":\"detected\",\"detected_by\":[2],\"cycles\":40}");
   std::string type, outcome;
   std::uint64_t s = 0;
   ASSERT_TRUE(jsonl::parse_string(starting, "type", type));
@@ -107,8 +109,12 @@ TEST(Protocol, WorkerHeartbeatLinesParse) {
   EXPECT_EQ(s, 17u);
   ASSERT_TRUE(jsonl::parse_string(site, "type", type));
   EXPECT_EQ(type, "site");
+  ASSERT_TRUE(jsonl::parse_u64(site, "site", s));
+  EXPECT_EQ(s, 17u);
   ASSERT_TRUE(jsonl::parse_string(site, "outcome", outcome));
   EXPECT_EQ(outcome, "detected");
+  ASSERT_TRUE(jsonl::parse_u64(site, "cycles", s));
+  EXPECT_EQ(s, 40u);
 }
 
 }  // namespace

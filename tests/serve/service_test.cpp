@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -159,6 +160,70 @@ TEST(Service, QuarantineClassifiesARepeatKillerAsWorkerCrashed) {
   EXPECT_EQ(rc, 0);
   std::string report = slurp(out);
   EXPECT_NE(report.find("worker-crashed"), std::string::npos) << report;
+}
+
+/// One Chrome-trace event line of the daemon's export, or nullopt.
+struct TraceEvent {
+  char ph = 0;
+  int tid = 0;
+  std::string name;
+  long long ts = 0;
+  long long dur = 0;
+};
+
+std::optional<TraceEvent> parse_trace_line(const std::string& line) {
+  auto field = [&](const std::string& key) -> std::string {
+    std::size_t p = line.find("\"" + key + "\": ");
+    if (p == std::string::npos) return {};
+    p += key.size() + 4;
+    if (line[p] == '"') return line.substr(p + 1, line.find('"', p + 1) - p - 1);
+    return line.substr(p, line.find_first_of(",}", p) - p);
+  };
+  TraceEvent e;
+  std::string ph = field("ph");
+  if (ph.size() != 1) return std::nullopt;
+  e.ph = ph[0];
+  e.name = field("name");
+  std::string tid = field("tid"), ts = field("ts"), dur = field("dur");
+  if (tid.empty() || ts.empty()) return std::nullopt;
+  e.tid = std::stoi(tid);
+  e.ts = std::stoll(ts);
+  if (!dur.empty()) e.dur = std::stoll(dur);
+  return e;
+}
+
+TEST(Service, StalledWorkerDoesNotHoldBackOtherSites) {
+  std::string design = write_temp("svc_clamp_stall.c", kClampSrc);
+  std::string ref = run_hlsavc("faultsim " + design +
+                               " --campaign --seed=7 --feed clamp.in=1,2,3,300,5,6");
+  ASSERT_NE(ref.find("Fault-injection campaign"), std::string::npos) << ref;
+
+  // Site 0 stalls its worker until the 3 s heartbeat watchdog kills it.
+  // The other worker must take every other site meanwhile.
+  Daemon d({"--heartbeat-timeout-ms=3000", "--backoff-base-ms=1", "--backoff-cap-ms=10"});
+  CampaignSpec spec = clamp_spec(design);
+  spec.workers = 2;
+  spec.stall_at = {0};
+  std::string out = temp_path("svc_stall_report.txt");
+  ASSERT_EQ(submit_job(d.socket, spec, out, /*quiet=*/true), 0);
+  EXPECT_EQ(slurp(out), ref);
+
+  StatusOr<std::string> trace = fetch_trace(d.socket, 1);
+  ASSERT_TRUE(trace.ok()) << trace.status().to_string();
+  std::vector<TraceEvent> sites;
+  long long watchdog_ts = -1;
+  std::istringstream in(*trace);
+  for (std::string line; std::getline(in, line);) {
+    std::optional<TraceEvent> e = parse_trace_line(line);
+    if (!e.has_value() || e->tid < 10) continue;
+    if (e->ph == 'i' && e->name == "respawn site s0") watchdog_ts = e->ts;
+    if (e->ph == 'X' && e->name != "s0") sites.push_back(*e);
+  }
+  ASSERT_GE(watchdog_ts, 0) << *trace;
+  ASSERT_GE(sites.size(), 4u) << *trace;
+  for (const TraceEvent& e : sites) {
+    EXPECT_LT(e.ts + e.dur, watchdog_ts) << e.name << " waited behind the stalled worker";
+  }
 }
 
 TEST(Service, OverloadIsATypedRejectionNeverAHang) {

@@ -300,12 +300,13 @@ TEST(Campaign, TraceRerunsProduceArtifactsForNonBenignSites) {
   std::size_t nonbenign = report.results.size() - report.count(FaultOutcome::kBenign);
   ASSERT_GT(nonbenign, 0u);
 
+  StatusOr<CampaignPlan> plan = plan_campaign(h.design, h.schedule, h.externs, h.feeds, {});
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
   TraceRerunOptions topt;
   topt.dir = ::testing::TempDir() + "campaign_traces";
   topt.stem = "clamp";
   topt.write_binary = true;
-  std::vector<TraceArtifact> arts =
-      trace_nonbenign_sites(h.design, h.schedule, h.externs, h.feeds, report, {}, topt);
+  std::vector<TraceArtifact> arts = trace_nonbenign_sites(*plan, report, {}, topt);
   ASSERT_EQ(arts.size(), nonbenign);
   for (const TraceArtifact& a : arts) {
     EXPECT_NE(a.outcome, FaultOutcome::kBenign);
@@ -322,8 +323,7 @@ TEST(Campaign, TraceRerunsProduceArtifactsForNonBenignSites) {
   }
   // max_sites caps the rerun list in site order.
   topt.max_sites = 1;
-  std::vector<TraceArtifact> one =
-      trace_nonbenign_sites(h.design, h.schedule, h.externs, h.feeds, report, {}, topt);
+  std::vector<TraceArtifact> one = trace_nonbenign_sites(*plan, report, {}, topt);
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0].site.id, arts[0].site.id);
 }

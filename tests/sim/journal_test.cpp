@@ -4,9 +4,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -302,6 +304,85 @@ TEST(Journal, ProfiledCampaignResumesWithProfiles) {
     EXPECT_TRUE(f.profile.has_value()) << "site " << f.site.id;
   }
   expect_same_report(full, resumed, h.design);
+}
+
+TEST(Journal, AnyCompletionOrderResumesByteIdentically) {
+  // Parallel sweeps and hlsavd's workers append sites in completion
+  // order. Any order, any classified subset (none included), with or
+  // without a torn tail, must resume to the uninterrupted report.
+  H h = make_clamp();
+  std::string ref_path = temp_path("journal_order_ref.jsonl");
+  CampaignOptions opt;
+  opt.seed = 7;
+  opt.journal = ref_path;
+  CampaignReport ref = run_campaign(h.design, h.schedule, h.externs, h.feeds, opt);
+  std::istringstream in(slurp(ref_path));
+  std::string header;
+  std::getline(in, header);
+  std::vector<std::string> sites;
+  for (std::string line; std::getline(in, line);) sites.push_back(line);
+  ASSERT_EQ(sites.size(), ref.results.size());
+
+  for (std::uint32_t trial = 0; trial < 8; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::mt19937 rng(trial);
+    std::vector<std::string> order = sites;
+    std::shuffle(order.begin(), order.end(), rng);
+    order.resize(trial == 0 ? 0 : rng() % (order.size() + 1));
+    std::string path = temp_path("journal_order_" + std::to_string(trial) + ".jsonl");
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << header << "\n";
+      for (const std::string& l : order) out << l << "\n";
+      if (rng() % 2 == 0) out << "{\"site\":99,\"outco";
+    }
+    CampaignOptions res = opt;
+    res.journal = path;
+    res.resume = true;
+    std::size_t fresh = 0;
+    res.site_sink = [&](const FaultResult&) { ++fresh; };
+    CampaignReport resumed = run_campaign(h.design, h.schedule, h.externs, h.feeds, res);
+    expect_same_report(ref, resumed, h.design);
+    EXPECT_EQ(fresh, sites.size() - order.size());  // journaled sites never re-run
+  }
+}
+
+TEST(Journal, OpenAgainstAPlanCreatesThenResumes) {
+  H h = make_clamp();
+  StatusOr<CampaignPlan> plan = plan_campaign(h.design, h.schedule, h.externs, h.feeds, {});
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  std::string path = temp_path("journal_open.jsonl");
+  std::filesystem::remove(path);
+
+  // Fresh: a header-only journal, which is already a resumable state.
+  {
+    StatusOr<OpenedJournal> fresh = open_journal(*plan, path, /*resume=*/true);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().to_string();
+    EXPECT_TRUE(fresh->restored.empty());
+  }
+  StatusOr<JournalContents> header_only = load_journal(path);
+  ASSERT_TRUE(header_only.ok()) << header_only.status().to_string();
+  EXPECT_EQ(header_only->header.fingerprint(), plan->header.fingerprint());
+  EXPECT_TRUE(header_only->results.empty());
+
+  // Reopened: appended sites come back with their full FaultSpec.
+  FaultResult r = run_site(*plan, plan->sites[1], {});
+  {
+    StatusOr<OpenedJournal> again = open_journal(*plan, path, /*resume=*/true);
+    ASSERT_TRUE(again.ok()) << again.status().to_string();
+    ASSERT_TRUE(again->journal->append(r).ok());
+  }
+  StatusOr<OpenedJournal> resumed = open_journal(*plan, path, /*resume=*/true);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().to_string();
+  ASSERT_EQ(resumed->restored.size(), 1u);
+  const FaultResult& back = resumed->restored.at(1);
+  EXPECT_EQ(journal_line(back), journal_line(r));
+  EXPECT_EQ(back.site.describe(h.design), plan->sites[1].describe(h.design));
+
+  // Without resume the same path starts over.
+  StatusOr<OpenedJournal> restarted = open_journal(*plan, path, /*resume=*/false);
+  ASSERT_TRUE(restarted.ok());
+  EXPECT_TRUE(restarted->restored.empty());
 }
 
 }  // namespace

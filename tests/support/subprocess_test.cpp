@@ -58,6 +58,31 @@ TEST(Subprocess, CapturedStdoutIsReadable) {
   EXPECT_TRUE(p->wait().clean());
 }
 
+TEST(Subprocess, StdinPipeFeedsTheChildUntilClosed) {
+  StatusOr<Subprocess> p = Subprocess::spawn({"cat"}, /*capture_stdout=*/true,
+                                             /*kill_on_parent_death=*/false, /*pipe_stdin=*/true);
+  ASSERT_TRUE(p.ok()) << p.status().to_string();
+  ASSERT_TRUE(p->write_stdin("7\n").ok());
+  ASSERT_TRUE(p->write_stdin("8\n").ok());
+  p->close_stdin();  // EOF: cat exits
+  std::string buf;
+  while (p->read_stdout(buf)) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(buf, "7\n8\n");
+  EXPECT_TRUE(p->wait().clean());
+}
+
+TEST(Subprocess, WritingToAnExitedChildIsAnErrorNotSigpipe) {
+  StatusOr<Subprocess> p = Subprocess::spawn({"true"}, /*capture_stdout=*/false,
+                                             /*kill_on_parent_death=*/false, /*pipe_stdin=*/true);
+  ASSERT_TRUE(p.ok()) << p.status().to_string();
+  ASSERT_TRUE(p->wait().clean());
+  // The reader is gone: EPIPE comes back as a Status and this process
+  // survives the SIGPIPE the write raised.
+  Status st = p->write_stdin("1\n");
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
+}
+
 TEST(Subprocess, PollReportsRunningThenExit) {
   StatusOr<Subprocess> p = Subprocess::spawn({"sh", "-c", "sleep 0.1"}, false);
   ASSERT_TRUE(p.ok());

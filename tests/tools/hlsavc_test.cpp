@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 
 #include "codegen/jit.h"
@@ -209,6 +210,43 @@ TEST(Hlsavc, FaultsimTraceSiteEmitsArtifactsForNonBenignSite) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("source-level replay:"), std::string::npos);
   EXPECT_NE(r.output.find(".vcd"), std::string::npos);
+}
+
+TEST(Hlsavc, OneSiteReproStopsAtTheCampaignBackstop) {
+  // The inner loop's stuck-taken branch never exits: only the cycle
+  // backstop ends that site.
+  std::string f = write_temp("backstop.c", R"(
+void f(stream_in<32> in, stream_out<32> out) {
+  for (uint32 i = 0; i < 4; i++) {
+    uint32 v = stream_read(in);
+    uint32 acc = 0;
+    for (uint32 j = 0; j < 50; j++) {
+      acc = acc + v;
+    }
+    assert(acc >= v);
+    stream_write(out, acc);
+  }
+}
+)");
+  const std::string feed = " --feed f.in=11,22,33,44";
+  CmdResult campaign = run_cmd("faultsim " + f + " --campaign" + feed);
+  ASSERT_EQ(campaign.exit_code, 0) << campaign.output;
+  // The first hang-timeout row: "| sN | fault | hang-timeout | | C |".
+  std::istringstream rows(campaign.output);
+  std::string row, site, cycles;
+  while (std::getline(rows, row) && site.empty()) {
+    if (row.find("| hang-timeout ") == std::string::npos) continue;
+    site = row.substr(3, row.find(' ', 3) - 3);
+    std::size_t end = row.find_last_not_of(" |");
+    cycles = row.substr(row.find_last_of(' ', end) + 1, end - row.find_last_of(' ', end));
+  }
+  ASSERT_FALSE(site.empty()) << campaign.output;
+
+  CmdResult repro = run_cmd("faultsim " + f + " --site=" + site + feed);
+  EXPECT_EQ(repro.exit_code, 4) << repro.output;  // a hang
+  EXPECT_NE(repro.output.find("cycle limit exceeded (cycle " + cycles + ")"), std::string::npos)
+      << "campaign row s" << site << " stopped at cycle " << cycles << "\n"
+      << repro.output;
 }
 
 TEST(Hlsavc, CampaignTraceNonbenignListsTracedSites) {

@@ -1,6 +1,7 @@
 // hlsavd binary surface: usage contract, the standalone worker
-// entrypoint (heartbeats + shard journal), and the test-only crash
-// flags that make crash containment deterministically exercisable.
+// entrypoint (site ids on stdin, heartbeat and result lines on stdout),
+// and the test-only crash flags that make crash containment
+// deterministically exercisable.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -75,9 +76,9 @@ void clamp(stream_in<32> in, stream_out<32> out) {
 
 constexpr const char* kFeed = "clamp.in=1,2,3,300,5,6";
 
-/// Builds the full-campaign reference journal with hlsavc, so worker
-/// invocations can be handed the resolved backstops the supervisor
-/// would pass them.
+/// Builds the full-campaign reference journal with hlsavc: its header
+/// carries the resolved backstop and golden cycle count a supervisor
+/// hands its workers, and its site lines are what a worker must print.
 hlsav::sim::JournalContents reference_journal(const std::string& design,
                                               const std::string& journal) {
   CmdResult r = run_raw(std::string(HLSAVC_PATH) + " faultsim " + design +
@@ -88,12 +89,18 @@ hlsav::sim::JournalContents reference_journal(const std::string& design,
   return loaded.ok() ? *std::move(loaded) : hlsav::sim::JournalContents{};
 }
 
-std::string worker_args(const std::string& design, const std::string& journal,
-                        const std::string& sites, const hlsav::sim::JournalHeader& h) {
-  return "worker --design=" + design + " --journal=" + journal + " --sites=" + sites +
-         " --seed=" + std::to_string(h.seed) +
-         " --max-cycles=" + std::to_string(h.max_cycles) +
-         " --golden-cycles=" + std::to_string(h.golden_cycles) + " --feed " + kFeed;
+/// A worker fed `site_ids` (one per line) on stdin, then EOF.
+CmdResult run_worker(const std::string& site_ids, const std::string& design,
+                     const hlsav::sim::JournalHeader& h, const std::string& extra = "") {
+  return run_raw("printf '" + site_ids + "' | " + HLSAVD_PATH + " worker --design=" + design +
+                 " --max-cycles=" + std::to_string(h.max_cycles) +
+                 " --golden-cycles=" + std::to_string(h.golden_cycles) + " --feed " + kFeed +
+                 extra);
+}
+
+/// The result line a worker prints for `r`.
+std::string result_line(const hlsav::sim::FaultResult& r) {
+  return "{\"type\":\"site\"," + hlsav::sim::journal_line(r).substr(1);
 }
 
 TEST(Hlsavd, NoArgumentsPrintsUsageAndExits2) {
@@ -115,25 +122,20 @@ TEST(Hlsavd, WorkerSweepsItsShardAndHeartbeats) {
       reference_journal(design, temp_path("wrk_ref.jsonl"));
   ASSERT_GE(ref.results.size(), 3u);
 
-  std::string shard = temp_path("wrk_shard.jsonl");
-  CmdResult r = run_hlsavd(worker_args(design, shard, "0,1,2", ref.header));
+  CmdResult r = run_worker("2\\n0\\n1\\n", design, ref.header);
   EXPECT_EQ(r.exit_code, 0) << r.output;
-  // Heartbeat contract: "starting" before each site (the supervisor's
-  // blame target), "site" once it is durably journaled.
-  EXPECT_NE(r.output.find("{\"type\":\"starting\",\"site\":0}"), std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("\"type\":\"site\""), std::string::npos) << r.output;
-
-  auto loaded = hlsav::sim::load_journal(shard);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
-  // The shard journal carries the FULL campaign's fingerprint -- that is
-  // what makes shards mergeable and resumable interchangeably.
-  EXPECT_EQ(loaded->header.fingerprint(), ref.header.fingerprint());
-  ASSERT_EQ(loaded->results.size(), 3u);
-  for (std::uint32_t id : {0u, 1u, 2u}) {
-    ASSERT_EQ(loaded->results.count(id), 1u);
-    EXPECT_EQ(hlsav::sim::journal_line(loaded->results.at(id)),
-              hlsav::sim::journal_line(ref.results.at(id)));
+  // Heartbeat contract: for each id, in the order handed out, "starting"
+  // (the supervisor's blame target) and then the site's full journal
+  // record -- byte-identical to the single-process campaign's.
+  std::size_t pos = 0;
+  for (std::uint32_t id : {2u, 0u, 1u}) {
+    std::string starting = "{\"type\":\"starting\",\"site\":" + std::to_string(id) + "}\n";
+    std::string result = result_line(ref.results.at(id)) + "\n";
+    std::size_t s = r.output.find(starting, pos);
+    ASSERT_NE(s, std::string::npos) << "site " << id << ":\n" << r.output;
+    std::size_t d = r.output.find(result, s);
+    ASSERT_NE(d, std::string::npos) << "site " << id << ":\n" << r.output;
+    pos = d + result.size();
   }
 }
 
@@ -144,18 +146,16 @@ TEST(Hlsavd, WorkerCrashFlagDiesBySigkillAfterDurableToken) {
 
   std::string token_dir = temp_path("wrk_tokens");
   ASSERT_EQ(::mkdir(token_dir.c_str(), 0755), 0);
-  std::string shard = temp_path("wrk_crash_shard.jsonl");
-  CmdResult r = run_hlsavd(worker_args(design, shard, "0,1,2", ref.header) +
-                           " --crash-at-site=1 --fault-token-dir=" + token_dir);
+  std::string crash = " --crash-at-site=1 --fault-token-dir=" + token_dir;
+  CmdResult r = run_worker("0\\n1\\n2\\n", design, ref.header, crash);
   EXPECT_EQ(r.exit_code, 128 + SIGKILL) << r.output;
-  // Site 0 was journaled before the kill; site 1 announced "starting"
-  // but never landed -- exactly the state the supervisor recovers from.
+  // Site 0 was reported before the kill; site 1 announced "starting"
+  // but its result never went out -- exactly the state the supervisor
+  // recovers from.
+  EXPECT_NE(r.output.find(result_line(ref.results.at(0))), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("{\"type\":\"starting\",\"site\":1}"), std::string::npos)
       << r.output;
-  auto loaded = hlsav::sim::load_journal(shard);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
-  EXPECT_EQ(loaded->results.count(0), 1u);
-  EXPECT_EQ(loaded->results.count(1), 0u);
+  EXPECT_EQ(r.output.find("\"type\":\"site\",\"site\":1,"), std::string::npos) << r.output;
 
   // The trigger token survived the SIGKILL (written + fsync'd first):
   // the respawned worker runs the site instead of crashing forever.
@@ -165,9 +165,10 @@ TEST(Hlsavd, WorkerCrashFlagDiesBySigkillAfterDurableToken) {
   token >> count;
   EXPECT_EQ(count, 1);
 
-  CmdResult again = run_hlsavd(worker_args(design, shard, "0,1,2", ref.header) +
-                               " --crash-at-site=1 --fault-token-dir=" + token_dir);
+  CmdResult again = run_worker("1\\n", design, ref.header, crash);
   EXPECT_EQ(again.exit_code, 0) << again.output;
+  EXPECT_NE(again.output.find(result_line(ref.results.at(1))), std::string::npos)
+      << again.output;
 }
 
 TEST(Hlsavd, WorkerRefusesAGoldenCyclesMismatch) {
@@ -176,10 +177,11 @@ TEST(Hlsavd, WorkerRefusesAGoldenCyclesMismatch) {
       reference_journal(design, temp_path("wrk_mismatch_ref.jsonl"));
   hlsav::sim::JournalHeader wrong = ref.header;
   wrong.golden_cycles += 1;
-  std::string shard = temp_path("wrk_mismatch_shard.jsonl");
-  CmdResult r = run_hlsavd(worker_args(design, shard, "0", wrong));
+  CmdResult r = run_worker("0\\n", design, wrong);
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.output.find("nondeterministic"), std::string::npos) << r.output;
+  // It refuses before running anything.
+  EXPECT_EQ(r.output.find("\"type\":\"starting\""), std::string::npos) << r.output;
 }
 
 TEST(Hlsavd, SubmitWithoutSocketIsUsage) {

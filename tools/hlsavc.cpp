@@ -280,12 +280,10 @@ bool parse_args(int argc, char** argv, Args& args) {
   args.file = argv[2];
   for (int i = 3; i < argc; ++i) {
     std::string a = argv[i];
-    if (a == "--assertions=ndebug") {
-      args.assert_opts = assertions::Options::ndebug();
-    } else if (a == "--assertions=unoptimized") {
-      args.assert_opts = assertions::Options::unoptimized();
-    } else if (a == "--assertions=optimized") {
-      args.assert_opts = assertions::Options::optimized();
+    std::optional<assertions::Options> mode;
+    if (a.rfind("--assertions=", 0) == 0) mode = assertions::Options::by_name(a.substr(13));
+    if (mode.has_value()) {
+      args.assert_opts = *mode;
     } else if (a == "--no-parallelize") {
       args.assert_opts.parallelize = false;
     } else if (a == "--no-replicate") {
@@ -499,13 +497,9 @@ int run(const Args& args) {
               << " ns)\n";
     return 0;
   }
-  if (args.command == "simulate") {
-    sim::ExternRegistry externs;
-    sim::SimOptions so;
-    so.mode = args.software_mode ? sim::SimMode::kSoftware : sim::SimMode::kHardware;
-    so.trace = args.trace;
-    arm_deadline(so);
-    arm_engine(so);
+  // One run with its status, CPU-visible outputs and exit code: a
+  // `simulate`, or a `faultsim --site=N` repro with its fault armed.
+  auto simulate_and_report = [&](const sim::ExternRegistry& externs, const sim::SimOptions& so) {
     sim::Simulator simulator(design, schedule, externs, so);
     report_engine(simulator);
     simulator.set_failure_sink([](const assertions::Failure& f) {
@@ -531,6 +525,15 @@ int run(const Args& args) {
     }
     if (args.trace) std::cerr << simulator.render_trace(&sm);
     return run_exit_code(r);
+  };
+  if (args.command == "simulate") {
+    sim::ExternRegistry externs;
+    sim::SimOptions so;
+    so.mode = args.software_mode ? sim::SimMode::kSoftware : sim::SimMode::kHardware;
+    so.trace = args.trace;
+    arm_deadline(so);
+    arm_engine(so);
+    return simulate_and_report(externs, so);
   }
   if (args.command == "profile") {
     sim::ExternRegistry externs;
@@ -689,8 +692,13 @@ int run(const Args& args) {
       }
       std::cout << rep.render(design);
       if (args.trace_nonbenign) {
-        std::vector<sim::TraceArtifact> arts =
-            sim::trace_nonbenign_sites(design, schedule, externs, args.feeds, rep, copt, topt);
+        StatusOr<sim::CampaignPlan> plan =
+            sim::plan_campaign(design, schedule, externs, args.feeds, copt);
+        if (!plan.ok()) {
+          std::cerr << "hlsavc: " << plan.status().to_string() << "\n";
+          return 1;
+        }
+        std::vector<sim::TraceArtifact> arts = sim::trace_nonbenign_sites(*plan, rep, copt, topt);
         std::cout << "traced " << arts.size() << " non-benign site(s) into " << args.trace_dir
                   << "/\n";
         for (const sim::TraceArtifact& art : arts) {
@@ -700,82 +708,54 @@ int run(const Args& args) {
       return 0;
     }
 
-    if (args.trace_site != sim::FaultSpec::kNoSite) {
-      if (args.trace_site >= sites.size()) {
-        std::cerr << "hlsavc: site " << args.trace_site << " out of range (design has "
-                  << sites.size() << " fault sites)\n";
-        return 1;
-      }
-      // Classify the one site against the golden run, then re-run it
-      // with the ELA armed -- the same path --campaign --trace-nonbenign
-      // takes, for a single site.
-      sim::CampaignOptions copt = args.campaign_opts;
-      arm_engine(copt.sim);
-      sim::GoldenRef golden =
-          sim::golden_run(design, schedule, externs, args.feeds, copt.sim);
-      std::uint64_t max_cycles = copt.max_cycles != 0
-                                     ? copt.max_cycles
-                                     : std::max<std::uint64_t>(10'000, 16 * golden.cycles);
-      sim::CampaignReport rep;
-      rep.results.push_back(sim::run_fault(design, schedule, externs, args.feeds, golden,
-                                           sites[args.trace_site], copt.sim, max_cycles));
-      std::cout << "injecting s" << sites[args.trace_site].id << ": "
-                << sites[args.trace_site].describe(design) << "\n";
-      std::vector<sim::TraceArtifact> arts =
-          sim::trace_nonbenign_sites(design, schedule, externs, args.feeds, rep, copt, topt);
-      if (arts.empty()) {
-        std::cout << "site s" << sites[args.trace_site].id
-                  << " is benign (outputs match golden); no trace emitted\n";
-        return 0;
-      }
-      for (const sim::TraceArtifact& art : arts) {
-        std::cout << "vcd: " << art.vcd_path << "\n";
-        if (!art.bin_path.empty()) std::cout << "binary trace: " << art.bin_path << "\n";
-        std::cout << art.replay;
-      }
-      return 0;
-    }
-
-    if (args.site != sim::FaultSpec::kNoSite) {
-      if (args.site >= sites.size()) {
-        std::cerr << "hlsavc: site " << args.site << " out of range (design has " << sites.size()
+    // A one-site repro runs against its campaign's plan, so it stops at
+    // the same backstop the campaign row reports.
+    std::size_t one_site = args.trace_site != sim::FaultSpec::kNoSite ? args.trace_site : args.site;
+    if (one_site != sim::FaultSpec::kNoSite) {
+      if (one_site >= sites.size()) {
+        std::cerr << "hlsavc: site " << one_site << " out of range (design has " << sites.size()
                   << " fault sites)\n";
         return 1;
       }
-      const sim::FaultSpec& fault = sites[args.site];
+      sim::CampaignOptions copt = args.campaign_opts;
+      arm_engine(copt.sim);
+      StatusOr<sim::CampaignPlan> plan =
+          sim::plan_campaign(design, schedule, externs, args.feeds, copt);
+      if (!plan.ok()) {
+        std::cerr << "hlsavc: " << plan.status().to_string() << "\n";
+        return 1;
+      }
+      const sim::FaultSpec& fault = plan->sites[one_site];
       std::cout << "injecting s" << fault.id << ": " << fault.describe(design) << "\n";
-      sim::SimOptions so;
+
+      if (args.trace_site != sim::FaultSpec::kNoSite) {
+        // Classify the one site against the golden run, then re-run it
+        // with the ELA armed -- the same path --campaign
+        // --trace-nonbenign takes, for a single site.
+        sim::CampaignReport rep;
+        rep.results.push_back(sim::run_site(*plan, fault, copt));
+        std::vector<sim::TraceArtifact> arts =
+            sim::trace_nonbenign_sites(*plan, rep, copt, topt);
+        if (arts.empty()) {
+          std::cout << "site s" << fault.id
+                    << " is benign (outputs match golden); no trace emitted\n";
+          return 0;
+        }
+        for (const sim::TraceArtifact& art : arts) {
+          std::cout << "vcd: " << art.vcd_path << "\n";
+          if (!art.bin_path.empty()) std::cout << "binary trace: " << art.bin_path << "\n";
+          std::cout << art.replay;
+        }
+        return 0;
+      }
+
+      sim::SimOptions so = copt.sim;
       so.mode = sim::SimMode::kHardware;  // faults model circuit behaviour
       so.trace = args.trace;
-      if (args.campaign_opts.max_cycles != 0) so.max_cycles = args.campaign_opts.max_cycles;
+      so.max_cycles = plan->header.max_cycles;
       so.faults.add(fault);
       arm_deadline(so);
-      arm_engine(so);
-      sim::Simulator simulator(design, schedule, externs, so);
-      report_engine(simulator);
-      simulator.set_failure_sink([](const assertions::Failure& f) {
-        std::cerr << f.message << "  [cycle " << f.cycle << "]\n";
-      });
-      for (const auto& [stream, values] : args.feeds) {
-        Status st = simulator.try_feed(stream, values);
-        if (!st.ok()) {
-          std::cerr << "hlsavc: " << st.to_string() << "\n";
-          return 1;
-        }
-      }
-      sim::RunResult r = simulator.run();
-      print_run_status(r);
-      for (const ir::Stream& s : design.streams) {
-        if (s.dead || s.consumer.kind != ir::StreamEndpoint::Kind::kCpu) continue;
-        if (s.role != ir::StreamRole::kData) continue;
-        std::vector<std::uint64_t> out = simulator.received(s.name);
-        if (out.empty()) continue;
-        std::cout << s.name << ":";
-        for (std::uint64_t v : out) std::cout << ' ' << v;
-        std::cout << '\n';
-      }
-      if (args.trace) std::cerr << simulator.render_trace(&sm);
-      return run_exit_code(r);
+      return simulate_and_report(externs, so);
     }
 
     TextTable t("fault sites: " + design.name + " (" + std::to_string(sites.size()) + ")");

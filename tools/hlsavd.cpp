@@ -12,9 +12,10 @@
 //   hlsavd trace-out --socket=PATH --job=N    Chrome trace JSON of the
 //                                             job's span tree (0 = all jobs)
 //   hlsavd shutdown --socket=PATH             graceful daemon shutdown
-//   hlsavd worker   ...                       internal: one journal shard
-//                                             of one campaign (spawned by
-//                                             the supervisor, not by hand)
+//   hlsavd worker   ...                       internal: runs the sites of
+//                                             one campaign that the
+//                                             supervisor hands it (not
+//                                             for use by hand)
 //
 // serve options:
 //   --queue-cap=N            bounded job queue; a full queue rejects with
@@ -25,7 +26,7 @@
 //                            classified worker-crashed (default 3)
 //   --heartbeat-timeout-ms=N SIGKILL a silent worker after N ms; 0 off
 //                            (default 10000)
-//   --work-dir=DIR           shard journals land in DIR/job_<id>/
+//   --work-dir=DIR           each job's journal is DIR/job_<id>/journal.jsonl
 //   --events-out=FILE        append-only JSONL event log (monotonic seq,
 //                            ts_ms since daemon start)
 //   --spool-dir=DIR          write-ahead job spool (default
@@ -66,13 +67,17 @@
 //                            deadline-expired (exit 8), never runs it
 //
 // Exit codes: 0 ok, 1 error, 2 bad usage,
-//             6 job drained (daemon shut down mid-job; shard journals
-//               are flushed and resumable),
+//             6 job drained (daemon shut down mid-job; its journal is
+//               flushed and resumable),
 //             7 rejected (back-pressure or validation) -- typed, resubmit
 //               later,
 //             8 deadline-expired (--deadline-ms passed while queued).
-// Worker exit codes (internal contract with the supervisor): 0 shard
-// complete, 1 error, 21 drained on SIGTERM after flushing the journal.
+// Worker contract (internal; serve/shard.h is the other side): `hlsavd
+// worker --design=F --max-cycles=N --golden-cycles=N ...` compiles F,
+// refuses (exit 1) if its golden run disagrees with --golden-cycles,
+// then runs one site per stdin line and prints the protocol.h lines for
+// it. It writes no files. Exit 0 at stdin EOF, 1 error, 2 bad usage, 21
+// drained on SIGTERM after reporting its in-flight site.
 #include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
@@ -87,8 +92,11 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -97,6 +105,7 @@
 #include "serve/protocol.h"
 #include "serve/service.h"
 #include "sim/campaign.h"
+#include "sim/journal.h"
 #include "support/str.h"
 
 #ifndef HLSAV_GIT_SHA
@@ -109,8 +118,6 @@
 namespace {
 
 using namespace hlsav;
-
-constexpr int kWorkerDrainedExit = 21;
 
 std::atomic<bool> g_cancel{false};
 
@@ -170,7 +177,7 @@ int usage() {
 }
 
 /// The running binary's own path: workers must be the exact same build
-/// as the supervisor or simulation determinism (and therefore shard
+/// as the supervisor or simulation determinism (and therefore report
 /// byte-identity) is void.
 std::string self_binary(const char* argv0) {
   char buf[4096];
@@ -208,10 +215,6 @@ void write_token_count(const std::string& path, std::uint32_t count) {
 
 struct WorkerArgs {
   std::string design;
-  std::string journal;
-  std::vector<std::uint32_t> sites;
-  std::uint64_t seed = 1;
-  std::uint64_t max_faults = 0;
   std::uint64_t max_cycles = 0;
   std::uint64_t golden_cycles = 0;
   double site_wall_ms = 0.0;
@@ -223,25 +226,58 @@ struct WorkerArgs {
   std::set<std::uint32_t> stall_at;
 };
 
+/// The test-only fault schedule (--crash-at-site, --stall-at-site),
+/// applied just before `site` runs.
+void inject_test_faults(const WorkerArgs& args, std::uint32_t site) {
+  if (args.fault_token_dir.empty()) return;
+  if (args.crash_at.count(site) != 0) {
+    std::string token = args.fault_token_dir + "/crash_" + std::to_string(site) + ".token";
+    std::uint32_t count = read_token_count(token);
+    if (count < args.crash_limit) {
+      write_token_count(token, count + 1);
+      // True kill -9 semantics: no atexit, no stack unwind, and the
+      // site's result never reaches the supervisor.
+      (void)::raise(SIGKILL);
+    }
+  }
+  if (args.stall_at.count(site) != 0) {
+    std::string token = args.fault_token_dir + "/stall_" + std::to_string(site) + ".token";
+    if (read_token_count(token) < 1) {
+      write_token_count(token, 1);
+      // Stall forever: heartbeat watchdog fodder. The supervisor's
+      // SIGKILL is the only way out.
+      for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
+    }
+  }
+}
+
+/// One stdout line, flushed at once: a SIGKILL must not eat it.
+void say(const std::string& line) {
+  std::fputs((line + "\n").c_str(), stdout);
+  std::fflush(stdout);
+}
+
 int run_worker(const WorkerArgs& args) {
-  if (args.design.empty() || args.journal.empty() || args.sites.empty()) return usage();
+  if (args.design.empty()) return usage();
 
-  // SIGTERM = drain: finish (and journal) the in-flight site, then exit
-  // 21 so the supervisor knows this was a flush, not a crash.
-  std::signal(SIGTERM, handle_signal);
-  std::signal(SIGINT, handle_signal);
+  // SIGTERM = drain: finish and report the in-flight site, then exit 21
+  // so the supervisor knows this was a drain, not a crash. No
+  // SA_RESTART, so a worker waiting for its next id wakes up as well.
+  struct sigaction sa{};
+  sa.sa_handler = handle_signal;
+  sigemptyset(&sa.sa_mask);
+  (void)::sigaction(SIGTERM, &sa, nullptr);
+  (void)::sigaction(SIGINT, &sa, nullptr);
 
-  SourceManager sm;
-  DiagnosticEngine diags(&sm);
-  pipeline::CompileOptions copts;
-  if (args.assertions == "ndebug") {
-    copts.assert_opts = assertions::Options::ndebug();
-  } else if (args.assertions == "unoptimized") {
-    copts.assert_opts = assertions::Options::unoptimized();
-  } else if (args.assertions != "optimized") {
+  std::optional<assertions::Options> mode = assertions::Options::by_name(args.assertions);
+  if (!mode.has_value()) {
     std::cerr << "hlsavd worker: unknown assertions mode '" << args.assertions << "'\n";
     return 2;
   }
+  SourceManager sm;
+  DiagnosticEngine diags(&sm);
+  pipeline::CompileOptions copts;
+  copts.assert_opts = *mode;
   StatusOr<pipeline::Compiled> compiled = pipeline::compile_file(sm, diags, args.design, copts);
   if (!compiled.ok()) {
     std::cerr << diags.render();
@@ -257,64 +293,41 @@ int run_worker(const WorkerArgs& args) {
   }
 
   sim::CampaignOptions copt;
-  copt.seed = args.seed;
-  copt.max_faults = args.max_faults;
   copt.max_cycles = args.max_cycles;
-  copt.threads = 1;
   copt.site_wall_ms = args.site_wall_ms;
-  copt.journal = args.journal;
-  copt.resume = true;  // a respawned worker continues its own shard
-  copt.only_sites = args.sites;
-  copt.cancel = &g_cancel;
-  // Heartbeats: one line the moment a site starts (the supervisor's
-  // blame target if this process dies) and one once it is durably
-  // journaled. fflush after each -- a SIGKILL must not eat them.
-  copt.site_start_hook = [&](std::uint32_t site) {
-    std::fputs((serve::encode_worker_starting(site) + "\n").c_str(), stdout);
-    std::fflush(stdout);
-    if (!args.fault_token_dir.empty()) {
-      if (args.crash_at.count(site) != 0) {
-        std::string token = args.fault_token_dir + "/crash_" + std::to_string(site) + ".token";
-        std::uint32_t count = read_token_count(token);
-        if (count < args.crash_limit) {
-          write_token_count(token, count + 1);
-          // True kill -9 semantics: no atexit, no stack unwind, no
-          // journal flush beyond what already hit disk.
-          (void)::raise(SIGKILL);
-        }
-      }
-      if (args.stall_at.count(site) != 0) {
-        std::string token = args.fault_token_dir + "/stall_" + std::to_string(site) + ".token";
-        if (read_token_count(token) < 1) {
-          write_token_count(token, 1);
-          // Stall forever: heartbeat watchdog fodder. The supervisor's
-          // SIGKILL is the only way out.
-          for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
-        }
-      }
-    }
-  };
-  copt.site_sink = [](const sim::FaultResult& r) {
-    std::fputs(
-        (serve::encode_worker_site(r.site.id, sim::fault_outcome_name(r.outcome)) + "\n").c_str(),
-        stdout);
-    std::fflush(stdout);
-  };
-
   sim::ExternRegistry externs;
-  StatusOr<sim::CampaignReport> report = sim::run_campaign_st(
-      compiled->design, compiled->schedule, externs, *feeds, copt);
-  if (!report.ok()) {
-    std::cerr << "hlsavd worker: " << report.status().to_string() << "\n";
+  StatusOr<sim::CampaignPlan> plan =
+      sim::plan_campaign(compiled->design, compiled->schedule, externs, *feeds, copt);
+  if (!plan.ok()) {
+    std::cerr << "hlsavd worker: " << plan.status().to_string() << "\n";
     return 1;
   }
-  if (args.golden_cycles != 0 && report->golden_cycles != args.golden_cycles) {
-    std::cerr << "hlsavd worker: golden run took " << report->golden_cycles
+  if (args.golden_cycles != 0 && plan->golden.cycles != args.golden_cycles) {
+    std::cerr << "hlsavd worker: golden run took " << plan->golden.cycles
               << " cycles but the supervisor measured " << args.golden_cycles
-              << " -- nondeterministic simulation, refusing to journal\n";
+              << " -- nondeterministic simulation, refusing to run sites\n";
     return 1;
   }
-  return report->interrupted ? kWorkerDrainedExit : 0;
+
+  // One site id per stdin line until EOF. "starting" goes out before a
+  // site runs (the supervisor's blame target if this process dies), the
+  // full result once it is classified.
+  char line[64];
+  while (!g_cancel.load(std::memory_order_relaxed) &&
+         std::fgets(line, sizeof line, stdin) != nullptr) {
+    std::string_view text(line);
+    if (!text.empty() && text.back() == '\n') text.remove_suffix(1);
+    std::uint32_t site = 0;
+    if (!parse_u32_flag(text, site) || site >= plan->sites.size()) {
+      std::cerr << "hlsavd worker: bad site id '" << text << "'\n";
+      return 1;
+    }
+    say(serve::encode_worker_starting(site));
+    inject_test_faults(args, site);
+    sim::FaultResult r = sim::run_site(*plan, plan->sites[site], copt);  // throws: exit 1
+    say(serve::encode_worker_site(sim::journal_line(r)));
+  }
+  return g_cancel.load(std::memory_order_relaxed) ? serve::kWorkerDrainedExit : 0;
 }
 
 // -------------------------------------------------------------- serve --
@@ -411,20 +424,10 @@ int main(int argc, char** argv) {
     } else if (a.rfind("--design=", 0) == 0) {
       spec.design_path = val("--design=");
       wargs.design = spec.design_path;
-    } else if (a.rfind("--journal=", 0) == 0) {
-      wargs.journal = val("--journal=");
-    } else if (a.rfind("--sites=", 0) == 0) {
-      for (const std::string& tok : split(val("--sites="), ',')) {
-        std::uint32_t id = 0;
-        if (!parse_u32_flag(tok, id)) return bad_value(a);
-        wargs.sites.push_back(id);
-      }
     } else if (a.rfind("--seed=", 0) == 0) {
       if (!parse_u64_flag(val("--seed="), spec.seed)) return bad_value(a);
-      wargs.seed = spec.seed;
     } else if (a.rfind("--max-faults=", 0) == 0) {
       if (!parse_u64_flag(val("--max-faults="), spec.max_faults)) return bad_value(a);
-      wargs.max_faults = spec.max_faults;
     } else if (a.rfind("--max-cycles=", 0) == 0) {
       if (!parse_u64_flag(val("--max-cycles="), spec.max_cycles)) return bad_value(a);
       wargs.max_cycles = spec.max_cycles;
