@@ -39,22 +39,10 @@ void print_fig4() {
                "channel-sharing optimization recovers it to within ~1% of the original.\n\n";
 }
 
-void BM_CharacterizeLoopback(benchmark::State& state) {
-  unsigned n = static_cast<unsigned>(state.range(0));
-  auto app = apps::loopback::build(n, 8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bench::characterize(app->design, Options::unoptimized()));
-  }
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_CharacterizeLoopback)->Arg(8)->Arg(32)->Arg(128)->Complexity();
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   hlsav::bench::print_provenance_banner("bench_fig4_freq_scalability");
   print_fig4();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -62,29 +62,10 @@ void print_fig5() {
   std::cout << a.render() << '\n';
 }
 
-void BM_AreaEstimate128(benchmark::State& state) {
-  auto app = apps::loopback::build(128, 8);
-  bench::Characterized cfg = bench::characterize(app->design, Options::unoptimized());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fpga::estimate_area(cfg.netlist));
-  }
-}
-BENCHMARK(BM_AreaEstimate128);
-
-void BM_BuildLoopbackDesign(benchmark::State& state) {
-  unsigned n = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(apps::loopback::build(n, 8));
-  }
-}
-BENCHMARK(BM_BuildLoopbackDesign)->Arg(8)->Arg(64);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   hlsav::bench::print_provenance_banner("bench_fig5_resource_scalability");
   print_fig5();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

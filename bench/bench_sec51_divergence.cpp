@@ -161,24 +161,12 @@ void case_c_hang_trace() {
                "the blocking statement, as in the paper's DES hang case study.\n\n";
 }
 
-void BM_DivergenceCase(benchmark::State& state) {
-  auto app = apps::compile_app("sec51a", "fig3.c", kNarrowSrc);
-  sim::ExternRegistry ext;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_case(app->design, sim::SimMode::kHardware, true, ext, "f.in", {4294967286u}, true));
-  }
-}
-BENCHMARK(BM_DivergenceCase);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   hlsav::bench::print_provenance_banner("bench_sec51_divergence");
   case_a_narrow_compare();
   case_b_extern_divergence();
   case_c_hang_trace();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

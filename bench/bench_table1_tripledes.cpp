@@ -23,17 +23,11 @@ const sched::SchedOptions kDesSched = [] {
   return o;
 }();
 
-std::unique_ptr<apps::CompiledApp>& compiled() {
-  static std::unique_ptr<apps::CompiledApp> app =
-      apps::compile_app("triple_des", "des3.c", apps::des::hlsc_decrypt_source(kKeys));
-  return app;
-}
-
 void print_table1() {
-  Characterized orig =
-      bench::characterize(compiled()->design, assertions::Options::ndebug(), kDesSched);
+  auto app = apps::compile_app("triple_des", "des3.c", apps::des::hlsc_decrypt_source(kKeys));
+  Characterized orig = bench::characterize(app->design, assertions::Options::ndebug(), kDesSched);
   Characterized asrt =
-      bench::characterize(compiled()->design, assertions::Options::optimized(), kDesSched);
+      bench::characterize(app->design, assertions::Options::optimized(), kDesSched);
 
   std::cout << bench::overhead_table(
       "Table 1: Triple-DES assertion overhead (measured by this implementation)", orig, asrt);
@@ -52,7 +46,7 @@ void print_table1() {
   // one shared checker process for both assertions instead of two.
   assertions::Options grouped = assertions::Options::optimized();
   grouped.group_checkers = true;
-  Characterized grp = bench::characterize(compiled()->design, grouped, kDesSched);
+  Characterized grp = bench::characterize(app->design, grouped, kDesSched);
   std::cout << "ablation group_checkers=on: ALUT overhead "
             << (asrt.area.aluts - orig.area.aluts) << " -> " << (grp.area.aluts - orig.area.aluts)
             << ", register overhead " << (asrt.area.registers - orig.area.registers) << " -> "
@@ -73,44 +67,10 @@ void print_table1() {
             << (r.failures.empty() ? "no assertion failures" : "ASSERTION FAILURES") << "\n\n";
 }
 
-void BM_SynthesizeTripleDes(benchmark::State& state) {
-  for (auto _ : state) {
-    ir::Design d = compiled()->design.clone();
-    benchmark::DoNotOptimize(assertions::synthesize(d, assertions::Options::optimized()));
-  }
-}
-BENCHMARK(BM_SynthesizeTripleDes);
-
-void BM_ScheduleTripleDes(benchmark::State& state) {
-  ir::Design d = compiled()->design.clone();
-  assertions::synthesize(d, assertions::Options::optimized());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sched::schedule_design(d, kDesSched));
-  }
-}
-BENCHMARK(BM_ScheduleTripleDes);
-
-void BM_SimulateDecryptBlock(benchmark::State& state) {
-  ir::Design d = compiled()->design.clone();
-  assertions::synthesize(d, assertions::Options::optimized());
-  sched::DesignSchedule sch = sched::schedule_design(d, kDesSched);
-  sim::ExternRegistry ext;
-  std::vector<std::uint64_t> cipher = {
-      apps::des::triple_des_encrypt(apps::des::pack_text("8 chars!")[0], kKeys)};
-  for (auto _ : state) {
-    sim::Simulator s(d, sch, ext, {});
-    s.feed("des3.in", apps::des::to_word_stream(cipher));
-    benchmark::DoNotOptimize(s.run());
-  }
-}
-BENCHMARK(BM_SimulateDecryptBlock);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   hlsav::bench::print_provenance_banner("bench_table1_tripledes");
   print_table1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -24,17 +24,11 @@ const sched::SchedOptions kEdgeSched = [] {
   return o;
 }();
 
-std::unique_ptr<apps::CompiledApp>& compiled() {
-  static std::unique_ptr<apps::CompiledApp> app =
-      apps::compile_app("edge_detect", "edge.c", apps::edge::hlsc_source(kW, kH));
-  return app;
-}
-
 void print_table2() {
-  Characterized orig =
-      bench::characterize(compiled()->design, assertions::Options::ndebug(), kEdgeSched);
+  auto app = apps::compile_app("edge_detect", "edge.c", apps::edge::hlsc_source(kW, kH));
+  Characterized orig = bench::characterize(app->design, assertions::Options::ndebug(), kEdgeSched);
   Characterized asrt =
-      bench::characterize(compiled()->design, assertions::Options::optimized(), kEdgeSched);
+      bench::characterize(app->design, assertions::Options::optimized(), kEdgeSched);
 
   std::cout << bench::overhead_table(
       "Table 2: Edge-detection assertion overhead (measured by this implementation)", orig,
@@ -66,42 +60,10 @@ void print_table2() {
             << (r.failures.empty() ? "no assertion failures" : "ASSERTION FAILURES") << "\n\n";
 }
 
-void BM_SynthesizeEdge(benchmark::State& state) {
-  for (auto _ : state) {
-    ir::Design d = compiled()->design.clone();
-    benchmark::DoNotOptimize(assertions::synthesize(d, assertions::Options::optimized()));
-  }
-}
-BENCHMARK(BM_SynthesizeEdge);
-
-void BM_AreaModelEdge(benchmark::State& state) {
-  Characterized c =
-      bench::characterize(compiled()->design, assertions::Options::optimized(), kEdgeSched);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fpga::estimate_area(c.netlist));
-  }
-}
-BENCHMARK(BM_AreaModelEdge);
-
-void BM_SimulateEdgeRow(benchmark::State& state) {
-  auto small = apps::compile_app("edge_bench", "edge.c", apps::edge::hlsc_source(32, 8));
-  Characterized cfg = bench::characterize(small->design, assertions::Options::ndebug());
-  apps::img::Image input = apps::img::synthetic_image(32, 8, 5);
-  sim::ExternRegistry ext;
-  for (auto _ : state) {
-    sim::Simulator s(cfg.design, cfg.schedule, ext, {});
-    s.feed("edge.in", apps::edge::to_word_stream(input));
-    benchmark::DoNotOptimize(s.run());
-  }
-}
-BENCHMARK(BM_SimulateEdgeRow);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   hlsav::bench::print_provenance_banner("bench_table2_edgedetect");
   print_table2();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -17,7 +17,6 @@ struct Kernel {
   const char* paper_unopt;
   const char* paper_opt;
   std::string src;
-  std::vector<std::uint64_t> feed;
 };
 
 std::vector<Kernel> kernels() {
@@ -30,8 +29,7 @@ std::vector<Kernel> kernels() {
             y = x + 1;
             assert(x > 0);
             stream_write(out, y);
-          })",
-       {7}},
+          })"},
       {"Array (non-consecutive)", "1", "0",
        R"(void k(stream_in<32> in, stream_out<32> out) {
             uint32 b[8];
@@ -44,8 +42,7 @@ std::vector<Kernel> kernels() {
             w = c[0] + 1;
             assert(b[1] >= 0);
             stream_write(out, w);
-          })",
-       {7}},
+          })"},
       {"Array (consecutive)", "2", "1",
        R"(void k(stream_in<32> in, stream_out<32> out) {
             uint32 b[8];
@@ -56,8 +53,7 @@ std::vector<Kernel> kernels() {
             uint32 y;
             y = b[1];
             stream_write(out, y);
-          })",
-       {7}},
+          })"},
   };
 }
 
@@ -98,20 +94,10 @@ void print_table3() {
   std::cout << t.render() << '\n';
 }
 
-void BM_MeasureKernel(benchmark::State& state) {
-  const Kernel k = kernels()[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(measure(k.src, Options::unoptimized()));
-  }
-}
-BENCHMARK(BM_MeasureKernel)->Arg(0)->Arg(1)->Arg(2);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   hlsav::bench::print_provenance_banner("bench_table3_nonpipelined");
   print_table3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

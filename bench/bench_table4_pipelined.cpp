@@ -112,34 +112,10 @@ void print_table4() {
             << " (the single shared port is the paper's §3.2 contention)\n\n";
 }
 
-void BM_ModuloScheduleScalar(benchmark::State& state) {
-  auto app = apps::compile_app("t4", "t4.c", kScalarKernel);
-  ir::Design d = app->design.clone();
-  assertions::synthesize(d, assertions::Options::unoptimized());
-  const ir::Process& p = *d.find_process("k");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sched::schedule_process(d, p, {}));
-  }
-}
-BENCHMARK(BM_ModuloScheduleScalar);
-
-void BM_ModuloScheduleArray(benchmark::State& state) {
-  auto app = apps::compile_app("t4", "t4.c", kArrayKernel);
-  ir::Design d = app->design.clone();
-  assertions::synthesize(d, assertions::Options::optimized());
-  const ir::Process& p = *d.find_process("k");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sched::schedule_process(d, p, {}));
-  }
-}
-BENCHMARK(BM_ModuloScheduleArray);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   hlsav::bench::print_provenance_banner("bench_table4_pipelined");
   print_table4();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,12 +1,11 @@
-// Shared helpers for the paper-reproduction benchmark harnesses.
+// Shared helpers for the benchmark harnesses.
 //
-// Every bench binary prints the paper's table/figure rows side by side
-// with the values measured from this implementation, then runs a few
-// google-benchmark timings of the underlying machinery (synthesis,
-// scheduling, simulation throughput).
+// The seven paper benches print the paper's table/figure rows side by
+// side with the values measured from this implementation; ctest pins
+// that output byte for byte against bench/golden/. The JSON benches
+// (sim throughput, fault campaign, mine, campaign service) time the
+// machinery and write BENCH_*.json.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <fstream>

@@ -1,6 +1,7 @@
 #include "metrics/chrometrace.h"
 
 #include "support/io.h"
+#include "support/jsonl.h"
 
 #include <cctype>
 #include <fstream>
@@ -10,31 +11,6 @@
 
 namespace hlsav::metrics {
 
-namespace {
-
-std::string esc(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 void write_trace_events(const std::vector<TraceEvent>& events, std::ostream& os) {
   os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
   bool first = true;
@@ -42,7 +18,7 @@ void write_trace_events(const std::vector<TraceEvent>& events, std::ostream& os)
     if (!first) os << ",";
     first = false;
     os << "\n{\"ph\": \"" << e.ph << "\", \"pid\": " << e.pid << ", \"tid\": " << e.tid
-       << ", \"name\": \"" << esc(e.name) << "\"";
+       << ", \"name\": " << jsonl::quoted(e.name);
     switch (e.ph) {
       case 'X':
         os << ", \"ts\": " << e.ts_us << ", \"dur\": " << e.dur_us;
@@ -51,7 +27,7 @@ void write_trace_events(const std::vector<TraceEvent>& events, std::ostream& os)
         os << ", \"s\": \"t\", \"ts\": " << e.ts_us;
         break;
       case 'M':
-        os << ", \"args\": {\"name\": \"" << esc(e.label) << "\"}";
+        os << ", \"args\": {\"name\": " << jsonl::quoted(e.label) << "}";
         break;
       default:
         break;
@@ -64,53 +40,37 @@ void write_trace_events(const std::vector<TraceEvent>& events, std::ostream& os)
 void write_chrome_trace(const ProfileReport& report, std::ostream& os) {
   // Track ids: process i -> compute tid 2i+1, stall tid 2i+2 (tid 0
   // renders oddly in some viewers).
-  std::map<std::string, int> track;
+  std::map<std::string, std::uint64_t> track;
   for (std::size_t i = 0; i < report.processes.size(); ++i) {
-    track[report.processes[i].process] = static_cast<int>(2 * i + 1);
+    track[report.processes[i].process] = 2 * i + 1;
   }
   // Spans may mention a process with no ProcRow only if the report was
   // assembled by hand; give it a track past the known ones.
-  int next = static_cast<int>(2 * report.processes.size() + 1);
+  std::uint64_t next = 2 * report.processes.size() + 1;
   auto tid_of = [&track, &next](const std::string& process) {
     auto it = track.find(process);
     if (it == track.end()) it = track.emplace(process, (next += 2) - 2).first;
     return it->second;
   };
-
-  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
-  bool first = true;
-  auto sep = [&os, &first] {
-    if (!first) os << ",";
-    first = false;
-    os << "\n";
+  std::vector<TraceEvent> events;
+  auto meta = [&events](std::uint64_t tid, const char* name, std::string label) {
+    events.push_back({'M', 1, tid, name, std::move(label), 0, 0});
   };
 
-  sep();
-  os << "{\"ph\": \"M\", \"pid\": 1, \"name\": \"process_name\", \"args\": {\"name\": "
-        "\"hlsav simulation\"}}";
+  meta(1, "process_name", "hlsav simulation");
   for (const ProfileReport::ProcRow& p : report.processes) {
-    int tid = tid_of(p.process);
-    sep();
-    os << "{\"ph\": \"M\", \"pid\": 1, \"tid\": " << tid
-       << ", \"name\": \"thread_name\", \"args\": {\"name\": \"" << esc(p.process) << "\"}}";
-    sep();
-    os << "{\"ph\": \"M\", \"pid\": 1, \"tid\": " << tid + 1
-       << ", \"name\": \"thread_name\", \"args\": {\"name\": \"" << esc(p.process)
-       << " stalls\"}}";
+    std::uint64_t tid = tid_of(p.process);
+    meta(tid, "thread_name", p.process);
+    meta(tid + 1, "thread_name", p.process + " stalls");
   }
-
   for (const ProfileReport::Span& s : report.spans) {
-    int tid = tid_of(s.process) + (s.stall ? 1 : 0);
-    sep();
-    os << "{\"ph\": \"X\", \"pid\": 1, \"tid\": " << tid << ", \"name\": \"" << esc(s.name)
-       << "\", \"ts\": " << s.start << ", \"dur\": " << s.end - s.start << "}";
+    events.push_back({'X', 1, tid_of(s.process) + (s.stall ? 1 : 0), s.name, "", s.start,
+                      s.end - s.start});
   }
   for (const ProfileReport::Instant& in : report.instants) {
-    sep();
-    os << "{\"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": " << tid_of(in.process)
-       << ", \"name\": \"" << esc(in.name) << "\", \"ts\": " << in.cycle << "}";
+    events.push_back({'i', 1, tid_of(in.process), in.name, "", in.cycle, 0});
   }
-  os << "\n]}\n";
+  write_trace_events(events, os);
 }
 
 bool write_chrome_trace_file(const ProfileReport& report, const std::string& path,

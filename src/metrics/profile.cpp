@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "rtl/names.h"
+#include "support/jsonl.h"
 #include "support/source_manager.h"
 #include "support/table.h"
 
@@ -22,28 +23,6 @@ bool is_assert_op(const ir::Op& op) {
 
 std::uint64_t state_key(ir::BlockId block, unsigned state) {
   return (static_cast<std::uint64_t>(block) << 16) | (state & 0xFFFFu);
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string pct_of(std::uint64_t part, std::uint64_t total) {
@@ -562,7 +541,7 @@ std::string ProfileReport::to_json() const {
   for (std::size_t i = 0; i < processes.size(); ++i) {
     const ProcRow& p = processes[i];
     if (i != 0) os << ", ";
-    os << "{\"name\": \"" << json_escape(p.process) << "\", \"compute\": " << p.compute_cycles
+    os << "{\"name\": " << jsonl::quoted(p.process) << ", \"compute\": " << p.compute_cycles
        << ", \"assert\": " << p.assert_cycles << ", \"stall\": " << p.stall_cycles
        << ", \"tail\": " << p.tail_cycles << ", \"end\": \"" << end_kind_name(p.end) << "\""
        << ", \"discarded\": " << p.discarded_stall_cycles
@@ -571,8 +550,8 @@ std::string ProfileReport::to_json() const {
     for (std::size_t j = 0; j < p.streams.size(); ++j) {
       const StreamStall& ss = p.streams[j];
       if (j != 0) os << ", ";
-      os << "{\"name\": \"" << json_escape(ss.stream)
-         << "\", \"read_stall_cycles\": " << ss.read_stall_cycles
+      os << "{\"name\": " << jsonl::quoted(ss.stream)
+         << ", \"read_stall_cycles\": " << ss.read_stall_cycles
          << ", \"read_stall_events\": " << ss.read_stall_events
          << ", \"read_polls\": " << ss.read_polls << ", \"write_polls\": " << ss.write_polls
          << "}";
@@ -583,17 +562,17 @@ std::string ProfileReport::to_json() const {
   for (std::size_t i = 0; i < hottest_states.size(); ++i) {
     const StateRow& s = hottest_states[i];
     if (i != 0) os << ", ";
-    os << "{\"process\": \"" << json_escape(s.process) << "\", \"block\": \""
-       << json_escape(s.block) << "\", \"state\": " << s.state
+    os << "{\"process\": " << jsonl::quoted(s.process) << ", \"block\": "
+       << jsonl::quoted(s.block) << ", \"state\": " << s.state
        << ", \"occupancy\": " << s.occupancy << ", \"stall\": " << s.stall_cycles
-       << ", \"source\": \"" << json_escape(s.source) << "\"}";
+       << ", \"source\": " << jsonl::quoted(s.source) << "}";
   }
   os << "], \"assertions\": [";
   for (std::size_t i = 0; i < assertions.size(); ++i) {
     const AssertStat& a = assertions[i];
     if (i != 0) os << ", ";
-    os << "{\"id\": " << a.id << ", \"label\": \"" << json_escape(a.label)
-       << "\", \"evals\": " << a.evals << ", \"failures\": " << a.failures << "}";
+    os << "{\"id\": " << a.id << ", \"label\": " << jsonl::quoted(a.label)
+       << ", \"evals\": " << a.evals << ", \"failures\": " << a.failures << "}";
   }
   os << "], ";
   // Registry snapshot, same fragment shape MetricsRegistry::to_json emits.

@@ -23,6 +23,12 @@ void append_escaped(std::string& out, std::string_view s) {
   out += '"';
 }
 
+std::string quoted(std::string_view s) {
+  std::string out;
+  append_escaped(out, s);
+  return out;
+}
+
 std::string format_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", v);

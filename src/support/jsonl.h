@@ -25,6 +25,8 @@ namespace hlsav::jsonl {
 /// Appends `s` as a double-quoted JSON string (escaping `"`, `\` and
 /// control bytes).
 void append_escaped(std::string& out, std::string_view s);
+/// `s` as a double-quoted JSON string, escaped as append_escaped does.
+[[nodiscard]] std::string quoted(std::string_view s);
 
 /// %.17g -- round-trips every finite double through strtod, so values
 /// (and fingerprints built from them) survive a disk round trip exactly.

@@ -1,9 +1,14 @@
 // Shared helpers for tests: compile HLS-C source through the full
-// frontend (parse -> sema -> lower) into an ir::Design.
+// frontend (parse -> sema -> lower) into an ir::Design, and per-process
+// temp files.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 
@@ -48,6 +53,27 @@ inline std::unique_ptr<Compiled> compile(const std::string& src, bool expect_ok 
   Status lowered = ir::lower_all_processes(c->design, *c->program, c->sm, c->diags);
   EXPECT_EQ(lowered.ok(), expect_ok) << c->diags.render();
   return c;
+}
+
+/// Pid-unique path in the shared TempDir. ctest runs every test as its
+/// own process in parallel; a fixed name would let one process read a
+/// file another is mid-truncating.
+inline std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
+}
+
+/// Writes `contents` to temp_path(name) and returns that path.
+inline std::string write_temp(const std::string& name, const std::string& contents) {
+  std::string path = temp_path(name);
+  std::ofstream out(path);
+  out << contents;
+  return path;
+}
+
+/// The whole file at `path` ("" if it cannot be read).
+inline std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 }  // namespace hlsav::testing

@@ -5,18 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/test_util.h"
 #include "metrics/chrometrace.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -29,21 +28,9 @@
 namespace hlsav::serve {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + std::to_string(::getpid()) + "_obs_" + name;
-}
-
-std::string write_temp(const std::string& name, const std::string& contents) {
-  std::string path = temp_path(name);
-  std::ofstream out(path);
-  out << contents;
-  return path;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
+using hlsav::testing::temp_path;
+using hlsav::testing::write_temp;
+using hlsav::testing::slurp;
 
 const char* kClampSrc = R"(
 void clamp(stream_in<32> in, stream_out<32> out) {
@@ -61,7 +48,7 @@ void clamp(stream_in<32> in, stream_out<32> out) {
 struct Daemon {
   explicit Daemon(std::vector<std::string> extra_flags = {}) {
     socket = temp_path("obs_" + std::to_string(counter_++) + ".sock");
-    work_dir = temp_path("obswork_" + std::to_string(counter_));
+    work_dir = temp_path("obs_work_" + std::to_string(counter_));
     std::vector<std::string> argv = {HLSAVD_PATH, "serve", "--socket=" + socket,
                                      "--work-dir=" + work_dir};
     for (std::string& f : extra_flags) argv.push_back(std::move(f));

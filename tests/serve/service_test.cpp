@@ -4,21 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
-#include <unistd.h>
 
 #include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/test_util.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
@@ -35,21 +33,9 @@
 namespace hlsav::serve {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
-}
-
-std::string write_temp(const std::string& name, const std::string& contents) {
-  std::string path = temp_path(name);
-  std::ofstream out(path);
-  out << contents;
-  return path;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
+using hlsav::testing::temp_path;
+using hlsav::testing::write_temp;
+using hlsav::testing::slurp;
 
 const char* kClampSrc = R"(
 void clamp(stream_in<32> in, stream_out<32> out) {

@@ -11,9 +11,9 @@
 
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <string>
 
+#include "common/test_util.h"
 #include "support/wal.h"
 
 namespace hlsav::serve {
@@ -27,10 +27,7 @@ std::string fresh_dir(const std::string& name) {
   return dir;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
+using hlsav::testing::slurp;
 
 void append_raw(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::app);

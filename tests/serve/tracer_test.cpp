@@ -6,26 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/test_util.h"
 #include "metrics/chrometrace.h"
 #include "serve/events.h"
 
 namespace hlsav::serve {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
+using hlsav::testing::temp_path;
+using hlsav::testing::slurp;
 
 TEST(ServiceTracer, LifecycleSpansExportAsAValidChromeTrace) {
   ServiceTracer tracer;

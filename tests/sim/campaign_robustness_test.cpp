@@ -49,9 +49,7 @@ H make_clamp() {
   return h;
 }
 
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
-}
+using hlsav::testing::temp_path;
 
 TEST(CampaignRobustness, OnlySitesRestrictsTheSweepToTheShard) {
   H h = make_clamp();

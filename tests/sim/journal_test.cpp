@@ -2,12 +2,9 @@
 // kill -> resume determinism at multiple thread counts.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <random>
 #include <sstream>
 #include <string>
@@ -23,15 +20,8 @@ namespace hlsav::sim {
 namespace {
 
 using hlsav::testing::compile;
-
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
+using hlsav::testing::temp_path;
+using hlsav::testing::slurp;
 
 JournalHeader make_header() {
   JournalHeader h;

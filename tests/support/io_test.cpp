@@ -4,10 +4,9 @@
 #include <unistd.h>
 
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <string>
 
+#include "common/test_util.h"
 #include "support/io.h"
 
 namespace hlsav {
@@ -15,14 +14,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
+using hlsav::testing::temp_path;
+using hlsav::testing::slurp;
 
 TEST(Io, TempSiblingIsPidUniqueAndSameDirectory) {
   std::string t = temp_sibling_path("/some/dir/report.json");

@@ -1,8 +1,6 @@
 // End-to-end tests of the hlsavc command-line driver (subprocess).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <array>
 #include <cstdio>
 #include <fstream>
@@ -11,6 +9,7 @@
 #include <string>
 
 #include "codegen/jit.h"
+#include "common/test_util.h"
 
 #ifndef HLSAVC_PATH
 #define HLSAVC_PATH "hlsavc"
@@ -37,19 +36,8 @@ CmdResult run_cmd(const std::string& args) {
   return r;
 }
 
-/// Pid-unique path in the shared TempDir. ctest runs every test as its
-/// own process in parallel; a fixed name would let one process read a
-/// file another is mid-truncating.
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
-}
-
-std::string write_temp(const std::string& name, const std::string& contents) {
-  std::string path = temp_path(name);
-  std::ofstream out(path);
-  out << contents;
-  return path;
-}
+using hlsav::testing::temp_path;
+using hlsav::testing::write_temp;
 
 const char* kGoodSrc = R"(
 void f(stream_in<32> in, stream_out<32> out) {
@@ -242,11 +230,15 @@ void f(stream_in<32> in, stream_out<32> out) {
   }
   ASSERT_FALSE(site.empty()) << campaign.output;
 
-  CmdResult repro = run_cmd("faultsim " + f + " --site=" + site + feed);
-  EXPECT_EQ(repro.exit_code, 4) << repro.output;  // a hang
-  EXPECT_NE(repro.output.find("cycle limit exceeded (cycle " + cycles + ")"), std::string::npos)
-      << "campaign row s" << site << " stopped at cycle " << cycles << "\n"
-      << repro.output;
+  // Both one-site repros: the plain run and the one with the ELA armed.
+  for (const std::string& cmd :
+       {"faultsim " + f, "trace " + f + " --vcd=" + temp_path("backstop.vcd")}) {
+    CmdResult repro = run_cmd(cmd + " --site=" + site + feed);
+    EXPECT_EQ(repro.exit_code, 4) << cmd << "\n" << repro.output;  // a hang
+    EXPECT_NE(repro.output.find("cycle limit exceeded (cycle " + cycles + ")"), std::string::npos)
+        << cmd << ": campaign row s" << site << " stopped at cycle " << cycles << "\n"
+        << repro.output;
+  }
 }
 
 TEST(Hlsavc, CampaignTraceNonbenignListsTracedSites) {

@@ -6,7 +6,6 @@
 
 #include <sys/stat.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <array>
 #include <cstdio>
@@ -14,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/test_util.h"
 #include "sim/journal.h"
 
 #ifndef HLSAVD_PATH
@@ -51,16 +51,8 @@ CmdResult run_hlsavd(const std::string& args) {
   return run_raw(std::string(HLSAVD_PATH) + " " + args);
 }
 
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
-}
-
-std::string write_temp(const std::string& name, const std::string& contents) {
-  std::string path = temp_path(name);
-  std::ofstream out(path);
-  out << contents;
-  return path;
-}
+using hlsav::testing::temp_path;
+using hlsav::testing::write_temp;
 
 const char* kClampSrc = R"(
 void clamp(stream_in<32> in, stream_out<32> out) {

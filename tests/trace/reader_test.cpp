@@ -5,8 +5,6 @@
 // widths drifted from the design they claim to describe.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <fstream>
 #include <string>
 #include <vector>
@@ -20,10 +18,7 @@ namespace hlsav::trace {
 namespace {
 
 using hlsav::testing::compile;
-
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
-}
+using hlsav::testing::temp_path;
 
 TraceRecord rec(TraceEventKind kind, std::uint16_t proc, std::uint32_t subject,
                 BitVector value) {

@@ -470,6 +470,34 @@ int run(const Args& args) {
     if (!s.engine_note().empty()) std::cerr << "hlsavc: " << s.engine_note() << "\n";
   };
 
+  // A one-site repro (`faultsim --site=N` or `--trace-site=N`, `trace
+  // --site=N`) runs against its campaign's plan, so it injects the
+  // campaign's fault and stops at the backstop the campaign row reports.
+  // Prints the injected fault; on a bad site or plan, prints why and
+  // returns nullopt.
+  auto plan_one_site = [&](std::size_t site, const sim::ExternRegistry& externs,
+                           const sim::CampaignOptions& copt) -> std::optional<sim::CampaignPlan> {
+    StatusOr<sim::CampaignPlan> plan =
+        sim::plan_campaign(design, schedule, externs, args.feeds, copt);
+    if (!plan.ok()) {
+      std::cerr << "hlsavc: " << plan.status().to_string() << "\n";
+      return std::nullopt;
+    }
+    if (site >= plan->sites.size()) {
+      std::cerr << "hlsavc: site " << site << " out of range (design has "
+                << plan->sites.size() << " fault sites)\n";
+      return std::nullopt;
+    }
+    const sim::FaultSpec& fault = plan->sites[site];
+    std::cout << "injecting s" << fault.id << ": " << fault.describe(design) << "\n";
+    return *std::move(plan);
+  };
+  auto arm_site = [](sim::SimOptions& so, const sim::CampaignPlan& plan, std::size_t site) {
+    so.mode = sim::SimMode::kHardware;  // faults model circuit behaviour
+    so.max_cycles = plan.header.max_cycles;
+    so.faults.add(plan.sites[site]);
+  };
+
   if (args.command == "ir") {
     std::cout << ir::print_design(design);
     return 0;
@@ -589,19 +617,14 @@ int run(const Args& args) {
     so.mode = args.software_mode ? sim::SimMode::kSoftware : sim::SimMode::kHardware;
     so.ela = &engine;
     if (args.campaign_opts.max_cycles != 0) so.max_cycles = args.campaign_opts.max_cycles;
-    arm_deadline(so);
     if (args.site != sim::FaultSpec::kNoSite) {
-      std::vector<sim::FaultSpec> sites = sim::enumerate_fault_sites(design, schedule);
-      if (args.site >= sites.size()) {
-        std::cerr << "hlsavc: site " << args.site << " out of range (design has " << sites.size()
-                  << " fault sites)\n";
-        return 1;
-      }
-      so.mode = sim::SimMode::kHardware;
-      so.faults.add(sites[args.site]);
-      std::cout << "injecting s" << sites[args.site].id << ": "
-                << sites[args.site].describe(design) << "\n";
+      sim::CampaignOptions copt = args.campaign_opts;
+      arm_engine(copt.sim);
+      std::optional<sim::CampaignPlan> plan = plan_one_site(args.site, externs, copt);
+      if (!plan) return 1;
+      arm_site(so, *plan, args.site);
     }
+    arm_deadline(so);  // after the golden run: the budget is the traced run's
     arm_engine(so);
     sim::Simulator simulator(design, schedule, externs, so);
     report_engine(simulator);
@@ -641,8 +664,6 @@ int run(const Args& args) {
   }
   if (args.command == "faultsim") {
     sim::ExternRegistry externs;
-    std::vector<sim::FaultSpec> sites = sim::enumerate_fault_sites(design, schedule);
-
     sim::TraceRerunOptions topt;
     topt.config.capacity = args.trace_capacity;
     topt.config.filter.processes = args.trace_procs;
@@ -708,25 +729,13 @@ int run(const Args& args) {
       return 0;
     }
 
-    // A one-site repro runs against its campaign's plan, so it stops at
-    // the same backstop the campaign row reports.
     std::size_t one_site = args.trace_site != sim::FaultSpec::kNoSite ? args.trace_site : args.site;
     if (one_site != sim::FaultSpec::kNoSite) {
-      if (one_site >= sites.size()) {
-        std::cerr << "hlsavc: site " << one_site << " out of range (design has " << sites.size()
-                  << " fault sites)\n";
-        return 1;
-      }
       sim::CampaignOptions copt = args.campaign_opts;
       arm_engine(copt.sim);
-      StatusOr<sim::CampaignPlan> plan =
-          sim::plan_campaign(design, schedule, externs, args.feeds, copt);
-      if (!plan.ok()) {
-        std::cerr << "hlsavc: " << plan.status().to_string() << "\n";
-        return 1;
-      }
+      std::optional<sim::CampaignPlan> plan = plan_one_site(one_site, externs, copt);
+      if (!plan) return 1;
       const sim::FaultSpec& fault = plan->sites[one_site];
-      std::cout << "injecting s" << fault.id << ": " << fault.describe(design) << "\n";
 
       if (args.trace_site != sim::FaultSpec::kNoSite) {
         // Classify the one site against the golden run, then re-run it
@@ -750,14 +759,13 @@ int run(const Args& args) {
       }
 
       sim::SimOptions so = copt.sim;
-      so.mode = sim::SimMode::kHardware;  // faults model circuit behaviour
       so.trace = args.trace;
-      so.max_cycles = plan->header.max_cycles;
-      so.faults.add(fault);
+      arm_site(so, *plan, one_site);
       arm_deadline(so);
       return simulate_and_report(externs, so);
     }
 
+    std::vector<sim::FaultSpec> sites = sim::enumerate_fault_sites(design, schedule);
     TextTable t("fault sites: " + design.name + " (" + std::to_string(sites.size()) + ")");
     t.header({"site", "kind", "description"});
     for (const sim::FaultSpec& f : sites) {
