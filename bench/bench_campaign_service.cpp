@@ -1,15 +1,18 @@
 // Campaign-service bench: what crash containment costs.
 //
 // The hlsavd supervisor runs a fault campaign as worker subprocesses
-// with per-worker journal shards, so a segfaulting or wedged site can
-// be contained instead of killing the sweep. Containment is not free:
-// workers re-compile the design, every site is fsync'd, and a crash
-// costs a respawn (backoff + re-compile + golden re-run). This harness
-// prices all of it against the in-process runner on the same design:
+// that pull sites one at a time and report them to the supervisor, the
+// job journal's only writer, so a segfaulting or wedged site can be
+// contained instead of killing the sweep. Containment is not free:
+// workers re-compile and re-load the design, every site is fsync'd, and
+// a crash costs a respawn (backoff + re-compile + golden re-run). This
+// harness prices all of it against the in-process runner on the same
+// design. Both sides run the engine the workers run (compiled where the
+// host has a C compiler), so the rows price containment, not engines:
 //
 //   * in-process        -- run_campaign, one process, no journal
 //   * in-process+journal-- the fsync-per-site baseline
-//   * service W=1/2/4   -- sharded supervisor, worker subprocesses
+//   * service W=1/2/4   -- supervisor + W worker subprocesses
 //   * service+crashes   -- same, with sites that SIGKILL their worker
 //     (the --crash-at-site hook), measuring contained-recovery cost
 //   * daemon watch=0/8  -- a live hlsavd daemon, the same job with no
@@ -32,6 +35,7 @@
 #include <sstream>
 #include <thread>
 
+#include "codegen/engine.h"
 #include "pipeline/compile.h"
 #include "serve/client.h"
 #include "serve/shard.h"
@@ -121,7 +125,7 @@ int main(int argc, char** argv) {
   if (inner == 0) inner = quick ? 500 : 5000;
   bench::print_provenance_banner("bench_campaign_service");
 
-  // Scratch area: design source, journals, shards, crash tokens.
+  // Scratch area: design source, journals, crash tokens.
   char tmpl[] = "/tmp/hlsav_bench_svc_XXXXXX";
   const char* dir = ::mkdtemp(tmpl);
   if (dir == nullptr) {
@@ -161,11 +165,22 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // The engine every hlsavd worker arms, prepared before the clock starts
+  // as a worker prepares before its first site.
+  sim::SimOptions engine_opts;
+  std::unique_ptr<codegen::CompiledDesign> engine;
+  for (const std::string& note : codegen::arm_engine(engine_opts, sim::SimEngine::kAuto,
+                                                     compiled->design, compiled->schedule,
+                                                     engine)) {
+    std::cerr << "bench_campaign_service: " << note << "\n";
+  }
+
   sim::ExternRegistry externs;
   std::string reference;
   {
     sim::CampaignOptions copt;
     copt.seed = spec.seed;
+    copt.sim = engine_opts;
     auto t0 = clock::now();
     sim::CampaignReport rep =
         sim::run_campaign(compiled->design, compiled->schedule, externs, *feeds, copt);
@@ -176,6 +191,7 @@ int main(int argc, char** argv) {
   {
     sim::CampaignOptions copt;
     copt.seed = spec.seed;
+    copt.sim = engine_opts;
     copt.journal = std::string(dir) + "/inproc.jsonl";
     auto t0 = clock::now();
     sim::CampaignReport rep =
@@ -185,7 +201,7 @@ int main(int argc, char** argv) {
                     rep.render(compiled->design) == reference});
   }
 
-  // ---- sharded service path at several worker counts ----
+  // ---- service path (supervisor + workers) at several worker counts ----
   auto run_service = [&](const std::string& config, unsigned workers,
                          std::vector<std::uint32_t> crash_at) {
     std::string job_dir = std::string(dir) + "/" + config;

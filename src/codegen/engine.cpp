@@ -14,11 +14,9 @@ struct EntryRow {
   sim::CompiledProcFn fn;
 };
 
-}  // namespace
-
-StatusOr<std::unique_ptr<CompiledDesign>> prepare(const ir::Design& design,
-                                                  const sched::DesignSchedule& schedule,
-                                                  const PrepareOptions& opt) {
+/// The design's C source, or why there is nothing to compile.
+StatusOr<EmitResult> emit_compilable(const ir::Design& design,
+                                     const sched::DesignSchedule& schedule) {
   EmitResult emitted = emit_design(design, schedule);
   if (emitted.compiled_count() == 0) {
     std::string why = "codegen declined every process";
@@ -29,12 +27,25 @@ StatusOr<std::unique_ptr<CompiledDesign>> prepare(const ir::Design& design,
     }
     return Status::error(StatusCode::kSimError, why);
   }
+  return emitted;
+}
 
+CompileOptions compile_options(const PrepareOptions& opt) {
   CompileOptions copt;
   copt.compiler = opt.compiler;
   copt.cache_dir = opt.cache_dir;
   copt.keep_source = opt.keep_source;
-  StatusOr<LoadedModule> module = compile_module(emitted.source, copt);
+  return copt;
+}
+
+}  // namespace
+
+StatusOr<std::unique_ptr<CompiledDesign>> prepare(const ir::Design& design,
+                                                  const sched::DesignSchedule& schedule,
+                                                  const PrepareOptions& opt) {
+  StatusOr<EmitResult> emitted = emit_compilable(design, schedule);
+  if (!emitted.ok()) return emitted.status();
+  StatusOr<LoadedModule> module = compile_module(emitted->source, compile_options(opt));
   if (!module.ok()) return module.status();
 
   const auto* rows = static_cast<const EntryRow*>(module_symbol(*module, "hlsav_entries"));
@@ -43,7 +54,7 @@ StatusOr<std::unique_ptr<CompiledDesign>> prepare(const ir::Design& design,
   if (rows == nullptr || count == nullptr) {
     return Status::io_error("compiled module lacks its entry registry");
   }
-  if (*count != emitted.compiled_count()) {
+  if (*count != emitted->compiled_count()) {
     return Status::io_error("compiled module entry count mismatch");
   }
 
@@ -61,7 +72,38 @@ StatusOr<std::unique_ptr<CompiledDesign>> prepare(const ir::Design& design,
   }
 
   return std::make_unique<CompiledDesign>(std::move(*module), std::move(handle),
-                                          std::move(emitted.procs));
+                                          std::move(emitted->procs));
+}
+
+StatusOr<BuiltModule> prebuild(const ir::Design& design, const sched::DesignSchedule& schedule,
+                               const PrepareOptions& opt) {
+  StatusOr<EmitResult> emitted = emit_compilable(design, schedule);
+  if (!emitted.ok()) return emitted.status();
+  return build_module(emitted->source, compile_options(opt));
+}
+
+std::vector<std::string> arm_engine(sim::SimOptions& so, sim::SimEngine engine,
+                                    const ir::Design& design,
+                                    const sched::DesignSchedule& schedule,
+                                    std::unique_ptr<CompiledDesign>& prepared) {
+  so.engine = engine;
+  if (engine == sim::SimEngine::kInterpreter) return {};
+  std::vector<std::string> notes;
+  if (prepared == nullptr) {
+    StatusOr<std::unique_ptr<CompiledDesign>> prep = prepare(design, schedule);
+    if (!prep.ok()) {
+      return {"compiled engine unavailable (" + prep.status().to_string() + "); interpreting"};
+    }
+    prepared = std::move(*prep);
+    for (const ProcEmit& pe : prepared->procs()) {
+      if (!pe.decline_reason.empty()) {
+        notes.push_back("codegen declined process '" + pe.process + "': " + pe.decline_reason +
+                        " -- interpreting it");
+      }
+    }
+  }
+  so.compiled = prepared->handle();
+  return notes;
 }
 
 }  // namespace hlsav::codegen

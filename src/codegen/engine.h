@@ -12,6 +12,7 @@
 #include "ir/ir.h"
 #include "sched/schedule.h"
 #include "sim/compiled.h"
+#include "sim/simulator.h"
 #include "support/status.h"
 
 namespace hlsav::codegen {
@@ -53,5 +54,26 @@ class CompiledDesign {
 [[nodiscard]] StatusOr<std::unique_ptr<CompiledDesign>> prepare(
     const ir::Design& design, const sched::DesignSchedule& schedule,
     const PrepareOptions& opt = {});
+
+/// prepare() without its load step: emits the design and builds it
+/// into the JIT cache (jit.h build_module), so a process that must not
+/// run generated code can leave a warm cache for the processes that do.
+[[nodiscard]] StatusOr<BuiltModule> prebuild(const ir::Design& design,
+                                             const sched::DesignSchedule& schedule,
+                                             const PrepareOptions& opt = {});
+
+/// Arms `so` to run on `engine`, under the fallback contract: engine
+/// selection never turns a runnable design into an error. Sets
+/// so.engine; unless that is the interpreter, prepares the design into
+/// `prepared` on first use (later calls reuse it) and attaches its
+/// handle. Returns why work will interpret instead: "compiled engine
+/// unavailable (...); interpreting" when preparation fails (no handle
+/// is attached, and the next call tries again), or one "codegen
+/// declined process ..." note per declined process of a fresh
+/// preparation.
+[[nodiscard]] std::vector<std::string> arm_engine(sim::SimOptions& so, sim::SimEngine engine,
+                                                  const ir::Design& design,
+                                                  const sched::DesignSchedule& schedule,
+                                                  std::unique_ptr<CompiledDesign>& prepared);
 
 }  // namespace hlsav::codegen

@@ -1,10 +1,8 @@
 #include "codegen/jit.h"
 
 #include <dlfcn.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +11,7 @@
 
 #include "sim/compiled.h"
 #include "support/io.h"
+#include "support/subprocess.h"
 
 #ifndef HLSAV_GIT_SHA
 #define HLSAV_GIT_SHA "unknown"
@@ -144,32 +143,23 @@ std::string content_key(const std::string& source, const std::string& compiler) 
   return os.str();
 }
 
-StatusOr<LoadedModule> compile_module(const std::string& source, const CompileOptions& opt) {
+StatusOr<BuiltModule> build_module(const std::string& source, const CompileOptions& opt) {
   std::string compiler = opt.compiler.empty() ? find_compiler() : opt.compiler;
   if (compiler.empty()) {
     return Status::error(StatusCode::kSimError,
                          "no C compiler found (set HLSAV_CC or install cc/gcc/clang)");
   }
-  const std::string key = content_key(source, compiler);
+  BuiltModule built;
+  built.key = content_key(source, compiler);
   const std::string dir = opt.cache_dir.empty() ? default_cache_dir() : opt.cache_dir;
-  const std::string base = dir + "/hlsav-" + key;
-  const std::string so_path = base + ".so";
+  const std::string base = dir + "/hlsav-" + built.key;
+  built.path = base + ".so";
 
   // Cache probe: a readable .so under this key was built from byte-for-
   // byte identical source by an identical toolchain.
-  if (::access(so_path.c_str(), R_OK) == 0) {
-    StatusOr<void*> dl = open_and_check(so_path, key);
-    if (dl.ok()) {
-      LoadedModule m;
-      m.dl = *dl;
-      m.path = so_path;
-      m.key = key;
-      m.from_cache = true;
-      return StatusOr<LoadedModule>(std::move(m));
-    }
-    // Corrupt or stale entry: drop it and rebuild below.
-    std::error_code ec;
-    std::filesystem::remove(so_path, ec);
+  if (::access(built.path.c_str(), R_OK) == 0) {
+    built.from_cache = true;
+    return built;
   }
 
   std::error_code ec;
@@ -186,13 +176,17 @@ StatusOr<LoadedModule> compile_module(const std::string& source, const CompileOp
   const std::string log_path = base + tag + ".log";
 
   std::string full = source;
-  full += "const char hlsav_design_key[] = \"" + key + "\";\n";
+  full += "const char hlsav_design_key[] = \"" + built.key + "\";\n";
   HLSAV_RETURN_IF_ERROR(write_file_atomic(c_path, full));
 
   std::string cmd = shell_quote(compiler) + " -O2 -fPIC -shared -xc " + shell_quote(c_path) +
                     " -o " + shell_quote(tmp_so) + " 2> " + shell_quote(log_path);
-  int rc = std::system(cmd.c_str());
-  if (rc > 0xff) rc = WEXITSTATUS(rc);  // decode the shell's wait status
+  // A child of our own rather than std::system(), which ignores SIGINT
+  // process-wide while it waits: a daemon thread building here must not
+  // swallow the daemon's own signals.
+  StatusOr<Subprocess> sh = Subprocess::spawn({"sh", "-c", cmd}, /*capture_stdout=*/false);
+  if (!sh.ok()) return sh.status();
+  const ExitInfo ended = sh->wait();
   std::string log = read_log_tail(log_path);
   std::filesystem::remove(log_path, ec);
   if (opt.keep_source) {
@@ -200,25 +194,40 @@ StatusOr<LoadedModule> compile_module(const std::string& source, const CompileOp
   } else {
     std::filesystem::remove(c_path, ec);
   }
-  if (rc != 0) {
+  if (!ended.clean()) {
     std::filesystem::remove(tmp_so, ec);
     return Status::error(StatusCode::kSimError,
-                         "compiler exited with status " + std::to_string(rc) +
+                         (ended.signaled ? "compiler died: " + ended.describe()
+                                         : "compiler exited with status " +
+                                               std::to_string(ended.value)) +
                              (log.empty() ? std::string() : ":\n" + log));
   }
-  std::filesystem::rename(tmp_so, so_path, ec);
+  std::filesystem::rename(tmp_so, built.path, ec);
   if (ec) {
     std::filesystem::remove(tmp_so, ec);
-    return Status::io_error("cannot publish compiled module to '" + so_path + "'");
+    return Status::io_error("cannot publish compiled module to '" + built.path + "'");
   }
+  return built;
+}
 
-  StatusOr<void*> dl = open_and_check(so_path, key);
+StatusOr<LoadedModule> compile_module(const std::string& source, const CompileOptions& opt) {
+  StatusOr<BuiltModule> built = build_module(source, opt);
+  if (!built.ok()) return built.status();
+  StatusOr<void*> dl = open_and_check(built->path, built->key);
+  if (!dl.ok() && built->from_cache) {
+    // Corrupt or stale entry: drop it and rebuild.
+    std::error_code ec;
+    std::filesystem::remove(built->path, ec);
+    built = build_module(source, opt);
+    if (!built.ok()) return built.status();
+    dl = open_and_check(built->path, built->key);
+  }
   if (!dl.ok()) return dl.status();
   LoadedModule m;
   m.dl = *dl;
-  m.path = so_path;
-  m.key = key;
-  m.from_cache = false;
+  m.path = built->path;
+  m.key = built->key;
+  m.from_cache = built->from_cache;
   return StatusOr<LoadedModule>(std::move(m));
 }
 

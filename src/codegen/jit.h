@@ -55,8 +55,23 @@ struct CompileOptions {
   bool keep_source = false;  // leave <key>.c next to the .so for inspection
 };
 
-/// Compiles `source` (appending the design-key symbol) and dlopens the
-/// result, or returns the cached .so when one exists for this key.
+/// A cache entry, built or found, and not loaded.
+struct BuiltModule {
+  std::string path;         // cached .so
+  std::string key;          // content key it is stored under
+  bool from_cache = false;  // true when no compiler invocation was needed
+};
+
+/// Compiles `source` (appending the design-key symbol) into the cache
+/// without loading it, or finds the entry already stored under its key.
+/// A found entry is not opened: only compile_module notices (and
+/// rebuilds) a corrupt one. For a process that must never load
+/// generated code but leaves a warm cache for the processes that do.
+[[nodiscard]] StatusOr<BuiltModule> build_module(const std::string& source,
+                                                 const CompileOptions& opt);
+
+/// build_module, then dlopen the result; a cached entry that does not
+/// load is removed and rebuilt once.
 [[nodiscard]] StatusOr<LoadedModule> compile_module(const std::string& source,
                                                     const CompileOptions& opt);
 

@@ -62,6 +62,7 @@ EventFold::EventFold(std::string inc) : incarnation(std::move(inc)) {
   counters.worker_respawns = registry.counter("worker_respawns");
   counters.sites_quarantined = registry.counter("sites_quarantined");
   counters.sites_done = registry.counter("sites_done");
+  counters.sites_compiled = registry.counter("sites_compiled");
   counters.journal_bytes = registry.counter("journal_bytes");
   counters.watch_subscribers = registry.counter("watch_subscribers");
   counters.watch_frames_sent = registry.counter("watch_frames_sent");
@@ -188,6 +189,7 @@ EventFold::LogLine EventFold::apply(const JobEvent& e, std::uint64_t now_us) {
       return {};
     case K::kSiteDone:
       counters.sites_done->add();
+      if (e.compiled) counters.sites_compiled->add();
       return {};
     case K::kWorkerCrashed:
       if (rec != nullptr) ++rec->view.respawns;
@@ -219,9 +221,11 @@ EventFold::LogLine EventFold::apply(const JobEvent& e, std::uint64_t now_us) {
       counters.journal_bytes->add(e.total);
       counters.job_wall_ms->record(ran ? (now_us - *rec->run_start_us) / 1000 : 0);
       set_state(e.state);
-      return {"job-completed",
-              {job, F::str("status", e.state), F::num("done", rec ? rec->view.done : 0),
-               F::num("total", rec ? rec->view.total : 0)}};
+      LogLine line{"job-completed",
+                   {job, F::str("status", e.state), F::num("done", rec ? rec->view.done : 0),
+                    F::num("total", rec ? rec->view.total : 0)}};
+      if (!e.engine_note.empty()) line.fields.push_back(F::str("engine_note", e.engine_note));
+      return line;
     }
     case K::kWatchSubscribed:
       if (e.submitter) return {};

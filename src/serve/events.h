@@ -17,6 +17,9 @@
 //   {"seq":12,"ts_ms":8410.2,"event":"job-completed","job":3,
 //    "status":"done","done":24,"total":24}
 //
+// A job-completed line also carries "engine_note" when one of the
+// job's sites interpreted: the first such site's reason.
+//
 // Each line is fsync'd, and opening the log cuts a line torn by a
 // crash before the next incarnation appends; its sequence restarts,
 // so (seq, ts_ms) pairs identify daemon incarnations.
@@ -61,12 +64,12 @@ struct JobEvent {
     kPhaseEnd,       // detail: the phase
     kProgress,       // done / total
     kSiteStarted,    // site on worker
-    kSiteDone,       // site on worker; detail: outcome name
+    kSiteDone,       // site on worker; detail: outcome name; compiled
     kWorkerCrashed,  // site: the blamed in-flight site; worker; detail: exit description
     kQuarantined,    // site hit the crash cap and is classified worker-crashed
     kReport,         // payload: the rendered report
     kFinished,       // state: done | drained | error | deadline-expired; detail: message;
-                     // total: journal bytes
+                     // total: journal bytes; engine_note
     // ---- subscribers ----
     kWatchSubscribed,
     kWatchFrame,   // one frame about to be sent
@@ -88,6 +91,10 @@ struct JobEvent {
   /// kWatch*: the submitting client's own subscription, which is not a
   /// watcher and is never counted or logged as one.
   bool submitter = false;
+  /// kSiteDone: the site ran on the compiled engine.
+  bool compiled = false;
+  /// kFinished: why the job's first interpreted site interpreted.
+  std::string engine_note{};
 };
 
 /// Append-only JSONL flight recorder over a wal::Log.
@@ -168,6 +175,7 @@ struct EventFold {
     metrics::Counter* worker_respawns;
     metrics::Counter* sites_quarantined;
     metrics::Counter* sites_done;
+    metrics::Counter* sites_compiled;
     metrics::Counter* journal_bytes;
     metrics::Counter* watch_subscribers;
     metrics::Counter* watch_frames_sent;

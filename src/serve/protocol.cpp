@@ -184,8 +184,16 @@ std::string encode_worker_starting(std::uint32_t site) {
   return "{\"type\":\"starting\",\"site\":" + std::to_string(site) + "}";
 }
 
-std::string encode_worker_site(const std::string& record) {
-  return "{\"type\":\"site\"," + record.substr(1);
+std::string encode_worker_site(const std::string& record, bool compiled,
+                               const std::string& engine_note) {
+  std::string out = "{\"type\":\"site\"," + record.substr(1, record.size() - 2);
+  out += compiled ? ",\"engine\":\"compiled\"" : ",\"engine\":\"interpreter\"";
+  if (!compiled && !engine_note.empty()) {
+    out += ",\"engine_note\":";
+    jsonl::append_escaped(out, engine_note);
+  }
+  out += '}';
+  return out;
 }
 
 }  // namespace hlsav::serve

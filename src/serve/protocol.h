@@ -23,8 +23,9 @@
 // line to a worker's stdin (EOF: no more sites); the worker answers
 // with {"type":"starting","site":N} before the site runs and
 // {"type":"site",...} -- the site's journal record (sim::journal_line)
-// -- once it is classified. Both are heartbeats. The supervisor, the
-// only journal writer, journals each result before the next id.
+// plus which engine ran it -- once it is classified. Both are
+// heartbeats. The supervisor, the only journal writer, journals each
+// result before the next id.
 #pragma once
 
 #include <cstdint>
@@ -128,9 +129,17 @@ struct JobView;  // serve/hub.h
 /// Worker exit code: drained by SIGTERM after reporting its in-flight
 /// site.
 inline constexpr int kWorkerDrainedExit = 21;
+/// Worker exit code: its golden run disagreed with --golden-cycles, so
+/// it ran no site. The supervisor fails the job rather than blaming the
+/// site it had handed out.
+inline constexpr int kWorkerGoldenMismatchExit = 22;
 
 [[nodiscard]] std::string encode_worker_starting(std::uint32_t site);
-/// `record` is the site's journal line ({"site":N,...}).
-[[nodiscard]] std::string encode_worker_site(const std::string& record);
+/// `record` is the site's journal line ({"site":N,...}). The line ends
+/// with "engine":"compiled"|"interpreter" and, for an interpreted site
+/// with a non-empty `engine_note`, "engine_note" -- keys the journal
+/// parser ignores, so the supervisor's re-encoded record is unchanged.
+[[nodiscard]] std::string encode_worker_site(const std::string& record, bool compiled,
+                                             const std::string& engine_note);
 
 }  // namespace hlsav::serve

@@ -551,9 +551,9 @@ void Service::handle_submit(int fd, const std::string& line) {
 void Service::run_job(Job job) {
   const std::uint64_t id = job.id;
   auto finish = [&](const std::string& state, const std::string& message,
-                    std::uint64_t journal_bytes = 0) {
+                    std::uint64_t journal_bytes = 0, const std::string& engine_note = "") {
     emit({.kind = K::kFinished, .job = id, .total = journal_bytes, .state = state,
-          .detail = message});
+          .detail = message, .engine_note = engine_note});
   };
   // A deadline that passed while the job sat in the queue is a typed
   // terminal outcome, never a silent drop.
@@ -599,7 +599,8 @@ void Service::run_job(Job job) {
   if (!result->rendered.empty()) {
     emit({.kind = K::kReport, .job = id, .payload = std::move(result->rendered)});
   }
-  finish(result->drained ? "drained" : "done", "", result->journal_bytes);
+  finish(result->drained ? "drained" : "done", "", result->journal_bytes,
+         result->report.engine_note);
 }
 
 void Service::stream(int fd, std::shared_ptr<ProgressHub::Subscription> sub, std::uint64_t job,

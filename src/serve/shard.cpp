@@ -11,6 +11,7 @@
 #include <optional>
 #include <set>
 
+#include "codegen/engine.h"
 #include "pipeline/compile.h"
 #include "sim/journal.h"
 #include "support/jsonl.h"
@@ -107,6 +108,15 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
   std::deque<std::uint32_t> pending;  // selected, unclassified, not in flight
   for (std::uint32_t id : plan->selected) {
     if (results.count(id) == 0) pending.push_back(id);
+  }
+  if (!pending.empty()) {
+    // One host-compiler run per design, here, rather than one per
+    // worker on a cold cache: the workers then load the cached module.
+    // The supervisor never loads it (its golden run interprets). If the
+    // build fails, each worker fails the same way and names the reason.
+    emit_phase(JobEvent::Kind::kPhaseBegin, "jit");
+    (void)codegen::prebuild(design, compiled->schedule);
+    emit_phase(JobEvent::Kind::kPhaseEnd, "jit");
   }
   unsigned workers = std::max(1u, opt.workers);
   workers = static_cast<unsigned>(std::min<std::size_t>(workers, pending.size()));
@@ -249,16 +259,21 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
               .worker = w.index});
       } else if (type == "site") {
         r.site = plan->sites[site];
+        std::string engine;
+        r.ran_compiled = jsonl::parse_string(line, "engine", engine) && engine == "compiled";
+        (void)jsonl::parse_string(line, "engine_note", r.engine_note);
         Status st = journal->journal->append(r);
         if (!st.ok()) {
           return Status::error(st.code(), "job journal append failed: " + st.message());
         }
         w.inflight = -1;
         w.attempts = 0;
+        result.report.count_run(r);
         emit({.kind = JobEvent::Kind::kSiteDone,
               .site = static_cast<std::uint32_t>(site),
               .worker = w.index,
-              .detail = sim::fault_outcome_name(r.outcome)});
+              .detail = sim::fault_outcome_name(r.outcome),
+              .compiled = r.ran_compiled});
         results.emplace(static_cast<std::uint32_t>(site), std::move(r));
         dispatch(w);
       }
@@ -319,6 +334,14 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
       }
       // EOF: the worker is exiting (it never closes stdout otherwise).
       ExitInfo ended = w.proc->wait();
+      if (!ended.signaled && ended.value == kWorkerGoldenMismatchExit) {
+        // Not a site's fault: every worker would refuse the same way.
+        return Status::internal(
+            "a worker's golden run disagreed with the supervisor's interpreted one (" +
+            std::to_string(plan->golden.cycles) +
+            " cycles): the compiled engine and the interpreter diverge on this design, or "
+            "its simulation is nondeterministic; no site was run by that worker");
+      }
       bool orderly = !w.broken && !ended.signaled &&
                      (ended.value == 0 || ended.value == kWorkerDrainedExit);
       if (w.inflight < 0 || (orderly && draining)) {

@@ -7,6 +7,12 @@
 // prints the result, and gets its next id as soon as that result is
 // journaled. A slow site never holds back the sites behind it.
 //
+// Workers run their sites on the compiled engine where it applies. The
+// supervisor builds the design into the JIT cache before it spawns them
+// (one host-compiler run on a miss) but loads no generated code, and
+// its golden run interprets, so each worker's golden-cycles check
+// compares the two engines; a worker that fails it fails the job.
+//
 //  * The supervisor is the only journal writer. JOB_DIR/journal.jsonl
 //    is an ordinary campaign journal (sim/journal.h): same header
 //    fingerprint, fsync per site, torn-tail truncation and resume as
@@ -65,6 +71,8 @@ struct SupervisorOptions {
 };
 
 struct SupervisedResult {
+  /// Its sites_run / sites_compiled / engine_note count the sites the
+  /// workers ran for this call, as the in-process runner counts its own.
   sim::CampaignReport report;
   /// report.render(design) -- computed here because the caller has no
   /// compiled design; this is the byte-identity artifact.

@@ -366,10 +366,7 @@ StatusOr<CampaignReport> run_campaign_st(
   auto finish = [&]() -> CampaignReport {
     for (std::size_t i = 0; i < order.size(); ++i) {
       if (done[i] == 0 || restored[i] != 0) continue;
-      const FaultResult& r = report.results[i];
-      ++report.sites_run;
-      if (r.ran_compiled) ++report.sites_compiled;
-      if (report.engine_note.empty()) report.engine_note = r.engine_note;
+      report.count_run(report.results[i]);
     }
     if (report.interrupted) {
       std::vector<FaultResult> kept;
@@ -474,6 +471,15 @@ CampaignReport run_campaign(const ir::Design& design, const sched::DesignSchedul
   StatusOr<CampaignReport> r = run_campaign_st(design, schedule, externs, feeds, opt);
   HLSAV_CHECK(r.ok(), "campaign failed: " + r.status().to_string());
   return *std::move(r);
+}
+
+void CampaignReport::count_run(const FaultResult& r) {
+  ++sites_run;
+  if (r.ran_compiled) {
+    ++sites_compiled;
+  } else if (engine_note.empty()) {
+    engine_note = r.engine_note;
+  }
 }
 
 std::size_t CampaignReport::count(FaultOutcome o) const {

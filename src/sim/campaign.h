@@ -207,6 +207,8 @@ struct CampaignReport {
   std::size_t sites_compiled = 0;
   std::string engine_note;
 
+  /// Counts `r`, a site this call ran, into the three fields above.
+  void count_run(const FaultResult& r);
   [[nodiscard]] std::size_t count(FaultOutcome o) const;
   /// Detected / (everything that was not benign).
   [[nodiscard]] double detection_rate() const;

@@ -6,8 +6,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 namespace hlsav {
 
@@ -199,6 +201,12 @@ StatusOr<std::string> LineReader::read_line(int timeout_ms) {
 }
 
 StatusOr<std::string> LineReader::read_bytes(std::size_t n, int timeout_ms) {
+  // A payload can be megabytes (a daemon's whole trace): size the buffer
+  // once, rather than doubling it chunk by chunk, and hand it over
+  // without a copy when it holds nothing else. `n` comes from the peer,
+  // so the up-front reservation is capped.
+  constexpr std::size_t kMaxReserve = std::size_t{64} << 20;
+  buf_.reserve(std::min(n, kMaxReserve));
   while (buf_.size() < n) {
     Status st = fill(timeout_ms);
     if (!st.ok()) {
@@ -209,6 +217,7 @@ StatusOr<std::string> LineReader::read_bytes(std::size_t n, int timeout_ms) {
       return st;
     }
   }
+  if (buf_.size() == n) return std::exchange(buf_, {});
   std::string out = buf_.substr(0, n);
   buf_.erase(0, n);
   return out;

@@ -86,6 +86,37 @@ TEST(Fallback, WideRegisterDeclinesWithReason) {
   EXPECT_NE(prep.status().message().find("64"), std::string::npos) << prep.status().message();
 }
 
+TEST(Fallback, ArmEngineNotesAFailedPreparationAndTriesAgainNextCall) {
+  DiffRig rig = make_rig(kSrc, Options::unoptimized());
+  sim::SimOptions so;
+  std::unique_ptr<CompiledDesign> prepared;
+  // The interpreter needs no preparation and has nothing to report.
+  EXPECT_TRUE(arm_engine(so, sim::SimEngine::kInterpreter, rig.design, rig.schedule, prepared)
+                  .empty());
+  EXPECT_EQ(so.engine, sim::SimEngine::kInterpreter);
+  EXPECT_EQ(prepared, nullptr);
+
+  const std::string cache = test_cache_dir();
+  hlsav::testing::ScopedEnv in_test_cache("HLSAV_CACHE_DIR", cache.c_str());
+  std::vector<std::string> notes;
+  {
+    hlsav::testing::ScopedEnv no_cc("HLSAV_CC", "/nonexistent/hlsav-cc-for-tests");
+    notes = arm_engine(so, sim::SimEngine::kAuto, rig.design, rig.schedule, prepared);
+  }
+  ASSERT_EQ(notes.size(), 1u);
+  EXPECT_EQ(notes[0].rfind("compiled engine unavailable (", 0), 0u) << notes[0];
+  EXPECT_EQ(so.engine, sim::SimEngine::kAuto);
+  EXPECT_EQ(so.compiled, nullptr);
+  EXPECT_EQ(prepared, nullptr);
+
+  // Nothing was kept from the failure: with a compiler, the next call
+  // prepares and attaches.
+  if (find_compiler().empty()) return;
+  EXPECT_TRUE(arm_engine(so, sim::SimEngine::kAuto, rig.design, rig.schedule, prepared).empty());
+  ASSERT_NE(prepared, nullptr);
+  EXPECT_EQ(so.compiled, prepared->handle());
+}
+
 // ------------------------------------- simulator-level fallback paths --
 
 TEST(Fallback, CompiledRequestWithoutHandleInterprets) {
@@ -319,7 +350,8 @@ TEST(Fallback, CliCompiledEngineWithoutCompilerExitsZero) {
     std::ofstream out(src_path);
     out << kSrc;
   }
-  CmdResult r = run_cmd(std::string("HLSAV_CC=/nonexistent/hlsav-cc ") + HLSAVC_PATH +
+  CmdResult r = run_cmd("HLSAV_CC=/nonexistent/hlsav-cc HLSAV_CACHE_DIR=" + test_cache_dir() + " " +
+                        HLSAVC_PATH +
                         " simulate " + src_path + " --engine=compiled --feed f.in=10,20,30,40");
   ::unlink(src_path.c_str());
   EXPECT_EQ(r.exit_code, 0) << r.output;

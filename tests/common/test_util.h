@@ -7,9 +7,12 @@
 
 #include <unistd.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "ir/ir.h"
@@ -75,5 +78,50 @@ inline std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
+
+/// Points the JIT cache at a directory private to this test process,
+/// for it and every process it starts: the suite never writes the
+/// developer's cache, and each test binary compiles a design once.
+inline void use_private_jit_cache() {
+  ::setenv("HLSAV_CACHE_DIR", temp_path("jit-cache").c_str(), 1);
+}
+
+/// The work directory for a daemon a test starts, temp_path(name),
+/// emptied: a dead test process with this pid may have left a spool
+/// there that the daemon would re-adopt. Also gives the daemon a
+/// private JIT cache (use_private_jit_cache).
+inline std::string daemon_work_dir(const std::string& name) {
+  std::string dir = temp_path(name);
+  std::filesystem::remove_all(dir);
+  use_private_jit_cache();
+  return dir;
+}
+
+/// Sets environment variable `name` (unsets it for a null `value`)
+/// until destroyed, then puts back what was there.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (saved_.has_value()) {
+      ::setenv(name_.c_str(), saved_->c_str(), 1);
+    } else {
+      ::unsetenv(name_.c_str());
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  std::string name_;
+  std::optional<std::string> saved_;
+};
 
 }  // namespace hlsav::testing

@@ -115,6 +115,34 @@ TEST(EventFold, ScriptedJobKeepsCountersEventsAndViewInAgreement) {
   EXPECT_EQ(key->submit_line, encode_submit(spec));
 }
 
+TEST(EventFold, CompiledSitesAreCountedAndAFallbackNoteIsLogged) {
+  Stream r;
+  CampaignSpec spec = clamp_spec();
+  for (std::uint64_t job : {1u, 2u}) {
+    r.feed({.kind = K::kAdmitted, .job = job, .detail = "submit", .spec = &spec});
+    r.feed({.kind = K::kQueued, .job = job, .detail = "submit"});
+    r.feed({.kind = K::kStarted, .job = job});
+  }
+  r.feed({.kind = K::kSiteDone, .job = 1, .site = 0, .detail = "benign", .compiled = true});
+  r.feed({.kind = K::kSiteDone, .job = 1, .site = 1, .detail = "benign", .compiled = true});
+  r.feed({.kind = K::kSiteDone, .job = 2, .site = 0, .detail = "benign"});
+  EXPECT_EQ(r.counter("sites_done"), 3u);
+  EXPECT_EQ(r.counter("sites_compiled"), 2u);
+  // Only a job with a fallback note names one in its log line.
+  auto note_of = [&](const EventFold::LogLine& line) {
+    EXPECT_EQ(line.name, "job-completed");
+    for (const EventLog::Field& f : line.fields) {
+      if (f.key == "engine_note") return f.value;
+    }
+    return std::string("<none>");
+  };
+  EXPECT_EQ(note_of(r.fold.apply({.kind = K::kFinished, .job = 1, .state = "done"}, 1)),
+            "<none>");
+  EXPECT_EQ(note_of(r.fold.apply(
+                {.kind = K::kFinished, .job = 2, .state = "done", .engine_note = "why"}, 2)),
+            "why");
+}
+
 TEST(EventFold, JobsThatNeverRunLeaveTheQueueNotTheRunningCount) {
   Stream r;
   CampaignSpec a = clamp_spec();

@@ -28,6 +28,7 @@
 namespace hlsav::serve {
 namespace {
 
+using hlsav::testing::daemon_work_dir;
 using hlsav::testing::temp_path;
 using hlsav::testing::write_temp;
 using hlsav::testing::slurp;
@@ -48,7 +49,7 @@ void clamp(stream_in<32> in, stream_out<32> out) {
 struct Daemon {
   explicit Daemon(std::vector<std::string> extra_flags = {}) {
     socket = temp_path("obs_" + std::to_string(counter_++) + ".sock");
-    work_dir = temp_path("obs_work_" + std::to_string(counter_));
+    work_dir = daemon_work_dir("obs_work_" + std::to_string(counter_));
     std::vector<std::string> argv = {HLSAVD_PATH, "serve", "--socket=" + socket,
                                      "--work-dir=" + work_dir};
     for (std::string& f : extra_flags) argv.push_back(std::move(f));

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/journal.h"
 #include "support/jsonl.h"
 
 namespace hlsav::serve {
@@ -99,8 +100,8 @@ TEST(Protocol, RejectedReplyCarriesCodeAndMessage) {
 TEST(Protocol, WorkerHeartbeatLinesParse) {
   std::string starting = encode_worker_starting(17);
   // A result line is the site's journal record, tagged with its type.
-  std::string site =
-      encode_worker_site("{\"site\":17,\"outcome\":\"detected\",\"detected_by\":[2],\"cycles\":40}");
+  std::string site = encode_worker_site(
+      "{\"site\":17,\"outcome\":\"detected\",\"detected_by\":[2],\"cycles\":40}", true, "");
   std::string type, outcome;
   std::uint64_t s = 0;
   ASSERT_TRUE(jsonl::parse_string(starting, "type", type));
@@ -115,6 +116,35 @@ TEST(Protocol, WorkerHeartbeatLinesParse) {
   EXPECT_EQ(outcome, "detected");
   ASSERT_TRUE(jsonl::parse_u64(site, "cycles", s));
   EXPECT_EQ(s, 40u);
+}
+
+TEST(Protocol, WorkerSiteLineNamesItsEngineAfterTheJournalRecord) {
+  sim::FaultResult r;
+  r.site.id = 4;
+  r.outcome = sim::FaultOutcome::kDetected;
+  r.detected_by = {1, 3};
+  r.cycles = 99;
+  const std::string record = sim::journal_line(r);
+  const std::string body = "{\"type\":\"site\"," + record.substr(1, record.size() - 2);
+
+  // A compiled site names its engine and never carries a note.
+  EXPECT_EQ(encode_worker_site(record, true, "ignored"), body + ",\"engine\":\"compiled\"}");
+  // An interpreted site carries the simulator's reason, escaped.
+  std::string interp = encode_worker_site(record, false, "memory 'm' is \"wide\"");
+  EXPECT_EQ(interp, body + ",\"engine\":\"interpreter\",\"engine_note\":"
+                           "\"memory 'm' is \\\"wide\\\"\"}");
+  std::string engine, note;
+  ASSERT_TRUE(jsonl::parse_string(interp, "engine", engine));
+  EXPECT_EQ(engine, "interpreter");
+  ASSERT_TRUE(jsonl::parse_string(interp, "engine_note", note));
+  EXPECT_EQ(note, "memory 'm' is \"wide\"");
+  EXPECT_EQ(encode_worker_site(record, false, ""), body + ",\"engine\":\"interpreter\"}");
+
+  // The journal parser ignores the engine keys: the supervisor's
+  // re-encoded record is the worker's, byte for byte.
+  sim::FaultResult back;
+  ASSERT_TRUE(sim::parse_journal_line(interp, back));
+  EXPECT_EQ(sim::journal_line(back), record);
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 namespace hlsav::serve {
 namespace {
 
+using hlsav::testing::daemon_work_dir;
 using hlsav::testing::temp_path;
 using hlsav::testing::write_temp;
 using hlsav::testing::slurp;
@@ -74,7 +75,7 @@ struct CrashDaemon {
   explicit CrashDaemon(const std::string& tag, std::vector<std::string> extra_flags = {})
       : flags(std::move(extra_flags)) {
     socket = temp_path("rec_" + tag + ".sock");
-    work_dir = temp_path("recwork_" + tag);
+    work_dir = daemon_work_dir("recwork_" + tag);
     start();
   }
 

@@ -10,16 +10,22 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "codegen/jit.h"
 #include "common/test_util.h"
+#include "pipeline/compile.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
+#include "serve/shard.h"
+#include "sim/campaign.h"
+#include "support/jsonl.h"
 #include "support/subprocess.h"
 #include "support/wal.h"
 
@@ -33,6 +39,8 @@
 namespace hlsav::serve {
 namespace {
 
+using hlsav::testing::daemon_work_dir;
+using hlsav::testing::ScopedEnv;
 using hlsav::testing::temp_path;
 using hlsav::testing::write_temp;
 using hlsav::testing::slurp;
@@ -67,7 +75,7 @@ std::string run_hlsavc(const std::string& args) {
 struct Daemon {
   explicit Daemon(std::vector<std::string> extra_flags = {}) {
     socket = temp_path("svc_" + std::to_string(counter_++) + ".sock");
-    work_dir = temp_path("svcwork_" + std::to_string(counter_));
+    work_dir = daemon_work_dir("svcwork_" + std::to_string(counter_));
     std::vector<std::string> argv = {HLSAVD_PATH, "serve", "--socket=" + socket,
                                      "--work-dir=" + work_dir};
     for (std::string& f : extra_flags) argv.push_back(std::move(f));
@@ -330,6 +338,134 @@ TEST(Service, SubmittingAMissingDesignFailsTheJobNotTheDaemon) {
   StatusOr<std::string> st = query_status(d.socket);
   ASSERT_TRUE(st.ok()) << st.status().to_string();
   EXPECT_NE(st->find("completed="), std::string::npos);
+}
+
+/// The in-process, interpreted campaign report for `spec`: what every
+/// daemon job must render, whichever engine its workers ran.
+std::string interpreted_report(const CampaignSpec& spec) {
+  SourceManager sm;
+  DiagnosticEngine diags(&sm);
+  StatusOr<pipeline::Compiled> c = pipeline::compile_file(sm, diags, spec.design_path, {});
+  EXPECT_TRUE(c.ok()) << diags.render();
+  StatusOr<std::map<std::string, std::vector<std::uint64_t>>> feeds = parse_feed_spec(spec.feeds);
+  EXPECT_TRUE(feeds.ok());
+  if (!c.ok() || !feeds.ok()) return "";
+  sim::CampaignOptions copt;
+  copt.seed = spec.seed;
+  sim::ExternRegistry externs;
+  return sim::run_campaign(c->design, c->schedule, externs, *feeds, copt).render(c->design);
+}
+
+/// A counter from the daemon's metrics snapshot (-1 when absent).
+long long metric(const std::string& socket, const char* name) {
+  StatusOr<std::string> snap = query_metrics(socket);
+  std::uint64_t v = 0;
+  if (!snap.ok() || !jsonl::parse_u64(*snap, name, v)) return -1;
+  return static_cast<long long>(v);
+}
+
+/// The events-log line of `event` (empty when there is none).
+std::string event_line(const std::string& log, const std::string& event) {
+  std::istringstream in(log);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find("\"event\":\"" + event + "\"") != std::string::npos) return line;
+  }
+  return "";
+}
+
+/// An executable script at temp_path(name).
+std::string write_script(const std::string& name, const std::string& body) {
+  std::string path = write_temp(name, "#!/bin/sh\n" + body);
+  std::filesystem::permissions(path, std::filesystem::perms::owner_all);
+  return path;
+}
+
+TEST(Service, CompiledWorkersRunEverySiteWithTheInterpretedReport) {
+  const std::string cc = codegen::find_compiler();
+  if (cc.empty()) GTEST_SKIP() << "no host C compiler";
+  std::string design = write_temp("svc_compiled.c", kClampSrc);
+  CampaignSpec spec = clamp_spec(design);
+  spec.workers = 2;
+  const std::string ref = interpreted_report(spec);
+  ASSERT_NE(ref.find("Fault-injection campaign"), std::string::npos) << ref;
+
+  // A compiler that logs each run. Its path is part of the cache key,
+  // so the cache starts cold for it.
+  std::string cc_log = temp_path("svc_compiled_cc.log");
+  std::string logging_cc =
+      write_script("svc_compiled_cc.sh", "echo run >> '" + cc_log + "'\nexec '" + cc + "' \"$@\"\n");
+  ScopedEnv use_cc("HLSAV_CC", logging_cc.c_str());
+  std::string events = temp_path("svc_compiled_events.jsonl");
+  Daemon d({"--events-out=" + events});
+  for (const char* pass : {"cold cache", "warm cache"}) {
+    std::string out = temp_path("svc_compiled_report.txt");
+    ASSERT_EQ(submit_job(d.socket, spec, out, /*quiet=*/true), 0) << pass;
+    EXPECT_EQ(slurp(out), ref) << pass;
+    // The supervisor built the design once; no worker ran the compiler.
+    EXPECT_EQ(slurp(cc_log), "run\n") << pass;
+  }
+  long long done = metric(d.socket, "sites_done");
+  EXPECT_GT(done, 0);
+  EXPECT_EQ(metric(d.socket, "sites_compiled"), done);
+  EXPECT_TRUE(d.shutdown().clean());
+  // No site interpreted, so the job's log line names no fallback.
+  std::string completed = event_line(slurp(events), "job-completed");
+  ASSERT_FALSE(completed.empty());
+  EXPECT_EQ(completed.find("engine_note"), std::string::npos) << completed;
+}
+
+TEST(Service, UnusableHostCompilerLeavesWorkersInterpretingWithTheSameReport) {
+  std::string design = write_temp("svc_fallback.c", kClampSrc);
+  CampaignSpec spec = clamp_spec(design);
+  spec.workers = 2;
+  const std::string ref = interpreted_report(spec);
+  ASSERT_NE(ref.find("Fault-injection campaign"), std::string::npos) << ref;
+
+  // No compiler, and so no cache entry under its key: the supervisor's
+  // build and every worker's preparation fail.
+  std::string events = temp_path("svc_fallback_events.jsonl");
+  std::optional<Daemon> d;
+  {
+    ScopedEnv no_cc("HLSAV_CC", "/nonexistent/cc");
+    d.emplace(std::vector<std::string>{"--events-out=" + events});
+  }
+  std::string out = temp_path("svc_fallback_report.txt");
+  ASSERT_EQ(submit_job(d->socket, spec, out, /*quiet=*/true), 0);
+  EXPECT_EQ(slurp(out), ref);
+  EXPECT_GT(metric(d->socket, "sites_done"), 0);
+  EXPECT_EQ(metric(d->socket, "sites_compiled"), 0);
+  ExitInfo info = d->shutdown();
+  EXPECT_TRUE(info.clean()) << info.describe();
+  // The job's log line says why its sites interpreted: the failed
+  // preparation, not the simulator's "no compiled design attached".
+  std::string completed = event_line(slurp(events), "job-completed");
+  EXPECT_NE(completed.find("\"engine_note\":\"compiled engine unavailable ("), std::string::npos)
+      << completed;
+}
+
+TEST(Service, AWorkerGoldenMismatchFailsTheJobInsteadOfBlamingSites) {
+  std::string design = write_temp("svc_golden.c", kClampSrc);
+  SupervisorOptions sopt;
+  // Stands in for a worker whose golden run disagrees with the
+  // supervisor's.
+  sopt.worker_binary =
+      write_script("svc_golden_worker.sh", "exit " + std::to_string(kWorkerGoldenMismatchExit) + "\n");
+  sopt.job_dir = daemon_work_dir("svc_golden_job");
+  ASSERT_TRUE(std::filesystem::create_directories(sopt.job_dir));
+  sopt.workers = 2;
+  std::vector<JobEvent::Kind> kinds;
+  sopt.event_sink = [&](JobEvent e) { kinds.push_back(e.kind); };
+  StatusOr<SupervisedResult> r = run_sharded_campaign(clamp_spec(design), sopt);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("golden run disagreed with the supervisor's interpreted one"),
+            std::string::npos)
+      << r.status().to_string();
+  // No site was blamed, quarantined or retried.
+  for (JobEvent::Kind k : kinds) {
+    EXPECT_NE(k, JobEvent::Kind::kWorkerCrashed);
+    EXPECT_NE(k, JobEvent::Kind::kQuarantined);
+  }
 }
 
 }  // namespace

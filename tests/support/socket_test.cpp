@@ -67,6 +67,7 @@ TEST(Socket, ReadBytesDeliversSizedPayloadAcrossLineBoundary) {
     ASSERT_TRUE(fd.ok());
     ASSERT_TRUE(send_line(*fd, "header").ok());
     ASSERT_TRUE(send_bytes(*fd, "raw\npayload\nwith\nnewlines").ok());
+    ASSERT_TRUE(send_line(*fd, "trailer").ok());
     ::close(*fd);
   });
   StatusOr<int> conn = unix_accept(*listen_fd, 5000);
@@ -78,6 +79,10 @@ TEST(Socket, ReadBytesDeliversSizedPayloadAcrossLineBoundary) {
   StatusOr<std::string> payload = reader.read_bytes(25, 5000);
   ASSERT_TRUE(payload.ok()) << payload.status().to_string();
   EXPECT_EQ(*payload, "raw\npayload\nwith\nnewlines");
+  // Whatever arrived after the payload stays buffered for the next read.
+  StatusOr<std::string> trailer = reader.read_line(5000);
+  ASSERT_TRUE(trailer.ok()) << trailer.status().to_string();
+  EXPECT_EQ(*trailer, "trailer");
   client.join();
   ::close(*conn);
   ::close(*listen_fd);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/test_util.h"
+#include "serve/protocol.h"
 #include "sim/journal.h"
 
 #ifndef HLSAVD_PATH
@@ -81,18 +82,22 @@ hlsav::sim::JournalContents reference_journal(const std::string& design,
   return loaded.ok() ? *std::move(loaded) : hlsav::sim::JournalContents{};
 }
 
-/// A worker fed `site_ids` (one per line) on stdin, then EOF.
+/// A worker fed `site_ids` (one per line) on stdin, then EOF. Its JIT
+/// cache is private to this test process.
 CmdResult run_worker(const std::string& site_ids, const std::string& design,
                      const hlsav::sim::JournalHeader& h, const std::string& extra = "") {
+  hlsav::testing::use_private_jit_cache();
   return run_raw("printf '" + site_ids + "' | " + HLSAVD_PATH + " worker --design=" + design +
                  " --max-cycles=" + std::to_string(h.max_cycles) +
                  " --golden-cycles=" + std::to_string(h.golden_cycles) + " --feed " + kFeed +
                  extra);
 }
 
-/// The result line a worker prints for `r`.
+/// The start of the result line a worker prints for `r`: the site's
+/// journal record, byte for byte, then the engine that ran it.
 std::string result_line(const hlsav::sim::FaultResult& r) {
-  return "{\"type\":\"site\"," + hlsav::sim::journal_line(r).substr(1);
+  std::string record = hlsav::sim::journal_line(r);
+  return "{\"type\":\"site\"," + record.substr(1, record.size() - 2) + ",\"engine\":\"";
 }
 
 TEST(Hlsavd, NoArgumentsPrintsUsageAndExits2) {
@@ -118,16 +123,22 @@ TEST(Hlsavd, WorkerSweepsItsShardAndHeartbeats) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   // Heartbeat contract: for each id, in the order handed out, "starting"
   // (the supervisor's blame target) and then the site's full journal
-  // record -- byte-identical to the single-process campaign's.
+  // record -- byte-identical to the single-process campaign's -- and the
+  // engine that ran it, with the simulator's reason if it interpreted.
   std::size_t pos = 0;
   for (std::uint32_t id : {2u, 0u, 1u}) {
     std::string starting = "{\"type\":\"starting\",\"site\":" + std::to_string(id) + "}\n";
-    std::string result = result_line(ref.results.at(id)) + "\n";
+    std::string result = result_line(ref.results.at(id));
     std::size_t s = r.output.find(starting, pos);
     ASSERT_NE(s, std::string::npos) << "site " << id << ":\n" << r.output;
     std::size_t d = r.output.find(result, s);
     ASSERT_NE(d, std::string::npos) << "site " << id << ":\n" << r.output;
-    pos = d + result.size();
+    pos = r.output.find('\n', d);
+    ASSERT_NE(pos, std::string::npos) << r.output;
+    std::string engine = r.output.substr(d + result.size(), pos - d - result.size());
+    EXPECT_TRUE(engine == "compiled\"}" || engine == "interpreter\"}" ||
+                engine.rfind("interpreter\",\"engine_note\":\"", 0) == 0)
+        << engine;
   }
 }
 
@@ -170,8 +181,10 @@ TEST(Hlsavd, WorkerRefusesAGoldenCyclesMismatch) {
   hlsav::sim::JournalHeader wrong = ref.header;
   wrong.golden_cycles += 1;
   CmdResult r = run_worker("0\\n", design, wrong);
-  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_EQ(r.exit_code, hlsav::serve::kWorkerGoldenMismatchExit);
   EXPECT_NE(r.output.find("nondeterministic"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("the supervisor's interpreted golden run took"), std::string::npos)
+      << r.output;
   // It refuses before running anything.
   EXPECT_EQ(r.output.find("\"type\":\"starting\""), std::string::npos) << r.output;
 }

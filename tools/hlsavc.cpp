@@ -441,30 +441,13 @@ int run(const Args& args) {
   // --engine=compiled/auto: AOT-compile the scheduled design once and
   // attach the handle to every run this invocation makes. Preparation
   // failures (no host compiler, unwritable cache, every process
-  // declined) log a reason and leave the interpreter in charge -- the
-  // fallback contract says engine selection never turns a runnable
-  // design into an error exit.
+  // declined) log a reason and leave the interpreter in charge.
   std::unique_ptr<codegen::CompiledDesign> compiled_design;
   auto arm_engine = [&](sim::SimOptions& so) {
-    so.engine = args.engine;
-    if (args.engine == sim::SimEngine::kInterpreter) return;
-    if (compiled_design == nullptr) {
-      StatusOr<std::unique_ptr<codegen::CompiledDesign>> prep =
-          codegen::prepare(design, schedule);
-      if (!prep.ok()) {
-        std::cerr << "hlsavc: compiled engine unavailable (" << prep.status().to_string()
-                  << "); interpreting\n";
-        return;
-      }
-      compiled_design = std::move(*prep);
-      for (const codegen::ProcEmit& pe : compiled_design->procs()) {
-        if (!pe.decline_reason.empty()) {
-          std::cerr << "hlsavc: codegen declined process '" << pe.process
-                    << "': " << pe.decline_reason << " -- interpreting it\n";
-        }
-      }
+    for (const std::string& note :
+         codegen::arm_engine(so, args.engine, design, schedule, compiled_design)) {
+      std::cerr << "hlsavc: " << note << "\n";
     }
-    so.compiled = compiled_design->handle();
   };
   auto report_engine = [](const sim::Simulator& s) {
     if (!s.engine_note().empty()) std::cerr << "hlsavc: " << s.engine_note() << "\n";

@@ -73,11 +73,19 @@
 //               later,
 //             8 deadline-expired (--deadline-ms passed while queued).
 // Worker contract (internal; serve/shard.h is the other side): `hlsavd
-// worker --design=F --max-cycles=N --golden-cycles=N ...` compiles F,
-// refuses (exit 1) if its golden run disagrees with --golden-cycles,
-// then runs one site per stdin line and prints the protocol.h lines for
-// it. It writes no files. Exit 0 at stdin EOF, 1 error, 2 bad usage, 21
-// drained on SIGTERM after reporting its in-flight site.
+// worker --design=F --max-cycles=N --golden-cycles=N ...` compiles F and
+// arms the compiled engine (sim::SimEngine::kAuto; the supervisor has
+// already built F into the JIT cache, so this loads it; work the engine
+// cannot take interprets). It refuses with exit 22 if its golden run
+// disagrees with --golden-cycles -- the supervisor's golden run
+// interprets, so this compares the two engines' cycle counts on every
+// job, and the supervisor fails the job -- then runs one site per stdin
+// line and prints the protocol.h lines for it, each result naming the
+// engine that ran the site and, if it interpreted, why. A crash in
+// generated code is a worker crash like any other. It writes no files
+// outside the JIT cache. Exit 0 at stdin EOF, 1 error, 2 bad usage, 21
+// drained on SIGTERM after reporting its in-flight site, 22 golden
+// mismatch.
 #include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
@@ -100,6 +108,7 @@
 #include <thread>
 #include <vector>
 
+#include "codegen/engine.h"
 #include "pipeline/compile.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -295,6 +304,16 @@ int run_worker(const WorkerArgs& args) {
   sim::CampaignOptions copt;
   copt.max_cycles = args.max_cycles;
   copt.site_wall_ms = args.site_wall_ms;
+  // The golden run and every site run compiled where the engine can;
+  // the rest interprets, and the reports are the same either way.
+  std::unique_ptr<codegen::CompiledDesign> engine;
+  std::vector<std::string> notes = codegen::arm_engine(copt.sim, sim::SimEngine::kAuto,
+                                                       compiled->design, compiled->schedule,
+                                                       engine);
+  for (const std::string& note : notes) std::cerr << "hlsavd worker: " << note << "\n";
+  // With no design attached, why preparation failed is the reason every
+  // site interprets, not the simulator's "no compiled design attached".
+  const std::string unarmed = engine == nullptr && !notes.empty() ? notes.front() : "";
   sim::ExternRegistry externs;
   StatusOr<sim::CampaignPlan> plan =
       sim::plan_campaign(compiled->design, compiled->schedule, externs, *feeds, copt);
@@ -303,10 +322,12 @@ int run_worker(const WorkerArgs& args) {
     return 1;
   }
   if (args.golden_cycles != 0 && plan->golden.cycles != args.golden_cycles) {
-    std::cerr << "hlsavd worker: golden run took " << plan->golden.cycles
-              << " cycles but the supervisor measured " << args.golden_cycles
-              << " -- nondeterministic simulation, refusing to run sites\n";
-    return 1;
+    std::cerr << "hlsavd worker: golden run took " << plan->golden.cycles << " cycles ("
+              << (engine != nullptr ? "compiled engine" : "interpreter")
+              << ") but the supervisor's interpreted golden run took " << args.golden_cycles
+              << " -- the engines diverge or the simulation is nondeterministic; refusing to "
+                 "run sites\n";
+    return serve::kWorkerGoldenMismatchExit;
   }
 
   // One site id per stdin line until EOF. "starting" goes out before a
@@ -325,7 +346,8 @@ int run_worker(const WorkerArgs& args) {
     say(serve::encode_worker_starting(site));
     inject_test_faults(args, site);
     sim::FaultResult r = sim::run_site(*plan, plan->sites[site], copt);  // throws: exit 1
-    say(serve::encode_worker_site(sim::journal_line(r)));
+    say(serve::encode_worker_site(sim::journal_line(r), r.ran_compiled,
+                                  unarmed.empty() ? r.engine_note : unarmed));
   }
   return g_cancel.load(std::memory_order_relaxed) ? serve::kWorkerDrainedExit : 0;
 }
