@@ -600,14 +600,19 @@ class ProcEmitter {
       // The loop test already counts as executed work for this pass.
       emit_op(header, body.ops[j], h + 1 + j, loop.body, j, at, /*progressed_before=*/true);
     }
+    // A halt mid-loop leaves the clock where the last issued iteration
+    // retires, as the interpreter does.
+    const std::string retire = stw(sim::kStCycle) + " = " + stw(sim::kStPipeStart) + " + " +
+                               std::to_string(bs.latency) + "u + (" + stw(sim::kStPipeIter) +
+                               " - 1u) * " + std::to_string(ii) + "u; ";
     os_ << "  " << stw(sim::kStPipeIter) << " += 1u;\n"
         << "  " << stw(sim::kStResumeOp) << " = 0u;\n"
         << "  " << stw(sim::kStProgress) << " = 1u;\n"
-        << "  if (" << stw(sim::kStHalt) << " != 0u) return HLSAV_RET(" << sim::kRetHalted
-        << "u);\n"
+        << "  if (" << stw(sim::kStHalt) << " != 0u) { " << retire << "return HLSAV_RET("
+        << sim::kRetHalted << "u); }\n"
         << "  if ((" << stw(sim::kStFlags) << " & " << sim::kStFlagDeadline << "u) != 0u) {\n"
-        << "    if (((hlsav_cb_poll_fn)cb[" << sim::kCbPoll << "])(sim) != 0u) return HLSAV_RET("
-        << sim::kRetHalted << "u);\n"
+        << "    if (((hlsav_cb_poll_fn)cb[" << sim::kCbPoll << "])(sim) != 0u) { " << retire
+        << "return HLSAV_RET(" << sim::kRetHalted << "u); }\n"
         << "  }\n"
         << "  goto " << blk_loop(header.id) << ";\n";
   }

@@ -147,10 +147,19 @@ struct GoldenRef {
   std::vector<std::pair<std::string, std::vector<std::uint64_t>>> outputs;
 };
 
+/// Version of what a simulated site reports: bump it whenever a
+/// simulator change can move any site's outcome, detecting assertions
+/// or cycle count. It is part of the journal fingerprint, so a journal
+/// written under another version is started over, never spliced into a
+/// new report. Journals from before the field read as 0.
+///   1: assertion-failure words reach the CPU when they are sent, not
+///      when the sending process next yields.
+inline constexpr std::uint64_t kSimSemantics = 1;
+
 /// Campaign identity, logged as the first line of a journal
 /// (sim/journal.h). Two campaigns with equal fingerprints enumerate the
-/// same sites with the same backstops, so their per-site outcomes are
-/// interchangeable.
+/// same sites with the same backstops under the same simulator
+/// semantics, so their per-site outcomes are interchangeable.
 struct JournalHeader {
   std::string design;
   std::uint64_t seed = 0;
@@ -160,6 +169,7 @@ struct JournalHeader {
   std::uint64_t golden_cycles = 0;
   double site_wall_ms = 0.0;
   bool profile = false;
+  std::uint64_t sim_semantics = kSimSemantics;
 
   /// Canonical one-line identity (also the serialized header payload).
   [[nodiscard]] std::string fingerprint() const;

@@ -35,6 +35,7 @@ std::string JournalHeader::fingerprint() const {
   out += ",\"site_wall_ms\":" + jsonl::format_double(site_wall_ms);
   out += ",\"profile\":";
   out += profile ? "true" : "false";
+  out += ",\"sim_semantics\":" + std::to_string(sim_semantics);
   out += '}';
   return out;
 }
@@ -104,6 +105,10 @@ StatusOr<JournalContents> load_journal(const std::string& path) {
   StatusOr<wal::Prefix> prefix = wal::load(path, [&](const std::string& line) {
     if (!saw_header) {
       saw_header = true;
+      // Absent before the field existed: such a journal is version 0.
+      if (!jsonl::parse_u64(line, "sim_semantics", out.header.sim_semantics)) {
+        out.header.sim_semantics = 0;
+      }
       return jsonl::parse_string(line, "design", out.header.design) &&
              jsonl::parse_u64(line, "seed", out.header.seed) &&
              jsonl::parse_u64(line, "sites_total", out.header.sites_total) &&

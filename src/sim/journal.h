@@ -5,9 +5,10 @@
 // The journal is a write-ahead log (support/wal.h):
 //
 //  * One JSONL file. The first line is a header describing the campaign
-//    (design, seed, sampling, resolved cycle backstop) -- its canonical
-//    `fingerprint()` is what --resume matches against, so a journal can
-//    never be replayed into a *different* campaign.
+//    (design, seed, sampling, resolved cycle backstop, simulator
+//    semantics version) -- its canonical `fingerprint()` is what
+//    --resume matches against, so a journal can never be replayed into
+//    a *different* campaign, nor one a different simulator classified.
 //  * One line per classified site, appended and fsync'd the moment the
 //    site completes. Sites land in completion order; the aggregate
 //    report is rebuilt in site order, so an interrupted-then-resumed

@@ -33,6 +33,9 @@ void Simulator::init_state() {
     streams_[s.id].depth = s.depth;
     streams_[s.id].cpu_producer = s.producer.kind == ir::StreamEndpoint::Kind::kCpu;
     streams_[s.id].cpu_consumer = s.consumer.kind == ir::StreamEndpoint::Kind::kCpu;
+    streams_[s.id].notifies = streams_[s.id].cpu_consumer &&
+                              (s.role == ir::StreamRole::kAssertFail ||
+                               s.role == ir::StreamRole::kAssertPacked);
     stream_ids_.emplace(s.name, s.id);  // first name wins, as in a linear scan
   }
   dirty_cpu_streams_.reserve(streams_.size());
@@ -441,9 +444,16 @@ void Simulator::push_stream(ir::StreamId id, BitVector value, std::uint64_t at) 
 
 void Simulator::mark_cpu_dirty(ir::StreamId id) {
   StreamState& st = streams_[id];
-  if (!st.cpu_consumer || st.dirty) return;
-  st.dirty = true;
-  dirty_cpu_streams_.push_back(id);
+  if (!st.cpu_consumer) return;
+  if (!st.dirty) {
+    st.dirty = true;
+    dirty_cpu_streams_.push_back(id);
+  }
+  // The notification task sees a failure when it is sent (paper §3: the
+  // application aborts on the first one). The halt_ this may raise stops
+  // an interpreted process at its next block boundary and compiled code
+  // through kCbHalt -> kStHalt, the same points a direct assert halts at.
+  if (st.notifies) drain_cpu_streams();
 }
 
 // --------------------------------------------------------- assertions --
@@ -881,8 +891,12 @@ bool Simulator::run_pipelined_loop(ProcState& ps) {
     }
     ++pc.iter;
     ps.op_idx = 0;
-    if (halt_) return true;
-    if (deadline_ != nullptr && poll_deadline()) return true;
+    if (halt_ || (deadline_ != nullptr && poll_deadline())) {
+      // Stopped mid-loop: the process's clock is where the last issued
+      // iteration retires, by the loop-exit timing below.
+      ps.cycle = pc.start_cycle + bs.latency + (pc.iter - 1) * bs.ii;
+      return true;
+    }
   }
 }
 
@@ -1268,7 +1282,6 @@ void Simulator::drain_cpu_streams() {
   for (std::size_t i = 0; i < dirty_cpu_streams_.size(); ++i) {
     ir::StreamId id = dirty_cpu_streams_[i];
     StreamState& st = streams_[id];
-    const ir::Stream& s = design_.stream(id);
     while (!st.fifo.empty()) {
       if (halt_) {
         // The abort stops the channel; later words stay queued (and the
@@ -1289,10 +1302,8 @@ void Simulator::drain_cpu_streams() {
         delivered = std::max(e.time, channel_busy_until_ + 1);
         channel_busy_until_ = delivered;
       }
-      bool is_assert_stream = s.role == ir::StreamRole::kAssertFail ||
-                              s.role == ir::StreamRole::kAssertPacked;
-      if (is_assert_stream) {
-        if (notify_.on_word(s.id, e.value.to_u64(), delivered)) halt_ = true;
+      if (st.notifies) {
+        if (notify_.on_word(id, e.value.to_u64(), delivered)) halt_ = true;
       } else {
         st.cpu_received.push_back(std::move(e.value));
       }

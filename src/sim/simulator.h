@@ -21,8 +21,10 @@
 // -- this is what the paper's §5.1 assert(0)/NABORT tracing example
 // diagnoses.
 //
-// Failure streams are drained into the assertions::NotificationFunction,
-// which renders the ANSI-C message and halts the run unless NABORT.
+// Failure streams are drained into the assertions::NotificationFunction
+// the moment a failure word is sent; it renders the ANSI-C message and
+// halts the run unless NABORT. Data words reach the CPU when their
+// process yields (see drain_cpu_streams).
 // Checker processes are evaluated reactively when the application
 // executes their kAssertTap (their latency only delays notification,
 // exactly as the paper argues), and collector processes forward packed
@@ -260,6 +262,9 @@ class Simulator {
     unsigned depth = 0;  // cached ir::Stream::depth (writer backpressure)
     bool cpu_producer = false;
     bool cpu_consumer = false;
+    /// kAssertFail/kAssertPacked into the CPU: a word sent here reaches
+    /// the notification task at once, not at the sender's next yield.
+    bool notifies = false;
     bool dirty = false;  // on the dirty-drain list (cpu_consumer only)
   };
 
@@ -450,7 +455,8 @@ class Simulator {
   bool try_stream_read(ProcState& ps, const ir::Op& op, std::uint64_t at);
   bool try_stream_write(ProcState& ps, const ir::Op& op, std::uint64_t at);
   void push_stream(ir::StreamId id, BitVector value, std::uint64_t at);
-  /// Flags a CPU-bound stream for the next drain_cpu_streams() pass.
+  /// Flags a CPU-bound stream for the next drain_cpu_streams() pass; an
+  /// assertion-failure stream drains at once (see drain_cpu_streams).
   void mark_cpu_dirty(ir::StreamId id);
 
   void direct_assert_failure(std::uint32_t id, std::uint64_t at);
@@ -459,6 +465,15 @@ class Simulator {
   void eval_checker(const ir::AssertionRecord& rec, CheckerCache& cc, const ProcState& ps,
                     const ir::Op& tap, std::uint64_t at);
   void fail_wire(const ir::AssertionRecord* rec, std::uint64_t at);
+  /// Delivers every queued CPU-bound word over the multiplexed channel,
+  /// stream by stream in id order, and feeds assertion words to the
+  /// notification task (which may set halt_). Runs whenever a process
+  /// yields, and from mark_cpu_dirty the moment an assertion-failure
+  /// word is sent: a process that never yields (it only writes CPU
+  /// streams, which never fill) would otherwise hold its failure until
+  /// it finished or hit the cycle backstop. Data words are not drained
+  /// per write: they wait for the yield, which keeps the channel order
+  /// that `corrupt CPU channel word N` faults count on.
   void drain_cpu_streams();
 
   [[nodiscard]] const ExternRegistry::Fn* extern_fn(const std::string& name) const;

@@ -10,7 +10,8 @@
 // every compiled-engine site to have actually run compiled. Hand-built
 // specs cover the places where the interpreter does *not* apply a fault
 // (a bit beyond the memory width, a narrow width at or above the
-// operand width, a skip aimed at a pipelined header).
+// operand width, a skip aimed at a pipelined header). The backstop
+// tests rerun the paper workloads' campaigns at 4x the cycle limit.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -92,18 +93,25 @@ std::size_t count_kind(const sim::CampaignReport& r, sim::FaultKind k, bool effe
 
 // ---------------------------------------------------- paper workloads --
 
-TEST(FaultDifferential, TripleDesEverySite) {
-  HLSAV_REQUIRE_COMPILER();
-  std::array<std::uint64_t, 3> keys = {0x0123456789ABCDEFull, 0x23456789ABCDEF01ull,
-                                       0x456789ABCDEF0123ull};
-  DiffRig rig = make_scheduled_rig("des3.c", apps::des::hlsc_decrypt_source(keys),
-                                   Options::optimized(), 6);
+constexpr std::array<std::uint64_t, 3> kDesKeys = {0x0123456789ABCDEFull, 0x23456789ABCDEF01ull,
+                                                   0x456789ABCDEF0123ull};
+
+DiffRig triple_des_rig(const Options& aopt) {
+  return make_scheduled_rig("des3.c", apps::des::hlsc_decrypt_source(kDesKeys), aopt, 6);
+}
+
+Feeds triple_des_feeds() {
   std::vector<std::uint64_t> cipher;
   for (std::uint64_t b : apps::des::pack_text("Differential ABV")) {
-    cipher.push_back(apps::des::triple_des_encrypt(b, keys));
+    cipher.push_back(apps::des::triple_des_encrypt(b, kDesKeys));
   }
-  sim::CampaignReport comp =
-      expect_campaigns_agree(rig, {{"des3.in", apps::des::to_word_stream(cipher)}});
+  return {{"des3.in", apps::des::to_word_stream(cipher)}};
+}
+
+TEST(FaultDifferential, TripleDesEverySite) {
+  HLSAV_REQUIRE_COMPILER();
+  DiffRig rig = triple_des_rig(Options::optimized());
+  sim::CampaignReport comp = expect_campaigns_agree(rig, triple_des_feeds());
   EXPECT_EQ(comp.results.size(), 62u);
   // The sites the tentpole targets: livelocks that only the cycle
   // backstop ends.
@@ -140,6 +148,68 @@ TEST(FaultDifferential, ReplicatedLoopbackStagesShareOneFunction) {
   sim::CampaignReport comp =
       expect_campaigns_agree(rig, {{apps::loopback::input_stream(4), {5, 6, 7, 8, 9, 10}}});
   EXPECT_GT(count_kind(comp, sim::FaultKind::kBramBitFlip, true), 0u);
+}
+
+// ------------------------------------------------ backstop invariance --
+
+/// Runs every site at the plan's cycle backstop and again at 4x it, on
+/// both engines. The backstop may only end livelocks: any other site's
+/// outcome, detecting assertions and cycle count must not depend on
+/// it. (A failure word that waited for its process to yield once landed
+/// just past whatever backstop was set, e.g. 3DES's `branch stuck taken
+/// in 'des3' block 'for_header25'` site.)
+void expect_backstop_invariant(const DiffRig& rig, const Feeds& feeds) {
+  ASSERT_EQ(rig.prep_error, "");
+  for (sim::SimEngine engine : {sim::SimEngine::kInterpreter, sim::SimEngine::kCompiled}) {
+    SCOPED_TRACE(engine == sim::SimEngine::kCompiled ? "compiled" : "interpreter");
+    sim::CampaignOptions opt;
+    opt.threads = 2;
+    opt.sim.engine = engine;
+    if (engine == sim::SimEngine::kCompiled) opt.sim.compiled = rig.compiled->handle();
+    StatusOr<sim::CampaignPlan> plan =
+        sim::plan_campaign(rig.design, rig.schedule, rig.externs, feeds, opt);
+    ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+    const std::uint64_t backstop = plan->header.max_cycles;
+    sim::CampaignReport tight =
+        sim::run_campaign(rig.design, rig.schedule, rig.externs, feeds, opt);
+    opt.max_cycles = 4 * backstop;
+    sim::CampaignReport wide = sim::run_campaign(rig.design, rig.schedule, rig.externs, feeds, opt);
+    ASSERT_EQ(tight.results.size(), wide.results.size());
+    for (std::size_t i = 0; i < tight.results.size(); ++i) {
+      const sim::FaultResult& a = tight.results[i];
+      const sim::FaultResult& b = wide.results[i];
+      const std::string site = "s" + std::to_string(a.site.id) + " " + a.site.describe(rig.design);
+      EXPECT_EQ(a.outcome, b.outcome) << site;
+      EXPECT_EQ(a.detected_by, b.detected_by) << site;
+      if (a.outcome == sim::FaultOutcome::kHangTimeout) {
+        EXPECT_GT(a.cycles, backstop) << site;
+        EXPECT_GT(b.cycles, 4 * backstop) << site;
+      } else {
+        EXPECT_EQ(a.cycles, b.cycles) << site;
+        EXPECT_LE(a.cycles, backstop) << site;
+      }
+      EXPECT_EQ(b.ran_compiled, engine == sim::SimEngine::kCompiled) << site;
+    }
+  }
+}
+
+TEST(BackstopInvariance, TripleDesBothConfigs) {
+  HLSAV_REQUIRE_COMPILER();
+  for (const Options& o : {Options::unoptimized(), Options::optimized()}) {
+    SCOPED_TRACE(o.parallelize ? "parallelized" : "unoptimized");
+    expect_backstop_invariant(triple_des_rig(o), triple_des_feeds());
+  }
+}
+
+TEST(BackstopInvariance, EdgeDetectorBothConfigs) {
+  HLSAV_REQUIRE_COMPILER();
+  apps::img::Image input = apps::img::synthetic_image(32, 24, 5);
+  Feeds feeds{{"edge.in", apps::edge::to_word_stream(input)}};
+  for (const Options& o : {Options::unoptimized(), Options::optimized()}) {
+    SCOPED_TRACE(o.parallelize ? "parallelized" : "unoptimized");
+    DiffRig rig = make_scheduled_rig("edge.c", apps::edge::hlsc_source(32, 24), o, 16);
+    expect_backstop_invariant(rig, feeds);
+  }
 }
 
 // ------------------------------------------------- hook coverage --

@@ -48,6 +48,9 @@ TEST(Journal, FingerprintIsCanonicalAndSensitive) {
   b = a;
   b.design = "other";
   EXPECT_NE(a.fingerprint(), b.fingerprint());
+  b = a;
+  b.sim_semantics = kSimSemantics - 1;
+  EXPECT_NE(a.fingerprint(), b.fingerprint());
 }
 
 FaultResult sample_result(std::uint32_t site, FaultOutcome outcome) {
@@ -277,6 +280,47 @@ TEST(Journal, ResumeRejectsMismatchedCampaign) {
   ASSERT_TRUE(reloaded.ok());
   EXPECT_EQ(reloaded->header.seed, 99u);
   EXPECT_EQ(reloaded->results.size(), 3u);
+}
+
+TEST(Journal, JournalOfAnEarlierSimulatorIsStartedOver) {
+  // A journal written before the semantics version existed: no field in
+  // its header, and site lines whose cycle counts an older simulator
+  // produced. Resuming must run every site again, not splice the stale
+  // lines into a new report.
+  H h = make_clamp();
+  std::string path = temp_path("journal_old_semantics.jsonl");
+  CampaignOptions opt;
+  opt.journal = path;
+  CampaignReport fresh = run_campaign(h.design, h.schedule, h.externs, h.feeds, opt);
+  {
+    std::string data = slurp(path);
+    const std::string field = ",\"sim_semantics\":" + std::to_string(kSimSemantics);
+    std::size_t at = data.find(field);
+    ASSERT_LT(at, data.find('\n'));
+    data.erase(at, field.size());
+    const std::string key = "\"cycles\":";  // site lines only; header keys differ
+    for (std::size_t p = data.find(key); p != std::string::npos; p = data.find(key, p)) {
+      p += key.size();
+      data.replace(p, data.find_first_not_of("0123456789", p) - p, "7");
+    }
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << data;
+  }
+  StatusOr<JournalContents> old = load_journal(path);
+  ASSERT_TRUE(old.ok()) << old.status().to_string();
+  EXPECT_EQ(old->header.sim_semantics, 0u);
+  EXPECT_EQ(old->results.size(), fresh.results.size());
+
+  CampaignOptions res = opt;
+  res.resume = true;
+  std::size_t ran = 0;
+  res.site_sink = [&](const FaultResult&) { ++ran; };
+  CampaignReport resumed = run_campaign(h.design, h.schedule, h.externs, h.feeds, res);
+  EXPECT_EQ(ran, fresh.results.size());
+  expect_same_report(fresh, resumed, h.design);
+  StatusOr<JournalContents> rewritten = load_journal(path);
+  ASSERT_TRUE(rewritten.ok());
+  EXPECT_EQ(rewritten->header.sim_semantics, kSimSemantics);
 }
 
 TEST(Journal, ProfiledCampaignResumesWithProfiles) {
