@@ -485,7 +485,7 @@ class ProcEmitter {
         << "  }\n";
   }
 
-  /// Branch outcome of `b`'s condition through its stuck-branch word.
+  /// Branch outcome of `b`'s condition through its block word.
   [[nodiscard]] std::string branch_taken(const BasicBlock& b) const {
     return "(" + stw(layout_.branch + b.id) + " >> (" + val(b.term.cond) + " != 0u)) & 1u";
   }
@@ -521,8 +521,8 @@ class ProcEmitter {
     // never runs an op, so it is never resumed mid-block: testing on
     // every pass through here is the interpreter's op_idx == 0 test.
     if (!b.ops.empty()) {
-      os_ << "  if (" << stw(sim::kStSkipBlock) << " == " << b.id << "u) goto "
-          << blk_retire(b.id) << ";\n";
+      os_ << "  if ((" << stw(layout_.branch + b.id) << " & " << sim::kBlockSkip
+          << "u) != 0u) goto " << blk_retire(b.id) << ";\n";
     }
     std::vector<std::size_t> resume;
     for (std::size_t i = 0; i < b.ops.size(); ++i) {

@@ -72,7 +72,12 @@ struct FaultResult {
   FaultSpec site;
   FaultOutcome outcome = FaultOutcome::kBenign;
   std::vector<std::uint32_t> detected_by;  // assertion ids, sorted, deduped
-  std::uint64_t cycles = 0;                // RunResult::cycles of the faulted run
+  /// RunResult::cycles of the faulted run: the cycle at which it stopped
+  /// (the report's `cycles` column; `hlsavc faultsim --site=N` prints the
+  /// same number). For a detected site that is where the failing process
+  /// stopped, which can differ by a cycle from the notification cycle on
+  /// the failure's own line.
+  std::uint64_t cycles = 0;
   /// Cycle-attribution totals of the faulted run; only populated when
   /// CampaignOptions::profile is set (timelines stay off in campaigns).
   std::optional<metrics::ProfileSummary> profile;

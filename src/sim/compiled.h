@@ -18,14 +18,14 @@
 // kCompiledAbiVersion whenever anything in this file changes shape, and
 // stale cached .so files are rejected by their embedded version symbol.
 //
-// Fault injection: the generated code applies the single fault a
-// campaign site arms for the faults that live inside a process -- a
-// skipped block, a stuck branch, a narrowed comparison, a BRAM cell
-// fault -- through fault words the simulator fills in before the run
-// (ProcLayout). Every fault word is neutral when nothing is armed,
-// and all but the skip word are masks, so the unfaulted code pays a few
-// ALU ops and no extra branches. Stream, extern and CPU-channel faults
-// live in the simulator's callbacks.
+// Fault injection: the faults that live inside a process -- a skipped
+// block, a stuck branch, a narrowed comparison, a BRAM cell fault --
+// take one form, the fault words of ProcLayout, which the simulator
+// fills in before the run from every armed fault. Generated code and
+// the interpreter both read them. Every fault word is neutral when
+// nothing is armed and acts as a mask, so the unfaulted code pays a few
+// ALU ops and one skip test per block. Stream, extern and CPU-channel
+// faults live in the simulator's callbacks.
 #pragma once
 
 #include <algorithm>
@@ -40,7 +40,7 @@ namespace hlsav::sim {
 /// Bump on any ABI change (state-word layout, callback table, return
 /// encoding, exported symbol set). Part of the on-disk cache key and
 /// embedded in every generated object.
-inline constexpr std::uint32_t kCompiledAbiVersion = 2;
+inline constexpr std::uint32_t kCompiledAbiVersion = 3;
 
 /// Execution engine selection (SimOptions::engine).
 enum class SimEngine : std::uint8_t {
@@ -64,19 +64,20 @@ inline constexpr std::uint32_t kStProgress = 7;     // any op/retire progressed
 inline constexpr std::uint32_t kStHalt = 8;         // design halted (finish block, then return)
 inline constexpr std::uint32_t kStInPipe = 9;       // resume position is inside a pipelined loop
 inline constexpr std::uint32_t kStFlags = 10;       // bit 0: deadline armed
-inline constexpr std::uint32_t kStSkipBlock = 11;   // BlockId whose ops a fault skips
-inline constexpr std::uint32_t kStPidx = 12;        // process index passed to callbacks
-inline constexpr std::uint32_t kStWords = 13;       // fixed words; fault words follow
+inline constexpr std::uint32_t kStPidx = 11;        // process index passed to callbacks
+inline constexpr std::uint32_t kStWords = 12;       // fixed words; fault words follow
 
 inline constexpr std::uint64_t kStFlagDeadline = 1;
-inline constexpr std::uint64_t kNoSkipBlock = ~std::uint64_t{0};
 
 // ---- fault words (after the fixed words) --------------------------------
-/// Stuck-branch word: bit 1 is the branch outcome when its condition
-/// holds, bit 0 the outcome when it does not.
+/// Block word: bit 1 is the branch outcome when its condition holds,
+/// bit 0 the outcome when it does not, and bit 2 (kBlockSkip) skips the
+/// block's datapath ops.
 inline constexpr std::uint64_t kBranchFree = 2;
 inline constexpr std::uint64_t kBranchTaken = 3;
 inline constexpr std::uint64_t kBranchNotTaken = 0;
+inline constexpr std::uint64_t kBranchMask = 3;
+inline constexpr std::uint64_t kBlockSkip = 4;
 
 /// The per-process layout a compiled function is generated against.
 ///
@@ -86,14 +87,17 @@ inline constexpr std::uint64_t kBranchNotTaken = 0;
 /// memories and which process slot they use share one function.
 ///
 /// Fault words: the state array is kStWords fixed words followed by
-///   * one stuck-branch word per block (indexed by BlockId),
+///   * one block word per block (indexed by BlockId): stuck branch and
+///     skip flag,
 ///   * two words per memory-table entry, applied to every stored word
 ///     as (v & AND) ^ XOR (a stuck-at-1 bit is cleared, then flipped),
-///   * one operand mask per source line carrying a comparison: both
-///     operands of every comparison on that line are ANDed with it.
+///   * one operand mask per source line carrying a comparison (line 0
+///     included): both operands of every comparison on that line are
+///     ANDed with it.
 ///
 /// Codegen derives it from the IR, for emission and again for the
-/// loaded handle (CompiledProc::layout), which the simulator reads.
+/// loaded handle (CompiledProc::layout). The simulator reads that one
+/// for a compiled process and derives its own for an interpreted one.
 struct ProcLayout {
   std::uint32_t branch = kStWords;
   std::uint32_t store = kStWords;
@@ -107,9 +111,7 @@ struct ProcLayout {
     for (const ir::BasicBlock& b : p.blocks) {
       for (const ir::Op& op : b.ops) {
         if (op.is_memory_access()) l.mems.push_back(op.mem);
-        if (op.is_comparison() && op.loc.line != 0) {
-          l.lines.push_back(op.loc.line);
-        }
+        if (op.is_comparison()) l.lines.push_back(op.loc.line);
       }
     }
     for (std::vector<std::uint32_t>* v : {&l.mems, &l.lines}) {
@@ -134,7 +136,7 @@ struct ProcLayout {
   /// when no comparison sits on it.
   [[nodiscard]] std::uint32_t compare_word(std::uint32_t line) const {
     std::uint32_t i = index_of(lines, line);
-    return i == kNone || line == 0 ? 0 : compare + i;
+    return i == kNone ? 0 : compare + i;
   }
 
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};

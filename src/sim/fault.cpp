@@ -157,17 +157,6 @@ std::string FaultSpec::describe(const ir::Design& design) const {
 
 // --------------------------------------------------------- engine hooks --
 
-unsigned FaultEngine::narrow_width(const std::string& process, const ir::Op& op) const {
-  if (!op.is_comparison()) return 0;
-  for (const FaultSpec& f : faults_) {
-    if (f.kind != FaultKind::kNarrowCompare) continue;
-    if (!f.process.empty() && f.process != process) continue;
-    if (f.line != 0 && f.line != op.loc.line) continue;
-    return f.width;
-  }
-  return 0;
-}
-
 FaultEngine::StreamAction FaultEngine::on_stream_write(ir::StreamId s, std::uint64_t index,
                                                        BitVector& value) const {
   StreamAction action = StreamAction::kPass;
@@ -189,34 +178,6 @@ FaultEngine::StreamAction FaultEngine::on_stream_write(ir::StreamId s, std::uint
     }
   }
   return action;
-}
-
-void FaultEngine::on_bram_write(ir::MemId m, std::uint64_t addr, BitVector& value) const {
-  for (const FaultSpec& f : faults_) {
-    if (f.mem != m || addr < f.addr_lo || addr > f.addr_hi) continue;
-    if (f.bit >= value.width()) continue;
-    if (f.kind == FaultKind::kBramBitFlip) {
-      value.set_bit(f.bit, !value.bit(f.bit));
-    } else if (f.kind == FaultKind::kBramStuckAt) {
-      value.set_bit(f.bit, f.stuck_one);
-    }
-  }
-}
-
-bool FaultEngine::skip_block(const std::string& process, ir::BlockId b) const {
-  for (const FaultSpec& f : faults_) {
-    if (f.kind == FaultKind::kFsmSkipBlock && f.block == b && f.process == process) return true;
-  }
-  return false;
-}
-
-const bool* FaultEngine::forced_branch(const std::string& process, ir::BlockId b) const {
-  for (const FaultSpec& f : faults_) {
-    if (f.kind == FaultKind::kFsmStuckBranch && f.block == b && f.process == process) {
-      return &f.branch_taken;
-    }
-  }
-  return nullptr;
 }
 
 void FaultEngine::on_extern_result(const std::string& callee, BitVector& value) const {

@@ -15,7 +15,8 @@
 //    process writes to a stream is dropped, duplicated, or every word
 //    from the nth on is replaced by a stuck data-bus value.
 //  * kBramBitFlip/StuckAt -- a memory cell fault applied on write: one
-//    bit flips, or is stuck at a level, within an address range.
+//    bit of every word stored into the memory flips, or is stuck at a
+//    level.
 //  * kFsmStuckBranch/SkipBlock -- control faults: a block's branch
 //    condition is stuck at taken/not-taken (a corrupted next-state
 //    register), or a block's datapath ops are skipped entirely.
@@ -27,7 +28,10 @@
 // Every fault is a FaultSpec; enumerate_fault_sites() derives the full
 // deterministic site list from an ir::Design + sched::DesignSchedule so
 // campaigns are reproducible by construction (sites depend only on the
-// design, never on a seed).
+// design, never on a seed). The faults that act inside a process (narrow
+// compare, BRAM, FSM) are armed as the process's fault words
+// (sim/compiled.h ProcLayout), which both simulation engines read; the
+// rest act through the FaultEngine hooks below.
 #pragma once
 
 #include <cstdint>
@@ -64,10 +68,10 @@ struct FaultSpec {
   FaultKind kind = FaultKind::kNarrowCompare;
   std::uint32_t id = kNoSite;
 
-  // kNarrowCompare / FSM faults: which process (empty = any).
+  // kNarrowCompare / FSM faults: which process (kNarrowCompare: empty = any).
   std::string process;
   std::uint32_t line = 0;  // kNarrowCompare: source line (0 = any)
-  unsigned width = 5;      // kNarrowCompare: narrowed comparison width
+  unsigned width = 5;      // kNarrowCompare: narrowed width (0, or 64 and up: no fault)
 
   ir::StreamId stream = ir::kNoStream;  // stream faults
   std::uint64_t word_index = 0;         // stream faults / kChannelCorrupt: nth word
@@ -76,8 +80,6 @@ struct FaultSpec {
   ir::MemId mem = ir::kNoMem;  // BRAM faults
   unsigned bit = 0;            // BRAM faults / kChannelCorrupt: bit position
   bool stuck_one = false;      // kBramStuckAt level
-  std::uint64_t addr_lo = 0;
-  std::uint64_t addr_hi = std::numeric_limits<std::uint64_t>::max();
 
   ir::BlockId block = ir::kNoBlock;  // FSM faults
   bool branch_taken = true;          // kFsmStuckBranch forced direction
@@ -103,9 +105,10 @@ struct FaultSpec {
 };
 
 /// The set of faults active in one simulation run (a campaign injects
-/// exactly one; the engine supports any number). All queries are only
-/// reached when the simulator already knows the engine is non-empty, so
-/// an empty engine costs a single bool on the hot path.
+/// exactly one; the engine supports any number, applied in the order
+/// they were added). The hooks below are only reached when the simulator
+/// already knows the engine is non-empty, so an empty engine costs a
+/// single bool on the hot path.
 class FaultEngine {
  public:
   FaultEngine() = default;
@@ -118,24 +121,12 @@ class FaultEngine {
   [[nodiscard]] bool empty() const { return faults_.empty(); }
   [[nodiscard]] const std::vector<FaultSpec>& faults() const { return faults_; }
 
-  /// Width to narrow this comparison to, or 0 for no fault.
-  [[nodiscard]] unsigned narrow_width(const std::string& process, const ir::Op& op) const;
-
   /// Stream-write fault outcome. `value` may be replaced in place
   /// (kStreamStuck); the index is the 0-based count of words this
   /// process has written to the stream so far.
   enum class StreamAction : std::uint8_t { kPass, kDrop, kDup };
   [[nodiscard]] StreamAction on_stream_write(ir::StreamId s, std::uint64_t index,
                                              BitVector& value) const;
-
-  /// Applies BRAM cell faults to a value being stored at `addr`.
-  void on_bram_write(ir::MemId m, std::uint64_t addr, BitVector& value) const;
-
-  /// True if the block's datapath ops should be skipped (kFsmSkipBlock).
-  [[nodiscard]] bool skip_block(const std::string& process, ir::BlockId b) const;
-
-  /// Forced branch direction at this block, or nullptr for no fault.
-  [[nodiscard]] const bool* forced_branch(const std::string& process, ir::BlockId b) const;
 
   /// Applies extern-HDL corruption to a call result.
   void on_extern_result(const std::string& callee, BitVector& value) const;

@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "metrics/profile.h"
@@ -120,6 +121,16 @@ void Simulator::init_state() {
   }
 
   init_engine();
+  // One form for the in-process faults: every process that may see one
+  // gets fault words, interpreted processes under a layout of their own.
+  for (ProcState& ps : procs_) {
+    if (ps.layout == nullptr && inject_faults_) {
+      ps.own_layout = std::make_unique<ProcLayout>(ProcLayout::of(*ps.proc));
+      ps.layout = ps.own_layout.get();
+      ps.st.assign(ps.layout->words, 0);
+    }
+    if (ps.layout != nullptr) arm_fault_words(ps);
+  }
 }
 
 void Simulator::init_engine() {
@@ -142,10 +153,6 @@ void Simulator::init_engine() {
   if (opt_.profile != nullptr) {
     engine_note_ = "profiler armed; compiled engine declines, interpreting";
     return;
-  }
-  if (inject_faults_) {
-    engine_note_ = compiled_fault_decline();
-    if (!engine_note_.empty()) return;
   }
   for (const ir::Memory& m : design_.memories) {
     if (m.width > 64) {
@@ -173,7 +180,6 @@ void Simulator::init_engine() {
     ps.st[kStResumeBlock] = ps.proc->entry;
     ps.st[kStPidx] = pidx;
     if (deadline_ != nullptr) ps.st[kStFlags] |= kStFlagDeadline;
-    arm_fault_words(ps);
     ++attached;
   }
   if (attached == 0) {
@@ -203,30 +209,9 @@ void Simulator::init_engine() {
   cb_table_[kCbPoll] = reinterpret_cast<const void*>(&Simulator::cb_poll_trampoline);
 }
 
-std::string Simulator::compiled_fault_decline() const {
-  const std::vector<FaultSpec>& faults = opt_.faults.faults();
-  if (faults.size() > 1) {
-    return "fault injection armed with " + std::to_string(faults.size()) +
-           " faults; compiled engine applies one, interpreting";
-  }
-  const FaultSpec& f = faults.front();
-  if (f.kind == FaultKind::kNarrowCompare && (f.process.empty() || f.line == 0)) {
-    return "fault injection armed with a wildcard narrow-compare spec; compiled engine "
-           "declines, interpreting";
-  }
-  if ((f.kind == FaultKind::kBramBitFlip || f.kind == FaultKind::kBramStuckAt) &&
-      f.mem < design_.memories.size() &&
-      (f.addr_lo != 0 || f.addr_hi < design_.memory(f.mem).size - 1)) {
-    return "fault injection armed with an address-ranged BRAM fault; compiled engine "
-           "declines, interpreting";
-  }
-  return {};
-}
-
 void Simulator::arm_fault_words(ProcState& ps) const {
   const ProcLayout& layout = *ps.layout;
   std::uint64_t* st = ps.st.data();
-  st[kStSkipBlock] = kNoSkipBlock;
   std::fill(st + layout.branch, st + layout.store, kBranchFree);
   for (std::uint32_t w = layout.store; w < layout.compare; w += 2) {
     st[w] = ~std::uint64_t{0};  // AND; XOR stays 0
@@ -234,40 +219,53 @@ void Simulator::arm_fault_words(ProcState& ps) const {
   std::fill(st + layout.compare, st + layout.words, ~std::uint64_t{0});
   if (!inject_faults_) return;
 
-  // The one fault compiled_fault_decline() accepted, under the same
-  // matching rules FaultEngine applies for the interpreter. Stream and
-  // extern faults apply in compiled_exec_op, channel faults when
-  // draining CPU streams.
-  const FaultSpec& f = opt_.faults.faults().front();
-  const bool mine = f.process == ps.proc->name;
-  switch (f.kind) {
-    case FaultKind::kNarrowCompare:
-      if (std::uint32_t k = layout.compare_word(f.line); mine && k != 0 && f.width != 0) {
-        st[k] = f.width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << f.width) - 1;
+  // Faults compose in the order they were armed: narrowing masks AND,
+  // BRAM pairs chain as (v & A) ^ X, skip flags OR, and the first stuck
+  // branch on a block wins. Stream and extern faults apply when the op
+  // executes, channel faults when draining CPU streams.
+  const std::string& name = ps.proc->name;
+  for (const FaultSpec& f : opt_.faults.faults()) {
+    switch (f.kind) {
+      case FaultKind::kNarrowCompare: {
+        // Width 0 is no fault; 64 and up cannot narrow a 64-bit mask.
+        if ((!f.process.empty() && f.process != name) || f.width == 0 || f.width >= 64) break;
+        const std::uint64_t mask = (std::uint64_t{1} << f.width) - 1;
+        for (std::uint32_t k = layout.compare; k < layout.words; ++k) {
+          if (f.line == 0 || layout.lines[k - layout.compare] == f.line) st[k] &= mask;
+        }
+        break;
       }
-      break;
-    case FaultKind::kBramBitFlip:
-    case FaultKind::kBramStuckAt: {
-      // A bit at or beyond the memory width is left unchanged.
-      const std::uint32_t k = layout.store_word(f.mem);
-      if (k == 0 || f.bit >= design_.memory(f.mem).width) break;
-      std::uint64_t* m = st + k;
-      const std::uint64_t bit = std::uint64_t{1} << f.bit;
-      if (f.kind == FaultKind::kBramStuckAt) m[0] = ~bit;
-      if (f.kind == FaultKind::kBramBitFlip || f.stuck_one) m[1] = bit;
-      break;
+      case FaultKind::kBramBitFlip:
+      case FaultKind::kBramStuckAt: {
+        // A bit at or beyond the memory width is left unchanged.
+        const std::uint32_t k = layout.store_word(f.mem);
+        if (k == 0 || f.bit >= design_.memory(f.mem).width) break;
+        const std::uint64_t bit = std::uint64_t{1} << f.bit;
+        const std::uint64_t and_mask = f.kind == FaultKind::kBramStuckAt ? ~bit : ~std::uint64_t{0};
+        const std::uint64_t xor_mask = f.kind == FaultKind::kBramBitFlip || f.stuck_one ? bit : 0;
+        st[k] &= and_mask;
+        st[k + 1] = (st[k + 1] & and_mask) ^ xor_mask;
+        break;
+      }
+      case FaultKind::kFsmStuckBranch:
+        if (f.process == name && f.block < ps.proc->blocks.size()) {
+          std::uint64_t& w = st[layout.branch + f.block];
+          if ((w & kBranchMask) == kBranchFree) {
+            w = (w & ~kBranchMask) | (f.branch_taken ? kBranchTaken : kBranchNotTaken);
+          }
+        }
+        break;
+      case FaultKind::kFsmSkipBlock:
+        if (f.process == name && f.block < ps.proc->blocks.size()) {
+          st[layout.branch + f.block] |= kBlockSkip;
+        }
+        break;
+      default:
+        break;
     }
-    case FaultKind::kFsmStuckBranch:
-      if (mine && f.block < ps.proc->blocks.size()) {
-        st[layout.branch + f.block] = f.branch_taken ? kBranchTaken : kBranchNotTaken;
-      }
-      break;
-    case FaultKind::kFsmSkipBlock:
-      if (mine) st[kStSkipBlock] = f.block;
-      break;
-    default:
-      break;
   }
+  ps.narrowed = std::any_of(st + layout.compare, st + layout.words,
+                            [](std::uint64_t m) { return m != ~std::uint64_t{0}; });
 }
 
 ir::StreamId Simulator::stream_by_name(std::string_view name) const {
@@ -352,11 +350,13 @@ bool Simulator::pred_active(const ProcState& ps, const Op& op) const {
 BitVector Simulator::eval_bin_op(const ProcState& ps, const Op& op) const {
   const BitVector& a = value_of(ps, op.args[0]);
   const BitVector& b = value_of(ps, op.args[1]);
-  if (inject_faults_) {
-    // Translation-fault injection: erroneously narrowed comparison
-    // (unsigned, as in the Impulse-C bug the paper reports).
-    unsigned w = opt_.faults.narrow_width(ps.proc->name, op);
-    if (w != 0 && w < a.width()) {
+  if (ps.narrowed && op.is_comparison()) {
+    // Translation-fault injection: a comparison erroneously narrowed to
+    // the width of its line's compare mask (unsigned, as in the
+    // Impulse-C bug the paper reports). An all-ones mask is no fault.
+    const std::uint64_t mask = ps.st[ps.layout->compare_word(op.loc.line)];
+    const auto w = static_cast<unsigned>(std::popcount(mask));
+    if (mask != ~std::uint64_t{0} && w < a.width()) {
       BitVector na = a.trunc(w);
       BitVector nb = b.trunc(w);
       ir::BinKind k = op.bin;
@@ -415,24 +415,20 @@ bool Simulator::try_stream_write(ProcState& ps, const Op& op, std::uint64_t at) 
     if (prof_ != nullptr) prof_->blocked_poll(ps.prof_idx, op.stream, /*write=*/true);
     return false;
   }
+  BitVector v = ps.cfn != nullptr ? value64_of(ps, op.args[0]) : value_of(ps, op.args[0]);
+  FaultEngine::StreamAction act = FaultEngine::StreamAction::kPass;
   if (inject_faults_) {
     // Handshake faults: the word is counted as sent by the process even
     // when the FIFO drops it (that is the fault being modelled).
-    BitVector v = value_of(ps, op.args[0]);
-    FaultEngine::StreamAction act =
-        opt_.faults.on_stream_write(op.stream, stream_write_seq_[op.stream]++, v);
-    // The process-side handshake happens even for a dropped word; the
-    // trace records the (possibly corrupted) value the FIFO saw.
-    if (ela_ != nullptr) ela_->stream_push(ps.proc, op.stream, v, at, op.loc);
-    if (act == FaultEngine::StreamAction::kDrop) return true;
-    st.fifo.push_back(FifoEntry{v, at + 1});
-    if (act == FaultEngine::StreamAction::kDup) st.fifo.push_back(FifoEntry{std::move(v), at + 1});
-    mark_cpu_dirty(op.stream);
-    return true;
+    act = opt_.faults.on_stream_write(op.stream, stream_write_seq_[op.stream]++, v);
   }
+  // The process-side handshake happens even for a dropped word; the
+  // trace records the (possibly corrupted) value the FIFO saw.
+  if (ela_ != nullptr) ela_->stream_push(ps.proc, op.stream, v, at, op.loc);
+  if (act == FaultEngine::StreamAction::kDrop) return true;
   // Data crosses the channel one cycle after the send issues.
-  st.fifo.push_back(FifoEntry{value_of(ps, op.args[0]), at + 1});
-  if (ela_ != nullptr) ela_->stream_push(ps.proc, op.stream, st.fifo.back().value, at, op.loc);
+  if (act == FaultEngine::StreamAction::kDup) st.fifo.push_back(FifoEntry{v, at + 1});
+  st.fifo.push_back(FifoEntry{std::move(v), at + 1});
   mark_cpu_dirty(op.stream);
   return true;
 }
@@ -617,30 +613,22 @@ bool Simulator::exec_op(ProcState& ps, const Op& op, std::uint64_t at) {
     }
     case OpKind::kStore: {
       std::uint64_t idx = value_of(ps, op.args[0]).to_u64();
+      // The stored word passes the memory's BRAM fault masks, as in
+      // compiled code (memories are at most 64 bits wide).
+      std::uint64_t v = value_of(ps, op.args[1]).to_u64();
+      if (ps.layout != nullptr) {
+        const std::uint32_t k = ps.layout->store_word(op.mem);
+        v = (v & ps.st[k]) ^ ps.st[k + 1];
+      }
       if (engine_active_) {
-        // An interpreted process of a compiled run: same fault rule,
-        // written to the shared u64 image.
+        // An interpreted process of a compiled run writes the shared u64 image.
         auto& mem = mem64_[op.mem];
-        if (idx < mem.size()) {
-          if (inject_faults_) {
-            BitVector v = value_of(ps, op.args[1]);
-            opt_.faults.on_bram_write(op.mem, idx, v);
-            mem[idx] = v.to_u64();
-          } else {
-            mem[idx] = value_of(ps, op.args[1]).to_u64();
-          }
-        }
+        if (idx < mem.size()) mem[idx] = v;
         return true;
       }
       auto& mem = memories_[op.mem];
       if (idx < mem.size()) {
-        if (inject_faults_) {
-          BitVector v = value_of(ps, op.args[1]);
-          opt_.faults.on_bram_write(op.mem, idx, v);
-          mem[idx] = std::move(v);
-        } else {
-          mem[idx] = value_of(ps, op.args[1]);
-        }
+        mem[idx] = BitVector::from_u64(design_.memory(op.mem).width, v);
         // mem[idx] holds what the port actually wrote, faults included.
         if (ela_ != nullptr) ela_->bram_write(ps.proc, op.mem, idx, mem[idx], at, op.loc);
       }
@@ -745,16 +733,15 @@ bool Simulator::run_sequential_block(ProcState& ps) {
   const sched::BlockSchedule& bs = *ps.cur_sched;
   // FSM skip fault: the block's datapath ops never execute; control
   // falls straight through to the terminator on stale register values.
-  if (inject_faults_ && ps.op_idx == 0 && opt_.faults.skip_block(ps.proc->name, ps.cur)) {
-    ps.op_idx = b.ops.size();
-  }
+  if (ps.op_idx == 0 && (block_word(ps, ps.cur) & kBlockSkip) != 0) ps.op_idx = b.ops.size();
   // Pure register ops with no predicate need neither a timestamp nor the
   // full dispatch; folding them here inlines the small-width BitVector
-  // fast paths into the loop. Tracing or fault injection disables the
-  // shortcut (both need the exec_op path); tracing_ can only flip *off*
-  // mid-run, so a stale false just keeps the slow-but-equivalent path.
-  // An armed ELA needs every register write, so it too takes exec_op.
-  const bool fast = !tracing_ && !inject_faults_ && ela_ == nullptr;
+  // fast paths into the loop. Tracing or a narrowed comparison disables
+  // the shortcut (both need the exec_op path); tracing_ can only flip
+  // *off* mid-run, so a stale false just keeps the slow-but-equivalent
+  // path. An armed ELA needs every register write, so it too takes
+  // exec_op.
+  const bool fast = !tracing_ && !ps.narrowed && ela_ == nullptr;
   bool progress = false;
   while (ps.op_idx < b.ops.size()) {
     const Op& op = b.ops[ps.op_idx];
@@ -809,13 +796,9 @@ bool Simulator::run_sequential_block(ProcState& ps) {
       advance_to_block(ps, b.term.on_true);
       break;
     case ir::TermKind::kBranch: {
-      bool taken = value_of(ps, b.term.cond).any();
-      if (inject_faults_) {
-        // FSM stuck-branch fault: a corrupted next-state register always
-        // selects one successor, regardless of the condition.
-        const bool* forced = opt_.faults.forced_branch(ps.proc->name, ps.cur);
-        if (forced != nullptr) taken = *forced;
-      }
+      // FSM stuck-branch fault: a corrupted next-state register always
+      // selects one successor, regardless of the condition.
+      const bool taken = (block_word(ps, ps.cur) >> value_of(ps, b.term.cond).any()) & 1u;
       advance_to_block(ps, taken ? b.term.on_true : b.term.on_false);
       break;
     }
@@ -833,8 +816,7 @@ bool Simulator::run_pipelined_loop(ProcState& ps) {
   const BasicBlock& body = *pc.body;
   const sched::BlockSchedule& bs = *pc.bs;
   const std::size_t h = header.ops.size();
-  const bool fast =
-      !tracing_ && !inject_faults_ && ela_ == nullptr;  // see run_sequential_block
+  const bool fast = !tracing_ && !ps.narrowed && ela_ == nullptr;  // see run_sequential_block
   bool progress = false;
 
   while (true) {
@@ -855,11 +837,7 @@ bool Simulator::run_pipelined_loop(ProcState& ps) {
       progress = true;
     }
     if (ps.op_idx == h) {
-      bool taken = value_of(ps, header.term.cond).any();
-      if (inject_faults_) {
-        const bool* forced = opt_.faults.forced_branch(ps.proc->name, loop.header);
-        if (forced != nullptr) taken = *forced;
-      }
+      const bool taken = (block_word(ps, loop.header) >> value_of(ps, header.term.cond).any()) & 1u;
       if (!taken) {
         std::uint64_t n = pc.iter;
         ps.cycle = n == 0 ? pc.start_cycle + 1 : pc.start_cycle + bs.latency + (n - 1) * bs.ii;
@@ -999,28 +977,9 @@ std::uint32_t Simulator::compiled_exec_op(std::uint32_t pidx, std::uint32_t bloc
       ps.regs64[op.dest] = e.value.to_u64();
       break;
     }
-    case OpKind::kStreamWrite: {
-      StreamState& st = streams_[op.stream];
-      if (!st.cpu_consumer && st.fifo.size() >= st.depth) {
-        ps.blocked = true;
-        ps.blocked_at = op.loc;
-        ps.block_reason = BlockReason::kStreamFull;
-        ps.blocked_stream = op.stream;
-        return kCbBlocked;
-      }
-      BitVector v = value64_of(ps, op.args[0]);
-      FaultEngine::StreamAction act = FaultEngine::StreamAction::kPass;
-      if (inject_faults_) {
-        // As in try_stream_write: a dropped word still counts as sent.
-        act = opt_.faults.on_stream_write(op.stream, stream_write_seq_[op.stream]++, v);
-      }
-      if (act != FaultEngine::StreamAction::kDrop) {
-        if (act == FaultEngine::StreamAction::kDup) st.fifo.push_back(FifoEntry{v, at + 1});
-        st.fifo.push_back(FifoEntry{std::move(v), at + 1});
-        mark_cpu_dirty(op.stream);
-      }
+    case OpKind::kStreamWrite:
+      if (!try_stream_write(ps, op, at)) return kCbBlocked;
       break;
-    }
     case OpKind::kCallExtern: {
       const ExternRegistry::Fn* fn = extern_fn(op.callee);
       HLSAV_CHECK(fn != nullptr, "unbound extern function '" + op.callee + "'");

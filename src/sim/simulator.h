@@ -42,6 +42,7 @@
 #include <chrono>
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -116,12 +117,10 @@ struct SimOptions {
   /// Execution engine. kCompiled/kAuto use the functions in `compiled`
   /// for the processes they cover and interpret the rest; the simulator
   /// itself falls back to full interpretation (and says why in
-  /// engine_note()) when no handle is attached, when an armed
+  /// engine_note()) when no handle is attached or when an armed
   /// observability feature -- trace, ELA, profiler -- needs the
-  /// interpreter's per-op hooks, or when the fault engine holds more
-  /// than one fault, a wildcard narrow-compare spec or an address-ranged
-  /// BRAM fault. A single armed fault (every campaign site) runs
-  /// compiled. Cycle counts,
+  /// interpreter's per-op hooks. Armed faults never force a fallback:
+  /// both engines read the same per-process fault words. Cycle counts,
   /// RunResults and received words are bit-identical across engines;
   /// the differential suite (tests/codegen) enforces that.
   SimEngine engine = SimEngine::kInterpreter;
@@ -295,7 +294,14 @@ class Simulator {
     /// process): the AOT function, its u64 register file, and the state
     /// words it communicates through (sim/compiled.h layout).
     CompiledProcFn cfn = nullptr;
-    const ProcLayout* layout = nullptr;  // owned by the attached handle
+    /// The fault-word layout: the attached handle's for a compiled
+    /// process, `own_layout` for an interpreted one while faults are
+    /// armed, else null (no fault words).
+    const ProcLayout* layout = nullptr;
+    std::unique_ptr<ProcLayout> own_layout;
+    /// Some compare word narrows: only then does the interpreter give
+    /// up its register fast path for this process.
+    bool narrowed = false;
     std::vector<std::uint64_t> regs64;
     std::vector<std::uint64_t> st;       // fixed words, then fault words
     std::vector<std::uint64_t*> mems64;  // the memory table, into mem64_
@@ -420,11 +426,14 @@ class Simulator {
   /// Attaches SimOptions::compiled if the engine can run this
   /// configuration; records the fallback reason otherwise.
   void init_engine();
-  /// Why the compiled engine cannot apply the armed faults (empty when
-  /// it can: one fault, not a wildcard, not address-ranged).
-  [[nodiscard]] std::string compiled_fault_decline() const;
-  /// Sets a compiled process's fault words for the armed fault.
+  /// Sets a process's fault words from every armed fault, in the order
+  /// they were armed (neutral words when none is).
   void arm_fault_words(ProcState& ps) const;
+  /// Block `b`'s fault word (stuck branch, skip flag), kBranchFree when
+  /// the process has no fault words.
+  [[nodiscard]] static std::uint64_t block_word(const ProcState& ps, ir::BlockId b) {
+    return ps.layout == nullptr ? kBranchFree : ps.st[ps.layout->branch + b];
+  }
   /// Callback surface for compiled code (cb_table_ slots). The generated
   /// function has already evaluated the op's predicate and timestamp.
   std::uint32_t compiled_exec_op(std::uint32_t pidx, std::uint32_t block, std::uint32_t op_idx,
@@ -453,6 +462,8 @@ class Simulator {
   [[nodiscard]] BitVector eval_bin_op(const ProcState& ps, const ir::Op& op) const;
 
   bool try_stream_read(ProcState& ps, const ir::Op& op, std::uint64_t at);
+  /// Sends `op`'s word for either engine, stream faults applied; false
+  /// (and `ps` marked blocked) when the FIFO is full.
   bool try_stream_write(ProcState& ps, const ir::Op& op, std::uint64_t at);
   void push_stream(ir::StreamId id, BitVector value, std::uint64_t at);
   /// Flags a CPU-bound stream for the next drain_cpu_streams() pass; an

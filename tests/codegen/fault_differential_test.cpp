@@ -2,16 +2,19 @@
 //
 // A campaign site arms exactly one fault, and the compiled engine
 // applies it itself: skip-block, stuck-branch, narrow-compare and BRAM
-// faults through the generated code's fault words, stream and extern
+// faults through the fault words both engines read, stream and extern
 // faults in the simulator callbacks, channel faults where the CPU
-// drains its streams. These tests run whole campaigns under both
+// drains its streams. The fault words are shared, but each engine
+// lowers the ops that read them on its own (generated C against
+// BitVector evaluation). These tests run whole campaigns under both
 // engines and require every site's outcome, cycle count and detecting
 // assertions to match, the rendered reports to be byte-identical, and
 // every compiled-engine site to have actually run compiled. Hand-built
-// specs cover the places where the interpreter does *not* apply a fault
-// (a bit beyond the memory width, a narrow width at or above the
-// operand width, a skip aimed at a pipelined header). The backstop
-// tests rerun the paper workloads' campaigns at 4x the cycle limit.
+// specs cover the places where a fault is *not* applied (a bit beyond
+// the memory width, a narrow width at or above the operand width, a
+// skip aimed at a pipelined header), wildcards, and several faults in
+// one run. The backstop tests rerun the paper workloads' campaigns at
+// 4x the cycle limit.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -313,7 +316,25 @@ const char* kHandSrc = R"(
 
 TEST(FaultDifferential, HandBuiltSpecsMatchTheInterpreterRules) {
   HLSAV_REQUIRE_COMPILER();
-  DiffRig rig = make_rig(kHandSrc, Options::ndebug());
+  auto c = hlsav::testing::compile(kHandSrc);
+  DiffRig rig;
+  rig.design = c->design.clone();
+  assertions::synthesize(rig.design, Options::ndebug());
+  // The lowering gives every comparison of these sources a line, but the
+  // IR allows line 0: move the first one there. It gets a compare word
+  // like any other line, and only wildcard specs reach it.
+  bool moved = false;
+  for (ir::BasicBlock& b : rig.design.find_process("f")->blocks) {
+    for (ir::Op& op : b.ops) {
+      if (!moved && op.is_comparison()) {
+        op.loc.line = 0;
+        moved = true;
+      }
+    }
+  }
+  ir::verify(rig.design);
+  rig.schedule = sched::schedule_design(rig.design);
+  rig.prepare_compiled();
   ASSERT_EQ(rig.prep_error, "");
   const ir::Process& p = *rig.design.find_process("f");
   ir::StreamId out = p.find_port("out")->stream;
@@ -323,59 +344,105 @@ TEST(FaultDifferential, HandBuiltSpecsMatchTheInterpreterRules) {
   }
   ASSERT_NE(buf, ir::kNoMem);
 
-  std::vector<sim::FaultSpec> specs;
-  // Every comparison line, at widths below, at and above the operand
-  // width (0 means "no fault" to the interpreter).
+  // Each entry is the fault set of one run.
+  std::vector<std::vector<sim::FaultSpec>> specs;
+  // Every comparison line (line 0, the wildcard, included), at widths
+  // below, at and above the operand width (0 means "no fault").
+  std::vector<std::uint32_t> lines;
   for (const ir::BasicBlock& b : p.blocks) {
     for (const ir::Op& op : b.ops) {
-      if (!op.is_comparison() || op.loc.line == 0) continue;
+      if (!op.is_comparison()) continue;
+      lines.push_back(op.loc.line);
       for (unsigned w : {0u, 1u, 2u, 3u, 5u, 31u, 32u, 33u, 64u, 200u}) {
-        specs.push_back(sim::FaultSpec::narrow_compare("f", op.loc.line, w));
+        specs.push_back({sim::FaultSpec::narrow_compare("f", op.loc.line, w)});
       }
     }
   }
+  ASSERT_GE(lines.size(), 2u);
+  ASSERT_EQ(lines.front(), 0u);
   // A line without a comparison, and another process's name.
-  specs.push_back(sim::FaultSpec::narrow_compare("f", 9999, 3));
-  specs.push_back(sim::FaultSpec::narrow_compare("g", 8, 3));
+  specs.push_back({sim::FaultSpec::narrow_compare("f", 9999, 3)});
+  specs.push_back({sim::FaultSpec::narrow_compare("g", 8, 3)});
+  // Wildcards: any process on one line, any line of one process.
+  specs.push_back({sim::FaultSpec::narrow_compare("", lines.back(), 3)});
+  specs.push_back({sim::FaultSpec::narrow_compare("f", 0, 2)});
   // BRAM: in range, at the top bit, and at/beyond the memory width
   // (left unchanged); stuck-at both levels.
   for (unsigned bit : {0u, 5u, 31u, 32u, 40u, 63u, 64u}) {
-    specs.push_back(sim::FaultSpec::bram_bit_flip(buf, bit));
-    specs.push_back(sim::FaultSpec::bram_stuck_at(buf, bit, true));
-    specs.push_back(sim::FaultSpec::bram_stuck_at(buf, bit, false));
+    specs.push_back({sim::FaultSpec::bram_bit_flip(buf, bit)});
+    specs.push_back({sim::FaultSpec::bram_stuck_at(buf, bit, true)});
+    specs.push_back({sim::FaultSpec::bram_stuck_at(buf, bit, false)});
   }
   // Every block: stuck both ways (pipelined headers included; jump and
   // return terminators ignore it) and skipped (pipelined headers and
   // bodies never are), plus out-of-range block ids.
   for (ir::BlockId b = 0; b < p.blocks.size() + 2; ++b) {
-    specs.push_back(sim::FaultSpec::fsm_stuck_branch("f", b, true));
-    specs.push_back(sim::FaultSpec::fsm_stuck_branch("f", b, false));
-    specs.push_back(sim::FaultSpec::fsm_skip_block("f", b));
+    specs.push_back({sim::FaultSpec::fsm_stuck_branch("f", b, true)});
+    specs.push_back({sim::FaultSpec::fsm_stuck_branch("f", b, false)});
+    specs.push_back({sim::FaultSpec::fsm_skip_block("f", b)});
   }
   // Stream faults past the first word; the write counter advances for
   // dropped words too.
   for (std::uint64_t n : {0u, 2u, 5u, 9u}) {
-    specs.push_back(sim::FaultSpec::stream_drop(out, n));
-    specs.push_back(sim::FaultSpec::stream_dup(out, n));
-    specs.push_back(sim::FaultSpec::stream_stuck(out, n, 7));
+    specs.push_back({sim::FaultSpec::stream_drop(out, n)});
+    specs.push_back({sim::FaultSpec::stream_dup(out, n)});
+    specs.push_back({sim::FaultSpec::stream_stuck(out, n, 7)});
   }
-  specs.push_back(sim::FaultSpec::channel_corrupt(3, 4));
+  specs.push_back({sim::FaultSpec::channel_corrupt(3, 4)});
+
+  // Pairs of faults in one run, composed in arming order.
+  std::vector<ir::BlockId> with_ops;  // blocks a skip acts on
+  for (const ir::BasicBlock& b : p.blocks) {
+    if (!b.ops.empty()) with_ops.push_back(b.id);
+  }
+  for (std::size_t i = 0; i + 1 < with_ops.size(); ++i) {
+    specs.push_back({sim::FaultSpec::fsm_skip_block("f", with_ops[i]),
+                     sim::FaultSpec::fsm_skip_block("f", with_ops[i + 1])});
+  }
+  for (ir::BlockId b = 0; b < p.blocks.size(); ++b) {
+    specs.push_back({sim::FaultSpec::fsm_skip_block("f", b),
+                     sim::FaultSpec::fsm_stuck_branch("f", b, b % 2 == 0)});
+    specs.push_back({sim::FaultSpec::fsm_stuck_branch("f", b, true),
+                     sim::FaultSpec::fsm_stuck_branch("f", b, false)});
+  }
+  for (unsigned bit : {0u, 3u}) {
+    for (bool level : {false, true}) {
+      specs.push_back({sim::FaultSpec::bram_bit_flip(buf, bit),
+                       sim::FaultSpec::bram_stuck_at(buf, bit, level)});
+      specs.push_back({sim::FaultSpec::bram_stuck_at(buf, bit, level),
+                       sim::FaultSpec::bram_bit_flip(buf, bit)});
+    }
+  }
+  for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
+    if (lines[i] == lines[i + 1]) continue;
+    specs.push_back({sim::FaultSpec::narrow_compare("f", lines[i], 3),
+                     sim::FaultSpec::narrow_compare("f", lines[i + 1], 2)});
+  }
+  specs.push_back({sim::FaultSpec::narrow_compare("f", lines.back(), 5),
+                   sim::FaultSpec::narrow_compare("", 0, 2)});
+  specs.push_back({sim::FaultSpec::stream_drop(out, 1), sim::FaultSpec::bram_bit_flip(buf, 2),
+                   sim::FaultSpec::channel_corrupt(0, 1)});
 
   Feeds feeds{{"f.in", {0, 50, 70, 66, 140, 7}}};
   EngineRun golden = run_engine(rig, sim::SimEngine::kInterpreter, feeds, {"f.out"});
   std::size_t changed = 0;
-  for (const sim::FaultSpec& spec : specs) {
-    // describe() names the block, which out-of-range ids do not have.
-    SCOPED_TRACE(std::string(sim::fault_kind_name(spec.kind)) + " line " +
-                 std::to_string(spec.line) + " width " + std::to_string(spec.width) + " bit " +
-                 std::to_string(spec.bit) + " block " + std::to_string(spec.block) + " word " +
-                 std::to_string(spec.word_index));
+  for (const std::vector<sim::FaultSpec>& faults : specs) {
     sim::SimOptions base;
     base.max_cycles = 20'000;
-    base.faults.add(spec);
+    std::string trace;
+    for (const sim::FaultSpec& spec : faults) {
+      // describe() names the block, which out-of-range ids do not have.
+      trace += std::string(sim::fault_kind_name(spec.kind)) + " line " +
+               std::to_string(spec.line) + " width " + std::to_string(spec.width) + " bit " +
+               std::to_string(spec.bit) + " block " + std::to_string(spec.block) + " word " +
+               std::to_string(spec.word_index) + "; ";
+      base.faults.add(spec);
+    }
+    SCOPED_TRACE(trace);
     EngineRun interp = run_engine(rig, sim::SimEngine::kInterpreter, feeds, {"f.out"}, base);
     EngineRun comp = run_engine(rig, sim::SimEngine::kCompiled, feeds, {"f.out"}, base);
     EXPECT_TRUE(comp.engine_active) << comp.engine_note;
+    EXPECT_EQ(comp.engine_note, "");
     expect_identical(interp, comp);
     if (interp.outputs != golden.outputs || interp.result.cycles != golden.result.cycles) {
       ++changed;

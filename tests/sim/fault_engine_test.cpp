@@ -1,6 +1,6 @@
 // FaultEngine: site enumeration determinism and the observable effect
-// of each fault kind, both at the query-hook level and end-to-end
-// through the simulator.
+// of each fault kind, at the hook level for the stream and channel hooks
+// and end-to-end through the simulator for all of them.
 #include <gtest/gtest.h>
 
 #include "assertions/options.h"
@@ -75,40 +75,9 @@ TEST(FaultEngine, StreamHookDropDupAndStuck) {
   EXPECT_EQ(w.to_u64(), 0xABu);  // from word 1 on: replaced
 }
 
-TEST(FaultEngine, BramHooksFlipAndStick) {
+TEST(FaultEngine, ChannelHook) {
   FaultEngine e;
-  e.add(FaultSpec::bram_bit_flip(ir::MemId{0}, 3));
-  BitVector v = BitVector::from_u64(32, 0);
-  e.on_bram_write(ir::MemId{0}, 5, v);
-  EXPECT_EQ(v.to_u64(), 8u);
-  e.on_bram_write(ir::MemId{1}, 5, v);  // other memory: untouched
-  EXPECT_EQ(v.to_u64(), 8u);
-
-  FaultEngine stuck;
-  FaultSpec f = FaultSpec::bram_stuck_at(ir::MemId{0}, 0, true);
-  f.addr_lo = 2;
-  f.addr_hi = 3;
-  stuck.add(f);
-  BitVector w = BitVector::from_u64(32, 0);
-  stuck.on_bram_write(ir::MemId{0}, 1, w);  // outside the address range
-  EXPECT_EQ(w.to_u64(), 0u);
-  stuck.on_bram_write(ir::MemId{0}, 2, w);
-  EXPECT_EQ(w.to_u64(), 1u);
-}
-
-TEST(FaultEngine, FsmAndChannelHooks) {
-  FaultEngine e;
-  e.add(FaultSpec::fsm_skip_block("p", ir::BlockId{2}));
-  e.add(FaultSpec::fsm_stuck_branch("p", ir::BlockId{3}, false));
   e.add(FaultSpec::channel_corrupt(1, 4));
-  EXPECT_TRUE(e.skip_block("p", ir::BlockId{2}));
-  EXPECT_FALSE(e.skip_block("p", ir::BlockId{3}));
-  EXPECT_FALSE(e.skip_block("q", ir::BlockId{2}));
-  const bool* forced = e.forced_branch("p", ir::BlockId{3});
-  ASSERT_NE(forced, nullptr);
-  EXPECT_FALSE(*forced);
-  EXPECT_EQ(e.forced_branch("p", ir::BlockId{2}), nullptr);
-
   BitVector v = BitVector::from_u64(32, 0);
   e.on_channel_word(0, v);
   EXPECT_EQ(v.to_u64(), 0u);
@@ -140,6 +109,63 @@ TEST(FaultEngine, BramFaultCorruptsReadBack) {
   RunResult r = s.run();
   ASSERT_EQ(r.status, RunStatus::kCompleted) << r.hang_report;
   EXPECT_EQ(s.received("f.out"), (std::vector<std::uint64_t>{129, 130, 131, 132}));
+}
+
+TEST(FaultEngine, BramFaultsComposeInArmingOrder) {
+  H h = make(kEchoSrc);
+  ASSERT_FALSE(h.design.memories.empty());
+  auto run = [&](std::vector<FaultSpec> faults) {
+    SimOptions so;
+    for (FaultSpec& f : faults) so.faults.add(std::move(f));
+    Simulator s(h.design, h.schedule, h.externs, so);
+    s.feed("f.in", {1, 2, 3, 4});
+    RunResult r = s.run();
+    EXPECT_EQ(r.status, RunStatus::kCompleted) << r.hang_report;
+    return s.received("f.out");
+  };
+  const ir::MemId ram{0};
+  // Stuck-at-1 then a flip of the same bit reads 0; the other order 1.
+  EXPECT_EQ(run({FaultSpec::bram_stuck_at(ram, 0, true), FaultSpec::bram_bit_flip(ram, 0)}),
+            (std::vector<std::uint64_t>{0, 2, 2, 4}));
+  EXPECT_EQ(run({FaultSpec::bram_bit_flip(ram, 0), FaultSpec::bram_stuck_at(ram, 0, true)}),
+            (std::vector<std::uint64_t>{1, 3, 3, 5}));
+  // A bit at or beyond the memory width, or another memory: no effect.
+  EXPECT_EQ(run({FaultSpec::bram_bit_flip(ram, 32), FaultSpec::bram_bit_flip(ir::MemId{1}, 0)}),
+            (std::vector<std::uint64_t>{1, 2, 3, 4}));
+}
+
+TEST(FaultEngine, FsmFaultsSkipAndForceBlocks) {
+  H h = make(kEchoSrc);
+  const ir::Process& p = *h.design.find_process("f");
+  ir::BlockId header = ir::kNoBlock;
+  ir::BlockId writer = ir::kNoBlock;
+  for (const ir::BasicBlock& b : p.blocks) {
+    if (header == ir::kNoBlock && b.term.kind == ir::TermKind::kBranch) header = b.id;
+    for (const ir::Op& op : b.ops) {
+      if (op.kind == ir::OpKind::kStreamWrite) writer = b.id;
+    }
+  }
+  ASSERT_NE(header, ir::kNoBlock);
+  ASSERT_NE(writer, ir::kNoBlock);
+  auto run = [&](FaultSpec f) {
+    SimOptions so;
+    so.max_cycles = 10'000;
+    so.faults.add(std::move(f));
+    Simulator s(h.design, h.schedule, h.externs, so);
+    s.feed("f.in", {1, 2, 3, 4});
+    RunResult r = s.run();
+    return std::make_pair(r.status, s.received("f.out"));
+  };
+  using Words = std::vector<std::uint64_t>;
+  // The loop test stuck not-taken: the body never runs.
+  EXPECT_EQ(run(FaultSpec::fsm_stuck_branch("f", header, false)),
+            std::make_pair(RunStatus::kCompleted, Words{}));
+  // The loop body (which also counts `i`) skipped: a livelock that sends
+  // nothing, ended by the cycle limit.
+  EXPECT_EQ(run(FaultSpec::fsm_skip_block("f", writer)), std::make_pair(RunStatus::kHung, Words{}));
+  // Aimed at another process: no effect.
+  EXPECT_EQ(run(FaultSpec::fsm_skip_block("g", writer)),
+            std::make_pair(RunStatus::kCompleted, Words{1, 2, 3, 4}));
 }
 
 TEST(FaultEngine, EmptyEngineLeavesRunIdentical) {

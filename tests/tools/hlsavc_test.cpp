@@ -7,6 +7,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "codegen/jit.h"
 #include "common/test_util.h"
@@ -239,6 +240,57 @@ void f(stream_in<32> in, stream_out<32> out) {
         << cmd << ": campaign row s" << site << " stopped at cycle " << cycles << "\n"
         << repro.output;
   }
+}
+
+TEST(Hlsavc, AbortedSiteReproPrintsItsCampaignRowCycles) {
+  // An aborted run has two cycles: where the failure notification
+  // reached the CPU (each failure's "[cycle N]" line) and where the run
+  // stopped (RunResult::cycles). A campaign row and a `--site=N` repro
+  // both print the latter. Here the pipelined loop's failures land one
+  // cycle before the run stops on some sites.
+  std::string f = write_temp("abort_cycle.c", R"(
+void f(stream_in<32> in, stream_out<32> out) {
+  uint32 buf[4];
+  for (uint32 i = 0; i < 4; i++) {
+    uint32 v = stream_read(in);
+    buf[i] = v;
+    uint32 acc = 0;
+    #pragma HLS pipeline
+    for (uint32 j = 0; j < 8; j++) {
+      acc = acc + buf[i];
+      assert(acc <= 8 * v);
+    }
+    assert(acc == 8 * v);
+    stream_write(out, acc);
+  }
+}
+)");
+  const std::string feed = " --feed f.in=11,22,33,44";
+  CmdResult campaign = run_cmd("faultsim " + f + " --campaign" + feed);
+  ASSERT_EQ(campaign.exit_code, 0) << campaign.output;
+  // Rows: "| sN | fault | outcome | detected by | cycles |".
+  auto trim = [](std::string x) {
+    x.erase(0, x.find_first_not_of(' '));
+    x.erase(x.find_last_not_of(' ') + 1);
+    return x;
+  };
+  std::istringstream rows(campaign.output);
+  std::string row;
+  std::size_t checked = 0;
+  while (std::getline(rows, row)) {
+    std::vector<std::string> cols;
+    std::istringstream cells(row);
+    for (std::string c; std::getline(cells, c, '|');) cols.push_back(trim(c));
+    if (cols.size() != 6 || cols[3] != "detected") continue;
+    const std::string site = cols[1].substr(1);
+    CmdResult repro = run_cmd("faultsim " + f + " --site=" + site + feed);
+    EXPECT_EQ(repro.exit_code, 3) << repro.output;  // aborted
+    EXPECT_NE(repro.output.find("stopped at cycle " + cols[5] + "\n"), std::string::npos)
+        << "campaign row s" << site << " reads " << cols[5] << "\n"
+        << repro.output;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u) << campaign.output;
 }
 
 TEST(Hlsavc, CampaignTraceNonbenignListsTracedSites) {

@@ -257,8 +257,9 @@ void print_run_status(const sim::RunResult& r) {
       std::cout << "completed in " << r.cycles << " cycles\n";
       break;
     case sim::RunStatus::kAborted:
-      std::cout << "aborted by assertion failure at cycle "
-                << (r.failures.empty() ? 0 : r.failures.back().cycle) << "\n";
+      // The cycle the run stopped at, as a campaign row prints it; the
+      // notification cycle is on each failure's "[cycle N]" line.
+      std::cout << "aborted by assertion failure; stopped at cycle " << r.cycles << "\n";
       break;
     case sim::RunStatus::kHung:
       std::cout << r.hang_report;
