@@ -80,6 +80,9 @@ void emit_prelude(std::ostringstream& os) {
         "                                  const void* const*);\n"
         "\n"
         "#define HLSAV_RET(tag) ((uint64_t)(tag) << 32)\n"
+        "#define HLSAV_TRAP(w) if (((w) & "
+     << sim::kBlockTrap << "u) != 0u) return HLSAV_RET(" << sim::kRetTrap
+     << "u)\n"
         "\n"
         "static inline int64_t hlsav_sx(uint64_t v, uint32_t w) {\n"
         "  return (int64_t)(v << (64u - w)) >> (64u - w);\n"
@@ -195,7 +198,8 @@ class ProcEmitter {
         p_(p),
         sched_(sched),
         dbg_(sched::debug_info(p, sched)),
-        layout_(sim::ProcLayout::of(p)) {
+        layout_(sim::ProcLayout::of(p)),
+        trap_sites_(sim::trap_sites(p)) {
     for (std::size_t i = 0; i < p_.loops.size(); ++i) {
       const ir::LoopInfo& l = p_.loops[i];
       if (!l.pipelined) continue;
@@ -492,6 +496,14 @@ class ProcEmitter {
 
   void emit_goto_block(ir::BlockId target) { os_ << "  goto " << blk_f(target) << ";\n"; }
 
+  // A trap site's fresh entry tests the trap bit (sim::mark_traps sets
+  // it nowhere else), as the interpreter's advance_to_block does on
+  // every entry; the entry block's first entry is the simulator's to
+  // test. The block is already in kStResumeBlock.
+  void emit_trap_test(const BasicBlock& b) {
+    if (trap_sites_[b.id]) os_ << "  HLSAV_TRAP(" << stw(layout_.branch + b.id) << ");\n";
+  }
+
   void emit_terminator(const BasicBlock& b) {
     switch (b.term.kind) {
       case ir::TermKind::kJump:
@@ -511,8 +523,9 @@ class ProcEmitter {
   void emit_sequential(const BasicBlock& b) {
     const sched::BlockSchedule& bs = sched_.of(b.id);
     os_ << blk_f(b.id) << ": ;\n"
-        << "  " << stw(sim::kStResumeBlock) << " = " << b.id << "u;\n"
-        << "  " << stw(sim::kStResumeOp) << " = 0u;\n"
+        << "  " << stw(sim::kStResumeBlock) << " = " << b.id << "u;\n";
+    emit_trap_test(b);
+    os_ << "  " << stw(sim::kStResumeOp) << " = 0u;\n"
         << "  " << stw(sim::kStBlockEntry) << " = " << stw(sim::kStCycle) << ";\n";
     os_ << blk_c(b.id) << ": ;\n";
     emit_checks();
@@ -553,8 +566,9 @@ class ProcEmitter {
     const unsigned ii = bs.ii;
 
     os_ << blk_f(header.id) << ": ;\n"
-        << "  " << stw(sim::kStResumeBlock) << " = " << header.id << "u;\n"
-        << "  " << stw(sim::kStResumeOp) << " = 0u;\n"
+        << "  " << stw(sim::kStResumeBlock) << " = " << header.id << "u;\n";
+    emit_trap_test(header);
+    os_ << "  " << stw(sim::kStResumeOp) << " = 0u;\n"
         << "  " << stw(sim::kStBlockEntry) << " = " << stw(sim::kStCycle) << ";\n"
         << "  " << stw(sim::kStInPipe) << " = 1u;\n"
         << "  " << stw(sim::kStPipeStart) << " = " << stw(sim::kStCycle) << ";\n"
@@ -622,6 +636,7 @@ class ProcEmitter {
   const sched::ProcessSchedule& sched_;
   ir::ProcessDebugInfo dbg_;
   sim::ProcLayout layout_;
+  std::vector<bool> trap_sites_;
   std::map<ir::BlockId, std::uint32_t> header_loop_;
   std::vector<ir::BlockId> pipe_body_;
   std::ostringstream os_;

@@ -43,6 +43,7 @@ const char* end_kind_name(EndKind k) {
     case EndKind::kBlockedRead: return "blocked-read";
     case EndKind::kBlockedWrite: return "blocked-write";
     case EndKind::kCycleLimit: return "cycle-limit";
+    case EndKind::kLivelock: return "livelock";
     case EndKind::kHalted: return "halted";
   }
   HLSAV_UNREACHABLE("bad EndKind");

@@ -61,6 +61,7 @@ enum class EndKind : std::uint8_t {
   kBlockedRead,   // stuck in stream_read at run end (deadlock share)
   kBlockedWrite,  // stuck in stream_write at run end (deadlock share)
   kCycleLimit,    // livelock backstop fired
+  kLivelock,      // entered a proven trap block (sim::mark_traps)
   kHalted,        // run aborted with this process mid-block
 };
 

@@ -12,9 +12,12 @@
 //   silent-corruption -- the run completed with different CPU-visible
 //                        outputs and no assertion noticed: the paper's
 //                        argument for *more* in-circuit assertions.
-//   hang-detected     -- the wait-for-graph detector proved a deadlock
-//                        (or starvation) the moment progress stopped.
-//   hang-timeout      -- only the max_cycles livelock backstop fired.
+//   hang-detected     -- the hang was proven the moment progress
+//                        stopped: a deadlock or starvation (the
+//                        wait-for graph), or a livelock (a process
+//                        entered a block it can never leave and where
+//                        it can do nothing observable; sim::mark_traps).
+//   hang-timeout      -- only the max_cycles backstop fired.
 //   budget-exceeded   -- the per-site wall-clock watchdog
 //                        (CampaignOptions::site_wall_ms) stopped the run.
 //
@@ -159,7 +162,10 @@ struct GoldenRef {
 /// new report. Journals from before the field read as 0.
 ///   1: assertion-failure words reach the CPU when they are sent, not
 ///      when the sending process next yields.
-inline constexpr std::uint64_t kSimSemantics = 1;
+///   2: a proven livelock (sim::mark_traps) stops its process where it
+///      enters the trap block: such a site is hang-detected at that
+///      cycle, not hang-timeout past the backstop.
+inline constexpr std::uint64_t kSimSemantics = 2;
 
 /// Campaign identity, logged as the first line of a journal
 /// (sim/journal.h). Two campaigns with equal fingerprints enumerate the

@@ -26,6 +26,11 @@
 // nothing is armed and acts as a mask, so the unfaulted code pays a few
 // ALU ops and one skip test per block. Stream, extern and CPU-channel
 // faults live in the simulator's callbacks.
+//
+// Livelock proofs: once the words are filled in, mark_traps() reads the
+// CFG as faulted and flags each block the process can never leave
+// without doing anything observable. Both engines stop a process when
+// it enters such a block, instead of running it to the cycle backstop.
 #pragma once
 
 #include <algorithm>
@@ -40,7 +45,7 @@ namespace hlsav::sim {
 /// Bump on any ABI change (state-word layout, callback table, return
 /// encoding, exported symbol set). Part of the on-disk cache key and
 /// embedded in every generated object.
-inline constexpr std::uint32_t kCompiledAbiVersion = 3;
+inline constexpr std::uint32_t kCompiledAbiVersion = 4;
 
 /// Execution engine selection (SimOptions::engine).
 enum class SimEngine : std::uint8_t {
@@ -71,13 +76,15 @@ inline constexpr std::uint64_t kStFlagDeadline = 1;
 
 // ---- fault words (after the fixed words) --------------------------------
 /// Block word: bit 1 is the branch outcome when its condition holds,
-/// bit 0 the outcome when it does not, and bit 2 (kBlockSkip) skips the
-/// block's datapath ops.
+/// bit 0 the outcome when it does not, bit 2 (kBlockSkip) skips the
+/// block's datapath ops, and bit 3 (kBlockTrap) marks a proven livelock
+/// (mark_traps): a process entering the block stops there for good.
 inline constexpr std::uint64_t kBranchFree = 2;
 inline constexpr std::uint64_t kBranchTaken = 3;
 inline constexpr std::uint64_t kBranchNotTaken = 0;
 inline constexpr std::uint64_t kBranchMask = 3;
 inline constexpr std::uint64_t kBlockSkip = 4;
+inline constexpr std::uint64_t kBlockTrap = 8;
 
 /// The per-process layout a compiled function is generated against.
 ///
@@ -87,8 +94,8 @@ inline constexpr std::uint64_t kBlockSkip = 4;
 /// memories and which process slot they use share one function.
 ///
 /// Fault words: the state array is kStWords fixed words followed by
-///   * one block word per block (indexed by BlockId): stuck branch and
-///     skip flag,
+///   * one block word per block (indexed by BlockId): stuck branch,
+///     skip flag and trap flag,
 ///   * two words per memory-table entry, applied to every stored word
 ///     as (v & AND) ^ XOR (a stuck-at-1 bit is cleared, then flipped),
 ///   * one operand mask per source line carrying a comparison (line 0
@@ -148,6 +155,36 @@ struct ProcLayout {
   }
 };
 
+/// Sets kBlockTrap on every block of `p` that traps the process, given
+/// the stuck-branch and skip bits already in `block_words` (one word per
+/// block, indexed by BlockId). The CFG is read as faulted: a stuck
+/// branch keeps one edge, a branch on an immediate keeps the edge it
+/// selects, and a skipped block holds no ops (the skip bit of a
+/// pipelined header or body is ignored, as both engines ignore it).
+///
+/// A block B is a trap when no path from B reaches a return and no block
+/// reachable from B holds an observable op (a stream read or write, a
+/// store, an extern call or an assertion op). Stable exit: when B's only
+/// predecessor X branches to B or to an exit E, the edge X -> E is dead
+/// while the process is in the blocks B reaches, provided X's condition
+/// is stable there -- each register it reads is either written by no op
+/// of that region, or written in X, before X's terminator, only by
+/// unpredicated register ops (bin, un, copy, resize) whose operands are
+/// stable at that point. A load is never stable. Such a block is a trap
+/// if the region without X -> E passes the test above.
+///
+/// Only trap_sites(p) are flagged: both engines test the bit there alone.
+void mark_traps(const ir::Process& p, std::uint64_t* block_words);
+
+/// The blocks whose fresh entry tests kBlockTrap: every loop header (the
+/// target of a back edge of a depth-first walk from the entry) and each
+/// of its successors inside its loop (those that reach a back edge into
+/// the header without passing it). A process caught in a trap region
+/// passes a header on every round, and the stable-exit rule proves a
+/// header's in-loop successor; testing only these keeps the generated
+/// code small.
+[[nodiscard]] std::vector<bool> trap_sites(const ir::Process& p);
+
 // ---- callback table (the `cb` argument) --------------------------------
 inline constexpr std::uint32_t kCbStreamRead = 0;
 inline constexpr std::uint32_t kCbStreamWrite = 1;
@@ -182,6 +219,7 @@ inline constexpr std::uint32_t kRetBlocked = 1;  // resume position saved in st
 inline constexpr std::uint32_t kRetHalted = 2;
 inline constexpr std::uint32_t kRetCycleLimit = 3;
 inline constexpr std::uint32_t kRetCycleLimitPipe = 4;  // payload: LoopInfo index
+inline constexpr std::uint32_t kRetTrap = 5;  // entered a kBlockTrap block (kStResumeBlock)
 
 [[nodiscard]] inline std::uint32_t ret_tag(std::uint64_t r) {
   return static_cast<std::uint32_t>(r >> 32);

@@ -129,7 +129,10 @@ void Simulator::init_state() {
       ps.layout = ps.own_layout.get();
       ps.st.assign(ps.layout->words, 0);
     }
-    if (ps.layout != nullptr) arm_fault_words(ps);
+    if (ps.layout == nullptr) continue;
+    arm_fault_words(ps);
+    // advance_to_block tests the trap bit on every later entry.
+    if ((block_word(ps, ps.cur) & kBlockTrap) != 0) trap(ps, ps.cur);
   }
 }
 
@@ -266,6 +269,21 @@ void Simulator::arm_fault_words(ProcState& ps) const {
   }
   ps.narrowed = std::any_of(st + layout.compare, st + layout.words,
                             [](std::uint64_t m) { return m != ~std::uint64_t{0}; });
+  mark_traps(*ps.proc, st + layout.branch);
+}
+
+void Simulator::trap(ProcState& ps, ir::BlockId b) {
+  ps.cur = b;
+  ps.blocked = true;
+  ps.block_reason = BlockReason::kTrap;
+  // The block's line: its first op that has one.
+  ps.blocked_at = {};
+  for (const Op& op : ps.proc->block(b).ops) {
+    if (op.loc.valid()) {
+      ps.blocked_at = op.loc;
+      break;
+    }
+  }
 }
 
 ir::StreamId Simulator::stream_by_name(std::string_view name) const {
@@ -329,23 +347,7 @@ std::vector<std::uint64_t> Simulator::received(std::string_view stream_name) con
 
 // ----------------------------------------------------------- operands --
 
-const BitVector& Simulator::value_of(const ProcState& ps, const Operand& o) const {
-  switch (o.kind) {
-    case ir::OperandKind::kReg:
-      return ps.regs[o.reg];
-    case ir::OperandKind::kImm:
-      return o.imm;
-    case ir::OperandKind::kNone:
-      break;
-  }
-  HLSAV_UNREACHABLE("value_of on empty operand");
-}
-
-bool Simulator::pred_active(const ProcState& ps, const Op& op) const {
-  if (op.pred.is_none()) return true;
-  bool v = value_of(ps, op.pred).any();
-  return op.pred_negated ? !v : v;
-}
+void Simulator::empty_operand() { HLSAV_UNREACHABLE("value_of on empty operand"); }
 
 BitVector Simulator::eval_bin_op(const ProcState& ps, const Op& op) const {
   const BitVector& a = value_of(ps, op.args[0]);
@@ -714,6 +716,7 @@ void Simulator::advance_to_block(ProcState& ps, ir::BlockId next) {
   ps.cur_block = &ps.proc->block(next);
   ps.cur_sched = &ps.sched->of(next);
   // Entering the header of a pipelined loop switches to pipeline mode.
+  ps.pipe.reset();
   for (const ir::LoopInfo& l : ps.proc->loops) {
     if (l.pipelined && l.header == next) {
       ps.pipe = PipeCtx{&l,
@@ -722,10 +725,12 @@ void Simulator::advance_to_block(ProcState& ps, ir::BlockId next) {
                         &ps.proc->block(l.header),
                         &ps.proc->block(l.body),
                         &ps.sched->of(l.body)};
-      return;
+      break;
     }
   }
-  ps.pipe.reset();
+  // A proven livelock: the process can never leave the block's region
+  // and does nothing observable there, so it stops on entry.
+  if ((block_word(ps, next) & kBlockTrap) != 0) trap(ps, next);
 }
 
 bool Simulator::run_sequential_block(ProcState& ps) {
@@ -920,6 +925,9 @@ bool Simulator::step_process_compiled(ProcState& ps) {
       ps.blocked_at = ps.proc->loops.at(ret_payload(r)).loc;
       ps.block_reason = BlockReason::kCycleLimitPipelined;
       break;
+    case kRetTrap:
+      trap(ps, static_cast<ir::BlockId>(ps.st[kStResumeBlock]));
+      break;
     default:
       internal_error("sim", 0, "compiled process returned unknown action");
   }
@@ -1048,18 +1056,20 @@ std::uint32_t Simulator::compiled_exec_op(std::uint32_t pidx, std::uint32_t bloc
 
 namespace {
 
-std::string reason_text(BlockReason reason, const std::string& stream) {
-  switch (reason) {
+std::string reason_text(const HangWaiter& w) {
+  switch (w.reason) {
     case BlockReason::kNone:
       return {};
     case BlockReason::kStreamEmpty:
-      return "stream_read on '" + stream + "' (empty)";
+      return "stream_read on '" + w.stream + "' (empty)";
     case BlockReason::kStreamFull:
-      return "stream_write on '" + stream + "' (full)";
+      return "stream_write on '" + w.stream + "' (full)";
     case BlockReason::kCycleLimit:
       return "cycle limit exceeded";
     case BlockReason::kCycleLimitPipelined:
       return "cycle limit exceeded in pipelined loop";
+    case BlockReason::kTrap:
+      return "livelock in block '" + w.block + "' (no return or observable op is reachable)";
   }
   return {};
 }
@@ -1072,7 +1082,7 @@ std::string HangInfo::render() const {
   for (const HangWaiter& w : waiters) {
     os << "  process '" << w.process << "' stuck";
     if (w.loc.valid()) os << " at line " << w.loc.line;
-    std::string why = reason_text(w.reason, w.stream);
+    std::string why = reason_text(w);
     if (!why.empty()) os << ": " << why;
     os << " (cycle " << w.cycle << ")\n";
   }
@@ -1105,6 +1115,7 @@ HangInfo Simulator::diagnose_hang() const {
         (w.reason == BlockReason::kStreamEmpty || w.reason == BlockReason::kStreamFull)) {
       w.stream = design_.stream(ps.blocked_stream).name;
     }
+    if (w.reason == BlockReason::kTrap) w.block = ps.proc->block(ps.cur).name;
     w.loc = ps.blocked_at;
     w.cycle = ps.cycle;
     proc_to_waiter[i] = info.waiters.size();
@@ -1117,6 +1128,7 @@ HangInfo Simulator::diagnose_hang() const {
   // processes -- a finished peer or the CPU means starvation, not
   // deadlock.
   bool any_cycle_limited = false;
+  bool any_trapped = false;
   std::vector<std::size_t> succ(info.waiters.size(), SIZE_MAX);
   for (std::size_t i = 0; i < procs_.size(); ++i) {
     const ProcState& ps = procs_[i];
@@ -1124,6 +1136,10 @@ HangInfo Simulator::diagnose_hang() const {
     std::size_t wi = proc_to_waiter[i];
     if (ps.cycle_limited()) {
       any_cycle_limited = true;
+      continue;
+    }
+    if (ps.trapped()) {
+      any_trapped = true;
       continue;
     }
     if (ps.blocked_stream == ir::kNoStream) continue;
@@ -1157,6 +1173,8 @@ HangInfo Simulator::diagnose_hang() const {
 
   if (any_cycle_limited) {
     info.kind = HangKind::kCycleLimit;
+  } else if (any_trapped) {
+    info.kind = HangKind::kLivelock;
   } else if (!info.cycle.empty()) {
     info.kind = HangKind::kDeadlockCycle;
   } else {
@@ -1183,7 +1201,7 @@ RunResult Simulator::run() {
     progress = false;
     for (ProcState& ps : procs_) {
       if (ps.done) continue;
-      if (ps.cycle_limited()) continue;  // never re-step a limited process
+      if (ps.cycle_limited() || ps.trapped()) continue;  // never re-stepped
       ps.blocked = false;
       progress |= ps.cfn != nullptr ? step_process_compiled(ps) : step_process(ps);
       drain_cpu_streams();
@@ -1221,6 +1239,8 @@ RunResult Simulator::run() {
         ek = metrics::EndKind::kBlockedWrite;
       } else if (ps.cycle_limited()) {
         ek = metrics::EndKind::kCycleLimit;
+      } else if (ps.trapped()) {
+        ek = metrics::EndKind::kLivelock;
       }
       ir::StreamId blocked = ek == metrics::EndKind::kBlockedRead ||
                                      ek == metrics::EndKind::kBlockedWrite

@@ -155,16 +155,19 @@ enum class BlockReason : std::uint8_t {
   kStreamFull,           // stream_write on a full FIFO
   kCycleLimit,           // local clock passed SimOptions::max_cycles
   kCycleLimitPipelined,  // ditto, inside a pipelined loop
+  kTrap,                 // entered a block it can never leave (sim::mark_traps)
 };
 
 /// How a hang was diagnosed. A deadlock cycle and starvation are both
-/// *proven* the moment no process can step (O(cycles-to-block)); the
-/// cycle limit is only the livelock backstop for processes that never
-/// stop making local progress.
+/// *proven* the moment no process can step (O(cycles-to-block)), and so
+/// is a livelock whose process entered a trap block (proofs run only
+/// while faults are armed); the cycle limit is only the backstop for
+/// processes that never stop making local progress.
 enum class HangKind : std::uint8_t {
   kDeadlockCycle,  // circular wait over stream empty/full edges
   kStarvation,     // blocked on a peer that finished / CPU data that never came
   kCycleLimit,     // SimOptions::max_cycles backstop (livelock)
+  kLivelock,       // a process is trapped in a block it can never leave
 };
 
 /// One stuck process in a hang diagnosis.
@@ -172,6 +175,7 @@ struct HangWaiter {
   std::string process;
   BlockReason reason = BlockReason::kNone;
   std::string stream;  // blocked stream's name (kStream* reasons only)
+  std::string block;   // the trap block's name (kTrap only)
   SourceLoc loc;
   std::uint64_t cycle = 0;
   /// The process this one waits on (the blocked stream's peer endpoint);
@@ -319,6 +323,7 @@ class Simulator {
       return blocked && (block_reason == BlockReason::kCycleLimit ||
                          block_reason == BlockReason::kCycleLimitPipelined);
     }
+    [[nodiscard]] bool trapped() const { return blocked && block_reason == BlockReason::kTrap; }
   };
 
   /// Per-checker evaluation cache: the resolved process/block and a
@@ -429,8 +434,10 @@ class Simulator {
   /// Sets a process's fault words from every armed fault, in the order
   /// they were armed (neutral words when none is).
   void arm_fault_words(ProcState& ps) const;
-  /// Block `b`'s fault word (stuck branch, skip flag), kBranchFree when
-  /// the process has no fault words.
+  /// Stops `ps` for good in trap block `b` (kBlockTrap), at its clock.
+  static void trap(ProcState& ps, ir::BlockId b);
+  /// Block `b`'s fault word (stuck branch, skip and trap flags),
+  /// kBranchFree when the process has no fault words.
   [[nodiscard]] static std::uint64_t block_word(const ProcState& ps, ir::BlockId b) {
     return ps.layout == nullptr ? kBranchFree : ps.st[ps.layout->branch + b];
   }
@@ -457,8 +464,19 @@ class Simulator {
 
   /// Operand value as a reference into the register file (kReg) or the
   /// op's stored immediate (kImm) -- no BitVector copy on the hot path.
-  [[nodiscard]] const BitVector& value_of(const ProcState& ps, const ir::Operand& o) const;
-  [[nodiscard]] bool pred_active(const ProcState& ps, const ir::Op& op) const;
+  /// Inline, with the error path out of line, so that every operand
+  /// read on the interpreter's hot path inlines.
+  [[nodiscard]] static const BitVector& value_of(const ProcState& ps, const ir::Operand& o) {
+    if (o.kind == ir::OperandKind::kReg) return ps.regs[o.reg];
+    if (o.kind != ir::OperandKind::kImm) empty_operand();
+    return o.imm;
+  }
+  [[noreturn]] static void empty_operand();
+  [[nodiscard]] static bool pred_active(const ProcState& ps, const ir::Op& op) {
+    if (op.pred.is_none()) return true;
+    const bool v = value_of(ps, op.pred).any();
+    return op.pred_negated ? !v : v;
+  }
   [[nodiscard]] BitVector eval_bin_op(const ProcState& ps, const ir::Op& op) const;
 
   bool try_stream_read(ProcState& ps, const ir::Op& op, std::uint64_t at);

@@ -13,10 +13,13 @@
 // specs cover the places where a fault is *not* applied (a bit beyond
 // the memory width, a narrow width at or above the operand width, a
 // skip aimed at a pipelined header), wildcards, and several faults in
-// one run. The backstop tests rerun the paper workloads' campaigns at
-// 4x the cycle limit.
+// one run, and the livelock proofs (sim::mark_traps) that stop a
+// process where it enters a trap block. The backstop tests rerun the
+// paper workloads' campaigns at 4x the cycle limit, and pin which sites
+// a livelock proof may move off the backstop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <string>
@@ -116,9 +119,13 @@ TEST(FaultDifferential, TripleDesEverySite) {
   DiffRig rig = triple_des_rig(Options::optimized());
   sim::CampaignReport comp = expect_campaigns_agree(rig, triple_des_feeds());
   EXPECT_EQ(comp.results.size(), 62u);
-  // The sites the tentpole targets: livelocks that only the cycle
-  // backstop ends.
-  EXPECT_GT(comp.count(sim::FaultOutcome::kHangTimeout), 0u);
+  // Its 15 livelocks (7 stuck-taken loop headers, 8 skipped counter
+  // updates) are proven where the loop is entered: none needs the cycle
+  // backstop, and the loop that taps the assertions (s56, stuck-taken
+  // for_header25) is still detected.
+  EXPECT_EQ(comp.count(sim::FaultOutcome::kHangTimeout), 0u);
+  EXPECT_EQ(comp.count(sim::FaultOutcome::kHangDetected), 17u);
+  EXPECT_EQ(comp.results.at(56).outcome, sim::FaultOutcome::kDetected);
 }
 
 TEST(FaultDifferential, EdgeDetectorBothConfigs) {
@@ -161,7 +168,13 @@ TEST(FaultDifferential, ReplicatedLoopbackStagesShareOneFunction) {
 /// it. (A failure word that waited for its process to yield once landed
 /// just past whatever backstop was set, e.g. 3DES's `branch stuck taken
 /// in 'des3' block 'for_header25'` site.)
-void expect_backstop_invariant(const DiffRig& rig, const Feeds& feeds) {
+///
+/// `timed_out` lists the sites that ended at the backstop before the
+/// livelock proofs existed. A proof may only move one of those, and only
+/// to a `hang-detected` livelock (HangKind::kLivelock); every other
+/// `hang-detected` site is a deadlock or starvation, as before.
+void expect_backstop_invariant(const DiffRig& rig, const Feeds& feeds,
+                               const std::vector<std::uint32_t>& timed_out) {
   ASSERT_EQ(rig.prep_error, "");
   for (sim::SimEngine engine : {sim::SimEngine::kInterpreter, sim::SimEngine::kCompiled}) {
     SCOPED_TRACE(engine == sim::SimEngine::kCompiled ? "compiled" : "interpreter");
@@ -184,7 +197,21 @@ void expect_backstop_invariant(const DiffRig& rig, const Feeds& feeds) {
       const std::string site = "s" + std::to_string(a.site.id) + " " + a.site.describe(rig.design);
       EXPECT_EQ(a.outcome, b.outcome) << site;
       EXPECT_EQ(a.detected_by, b.detected_by) << site;
+      const bool pinned =
+          std::find(timed_out.begin(), timed_out.end(), a.site.id) != timed_out.end();
+      if (a.outcome == sim::FaultOutcome::kHangDetected) {
+        sim::SimOptions one;
+        one.max_cycles = backstop;
+        one.faults.add(a.site);
+        sim::RunResult r = run_engine(rig, engine, feeds, {}, one).result;
+        ASSERT_TRUE(r.hang.has_value()) << site;
+        EXPECT_EQ(r.hang->kind == sim::HangKind::kLivelock, pinned) << site << "\n"
+                                                                   << r.hang_report;
+      } else if (pinned) {
+        EXPECT_EQ(a.outcome, sim::FaultOutcome::kHangTimeout) << site;
+      }
       if (a.outcome == sim::FaultOutcome::kHangTimeout) {
+        EXPECT_TRUE(pinned) << site;
         EXPECT_GT(a.cycles, backstop) << site;
         EXPECT_GT(b.cycles, 4 * backstop) << site;
       } else {
@@ -198,9 +225,15 @@ void expect_backstop_invariant(const DiffRig& rig, const Feeds& feeds) {
 
 TEST(BackstopInvariance, TripleDesBothConfigs) {
   HLSAV_REQUIRE_COMPILER();
+  // The hang-timeout sites before livelock proofs, per config.
+  const std::vector<std::uint32_t> unoptimized = {23, 25, 28, 33, 36, 38, 40, 43,
+                                                  45, 48, 50, 51, 53, 55, 68};
+  const std::vector<std::uint32_t> parallelized = {21, 23, 26, 31, 34, 36, 38, 41,
+                                                   43, 46, 48, 49, 51, 53, 58};
   for (const Options& o : {Options::unoptimized(), Options::optimized()}) {
     SCOPED_TRACE(o.parallelize ? "parallelized" : "unoptimized");
-    expect_backstop_invariant(triple_des_rig(o), triple_des_feeds());
+    expect_backstop_invariant(triple_des_rig(o), triple_des_feeds(),
+                              o.parallelize ? parallelized : unoptimized);
   }
 }
 
@@ -211,7 +244,7 @@ TEST(BackstopInvariance, EdgeDetectorBothConfigs) {
   for (const Options& o : {Options::unoptimized(), Options::optimized()}) {
     SCOPED_TRACE(o.parallelize ? "parallelized" : "unoptimized");
     DiffRig rig = make_scheduled_rig("edge.c", apps::edge::hlsc_source(32, 24), o, 16);
-    expect_backstop_invariant(rig, feeds);
+    expect_backstop_invariant(rig, feeds, {});  // it had no hang-timeout site
   }
 }
 
@@ -309,7 +342,12 @@ const char* kHandSrc = R"(
       for (uint32 k = 0; k < 4; k++) {
         acc = acc + buf[k];
       }
-      stream_write(out, acc);
+      uint32 t;
+      t = acc;
+      for (uint32 m = 0; m < 3; m++) {
+        t = t + (t >> 1);
+      }
+      stream_write(out, t);
     }
   }
 )";
@@ -426,6 +464,7 @@ TEST(FaultDifferential, HandBuiltSpecsMatchTheInterpreterRules) {
   Feeds feeds{{"f.in", {0, 50, 70, 66, 140, 7}}};
   EngineRun golden = run_engine(rig, sim::SimEngine::kInterpreter, feeds, {"f.out"});
   std::size_t changed = 0;
+  std::size_t trapped = 0;
   for (const std::vector<sim::FaultSpec>& faults : specs) {
     sim::SimOptions base;
     base.max_cycles = 20'000;
@@ -447,9 +486,22 @@ TEST(FaultDifferential, HandBuiltSpecsMatchTheInterpreterRules) {
     if (interp.outputs != golden.outputs || interp.result.cycles != golden.result.cycles) {
       ++changed;
     }
+    // A proven livelock: both engines stop in the same trap block, at the
+    // same cycle (the hang reports, compared above, name both).
+    if (interp.result.hang && interp.result.hang->kind == sim::HangKind::kLivelock) {
+      ++trapped;
+      ASSERT_TRUE(comp.result.hang.has_value());
+      EXPECT_EQ(comp.result.hang->kind, sim::HangKind::kLivelock);
+      EXPECT_EQ(interp.result.hang->waiters.at(0).reason, sim::BlockReason::kTrap);
+      EXPECT_EQ(comp.result.hang->waiters.at(0).block, interp.result.hang->waiters.at(0).block);
+      EXPECT_LE(interp.result.cycles, base.max_cycles);
+    }
   }
-  // The sweep is not vacuous: most specs do change the run.
+  // The sweep is not vacuous: most specs do change the run, and the
+  // stuck-taken loop headers (the pipelined `k` and the sequential `m`)
+  // and the skipped `m` body are livelocks proven at loop entry.
   EXPECT_GT(changed, specs.size() / 3);
+  EXPECT_GE(trapped, 3u);
 }
 
 // ----------------------------------------------------- mixed mode --

@@ -202,15 +202,18 @@ TEST(Hlsavc, FaultsimTraceSiteEmitsArtifactsForNonBenignSite) {
 }
 
 TEST(Hlsavc, OneSiteReproStopsAtTheCampaignBackstop) {
-  // The inner loop's stuck-taken branch never exits: only the cycle
-  // backstop ends that site.
+  // The inner loop's stuck-taken branch never exits, and its store keeps
+  // it from being a provable livelock: only the cycle backstop ends that
+  // site.
   std::string f = write_temp("backstop.c", R"(
 void f(stream_in<32> in, stream_out<32> out) {
+  uint32 buf[4];
   for (uint32 i = 0; i < 4; i++) {
     uint32 v = stream_read(in);
     uint32 acc = 0;
     for (uint32 j = 0; j < 50; j++) {
       acc = acc + v;
+      buf[j & 3] = acc;
     }
     assert(acc >= v);
     stream_write(out, acc);
@@ -240,6 +243,50 @@ void f(stream_in<32> in, stream_out<32> out) {
         << cmd << ": campaign row s" << site << " stopped at cycle " << cycles << "\n"
         << repro.output;
   }
+}
+
+TEST(Hlsavc, TrappedSiteReproNamesItsTrapBlock) {
+  // The same loop without the store: its stuck-taken header is a proven
+  // livelock. The campaign row is `hang-detected` at the cycle the loop
+  // was entered, and the one-site repro stops in the same block at the
+  // same cycle.
+  std::string f = write_temp("trap.c", R"(
+void f(stream_in<32> in, stream_out<32> out) {
+  for (uint32 i = 0; i < 4; i++) {
+    uint32 v = stream_read(in);
+    uint32 acc = 0;
+    for (uint32 j = 0; j < 50; j++) {
+      acc = acc + v;
+    }
+    assert(acc >= v);
+    stream_write(out, acc);
+  }
+}
+)");
+  const std::string feed = " --feed f.in=11,22,33,44";
+  CmdResult campaign = run_cmd("faultsim " + f + " --campaign" + feed);
+  ASSERT_EQ(campaign.exit_code, 0) << campaign.output;
+  EXPECT_EQ(campaign.output.find("| hang-timeout "), std::string::npos) << campaign.output;
+  // Rows: "| sN | branch stuck taken in 'f' block 'B' | outcome | | C |".
+  std::istringstream rows(campaign.output);
+  std::string row, site, block, cycles;
+  while (std::getline(rows, row) && site.empty()) {
+    if (row.find("branch stuck taken in 'f' block 'for_header4'") == std::string::npos) continue;
+    ASSERT_NE(row.find("| hang-detected "), std::string::npos) << row;
+    site = row.substr(3, row.find(' ', 3) - 3);
+    std::size_t end = row.find_last_not_of(" |");
+    cycles = row.substr(row.find_last_of(' ', end) + 1, end - row.find_last_of(' ', end));
+  }
+  ASSERT_FALSE(site.empty()) << campaign.output;
+
+  CmdResult repro = run_cmd("faultsim " + f + " --site=" + site + feed);
+  EXPECT_EQ(repro.exit_code, 4) << repro.output;  // a hang
+  EXPECT_NE(repro.output.find("process 'f' stuck at line 6: livelock in block 'for_header4' "
+                              "(no return or observable op is reachable) (cycle " +
+                              cycles + ")"),
+            std::string::npos)
+      << "campaign row s" << site << " stopped at cycle " << cycles << "\n"
+      << repro.output;
 }
 
 TEST(Hlsavc, AbortedSiteReproPrintsItsCampaignRowCycles) {
