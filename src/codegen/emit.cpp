@@ -129,7 +129,7 @@ void emit_prelude(std::ostringstream& os) {
         // Fault hooks (sim/compiled.h ProcLayout). A signed compare
         // is an unsigned one with the sign bit `s` flipped; a narrowing
         // mask `m` drops that bit too, so a narrowed signed compare turns
-        // unsigned, as in Simulator::eval_bin_op.
+        // unsigned, as in the interpreter's tape (sim/tape.h).
         "static inline uint64_t hlsav_lts(uint64_t a, uint64_t b, uint64_t s, uint64_t m) {\n"
         "  return ((a ^ s) & m) < ((b ^ s) & m);\n"
         "}\n"
@@ -147,8 +147,7 @@ std::string check_operand(const Operand& o) {
 
 /// Returns a reason when codegen cannot faithfully represent `p`, or an
 /// empty string when emission may proceed.
-std::string decline_reason(const ir::Design& design, const Process& p,
-                           const sched::ProcessSchedule* ps) {
+std::string decline_reason(const Process& p, const sched::ProcessSchedule* ps) {
   if (ps == nullptr) return "no schedule for process";
   if (ps->blocks.size() < p.blocks.size()) return "schedule does not cover every block";
   for (const ir::Register& r : p.regs) {
@@ -165,11 +164,6 @@ std::string decline_reason(const ir::Design& design, const Process& p,
       }
       std::string r = check_operand(op.pred);
       if (!r.empty()) return r;
-      if (op.is_memory_access() && design.memory(op.mem).width > 64) {
-        return "memory '" + design.memory(op.mem).name + "' is " +
-               std::to_string(design.memory(op.mem).width) +
-               " bits wide (compiled engine limit is 64)";
-      }
     }
     std::string r = check_operand(b.term.cond);
     if (!r.empty()) return r;
@@ -317,7 +311,7 @@ class ProcEmitter {
     if (ir::op_traits(op.kind).callback) {
       // The label sits after the progress mark so a resumed (re-tried)
       // op that blocks again reports no progress, exactly like the
-      // interpreter re-entering exec_op at the saved op index.
+      // interpreter re-entering its tape at the saved op index.
       if (progressed_before) os_ << "  " << stw(sim::kStProgress) << " = 1u;\n";
       os_ << op_label(b.id, resume_idx) << ": ;\n";
       os_ << "  " << stw(sim::kStResumeOp) << " = " << resume_idx << "u;\n";
@@ -658,7 +652,7 @@ EmitResult emit_design(const ir::Design& design, const sched::DesignSchedule& sc
     ProcEmit pe;
     pe.process = p.name;
     const sched::ProcessSchedule* ps = schedule.find(p.name);
-    pe.decline_reason = decline_reason(design, p, ps);
+    pe.decline_reason = decline_reason(p, ps);
     if (pe.decline_reason.empty()) {
       std::string body = ProcEmitter(design, p, *ps).emit();
       auto [it, fresh] = symbol_of_body.try_emplace(

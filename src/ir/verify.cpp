@@ -184,6 +184,11 @@ class Verifier {
     proc_ = &p;
     if (p.blocks.empty()) fail("process has no blocks");
     if (p.entry >= p.blocks.size()) fail("bad entry block");
+    // The simulator's register files hold one u64 per register, like
+    // streams and memories (the language caps intN at 64 bits).
+    for (const Register& r : p.regs) {
+      if (r.width < 1 || r.width > 64) fail("register '" + r.name + "' has bad width");
+    }
     for (const StreamPort& sp : p.ports) {
       if (sp.stream == kNoStream) fail("port '" + sp.name + "' is unbound");
       if (sp.stream >= d_.streams.size()) fail("port '" + sp.name + "' bound to bad stream");

@@ -601,6 +601,7 @@ std::vector<TraceArtifact> trace_nonbenign_sites(const CampaignPlan& plan,
     trace::ReplayOptions ro;
     ro.last_cycles = trace_opt.last_cycles;
     ro.sm = trace_opt.sm;
+    if (rr.hang) ro.livelock_block = rr.hang->livelock_block();
     os << trace::render_replay(design, window, ro);
     if (r.outcome == FaultOutcome::kSilentCorruption) {
       auto outputs = collect_outputs(design, sim);

@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
 
 #include "metrics/profile.h"
@@ -31,6 +30,7 @@ void Simulator::init_state() {
   streams_.resize(design_.streams.size());
   stream_ids_.reserve(design_.streams.size());
   for (const ir::Stream& s : design_.streams) {
+    streams_[s.id].width = s.width;
     streams_[s.id].depth = s.depth;
     streams_[s.id].cpu_producer = s.producer.kind == ir::StreamEndpoint::Kind::kCpu;
     streams_[s.id].cpu_consumer = s.consumer.kind == ir::StreamEndpoint::Kind::kCpu;
@@ -39,13 +39,24 @@ void Simulator::init_state() {
                                s.role == ir::StreamRole::kAssertPacked);
     stream_ids_.emplace(s.name, s.id);  // first name wins, as in a linear scan
   }
+  // Stream and channel faults hook only the words they can touch.
+  for (const FaultSpec& f : opt_.faults.faults()) {
+    const bool on_stream = f.kind == FaultKind::kStreamDrop || f.kind == FaultKind::kStreamDup ||
+                           f.kind == FaultKind::kStreamStuck;
+    if (on_stream && f.stream < streams_.size()) streams_[f.stream].faulted = inject_faults_;
+    if (f.kind == FaultKind::kChannelCorrupt) channel_faulted_ = inject_faults_;
+  }
   dirty_cpu_streams_.reserve(streams_.size());
 
-  memories_.resize(design_.memories.size());
+  // One coherent u64 memory image for both engines: compiled code indexes
+  // the arrays directly, tapes and checker evaluations through mem64_.
+  mem64_.resize(design_.memories.size());
   for (const ir::Memory& m : design_.memories) {
-    auto& mem = memories_[m.id];
-    mem.assign(m.size, BitVector(m.width));
-    for (std::size_t i = 0; i < m.init.size(); ++i) mem[i] = m.init[i];
+    auto& mem = mem64_[m.id];
+    mem.assign(m.size, 0);
+    for (std::size_t i = 0; i < m.init.size() && i < mem.size(); ++i) {
+      mem[i] = m.init[i].to_u64();
+    }
   }
 
   // Resolve every per-op linear lookup once: assertion-carrying ops map
@@ -71,15 +82,14 @@ void Simulator::init_state() {
     if (rec.checker_process.empty()) continue;
     auto pit = procs_by_name.find(rec.checker_process);
     const ir::Process* chk = pit == procs_by_name.end() ? nullptr : pit->second;
-    if (chk == nullptr) continue;  // exec_op reports this if ever tapped
+    if (chk == nullptr) continue;  // exec_effect reports this if ever tapped
     CheckerCache cc;
-    cc.proc = chk;
-    cc.block = &chk->block(rec.checker_block != ir::kNoBlock ? rec.checker_block : chk->entry);
-    cc.fresh.reserve(chk->regs.size());
-    for (const ir::Register& r : chk->regs) cc.fresh.emplace_back(r.width);
-    cc.scratch = cc.fresh;
+    const BasicBlock& block =
+        chk->block(rec.checker_block != ir::kNoBlock ? rec.checker_block : chk->entry);
+    cc.tape = decode_checker(design_, *chk, block);
+    cc.slots = cc.tape.slots;
     cc.touched.assign(rec.checker_inputs.begin(), rec.checker_inputs.end());
-    for (const Op& op : cc.block->ops) {
+    for (const Op& op : block.ops) {
       if (ir::op_traits(op.kind).has_dest) cc.touched.push_back(op.dest);
     }
     std::sort(cc.touched.begin(), cc.touched.end());
@@ -112,10 +122,6 @@ void Simulator::init_state() {
     ps.sched = sit == scheds_by_name.end() ? nullptr : sit->second;
     HLSAV_CHECK(ps.sched != nullptr, "no schedule for process " + p->name);
     ps.cur = p->entry;
-    ps.cur_block = &p->block(p->entry);
-    ps.cur_sched = &ps.sched->of(p->entry);
-    ps.regs.reserve(p->regs.size());
-    for (const ir::Register& r : p->regs) ps.regs.emplace_back(r.width);
     if (prof_ != nullptr) ps.prof_idx = prof_->index_of(p.get());
     procs_.push_back(std::move(ps));
   }
@@ -128,6 +134,10 @@ void Simulator::init_state() {
       ps.own_layout = std::make_unique<ProcLayout>(ProcLayout::of(*ps.proc));
       ps.layout = ps.own_layout.get();
       ps.st.assign(ps.layout->words, 0);
+    }
+    if (ps.cfn == nullptr) {
+      ps.tape = decode_process(design_, *ps.proc, *ps.sched, ps.layout);
+      ps.regs64 = ps.tape.slots;
     }
     if (ps.layout == nullptr) continue;
     arm_fault_words(ps);
@@ -157,13 +167,6 @@ void Simulator::init_engine() {
     engine_note_ = "profiler armed; compiled engine declines, interpreting";
     return;
   }
-  for (const ir::Memory& m : design_.memories) {
-    if (m.width > 64) {
-      engine_note_ = "memory '" + m.name + "' wider than 64 bits; interpreting";
-      return;
-    }
-  }
-
   std::size_t attached = 0;
   for (std::size_t pidx = 0; pidx < procs_.size(); ++pidx) {
     ProcState& ps = procs_[pidx];
@@ -190,17 +193,6 @@ void Simulator::init_engine() {
     return;
   }
   engine_active_ = true;
-
-  // One coherent memory image for both engines: compiled code indexes
-  // raw u64 arrays, interpreted processes and checkers branch to them.
-  mem64_.resize(design_.memories.size());
-  for (const ir::Memory& m : design_.memories) {
-    auto& mem = mem64_[m.id];
-    mem.assign(m.size, 0);
-    for (std::size_t i = 0; i < m.init.size() && i < mem.size(); ++i) {
-      mem[i] = m.init[i].to_u64();
-    }
-  }
   for (ProcState& ps : procs_) {
     if (ps.cfn == nullptr) continue;
     for (std::uint32_t m : ps.layout->mems) ps.mems64.push_back(mem64_[m].data());
@@ -267,8 +259,6 @@ void Simulator::arm_fault_words(ProcState& ps) const {
         break;
     }
   }
-  ps.narrowed = std::any_of(st + layout.compare, st + layout.words,
-                            [](std::uint64_t m) { return m != ~std::uint64_t{0}; });
   mark_traps(*ps.proc, st + layout.branch);
 }
 
@@ -312,7 +302,7 @@ void Simulator::feed(ir::StreamId stream, const std::vector<std::uint64_t>& valu
     HLSAV_CHECK(s.width >= 64 || (v >> s.width) == 0,
                 "feed value " + std::to_string(v) + " does not fit stream '" + s.name + "' (" +
                     std::to_string(s.width) + " bits)");
-    streams_[stream].fifo.push_back(FifoEntry{BitVector::from_u64(s.width, v), 0});
+    streams_[stream].fifo.push_back(FifoEntry{v, 0});
   }
   mark_cpu_dirty(stream);  // a CPU->CPU stream delivers on the next drain
 }
@@ -339,38 +329,7 @@ Status Simulator::try_feed(std::string_view stream_name,
 }
 
 std::vector<std::uint64_t> Simulator::received(std::string_view stream_name) const {
-  ir::StreamId id = stream_by_name(stream_name);
-  std::vector<std::uint64_t> out;
-  for (const BitVector& v : streams_[id].cpu_received) out.push_back(v.to_u64());
-  return out;
-}
-
-// ----------------------------------------------------------- operands --
-
-void Simulator::empty_operand() { HLSAV_UNREACHABLE("value_of on empty operand"); }
-
-BitVector Simulator::eval_bin_op(const ProcState& ps, const Op& op) const {
-  const BitVector& a = value_of(ps, op.args[0]);
-  const BitVector& b = value_of(ps, op.args[1]);
-  if (ps.narrowed && op.is_comparison()) {
-    // Translation-fault injection: a comparison erroneously narrowed to
-    // the width of its line's compare mask (unsigned, as in the
-    // Impulse-C bug the paper reports). An all-ones mask is no fault.
-    const std::uint64_t mask = ps.st[ps.layout->compare_word(op.loc.line)];
-    const auto w = static_cast<unsigned>(std::popcount(mask));
-    if (mask != ~std::uint64_t{0} && w < a.width()) {
-      BitVector na = a.trunc(w);
-      BitVector nb = b.trunc(w);
-      ir::BinKind k = op.bin;
-      switch (k) {  // signed compares degrade to unsigned at the narrow width
-        case ir::BinKind::kCmpLtS: k = ir::BinKind::kCmpLtU; break;
-        case ir::BinKind::kCmpLeS: k = ir::BinKind::kCmpLeU; break;
-        default: break;
-      }
-      return ir::eval_bin(k, na, nb);
-    }
-  }
-  return ir::eval_bin(op.bin, a, b);
+  return streams_[stream_by_name(stream_name)].cpu_received;
 }
 
 // ------------------------------------------------------------ streams --
@@ -385,25 +344,32 @@ bool Simulator::try_stream_read(ProcState& ps, const Op& op, std::uint64_t at) {
     if (prof_ != nullptr) prof_->blocked_poll(ps.prof_idx, op.stream, /*write=*/false);
     return false;
   }
-  FifoEntry e = std::move(st.fifo.front());
+  const FifoEntry e = st.fifo.front();
   st.fifo.pop_front();
-  if (e.time > at) {
-    // The producer delivered later than this process's clock: stall.
-    std::uint64_t stall = e.time - at;
-    if (prof_ != nullptr) {
-      // Charge the stall to the FSM state issuing the read (its offset
-      // from the block/iteration entry, pre-bump).
-      ir::BlockId pb = ps.pipe ? ps.pipe->loop->body : ps.cur;
-      std::uint64_t base = ps.pipe ? ps.pipe->start_cycle + ps.pipe->iter * ps.pipe->bs->ii
-                                   : ps.block_entry_cycle;
-      prof_->read_stall(ps.prof_idx, pb, static_cast<unsigned>(at - base), op.stream, at,
-                        stall);
-    }
-    ps.block_entry_cycle += stall;
-    if (ps.pipe) ps.pipe->start_cycle += stall;
+  ps.regs64[op.dest] = e.value;
+  if (ela_ != nullptr) {
+    ela_->stream_pop(ps.proc, op.stream, stream_bits(op.stream, e.value), at, op.loc);
   }
-  ps.regs[op.dest] = std::move(e.value);
-  if (ela_ != nullptr) ela_->stream_pop(ps.proc, op.stream, ps.regs[op.dest], at, op.loc);
+  if (e.time <= at) return true;
+  // The producer delivered later than this process's clock: stall the
+  // block (and a pipelined loop's start cycle).
+  const std::uint64_t stall = e.time - at;
+  if (ps.cfn != nullptr) {
+    ps.st[kStBlockEntry] += stall;
+    ps.st[kStPipeStart] += stall;
+    return true;
+  }
+  if (prof_ != nullptr) {
+    // Charge the stall to the FSM state issuing the read (its offset
+    // from the block/iteration entry, pre-bump).
+    ir::BlockId pb = ps.pipe ? ps.pipe->loop->body : ps.cur;
+    std::uint64_t base = ps.pipe ? ps.pipe->start_cycle + ps.pipe->iter * ps.pipe->bs->ii
+                                 : ps.block_entry_cycle;
+    prof_->read_stall(ps.prof_idx, pb, static_cast<unsigned>(at - base), op.stream, at,
+                      stall);
+  }
+  ps.block_entry_cycle += stall;
+  if (ps.pipe) ps.pipe->start_cycle += stall;
   return true;
 }
 
@@ -417,26 +383,28 @@ bool Simulator::try_stream_write(ProcState& ps, const Op& op, std::uint64_t at) 
     if (prof_ != nullptr) prof_->blocked_poll(ps.prof_idx, op.stream, /*write=*/true);
     return false;
   }
-  BitVector v = ps.cfn != nullptr ? value64_of(ps, op.args[0]) : value_of(ps, op.args[0]);
+  std::uint64_t v = word(ps.regs64.data(), op.args[0]);
   FaultEngine::StreamAction act = FaultEngine::StreamAction::kPass;
-  if (inject_faults_) {
+  if (st.faulted) {
     // Handshake faults: the word is counted as sent by the process even
     // when the FIFO drops it (that is the fault being modelled).
-    act = opt_.faults.on_stream_write(op.stream, stream_write_seq_[op.stream]++, v);
+    BitVector bv = stream_bits(op.stream, v);
+    act = opt_.faults.on_stream_write(op.stream, stream_write_seq_[op.stream]++, bv);
+    v = bv.to_u64();
   }
   // The process-side handshake happens even for a dropped word; the
   // trace records the (possibly corrupted) value the FIFO saw.
-  if (ela_ != nullptr) ela_->stream_push(ps.proc, op.stream, v, at, op.loc);
+  if (ela_ != nullptr) ela_->stream_push(ps.proc, op.stream, stream_bits(op.stream, v), at, op.loc);
   if (act == FaultEngine::StreamAction::kDrop) return true;
   // Data crosses the channel one cycle after the send issues.
   if (act == FaultEngine::StreamAction::kDup) st.fifo.push_back(FifoEntry{v, at + 1});
-  st.fifo.push_back(FifoEntry{std::move(v), at + 1});
+  st.fifo.push_back(FifoEntry{v, at + 1});
   mark_cpu_dirty(op.stream);
   return true;
 }
 
-void Simulator::push_stream(ir::StreamId id, BitVector value, std::uint64_t at) {
-  streams_[id].fifo.push_back(FifoEntry{std::move(value), at});
+void Simulator::push_stream(ir::StreamId id, std::uint64_t value, std::uint64_t at) {
+  streams_[id].fifo.push_back(FifoEntry{stream_bits(id, value).to_u64(), at});
   mark_cpu_dirty(id);
 }
 
@@ -463,102 +431,29 @@ void Simulator::direct_assert_failure(std::uint32_t id, std::uint64_t at) {
 void Simulator::fail_wire(const ir::AssertionRecord* rec, std::uint64_t at) {
   HLSAV_CHECK(rec != nullptr && rec->fail_stream != ir::kNoStream,
               "fail wire without a collector stream");
-  std::uint64_t word = std::uint64_t{1} << rec->fail_bit;
-  const ir::Stream& s = design_.stream(rec->fail_stream);
-  push_stream(rec->fail_stream, BitVector::from_u64(s.width, word), at);
+  push_stream(rec->fail_stream, std::uint64_t{1} << rec->fail_bit, at);
 }
 
 void Simulator::eval_checker(const ir::AssertionRecord& rec, CheckerCache& cc,
-                             const ProcState& ps, const Op& tap, std::uint64_t at) {
-  const ir::Process* chk = cc.proc;
-
-  // Fresh register file per evaluation: scratch only ever diverges from
-  // the template at the touched registers, so restore just those, then
-  // wire in the tapped values straight from the application's registers.
-  std::vector<BitVector>& regs = cc.scratch;
-  for (ir::RegId r : cc.touched) regs[r] = cc.fresh[r];
+                             ProcState& ps, const Op& tap, std::uint64_t at) {
+  // Fresh slot file per evaluation: it only ever diverges from the zero
+  // registers at the touched ones, so zero just those, then wire in the
+  // tapped values straight from the application's registers.
+  std::uint64_t* s = cc.slots.data();
+  for (ir::RegId r : cc.touched) s[r] = 0;
   HLSAV_CHECK(tap.args.size() == rec.checker_inputs.size(), "tap arity mismatch");
   for (std::size_t i = 0; i < tap.args.size(); ++i) {
-    regs[rec.checker_inputs[i]] = value_of(ps, tap.args[i]);
+    s[rec.checker_inputs[i]] = word(ps.regs64.data(), tap.args[i]);
   }
-
-  auto val = [&regs](const Operand& o) -> const BitVector& {
-    return o.is_reg() ? regs[o.reg] : o.imm;
-  };
-
-  // Grouped checkers evaluate only this assertion's sub-block.
-  bool failed = false;
-  const BasicBlock& b = *cc.block;
-  for (const Op& op : b.ops) {
-    switch (op.kind) {
-      case OpKind::kBin:
-        regs[op.dest] = ir::eval_bin(op.bin, val(op.args[0]), val(op.args[1]));
-        break;
-      case OpKind::kUn:
-        regs[op.dest] = ir::eval_un(op.un, val(op.args[0]));
-        break;
-      case OpKind::kCopy:
-        regs[op.dest] = val(op.args[0]);
-        break;
-      case OpKind::kResize: {
-        bool sgn = op.resize == ir::ResizeKind::kSext;
-        regs[op.dest] = val(op.args[0]).resize(chk->reg(op.dest).width, sgn);
-        break;
-      }
-      case OpKind::kLoad: {
-        std::uint64_t idx = val(op.args[0]).to_u64();
-        const unsigned w = design_.memory(op.mem).width;
-        if (engine_active_) {
-          // Checker loads see the same u64 image the compiled engine does.
-          const auto& mem = mem64_[op.mem];
-          regs[op.dest] = idx < mem.size() ? BitVector::from_u64(w, mem[idx]) : BitVector(w);
-        } else {
-          const auto& mem = memories_[op.mem];
-          regs[op.dest] = idx < mem.size() ? mem[idx] : BitVector(w);
-        }
-        break;
-      }
-      case OpKind::kCallExtern: {
-        const ExternRegistry::Fn* fn = extern_fn(op.callee);
-        HLSAV_CHECK(fn != nullptr, "unbound extern function '" + op.callee + "'");
-        extern_args_.clear();
-        for (const Operand& a : op.args) extern_args_.push_back(val(a));
-        regs[op.dest] = (*fn)(extern_args_).resize(chk->reg(op.dest).width, false);
-        break;
-      }
-      case OpKind::kStreamWrite: {
-        // The checker's failure send: predicated on the (negated)
-        // condition. The +1 models the checker's notification latency,
-        // which never stalls the application (paper §3.3).
-        bool active = true;
-        if (!op.pred.is_none()) {
-          bool v = val(op.pred).any();
-          active = op.pred_negated ? !v : v;
-        }
-        if (active) {
-          push_stream(op.stream, val(op.args[0]), at + 1);
-          failed = true;
-        }
-        break;
-      }
-      case OpKind::kAssertFailWire: {
-        if (!val(op.args[0]).any()) {
-          fail_wire(assertion_of(op), at + 1);
-          failed = true;
-        }
-        break;
-      }
-      case OpKind::kStore:
-      case OpKind::kStreamRead:
-      case OpKind::kAssert:
-      case OpKind::kAssertTap:
-      case OpKind::kAssertCycles:
-        internal_error("sim", 0, "unexpected op in checker process");
-    }
-  }
+  // Grouped checkers evaluate only this assertion's sub-block. Its ops
+  // all read the tap's time; a failure is sent a cycle later.
+  checker_failed_ = false;
+  const auto n = static_cast<std::uint32_t>(cc.tape.ops.size());
+  run_tape(ps, s, cc.tape, 0, n, at, /*hooks=*/false);
+  const bool failed = checker_failed_;
   // The checker's verdict, attributed to the checker process (it owns
   // the failure wire) at the tap's source position.
-  if (ela_ != nullptr) ela_->assert_verdict(chk, rec.id, failed, at, tap.loc);
+  if (ela_ != nullptr) ela_->assert_verdict(cc.tape.proc, rec.id, failed, at, tap.loc);
   if (prof_ != nullptr) prof_->assert_eval(ps.prof_idx, rec.id, failed, at);
 }
 
@@ -572,70 +467,103 @@ void Simulator::record_trace(const ProcState& ps, const Op& op, std::uint64_t at
   trace_.push_back(TraceEvent{at, ps.proc->name, op.kind, op.loc});
 }
 
-bool Simulator::exec_op(ProcState& ps, const Op& op, std::uint64_t at) {
-  if (!pred_active(ps, op)) return true;
-  if (tracing_) record_trace(ps, op, at);
+std::uint32_t Simulator::run_tape(ProcState& ps, std::uint64_t* s, const Tape& t,
+                                  std::uint32_t i, std::uint32_t end, const std::uint64_t& base,
+                                  bool hooks) {
+  const std::uint64_t* st = ps.st.data();
+  const TapeOp* ops = t.ops.data();
+  for (; i < end; ++i) {
+    const TapeOp& o = ops[i];
+    if (o.pred != TapePred::kAlways && (s[o.p] != 0) != (o.pred == TapePred::kIfSet)) continue;
+    if (hooks && tracing_) [[unlikely]] record_trace(ps, *t.src[i], base + o.state);
+    if (o.code < TapeCode::kLoad) [[likely]] {
+      s[o.dest] = eval_pure(o, s, st);
+      if (hooks && ela_ != nullptr) [[unlikely]] {
+        const Op& op = *t.src[i];
+        ela_->reg_write(ps.proc, op.dest, bits(*ps.proc, s, Operand::make_reg(op.dest)),
+                        base + o.state, op.loc);
+      }
+      continue;
+    }
+    switch (o.code) {
+      case TapeCode::kLoad: {
+        // Out-of-range addresses read X in hardware; model as zero.
+        const std::vector<std::uint64_t>& mem = mem64_[o.b];
+        const std::uint64_t idx = s[o.a];
+        s[o.dest] = idx < mem.size() ? mem[idx] & o.k : 0;
+        if (hooks && ela_ != nullptr) [[unlikely]] {
+          const Op& op = *t.src[i];
+          BitVector v = BitVector::from_u64(design_.memory(op.mem).width, s[o.dest]);
+          ela_->bram_read(ps.proc, op.mem, idx, v, base + o.state, op.loc);
+          ela_->reg_write(ps.proc, op.dest, v, base + o.state, op.loc);
+        }
+        break;
+      }
+      case TapeCode::kStore: {
+        // The stored word passes the memory's BRAM fault masks, as in
+        // compiled code.
+        std::vector<std::uint64_t>& mem = mem64_[o.dest];
+        const std::uint64_t idx = s[o.a];
+        std::uint64_t v = s[o.b];
+        if (o.k != 0) v = (v & st[o.k]) ^ st[o.k + 1];
+        if (idx >= mem.size()) break;
+        mem[idx] = v;
+        // The trace holds what the port actually wrote, faults included.
+        if (hooks && ela_ != nullptr) [[unlikely]] {
+          const Op& op = *t.src[i];
+          ela_->bram_write(ps.proc, op.mem, idx,
+                           BitVector::from_u64(design_.memory(op.mem).width, v),
+                           base + o.state, op.loc);
+        }
+        break;
+      }
+      case TapeCode::kEffect:
+        if (!exec_effect(ps, *t.src[i], base + o.state)) return i;
+        break;
+      default:
+        exec_checker_op(s, t, i, base);
+        break;
+    }
+  }
+  return end;
+}
+
+void Simulator::exec_checker_op(std::uint64_t* s, const Tape& t, std::uint32_t i,
+                                std::uint64_t at) {
+  const TapeOp& o = t.ops[i];
+  const Op& op = *t.src[i];
+  switch (o.code) {
+    case TapeCode::kCheckerSend:
+      // The checker's failure send: predicated on the (negated)
+      // condition. The +1 models the checker's notification latency,
+      // which never stalls the application (paper §3.3).
+      push_stream(op.stream, s[o.a], at + 1);
+      checker_failed_ = true;
+      return;
+    case TapeCode::kCheckerFailWire:
+      if (s[o.a] == 0) {
+        fail_wire(assertion_of(op), at + 1);
+        checker_failed_ = true;
+      }
+      return;
+    case TapeCode::kCheckerExtern: {
+      const ExternRegistry::Fn* fn = extern_fn(op.callee);
+      HLSAV_CHECK(fn != nullptr, "unbound extern function '" + op.callee + "'");
+      extern_args_.clear();
+      for (const Operand& a : op.args) extern_args_.push_back(bits(*t.proc, s, a));
+      s[o.dest] = (*fn)(extern_args_).resize(t.proc->reg(op.dest).width, false).to_u64();
+      return;
+    }
+    case TapeCode::kCheckerInvalid:
+      internal_error("sim", 0, "unexpected op in checker process");
+    default:
+      break;
+  }
+  HLSAV_UNREACHABLE("application op on the checker path");
+}
+
+bool Simulator::exec_effect(ProcState& ps, const Op& op, std::uint64_t at) {
   switch (op.kind) {
-    case OpKind::kBin:
-      ps.regs[op.dest] = eval_bin_op(ps, op);
-      if (ela_ != nullptr) ela_->reg_write(ps.proc, op.dest, ps.regs[op.dest], at, op.loc);
-      return true;
-    case OpKind::kUn:
-      ps.regs[op.dest] = ir::eval_un(op.un, value_of(ps, op.args[0]));
-      if (ela_ != nullptr) ela_->reg_write(ps.proc, op.dest, ps.regs[op.dest], at, op.loc);
-      return true;
-    case OpKind::kCopy:
-      ps.regs[op.dest] = value_of(ps, op.args[0]);
-      if (ela_ != nullptr) ela_->reg_write(ps.proc, op.dest, ps.regs[op.dest], at, op.loc);
-      return true;
-    case OpKind::kResize: {
-      bool sgn = op.resize == ir::ResizeKind::kSext;
-      ps.regs[op.dest] = value_of(ps, op.args[0]).resize(ps.proc->reg(op.dest).width, sgn);
-      if (ela_ != nullptr) ela_->reg_write(ps.proc, op.dest, ps.regs[op.dest], at, op.loc);
-      return true;
-    }
-    case OpKind::kLoad: {
-      std::uint64_t idx = value_of(ps, op.args[0]).to_u64();
-      const unsigned w = design_.memory(op.mem).width;
-      if (engine_active_) {
-        // Engine-active runs keep memories as u64 images shared with
-        // compiled processes (see init_engine).
-        const auto& mem = mem64_[op.mem];
-        ps.regs[op.dest] = idx < mem.size() ? BitVector::from_u64(w, mem[idx]) : BitVector(w);
-        return true;
-      }
-      const auto& mem = memories_[op.mem];
-      // Out-of-range addresses read X in hardware; model as zero.
-      ps.regs[op.dest] = idx < mem.size() ? mem[idx] : BitVector(w);
-      if (ela_ != nullptr) {
-        ela_->bram_read(ps.proc, op.mem, idx, ps.regs[op.dest], at, op.loc);
-        ela_->reg_write(ps.proc, op.dest, ps.regs[op.dest], at, op.loc);
-      }
-      return true;
-    }
-    case OpKind::kStore: {
-      std::uint64_t idx = value_of(ps, op.args[0]).to_u64();
-      // The stored word passes the memory's BRAM fault masks, as in
-      // compiled code (memories are at most 64 bits wide).
-      std::uint64_t v = value_of(ps, op.args[1]).to_u64();
-      if (ps.layout != nullptr) {
-        const std::uint32_t k = ps.layout->store_word(op.mem);
-        v = (v & ps.st[k]) ^ ps.st[k + 1];
-      }
-      if (engine_active_) {
-        // An interpreted process of a compiled run writes the shared u64 image.
-        auto& mem = mem64_[op.mem];
-        if (idx < mem.size()) mem[idx] = v;
-        return true;
-      }
-      auto& mem = memories_[op.mem];
-      if (idx < mem.size()) {
-        mem[idx] = BitVector::from_u64(design_.memory(op.mem).width, v);
-        // mem[idx] holds what the port actually wrote, faults included.
-        if (ela_ != nullptr) ela_->bram_write(ps.proc, op.mem, idx, mem[idx], at, op.loc);
-      }
-      return true;
-    }
     case OpKind::kStreamRead:
       return try_stream_read(ps, op, at);
     case OpKind::kStreamWrite:
@@ -644,15 +572,16 @@ bool Simulator::exec_op(ProcState& ps, const Op& op, std::uint64_t at) {
       const ExternRegistry::Fn* fn = extern_fn(op.callee);
       HLSAV_CHECK(fn != nullptr, "unbound extern function '" + op.callee + "'");
       extern_args_.clear();
-      for (const Operand& a : op.args) extern_args_.push_back(value_of(ps, a));
-      ps.regs[op.dest] = (*fn)(extern_args_).resize(ps.proc->reg(op.dest).width, false);
-      if (inject_faults_) opt_.faults.on_extern_result(op.callee, ps.regs[op.dest]);
-      if (ela_ != nullptr) ela_->reg_write(ps.proc, op.dest, ps.regs[op.dest], at, op.loc);
+      for (const Operand& a : op.args) extern_args_.push_back(bits(*ps.proc, ps.regs64.data(), a));
+      BitVector r = (*fn)(extern_args_).resize(ps.proc->reg(op.dest).width, false);
+      if (inject_faults_) opt_.faults.on_extern_result(op.callee, r);
+      ps.regs64[op.dest] = r.to_u64();
+      if (ela_ != nullptr) ela_->reg_write(ps.proc, op.dest, r, at, op.loc);
       return true;
     }
     case OpKind::kAssert: {
       // Direct evaluation: software simulation / pre-synthesis designs.
-      bool failed = !value_of(ps, op.args[0]).any();
+      bool failed = word(ps.regs64.data(), op.args[0]) == 0;
       if (ela_ != nullptr) ela_->assert_verdict(ps.proc, op.assert_id, failed, at, op.loc);
       if (prof_ != nullptr) prof_->assert_eval(ps.prof_idx, op.assert_id, failed, at);
       if (failed) direct_assert_failure(op.assert_id, at);
@@ -669,7 +598,7 @@ bool Simulator::exec_op(ProcState& ps, const Op& op, std::uint64_t at) {
       return true;
     }
     case OpKind::kAssertFailWire: {
-      bool failed = !value_of(ps, op.args[0]).any();
+      bool failed = word(ps.regs64.data(), op.args[0]) == 0;
       if (ela_ != nullptr) ela_->assert_verdict(ps.proc, op.assert_id, failed, at, op.loc);
       if (prof_ != nullptr) prof_->assert_eval(ps.prof_idx, op.assert_id, failed, at);
       if (failed) fail_wire(assertion_of(op), at + 1);
@@ -692,18 +621,22 @@ bool Simulator::exec_op(ProcState& ps, const Op& op, std::uint64_t at) {
             design_.stream(rec->fail_stream).role == ir::StreamRole::kAssertPacked) {
           fail_wire(rec, at + 1);
         } else if (rec != nullptr && rec->fail_stream != ir::kNoStream) {
-          push_stream(rec->fail_stream,
-                      BitVector::from_u64(design_.stream(rec->fail_stream).width,
-                                          rec->fail_code),
-                      at + 1);
+          push_stream(rec->fail_stream, rec->fail_code, at + 1);
         } else {
           direct_assert_failure(op.assert_id, at);
         }
       }
       return true;
     }
+    case OpKind::kBin:
+    case OpKind::kUn:
+    case OpKind::kResize:
+    case OpKind::kCopy:
+    case OpKind::kLoad:
+    case OpKind::kStore:
+      break;
   }
-  HLSAV_UNREACHABLE("bad op kind");
+  internal_error("sim", 0, "stream/extern/assertion path on a pure op");
 }
 
 // -------------------------------------------------------- block stepping --
@@ -713,20 +646,13 @@ void Simulator::advance_to_block(ProcState& ps, ir::BlockId next) {
   ps.cur = next;
   ps.op_idx = 0;
   ps.block_entry_cycle = ps.cycle;
-  ps.cur_block = &ps.proc->block(next);
-  ps.cur_sched = &ps.sched->of(next);
   // Entering the header of a pipelined loop switches to pipeline mode.
-  ps.pipe.reset();
-  for (const ir::LoopInfo& l : ps.proc->loops) {
-    if (l.pipelined && l.header == next) {
-      ps.pipe = PipeCtx{&l,
-                        0,
-                        ps.cycle,
-                        &ps.proc->block(l.header),
-                        &ps.proc->block(l.body),
-                        &ps.sched->of(l.body)};
-      break;
-    }
+  const std::uint32_t l = ps.tape.blocks[next].loop;
+  if (l == kNoLoop) {
+    ps.pipe.reset();
+  } else {
+    const ir::LoopInfo& loop = ps.proc->loops[l];
+    ps.pipe = PipeCtx{&loop, 0, ps.cycle, &ps.sched->of(loop.body)};
   }
   // A proven livelock: the process can never leave the block's region
   // and does nothing observable there, so it stops on entry.
@@ -734,77 +660,31 @@ void Simulator::advance_to_block(ProcState& ps, ir::BlockId next) {
 }
 
 bool Simulator::run_sequential_block(ProcState& ps) {
-  const BasicBlock& b = *ps.cur_block;
-  const sched::BlockSchedule& bs = *ps.cur_sched;
+  const ir::Terminator& term = ps.proc->blocks[ps.cur].term;
+  const TapeBlock& tb = ps.tape.blocks[ps.cur];
+  const std::uint32_t n = tb.end - tb.begin;
   // FSM skip fault: the block's datapath ops never execute; control
   // falls straight through to the terminator on stale register values.
-  if (ps.op_idx == 0 && (block_word(ps, ps.cur) & kBlockSkip) != 0) ps.op_idx = b.ops.size();
-  // Pure register ops with no predicate need neither a timestamp nor the
-  // full dispatch; folding them here inlines the small-width BitVector
-  // fast paths into the loop. Tracing or a narrowed comparison disables
-  // the shortcut (both need the exec_op path); tracing_ can only flip
-  // *off* mid-run, so a stale false just keeps the slow-but-equivalent
-  // path. An armed ELA needs every register write, so it too takes
-  // exec_op.
-  const bool fast = !tracing_ && !ps.narrowed && ela_ == nullptr;
-  bool progress = false;
-  while (ps.op_idx < b.ops.size()) {
-    const Op& op = b.ops[ps.op_idx];
-    if (fast && op.pred.is_none()) {
-      bool took_fast = true;
-      switch (op.kind) {
-        case OpKind::kBin:
-          ps.regs[op.dest] = ir::eval_bin(op.bin, value_of(ps, op.args[0]),
-                                          value_of(ps, op.args[1]));
-          break;
-        case OpKind::kUn:
-          ps.regs[op.dest] = ir::eval_un(op.un, value_of(ps, op.args[0]));
-          break;
-        case OpKind::kCopy:
-          ps.regs[op.dest] = value_of(ps, op.args[0]);
-          break;
-        case OpKind::kResize:
-          ps.regs[op.dest] = value_of(ps, op.args[0])
-                                 .resize(ps.proc->reg(op.dest).width,
-                                         op.resize == ir::ResizeKind::kSext);
-          break;
-        case OpKind::kLoad:
-        case OpKind::kStore:
-        case OpKind::kStreamRead:
-        case OpKind::kStreamWrite:
-        case OpKind::kCallExtern:
-        case OpKind::kAssert:
-        case OpKind::kAssertTap:
-        case OpKind::kAssertFailWire:
-        case OpKind::kAssertCycles:
-          took_fast = false;
-          break;
-      }
-      if (took_fast) {
-        ++ps.op_idx;
-        progress = true;
-        continue;
-      }
-    }
-    std::uint64_t at = ps.block_entry_cycle +
-                       (ps.op_idx < bs.op_state.size() ? bs.op_state[ps.op_idx] : 0);
-    if (!exec_op(ps, op, at)) return progress;
-    ++ps.op_idx;
-    progress = true;
-  }
-  ps.cycle = ps.block_entry_cycle + bs.num_states;
+  if (ps.op_idx == 0 && (block_word(ps, ps.cur) & kBlockSkip) != 0) ps.op_idx = n;
+  const auto first = static_cast<std::uint32_t>(ps.op_idx);
+  const bool hooks = tracing_ || ela_ != nullptr;
+  const std::uint32_t i = run_tape(ps, ps.regs64.data(), ps.tape, tb.begin + first, tb.end,
+                                   ps.block_entry_cycle, hooks);
+  ps.op_idx = i - tb.begin;
+  if (i < tb.end) return ps.op_idx > first;
+  ps.cycle = ps.block_entry_cycle + tb.states;
   // Retire hook before the terminator switch: advance_to_block rewrites
   // ps.cur, and the profiler's timing check wants the block that ran.
   if (prof_ != nullptr) prof_->block_retired(ps.prof_idx, ps.cur, ps.cycle);
-  switch (b.term.kind) {
+  switch (term.kind) {
     case ir::TermKind::kJump:
-      advance_to_block(ps, b.term.on_true);
+      advance_to_block(ps, term.on_true);
       break;
     case ir::TermKind::kBranch: {
       // FSM stuck-branch fault: a corrupted next-state register always
       // selects one successor, regardless of the condition.
-      const bool taken = (block_word(ps, ps.cur) >> value_of(ps, b.term.cond).any()) & 1u;
-      advance_to_block(ps, taken ? b.term.on_true : b.term.on_false);
+      const bool taken = (block_word(ps, ps.cur) >> (ps.regs64[tb.cond] != 0)) & 1u;
+      advance_to_block(ps, taken ? term.on_true : term.on_false);
       break;
     }
     case ir::TermKind::kReturn:
@@ -817,32 +697,34 @@ bool Simulator::run_sequential_block(ProcState& ps) {
 bool Simulator::run_pipelined_loop(ProcState& ps) {
   PipeCtx& pc = *ps.pipe;
   const ir::LoopInfo& loop = *pc.loop;
-  const BasicBlock& header = *pc.header;
-  const BasicBlock& body = *pc.body;
   const sched::BlockSchedule& bs = *pc.bs;
-  const std::size_t h = header.ops.size();
-  const bool fast = !tracing_ && !ps.narrowed && ela_ == nullptr;  // see run_sequential_block
+  // ps.op_idx runs over the header's ops, the loop test, then the body's.
+  const TapeBlock& header = ps.tape.blocks[loop.header];
+  const TapeBlock& body = ps.tape.blocks[loop.body];
+  const std::uint32_t h = header.pend - header.pbegin;
+  std::uint64_t* s = ps.regs64.data();
   bool progress = false;
 
   while (true) {
-    std::uint64_t iter_base = pc.start_cycle + pc.iter * bs.ii;
+    // Every op of an iteration issues from the iteration's start cycle
+    // as it stood when the iteration (or its resumption) began.
+    const std::uint64_t iter_base = pc.start_cycle + pc.iter * bs.ii;
     if (iter_base > opt_.max_cycles) {
       ps.blocked = true;
       ps.blocked_at = loop.loc;
       ps.block_reason = BlockReason::kCycleLimitPipelined;
       return progress;
     }
-    // Header ops, then the loop test.
-    while (ps.op_idx < h) {
-      std::uint64_t at = iter_base + (ps.op_idx < bs.header_op_state.size()
-                                          ? bs.header_op_state[ps.op_idx]
-                                          : 0);
-      if (!exec_op(ps, header.ops[ps.op_idx], at)) return progress;
-      ++ps.op_idx;
-      progress = true;
+    const bool hooks = tracing_ || ela_ != nullptr;
+    if (ps.op_idx < h) {
+      const std::uint32_t from = header.pbegin + static_cast<std::uint32_t>(ps.op_idx);
+      const std::uint32_t i = run_tape(ps, s, ps.tape, from, header.pend, iter_base, hooks);
+      ps.op_idx = i - header.pbegin;
+      progress |= i > from;
+      if (i < header.pend) return progress;
     }
     if (ps.op_idx == h) {
-      const bool taken = (block_word(ps, loop.header) >> value_of(ps, header.term.cond).any()) & 1u;
+      const bool taken = (block_word(ps, loop.header) >> (s[header.cond] != 0)) & 1u;
       if (!taken) {
         std::uint64_t n = pc.iter;
         ps.cycle = n == 0 ? pc.start_cycle + 1 : pc.start_cycle + bs.latency + (n - 1) * bs.ii;
@@ -854,24 +736,11 @@ bool Simulator::run_pipelined_loop(ProcState& ps) {
       ++ps.op_idx;  // proceed into the body
       progress = true;
     }
-    while (ps.op_idx - h - 1 < body.ops.size()) {
-      std::size_t j = ps.op_idx - h - 1;
-      const Op& op = body.ops[j];
-      if (fast && op.pred.is_none() &&
-          (op.kind == OpKind::kBin || op.kind == OpKind::kCopy)) {
-        ps.regs[op.dest] = op.kind == OpKind::kBin
-                               ? ir::eval_bin(op.bin, value_of(ps, op.args[0]),
-                                              value_of(ps, op.args[1]))
-                               : value_of(ps, op.args[0]);
-        ++ps.op_idx;
-        progress = true;
-        continue;
-      }
-      std::uint64_t at = iter_base + (j < bs.op_state.size() ? bs.op_state[j] : 0);
-      if (!exec_op(ps, op, at)) return progress;
-      ++ps.op_idx;
-      progress = true;
-    }
+    const std::uint32_t from = body.begin + static_cast<std::uint32_t>(ps.op_idx - h - 1);
+    const std::uint32_t i = run_tape(ps, s, ps.tape, from, body.end, iter_base, hooks);
+    ps.op_idx = h + 1 + (i - body.begin);
+    progress |= i > from;
+    if (i < body.end) return progress;
     ++pc.iter;
     ps.op_idx = 0;
     if (halt_ || (deadline_ != nullptr && poll_deadline())) {
@@ -944,112 +813,13 @@ std::uint32_t Simulator::cb_poll_trampoline(void* sim) {
   return s->poll_deadline() ? 1u : 0u;
 }
 
-BitVector Simulator::value64_of(const ProcState& ps, const Operand& o) const {
-  if (o.is_reg()) return BitVector::from_u64(ps.proc->reg(o.reg).width, ps.regs64[o.reg]);
-  return o.imm;
-}
-
-bool Simulator::value64_any(const ProcState& ps, const Operand& o) const {
-  if (o.is_reg()) return ps.regs64[o.reg] != 0;
-  return o.imm.any();
-}
-
 std::uint32_t Simulator::compiled_exec_op(std::uint32_t pidx, std::uint32_t block,
                                           std::uint32_t op_idx, std::uint64_t at) {
-  ProcState& ps = procs_[pidx];
-  const BasicBlock& b = ps.proc->blocks[block];
-  const Op& op = b.ops[op_idx];
   // The generated code already evaluated the op's predicate and
-  // timestamp; this executes the shared-state side exactly as exec_op
-  // would with trace/ELA/profiler unarmed (the engine declines those
-  // configurations), stream and extern faults included.
-  switch (op.kind) {
-    case OpKind::kStreamRead: {
-      StreamState& st = streams_[op.stream];
-      if (st.fifo.empty()) {
-        ps.blocked = true;
-        ps.blocked_at = op.loc;
-        ps.block_reason = BlockReason::kStreamEmpty;
-        ps.blocked_stream = op.stream;
-        return kCbBlocked;
-      }
-      FifoEntry e = std::move(st.fifo.front());
-      st.fifo.pop_front();
-      if (e.time > at) {
-        // Producer delivered later than this clock: stall the block (and
-        // a pipelined loop's start cycle) exactly like try_stream_read.
-        std::uint64_t stall = e.time - at;
-        ps.st[kStBlockEntry] += stall;
-        ps.st[kStPipeStart] += stall;
-      }
-      ps.regs64[op.dest] = e.value.to_u64();
-      break;
-    }
-    case OpKind::kStreamWrite:
-      if (!try_stream_write(ps, op, at)) return kCbBlocked;
-      break;
-    case OpKind::kCallExtern: {
-      const ExternRegistry::Fn* fn = extern_fn(op.callee);
-      HLSAV_CHECK(fn != nullptr, "unbound extern function '" + op.callee + "'");
-      extern_args_.clear();
-      for (const Operand& a : op.args) extern_args_.push_back(value64_of(ps, a));
-      BitVector r = (*fn)(extern_args_).resize(ps.proc->reg(op.dest).width, false);
-      if (inject_faults_) opt_.faults.on_extern_result(op.callee, r);
-      ps.regs64[op.dest] = r.to_u64();
-      break;
-    }
-    case OpKind::kAssert: {
-      if (!value64_any(ps, op.args[0])) direct_assert_failure(op.assert_id, at);
-      break;
-    }
-    case OpKind::kAssertTap: {
-      auto it = op_assertions_.find(&op);
-      const ir::AssertionRecord* rec =
-          it != op_assertions_.end() ? it->second.rec : design_.find_assertion(op.assert_id);
-      HLSAV_CHECK(rec != nullptr, "tap without assertion record");
-      CheckerCache* cc = it != op_assertions_.end() ? it->second.checker : nullptr;
-      HLSAV_CHECK(cc != nullptr, "missing checker process " + rec->checker_process);
-      // eval_checker reads tap operands through ps.regs; materialize the
-      // tapped registers from the u64 file first (a tap has few args).
-      for (const Operand& a : op.args) {
-        if (a.is_reg()) {
-          ps.regs[a.reg] = BitVector::from_u64(ps.proc->reg(a.reg).width, ps.regs64[a.reg]);
-        }
-      }
-      eval_checker(*rec, *cc, ps, op, at);
-      break;
-    }
-    case OpKind::kAssertFailWire: {
-      if (!value64_any(ps, op.args[0])) fail_wire(assertion_of(op), at + 1);
-      break;
-    }
-    case OpKind::kAssertCycles: {
-      std::uint64_t elapsed = at >= ps.cycle_marker ? at - ps.cycle_marker : 0;
-      ps.cycle_marker = at;
-      if (elapsed > op.cycle_bound) {
-        const ir::AssertionRecord* rec = assertion_of(op);
-        if (rec != nullptr && rec->fail_stream != ir::kNoStream &&
-            design_.stream(rec->fail_stream).role == ir::StreamRole::kAssertPacked) {
-          fail_wire(rec, at + 1);
-        } else if (rec != nullptr && rec->fail_stream != ir::kNoStream) {
-          push_stream(rec->fail_stream,
-                      BitVector::from_u64(design_.stream(rec->fail_stream).width,
-                                          rec->fail_code),
-                      at + 1);
-        } else {
-          direct_assert_failure(op.assert_id, at);
-        }
-      }
-      break;
-    }
-    case OpKind::kBin:
-    case OpKind::kUn:
-    case OpKind::kResize:
-    case OpKind::kCopy:
-    case OpKind::kLoad:
-    case OpKind::kStore:
-      internal_error("sim", 0, "compiled callback on a pure op");
-  }
+  // timestamp, and shares the register file; the interpreter's effect
+  // path does the rest (the engine declines trace/ELA/profiler runs).
+  ProcState& ps = procs_[pidx];
+  if (!exec_effect(ps, ps.proc->blocks[block].ops[op_idx], at)) return kCbBlocked;
   ps.st[kStProgress] = 1;
   return halt_ ? kCbHalt : kCbOk;
 }
@@ -1098,6 +868,14 @@ std::string HangInfo::render() const {
     os << " <- " << waiters[cycle.front()].process << "\n";
   }
   return os.str();
+}
+
+std::string HangInfo::livelock_block() const {
+  if (kind != HangKind::kLivelock) return {};
+  for (const HangWaiter& w : waiters) {
+    if (w.reason == BlockReason::kTrap) return w.block;
+  }
+  return {};
 }
 
 HangInfo Simulator::diagnose_hang() const {
@@ -1269,11 +1047,15 @@ void Simulator::drain_cpu_streams() {
                                  dirty_cpu_streams_.begin() + static_cast<std::ptrdiff_t>(i));
         return;
       }
-      FifoEntry e = std::move(st.fifo.front());
+      FifoEntry e = st.fifo.front();
       st.fifo.pop_front();
       // Channel corruption faults hit the word in flight, whatever it
       // carries -- data or an assertion failure notification.
-      if (inject_faults_) opt_.faults.on_channel_word(channel_word_seq_++, e.value);
+      if (channel_faulted_) {
+        BitVector bv = stream_bits(id, e.value);
+        opt_.faults.on_channel_word(channel_word_seq_++, bv);
+        e.value = bv.to_u64();
+      }
       // All CPU-bound words share one physical channel (paper §3):
       // serialize delivery slots.
       std::uint64_t delivered = e.time;
@@ -1282,9 +1064,9 @@ void Simulator::drain_cpu_streams() {
         channel_busy_until_ = delivered;
       }
       if (st.notifies) {
-        if (notify_.on_word(id, e.value.to_u64(), delivered)) halt_ = true;
+        if (notify_.on_word(id, e.value, delivered)) halt_ = true;
       } else {
-        st.cpu_received.push_back(std::move(e.value));
+        st.cpu_received.push_back(e.value);
       }
     }
     st.dirty = false;

@@ -1,6 +1,6 @@
 // Design simulator.
 //
-// Two modes sharing one interpreter core:
+// Two modes sharing one execution core:
 //
 //  * kSoftware -- the paper's "software simulation": source semantics,
 //    C models for external HDL functions, no translation faults, assert
@@ -30,12 +30,17 @@
 // exactly as the paper argues), and collector processes forward packed
 // failure words.
 //
-// Hot-path design: every linear lookup the execute loop would otherwise
-// perform (assertion records, checker processes, stream names) is
-// resolved once in init_state() into O(1) caches; checker evaluations
-// reuse a preallocated register scratch buffer; CPU-bound stream
-// draining is event-driven off a dirty list instead of scanning every
-// stream after every process step.
+// Hot-path design: an interpreted process runs from its op tape
+// (sim/tape.h), decoded once at construction: flat opcodes over the u64
+// register file compiled processes also use, immediates pooled into
+// slots, destination masks and FSM-state offsets precomputed. One
+// executor (run_tape) runs sequential blocks, pipelined-loop iterations
+// and checker evaluations; the ELA and trace hooks sit behind a test
+// made once per call, and build a BitVector only when armed. Every
+// other linear lookup (assertion records, checker processes, stream
+// names) is resolved once in init_state() into O(1) caches; CPU-bound
+// stream draining is event-driven off a dirty list instead of scanning
+// every stream after every process step.
 #pragma once
 
 #include <array>
@@ -54,6 +59,7 @@
 #include "sim/compiled.h"
 #include "sim/extern_registry.h"
 #include "sim/fault.h"
+#include "sim/tape.h"
 #include "support/status.h"
 
 namespace hlsav::trace {
@@ -196,6 +202,9 @@ struct HangInfo {
 
   /// Renders the report (the RunResult::hang_report text).
   [[nodiscard]] std::string render() const;
+  /// The first trapped process's block when kind == kLivelock, else
+  /// empty (trace::ReplayOptions::livelock_block).
+  [[nodiscard]] std::string livelock_block() const;
 };
 
 struct RunResult {
@@ -254,14 +263,17 @@ class Simulator {
   [[nodiscard]] const std::string& engine_note() const { return engine_note_; }
 
  private:
+  /// A word in flight (streams are at most 64 bits wide, and a word is
+  /// masked to its stream's width).
   struct FifoEntry {
-    BitVector value;
+    std::uint64_t value = 0;
     std::uint64_t time = 0;
   };
 
   struct StreamState {
     std::deque<FifoEntry> fifo;
-    std::vector<BitVector> cpu_received;
+    std::vector<std::uint64_t> cpu_received;
+    unsigned width = 0;  // cached ir::Stream::width
     unsigned depth = 0;  // cached ir::Stream::depth (writer backpressure)
     bool cpu_producer = false;
     bool cpu_consumer = false;
@@ -269,6 +281,9 @@ class Simulator {
     /// the notification task at once, not at the sender's next yield.
     bool notifies = false;
     bool dirty = false;  // on the dirty-drain list (cpu_consumer only)
+    /// An armed drop/dup/stuck fault targets it: only then do its
+    /// writes pass FaultEngine::on_stream_write.
+    bool faulted = false;
   };
 
   struct PipeCtx {
@@ -276,8 +291,6 @@ class Simulator {
     std::uint64_t iter = 0;
     std::uint64_t start_cycle = 0;
     // Resolved once on loop entry (advance_to_block).
-    const ir::BasicBlock* header = nullptr;
-    const ir::BasicBlock* body = nullptr;
     const sched::BlockSchedule* bs = nullptr;
   };
 
@@ -285,27 +298,23 @@ class Simulator {
     const ir::Process* proc = nullptr;
     const sched::ProcessSchedule* sched = nullptr;
     ir::BlockId cur = ir::kNoBlock;
-    // Current block and its schedule, resolved at each block transition
-    // so the execute loop never re-fetches them per retry.
-    const ir::BasicBlock* cur_block = nullptr;
-    const sched::BlockSchedule* cur_sched = nullptr;
     std::size_t op_idx = 0;
     std::uint64_t cycle = 0;             // local clock
     std::uint64_t block_entry_cycle = 0; // local clock at block entry
-    std::vector<BitVector> regs;
     std::optional<PipeCtx> pipe;
     /// Compiled engine (when non-null the interpreter never runs this
-    /// process): the AOT function, its u64 register file, and the state
-    /// words it communicates through (sim/compiled.h layout).
+    /// process): the AOT function, which shares the u64 register file
+    /// and the state words below (sim/compiled.h layout).
     CompiledProcFn cfn = nullptr;
     /// The fault-word layout: the attached handle's for a compiled
     /// process, `own_layout` for an interpreted one while faults are
     /// armed, else null (no fault words).
     const ProcLayout* layout = nullptr;
     std::unique_ptr<ProcLayout> own_layout;
-    /// Some compare word narrows: only then does the interpreter give
-    /// up its register fast path for this process.
-    bool narrowed = false;
+    /// An interpreted process's op tape (empty for a compiled one).
+    Tape tape;
+    /// The register file, each value masked to its register's width; an
+    /// interpreted process's tape immediates follow the registers.
     std::vector<std::uint64_t> regs64;
     std::vector<std::uint64_t> st;       // fixed words, then fault words
     std::vector<std::uint64_t*> mems64;  // the memory table, into mem64_
@@ -326,17 +335,14 @@ class Simulator {
     [[nodiscard]] bool trapped() const { return blocked && block_reason == BlockReason::kTrap; }
   };
 
-  /// Per-checker evaluation cache: the resolved process/block and a
-  /// preallocated register file. `fresh` holds the zero values at the
-  /// declared widths; `scratch` is the live file, equal to `fresh`
-  /// everywhere except the `touched` registers (inputs and block
-  /// destinations), which each evaluation restores -- no per-tap heap
-  /// allocation and no full-file copy.
+  /// Per-checker evaluation cache: the checker block's tape and a
+  /// preallocated slot file. `slots` holds zero registers and the tape's
+  /// immediates everywhere except the `touched` registers (inputs and
+  /// block destinations), which each evaluation zeroes -- no per-tap
+  /// heap allocation and no full-file copy.
   struct CheckerCache {
-    const ir::Process* proc = nullptr;
-    const ir::BasicBlock* block = nullptr;
-    std::vector<BitVector> fresh;
-    std::vector<BitVector> scratch;
+    Tape tape;
+    std::vector<std::uint64_t> slots;
     std::vector<ir::RegId> touched;
   };
 
@@ -363,7 +369,6 @@ class Simulator {
   assertions::NotificationFunction notify_;
 
   std::vector<StreamState> streams_;
-  std::vector<std::vector<BitVector>> memories_;
   std::vector<ProcState> procs_;
   bool halt_ = false;
   /// Last delivery slot used on the multiplexed physical CPU channel.
@@ -371,8 +376,9 @@ class Simulator {
   /// Per-stream count of process-issued writes (fault injection only;
   /// left empty when the FaultEngine is, so no-fault runs pay nothing).
   std::vector<std::uint64_t> stream_write_seq_;
-  /// Count of words delivered over the CPU channel (fault injection only).
+  /// Count of words delivered over the CPU channel (channel faults only).
   std::uint64_t channel_word_seq_ = 0;
+  bool channel_faulted_ = false;  // a channel-corruption fault is armed
   std::vector<TraceEvent> trace_;
 
   // ---- init_state() resolution caches (the design is immutable while
@@ -396,11 +402,11 @@ class Simulator {
   // ---- compiled engine (sim/compiled.h ABI) ----
   bool engine_active_ = false;
   std::string engine_note_;  // fallback reason when a compiled run interprets
-  /// u64 memory images: when the engine is active *all* memories live
-  /// here (compiled code indexes them directly; interpreted processes
-  /// and checker evaluations branch to them) so both engines see one
-  /// coherent memory. memories_ is the BitVector image used otherwise.
+  /// The u64 memory images (memories are at most 64 bits wide), one
+  /// coherent memory for compiled code, tapes and checker evaluations.
   std::vector<std::vector<std::uint64_t>> mem64_;
+  /// Set by a checker tape's failure send or wire (eval_checker).
+  bool checker_failed_ = false;
   std::array<const void*, kCbCount> cb_table_{};
 
   /// Throttled deadline poll: reads the clock once per 256 calls.
@@ -448,50 +454,57 @@ class Simulator {
   static std::uint32_t cb_exec_trampoline(void* sim, std::uint32_t pidx, std::uint32_t block,
                                           std::uint32_t op, std::uint64_t at);
   static std::uint32_t cb_poll_trampoline(void* sim);
-  /// Operand value for a compiled process (regs64 at declared width).
-  [[nodiscard]] BitVector value64_of(const ProcState& ps, const ir::Operand& o) const;
-  [[nodiscard]] bool value64_any(const ProcState& ps, const ir::Operand& o) const;
   /// Executes ops of a sequential block starting at ps.op_idx; returns
   /// false if blocked.
   bool run_sequential_block(ProcState& ps);
   bool run_pipelined_loop(ProcState& ps);
   void advance_to_block(ProcState& ps, ir::BlockId next);
 
-  /// Executes one op functionally at local time `at`. Returns false if
-  /// blocked on a stream (state untouched).
-  bool exec_op(ProcState& ps, const ir::Op& op, std::uint64_t at);
+  /// Runs tape entries [i, end) over slot file `s`, each at local time
+  /// `base` + its state offset (`base` is re-read after every op that
+  /// can stall); returns the first entry that did not complete (a
+  /// blocked stream op), or `end`. `hooks` arms the trace and ELA hooks
+  /// (false for checker evaluations, which report only a verdict).
+  std::uint32_t run_tape(ProcState& ps, std::uint64_t* s, const Tape& t, std::uint32_t i,
+                         std::uint32_t end, const std::uint64_t& base, bool hooks);
+  /// A checker block's failure send or wire, or extern call (codes
+  /// kCheckerSend and up), at the tap's time `at`.
+  void exec_checker_op(std::uint64_t* s, const Tape& t, std::uint32_t i, std::uint64_t at);
+  /// Executes a stream, extern or assertion op for either engine at
+  /// local time `at`. Returns false if blocked on a stream (state
+  /// untouched).
+  bool exec_effect(ProcState& ps, const ir::Op& op, std::uint64_t at);
   void record_trace(const ProcState& ps, const ir::Op& op, std::uint64_t at);
 
-  /// Operand value as a reference into the register file (kReg) or the
-  /// op's stored immediate (kImm) -- no BitVector copy on the hot path.
-  /// Inline, with the error path out of line, so that every operand
-  /// read on the interpreter's hot path inlines.
-  [[nodiscard]] static const BitVector& value_of(const ProcState& ps, const ir::Operand& o) {
-    if (o.kind == ir::OperandKind::kReg) return ps.regs[o.reg];
-    if (o.kind != ir::OperandKind::kImm) empty_operand();
-    return o.imm;
+  /// Operand `o` of process `p` read from slot file `s`: as a word, and
+  /// as a value of the operand's width (for streams, externs and hooks).
+  [[nodiscard]] static std::uint64_t word(const std::uint64_t* s, const ir::Operand& o) {
+    return o.is_reg() ? s[o.reg] : o.imm.to_u64();
   }
-  [[noreturn]] static void empty_operand();
-  [[nodiscard]] static bool pred_active(const ProcState& ps, const ir::Op& op) {
-    if (op.pred.is_none()) return true;
-    const bool v = value_of(ps, op.pred).any();
-    return op.pred_negated ? !v : v;
+  [[nodiscard]] static BitVector bits(const ir::Process& p, const std::uint64_t* s,
+                                      const ir::Operand& o) {
+    return o.is_reg() ? BitVector::from_u64(p.reg(o.reg).width, s[o.reg]) : o.imm;
   }
-  [[nodiscard]] BitVector eval_bin_op(const ProcState& ps, const ir::Op& op) const;
 
   bool try_stream_read(ProcState& ps, const ir::Op& op, std::uint64_t at);
   /// Sends `op`'s word for either engine, stream faults applied; false
   /// (and `ps` marked blocked) when the FIFO is full.
   bool try_stream_write(ProcState& ps, const ir::Op& op, std::uint64_t at);
-  void push_stream(ir::StreamId id, BitVector value, std::uint64_t at);
+  /// Queues `value` (masked to the stream's width) on stream `id`,
+  /// arriving at `at`.
+  void push_stream(ir::StreamId id, std::uint64_t value, std::uint64_t at);
+  /// `v` as a value of stream `id`'s width (fault and ELA hooks).
+  [[nodiscard]] BitVector stream_bits(ir::StreamId id, std::uint64_t v) const {
+    return BitVector::from_u64(streams_[id].width, v);
+  }
   /// Flags a CPU-bound stream for the next drain_cpu_streams() pass; an
   /// assertion-failure stream drains at once (see drain_cpu_streams).
   void mark_cpu_dirty(ir::StreamId id);
 
   void direct_assert_failure(std::uint32_t id, std::uint64_t at);
-  /// Evaluates rec's checker block in `cc`, wiring the tap op's operand
+  /// Evaluates rec's checker tape in `cc`, wiring the tap op's operand
   /// values (read from `ps`) into the checker input registers.
-  void eval_checker(const ir::AssertionRecord& rec, CheckerCache& cc, const ProcState& ps,
+  void eval_checker(const ir::AssertionRecord& rec, CheckerCache& cc, ProcState& ps,
                     const ir::Op& tap, std::uint64_t at);
   void fail_wire(const ir::AssertionRecord* rec, std::uint64_t at);
   /// Delivers every queued CPU-bound word over the multiplexed channel,

@@ -118,7 +118,9 @@ std::string render_replay(const ir::Design& design, const std::vector<TraceRecor
     os << "\n";
   }
   ir::StreamId sid = implicated_stream(window);
-  if (sid != ir::kNoStream) {
+  if (!opt.livelock_block.empty()) {
+    os << "implicated block: '" << opt.livelock_block << "' (livelock)\n";
+  } else if (sid != ir::kNoStream) {
     os << "implicated stream: '" << design.stream(sid).name << "' (last handshake in window)\n";
   }
   return os.str();

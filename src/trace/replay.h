@@ -7,7 +7,8 @@
 // (the text assertions/synthesize preserved through synthesis), and
 // stream names for every handshake. The rendered story ends with the
 // implicated assertion -- the last failing verdict in the window --
-// and the last stream the failing neighborhood touched, which is the
+// and the last stream the failing neighborhood touched (or, for a
+// proven livelock, the block the process is trapped in), which is the
 // information the paper's §5.1 debugging sessions had to reconstruct
 // from assert(0)/NABORT markers by hand.
 #pragma once
@@ -27,6 +28,11 @@ struct ReplayOptions {
   std::size_t last_cycles = 16;
   /// Resolves SourceLoc file ids to names; may be null.
   const SourceManager* sm = nullptr;
+  /// The trap block of a run that ended in a proven livelock
+  /// (sim::HangInfo::livelock_block); empty otherwise. A livelocked
+  /// process touches no stream, so the replay implicates this block
+  /// instead of the last handshake in the window.
+  std::string livelock_block;
 };
 
 /// Renders the annotated last-N-cycles story for a captured window.

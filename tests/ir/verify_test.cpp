@@ -42,6 +42,24 @@ TEST(Verify, RejectsWidthMismatch) {
   EXPECT_THROW(verify(d), InternalError);
 }
 
+TEST(Verify, AcceptsA64BitRegister) {
+  Design d = make_valid();
+  d.processes[0]->add_reg("wide", 64, false);
+  EXPECT_NO_THROW(verify(d));
+}
+
+TEST(Verify, RejectsARegisterWiderThan64Bits) {
+  Design d = make_valid();
+  d.processes[0]->add_reg("too_wide", 65, false);
+  try {
+    verify(d);
+    FAIL() << "a 65-bit register verified";
+  } catch (const InternalError& e) {
+    EXPECT_NE(std::string(e.what()).find("register 'too_wide' has bad width"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Verify, RejectsBadBranchTarget) {
   Design d = make_valid();
   Process& p = *d.processes[0];

@@ -8,6 +8,7 @@
 #include "assertions/synthesize.h"
 #include "common/test_util.h"
 #include "sched/schedule.h"
+#include "sim/fault.h"
 #include "sim/simulator.h"
 #include "trace/replay.h"
 #include "trace/trace.h"
@@ -104,6 +105,60 @@ TEST(Replay, LastCyclesTrimsTheNarration) {
   // The trimmed story still reports the full capture count.
   std::string suffix = " of " + std::to_string(w.size()) + " captured events)";
   EXPECT_NE(tail.find(suffix), std::string::npos);
+}
+
+// tests/smoke/stuck_loop.c: the inner loop touches no stream.
+constexpr const char* kStuckLoop = R"(
+void spin(stream_in<32> in, stream_out<32> out) {
+  for (uint32 i = 0; i < 3; i++) {
+    uint32 v = stream_read(in);
+    uint32 acc = 0;
+    for (uint32 j = 0; j < 20; j++) {
+      acc = acc + v;
+    }
+    stream_write(out, acc);
+  }
+}
+)";
+
+TEST(Replay, LivelockImplicatesTheTrapBlockNotAStream) {
+  auto c = compile(kStuckLoop);
+  assertions::synthesize(c->design, assertions::Options::optimized());
+  sched::DesignSchedule schedule = sched::schedule_design(c->design);
+  const ir::Process& spin = *c->design.find_process("spin");
+  // The inner loop's header (campaign site `branch stuck taken in 'spin'
+  // block 'for_header4'`).
+  ir::BlockId header = ir::kNoBlock;
+  for (const ir::BasicBlock& b : spin.blocks) {
+    if (b.name == "for_header4") header = b.id;
+  }
+  ASSERT_NE(header, ir::kNoBlock);
+
+  sim::ExternRegistry externs;
+  TraceEngine engine(c->design);
+  sim::SimOptions opt;
+  opt.ela = &engine;
+  opt.faults.add(sim::FaultSpec::fsm_stuck_branch("spin", header, /*taken=*/true));
+  sim::Simulator s(c->design, schedule, externs, opt);
+  s.feed("spin.in", {1, 2, 3});
+  sim::RunResult r = s.run();
+  ASSERT_TRUE(r.hang.has_value());
+  ASSERT_EQ(r.hang->kind, sim::HangKind::kLivelock);
+  const std::string block = r.hang->livelock_block();
+  EXPECT_EQ(block, spin.block(header).name);
+
+  std::vector<TraceRecord> w = engine.window();
+  ASSERT_FALSE(w.empty());
+  // The window does hold a handshake (the read before the loop), which
+  // a replay without the hang would implicate.
+  ASSERT_NE(implicated_stream(w), ir::kNoStream);
+  EXPECT_NE(render_replay(c->design, w, {}).find("implicated stream:"), std::string::npos);
+  ReplayOptions ro;
+  ro.livelock_block = block;
+  std::string text = render_replay(c->design, w, ro);
+  EXPECT_NE(text.find("implicated block: '" + block + "' (livelock)\n"), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("implicated stream:"), std::string::npos) << text;
 }
 
 TEST(Replay, EmptyWindowSaysSo) {

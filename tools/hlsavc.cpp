@@ -642,6 +642,7 @@ int run(const Args& args) {
     trace::ReplayOptions ro;
     ro.last_cycles = args.last_cycles;
     ro.sm = &sm;
+    if (r.hang) ro.livelock_block = r.hang->livelock_block();
     std::cout << trace::render_replay(design, window, ro);
     std::cout << fpga::estimate_ela(engine).to_string(fpga::Device::ep2s180());
     return run_exit_code(r);
