@@ -3,11 +3,14 @@
 #include <dlfcn.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "sim/compiled.h"
 #include "support/io.h"
@@ -20,6 +23,18 @@
 namespace hlsav::codegen {
 
 namespace {
+
+// The one flag set every module is built with, after the source on the
+// cc command line. -Og builds ~2x faster than -O2 and faster than -O1.
+// Its code runs the compiled 3DES campaign ~3.5% slower than -O2's (as
+// does -O1's; not resolved from the spread), while -O0 code runs it
+// ~1.8x slower (EXPERIMENTS.md, "Cold JIT flags"). The emitted C includes only
+// <stdint.h> and calls nothing in libc, so -nostdlib drops the crt
+// objects and -lc, which were pure link cost; -lgcc, after the source,
+// still supplies the compiler's arithmetic helpers (64-bit division on
+// 32-bit hosts).
+constexpr std::array<std::string_view, 5> kCcFlags = {"-Og", "-fPIC", "-shared", "-nostdlib",
+                                                      "-lgcc"};
 
 bool executable_at(const std::string& path) { return ::access(path.c_str(), X_OK) == 0; }
 
@@ -36,7 +51,7 @@ std::string path_lookup(const std::string& name) {
   return {};
 }
 
-std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
+std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
   for (unsigned char c : s) {
     h ^= c;
     h *= 0x100000001b3ULL;
@@ -54,19 +69,6 @@ std::string read_log_tail(const std::string& path) {
     if (all[cut] == '\n') ++lines;
   }
   return all.substr(0, cut);
-}
-
-std::string shell_quote(const std::string& s) {
-  std::string out = "'";
-  for (char c : s) {
-    if (c == '\'') {
-      out += "'\\''";
-    } else {
-      out.push_back(c);
-    }
-  }
-  out.push_back('\'');
-  return out;
 }
 
 /// Opens `path` and validates the module's ABI stamp and design key.
@@ -132,10 +134,15 @@ std::string default_cache_dir() {
   return "/tmp/hlsav-cache";
 }
 
-std::string content_key(const std::string& source, const std::string& compiler) {
+std::string content_key(const std::string& source, const std::string& compiler,
+                        std::span<const std::string_view> flags) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   h = fnv1a(h, source);
   h = fnv1a(h, compiler);
+  for (std::string_view f : flags) {
+    h = fnv1a(h, f);
+    h = fnv1a(h, std::string_view("\0", 1));  // {"-O1", "x"} is not {"-O1x"}
+  }
   h = fnv1a(h, HLSAV_GIT_SHA);
   h = fnv1a(h, std::to_string(sim::kCompiledAbiVersion));
   std::ostringstream os;
@@ -150,13 +157,13 @@ StatusOr<BuiltModule> build_module(const std::string& source, const CompileOptio
                          "no C compiler found (set HLSAV_CC or install cc/gcc/clang)");
   }
   BuiltModule built;
-  built.key = content_key(source, compiler);
+  built.key = content_key(source, compiler, kCcFlags);
   const std::string dir = opt.cache_dir.empty() ? default_cache_dir() : opt.cache_dir;
   const std::string base = dir + "/hlsav-" + built.key;
   built.path = base + ".so";
 
   // Cache probe: a readable .so under this key was built from byte-for-
-  // byte identical source by an identical toolchain.
+  // byte identical source by an identical toolchain and flags.
   if (::access(built.path.c_str(), R_OK) == 0) {
     built.from_cache = true;
     return built;
@@ -179,14 +186,20 @@ StatusOr<BuiltModule> build_module(const std::string& source, const CompileOptio
   full += "const char hlsav_design_key[] = \"" + built.key + "\";\n";
   HLSAV_RETURN_IF_ERROR(write_file_atomic(c_path, full));
 
-  std::string cmd = shell_quote(compiler) + " -O2 -fPIC -shared -xc " + shell_quote(c_path) +
-                    " -o " + shell_quote(tmp_so) + " 2> " + shell_quote(log_path);
+  std::vector<std::string> argv = {compiler, "-xc", c_path};
+  argv.insert(argv.end(), kCcFlags.begin(), kCcFlags.end());
+  argv.insert(argv.end(), {"-o", tmp_so});
   // A child of our own rather than std::system(), which ignores SIGINT
   // process-wide while it waits: a daemon thread building here must not
-  // swallow the daemon's own signals.
-  StatusOr<Subprocess> sh = Subprocess::spawn({"sh", "-c", cmd}, /*capture_stdout=*/false);
-  if (!sh.ok()) return sh.status();
-  const ExitInfo ended = sh->wait();
+  // swallow the daemon's own signals. No shell: the argv is the command.
+  StatusOr<Subprocess> cc = Subprocess::spawn(argv, /*capture_stdout=*/false,
+                                              /*kill_on_parent_death=*/false,
+                                              /*pipe_stdin=*/false, log_path);
+  if (!cc.ok()) {
+    std::filesystem::remove(c_path, ec);
+    return cc.status();
+  }
+  const ExitInfo ended = cc->wait();
   std::string log = read_log_tail(log_path);
   std::filesystem::remove(log_path, ec);
   if (opt.keep_source) {
@@ -196,11 +209,18 @@ StatusOr<BuiltModule> build_module(const std::string& source, const CompileOptio
   }
   if (!ended.clean()) {
     std::filesystem::remove(tmp_so, ec);
+    std::string what = ended.signaled
+                           ? "compiler died: " + ended.describe()
+                           : "compiler exited with status " + std::to_string(ended.value);
+    // 127 is Subprocess's exec failure: the compiler string named no
+    // runnable file. A common cause is an HLSAV_CC with arguments.
+    if (!ended.signaled && ended.value == 127) {
+      what += " (cannot run '" + compiler +
+              "': HLSAV_CC must name one executable, a path or a command on PATH, with no "
+              "arguments)";
+    }
     return Status::error(StatusCode::kSimError,
-                         (ended.signaled ? "compiler died: " + ended.describe()
-                                         : "compiler exited with status " +
-                                               std::to_string(ended.value)) +
-                             (log.empty() ? std::string() : ":\n" + log));
+                         what + (log.empty() ? std::string() : ":\n" + log));
   }
   std::filesystem::rename(tmp_so, built.path, ec);
   if (ec) {

@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "support/status.h"
 
@@ -18,7 +20,10 @@ namespace hlsav::codegen {
 
 /// Locates a C compiler: $HLSAV_CC if set (absolute path or command
 /// name, trusted verbatim), otherwise the first of cc/gcc/clang/c++/g++
-/// found on PATH. Empty string when none is available.
+/// found on PATH. Empty string when none is available. The result is
+/// argv[0] of the build, run with no shell, so $HLSAV_CC must name one
+/// executable: a value with arguments (`ccache gcc`) fails to run, and
+/// the build error says so.
 [[nodiscard]] std::string find_compiler();
 
 /// Cache directory resolution: $HLSAV_CACHE_DIR, else
@@ -27,10 +32,13 @@ namespace hlsav::codegen {
 [[nodiscard]] std::string default_cache_dir();
 
 /// Content address of a generated module: FNV-1a over the emitted
-/// source, the compiler identity, the toolchain git revision and the
-/// ABI version. Any of those changing yields a different .so path, so
-/// stale cache entries are simply never looked up again.
-[[nodiscard]] std::string content_key(const std::string& source, const std::string& compiler);
+/// source, the compiler identity, the flags it is built with, the
+/// toolchain git revision and the ABI version. Any of those changing
+/// yields a different .so path, so stale cache entries are simply never
+/// looked up again (a dirty-tree build keeps HEAD's revision, so the
+/// flags must be hashed themselves).
+[[nodiscard]] std::string content_key(const std::string& source, const std::string& compiler,
+                                      std::span<const std::string_view> flags);
 
 /// A compiled+loaded module. The dlopen handle stays open for the
 /// lifetime of the object (compiled code may be executing); the design

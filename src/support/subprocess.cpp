@@ -31,13 +31,14 @@ std::string ExitInfo::describe() const {
 
 StatusOr<Subprocess> Subprocess::spawn(const std::vector<std::string>& argv,
                                        bool capture_stdout, bool kill_on_parent_death,
-                                       bool pipe_stdin) {
+                                       bool pipe_stdin, const std::string& stderr_path) {
   if (argv.empty()) return Status::invalid_argument("cannot spawn an empty argv");
 
   int out_fds[2] = {-1, -1};
   int in_fds[2] = {-1, -1};
+  int err_fd = -1;
   auto close_all = [&] {
-    for (int fd : {out_fds[0], out_fds[1], in_fds[0], in_fds[1]}) {
+    for (int fd : {out_fds[0], out_fds[1], in_fds[0], in_fds[1], err_fd}) {
       if (fd >= 0) ::close(fd);
     }
   };
@@ -46,6 +47,14 @@ StatusOr<Subprocess> Subprocess::spawn(const std::vector<std::string>& argv,
     Status st = Status::io_error(std::string("pipe failed: ") + std::strerror(errno));
     close_all();
     return st;
+  }
+  if (!stderr_path.empty()) {
+    err_fd = ::open(stderr_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    if (err_fd < 0) {
+      Status st = Status::io_error("cannot open '" + stderr_path + "': " + std::strerror(errno));
+      close_all();
+      return st;
+    }
   }
 
   std::vector<char*> cargv;
@@ -74,7 +83,8 @@ StatusOr<Subprocess> Subprocess::spawn(const std::vector<std::string>& argv,
     // dup2 clears close-on-exec on its copy. A pipe end that already is
     // the target (the parent had that fd closed) must clear it itself.
     for (auto [fd, target] : {std::pair{capture_stdout ? out_fds[1] : -1, STDOUT_FILENO},
-                              std::pair{pipe_stdin ? in_fds[0] : -1, STDIN_FILENO}}) {
+                              std::pair{pipe_stdin ? in_fds[0] : -1, STDIN_FILENO},
+                              std::pair{err_fd, STDERR_FILENO}}) {
       if (fd == target) {
         (void)::fcntl(fd, F_SETFD, 0);
       } else if (fd >= 0) {
@@ -82,7 +92,7 @@ StatusOr<Subprocess> Subprocess::spawn(const std::vector<std::string>& argv,
       }
     }
     ::execvp(cargv[0], cargv.data());
-    // exec failed: report on the (possibly piped) stderr and die with a
+    // exec failed: report on the (possibly redirected) stderr and die with a
     // recognizable code.
     const char* msg = "exec failed: ";
     ssize_t ignored = ::write(STDERR_FILENO, msg, ::strlen(msg));
@@ -92,6 +102,7 @@ StatusOr<Subprocess> Subprocess::spawn(const std::vector<std::string>& argv,
     ::_exit(127);
   }
 
+  if (err_fd >= 0) ::close(err_fd);
   Subprocess p;
   p.pid_ = pid;
   if (capture_stdout) {

@@ -38,8 +38,10 @@ class Subprocess {
  public:
   /// fork/execvp of `argv` (argv[0] is the binary, PATH-resolved). With
   /// `capture_stdout` the child's stdout is a pipe readable via
-  /// stdout_fd() (O_NONBLOCK so a supervisor poll loop never sticks);
-  /// stderr always passes through to the parent's. With `pipe_stdin`
+  /// stdout_fd() (O_NONBLOCK so a supervisor poll loop never sticks).
+  /// stderr passes through to the parent's, or with a non-empty
+  /// `stderr_path` goes to that file (created or truncated; the exec
+  /// failure message lands there too). With `pipe_stdin`
   /// the child's stdin is a pipe fed by write_stdin() and ended by
   /// close_stdin(); otherwise it is the parent's. With
   /// `kill_on_parent_death` (Linux) the kernel delivers SIGKILL to the
@@ -50,7 +52,8 @@ class Subprocess {
   [[nodiscard]] static StatusOr<Subprocess> spawn(const std::vector<std::string>& argv,
                                                   bool capture_stdout,
                                                   bool kill_on_parent_death = false,
-                                                  bool pipe_stdin = false);
+                                                  bool pipe_stdin = false,
+                                                  const std::string& stderr_path = {});
 
   Subprocess(Subprocess&& other) noexcept;
   Subprocess& operator=(Subprocess&& other) noexcept;

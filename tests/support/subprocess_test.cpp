@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 #include <signal.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <string>
 #include <thread>
 
 namespace hlsav {
@@ -44,6 +49,30 @@ TEST(Subprocess, ExecFailureSurfacesAsExit127) {
   ExitInfo info = p->wait();
   EXPECT_FALSE(info.signaled);
   EXPECT_EQ(info.value, 127);
+}
+
+TEST(Subprocess, StderrGoesToTheNamedFile) {
+  const std::string path =
+      ::testing::TempDir() + "subprocess-stderr-" + std::to_string(::getpid()) + ".log";
+  auto first_line = [&] {
+    std::ifstream in(path);
+    std::string line;
+    std::getline(in, line);
+    return line;
+  };
+  StatusOr<Subprocess> p = Subprocess::spawn({"sh", "-c", "echo oops >&2"}, false,
+                                             /*kill_on_parent_death=*/false,
+                                             /*pipe_stdin=*/false, path);
+  ASSERT_TRUE(p.ok()) << p.status().to_string();
+  EXPECT_TRUE(p->wait().clean());
+  EXPECT_EQ(first_line(), "oops");
+  // An exec failure is reported in the same file (truncated first).
+  StatusOr<Subprocess> bad = Subprocess::spawn({"/nonexistent/binary/definitely-not-here"}, false,
+                                               false, false, path);
+  ASSERT_TRUE(bad.ok());
+  EXPECT_EQ(bad->wait().value, 127);
+  EXPECT_EQ(first_line(), "exec failed: /nonexistent/binary/definitely-not-here");
+  std::remove(path.c_str());
 }
 
 TEST(Subprocess, CapturedStdoutIsReadable) {
