@@ -140,33 +140,19 @@ void emit_prelude(std::ostringstream& os) {
 
 // --------------------------------------------------------- decline scan --
 
-std::string check_operand(const Operand& o) {
-  if (o.is_imm() && o.imm.width() > 64) return "immediate wider than 64 bits";
-  return {};
-}
-
 /// Returns a reason when codegen cannot faithfully represent `p`, or an
 /// empty string when emission may proceed.
 std::string decline_reason(const Process& p, const sched::ProcessSchedule* ps) {
   if (ps == nullptr) return "no schedule for process";
   if (ps->blocks.size() < p.blocks.size()) return "schedule does not cover every block";
   for (const ir::Register& r : p.regs) {
-    if (r.width > 64) {
+    if (r.width > BitVector::kMaxWidth) {
       return "register '" + r.name + "' is " + std::to_string(r.width) +
-             " bits wide (compiled engine limit is 64)";
+             " bits wide (compiled engine limit is " + std::to_string(BitVector::kMaxWidth) +
+             ")";
     }
   }
   for (const BasicBlock& b : p.blocks) {
-    for (const Op& op : b.ops) {
-      for (const Operand& a : op.args) {
-        std::string r = check_operand(a);
-        if (!r.empty()) return r;
-      }
-      std::string r = check_operand(op.pred);
-      if (!r.empty()) return r;
-    }
-    std::string r = check_operand(b.term.cond);
-    if (!r.empty()) return r;
     // Canonical loop shape: a pipelined body is entered only through its
     // own header's loop test (that edge is internal to emit_pipelined,
     // which inlines the body under the header). Any other terminator

@@ -9,8 +9,8 @@
 // callback table described by sim/compiled.h.
 //
 // Emission is per-process best-effort: a process codegen cannot
-// represent faithfully (a register or immediate wider than 64 bits, or
-// a missing schedule) is declined with a reason and left to the
+// represent faithfully (a register wider than BitVector::kMaxWidth, or a
+// missing schedule) is declined with a reason and left to the
 // interpreter; the rest of the design still compiles.
 #pragma once
 

@@ -11,6 +11,7 @@
 // scheduler's resource accounting and the area model direct.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -479,11 +480,10 @@ struct Design {
 
 // ------------------------------------------------------------ Utilities --
 
-/// Shift amounts saturate at 256 (any shift >= the operand width clears
-/// or sign-fills anyway, and BitVector caps at 256 bits).
+/// Shift amounts saturate at BitVector::kMaxWidth (any shift >= the
+/// operand width clears or sign-fills anyway).
 [[nodiscard]] inline unsigned shift_amount(const BitVector& b) {
-  std::uint64_t v = b.to_u64();
-  return v > 256 ? 256u : static_cast<unsigned>(v);
+  return static_cast<unsigned>(std::min<std::uint64_t>(b.to_u64(), BitVector::kMaxWidth));
 }
 
 /// Evaluates a binary op on values (widths must match). Inline so

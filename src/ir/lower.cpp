@@ -722,9 +722,9 @@ std::optional<BitVector> eval_const_expr(const Expr& e) {
         case BinaryOp::kOr: return av.bor(bv);
         case BinaryOp::kXor: return av.bxor(bv);
         case BinaryOp::kShl:
-          return a->shl(static_cast<unsigned>(std::min<std::uint64_t>(b->to_u64(), 256)));
+          return a->shl(ir::shift_amount(*b));
         case BinaryOp::kShr: {
-          unsigned amt = static_cast<unsigned>(std::min<std::uint64_t>(b->to_u64(), 256));
+          unsigned amt = ir::shift_amount(*b);
           return as ? a->ashr(amt) : a->lshr(amt);
         }
         case BinaryOp::kLt: return BitVector::from_bool(s ? av.slt(bv) : av.ult(bv));

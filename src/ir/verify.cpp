@@ -28,7 +28,9 @@ class Verifier {
 
   void check_stream(const Stream& s) const {
     if (s.dead) return;
-    if (s.width < 1 || s.width > 64) fail("stream '" + s.name + "' has bad width");
+    if (s.width < 1 || s.width > BitVector::kMaxWidth) {
+      fail("stream '" + s.name + "' has bad width");
+    }
     if (s.depth == 0) fail("stream '" + s.name + "' has zero depth");
     auto check_ep = [&](const StreamEndpoint& e, bool want_input) {
       if (e.kind != StreamEndpoint::Kind::kProcess) return;
@@ -46,7 +48,9 @@ class Verifier {
 
   void check_memory(const Memory& m) const {
     if (m.size == 0) fail("memory '" + m.name + "' has zero size");
-    if (m.width < 1 || m.width > 64) fail("memory '" + m.name + "' has bad width");
+    if (m.width < 1 || m.width > BitVector::kMaxWidth) {
+      fail("memory '" + m.name + "' has bad width");
+    }
     if (!m.init.empty() && m.init.size() != m.size) {
       fail("memory '" + m.name + "' init size mismatch");
     }
@@ -185,9 +189,11 @@ class Verifier {
     if (p.blocks.empty()) fail("process has no blocks");
     if (p.entry >= p.blocks.size()) fail("bad entry block");
     // The simulator's register files hold one u64 per register, like
-    // streams and memories (the language caps intN at 64 bits).
+    // streams and memories.
     for (const Register& r : p.regs) {
-      if (r.width < 1 || r.width > 64) fail("register '" + r.name + "' has bad width");
+      if (r.width < 1 || r.width > BitVector::kMaxWidth) {
+        fail("register '" + r.name + "' has bad width");
+      }
     }
     for (const StreamPort& sp : p.ports) {
       if (sp.stream == kNoStream) fail("port '" + sp.name + "' is unbound");

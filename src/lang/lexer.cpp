@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <unordered_map>
 
+#include "support/bitvector.h"
+
 namespace hlsav::lang {
 
 namespace {
@@ -54,9 +56,9 @@ std::uint64_t sized_int_width(std::string_view name, bool& is_signed) {
   for (char c : digits) {
     if (!std::isdigit(static_cast<unsigned char>(c))) return 0;
     w = w * 10 + static_cast<std::uint64_t>(c - '0');
-    if (w > 64) return 0;
+    if (w > BitVector::kMaxWidth) return 0;
   }
-  return (w >= 1 && w <= 64) ? w : 0;
+  return w >= 1 ? w : 0;
 }
 
 }  // namespace

@@ -132,7 +132,9 @@ Param Parser::parse_param() {
     consume();
     expect(TokKind::kLess, "after stream type");
     const Token& w = expect(TokKind::kIntLiteral, "stream element width");
-    if (w.value < 1 || w.value > 64) fail(w, "stream width must be in 1..64");
+    if (w.value < 1 || w.value > BitVector::kMaxWidth) {
+      fail(w, "stream width must be in 1.." + std::to_string(BitVector::kMaxWidth));
+    }
     expect(TokKind::kGreater, "after stream width");
     p.type = Type::stream_type(static_cast<unsigned>(w.value), dir);
   } else {

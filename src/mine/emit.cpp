@@ -100,12 +100,6 @@ EmitResult emit_assertions(const std::string& source, const ir::Design& design,
       continue;
     }
     const std::uint32_t anchor_at = inv.anchor.line;
-    const bool needs_literal =
-        inv.kind != InvariantKind::kEquality && inv.kind != InvariantKind::kOrdering;
-    if (needs_literal && inv.lo.width() > 64) {
-      skip("bounds wider than 64 bits have no HLS-C literal form");
-      continue;
-    }
     bool names_ok = true;
     for (const std::string& n : referenced_names(names, inv)) {
       if (!contains_word(source, n)) {

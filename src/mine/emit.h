@@ -5,8 +5,8 @@
 // source-level names, so it can be inserted as a real `assert(...)`
 // right after the line its anchor write came from. Candidates whose
 // condition cannot be expressed at source level (stream-ordering state,
-// compiler temporaries, >64-bit literals) are skipped with a reason --
-// the report still shows them, they just stay IR-only checkers.
+// compiler temporaries) are skipped with a reason -- the report still
+// shows them, they just stay IR-only checkers.
 #pragma once
 
 #include <cstddef>

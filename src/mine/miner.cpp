@@ -33,19 +33,14 @@ struct StreamStat {
   SourceLoc first_loc;
 };
 
-std::string value_text(const BitVector& v) {
-  if (v.width() <= 64) return v.to_string_dec(false);
-  return v.to_string_hex();
-}
-
 /// "lo <= name && name <= hi" with the vacuous halves dropped.
 std::string range_text(const std::string& name, const BitVector& lo, const BitVector& hi) {
   const bool has_lo = !lo.is_zero();
   const bool has_hi = !hi.eq(BitVector::all_ones(hi.width()));
   std::string s;
-  if (has_lo) s += value_text(lo) + " <= " + name;
+  if (has_lo) s += lo.to_string_dec() + " <= " + name;
   if (has_lo && has_hi) s += " && ";
-  if (has_hi) s += name + " <= " + value_text(hi);
+  if (has_hi) s += name + " <= " + hi.to_string_dec();
   return s;
 }
 
@@ -179,7 +174,7 @@ MineResult mine_invariants(const ir::Design& design,
         inv.hi = st.max;
         if (st.min.eq(st.max)) {
           inv.kind = InvariantKind::kConst;
-          inv.text = rn + " == " + value_text(st.min);
+          inv.text = rn + " == " + st.min.to_string_dec();
         } else {
           if (st.min.is_zero() && st.max.eq(BitVector::all_ones(st.max.width()))) {
             continue;  // vacuous full-width range
@@ -289,7 +284,7 @@ MineResult mine_invariants(const ir::Design& design,
         if (!duplicate_of_reg()) {
           Invariant inv = base;
           inv.kind = InvariantKind::kStreamConst;
-          inv.text = word + " == " + value_text(st.min);
+          inv.text = word + " == " + st.min.to_string_dec();
           out.candidates.push_back(std::move(inv));
         }
       } else if (!(st.min.is_zero() && st.max.eq(BitVector::all_ones(st.max.width())))) {

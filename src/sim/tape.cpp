@@ -32,12 +32,16 @@ unsigned TapeBuilder::width_of(const ir::Operand& o) const {
 }
 
 std::uint32_t TapeBuilder::slot(const ir::Operand& o) {
-  // The u64 slot file holds 1..64 bits: an IR mutated after ir::verify
-  // must not compute truncated values silently.
+  // A u64 slot holds 1..kMaxWidth bits: a register widened after
+  // ir::verify must not compute truncated values silently. (An immediate
+  // is a BitVector, which cannot be wider.)
   const unsigned w = width_of(o);
-  HLSAV_CHECK(w >= 1 && w <= 64, "tape operand width outside 1..64 bits in process '" +
-                                     proc_.name + "'");
-  if (o.is_reg()) return o.reg;
+  if (o.is_reg()) {
+    HLSAV_CHECK(w >= 1 && w <= BitVector::kMaxWidth,
+                "tape operand width outside 1.." + std::to_string(BitVector::kMaxWidth) +
+                    " bits in process '" + proc_.name + "'");
+    return o.reg;
+  }
   const std::uint64_t v = o.imm.to_u64();
   auto it = std::lower_bound(imm_slots_.begin(), imm_slots_.end(), std::make_pair(v, 0u));
   if (it == imm_slots_.end() || it->first != v) {
@@ -61,8 +65,9 @@ void TapeBuilder::append(const Op& op, std::uint32_t state, bool checker) {
   if (ir::op_traits(op.kind).has_dest) {
     HLSAV_CHECK(op.dest < proc_.regs.size(), "tape destination names a bad register");
     dw = proc_.regs[op.dest].width;
-    HLSAV_CHECK(dw >= 1 && dw <= 64,
-                "tape destination width outside 1..64 bits in process '" + proc_.name + "'");
+    HLSAV_CHECK(dw >= 1 && dw <= BitVector::kMaxWidth,
+                "tape destination width outside 1.." + std::to_string(BitVector::kMaxWidth) +
+                    " bits in process '" + proc_.name + "'");
     t.dest = op.dest;
     t.k = mask_of(dw);
   }
@@ -103,7 +108,9 @@ void TapeBuilder::append(const Op& op, std::uint32_t state, bool checker) {
     case OpKind::kLoad:
     case OpKind::kStore: {
       const ir::Memory& mem = design_.memory(op.mem);
-      HLSAV_CHECK(mem.width <= 64, "memory '" + mem.name + "' wider than 64 bits");
+      HLSAV_CHECK(mem.width <= BitVector::kMaxWidth,
+                  "memory '" + mem.name + "' wider than " + std::to_string(BitVector::kMaxWidth) +
+                      " bits");
       if (op.kind == OpKind::kLoad) {
         t.code = TapeCode::kLoad;
         t.b = op.mem;

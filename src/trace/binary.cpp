@@ -54,13 +54,7 @@ void write_binary_trace(std::ostream& os, const std::vector<TraceRecord>& window
     put<std::uint32_t>(os, r.loc.column);
     put<std::uint16_t>(os, static_cast<std::uint16_t>(r.value.width()));
     const unsigned nbytes = (r.value.width() + 7) / 8;
-    for (unsigned i = 0; i < nbytes; ++i) {
-      std::uint8_t b = 0;
-      for (unsigned j = 0; j < 8 && i * 8 + j < r.value.width(); ++j) {
-        if (r.value.bit(i * 8 + j)) b |= static_cast<std::uint8_t>(1u << j);
-      }
-      put<std::uint8_t>(os, b);
-    }
+    for (unsigned i = 0; i < nbytes; ++i) put<std::uint8_t>(os, r.value.to_u64() >> (8 * i));
   }
 }
 
@@ -89,15 +83,10 @@ std::vector<TraceRecord> read_binary_trace(std::istream& is) {
     const std::uint16_t width = get<std::uint16_t>(is);
     HLSAV_CHECK(width >= 1 && width <= BitVector::kMaxWidth,
                 "bad value width in binary trace stream");
-    BitVector v(width);
+    std::uint64_t v = 0;
     const unsigned nbytes = (width + 7u) / 8;
-    for (unsigned i = 0; i < nbytes; ++i) {
-      std::uint8_t b = get<std::uint8_t>(is);
-      for (unsigned j = 0; j < 8 && i * 8 + j < width; ++j) {
-        if ((b >> j) & 1) v.set_bit(i * 8 + j, true);
-      }
-    }
-    r.value = std::move(v);
+    for (unsigned i = 0; i < nbytes; ++i) v |= std::uint64_t{get<std::uint8_t>(is)} << (8 * i);
+    r.value = BitVector::from_u64(width, v);
     r.seq = n;
     out.push_back(std::move(r));
   }

@@ -8,7 +8,7 @@
 // against the design it claims to describe before any invariant is
 // mined from it: process/register/stream/memory ids must resolve and
 // every carried value must match the declared signal width exactly
-// (1-bit flags and >64-bit crypto state included -- width drift here
+// (1-bit flags and 64-bit crypto state included -- width drift here
 // would silently corrupt mined bounds).
 #pragma once
 

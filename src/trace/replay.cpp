@@ -17,12 +17,6 @@ std::string loc_text(const SourceLoc& loc, const SourceManager* sm) {
   return "[" + inner + "]";
 }
 
-std::string value_text(const BitVector& v) {
-  // Small values read best in decimal; wide ones in hex.
-  if (v.width() <= 64) return v.to_string_dec(false);
-  return v.to_string_hex();
-}
-
 }  // namespace
 
 std::uint32_t implicated_assertion(const std::vector<TraceRecord>& window) {
@@ -75,19 +69,19 @@ std::string render_replay(const ir::Design& design, const std::vector<TraceRecor
         os << "enter state '" << names.block_name(r.proc, r.subject) << "'";
         break;
       case TraceEventKind::kRegWrite:
-        os << names.reg_name(r.proc, r.subject) << " <= " << value_text(r.value);
+        os << names.reg_name(r.proc, r.subject) << " <= " << r.value.to_string_dec();
         break;
       case TraceEventKind::kStreamPush:
-        os << "write '" << names.stream_name(r.subject) << "' <- " << value_text(r.value);
+        os << "write '" << names.stream_name(r.subject) << "' <- " << r.value.to_string_dec();
         break;
       case TraceEventKind::kStreamPop:
-        os << "read '" << names.stream_name(r.subject) << "' -> " << value_text(r.value);
+        os << "read '" << names.stream_name(r.subject) << "' -> " << r.value.to_string_dec();
         break;
       case TraceEventKind::kBramRead:
-        os << names.memory_name(r.subject) << "[" << r.aux << "] -> " << value_text(r.value);
+        os << names.memory_name(r.subject) << "[" << r.aux << "] -> " << r.value.to_string_dec();
         break;
       case TraceEventKind::kBramWrite:
-        os << names.memory_name(r.subject) << "[" << r.aux << "] <= " << value_text(r.value);
+        os << names.memory_name(r.subject) << "[" << r.aux << "] <= " << r.value.to_string_dec();
         break;
       case TraceEventKind::kAssertVerdict: {
         const ir::AssertionRecord* rec = design.find_assertion(r.subject);

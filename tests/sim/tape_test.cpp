@@ -259,16 +259,19 @@ TEST(Tape, ImmediatesPoolIntoOneSlotEach) {
 
 TEST(Tape, DecoderRejectsOperandsWiderThan64Bits) {
   // ir::verify rejects such registers; an IR mutated after it must fail
-  // loudly at decode instead of computing truncated values.
+  // loudly at decode instead of computing truncated values. (No immediate
+  // can be wider: BitVector itself stops at kMaxWidth.)
   Rig rig;
-  const ir::RegId wide = rig.p->add_reg("wide", 65, false);
+  const ir::RegId wide = rig.p->add_reg("wide", BitVector::kMaxWidth + 1, false);
   Op op;
   op.kind = OpKind::kCopy;
   op.args = {Operand::make_reg(wide)};
   op.dest = rig.reg(64, 2);
   TapeBuilder tb(rig.design, *rig.p, nullptr);
   EXPECT_THROW(tb.append(op, 0), InternalError);
-  op.args = {Operand::make_imm(BitVector(96))};
+  // The destination check reads the same limit.
+  op.args = {Operand::make_reg(rig.reg(64, 1))};
+  op.dest = wide;
   EXPECT_THROW(tb.append(op, 0), InternalError);
 }
 

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "support/bitvector.h"
+#include "support/diagnostics.h"
 #include "support/str.h"
 
 namespace hlsav {
@@ -34,28 +35,33 @@ TEST(BitVector, SignedConstruction) {
 
 TEST(BitVector, AllOnes) {
   EXPECT_EQ(BitVector::all_ones(7).to_u64(), 0x7fu);
-  EXPECT_EQ(BitVector::all_ones(64).to_u64(), ~std::uint64_t{0});
-  BitVector big = BitVector::all_ones(100);
-  EXPECT_TRUE(big.bit(99));
+  EXPECT_EQ(BitVector::all_ones(63).to_u64(), ~std::uint64_t{0} >> 1);
+  BitVector big = BitVector::all_ones(64);
+  EXPECT_TRUE(big.bit(63));
   EXPECT_EQ(big.to_u64(), ~std::uint64_t{0});
+  EXPECT_EQ(big.to_i64(), -1);
 }
 
 TEST(BitVector, BitAccess) {
-  BitVector v(65);
-  v.set_bit(64, true);
-  EXPECT_TRUE(v.bit(64));
+  BitVector v(64);
+  v.set_bit(63, true);
+  EXPECT_TRUE(v.bit(63));
   EXPECT_TRUE(v.any());
-  v.set_bit(64, false);
+  EXPECT_TRUE(v.sign_bit());
+  v.set_bit(63, false);
   EXPECT_TRUE(v.is_zero());
+  EXPECT_THROW((void)v.bit(64), InternalError);
+  EXPECT_THROW(v.set_bit(64, true), InternalError);
 }
 
-TEST(BitVector, WideAddCarry) {
-  // 2^64 - 1 + 1 carries into the second word.
-  BitVector a = BitVector::from_u64(128, ~std::uint64_t{0});
-  BitVector one = BitVector::from_u64(128, 1);
-  BitVector sum = a.add(one);
-  EXPECT_EQ(sum.to_u64(), 0u);
-  EXPECT_TRUE(sum.bit(64));
+TEST(BitVector, WidthsAboveMaxWidthThrow) {
+  // Every value fits in one 64-bit word; the limit is BitVector::kMaxWidth.
+  EXPECT_EQ(BitVector::kMaxWidth, 64u);
+  EXPECT_THROW(BitVector(65), InternalError);
+  EXPECT_THROW((void)BitVector::from_u64(65, 1), InternalError);
+  EXPECT_THROW(BitVector(0), InternalError);
+  EXPECT_THROW((void)BitVector::from_u64(64, 1).zext(65), InternalError);
+  EXPECT_THROW((void)BitVector::from_u64(64, 1).sext(65), InternalError);
 }
 
 TEST(BitVector, MulTruncates) {
@@ -99,9 +105,9 @@ TEST(BitVector, DecimalStrings) {
   EXPECT_EQ(BitVector::from_u64(32, 4294967286u).to_string_dec(false), "4294967286");
   EXPECT_EQ(BitVector::from_i64(32, -10).to_string_dec(true), "-10");
   EXPECT_EQ(BitVector(8).to_string_dec(false), "0");
-  // Beyond 64 bits: 2^64 = 18446744073709551616.
-  BitVector big = BitVector::from_u64(65, 1).shl(64);
-  EXPECT_EQ(big.to_string_dec(false), "18446744073709551616");
+  // At the 64-bit limit: 2^64 - 1 unsigned, -2^63 signed.
+  EXPECT_EQ(BitVector::all_ones(64).to_string_dec(false), "18446744073709551615");
+  EXPECT_EQ(BitVector::from_u64(64, 1).shl(63).to_string_dec(true), "-9223372036854775808");
 }
 
 TEST(BitVector, HexStrings) {
@@ -183,18 +189,18 @@ TEST_P(BitVectorProperty, MatchesNative64) {
 INSTANTIATE_TEST_SUITE_P(Widths, BitVectorProperty,
                          ::testing::Values(1u, 5u, 8u, 13u, 16u, 31u, 32u, 47u, 63u, 64u));
 
-/// Wide-width consistency: 128-bit ops agree with two independent 64-bit
-/// halves for the bitwise operators and shifting by 64.
+/// Full-width consistency: 64-bit ops agree with two independent 32-bit
+/// halves for the bitwise operators, extract and shifting by 32.
 TEST(BitVectorProperty, WideConsistency) {
   SplitMix64 rng(77);
   for (int iter = 0; iter < 200; ++iter) {
-    std::uint64_t lo = rng.next();
-    std::uint64_t hi = rng.next();
-    BitVector v = BitVector::from_u64(128, hi).shl(64).bor(BitVector::from_u64(128, lo));
-    EXPECT_EQ(v.extract(0, 64).to_u64(), lo);
-    EXPECT_EQ(v.extract(64, 64).to_u64(), hi);
-    EXPECT_EQ(v.lshr(64).to_u64(), hi);
-    EXPECT_EQ(v.shl(64).extract(64, 64).to_u64(), lo);
+    std::uint64_t lo = rng.next() & 0xffff'ffffu;
+    std::uint64_t hi = rng.next() & 0xffff'ffffu;
+    BitVector v = BitVector::from_u64(64, hi).shl(32).bor(BitVector::from_u64(64, lo));
+    EXPECT_EQ(v.extract(0, 32).to_u64(), lo);
+    EXPECT_EQ(v.extract(32, 32).to_u64(), hi);
+    EXPECT_EQ(v.lshr(32).to_u64(), hi);
+    EXPECT_EQ(v.shl(32).extract(32, 32).to_u64(), lo);
   }
 }
 

@@ -1,4 +1,4 @@
-// Compact binary trace format: exact round-trip (including >64-bit
+// Compact binary trace format: exact round-trip (including full 64-bit
 // values and source locations) and corruption detection.
 #include <gtest/gtest.h>
 
@@ -42,10 +42,7 @@ std::vector<TraceRecord> sample_window() {
   d.cycle = 12;
   d.kind = TraceEventKind::kStreamPush;
   d.subject = 5;
-  d.value = BitVector(200);
-  d.value.set_bit(0, true);
-  d.value.set_bit(100, true);
-  d.value.set_bit(199, true);
+  d.value = BitVector::from_u64(64, 0xA500'0100'0000'0001ull);  // top byte set
   w.push_back(d);
   return w;
 }
@@ -67,9 +64,10 @@ TEST(BinaryTrace, RoundTripsExactly) {
     EXPECT_EQ(back[i], expect) << "record " << i;
     EXPECT_EQ(back[i].seq, i);
   }
-  EXPECT_EQ(back[3].value.width(), 200u);
-  EXPECT_TRUE(back[3].value.bit(100));
-  EXPECT_FALSE(back[3].value.bit(101));
+  EXPECT_EQ(back[3].value.width(), 64u);
+  EXPECT_TRUE(back[3].value.bit(63));
+  EXPECT_TRUE(back[3].value.bit(40));
+  EXPECT_FALSE(back[3].value.bit(41));
 }
 
 TEST(BinaryTrace, EmptyWindowRoundTrips) {
@@ -82,6 +80,29 @@ TEST(BinaryTrace, EmptyWindowRoundTrips) {
 TEST(BinaryTrace, RejectsBadMagic) {
   std::istringstream is(std::string("NOTATRACE\0\0\0", 12), std::ios::binary);
   EXPECT_THROW((void)read_binary_trace(is), InternalError);
+}
+
+TEST(BinaryTrace, RejectsValueWiderThanMaxWidth) {
+  // One 64-bit record, its width field patched to 65 and one value byte
+  // appended: a well-formed stream whose value no BitVector can hold.
+  TraceRecord r;
+  r.value = BitVector::all_ones(64);
+  std::ostringstream os(std::ios::binary);
+  write_binary_trace(os, {r});
+  std::string bytes = os.str();
+  // magic, count, then cycle/kind/proc/subject/aux/file/line/column.
+  const std::size_t width_at = 8 + 4 + 8 + 1 + 2 + 4 + 8 + 4 + 4 + 4;
+  ASSERT_EQ(bytes.size(), width_at + 2 + 8);
+  ASSERT_EQ(bytes[width_at], 64);
+  bytes[width_at] = static_cast<char>(BitVector::kMaxWidth + 1);
+  bytes.push_back('\x01');
+  std::istringstream is(bytes, std::ios::binary);
+  try {
+    (void)read_binary_trace(is);
+    ADD_FAILURE() << "a 65-bit value was accepted";
+  } catch (const InternalError& e) {
+    EXPECT_NE(std::string(e.what()).find("bad value width"), std::string::npos) << e.what();
+  }
 }
 
 TEST(BinaryTrace, RejectsTruncatedStream) {

