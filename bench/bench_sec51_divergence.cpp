@@ -50,7 +50,7 @@ Outcome run_case(const ir::Design& lowered, sim::SimMode mode, bool inject,
   sched::DesignSchedule sch = sched::schedule_design(d);
   sim::SimOptions so;
   so.mode = mode;
-  if (inject) so.faults.add_narrow_compare("", 11, 5);
+  if (inject) so.faults.add(sim::FaultSpec::narrow_compare("", 11, 5));
   sim::Simulator s(d, sch, ext, so);
   s.feed(in_stream, feed);
   sim::RunResult r = s.run();

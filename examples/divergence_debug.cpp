@@ -73,7 +73,7 @@ int main() {
     ir::verify(d);
     sched::DesignSchedule sch = sched::schedule_design(d);
     sim::SimOptions so;
-    so.faults.add_narrow_compare("f", 9, 5);
+    so.faults.add(sim::FaultSpec::narrow_compare("f", 9, 5));
     sim::Simulator s(d, sch, externs, so);
     s.feed("f.in", {4294967286u});
     report("(a) in-circuit (narrowed compare)", s.run());

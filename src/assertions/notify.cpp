@@ -27,30 +27,28 @@ std::vector<std::uint32_t> decode_failure_word(const ir::Design& design, ir::Str
   return ids;
 }
 
-void NotificationFunction::build_index() {
-  index_built_ = true;
-  for (const ir::AssertionRecord& rec : design_->assertions) {
-    by_id_.emplace(rec.id, &rec);
+NotificationIndex::NotificationIndex(const ir::Design& d) : design(&d) {
+  for (const ir::AssertionRecord& rec : d.assertions) {
+    by_id.emplace(rec.id, &rec);
     if (rec.fail_stream != ir::kNoStream &&
-        design_->stream(rec.fail_stream).role == ir::StreamRole::kAssertPacked) {
-      packed_groups_[rec.fail_stream].push_back(&rec);
+        d.stream(rec.fail_stream).role == ir::StreamRole::kAssertPacked) {
+      packed_groups[rec.fail_stream].push_back(&rec);
     }
   }
 }
 
 bool NotificationFunction::on_word(ir::StreamId stream, std::uint64_t word,
                                    std::uint64_t cycle) {
-  if (!index_built_) build_index();
   bool halt = false;
-  switch (design_->stream(stream).role) {
+  switch (index_->design->stream(stream).role) {
     case ir::StreamRole::kAssertFail:
       // The word is the assertion id itself.
       halt = on_direct(static_cast<std::uint32_t>(word), cycle);
       break;
     case ir::StreamRole::kAssertPacked: {
       // One bit per assertion of this collector's group.
-      auto it = packed_groups_.find(stream);
-      if (it != packed_groups_.end()) {
+      auto it = index_->packed_groups.find(stream);
+      if (it != index_->packed_groups.end()) {
         for (const ir::AssertionRecord* rec : it->second) {
           if ((word >> rec->fail_bit) & 1) halt |= on_direct(rec->id, cycle);
         }
@@ -60,15 +58,14 @@ bool NotificationFunction::on_word(ir::StreamId stream, std::uint64_t word,
     default:
       internal_error("assertions/notify", 0,
                      "decode_failure_word on non-assertion stream '" +
-                         design_->stream(stream).name + "'");
+                         index_->design->stream(stream).name + "'");
   }
   return halt;
 }
 
 bool NotificationFunction::on_direct(std::uint32_t assertion_id, std::uint64_t cycle) {
-  if (!index_built_) build_index();
-  auto it = by_id_.find(assertion_id);
-  const ir::AssertionRecord* rec = it == by_id_.end() ? nullptr : it->second;
+  auto it = index_->by_id.find(assertion_id);
+  const ir::AssertionRecord* rec = it == index_->by_id.end() ? nullptr : it->second;
   Failure f;
   f.assertion_id = assertion_id;
   f.cycle = cycle;
@@ -77,7 +74,7 @@ bool NotificationFunction::on_direct(std::uint32_t assertion_id, std::uint64_t c
                   : "<unknown assertion #" + std::to_string(assertion_id) + "> failed.";
   if (sink_) sink_(f);
   failures_.push_back(std::move(f));
-  if (!design_->continue_on_failure) {
+  if (!index_->design->continue_on_failure) {
     aborted_ = true;
     return true;
   }

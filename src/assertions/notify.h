@@ -31,13 +31,28 @@ struct Failure {
                                                              ir::StreamId stream,
                                                              std::uint64_t word);
 
+/// What the notification function decodes with: the id -> record and
+/// packed-stream -> group lookups. Built once per design and read-only
+/// after, so any number of NotificationFunctions (one per simulated run,
+/// on any thread) share one. It borrows the design.
+struct NotificationIndex {
+  explicit NotificationIndex(const ir::Design& design);
+
+  const ir::Design* design = nullptr;
+  std::unordered_map<std::uint32_t, const ir::AssertionRecord*> by_id;
+  /// Group members per kAssertPacked stream, in catalogue order (the
+  /// order decode_failure_word reports them).
+  std::unordered_map<ir::StreamId, std::vector<const ir::AssertionRecord*>> packed_groups;
+};
+
 /// The notification function: collects failures, renders messages,
 /// decides whether to halt. Thread-free; the simulator drives it.
 class NotificationFunction {
  public:
   using Sink = std::function<void(const Failure&)>;
 
-  explicit NotificationFunction(const ir::Design& design) : design_(&design) {}
+  /// Borrows `index`, which must outlive it.
+  explicit NotificationFunction(const NotificationIndex& index) : index_(&index) {}
 
   /// Optional callback invoked on every failure (e.g. to print to
   /// stderr); failures are recorded regardless.
@@ -58,20 +73,10 @@ class NotificationFunction {
   [[nodiscard]] std::string render() const;
 
  private:
-  /// Builds the id -> record and packed-stream -> group indices on first
-  /// use, so a notification storm (NABORT hang tracing) does not rescan
-  /// the whole assertion catalogue per delivered word.
-  void build_index();
-
-  const ir::Design* design_;
+  const NotificationIndex* index_;
   Sink sink_;
   std::vector<Failure> failures_;
   bool aborted_ = false;
-  bool index_built_ = false;
-  std::unordered_map<std::uint32_t, const ir::AssertionRecord*> by_id_;
-  /// Group members per kAssertPacked stream, in catalogue order (the
-  /// order decode_failure_word reports them).
-  std::unordered_map<ir::StreamId, std::vector<const ir::AssertionRecord*>> packed_groups_;
 };
 
 }  // namespace hlsav::assertions

@@ -65,10 +65,10 @@ StatusOr<std::unique_ptr<CompiledDesign>> prepare(const ir::Design& design,
     if (rows[i].name == nullptr || rows[i].fn == nullptr) {
       return Status::io_error("compiled module entry registry is malformed");
     }
-    const ir::Process* p = design.find_process(rows[i].name);
-    if (p == nullptr) return Status::io_error("compiled module names an unknown process");
-    handle.procs.push_back(
-        sim::CompiledProc{rows[i].name, rows[i].fn, sim::ProcLayout::of(*p)});
+    if (design.find_process(rows[i].name) == nullptr) {
+      return Status::io_error("compiled module names an unknown process");
+    }
+    handle.procs.push_back(sim::CompiledProc{rows[i].name, rows[i].fn});
   }
 
   return std::make_unique<CompiledDesign>(std::move(*module), std::move(handle),

@@ -126,18 +126,18 @@ class Heartbeat {
 
 }  // namespace
 
-GoldenRef golden_run(const ir::Design& design, const sched::DesignSchedule& schedule,
-                     const ExternRegistry& externs,
+GoldenRef golden_run(const Program& program, const ExternRegistry& externs,
                      const std::map<std::string, std::vector<std::uint64_t>>& feeds,
                      const SimOptions& base, metrics::ProfileSummary* profile_out) {
+  const ir::Design& design = program.design();
   SimOptions opts = base;
   opts.faults = FaultEngine{};
   std::optional<metrics::Profiler> prof;
   if (profile_out != nullptr) {
-    prof.emplace(design, schedule, campaign_profile_config());
+    prof.emplace(design, program.schedule(), campaign_profile_config());
     opts.profile = &*prof;
   }
-  Simulator sim(design, schedule, externs, opts);
+  Simulator sim(program, externs, std::move(opts));
   for (const auto& [name, values] : feeds) sim.feed(name, values);
   RunResult r = sim.run();
   if (profile_out != nullptr) *profile_out = prof->summary();
@@ -154,12 +154,12 @@ GoldenRef golden_run(const ir::Design& design, const sched::DesignSchedule& sche
   return g;
 }
 
-FaultResult run_fault(const ir::Design& design, const sched::DesignSchedule& schedule,
-                      const ExternRegistry& externs,
+FaultResult run_fault(const Program& program, const ExternRegistry& externs,
                       const std::map<std::string, std::vector<std::uint64_t>>& feeds,
                       const GoldenRef& golden, const FaultSpec& fault, const SimOptions& base,
                       std::uint64_t max_cycles, metrics::ProfileSummary* profile_out,
                       double site_wall_ms) {
+  const ir::Design& design = program.design();
   SimOptions opts = base;
   opts.mode = SimMode::kHardware;  // faults model circuit behaviour
   opts.max_cycles = max_cycles;
@@ -175,11 +175,11 @@ FaultResult run_fault(const ir::Design& design, const sched::DesignSchedule& sch
   // Each call owns its Profiler, so parallel workers never share one.
   std::optional<metrics::Profiler> prof;
   if (profile_out != nullptr) {
-    prof.emplace(design, schedule, campaign_profile_config());
+    prof.emplace(design, program.schedule(), campaign_profile_config());
     opts.profile = &*prof;
   }
 
-  Simulator sim(design, schedule, externs, opts);
+  Simulator sim(program, externs, std::move(opts));
   for (const auto& [name, values] : feeds) sim.feed(name, values);
   RunResult r = sim.run();
 
@@ -228,14 +228,13 @@ StatusOr<CampaignPlan> plan_campaign(
     const std::map<std::string, std::vector<std::uint64_t>>& feeds,
     const CampaignOptions& opt) {
   CampaignPlan plan;
-  plan.design = &design;
-  plan.schedule = &schedule;
   plan.externs = &externs;
   plan.feeds = &feeds;
   GoldenRef& golden = plan.golden;
   try {
+    plan.program = std::make_shared<const Program>(design, schedule);
     metrics::ProfileSummary golden_profile;
-    golden = golden_run(design, schedule, externs, feeds, opt.sim,
+    golden = golden_run(*plan.program, externs, feeds, opt.sim,
                         opt.profile ? &golden_profile : nullptr);
     if (opt.profile) plan.golden_profile = golden_profile;
   } catch (const InternalError& e) {
@@ -271,8 +270,8 @@ FaultResult run_site(const CampaignPlan& plan, const FaultSpec& site, const Camp
   // fails again. It gives a flaky host a second chance.
   for (unsigned attempt = 0;; ++attempt) {
     try {
-      return run_fault(*plan.design, *plan.schedule, *plan.externs, *plan.feeds, plan.golden,
-                       site, opt.sim, plan.header.max_cycles, profile_out, opt.site_wall_ms);
+      return run_fault(*plan.program, *plan.externs, *plan.feeds, plan.golden, site, opt.sim,
+                       plan.header.max_cycles, profile_out, opt.site_wall_ms);
     } catch (...) {
       if (attempt >= opt.site_retries) throw;
       std::this_thread::sleep_for(std::chrono::milliseconds(1u << attempt));
@@ -285,10 +284,12 @@ StatusOr<CampaignReport> run_campaign_st(
     const ExternRegistry& externs,
     const std::map<std::string, std::vector<std::uint64_t>>& feeds,
     const CampaignOptions& opt) {
-  StatusOr<CampaignPlan> planned = plan_campaign(design, schedule, externs, feeds, opt);
-  HLSAV_RETURN_IF_ERROR(planned.status());
-  const CampaignPlan& plan = *planned;
+  StatusOr<CampaignPlan> plan = plan_campaign(design, schedule, externs, feeds, opt);
+  HLSAV_RETURN_IF_ERROR(plan.status());
+  return run_campaign_st(*plan, opt);
+}
 
+StatusOr<CampaignReport> run_campaign_st(const CampaignPlan& plan, const CampaignOptions& opt) {
   CampaignReport report;
   report.seed = opt.seed;
   report.sites_total = plan.sites.size();
@@ -339,9 +340,6 @@ StatusOr<CampaignReport> run_campaign_st(
   std::vector<char> restored = done;
 
   Heartbeat heartbeat(opt, order.size());
-  metrics::ProfileSummary site_profile;
-  metrics::ProfileSummary* site_profile_ptr = opt.profile ? &site_profile : nullptr;
-
   auto cancelled = [&] {
     return opt.cancel != nullptr && opt.cancel->load(std::memory_order_relaxed);
   };
@@ -361,52 +359,13 @@ StatusOr<CampaignReport> run_campaign_st(
     heartbeat.site_done(report.results[i].outcome);
     return Status::ok_status();
   };
-  // An interrupted sweep keeps exactly the classified sites, still in
-  // site order -- the shape a --resume continuation rebuilds from.
-  auto finish = [&]() -> CampaignReport {
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      if (done[i] == 0 || restored[i] != 0) continue;
-      report.count_run(report.results[i]);
-    }
-    if (report.interrupted) {
-      std::vector<FaultResult> kept;
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        if (done[i] != 0) kept.push_back(std::move(report.results[i]));
-      }
-      report.results = std::move(kept);
-    }
-    return std::move(report);
-  };
 
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      if (cancelled()) {
-        report.interrupted = true;
-        break;
-      }
-      if (restored[i] != 0) {
-        heartbeat.site_done(report.results[i].outcome);
-        continue;
-      }
-      if (opt.site_start_hook) opt.site_start_hook(order[i]);
-      try {
-        report.results[i] = run_site(plan, plan.sites[order[i]], opt, site_profile_ptr);
-      } catch (const InternalError& e) {
-        return Status::internal(e.what());
-      } catch (const std::exception& e) {
-        return Status::internal(std::string("site run failed: ") + e.what());
-      }
-      HLSAV_RETURN_IF_ERROR(record(i));
-    }
-    return finish();
-  }
-
-  // Parallel sweep: every worker owns its Simulators (one fresh instance
-  // per fault run); the shared design/schedule/externs/feeds/golden are
-  // read-only. Results land in preallocated site-order slots, so the
-  // report is byte-identical to the serial loop's. Journal appends
-  // happen in completion order -- the loader keys by site id, so order
-  // on disk is irrelevant.
+  // Every worker owns its Simulators (one per site); the Program,
+  // externs, feeds and golden reference are shared read-only. Results
+  // land in preallocated site-order slots, so the report is the same
+  // bytes whatever the worker count; a lone worker runs on the calling
+  // thread. Journal appends happen in completion order -- the loader
+  // keys by site id, so order on disk is irrelevant.
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   Status first_status;
@@ -445,23 +404,32 @@ StatusOr<CampaignReport> run_campaign_st(
       }
     }
   };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-  if (!first_status.ok()) return first_status;
-  if (cancelled() && next.load(std::memory_order_relaxed) < order.size() + threads) {
-    // At least one slot was never dispatched (or was abandoned): the
-    // sweep is incomplete. A cancel that lands after the last site
-    // finished is indistinguishable from a clean run and stays one.
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      if (done[i] == 0) {
-        report.interrupted = true;
-        break;
-      }
-    }
+  if (threads <= 1) {
+    worker();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(threads);
+    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
+    for (std::thread& t : pool) t.join();
   }
-  return finish();
+  if (!first_status.ok()) return first_status;
+  // A cancel that lands after the last site finished is
+  // indistinguishable from a clean run and stays one. An interrupted
+  // sweep keeps exactly the classified sites, still in site order --
+  // the shape a --resume continuation rebuilds from.
+  report.interrupted =
+      cancelled() && std::find(done.begin(), done.end(), 0) != done.end();
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (done[i] != 0 && restored[i] == 0) report.count_run(report.results[i]);
+  }
+  if (report.interrupted) {
+    std::vector<FaultResult> kept;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if (done[i] != 0) kept.push_back(std::move(report.results[i]));
+    }
+    report.results = std::move(kept);
+  }
+  return report;
 }
 
 CampaignReport run_campaign(const ir::Design& design, const sched::DesignSchedule& schedule,
@@ -559,7 +527,7 @@ std::vector<TraceArtifact> trace_nonbenign_sites(const CampaignPlan& plan,
                                                  const CampaignReport& report,
                                                  const CampaignOptions& opt,
                                                  const TraceRerunOptions& trace_opt) {
-  const ir::Design& design = *plan.design;
+  const ir::Design& design = plan.program->design();
   std::vector<TraceArtifact> out;
   std::filesystem::create_directories(trace_opt.dir);
 
@@ -576,7 +544,7 @@ std::vector<TraceArtifact> trace_nonbenign_sites(const CampaignPlan& plan,
     opts.faults = FaultEngine{};
     opts.faults.add(r.site);
     opts.ela = &engine;
-    Simulator sim(design, *plan.schedule, *plan.externs, opts);
+    Simulator sim(*plan.program, *plan.externs, opts);
     for (const auto& [name, values] : *plan.feeds) sim.feed(name, values);
     RunResult rr = sim.run();
     std::vector<trace::TraceRecord> window = engine.window();

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -99,8 +100,8 @@ struct CampaignOptions {
   /// run (see plan_campaign).
   std::uint64_t max_cycles = 0;
   /// Worker threads running fault sites concurrently (one Simulator per
-  /// worker; results land in site order either way). 0 = one per
-  /// hardware thread; 1 = the serial loop.
+  /// site, all borrowing the plan's Program; results land in site order
+  /// either way). 0 = one per hardware thread; 1 = the calling thread.
   unsigned threads = 1;
   /// Emit a stderr heartbeat while the sweep runs (sites/sec, ETA,
   /// classification tallies). Off by default so machine-readable output
@@ -191,8 +192,9 @@ struct JournalHeader {
 /// repros, the hlsavd supervisor and its workers). It points at the
 /// inputs it was built from; they must outlive it.
 struct CampaignPlan {
-  const ir::Design* design = nullptr;
-  const sched::DesignSchedule* schedule = nullptr;
+  /// The design's one Program: the golden run, every site and every
+  /// trace rerun borrow it (workers share it read-only).
+  std::shared_ptr<const Program> program;
   const ExternRegistry* externs = nullptr;
   const std::map<std::string, std::vector<std::uint64_t>>* feeds = nullptr;
   GoldenRef golden;
@@ -241,9 +243,7 @@ struct CampaignReport {
 /// InternalError if the golden run itself does not complete cleanly.
 /// When `profile_out` is non-null the run is profiled (timeline off)
 /// and its attribution summary stored there.
-[[nodiscard]] GoldenRef golden_run(const ir::Design& design,
-                                   const sched::DesignSchedule& schedule,
-                                   const ExternRegistry& externs,
+[[nodiscard]] GoldenRef golden_run(const Program& program, const ExternRegistry& externs,
                                    const std::map<std::string, std::vector<std::uint64_t>>& feeds,
                                    const SimOptions& base,
                                    metrics::ProfileSummary* profile_out = nullptr);
@@ -253,19 +253,17 @@ struct CampaignReport {
 /// attribution summary stored there. A positive `site_wall_ms` arms the
 /// simulator's wall-clock watchdog; an expired budget classifies as
 /// FaultOutcome::kBudgetExceeded.
-[[nodiscard]] FaultResult run_fault(const ir::Design& design,
-                                    const sched::DesignSchedule& schedule,
-                                    const ExternRegistry& externs,
+[[nodiscard]] FaultResult run_fault(const Program& program, const ExternRegistry& externs,
                                     const std::map<std::string, std::vector<std::uint64_t>>& feeds,
                                     const GoldenRef& golden, const FaultSpec& fault,
                                     const SimOptions& base, std::uint64_t max_cycles,
                                     metrics::ProfileSummary* profile_out = nullptr,
                                     double site_wall_ms = 0.0);
 
-/// Runs the golden run, resolves the backstop (max_cycles, or 16
-/// golden runs' worth of cycles and at least 10'000), enumerates and
-/// samples the sites. A golden run that does not complete cleanly is a
-/// kSimError.
+/// Builds the design's Program, runs the golden run on it, resolves the
+/// backstop (max_cycles, or 16 golden runs' worth of cycles and at least
+/// 10'000), enumerates and samples the sites. A golden run that does not
+/// complete cleanly is a kSimError.
 [[nodiscard]] StatusOr<CampaignPlan> plan_campaign(
     const ir::Design& design, const sched::DesignSchedule& schedule,
     const ExternRegistry& externs,
@@ -290,6 +288,10 @@ struct CampaignReport {
     const ExternRegistry& externs,
     const std::map<std::string, std::vector<std::uint64_t>>& feeds,
     const CampaignOptions& opt = {});
+
+/// The same campaign from a plan_campaign() plan made with `opt`.
+[[nodiscard]] StatusOr<CampaignReport> run_campaign_st(const CampaignPlan& plan,
+                                                       const CampaignOptions& opt);
 
 /// Throwing convenience wrapper around run_campaign_st (library tests
 /// and benches that treat any failure as fatal).

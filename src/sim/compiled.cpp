@@ -26,33 +26,33 @@ std::array<BlockId, 2> successors(const ir::BasicBlock& b) {
 /// the process stays in `region` (the blocks it can reach with x's exit
 /// edge dead), starting from the pass that first led into the region.
 /// `hollow` marks skipped blocks, whose ops never run.
-bool condition_is_stable(const ir::Process& p, BlockId x, const std::vector<bool>& region,
-                         const std::vector<bool>& hollow) {
-  const ir::Operand& cond = p.blocks[x].term.cond;
+bool condition_is_stable(const TrapIndex& t, BlockId x, const std::vector<char>& region,
+                         const std::vector<char>& hollow) {
+  const ir::Operand& cond = t.proc->blocks[x].term.cond;
   if (!cond.is_reg()) return true;
   // A register no op of the region writes keeps its value from the start
-  // of x's first pass on.
-  std::vector<bool> stable(p.regs.size(), true);
+  // of x's first pass on; `changing` holds the others.
+  std::vector<std::uint64_t> changing(t.reg_words);
   for (BlockId b = 0; b < region.size(); ++b) {
     if (!region[b] || hollow[b]) continue;
-    for (const ir::Op& op : p.blocks[b].ops) {
-      if (ir::op_traits(op.kind).has_dest) stable[op.dest] = false;
-    }
+    for (std::size_t i = 0; i < t.reg_words; ++i) changing[i] |= t.writes[b * t.reg_words + i];
   }
+  auto stable = [&](ir::RegId r) { return ((changing[r / 64] >> (r % 64)) & 1u) == 0; };
   // x rewrites a register to the same value on every pass when an
   // unpredicated register op computes it from operands that are stable
   // at that point of x.
   if (!hollow[x]) {
-    for (const ir::Op& op : p.blocks[x].ops) {
+    for (const ir::Op& op : t.proc->blocks[x].ops) {
       if (!ir::op_traits(op.kind).has_dest) continue;
       const bool pure = op.kind == ir::OpKind::kBin || op.kind == ir::OpKind::kUn ||
                         op.kind == ir::OpKind::kCopy || op.kind == ir::OpKind::kResize;
       bool same = pure && op.pred.is_none();
-      for (const ir::Operand& a : op.args) same = same && (!a.is_reg() || stable[a.reg]);
-      stable[op.dest] = same;
+      for (const ir::Operand& a : op.args) same = same && (!a.is_reg() || stable(a.reg));
+      const std::uint64_t bit = std::uint64_t{1} << (op.dest % 64);
+      changing[op.dest / 64] = same ? changing[op.dest / 64] & ~bit : changing[op.dest / 64] | bit;
     }
   }
-  return stable[cond.reg];
+  return stable(cond.reg);
 }
 
 }  // namespace
@@ -111,10 +111,27 @@ std::vector<bool> trap_sites(const ir::Process& p) {
   return site;
 }
 
-void mark_traps(const ir::Process& p, std::uint64_t* block_words) {
+TrapIndex::TrapIndex(const ir::Process& p)
+    : proc(&p),
+      sites(trap_sites(p)),
+      observable(p.blocks.size()),
+      reg_words((p.regs.size() + 63) / 64),
+      writes(p.blocks.size() * reg_words) {
+  for (BlockId b = 0; b < p.blocks.size(); ++b) {
+    for (const ir::Op& op : p.blocks[b].ops) {
+      if (ir::op_traits(op.kind).side_effect) observable[b] = 1;
+      if (!ir::op_traits(op.kind).has_dest) continue;
+      writes[b * reg_words + op.dest / 64] |= std::uint64_t{1} << (op.dest % 64);
+    }
+  }
+}
+
+void mark_traps(const TrapIndex& ix, std::uint64_t* block_words) {
+  const ir::Process& p = *ix.proc;
+  const std::vector<bool>& site = ix.sites;
   const std::size_t n = p.blocks.size();
-  const std::vector<bool> site = trap_sites(p);
-  std::vector<bool> hollow(n);
+  // Flags per block as chars, not bits: this runs once per faulted run.
+  std::vector<char> hollow(n);
   for (BlockId b = 0; b < n; ++b) hollow[b] = (block_words[b] & kBlockSkip) != 0;
   for (const ir::LoopInfo& l : p.loops) {
     if (!l.pipelined) continue;
@@ -125,12 +142,12 @@ void mark_traps(const ir::Process& p, std::uint64_t* block_words) {
   // The faulted CFG: successors, and the blocks that return or hold an
   // observable op.
   std::vector<std::array<BlockId, 2>> succ(n, {ir::kNoBlock, ir::kNoBlock});
-  std::vector<bool> visible(n);
+  std::vector<char> visible(n);
   std::vector<std::uint32_t> npred(n);
   std::vector<BlockId> pred(n, ir::kNoBlock);  // the only one when npred == 1
   for (BlockId b = 0; b < n; ++b) {
     const ir::Terminator& t = p.blocks[b].term;
-    visible[b] = t.kind == ir::TermKind::kReturn;
+    visible[b] = t.kind == ir::TermKind::kReturn || (!hollow[b] && ix.observable[b]);
     if (t.kind != ir::TermKind::kBranch) {
       succ[b] = successors(p.blocks[b]);
     } else {
@@ -145,11 +162,6 @@ void mark_traps(const ir::Process& p, std::uint64_t* block_words) {
         }
       }
     }
-    if (!hollow[b]) {
-      for (const ir::Op& op : p.blocks[b].ops) {
-        if (ir::op_traits(op.kind).side_effect) visible[b] = true;
-      }
-    }
     for (BlockId s : succ[b]) {
       if (s == ir::kNoBlock) continue;
       ++npred[s];
@@ -157,11 +169,12 @@ void mark_traps(const ir::Process& p, std::uint64_t* block_words) {
     }
   }
 
-  // Blocks that can reach a visible one: the fixpoint over successors.
-  std::vector<bool> escapes = visible;
+  // Blocks that can reach a visible one: the fixpoint over successors,
+  // swept from the last block, as most edges run forward.
+  std::vector<char> escapes = visible;
   for (bool changed = true; changed;) {
     changed = false;
-    for (BlockId b = 0; b < n; ++b) {
+    for (std::size_t b = n; b-- > 0;) {
       if (escapes[b]) continue;
       for (BlockId s : succ[b]) {
         if (s != ir::kNoBlock && escapes[s]) {
@@ -173,7 +186,7 @@ void mark_traps(const ir::Process& p, std::uint64_t* block_words) {
     }
   }
 
-  std::vector<bool> region(n);
+  std::vector<char> region(n);
   std::vector<BlockId> stack;
   for (BlockId s = 0; s < n; ++s) {
     if (!site[s]) continue;
@@ -199,7 +212,7 @@ void mark_traps(const ir::Process& p, std::uint64_t* block_words) {
         stack.push_back(t);
       }
     }
-    if (hidden && condition_is_stable(p, x, region, hollow)) block_words[s] |= kBlockTrap;
+    if (hidden && condition_is_stable(ix, x, region, hollow)) block_words[s] |= kBlockTrap;
   }
 }
 

@@ -102,9 +102,8 @@ inline constexpr std::uint64_t kBlockTrap = 8;
 ///     included): both operands of every comparison on that line are
 ///     ANDed with it.
 ///
-/// Codegen derives it from the IR, for emission and again for the
-/// loaded handle (CompiledProc::layout). The simulator reads that one
-/// for a compiled process and derives its own for an interpreted one.
+/// Codegen derives it from the IR for emission; a sim::Program derives
+/// the same one for every process, compiled or interpreted.
 struct ProcLayout {
   std::uint32_t branch = kStWords;
   std::uint32_t store = kStWords;
@@ -155,9 +154,23 @@ struct ProcLayout {
   }
 };
 
-/// Sets kBlockTrap on every block of `p` that traps the process, given
-/// the stuck-branch and skip bits already in `block_words` (one word per
-/// block, indexed by BlockId). The CFG is read as faulted: a stuck
+/// What mark_traps reads of a process besides its block words, derived
+/// once per process: its trap sites, and per block whether it holds an
+/// observable op and which registers its ops write (a bit each).
+struct TrapIndex {
+  TrapIndex() = default;
+  explicit TrapIndex(const ir::Process& p);
+
+  const ir::Process* proc = nullptr;
+  std::vector<bool> sites;  // trap_sites(*proc)
+  std::vector<char> observable;
+  std::size_t reg_words = 0;  // words per block in `writes`
+  std::vector<std::uint64_t> writes;
+};
+
+/// Sets kBlockTrap on every block of `ix.proc` that traps the process,
+/// given the stuck-branch and skip bits already in `block_words` (one
+/// word per block, indexed by BlockId). The CFG is read as faulted: a stuck
 /// branch keeps one edge, a branch on an immediate keeps the edge it
 /// selects, and a skipped block holds no ops (the skip bit of a
 /// pipelined header or body is ignored, as both engines ignore it).
@@ -173,8 +186,8 @@ struct ProcLayout {
 /// stable at that point. A load is never stable. Such a block is a trap
 /// if the region without X -> E passes the test above.
 ///
-/// Only trap_sites(p) are flagged: both engines test the bit there alone.
-void mark_traps(const ir::Process& p, std::uint64_t* block_words);
+/// Only the trap sites are flagged: both engines test the bit there alone.
+void mark_traps(const TrapIndex& ix, std::uint64_t* block_words);
 
 /// The blocks whose fresh entry tests kBlockTrap: every loop header (the
 /// target of a back edge of a depth-first walk from the entry) and each
@@ -233,9 +246,6 @@ inline constexpr std::uint32_t kRetTrap = 5;  // entered a kBlockTrap block (kSt
 struct CompiledProc {
   std::string process;
   CompiledProcFn fn = nullptr;
-  /// The layout `fn` was generated against (computed once per compiled
-  /// design, not per simulator).
-  ProcLayout layout;
 };
 
 /// The compiled design as the Simulator sees it: a borrowed view into a

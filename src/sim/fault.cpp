@@ -22,88 +22,49 @@ const char* fault_kind_name(FaultKind k) {
 
 // ------------------------------------------------------------ factories --
 
+// Designated initializers follow FaultSpec's member order.
+
 FaultSpec FaultSpec::narrow_compare(std::string process, std::uint32_t line, unsigned width) {
-  FaultSpec f;
-  f.kind = FaultKind::kNarrowCompare;
-  f.process = std::move(process);
-  f.line = line;
-  f.width = width;
-  return f;
+  return {.kind = FaultKind::kNarrowCompare, .process = std::move(process), .line = line,
+          .width = width};
 }
 
 FaultSpec FaultSpec::stream_drop(ir::StreamId s, std::uint64_t word_index) {
-  FaultSpec f;
-  f.kind = FaultKind::kStreamDrop;
-  f.stream = s;
-  f.word_index = word_index;
-  return f;
+  return {.kind = FaultKind::kStreamDrop, .stream = s, .word_index = word_index};
 }
 
 FaultSpec FaultSpec::stream_dup(ir::StreamId s, std::uint64_t word_index) {
-  FaultSpec f;
-  f.kind = FaultKind::kStreamDup;
-  f.stream = s;
-  f.word_index = word_index;
-  return f;
+  return {.kind = FaultKind::kStreamDup, .stream = s, .word_index = word_index};
 }
 
 FaultSpec FaultSpec::stream_stuck(ir::StreamId s, std::uint64_t from_word, std::uint64_t value) {
-  FaultSpec f;
-  f.kind = FaultKind::kStreamStuck;
-  f.stream = s;
-  f.word_index = from_word;
-  f.stuck_value = value;
-  return f;
+  return {.kind = FaultKind::kStreamStuck, .stream = s, .word_index = from_word,
+          .stuck_value = value};
 }
 
 FaultSpec FaultSpec::bram_bit_flip(ir::MemId m, unsigned bit) {
-  FaultSpec f;
-  f.kind = FaultKind::kBramBitFlip;
-  f.mem = m;
-  f.bit = bit;
-  return f;
+  return {.kind = FaultKind::kBramBitFlip, .mem = m, .bit = bit};
 }
 
 FaultSpec FaultSpec::bram_stuck_at(ir::MemId m, unsigned bit, bool level) {
-  FaultSpec f;
-  f.kind = FaultKind::kBramStuckAt;
-  f.mem = m;
-  f.bit = bit;
-  f.stuck_one = level;
-  return f;
+  return {.kind = FaultKind::kBramStuckAt, .mem = m, .bit = bit, .stuck_one = level};
 }
 
 FaultSpec FaultSpec::fsm_stuck_branch(std::string process, ir::BlockId block, bool taken) {
-  FaultSpec f;
-  f.kind = FaultKind::kFsmStuckBranch;
-  f.process = std::move(process);
-  f.block = block;
-  f.branch_taken = taken;
-  return f;
+  return {.kind = FaultKind::kFsmStuckBranch, .process = std::move(process), .block = block,
+          .branch_taken = taken};
 }
 
 FaultSpec FaultSpec::fsm_skip_block(std::string process, ir::BlockId block) {
-  FaultSpec f;
-  f.kind = FaultKind::kFsmSkipBlock;
-  f.process = std::move(process);
-  f.block = block;
-  return f;
+  return {.kind = FaultKind::kFsmSkipBlock, .process = std::move(process), .block = block};
 }
 
 FaultSpec FaultSpec::extern_corrupt(std::string callee, std::uint64_t xor_mask) {
-  FaultSpec f;
-  f.kind = FaultKind::kExternCorrupt;
-  f.callee = std::move(callee);
-  f.xor_mask = xor_mask;
-  return f;
+  return {.kind = FaultKind::kExternCorrupt, .callee = std::move(callee), .xor_mask = xor_mask};
 }
 
 FaultSpec FaultSpec::channel_corrupt(std::uint64_t word_index, unsigned bit) {
-  FaultSpec f;
-  f.kind = FaultKind::kChannelCorrupt;
-  f.word_index = word_index;
-  f.bit = bit;
-  return f;
+  return {.kind = FaultKind::kChannelCorrupt, .word_index = word_index, .bit = bit};
 }
 
 std::string FaultSpec::describe(const ir::Design& design) const {

@@ -69,7 +69,7 @@ struct FaultSpec {
   std::uint32_t id = kNoSite;
 
   // kNarrowCompare / FSM faults: which process (kNarrowCompare: empty = any).
-  std::string process;
+  std::string process{};
   std::uint32_t line = 0;  // kNarrowCompare: source line (0 = any)
   unsigned width = 5;      // kNarrowCompare: narrowed width (0, or 64 and up: no fault)
 
@@ -84,7 +84,7 @@ struct FaultSpec {
   ir::BlockId block = ir::kNoBlock;  // FSM faults
   bool branch_taken = true;          // kFsmStuckBranch forced direction
 
-  std::string callee;            // kExternCorrupt: extern function name
+  std::string callee{};          // kExternCorrupt: extern function name
   std::uint64_t xor_mask = 1;    // kExternCorrupt corruption mask
 
   // ---- factories ----
@@ -114,9 +114,6 @@ class FaultEngine {
   FaultEngine() = default;
 
   void add(FaultSpec f) { faults_.push_back(std::move(f)); }
-  void add_narrow_compare(std::string process, std::uint32_t line, unsigned width) {
-    add(FaultSpec::narrow_compare(std::move(process), line, width));
-  }
 
   [[nodiscard]] bool empty() const { return faults_.empty(); }
   [[nodiscard]] const std::vector<FaultSpec>& faults() const { return faults_; }

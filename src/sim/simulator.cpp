@@ -13,9 +13,112 @@ using ir::Op;
 using ir::OpKind;
 using ir::Operand;
 
+Program::Program(const ir::Design& design, const sched::DesignSchedule& schedule)
+    : design_(design), schedule_(schedule), notify_index_(design) {
+  stream_ids_.reserve(design.streams.size());
+  for (const ir::Stream& s : design.streams) {
+    stream_ids_.emplace(s.name, s.id);  // first name wins, as in a linear scan
+  }
+  memories_.resize(design.memories.size());
+  for (const ir::Memory& m : design.memories) {
+    auto& mem = memories_[m.id];
+    mem.assign(m.size, 0);
+    for (std::size_t i = 0; i < m.init.size() && i < mem.size(); ++i) {
+      mem[i] = m.init[i].to_u64();
+    }
+  }
+
+  // Resolve every per-op linear lookup once: assertion-carrying ops map
+  // to their records, tapped ones to their checker. The indices keep the
+  // first match, like Design::find_assertion / find_process (the
+  // notification index keeps the first record of an id too).
+  const auto& records_by_id = notify_index_.by_id;
+  std::unordered_map<std::string_view, const ir::Process*> procs_by_name;
+  procs_by_name.reserve(design.processes.size());
+  for (const auto& p : design.processes) procs_by_name.emplace(p->name, p.get());
+  std::unordered_map<std::string_view, const sched::ProcessSchedule*> scheds_by_name;
+  scheds_by_name.reserve(schedule.processes.size());
+  for (const sched::ProcessSchedule& s : schedule.processes) scheds_by_name.emplace(s.process, &s);
+  std::unordered_map<const ir::AssertionRecord*, std::size_t> checker_of;
+  checkers_.reserve(design.assertions.size());
+  for (const ir::AssertionRecord& rec : design.assertions) {
+    if (rec.checker_process.empty()) continue;
+    auto pit = procs_by_name.find(rec.checker_process);
+    if (pit == procs_by_name.end()) continue;  // exec_effect reports this if ever tapped
+    const ir::Process* chk = pit->second;
+    const BasicBlock& block =
+        chk->block(rec.checker_block != ir::kNoBlock ? rec.checker_block : chk->entry);
+    Checker c;
+    c.tape = decode_checker(design, *chk, block);
+    c.base = checker_slots_.size();
+    checker_slots_.insert(checker_slots_.end(), c.tape.slots.begin(), c.tape.slots.end());
+    c.touched.assign(rec.checker_inputs.begin(), rec.checker_inputs.end());
+    for (const Op& op : block.ops) {
+      if (ir::op_traits(op.kind).has_dest) c.touched.push_back(op.dest);
+    }
+    std::sort(c.touched.begin(), c.touched.end());
+    c.touched.erase(std::unique(c.touched.begin(), c.touched.end()), c.touched.end());
+    checker_of.emplace(&rec, checkers_.size());
+    checkers_.push_back(std::move(c));
+  }
+  op_assertions_.reserve(design.assertions.size() * 2);
+  for (const auto& p : design.processes) {
+    for (const BasicBlock& b : p->blocks) {
+      for (const Op& op : b.ops) {
+        if (!ir::op_traits(op.kind).zero_cost) continue;
+        auto it = records_by_id.find(op.assert_id);
+        OpAssertInfo info;
+        info.rec = it == records_by_id.end() ? nullptr : it->second;
+        if (info.rec != nullptr) {
+          auto cit = checker_of.find(info.rec);
+          if (cit != checker_of.end()) info.checker = &checkers_[cit->second];
+        }
+        op_assertions_.emplace(&op, info);
+      }
+    }
+  }
+
+  procs_.reserve(design.processes.size());
+  for (const auto& p : design.processes) {
+    if (p->role != ir::ProcessRole::kApplication) continue;
+    Proc d;
+    d.proc = p.get();
+    auto sit = scheds_by_name.find(p->name);
+    d.sched = sit == scheds_by_name.end() ? nullptr : sit->second;
+    HLSAV_CHECK(d.sched != nullptr, "no schedule for process " + p->name);
+    d.layout = ProcLayout::of(*p);
+    d.tape = decode_process(design, *p, *d.sched, &d.layout);
+    d.traps = TrapIndex(*p);
+    // Neutral words: branches free, BRAM pairs AND all ones and XOR 0,
+    // comparison masks all ones.
+    const ProcLayout& l = d.layout;
+    d.neutral.assign(l.words, 0);
+    std::fill(d.neutral.begin() + l.branch, d.neutral.begin() + l.store, kBranchFree);
+    for (std::uint32_t w = l.store; w < l.compare; w += 2) d.neutral[w] = ~std::uint64_t{0};
+    std::fill(d.neutral.begin() + l.compare, d.neutral.end(), ~std::uint64_t{0});
+    d.neutral_traps.assign(d.neutral.begin() + l.branch, d.neutral.begin() + l.store);
+    mark_traps(d.traps, d.neutral_traps.data());
+    procs_.push_back(std::move(d));
+  }
+}
+
+Simulator::Simulator(const Program& program, const ExternRegistry& externs, SimOptions options)
+    : prog_(program),
+      design_(program.design()),
+      externs_(externs),
+      opt_(std::move(options)),
+      notify_(program.notify_index_) {
+  init_state();
+}
+
 Simulator::Simulator(const ir::Design& design, const sched::DesignSchedule& schedule,
                      const ExternRegistry& externs, SimOptions options)
-    : design_(design), schedule_(schedule), externs_(externs), opt_(options), notify_(design) {
+    : own_program_(std::make_unique<const Program>(design, schedule)),
+      prog_(*own_program_),
+      design_(design),
+      externs_(externs),
+      opt_(std::move(options)),
+      notify_(prog_.notify_index_) {
   init_state();
 }
 
@@ -28,16 +131,14 @@ void Simulator::init_state() {
   if (inject_faults_) stream_write_seq_.assign(design_.streams.size(), 0);
 
   streams_.resize(design_.streams.size());
-  stream_ids_.reserve(design_.streams.size());
   for (const ir::Stream& s : design_.streams) {
-    streams_[s.id].width = s.width;
-    streams_[s.id].depth = s.depth;
-    streams_[s.id].cpu_producer = s.producer.kind == ir::StreamEndpoint::Kind::kCpu;
-    streams_[s.id].cpu_consumer = s.consumer.kind == ir::StreamEndpoint::Kind::kCpu;
-    streams_[s.id].notifies = streams_[s.id].cpu_consumer &&
-                              (s.role == ir::StreamRole::kAssertFail ||
-                               s.role == ir::StreamRole::kAssertPacked);
-    stream_ids_.emplace(s.name, s.id);  // first name wins, as in a linear scan
+    StreamState& st = streams_[s.id];
+    st.width = s.width;
+    st.depth = s.depth;
+    st.cpu_producer = s.producer.kind == ir::StreamEndpoint::Kind::kCpu;
+    st.cpu_consumer = s.consumer.kind == ir::StreamEndpoint::Kind::kCpu;
+    st.notifies = st.cpu_consumer && (s.role == ir::StreamRole::kAssertFail ||
+                                      s.role == ir::StreamRole::kAssertPacked);
   }
   // Stream and channel faults hook only the words they can touch.
   for (const FaultSpec& f : opt_.faults.faults()) {
@@ -50,98 +151,23 @@ void Simulator::init_state() {
 
   // One coherent u64 memory image for both engines: compiled code indexes
   // the arrays directly, tapes and checker evaluations through mem64_.
-  mem64_.resize(design_.memories.size());
-  for (const ir::Memory& m : design_.memories) {
-    auto& mem = mem64_[m.id];
-    mem.assign(m.size, 0);
-    for (std::size_t i = 0; i < m.init.size() && i < mem.size(); ++i) {
-      mem[i] = m.init[i].to_u64();
-    }
-  }
+  mem64_ = prog_.memories_;
+  checker_slots_ = prog_.checker_slots_;
 
-  // Resolve every per-op linear lookup once: assertion-carrying ops map
-  // to their records, checker processes to a preallocated register file.
-  // Both indices below keep the first match, like the linear scans in
-  // Design::find_assertion / find_process.
-  std::unordered_map<std::uint32_t, const ir::AssertionRecord*> records_by_id;
-  records_by_id.reserve(design_.assertions.size());
-  for (const ir::AssertionRecord& rec : design_.assertions) {
-    records_by_id.emplace(rec.id, &rec);
-  }
-  std::unordered_map<std::string_view, const ir::Process*> procs_by_name;
-  procs_by_name.reserve(design_.processes.size());
-  for (const auto& p : design_.processes) procs_by_name.emplace(p->name, p.get());
-  std::unordered_map<std::string_view, const sched::ProcessSchedule*> scheds_by_name;
-  scheds_by_name.reserve(schedule_.processes.size());
-  for (const sched::ProcessSchedule& s : schedule_.processes) {
-    scheds_by_name.emplace(s.process, &s);
-  }
-
-  checkers_.reserve(design_.assertions.size());
-  for (const ir::AssertionRecord& rec : design_.assertions) {
-    if (rec.checker_process.empty()) continue;
-    auto pit = procs_by_name.find(rec.checker_process);
-    const ir::Process* chk = pit == procs_by_name.end() ? nullptr : pit->second;
-    if (chk == nullptr) continue;  // exec_effect reports this if ever tapped
-    CheckerCache cc;
-    const BasicBlock& block =
-        chk->block(rec.checker_block != ir::kNoBlock ? rec.checker_block : chk->entry);
-    cc.tape = decode_checker(design_, *chk, block);
-    cc.slots = cc.tape.slots;
-    cc.touched.assign(rec.checker_inputs.begin(), rec.checker_inputs.end());
-    for (const Op& op : block.ops) {
-      if (ir::op_traits(op.kind).has_dest) cc.touched.push_back(op.dest);
-    }
-    std::sort(cc.touched.begin(), cc.touched.end());
-    cc.touched.erase(std::unique(cc.touched.begin(), cc.touched.end()), cc.touched.end());
-    checkers_.emplace(&rec, std::move(cc));
-  }
-  op_assertions_.reserve(design_.assertions.size() * 2);
-  for (const auto& p : design_.processes) {
-    for (const BasicBlock& b : p->blocks) {
-      for (const Op& op : b.ops) {
-        if (!ir::op_traits(op.kind).zero_cost) continue;
-        auto it = records_by_id.find(op.assert_id);
-        OpAssertInfo info;
-        info.rec = it == records_by_id.end() ? nullptr : it->second;
-        if (info.rec != nullptr) {
-          auto cit = checkers_.find(info.rec);
-          if (cit != checkers_.end()) info.checker = &cit->second;
-        }
-        op_assertions_.emplace(&op, info);
-      }
-    }
-  }
-
-  procs_.reserve(design_.processes.size());
-  for (const auto& p : design_.processes) {
-    if (p->role != ir::ProcessRole::kApplication) continue;
+  procs_.reserve(prog_.procs_.size());
+  for (const Program::Proc& def : prog_.procs_) {
     ProcState ps;
-    ps.proc = p.get();
-    auto sit = scheds_by_name.find(p->name);
-    ps.sched = sit == scheds_by_name.end() ? nullptr : sit->second;
-    HLSAV_CHECK(ps.sched != nullptr, "no schedule for process " + p->name);
-    ps.cur = p->entry;
-    if (prof_ != nullptr) ps.prof_idx = prof_->index_of(p.get());
+    ps.proc = def.proc;
+    ps.def = &def;
+    ps.cur = def.proc->entry;
+    ps.regs64 = def.tape.slots;
+    if (prof_ != nullptr) ps.prof_idx = prof_->index_of(def.proc);
+    arm_fault_words(ps);
     procs_.push_back(std::move(ps));
   }
-
   init_engine();
-  // One form for the in-process faults: every process that may see one
-  // gets fault words, interpreted processes under a layout of their own.
+  // advance_to_block tests the trap bit on every later entry.
   for (ProcState& ps : procs_) {
-    if (ps.layout == nullptr && inject_faults_) {
-      ps.own_layout = std::make_unique<ProcLayout>(ProcLayout::of(*ps.proc));
-      ps.layout = ps.own_layout.get();
-      ps.st.assign(ps.layout->words, 0);
-    }
-    if (ps.cfn == nullptr) {
-      ps.tape = decode_process(design_, *ps.proc, *ps.sched, ps.layout);
-      ps.regs64 = ps.tape.slots;
-    }
-    if (ps.layout == nullptr) continue;
-    arm_fault_words(ps);
-    // advance_to_block tests the trap bit on every later entry.
     if ((block_word(ps, ps.cur) & kBlockTrap) != 0) trap(ps, ps.cur);
   }
 }
@@ -179,9 +205,6 @@ void Simulator::init_engine() {
     }
     if (match == nullptr) continue;
     ps.cfn = match->fn;
-    ps.layout = &match->layout;
-    ps.regs64.assign(ps.proc->regs.size(), 0);
-    ps.st.assign(ps.layout->words, 0);
     ps.st[kStMaxCycles] = opt_.max_cycles;
     ps.st[kStResumeBlock] = ps.proc->entry;
     ps.st[kStPidx] = pidx;
@@ -195,24 +218,19 @@ void Simulator::init_engine() {
   engine_active_ = true;
   for (ProcState& ps : procs_) {
     if (ps.cfn == nullptr) continue;
-    for (std::uint32_t m : ps.layout->mems) ps.mems64.push_back(mem64_[m].data());
+    for (std::uint32_t m : ps.def->layout.mems) ps.mems64.push_back(mem64_[m].data());
   }
-  cb_table_[kCbStreamRead] = reinterpret_cast<const void*>(&Simulator::cb_exec_trampoline);
-  cb_table_[kCbStreamWrite] = reinterpret_cast<const void*>(&Simulator::cb_exec_trampoline);
-  cb_table_[kCbExtern] = reinterpret_cast<const void*>(&Simulator::cb_exec_trampoline);
-  cb_table_[kCbAssert] = reinterpret_cast<const void*>(&Simulator::cb_exec_trampoline);
+  // Every op slot (kCbStreamRead..kCbAssert) takes the one op callback.
+  cb_table_.fill(reinterpret_cast<const void*>(&Simulator::cb_exec_trampoline));
   cb_table_[kCbPoll] = reinterpret_cast<const void*>(&Simulator::cb_poll_trampoline);
 }
 
 void Simulator::arm_fault_words(ProcState& ps) const {
-  const ProcLayout& layout = *ps.layout;
-  std::uint64_t* st = ps.st.data();
-  std::fill(st + layout.branch, st + layout.store, kBranchFree);
-  for (std::uint32_t w = layout.store; w < layout.compare; w += 2) {
-    st[w] = ~std::uint64_t{0};  // AND; XOR stays 0
-  }
-  std::fill(st + layout.compare, st + layout.words, ~std::uint64_t{0});
+  const Program::Proc& def = *ps.def;
+  const ProcLayout& layout = def.layout;
+  ps.st = def.neutral;
   if (!inject_faults_) return;
+  std::uint64_t* st = ps.st.data();
 
   // Faults compose in the order they were armed: narrowing masks AND,
   // BRAM pairs chain as (v & A) ^ X, skip flags OR, and the first stuck
@@ -259,7 +277,14 @@ void Simulator::arm_fault_words(ProcState& ps) const {
         break;
     }
   }
-  mark_traps(*ps.proc, st + layout.branch);
+  // Block words the faults left neutral keep the Program's trap marks;
+  // others are proved again on the faulted CFG.
+  std::uint64_t* blocks = st + layout.branch;
+  if (std::equal(blocks, st + layout.store, def.neutral.begin() + layout.branch)) {
+    std::copy(def.neutral_traps.begin(), def.neutral_traps.end(), blocks);
+  } else {
+    mark_traps(def.traps, blocks);
+  }
 }
 
 void Simulator::trap(ProcState& ps, ir::BlockId b) {
@@ -277,16 +302,17 @@ void Simulator::trap(ProcState& ps, ir::BlockId b) {
 }
 
 ir::StreamId Simulator::stream_by_name(std::string_view name) const {
-  auto it = stream_ids_.find(name);
-  if (it == stream_ids_.end()) {
+  auto it = prog_.stream_ids_.find(name);
+  if (it == prog_.stream_ids_.end()) {
     internal_error("sim", 0, "unknown stream '" + std::string(name) + "'");
   }
   return it->second;
 }
 
 const ir::AssertionRecord* Simulator::assertion_of(const Op& op) const {
-  auto it = op_assertions_.find(&op);
-  return it == op_assertions_.end() ? design_.find_assertion(op.assert_id) : it->second.rec;
+  auto it = prog_.op_assertions_.find(&op);
+  return it == prog_.op_assertions_.end() ? design_.find_assertion(op.assert_id)
+                                          : it->second.rec;
 }
 
 void Simulator::feed(std::string_view stream_name, const std::vector<std::uint64_t>& values) {
@@ -294,27 +320,17 @@ void Simulator::feed(std::string_view stream_name, const std::vector<std::uint64
 }
 
 void Simulator::feed(ir::StreamId stream, const std::vector<std::uint64_t>& values) {
-  const ir::Stream& s = design_.stream(stream);
-  HLSAV_CHECK(streams_[stream].cpu_producer, "feed into a non-CPU-fed stream");
-  for (std::uint64_t v : values) {
-    // Silent truncation here would make a bad harness input look exactly
-    // like an injected hardware fault; reject it loudly instead.
-    HLSAV_CHECK(s.width >= 64 || (v >> s.width) == 0,
-                "feed value " + std::to_string(v) + " does not fit stream '" + s.name + "' (" +
-                    std::to_string(s.width) + " bits)");
-    streams_[stream].fifo.push_back(FifoEntry{v, 0});
-  }
+  // Silent truncation here would make a bad harness input look exactly
+  // like an injected hardware fault; reject it loudly instead.
+  const Status st = check_feed(stream, values);
+  HLSAV_CHECK(st.ok(), st.message());
+  for (std::uint64_t v : values) streams_[stream].fifo.push_back(FifoEntry{v, 0});
   mark_cpu_dirty(stream);  // a CPU->CPU stream delivers on the next drain
 }
 
-Status Simulator::try_feed(std::string_view stream_name,
-                           const std::vector<std::uint64_t>& values) {
-  auto it = stream_ids_.find(stream_name);
-  if (it == stream_ids_.end()) {
-    return Status::invalid_argument("unknown stream '" + std::string(stream_name) + "'");
-  }
-  const ir::Stream& s = design_.stream(it->second);
-  if (!streams_[it->second].cpu_producer) {
+Status Simulator::check_feed(ir::StreamId stream, const std::vector<std::uint64_t>& values) const {
+  const ir::Stream& s = design_.stream(stream);
+  if (!streams_[stream].cpu_producer) {
     return Status::invalid_argument("stream '" + s.name + "' is not CPU-fed");
   }
   for (std::uint64_t v : values) {
@@ -324,6 +340,16 @@ Status Simulator::try_feed(std::string_view stream_name,
                                       std::to_string(s.width) + " bits)");
     }
   }
+  return Status::ok_status();
+}
+
+Status Simulator::try_feed(std::string_view stream_name,
+                           const std::vector<std::uint64_t>& values) {
+  auto it = prog_.stream_ids_.find(stream_name);
+  if (it == prog_.stream_ids_.end()) {
+    return Status::invalid_argument("unknown stream '" + std::string(stream_name) + "'");
+  }
+  HLSAV_RETURN_IF_ERROR(check_feed(it->second, values));
   feed(it->second, values);
   return Status::ok_status();
 }
@@ -424,23 +450,19 @@ void Simulator::mark_cpu_dirty(ir::StreamId id) {
 
 // --------------------------------------------------------- assertions --
 
-void Simulator::direct_assert_failure(std::uint32_t id, std::uint64_t at) {
-  if (notify_.on_direct(id, at)) halt_ = true;
-}
-
 void Simulator::fail_wire(const ir::AssertionRecord* rec, std::uint64_t at) {
   HLSAV_CHECK(rec != nullptr && rec->fail_stream != ir::kNoStream,
               "fail wire without a collector stream");
   push_stream(rec->fail_stream, std::uint64_t{1} << rec->fail_bit, at);
 }
 
-void Simulator::eval_checker(const ir::AssertionRecord& rec, CheckerCache& cc,
+void Simulator::eval_checker(const ir::AssertionRecord& rec, const Program::Checker& c,
                              ProcState& ps, const Op& tap, std::uint64_t at) {
   // Fresh slot file per evaluation: it only ever diverges from the zero
   // registers at the touched ones, so zero just those, then wire in the
   // tapped values straight from the application's registers.
-  std::uint64_t* s = cc.slots.data();
-  for (ir::RegId r : cc.touched) s[r] = 0;
+  std::uint64_t* s = checker_slots_.data() + c.base;
+  for (ir::RegId r : c.touched) s[r] = 0;
   HLSAV_CHECK(tap.args.size() == rec.checker_inputs.size(), "tap arity mismatch");
   for (std::size_t i = 0; i < tap.args.size(); ++i) {
     s[rec.checker_inputs[i]] = word(ps.regs64.data(), tap.args[i]);
@@ -448,12 +470,12 @@ void Simulator::eval_checker(const ir::AssertionRecord& rec, CheckerCache& cc,
   // Grouped checkers evaluate only this assertion's sub-block. Its ops
   // all read the tap's time; a failure is sent a cycle later.
   checker_failed_ = false;
-  const auto n = static_cast<std::uint32_t>(cc.tape.ops.size());
-  run_tape(ps, s, cc.tape, 0, n, at, /*hooks=*/false);
+  const auto n = static_cast<std::uint32_t>(c.tape.ops.size());
+  run_tape(ps, s, c.tape, 0, n, at, /*hooks=*/false);
   const bool failed = checker_failed_;
   // The checker's verdict, attributed to the checker process (it owns
   // the failure wire) at the tap's source position.
-  if (ela_ != nullptr) ela_->assert_verdict(cc.tape.proc, rec.id, failed, at, tap.loc);
+  if (ela_ != nullptr) ela_->assert_verdict(c.tape.proc, rec.id, failed, at, tap.loc);
   if (prof_ != nullptr) prof_->assert_eval(ps.prof_idx, rec.id, failed, at);
 }
 
@@ -579,52 +601,42 @@ bool Simulator::exec_effect(ProcState& ps, const Op& op, std::uint64_t at) {
       if (ela_ != nullptr) ela_->reg_write(ps.proc, op.dest, r, at, op.loc);
       return true;
     }
-    case OpKind::kAssert: {
-      // Direct evaluation: software simulation / pre-synthesis designs.
-      bool failed = word(ps.regs64.data(), op.args[0]) == 0;
-      if (ela_ != nullptr) ela_->assert_verdict(ps.proc, op.assert_id, failed, at, op.loc);
-      if (prof_ != nullptr) prof_->assert_eval(ps.prof_idx, op.assert_id, failed, at);
-      if (failed) direct_assert_failure(op.assert_id, at);
-      return true;
-    }
     case OpKind::kAssertTap: {
-      auto it = op_assertions_.find(&op);
-      const ir::AssertionRecord* rec =
-          it != op_assertions_.end() ? it->second.rec : design_.find_assertion(op.assert_id);
+      auto it = prog_.op_assertions_.find(&op);
+      const bool found = it != prog_.op_assertions_.end();
+      const ir::AssertionRecord* rec = found ? it->second.rec : design_.find_assertion(op.assert_id);
       HLSAV_CHECK(rec != nullptr, "tap without assertion record");
-      CheckerCache* cc = it != op_assertions_.end() ? it->second.checker : nullptr;
-      HLSAV_CHECK(cc != nullptr, "missing checker process " + rec->checker_process);
-      eval_checker(*rec, *cc, ps, op, at);
+      const Program::Checker* c = found ? it->second.checker : nullptr;
+      HLSAV_CHECK(c != nullptr, "missing checker process " + rec->checker_process);
+      eval_checker(*rec, *c, ps, op, at);
       return true;
     }
-    case OpKind::kAssertFailWire: {
-      bool failed = word(ps.regs64.data(), op.args[0]) == 0;
+    case OpKind::kAssert:
+    case OpKind::kAssertFailWire:
+    case OpKind::kAssertCycles: {
+      // A direct assert (software simulation / pre-synthesis designs) and
+      // a failure wire fail on a zero condition; a timing assertion when
+      // more cycles than its budget passed since the previous marker in
+      // this process (or process start).
+      bool failed = false;
+      if (op.kind == OpKind::kAssertCycles) {
+        failed = at - std::min(at, ps.cycle_marker) > op.cycle_bound;
+        ps.cycle_marker = at;
+      } else {
+        failed = word(ps.regs64.data(), op.args[0]) == 0;
+      }
       if (ela_ != nullptr) ela_->assert_verdict(ps.proc, op.assert_id, failed, at, op.loc);
       if (prof_ != nullptr) prof_->assert_eval(ps.prof_idx, op.assert_id, failed, at);
-      if (failed) fail_wire(assertion_of(op), at + 1);
-      return true;
-    }
-    case OpKind::kAssertCycles: {
-      // Timing assertion: cycles elapsed since the previous marker in
-      // this process (or process start) must not exceed the budget.
-      std::uint64_t elapsed = at >= ps.cycle_marker ? at - ps.cycle_marker : 0;
-      ps.cycle_marker = at;
-      if (ela_ != nullptr) {
-        ela_->assert_verdict(ps.proc, op.assert_id, elapsed > op.cycle_bound, at, op.loc);
-      }
-      if (prof_ != nullptr) {
-        prof_->assert_eval(ps.prof_idx, op.assert_id, elapsed > op.cycle_bound, at);
-      }
-      if (elapsed > op.cycle_bound) {
-        const ir::AssertionRecord* rec = assertion_of(op);
-        if (rec != nullptr && rec->fail_stream != ir::kNoStream &&
-            design_.stream(rec->fail_stream).role == ir::StreamRole::kAssertPacked) {
-          fail_wire(rec, at + 1);
-        } else if (rec != nullptr && rec->fail_stream != ir::kNoStream) {
-          push_stream(rec->fail_stream, rec->fail_code, at + 1);
-        } else {
-          direct_assert_failure(op.assert_id, at);
-        }
+      if (!failed) return true;
+      const ir::AssertionRecord* rec = op.kind == OpKind::kAssert ? nullptr : assertion_of(op);
+      const bool to_stream = rec != nullptr && rec->fail_stream != ir::kNoStream;
+      if (op.kind == OpKind::kAssertFailWire ||
+          (to_stream && design_.stream(rec->fail_stream).role == ir::StreamRole::kAssertPacked)) {
+        fail_wire(rec, at + 1);
+      } else if (to_stream) {
+        push_stream(rec->fail_stream, rec->fail_code, at + 1);
+      } else {
+        if (notify_.on_direct(op.assert_id, at)) halt_ = true;
       }
       return true;
     }
@@ -647,12 +659,12 @@ void Simulator::advance_to_block(ProcState& ps, ir::BlockId next) {
   ps.op_idx = 0;
   ps.block_entry_cycle = ps.cycle;
   // Entering the header of a pipelined loop switches to pipeline mode.
-  const std::uint32_t l = ps.tape.blocks[next].loop;
+  const std::uint32_t l = ps.def->tape.blocks[next].loop;
   if (l == kNoLoop) {
     ps.pipe.reset();
   } else {
     const ir::LoopInfo& loop = ps.proc->loops[l];
-    ps.pipe = PipeCtx{&loop, 0, ps.cycle, &ps.sched->of(loop.body)};
+    ps.pipe = PipeCtx{&loop, 0, ps.cycle, &ps.def->sched->of(loop.body)};
   }
   // A proven livelock: the process can never leave the block's region
   // and does nothing observable there, so it stops on entry.
@@ -661,14 +673,14 @@ void Simulator::advance_to_block(ProcState& ps, ir::BlockId next) {
 
 bool Simulator::run_sequential_block(ProcState& ps) {
   const ir::Terminator& term = ps.proc->blocks[ps.cur].term;
-  const TapeBlock& tb = ps.tape.blocks[ps.cur];
+  const TapeBlock& tb = ps.def->tape.blocks[ps.cur];
   const std::uint32_t n = tb.end - tb.begin;
   // FSM skip fault: the block's datapath ops never execute; control
   // falls straight through to the terminator on stale register values.
   if (ps.op_idx == 0 && (block_word(ps, ps.cur) & kBlockSkip) != 0) ps.op_idx = n;
   const auto first = static_cast<std::uint32_t>(ps.op_idx);
   const bool hooks = tracing_ || ela_ != nullptr;
-  const std::uint32_t i = run_tape(ps, ps.regs64.data(), ps.tape, tb.begin + first, tb.end,
+  const std::uint32_t i = run_tape(ps, ps.regs64.data(), ps.def->tape, tb.begin + first, tb.end,
                                    ps.block_entry_cycle, hooks);
   ps.op_idx = i - tb.begin;
   if (i < tb.end) return ps.op_idx > first;
@@ -699,8 +711,8 @@ bool Simulator::run_pipelined_loop(ProcState& ps) {
   const ir::LoopInfo& loop = *pc.loop;
   const sched::BlockSchedule& bs = *pc.bs;
   // ps.op_idx runs over the header's ops, the loop test, then the body's.
-  const TapeBlock& header = ps.tape.blocks[loop.header];
-  const TapeBlock& body = ps.tape.blocks[loop.body];
+  const TapeBlock& header = ps.def->tape.blocks[loop.header];
+  const TapeBlock& body = ps.def->tape.blocks[loop.body];
   const std::uint32_t h = header.pend - header.pbegin;
   std::uint64_t* s = ps.regs64.data();
   bool progress = false;
@@ -718,7 +730,7 @@ bool Simulator::run_pipelined_loop(ProcState& ps) {
     const bool hooks = tracing_ || ela_ != nullptr;
     if (ps.op_idx < h) {
       const std::uint32_t from = header.pbegin + static_cast<std::uint32_t>(ps.op_idx);
-      const std::uint32_t i = run_tape(ps, s, ps.tape, from, header.pend, iter_base, hooks);
+      const std::uint32_t i = run_tape(ps, s, ps.def->tape, from, header.pend, iter_base, hooks);
       ps.op_idx = i - header.pbegin;
       progress |= i > from;
       if (i < header.pend) return progress;
@@ -737,7 +749,7 @@ bool Simulator::run_pipelined_loop(ProcState& ps) {
       progress = true;
     }
     const std::uint32_t from = body.begin + static_cast<std::uint32_t>(ps.op_idx - h - 1);
-    const std::uint32_t i = run_tape(ps, s, ps.tape, from, body.end, iter_base, hooks);
+    const std::uint32_t i = run_tape(ps, s, ps.def->tape, from, body.end, iter_base, hooks);
     ps.op_idx = h + 1 + (i - body.begin);
     progress |= i > from;
     if (i < body.end) return progress;

@@ -30,17 +30,24 @@
 // exactly as the paper argues), and collector processes forward packed
 // failure words.
 //
-// Hot-path design: an interpreted process runs from its op tape
-// (sim/tape.h), decoded once at construction: flat opcodes over the u64
-// register file compiled processes also use, immediates pooled into
-// slots, destination masks and FSM-state offsets precomputed. One
-// executor (run_tape) runs sequential blocks, pipelined-loop iterations
-// and checker evaluations; the ELA and trace hooks sit behind a test
-// made once per call, and build a BitVector only when armed. Every
-// other linear lookup (assertion records, checker processes, stream
-// names) is resolved once in init_state() into O(1) caches; CPU-bound
-// stream draining is event-driven off a dirty list instead of scanning
-// every stream after every process step.
+// Program and run state: a sim::Program holds what every run of one
+// design and schedule reads and none writes -- each application process's
+// op tape (sim/tape.h), fault-word layout and trap index, the trap marks
+// of its neutral fault words, each checker block's tape, the stream,
+// assertion and op->assertion lookups, the notification index and the
+// initial memory images. It is built once and shared read-only: a
+// campaign's golden run and all its fault sites, on any number of
+// threads, borrow their plan's. A Simulator owns only what a run writes:
+// registers, state and fault words, FIFOs, memory copies and clocks.
+//
+// Hot path: an interpreted process runs from its op tape: flat opcodes
+// over the u64 register file compiled processes also use, immediates
+// pooled into slots, destination masks and FSM-state offsets
+// precomputed. One executor (run_tape) runs sequential blocks,
+// pipelined-loop iterations and checker evaluations; the ELA and trace
+// hooks sit behind a test made once per call, and build a BitVector
+// only when armed. CPU-bound stream draining is event-driven off a
+// dirty list instead of scanning every stream after every process step.
 #pragma once
 
 #include <array>
@@ -221,8 +228,65 @@ struct RunResult {
   [[nodiscard]] bool completed() const { return status == RunStatus::kCompleted; }
 };
 
+/// The immutable half of a simulation (see the file comment). It borrows
+/// the design and schedule; every Simulator built from it borrows it.
+class Program {
+ public:
+  Program(const ir::Design& design, const sched::DesignSchedule& schedule);
+  Program(const Program&) = delete;  // its op lookups point into itself
+
+  [[nodiscard]] const ir::Design& design() const { return design_; }
+  [[nodiscard]] const sched::DesignSchedule& schedule() const { return schedule_; }
+
+ private:
+  friend class Simulator;
+
+  /// One application process. Every process has fault words, so one
+  /// tape serves faulted and unfaulted runs on either engine.
+  struct Proc {
+    const ir::Process* proc = nullptr;
+    const sched::ProcessSchedule* sched = nullptr;
+    ProcLayout layout;
+    Tape tape;
+    TrapIndex traps;
+    /// The state words with nothing armed (fixed words zero), and their
+    /// block words with the trap marks mark_traps proves on them.
+    std::vector<std::uint64_t> neutral;
+    std::vector<std::uint64_t> neutral_traps;
+  };
+
+  /// A checker block: its tape, the registers each evaluation zeroes
+  /// (inputs and block destinations; no other slot ever changes), and
+  /// where its slot file starts in `checker_slots_`.
+  struct Checker {
+    Tape tape;
+    std::vector<ir::RegId> touched;
+    std::size_t base = 0;
+  };
+
+  /// What an assertion-carrying op resolves to: its record, plus (for
+  /// kAssertTap) its checker, so a tap costs a single hash lookup.
+  struct OpAssertInfo {
+    const ir::AssertionRecord* rec = nullptr;
+    const Checker* checker = nullptr;
+  };
+
+  const ir::Design& design_;
+  const sched::DesignSchedule& schedule_;
+  std::vector<Proc> procs_;  // application processes, in design order
+  std::vector<Checker> checkers_;
+  std::vector<std::uint64_t> checker_slots_;  // every checker's initial slots, end to end
+  std::unordered_map<const ir::Op*, OpAssertInfo> op_assertions_;
+  std::unordered_map<std::string_view, ir::StreamId> stream_ids_;  // into the design's names
+  std::vector<std::vector<std::uint64_t>> memories_;  // initial u64 images, by MemId
+  assertions::NotificationIndex notify_index_;
+};
+
 class Simulator {
  public:
+  /// A run of `program`, which it borrows.
+  Simulator(const Program& program, const ExternRegistry& externs, SimOptions options = {});
+  /// A run of a private Program, for callers that simulate a design once.
   Simulator(const ir::Design& design, const sched::DesignSchedule& schedule,
             const ExternRegistry& externs, SimOptions options = {});
 
@@ -296,7 +360,7 @@ class Simulator {
 
   struct ProcState {
     const ir::Process* proc = nullptr;
-    const sched::ProcessSchedule* sched = nullptr;
+    const Program::Proc* def = nullptr;  // schedule, tape, layout, neutral words
     ir::BlockId cur = ir::kNoBlock;
     std::size_t op_idx = 0;
     std::uint64_t cycle = 0;             // local clock
@@ -306,15 +370,8 @@ class Simulator {
     /// process): the AOT function, which shares the u64 register file
     /// and the state words below (sim/compiled.h layout).
     CompiledProcFn cfn = nullptr;
-    /// The fault-word layout: the attached handle's for a compiled
-    /// process, `own_layout` for an interpreted one while faults are
-    /// armed, else null (no fault words).
-    const ProcLayout* layout = nullptr;
-    std::unique_ptr<ProcLayout> own_layout;
-    /// An interpreted process's op tape (empty for a compiled one).
-    Tape tape;
-    /// The register file, each value masked to its register's width; an
-    /// interpreted process's tape immediates follow the registers.
+    /// The register file, each value masked to its register's width,
+    /// then the tape's immediates.
     std::vector<std::uint64_t> regs64;
     std::vector<std::uint64_t> st;       // fixed words, then fault words
     std::vector<std::uint64_t*> mems64;  // the memory table, into mem64_
@@ -335,35 +392,9 @@ class Simulator {
     [[nodiscard]] bool trapped() const { return blocked && block_reason == BlockReason::kTrap; }
   };
 
-  /// Per-checker evaluation cache: the checker block's tape and a
-  /// preallocated slot file. `slots` holds zero registers and the tape's
-  /// immediates everywhere except the `touched` registers (inputs and
-  /// block destinations), which each evaluation zeroes -- no per-tap
-  /// heap allocation and no full-file copy.
-  struct CheckerCache {
-    Tape tape;
-    std::vector<std::uint64_t> slots;
-    std::vector<ir::RegId> touched;
-  };
-
-  /// What an assertion-carrying op resolves to: its record, plus (for
-  /// kAssertTap) the checker evaluation cache, so a tap costs a single
-  /// hash lookup. Checker pointers stay valid across rehashing because
-  /// unordered_map is node-based.
-  struct OpAssertInfo {
-    const ir::AssertionRecord* rec = nullptr;
-    CheckerCache* checker = nullptr;
-  };
-
-  struct TransparentStringHash {
-    using is_transparent = void;
-    [[nodiscard]] std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
+  std::unique_ptr<const Program> own_program_;  // the design/schedule constructor's
+  const Program& prog_;
   const ir::Design& design_;
-  const sched::DesignSchedule& schedule_;
   const ExternRegistry& externs_;
   SimOptions opt_;
   assertions::NotificationFunction notify_;
@@ -381,12 +412,7 @@ class Simulator {
   bool channel_faulted_ = false;  // a channel-corruption fault is armed
   std::vector<TraceEvent> trace_;
 
-  // ---- init_state() resolution caches (the design is immutable while
-  // ---- the simulator lives, so raw pointers into it are stable).
-  std::unordered_map<std::string, ir::StreamId, TransparentStringHash, std::equal_to<>>
-      stream_ids_;
-  std::unordered_map<const ir::Op*, OpAssertInfo> op_assertions_;
-  std::unordered_map<const ir::AssertionRecord*, CheckerCache> checkers_;
+  std::vector<std::uint64_t> checker_slots_;  // this run's copy of the Program's
   /// CPU-consumer streams with undelivered words, drained in id order.
   std::vector<ir::StreamId> dirty_cpu_streams_;
   /// Reusable argument buffer (externs cannot nest).
@@ -419,6 +445,9 @@ class Simulator {
   }
 
   [[nodiscard]] ir::StreamId stream_by_name(std::string_view name) const;
+  /// Why `values` cannot feed `stream` (not CPU-fed, or too wide), or ok.
+  [[nodiscard]] Status check_feed(ir::StreamId stream,
+                                  const std::vector<std::uint64_t>& values) const;
   void init_state();
 
   /// Cached design_.find_assertion(op.assert_id) for assertion-carrying ops.
@@ -437,15 +466,14 @@ class Simulator {
   /// Attaches SimOptions::compiled if the engine can run this
   /// configuration; records the fallback reason otherwise.
   void init_engine();
-  /// Sets a process's fault words from every armed fault, in the order
-  /// they were armed (neutral words when none is).
+  /// Sets a process's state words: the neutral words, then every armed
+  /// fault in the order they were armed, then the trap marks.
   void arm_fault_words(ProcState& ps) const;
   /// Stops `ps` for good in trap block `b` (kBlockTrap), at its clock.
   static void trap(ProcState& ps, ir::BlockId b);
-  /// Block `b`'s fault word (stuck branch, skip and trap flags),
-  /// kBranchFree when the process has no fault words.
+  /// Block `b`'s fault word (stuck branch, skip and trap flags).
   [[nodiscard]] static std::uint64_t block_word(const ProcState& ps, ir::BlockId b) {
-    return ps.layout == nullptr ? kBranchFree : ps.st[ps.layout->branch + b];
+    return ps.st[ps.def->layout.branch + b];
   }
   /// Callback surface for compiled code (cb_table_ slots). The generated
   /// function has already evaluated the op's predicate and timestamp.
@@ -501,10 +529,9 @@ class Simulator {
   /// assertion-failure stream drains at once (see drain_cpu_streams).
   void mark_cpu_dirty(ir::StreamId id);
 
-  void direct_assert_failure(std::uint32_t id, std::uint64_t at);
-  /// Evaluates rec's checker tape in `cc`, wiring the tap op's operand
-  /// values (read from `ps`) into the checker input registers.
-  void eval_checker(const ir::AssertionRecord& rec, CheckerCache& cc, ProcState& ps,
+  /// Evaluates rec's checker `c`, wiring the tap op's operand values
+  /// (read from `ps`) into the checker input registers.
+  void eval_checker(const ir::AssertionRecord& rec, const Program::Checker& c, ProcState& ps,
                     const ir::Op& tap, std::uint64_t at);
   void fail_wire(const ir::AssertionRecord* rec, std::uint64_t at);
   /// Delivers every queued CPU-bound word over the multiplexed channel,

@@ -1,6 +1,7 @@
 #include "sim/tape.h"
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 
 namespace hlsav::sim {
@@ -14,11 +15,14 @@ std::uint64_t mask_of(unsigned width) {
   return width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
 }
 
+std::atomic<std::uint64_t> g_decoded{0};
+
 }  // namespace
 
 TapeBuilder::TapeBuilder(const ir::Design& design, const ir::Process& proc,
                          const ProcLayout* layout)
     : design_(design), proc_(proc), layout_(layout) {
+  g_decoded.fetch_add(1, std::memory_order_relaxed);
   tape_.proc = &proc;
   tape_.slots.assign(proc.regs.size(), 0);
   if (tape_.slots.empty()) tape_.slots.push_back(0);
@@ -188,5 +192,7 @@ Tape decode_checker(const ir::Design& design, const ir::Process& proc,
   for (const Op& op : block.ops) tb.append(op, 0, /*checker=*/true);
   return std::move(tb.tape());
 }
+
+std::uint64_t tapes_decoded() { return g_decoded.load(std::memory_order_relaxed); }
 
 }  // namespace hlsav::sim

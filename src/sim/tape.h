@@ -1,6 +1,6 @@
-// The interpreter's op tape: each process the interpreter steps, and each
-// checker block, decoded once at Simulator construction into a flat array
-// of fixed-size entries over a u64 slot file.
+// The interpreter's op tape: each application process and each checker
+// block, decoded once per design and schedule (when its sim::Program is
+// built) into a flat array of fixed-size entries over a u64 slot file.
 //
 // A slot file is the process's registers (ProcState::regs64, the same
 // u64 register file compiled processes use), followed by the tape's
@@ -143,6 +143,8 @@ class TapeBuilder {
 /// The tape of a checker block (every op at offset 0).
 [[nodiscard]] Tape decode_checker(const ir::Design& design, const ir::Process& proc,
                                   const ir::BasicBlock& block);
+/// Tapes decoded (TapeBuilders made) so far in this process.
+[[nodiscard]] std::uint64_t tapes_decoded();
 
 /// `v`, a w-bit value, sign-extended to 64 bits.
 [[nodiscard]] inline std::int64_t tape_sx(std::uint64_t v, unsigned w) {

@@ -199,13 +199,6 @@ class BitVector {
   [[nodiscard]] std::string to_string_dec(bool is_signed = false) const {
     return is_signed ? std::to_string(to_i64()) : std::to_string(word_);
   }
-  [[nodiscard]] std::string to_string_hex() const {
-    std::string out = "0x";
-    for (unsigned i = (width_ + 3) / 4; i-- > 0;) {
-      out.push_back("0123456789abcdef"[(word_ >> (4 * i)) & 0xf]);
-    }
-    return out;
-  }
 
   friend bool operator==(const BitVector& a, const BitVector& b) {
     return a.width_ == b.width_ && a.word_ == b.word_;

@@ -51,7 +51,8 @@ TEST(Notify, HaltsOnFirstFailureByDefault) {
   auto c = compile(kTwoAssertSrc);
   ir::Design d = c->design.clone();
   synthesize(d, Options::unoptimized());
-  NotificationFunction notify(d);
+  NotificationIndex index(d);
+  NotificationFunction notify(index);
   bool halt = notify.on_word(d.assertions[0].fail_stream, 0, /*cycle=*/42);
   EXPECT_TRUE(halt);
   EXPECT_TRUE(notify.aborted());
@@ -67,7 +68,8 @@ TEST(Notify, NabortKeepsRunning) {
   Options opt;
   opt.nabort = true;
   synthesize(d, opt);
-  NotificationFunction notify(d);
+  NotificationIndex index(d);
+  NotificationFunction notify(index);
   EXPECT_FALSE(notify.on_word(d.assertions[0].fail_stream, 0, 1));
   EXPECT_FALSE(notify.on_word(d.assertions[1].fail_stream, 1, 2));
   EXPECT_FALSE(notify.aborted());
@@ -80,7 +82,8 @@ TEST(Notify, SinkInvokedPerFailure) {
   Options opt;
   opt.nabort = true;
   synthesize(d, opt);
-  NotificationFunction notify(d);
+  NotificationIndex index(d);
+  NotificationFunction notify(index);
   std::vector<std::uint32_t> seen;
   notify.set_sink([&seen](const Failure& f) { seen.push_back(f.assertion_id); });
   (void)notify.on_word(d.assertions[1].fail_stream, 1, 5);
@@ -92,7 +95,8 @@ TEST(Notify, RenderListsAllFailures) {
   auto c = compile(kTwoAssertSrc);
   ir::Design d = c->design.clone();
   synthesize(d, Options::unoptimized());
-  NotificationFunction notify(d);
+  NotificationIndex index(d);
+  NotificationFunction notify(index);
   (void)notify.on_word(d.assertions[0].fail_stream, 0, 7);
   std::string out = notify.render();
   EXPECT_NE(out.find("x > 0"), std::string::npos);

@@ -4,8 +4,10 @@
 
 #include <filesystem>
 
+#include "apps/loopback.h"
 #include "assertions/options.h"
 #include "assertions/synthesize.h"
+#include "codegen/codegen_test_util.h"
 #include "common/test_util.h"
 #include "sim/campaign.h"
 
@@ -20,6 +22,19 @@ struct H {
   ExternRegistry externs;
   std::map<std::string, std::vector<std::uint64_t>> feeds;
 };
+
+/// The loopback chain (paper §5.3): `stages` processes, each with a
+/// BRAM, an assertion and, optimized, a checker block.
+H make_loopback(unsigned stages) {
+  auto app = apps::loopback::build(stages, 6);
+  H h;
+  h.design = app->design.clone();
+  assertions::synthesize(h.design, assertions::Options::optimized());
+  ir::verify(h.design);
+  h.schedule = sched::schedule_design(h.design);
+  h.feeds = {{apps::loopback::input_stream(stages), {5, 6, 7, 8, 9, 10}}};
+  return h;
+}
 
 H make_clamp(const assertions::Options& aopt) {
   auto c = compile(R"(
@@ -102,9 +117,9 @@ TEST(Campaign, ClassifiesDetectionAndAttributesAssertion) {
   }
   ASSERT_NE(skip_then, nullptr);
 
-  GoldenRef golden = golden_run(h.design, h.schedule, h.externs, h.feeds, {});
-  FaultResult r =
-      run_fault(h.design, h.schedule, h.externs, h.feeds, golden, *skip_then, {}, 100'000);
+  const Program program(h.design, h.schedule);
+  GoldenRef golden = golden_run(program, h.externs, h.feeds, {});
+  FaultResult r = run_fault(program, h.externs, h.feeds, golden, *skip_then, {}, 100'000);
   EXPECT_EQ(r.outcome, FaultOutcome::kDetected);
   ASSERT_EQ(r.detected_by.size(), 1u);
   EXPECT_FALSE(h.design.assertions.empty());
@@ -115,8 +130,9 @@ TEST(Campaign, ClassifiesSilentCorruption) {
   // has nothing to catch it: silent corruption.
   H h = make_clamp(assertions::Options::ndebug());
   ir::StreamId out = h.design.find_process("clamp")->find_port("out")->stream;
-  GoldenRef golden = golden_run(h.design, h.schedule, h.externs, h.feeds, {});
-  FaultResult r = run_fault(h.design, h.schedule, h.externs, h.feeds, golden,
+  const Program program(h.design, h.schedule);
+  GoldenRef golden = golden_run(program, h.externs, h.feeds, {});
+  FaultResult r = run_fault(program, h.externs, h.feeds, golden,
                             FaultSpec::stream_stuck(out, 0, 99), {}, 100'000);
   EXPECT_EQ(r.outcome, FaultOutcome::kSilentCorruption);
   EXPECT_TRUE(r.detected_by.empty());
@@ -125,19 +141,23 @@ TEST(Campaign, ClassifiesSilentCorruption) {
 TEST(Campaign, GoldenRunMustBeClean) {
   H h = make_clamp(assertions::Options::optimized());
   h.feeds["clamp.in"] = {1, 2, 3};  // starves the loop: golden hangs
-  EXPECT_THROW(golden_run(h.design, h.schedule, h.externs, h.feeds, {}), InternalError);
+  EXPECT_THROW(golden_run(Program(h.design, h.schedule), h.externs, h.feeds, {}), InternalError);
 }
 
-TEST(Campaign, ParallelWorkersMatchSerialByteForByte) {
-  H h = make_clamp(assertions::Options::optimized());
+/// Runs `h`'s campaign on one thread and on four workers sharing the
+/// plan's Program, and checks that every site and the rendered report
+/// agree.
+void expect_parallel_matches_serial(const H& h, const SimOptions& sim) {
   CampaignOptions serial;
   serial.threads = 1;
-  CampaignOptions par;
+  serial.sim = sim;
+  CampaignOptions par = serial;
   par.threads = 4;
   CampaignReport a = run_campaign(h.design, h.schedule, h.externs, h.feeds, serial);
   CampaignReport b = run_campaign(h.design, h.schedule, h.externs, h.feeds, par);
   EXPECT_EQ(a.threads, 1u);
   EXPECT_GT(b.threads, 1u);
+  EXPECT_EQ(a.sites_compiled, b.sites_compiled);
   ASSERT_EQ(a.results.size(), b.results.size());
   for (std::size_t i = 0; i < a.results.size(); ++i) {
     EXPECT_EQ(a.results[i].site.id, b.results[i].site.id);
@@ -149,6 +169,54 @@ TEST(Campaign, ParallelWorkersMatchSerialByteForByte) {
   // compare equal once that is held fixed.
   b.threads = a.threads;
   EXPECT_EQ(a.render(h.design), b.render(h.design));
+}
+
+TEST(Campaign, ParallelWorkersMatchSerialByteForByte) {
+  expect_parallel_matches_serial(make_clamp(assertions::Options::optimized()), {});
+  // The compiled engine: every site of the loopback chain runs compiled.
+  if (codegen::find_compiler().empty()) GTEST_SKIP() << "no host C compiler";
+  H h = make_loopback(4);
+  codegen::PrepareOptions popt;
+  popt.cache_dir = codegen::test_cache_dir();
+  StatusOr<std::unique_ptr<codegen::CompiledDesign>> prep =
+      codegen::prepare(h.design, h.schedule, popt);
+  ASSERT_TRUE(prep.ok()) << prep.status().to_string();
+  SimOptions sim;
+  sim.engine = SimEngine::kCompiled;
+  sim.compiled = (*prep)->handle();
+  expect_parallel_matches_serial(h, sim);
+  CampaignOptions opt;
+  opt.sim = sim;
+  opt.threads = 4;
+  CampaignReport r = run_campaign(h.design, h.schedule, h.externs, h.feeds, opt);
+  EXPECT_EQ(r.sites_compiled, r.results.size()) << r.engine_note;
+}
+
+TEST(Campaign, DecodesEachTapeOncePerCampaign) {
+  // plan_campaign decodes every application process and checker block
+  // into one Program; the golden run and every site borrow it, so the
+  // decode count does not grow with the number of sites.
+  H h = make_loopback(5);
+  std::uint64_t tapes = 0;
+  for (const auto& p : h.design.processes) {
+    if (p->role == ir::ProcessRole::kApplication) ++tapes;
+  }
+  std::uint64_t checkers = 0;
+  for (const ir::AssertionRecord& rec : h.design.assertions) {
+    if (!rec.checker_process.empty()) ++checkers;
+  }
+  ASSERT_GT(checkers, 0u);
+  const std::size_t total = enumerate_fault_sites(h.design, h.schedule).size();
+  ASSERT_GE(total, 60u);
+  for (const auto& [sites, threads] : {std::pair{12u, 1u}, std::pair{60u, 4u}}) {
+    CampaignOptions opt;
+    opt.max_faults = sites;
+    opt.threads = threads;
+    const std::uint64_t before = tapes_decoded();
+    CampaignReport r = run_campaign(h.design, h.schedule, h.externs, h.feeds, opt);
+    EXPECT_EQ(r.results.size(), sites);
+    EXPECT_EQ(tapes_decoded() - before, tapes + checkers) << sites << " sites";
+  }
 }
 
 TEST(Campaign, ZeroThreadsMeansHardwareConcurrency) {

@@ -338,7 +338,7 @@ TEST(Simulator, NarrowCompareFaultDivergence) {
     ExternRegistry ext;
     SimOptions so;
     so.mode = SimMode::kHardware;
-    so.faults.add_narrow_compare("f", 0, 5);
+    so.faults.add(FaultSpec::narrow_compare("f", 0, 5));
     Simulator sim(d, sch, ext, so);
     sim.feed("f.in", {4294967286u});
     RunResult r = sim.run();

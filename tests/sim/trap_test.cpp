@@ -41,7 +41,7 @@ std::vector<std::string> traps(const ir::Process& p, const std::vector<std::stri
   std::vector<std::uint64_t> words(p.blocks.size(), kBranchFree);
   for (const std::string& b : stuck_taken) words[block_id(p, b)] = kBranchTaken;
   for (const std::string& b : skipped) words[block_id(p, b)] |= kBlockSkip;
-  mark_traps(p, words.data());
+  mark_traps(TrapIndex(p), words.data());
   std::vector<std::string> out;
   for (const ir::BasicBlock& b : p.blocks) {
     if ((words[b.id] & kBlockTrap) != 0) out.push_back(b.name);

@@ -83,13 +83,14 @@ TEST(Watchdog, GenerousDeadlineDoesNotPerturbTheRun) {
 
 TEST(Watchdog, CampaignClassifiesExpiredBudgetAsBudgetExceeded) {
   H h = make_clamp();
-  GoldenRef golden = golden_run(h.design, h.schedule, h.externs, h.feeds, {});
+  const Program program(h.design, h.schedule);
+  GoldenRef golden = golden_run(program, h.externs, h.feeds, {});
   std::vector<FaultSpec> sites = enumerate_fault_sites(h.design, h.schedule);
   ASSERT_FALSE(sites.empty());
   // A 1e-9 ms budget has expired before the run starts: the watchdog
   // fires at the entry check, so the classification is deterministic.
-  FaultResult r = run_fault(h.design, h.schedule, h.externs, h.feeds, golden, sites[0], {},
-                            100'000, nullptr, 1e-9);
+  FaultResult r =
+      run_fault(program, h.externs, h.feeds, golden, sites[0], {}, 100'000, nullptr, 1e-9);
   EXPECT_EQ(r.outcome, FaultOutcome::kBudgetExceeded);
   EXPECT_EQ(r.cycles, 0u);
 }

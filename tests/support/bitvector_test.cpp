@@ -110,11 +110,6 @@ TEST(BitVector, DecimalStrings) {
   EXPECT_EQ(BitVector::from_u64(64, 1).shl(63).to_string_dec(true), "-9223372036854775808");
 }
 
-TEST(BitVector, HexStrings) {
-  EXPECT_EQ(BitVector::from_u64(32, 0xdeadbeef).to_string_hex(), "0xdeadbeef");
-  EXPECT_EQ(BitVector::from_u64(5, 22).to_string_hex(), "0x16");
-}
-
 TEST(BitVector, PaperNarrowCompareExample) {
   // The paper's §5.1 bug: 4294967286 > 4294967296 is false at 64 bits but
   // the erroneously narrowed 5-bit comparison 22 > 0 is true.

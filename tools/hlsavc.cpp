@@ -62,6 +62,7 @@
 #include <optional>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -511,8 +512,9 @@ int run(const Args& args) {
   }
   // One run with its status, CPU-visible outputs and exit code: a
   // `simulate`, or a `faultsim --site=N` repro with its fault armed.
-  auto simulate_and_report = [&](const sim::ExternRegistry& externs, const sim::SimOptions& so) {
-    sim::Simulator simulator(design, schedule, externs, so);
+  auto simulate_and_report = [&](const sim::Program& program, const sim::ExternRegistry& externs,
+                                 const sim::SimOptions& so) {
+    sim::Simulator simulator(program, externs, so);
     report_engine(simulator);
     simulator.set_failure_sink([](const assertions::Failure& f) {
       std::cerr << f.message << "  [cycle " << f.cycle << "]\n";
@@ -545,7 +547,7 @@ int run(const Args& args) {
     so.trace = args.trace;
     arm_deadline(so);
     arm_engine(so);
-    return simulate_and_report(externs, so);
+    return simulate_and_report(sim::Program(design, schedule), externs, so);
   }
   if (args.command == "profile") {
     sim::ExternRegistry externs;
@@ -601,16 +603,20 @@ int run(const Args& args) {
     so.mode = args.software_mode ? sim::SimMode::kSoftware : sim::SimMode::kHardware;
     so.ela = &engine;
     if (args.campaign_opts.max_cycles != 0) so.max_cycles = args.campaign_opts.max_cycles;
+    std::shared_ptr<const sim::Program> program;
     if (args.site != sim::FaultSpec::kNoSite) {
       sim::CampaignOptions copt = args.campaign_opts;
       arm_engine(copt.sim);
       std::optional<sim::CampaignPlan> plan = plan_one_site(args.site, externs, copt);
       if (!plan) return 1;
       arm_site(so, *plan, args.site);
+      program = plan->program;
+    } else {
+      program = std::make_shared<const sim::Program>(design, schedule);
     }
     arm_deadline(so);  // after the golden run: the budget is the traced run's
     arm_engine(so);
-    sim::Simulator simulator(design, schedule, externs, so);
+    sim::Simulator simulator(*program, externs, so);
     report_engine(simulator);
     simulator.set_failure_sink([](const assertions::Failure& f) {
       std::cerr << f.message << "  [cycle " << f.cycle << "]\n";
@@ -670,8 +676,12 @@ int run(const Args& args) {
       copt.cancel = &g_interrupted;
       std::signal(SIGINT, handle_interrupt);
       std::signal(SIGTERM, handle_interrupt);
+      // One plan, so the sweep and the trace reruns share one Program.
+      StatusOr<sim::CampaignPlan> plan =
+          sim::plan_campaign(design, schedule, externs, args.feeds, copt);
       StatusOr<sim::CampaignReport> rep_or =
-          sim::run_campaign_st(design, schedule, externs, args.feeds, copt);
+          plan.ok() ? sim::run_campaign_st(*plan, copt)
+                    : StatusOr<sim::CampaignReport>(plan.status());
       std::signal(SIGINT, SIG_DFL);
       std::signal(SIGTERM, SIG_DFL);
       if (!rep_or.ok()) {
@@ -698,12 +708,6 @@ int run(const Args& args) {
       }
       std::cout << rep.render(design);
       if (args.trace_nonbenign) {
-        StatusOr<sim::CampaignPlan> plan =
-            sim::plan_campaign(design, schedule, externs, args.feeds, copt);
-        if (!plan.ok()) {
-          std::cerr << "hlsavc: " << plan.status().to_string() << "\n";
-          return 1;
-        }
         std::vector<sim::TraceArtifact> arts = sim::trace_nonbenign_sites(*plan, rep, copt, topt);
         std::cout << "traced " << arts.size() << " non-benign site(s) into " << args.trace_dir
                   << "/\n";
@@ -747,7 +751,7 @@ int run(const Args& args) {
       so.trace = args.trace;
       arm_site(so, *plan, one_site);
       arm_deadline(so);
-      return simulate_and_report(externs, so);
+      return simulate_and_report(*plan->program, externs, so);
     }
 
     std::vector<sim::FaultSpec> sites = sim::enumerate_fault_sites(design, schedule);
