@@ -92,30 +92,43 @@ std::unique_ptr<codegen::CompiledDesign> prepare_compiled(const PreparedSim& p,
   return std::move(*cd);
 }
 
+/// Times runs of one prepared workload, `feed` into CPU stream `stream`.
+/// The sim::Program is built once, outside the timed runs, and every
+/// run borrows it, as a campaign's sites do: the rows time construction
+/// of a run and the run itself, not decoding the design. The row is
+/// `name`, suffixed "_compiled" or "_prof".
+std::optional<SimThroughput> throughput(const std::string& name, const PreparedSim& p,
+                                        const std::string& stream,
+                                        const std::vector<std::uint64_t>& feed,
+                                        double min_seconds, bool profiled, bool compiled) {
+  std::unique_ptr<codegen::CompiledDesign> cd;
+  if (compiled && (cd = prepare_compiled(p, name)) == nullptr) return std::nullopt;
+  const sim::Program program(p.design, p.schedule);
+  sim::ExternRegistry ext;
+  return bench::time_simulation(
+      name + (compiled ? "_compiled" : profiled ? "_prof" : ""),
+      [&] {
+        std::optional<metrics::Profiler> prof;
+        sim::Simulator s(program, ext, sim_options(p, profiled, prof, cd.get()));
+        s.feed(stream, feed);
+        sim::RunResult r = s.run();
+        HLSAV_CHECK(r.completed() && r.failures.empty(), name + " bench run misbehaved");
+        HLSAV_CHECK(cd == nullptr || s.engine_active(),
+                    "compiled engine fell back during " + name + " bench: " + s.engine_note());
+        return r.cycles;
+      },
+      min_seconds, 3, g_best_of);
+}
+
 std::optional<SimThroughput> loopback_throughput(unsigned stages, unsigned words,
                                                  const assertions::Options& opt,
                                                  const std::string& name, double min_seconds,
                                                  bool profiled = false, bool compiled = false) {
   auto app = apps::loopback::build(stages, words);
-  PreparedSim p = prepare(app->design, opt);
-  std::unique_ptr<codegen::CompiledDesign> cd;
-  if (compiled && (cd = prepare_compiled(p, name)) == nullptr) return std::nullopt;
   std::vector<std::uint64_t> data(words);
   for (unsigned i = 0; i < words; ++i) data[i] = i + 1;  // all > 0: no failures
-  sim::ExternRegistry ext;
-  return bench::time_simulation(
-      compiled ? name + "_compiled" : name,
-      [&] {
-        std::optional<metrics::Profiler> prof;
-        sim::Simulator s(p.design, p.schedule, ext, sim_options(p, profiled, prof, cd.get()));
-        s.feed(apps::loopback::input_stream(stages), data);
-        sim::RunResult r = s.run();
-        HLSAV_CHECK(r.completed() && r.failures.empty(), "loopback bench run misbehaved");
-        HLSAV_CHECK(cd == nullptr || s.engine_active(),
-                    "compiled engine fell back during loopback bench: " + s.engine_note());
-        return r.cycles;
-      },
-      min_seconds, 3, g_best_of);
+  return throughput(name, prepare(app->design, opt), apps::loopback::input_stream(stages), data,
+                    min_seconds, profiled, compiled);
 }
 
 std::optional<SimThroughput> des_throughput(double min_seconds, bool profiled = false,
@@ -125,30 +138,14 @@ std::optional<SimThroughput> des_throughput(double min_seconds, bool profiled = 
   auto app = apps::compile_app("triple_des", "des3.c", apps::des::hlsc_decrypt_source(keys));
   sched::SchedOptions sched_opts;
   sched_opts.chain_depth = 6;
-  PreparedSim p = prepare(app->design, assertions::Options::optimized(), sched_opts);
-  std::unique_ptr<codegen::CompiledDesign> cd;
-  if (compiled && (cd = prepare_compiled(p, "tripledes_decrypt")) == nullptr) return std::nullopt;
   std::string text = "In-circuit assertion-based verification throughput.";
   std::vector<std::uint64_t> cipher;
   for (std::uint64_t b : apps::des::pack_text(text)) {
     cipher.push_back(apps::des::triple_des_encrypt(b, keys));
   }
-  std::vector<std::uint64_t> feed_words = apps::des::to_word_stream(cipher);
-  sim::ExternRegistry ext;
-  return bench::time_simulation(
-      compiled ? "tripledes_decrypt_compiled"
-               : (profiled ? "tripledes_decrypt_prof" : "tripledes_decrypt"),
-      [&] {
-        std::optional<metrics::Profiler> prof;
-        sim::Simulator s(p.design, p.schedule, ext, sim_options(p, profiled, prof, cd.get()));
-        s.feed("des3.in", feed_words);
-        sim::RunResult r = s.run();
-        HLSAV_CHECK(r.completed() && r.failures.empty(), "3DES bench run misbehaved");
-        HLSAV_CHECK(cd == nullptr || s.engine_active(),
-                    "compiled engine fell back during 3DES bench: " + s.engine_note());
-        return r.cycles;
-      },
-      min_seconds, 3, g_best_of);
+  return throughput("tripledes_decrypt",
+                    prepare(app->design, assertions::Options::optimized(), sched_opts), "des3.in",
+                    apps::des::to_word_stream(cipher), min_seconds, profiled, compiled);
 }
 
 std::optional<SimThroughput> edge_throughput(double min_seconds, bool profiled = false,
@@ -158,26 +155,10 @@ std::optional<SimThroughput> edge_throughput(double min_seconds, bool profiled =
   auto app = apps::compile_app("edge_detect", "edge.c", apps::edge::hlsc_source(kW, kH));
   sched::SchedOptions sched_opts;
   sched_opts.chain_depth = 16;
-  PreparedSim p = prepare(app->design, assertions::Options::optimized(), sched_opts);
-  std::unique_ptr<codegen::CompiledDesign> cd;
-  if (compiled && (cd = prepare_compiled(p, "edge_detect_64x48")) == nullptr) return std::nullopt;
   apps::img::Image input = apps::img::synthetic_image(kW, kH, 7);
-  std::vector<std::uint64_t> feed_words = apps::edge::to_word_stream(input);
-  sim::ExternRegistry ext;
-  return bench::time_simulation(
-      compiled ? "edge_detect_64x48_compiled"
-               : (profiled ? "edge_detect_64x48_prof" : "edge_detect_64x48"),
-      [&] {
-        std::optional<metrics::Profiler> prof;
-        sim::Simulator s(p.design, p.schedule, ext, sim_options(p, profiled, prof, cd.get()));
-        s.feed("edge.in", feed_words);
-        sim::RunResult r = s.run();
-        HLSAV_CHECK(r.completed() && r.failures.empty(), "edge bench run misbehaved");
-        HLSAV_CHECK(cd == nullptr || s.engine_active(),
-                    "compiled engine fell back during edge bench: " + s.engine_note());
-        return r.cycles;
-      },
-      min_seconds, 3, g_best_of);
+  return throughput("edge_detect_64x48",
+                    prepare(app->design, assertions::Options::optimized(), sched_opts), "edge.in",
+                    apps::edge::to_word_stream(input), min_seconds, profiled, compiled);
 }
 
 /// One fully profiled loopback run whose report JSON is embedded in
@@ -336,7 +317,7 @@ int main(int argc, char** argv) {
   if (run_interp) {
     // Armed-overhead rows: the same workloads with the profiler running
     // (interpreter only; an armed profiler declines the compiled engine).
-    add(loopback_throughput(8, kWords, assertions::Options::optimized(), "loopback_opt_n8_prof",
+    add(loopback_throughput(8, kWords, assertions::Options::optimized(), "loopback_opt_n8",
                             min_seconds, /*profiled=*/true));
     add(des_throughput(min_seconds, /*profiled=*/true));
     add(edge_throughput(min_seconds, /*profiled=*/true));

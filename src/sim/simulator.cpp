@@ -123,7 +123,6 @@ Simulator::Simulator(const ir::Design& design, const sched::DesignSchedule& sche
 }
 
 void Simulator::init_state() {
-  tracing_ = opt_.trace;
   ela_ = opt_.ela;
   prof_ = opt_.profile;
   deadline_ = opt_.deadline;
@@ -179,10 +178,6 @@ void Simulator::init_engine() {
   // machinery; the reason is reported through engine_note().
   if (opt_.compiled == nullptr || opt_.compiled->procs.empty()) {
     engine_note_ = "no compiled design attached";
-    return;
-  }
-  if (opt_.trace) {
-    engine_note_ = "trace capture armed; compiled engine declines, interpreting";
     return;
   }
   if (opt_.ela != nullptr) {
@@ -481,14 +476,6 @@ void Simulator::eval_checker(const ir::AssertionRecord& rec, const Program::Chec
 
 // ------------------------------------------------------------ op exec --
 
-void Simulator::record_trace(const ProcState& ps, const Op& op, std::uint64_t at) {
-  if (trace_.size() >= opt_.trace_limit) {
-    tracing_ = false;
-    return;
-  }
-  trace_.push_back(TraceEvent{at, ps.proc->name, op.kind, op.loc});
-}
-
 std::uint32_t Simulator::run_tape(ProcState& ps, std::uint64_t* s, const Tape& t,
                                   std::uint32_t i, std::uint32_t end, const std::uint64_t& base,
                                   bool hooks) {
@@ -497,10 +484,9 @@ std::uint32_t Simulator::run_tape(ProcState& ps, std::uint64_t* s, const Tape& t
   for (; i < end; ++i) {
     const TapeOp& o = ops[i];
     if (o.pred != TapePred::kAlways && (s[o.p] != 0) != (o.pred == TapePred::kIfSet)) continue;
-    if (hooks && tracing_) [[unlikely]] record_trace(ps, *t.src[i], base + o.state);
     if (o.code < TapeCode::kLoad) [[likely]] {
       s[o.dest] = eval_pure(o, s, st);
-      if (hooks && ela_ != nullptr) [[unlikely]] {
+      if (hooks) [[unlikely]] {
         const Op& op = *t.src[i];
         ela_->reg_write(ps.proc, op.dest, bits(*ps.proc, s, Operand::make_reg(op.dest)),
                         base + o.state, op.loc);
@@ -513,7 +499,7 @@ std::uint32_t Simulator::run_tape(ProcState& ps, std::uint64_t* s, const Tape& t
         const std::vector<std::uint64_t>& mem = mem64_[o.b];
         const std::uint64_t idx = s[o.a];
         s[o.dest] = idx < mem.size() ? mem[idx] & o.k : 0;
-        if (hooks && ela_ != nullptr) [[unlikely]] {
+        if (hooks) [[unlikely]] {
           const Op& op = *t.src[i];
           BitVector v = BitVector::from_u64(design_.memory(op.mem).width, s[o.dest]);
           ela_->bram_read(ps.proc, op.mem, idx, v, base + o.state, op.loc);
@@ -531,7 +517,7 @@ std::uint32_t Simulator::run_tape(ProcState& ps, std::uint64_t* s, const Tape& t
         if (idx >= mem.size()) break;
         mem[idx] = v;
         // The trace holds what the port actually wrote, faults included.
-        if (hooks && ela_ != nullptr) [[unlikely]] {
+        if (hooks) [[unlikely]] {
           const Op& op = *t.src[i];
           ela_->bram_write(ps.proc, op.mem, idx,
                            BitVector::from_u64(design_.memory(op.mem).width, v),
@@ -679,7 +665,7 @@ bool Simulator::run_sequential_block(ProcState& ps) {
   // falls straight through to the terminator on stale register values.
   if (ps.op_idx == 0 && (block_word(ps, ps.cur) & kBlockSkip) != 0) ps.op_idx = n;
   const auto first = static_cast<std::uint32_t>(ps.op_idx);
-  const bool hooks = tracing_ || ela_ != nullptr;
+  const bool hooks = ela_ != nullptr;
   const std::uint32_t i = run_tape(ps, ps.regs64.data(), ps.def->tape, tb.begin + first, tb.end,
                                    ps.block_entry_cycle, hooks);
   ps.op_idx = i - tb.begin;
@@ -727,7 +713,7 @@ bool Simulator::run_pipelined_loop(ProcState& ps) {
       ps.block_reason = BlockReason::kCycleLimitPipelined;
       return progress;
     }
-    const bool hooks = tracing_ || ela_ != nullptr;
+    const bool hooks = ela_ != nullptr;
     if (ps.op_idx < h) {
       const std::uint32_t from = header.pbegin + static_cast<std::uint32_t>(ps.op_idx);
       const std::uint32_t i = run_tape(ps, s, ps.def->tape, from, header.pend, iter_base, hooks);
@@ -829,7 +815,7 @@ std::uint32_t Simulator::compiled_exec_op(std::uint32_t pidx, std::uint32_t bloc
                                           std::uint32_t op_idx, std::uint64_t at) {
   // The generated code already evaluated the op's predicate and
   // timestamp, and shares the register file; the interpreter's effect
-  // path does the rest (the engine declines trace/ELA/profiler runs).
+  // path does the rest (the engine declines ELA and profiler runs).
   ProcState& ps = procs_[pidx];
   if (!exec_effect(ps, ps.proc->blocks[block].ops[op_idx], at)) return kCbBlocked;
   ps.st[kStProgress] = 1;
@@ -1016,7 +1002,6 @@ RunResult Simulator::run() {
     result.hang = diagnose_hang();
     result.hang_report = result.hang->render();
   }
-  result.trace_truncated = opt_.trace && !tracing_;
 
   if (prof_ != nullptr) {
     for (const ProcState& ps : procs_) {
@@ -1084,20 +1069,6 @@ void Simulator::drain_cpu_streams() {
     st.dirty = false;
   }
   dirty_cpu_streams_.clear();
-}
-
-std::string Simulator::render_trace(const SourceManager* sm) const {
-  std::ostringstream os;
-  for (const TraceEvent& e : trace_) {
-    os << "[" << e.cycle << "] " << e.process << ": " << ir::op_traits(e.kind).name;
-    if (e.loc.valid()) {
-      os << " @ ";
-      if (sm != nullptr) os << sm->name(e.loc.file) << ":";
-      os << "line " << e.loc.line;
-    }
-    os << '\n';
-  }
-  return os.str();
 }
 
 const ExternRegistry::Fn* Simulator::extern_fn(const std::string& name) const {

@@ -44,10 +44,10 @@
 // over the u64 register file compiled processes also use, immediates
 // pooled into slots, destination masks and FSM-state offsets
 // precomputed. One executor (run_tape) runs sequential blocks,
-// pipelined-loop iterations and checker evaluations; the ELA and trace
-// hooks sit behind a test made once per call, and build a BitVector
-// only when armed. CPU-bound stream draining is event-driven off a
-// dirty list instead of scanning every stream after every process step.
+// pipelined-loop iterations and checker evaluations; the ELA hooks sit
+// behind a test made once per call, and build a BitVector only when
+// armed. CPU-bound stream draining is event-driven off a dirty list
+// instead of scanning every stream after every process step.
 #pragma once
 
 #include <array>
@@ -109,9 +109,6 @@ struct SimOptions {
   /// paper argues this never stalls the application -- and it doesn't:
   /// only CPU-side delivery stamps shift).
   bool model_channel_mux = true;
-  /// Record an execution trace (per-op events, capped at trace_limit).
-  bool trace = false;
-  std::size_t trace_limit = 100'000;
   /// Armed ELA capture engine (borrowed; may be null). When set, the
   /// simulator feeds per-cycle events -- FSM transitions, register
   /// writes, stream handshakes, BRAM ports, assertion verdicts -- into
@@ -131,7 +128,7 @@ struct SimOptions {
   /// for the processes they cover and interpret the rest; the simulator
   /// itself falls back to full interpretation (and says why in
   /// engine_note()) when no handle is attached or when an armed
-  /// observability feature -- trace, ELA, profiler -- needs the
+  /// observability feature -- the ELA or the profiler -- needs the
   /// interpreter's per-op hooks. Armed faults never force a fallback:
   /// both engines read the same per-process fault words. Cycle counts,
   /// RunResults and received words are bit-identical across engines;
@@ -140,16 +137,6 @@ struct SimOptions {
   /// Borrowed compiled design (see codegen::compile_design). Must
   /// outlive the simulator. Ignored when engine == kInterpreter.
   const CompiledDesignHandle* compiled = nullptr;
-};
-
-/// One traced op execution (trace mode). The closest thing the flow has
-/// to a waveform: which process executed what, when, and from which
-/// source line.
-struct TraceEvent {
-  std::uint64_t cycle = 0;
-  std::string process;
-  ir::OpKind kind = ir::OpKind::kCopy;
-  SourceLoc loc;
 };
 
 enum class RunStatus : std::uint8_t {
@@ -220,10 +207,6 @@ struct RunResult {
   std::vector<assertions::Failure> failures;
   std::string hang_report;  // rendered from `hang` when kHung
   std::optional<HangInfo> hang;
-  /// Trace mode hit SimOptions::trace_limit: `trace()` holds a prefix
-  /// of the run, not the whole run. Explicit so consumers never mistake
-  /// a capped capture for a short one.
-  bool trace_truncated = false;
 
   [[nodiscard]] bool completed() const { return status == RunStatus::kCompleted; }
 };
@@ -312,11 +295,6 @@ class Simulator {
   void set_failure_sink(assertions::NotificationFunction::Sink sink) {
     notify_.set_sink(std::move(sink));
   }
-
-  /// Execution trace (only populated with SimOptions::trace).
-  [[nodiscard]] const std::vector<TraceEvent>& trace() const { return trace_; }
-  /// Renders the trace, one event per line.
-  [[nodiscard]] std::string render_trace(const SourceManager* sm = nullptr) const;
 
   /// True when at least one process runs through a compiled function.
   [[nodiscard]] bool engine_active() const { return engine_active_; }
@@ -410,14 +388,12 @@ class Simulator {
   /// Count of words delivered over the CPU channel (channel faults only).
   std::uint64_t channel_word_seq_ = 0;
   bool channel_faulted_ = false;  // a channel-corruption fault is armed
-  std::vector<TraceEvent> trace_;
 
   std::vector<std::uint64_t> checker_slots_;  // this run's copy of the Program's
   /// CPU-consumer streams with undelivered words, drained in id order.
   std::vector<ir::StreamId> dirty_cpu_streams_;
   /// Reusable argument buffer (externs cannot nest).
   std::vector<BitVector> extern_args_;
-  bool tracing_ = false;        // flips off once trace_limit is reached
   bool inject_faults_ = false;  // kHardware with a non-empty fault list
   trace::TraceEngine* ela_ = nullptr;  // cached opt_.ela
   metrics::Profiler* prof_ = nullptr;  // cached opt_.profile
@@ -491,8 +467,9 @@ class Simulator {
   /// Runs tape entries [i, end) over slot file `s`, each at local time
   /// `base` + its state offset (`base` is re-read after every op that
   /// can stall); returns the first entry that did not complete (a
-  /// blocked stream op), or `end`. `hooks` arms the trace and ELA hooks
-  /// (false for checker evaluations, which report only a verdict).
+  /// blocked stream op), or `end`. `hooks` feeds the ELA: true only
+  /// when it is armed, and false for checker evaluations, which report
+  /// only a verdict.
   std::uint32_t run_tape(ProcState& ps, std::uint64_t* s, const Tape& t, std::uint32_t i,
                          std::uint32_t end, const std::uint64_t& base, bool hooks);
   /// A checker block's failure send or wire, or extern call (codes
@@ -502,7 +479,6 @@ class Simulator {
   /// local time `at`. Returns false if blocked on a stream (state
   /// untouched).
   bool exec_effect(ProcState& ps, const ir::Op& op, std::uint64_t at);
-  void record_trace(const ProcState& ps, const ir::Op& op, std::uint64_t at);
 
   /// Operand `o` of process `p` read from slot file `s`: as a word, and
   /// as a value of the operand's width (for streams, externs and hooks).

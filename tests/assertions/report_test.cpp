@@ -1,11 +1,10 @@
-// Framework-description (Fig. 1 rendering) and trace tests.
+// Framework-description (Fig. 1 rendering) tests.
 #include <gtest/gtest.h>
 
 #include "assertions/options.h"
 #include "assertions/report.h"
 #include "assertions/synthesize.h"
 #include "common/test_util.h"
-#include "sim/simulator.h"
 
 namespace hlsav::assertions {
 namespace {
@@ -53,72 +52,6 @@ TEST(FrameworkReport, StrippedDesignShowsNoChannels) {
   synthesize(d, Options::ndebug());
   std::string s = describe_framework(d);
   EXPECT_NE(s.find("(none"), std::string::npos);
-}
-
-TEST(Trace, RecordsExecution) {
-  auto c = compile(R"(
-    void f(stream_in<32> in, stream_out<32> out) {
-      uint32 x;
-      x = stream_read(in);
-      stream_write(out, x + 1);
-    }
-  )");
-  ir::Design d = c->design.clone();
-  synthesize(d, Options::ndebug());
-  sched::DesignSchedule sch = sched::schedule_design(d);
-  sim::ExternRegistry ext;
-  sim::SimOptions so;
-  so.trace = true;
-  sim::Simulator s(d, sch, ext, so);
-  s.feed("f.in", {1});
-  (void)s.run();
-  ASSERT_FALSE(s.trace().empty());
-  EXPECT_EQ(s.trace().front().process, "f");
-  EXPECT_EQ(s.trace().front().kind, ir::OpKind::kStreamRead);
-  // Events carry cycles in non-decreasing order per process here.
-  EXPECT_LE(s.trace().front().cycle, s.trace().back().cycle);
-  std::string rendered = s.render_trace(&c->sm);
-  EXPECT_NE(rendered.find("f: stream_read"), std::string::npos);
-}
-
-TEST(Trace, RespectsLimit) {
-  auto c = compile(R"(
-    void f(stream_in<32> in, stream_out<32> out) {
-      uint32 acc;
-      acc = 0;
-      for (uint32 i = 0; i < 100; i++) {
-        acc = acc + i;
-      }
-      stream_write(out, acc + stream_read(in));
-    }
-  )");
-  ir::Design d = c->design.clone();
-  synthesize(d, Options::ndebug());
-  sched::DesignSchedule sch = sched::schedule_design(d);
-  sim::ExternRegistry ext;
-  sim::SimOptions so;
-  so.trace = true;
-  so.trace_limit = 10;
-  sim::Simulator s(d, sch, ext, so);
-  s.feed("f.in", {1});
-  (void)s.run();
-  EXPECT_EQ(s.trace().size(), 10u);
-}
-
-TEST(Trace, OffByDefault) {
-  auto c = compile(R"(
-    void f(stream_in<32> in, stream_out<32> out) {
-      stream_write(out, stream_read(in));
-    }
-  )");
-  ir::Design d = c->design.clone();
-  synthesize(d, Options::ndebug());
-  sched::DesignSchedule sch = sched::schedule_design(d);
-  sim::ExternRegistry ext;
-  sim::Simulator s(d, sch, ext, {});
-  s.feed("f.in", {1});
-  (void)s.run();
-  EXPECT_TRUE(s.trace().empty());
 }
 
 }  // namespace

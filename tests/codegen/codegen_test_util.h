@@ -80,7 +80,6 @@ struct EngineRun {
   std::map<std::string, std::vector<std::uint64_t>> outputs;
   bool engine_active = false;
   std::string engine_note;
-  std::string rendered_trace;
 };
 
 [[nodiscard]] inline EngineRun run_engine(
@@ -97,7 +96,6 @@ struct EngineRun {
   er.result = s.run();
   er.engine_active = s.engine_active();
   er.engine_note = s.engine_note();
-  if (base.trace) er.rendered_trace = s.render_trace();
   for (const std::string& name : outputs) er.outputs[name] = s.received(name);
   return er;
 }

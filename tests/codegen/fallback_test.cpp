@@ -190,22 +190,6 @@ TEST(Fallback, MixedDesignCompilesWhatItCanInterpretsTheRest) {
   expect_identical(interp, comp);
 }
 
-TEST(Fallback, TraceArmedDeclinesAndTracesIdentically) {
-  HLSAV_REQUIRE_COMPILER();
-  DiffRig rig = make_rig(kSrc, Options::unoptimized());
-  ASSERT_EQ(rig.prep_error, "");
-  sim::SimOptions base;
-  base.trace = true;
-  std::map<std::string, std::vector<std::uint64_t>> feeds{{"f.in", {10, 20, 30, 40}}};
-  EngineRun interp = run_engine(rig, sim::SimEngine::kInterpreter, feeds, {"f.out"}, base);
-  EngineRun comp = run_engine(rig, sim::SimEngine::kCompiled, feeds, {"f.out"}, base);
-  EXPECT_FALSE(comp.engine_active);
-  EXPECT_NE(comp.engine_note.find("trace"), std::string::npos) << comp.engine_note;
-  expect_identical(interp, comp);
-  EXPECT_EQ(interp.rendered_trace, comp.rendered_trace);
-  EXPECT_FALSE(comp.rendered_trace.empty());
-}
-
 TEST(Fallback, ElaArmedDeclinesAndVcdBytesIdentical) {
   HLSAV_REQUIRE_COMPILER();
   DiffRig rig = make_rig(kSrc, Options::unoptimized());

@@ -222,6 +222,9 @@ TEST(Service, StalledWorkerDoesNotHoldBackOtherSites) {
 
 TEST(Service, OverloadIsATypedRejectionNeverAHang) {
   std::string design = write_temp("svc_busy.c", kClampSrc);
+  std::string ref = run_hlsavc("faultsim " + design +
+                               " --campaign --seed=7 --feed clamp.in=1,2,3,300,5,6");
+  ASSERT_NE(ref.find("Fault-injection campaign"), std::string::npos) << ref;
   // One executor, queue of one. Job 1 stalls its worker on site 0 until
   // the 3s heartbeat watchdog clears it -- a deterministic window in
   // which the executor is provably busy.
@@ -235,13 +238,15 @@ TEST(Service, OverloadIsATypedRejectionNeverAHang) {
 
   // Job 1 occupies the single executor; job 2 fills the cap-1 queue;
   // job 3 must bounce with the typed queue-full message.
+  const std::string stalled = temp_path("svc_busy1.txt");
+  const std::string queued = temp_path("svc_busy2.txt");
   std::thread j1([&] {
-    int rc = submit_job(d.socket, stall, temp_path("svc_busy1.txt"), true);
+    int rc = submit_job(d.socket, stall, stalled, true);
     EXPECT_EQ(rc, 0) << rc;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
   std::thread j2([&] {
-    int rc = submit_job(d.socket, spec, temp_path("svc_busy2.txt"), true);
+    int rc = submit_job(d.socket, spec, queued, true);
     EXPECT_EQ(rc, 0) << rc;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -251,6 +256,9 @@ TEST(Service, OverloadIsATypedRejectionNeverAHang) {
 
   j1.join();
   j2.join();
+  // Neither the stall nor the wait in the queue changes a report byte.
+  EXPECT_EQ(slurp(stalled), ref);
+  EXPECT_EQ(slurp(queued), ref);
 }
 
 TEST(Service, StatusCountsAndShutdownExitsCleanly) {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "codegen/codegen_test_util.h"
+#include "trace/trace.h"
 
 namespace hlsav::sim {
 namespace {
@@ -103,20 +104,24 @@ std::vector<std::uint64_t> iota(unsigned n) {
 }
 
 /// Cycle of every iteration's data write (`stream_write(out, i)`), from
-/// a traced interpreter run of the NABORT build, which runs them all.
+/// the ELA window of an interpreter run of the NABORT build, which runs
+/// them all. The ring holds the whole run: nothing is overwritten.
 std::vector<std::uint64_t> data_write_cycles(const codegen::DiffRig& rig,
                                              const std::string& src) {
   const auto at = static_cast<std::ptrdiff_t>(src.find("stream_write(out, i)"));
   const auto line = static_cast<std::uint32_t>(std::count(src.begin(), src.begin() + at, '\n') + 1);
+  trace::TraceConfig tc;
+  tc.capacity = std::size_t{1} << 14;
+  trace::TraceEngine engine(rig.design, tc);
   SimOptions so;
-  so.trace = true;
+  so.ela = &engine;
   Simulator sim(rig.design, rig.schedule, rig.externs, so);
   RunResult r = sim.run();
   EXPECT_EQ(r.status, RunStatus::kCompleted);
-  EXPECT_FALSE(r.trace_truncated);
+  EXPECT_EQ(engine.dropped(), 0u);
   std::vector<std::uint64_t> out;
-  for (const TraceEvent& e : sim.trace()) {
-    if (e.kind == ir::OpKind::kStreamWrite && e.loc.line == line) out.push_back(e.cycle);
+  for (const trace::TraceRecord& e : engine.window()) {
+    if (e.kind == trace::TraceEventKind::kStreamPush && e.loc.line == line) out.push_back(e.cycle);
   }
   return out;
 }

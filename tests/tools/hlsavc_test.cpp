@@ -20,11 +20,12 @@ namespace {
 
 struct CmdResult {
   int exit_code = -1;
-  std::string output;  // stdout + stderr
+  std::string output;  // stdout, and stderr unless it goes to a file
 };
 
-CmdResult run_cmd(const std::string& args) {
-  std::string cmd = std::string(HLSAVC_PATH) + " " + args + " 2>&1";
+/// Runs hlsavc with its stderr sent to `stderr_to` (a path, or "&1").
+CmdResult run_cmd(const std::string& args, const std::string& stderr_to = "&1") {
+  std::string cmd = std::string(HLSAVC_PATH) + " " + args + " 2>" + stderr_to;
   std::array<char, 4096> buf{};
   CmdResult r;
   FILE* pipe = popen(cmd.c_str(), "r");
@@ -199,6 +200,65 @@ TEST(Hlsavc, FaultsimTraceSiteEmitsArtifactsForNonBenignSite) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("source-level replay:"), std::string::npos);
   EXPECT_NE(r.output.find(".vcd"), std::string::npos);
+}
+
+// ---- --trace: the ELA's replay on stderr ----
+
+struct SplitResult {
+  int exit_code = -1;
+  std::string out;
+  std::string err;
+};
+
+/// Runs hlsavc with stdout and stderr kept apart.
+SplitResult run_split(const std::string& args) {
+  const std::string err_path = temp_path("hlsavc_split_stderr.txt");
+  CmdResult r = run_cmd(args, err_path);
+  return {r.exit_code, r.output, hlsav::testing::slurp(err_path)};
+}
+
+/// The source-level replay in `text`: from its header to the end, or to
+/// the `ela:` area report that follows it in `trace`'s stdout.
+std::string replay_in(const std::string& text) {
+  const std::size_t begin = text.find("source-level replay:");
+  if (begin == std::string::npos) return "";
+  const std::size_t end = text.find("\nela: ", begin);
+  return text.substr(begin, end == std::string::npos ? end : end + 1 - begin);
+}
+
+TEST(Hlsavc, SimulateTraceReplaysFromTheEla) {
+  std::string f = write_temp("good.c", kGoodSrc);
+  const std::string vcd = " --vcd=" + temp_path("trace_replay.vcd");
+  struct Case {
+    std::string run;    // traced with --trace appended
+    std::string trace;  // the `trace` command on the same run
+    int exit_code;
+    std::string implicates;
+  };
+  const std::vector<Case> cases = {
+      // The assertion fails on the second word.
+      {"simulate " + f + " --feed f.in=1,99,3", "trace " + f + " --feed f.in=1,99,3", 3,
+       "implicated assertion: #0 `v < 50' (process f, " + f + ":6)\n"},
+      // s11 skips the loop body: a proven livelock, replayed over its
+      // last 4 cycles.
+      {"faultsim " + f + " --site=11 --last-cycles=4 --feed f.in=1,2,3",
+       "trace " + f + " --site=11 --last-cycles=4 --feed f.in=1,2,3", 4,
+       "implicated block: 'for_body2' (livelock)\n"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.run);
+    SplitResult plain = run_split(c.run);
+    SplitResult traced = run_split(c.run + " --trace");
+    EXPECT_EQ(plain.exit_code, c.exit_code) << plain.err;
+    EXPECT_EQ(traced.exit_code, c.exit_code) << traced.err;
+    EXPECT_EQ(traced.out, plain.out);
+    EXPECT_EQ(replay_in(plain.err), "");
+    const std::string replay = replay_in(traced.err);
+    EXPECT_NE(replay.find(c.implicates), std::string::npos) << traced.err;
+    SplitResult ref = run_split(c.trace + vcd);
+    EXPECT_EQ(ref.exit_code, c.exit_code) << ref.err;
+    EXPECT_EQ(replay, replay_in(ref.out));
+  }
 }
 
 TEST(Hlsavc, OneSiteReproStopsAtTheCampaignBackstop) {

@@ -29,6 +29,7 @@
 //   --nabort                                    keep running on failure
 //   --chain-depth=N                             scheduler chaining budget
 //   --sw                                        software-simulation mode
+//   --trace                                     ELA replay of a run on stderr
 //   --site=N --campaign --seed=N --max-faults=N --max-cycles=N --threads=N
 //                                               faultsim controls
 //   --journal=FILE --resume --site-wall-ms=N    campaign crash recovery and
@@ -195,6 +196,8 @@ void print_usage(std::ostream& os) {
         "  --assertions=ndebug|unoptimized|optimized\n"
         "  --no-parallelize --no-replicate --no-share --nabort\n"
         "  --chain-depth=N --sw --optimize --trace --feed stream=v1,v2,...\n"
+        "  --trace:  simulate and faultsim --site=N also print the source-level replay\n"
+        "            of the ELA window on stderr, as trace does (trace options apply)\n"
         "  --engine=interpreter|compiled|auto: simulation engine (default\n"
         "            interpreter). compiled AOT-translates the scheduled design\n"
         "            to native code via the host C compiler; configurations the\n"
@@ -451,8 +454,51 @@ int run(const Args& args) {
       std::cerr << "hlsavc: " << note << "\n";
     }
   };
-  auto report_engine = [](const sim::Simulator& s) {
-    if (!s.engine_note().empty()) std::cerr << "hlsavc: " << s.engine_note() << "\n";
+  // One run of `program`: reports an engine fallback, prints each
+  // assertion failure on stderr as it is decoded, feeds every --feed and
+  // runs. `report` prints what the command shows of the run and returns
+  // its exit code; a rejected feed prints why and returns 1.
+  auto run_once = [&](const sim::Program& program, const sim::ExternRegistry& externs,
+                      const sim::SimOptions& so, const auto& report) -> int {
+    sim::Simulator simulator(program, externs, so);
+    if (!simulator.engine_note().empty()) {
+      std::cerr << "hlsavc: " << simulator.engine_note() << "\n";
+    }
+    simulator.set_failure_sink([](const assertions::Failure& f) {
+      std::cerr << f.message << "  [cycle " << f.cycle << "]\n";
+    });
+    for (const auto& [stream, values] : args.feeds) {
+      Status st = simulator.try_feed(stream, values);
+      if (!st.ok()) {
+        std::cerr << "hlsavc: " << st.to_string() << "\n";
+        return 1;
+      }
+    }
+    return report(simulator, simulator.run());
+  };
+
+  // The ELA that `trace`, `simulate --trace` and `faultsim --site=N
+  // --trace` arm, and the source-level replay of its `window` after run
+  // `r`, printed on `os`: the last --last-cycles cycles, implicating the
+  // trap block after a proven livelock.
+  auto ela_config = [&] {
+    trace::TraceConfig tc;
+    tc.capacity = args.trace_capacity;
+    tc.filter.processes = args.trace_procs;
+    return tc;
+  };
+  auto print_replay = [&](const trace::TraceEngine& engine,
+                          const std::vector<trace::TraceRecord>& window, const sim::RunResult& r,
+                          std::ostream& os) {
+    if (engine.capacity_clamped()) {
+      std::cerr << "hlsavc: trace capacity clamped to " << engine.config().capacity
+                << " entries/process (hard cap)\n";
+    }
+    trace::ReplayOptions ro;
+    ro.last_cycles = args.last_cycles;
+    ro.sm = &sm;
+    if (r.hang) ro.livelock_block = r.hang->livelock_block();
+    os << trace::render_replay(design, window, ro);
   };
 
   // A one-site repro (`faultsim --site=N` or `--trace-site=N`, `trace
@@ -512,39 +558,31 @@ int run(const Args& args) {
   }
   // One run with its status, CPU-visible outputs and exit code: a
   // `simulate`, or a `faultsim --site=N` repro with its fault armed.
+  // --trace arms the ELA and prints its replay on stderr.
   auto simulate_and_report = [&](const sim::Program& program, const sim::ExternRegistry& externs,
-                                 const sim::SimOptions& so) {
-    sim::Simulator simulator(program, externs, so);
-    report_engine(simulator);
-    simulator.set_failure_sink([](const assertions::Failure& f) {
-      std::cerr << f.message << "  [cycle " << f.cycle << "]\n";
-    });
-    for (const auto& [stream, values] : args.feeds) {
-      Status st = simulator.try_feed(stream, values);
-      if (!st.ok()) {
-        std::cerr << "hlsavc: " << st.to_string() << "\n";
-        return 1;
+                                 sim::SimOptions so) {
+    std::optional<trace::TraceEngine> ela;
+    if (args.trace) so.ela = &ela.emplace(design, ela_config());
+    return run_once(program, externs, so, [&](const sim::Simulator& simulator,
+                                              const sim::RunResult& r) {
+      print_run_status(r);
+      for (const ir::Stream& s : design.streams) {
+        if (s.dead || s.consumer.kind != ir::StreamEndpoint::Kind::kCpu) continue;
+        if (s.role != ir::StreamRole::kData) continue;
+        std::vector<std::uint64_t> out = simulator.received(s.name);
+        if (out.empty()) continue;
+        std::cout << s.name << ":";
+        for (std::uint64_t v : out) std::cout << ' ' << v;
+        std::cout << '\n';
       }
-    }
-    sim::RunResult r = simulator.run();
-    print_run_status(r);
-    for (const ir::Stream& s : design.streams) {
-      if (s.dead || s.consumer.kind != ir::StreamEndpoint::Kind::kCpu) continue;
-      if (s.role != ir::StreamRole::kData) continue;
-      std::vector<std::uint64_t> out = simulator.received(s.name);
-      if (out.empty()) continue;
-      std::cout << s.name << ":";
-      for (std::uint64_t v : out) std::cout << ' ' << v;
-      std::cout << '\n';
-    }
-    if (args.trace) std::cerr << simulator.render_trace(&sm);
-    return run_exit_code(r);
+      if (ela) print_replay(*ela, ela->window(), r, std::cerr);
+      return run_exit_code(r);
+    });
   };
   if (args.command == "simulate") {
     sim::ExternRegistry externs;
     sim::SimOptions so;
     so.mode = args.software_mode ? sim::SimMode::kSoftware : sim::SimMode::kHardware;
-    so.trace = args.trace;
     arm_deadline(so);
     arm_engine(so);
     return simulate_and_report(sim::Program(design, schedule), externs, so);
@@ -558,46 +596,33 @@ int run(const Args& args) {
     if (args.campaign_opts.max_cycles != 0) so.max_cycles = args.campaign_opts.max_cycles;
     arm_deadline(so);
     arm_engine(so);
-    sim::Simulator simulator(design, schedule, externs, so);
-    report_engine(simulator);
-    simulator.set_failure_sink([](const assertions::Failure& f) {
-      std::cerr << f.message << "  [cycle " << f.cycle << "]\n";
+    return run_once(sim::Program(design, schedule), externs, so,
+                    [&](const sim::Simulator&, const sim::RunResult& r) {
+      print_run_status(r);
+      metrics::ProfileReport rep = prof.report(&sm);
+      std::cout << rep.render_table();
+      std::string error;
+      if (!metrics::write_chrome_trace_file(rep, args.trace_out, &error)) {
+        std::cerr << "hlsavc: " << error << "\n";
+        return 1;
+      }
+      std::cout << "chrome trace: " << args.trace_out
+                << " (load in Perfetto or chrome://tracing)\n";
+      if (!args.profile_json.empty()) {
+        std::ofstream os(args.profile_json);
+        if (!os) {
+          std::cerr << "hlsavc: cannot write " << args.profile_json << "\n";
+          return 1;
+        }
+        os << rep.to_json() << "\n";
+        std::cout << "profile json: " << args.profile_json << "\n";
+      }
+      return run_exit_code(r);
     });
-    for (const auto& [stream, values] : args.feeds) {
-      Status st = simulator.try_feed(stream, values);
-      if (!st.ok()) {
-        std::cerr << "hlsavc: " << st.to_string() << "\n";
-        return 1;
-      }
-    }
-    sim::RunResult r = simulator.run();
-    print_run_status(r);
-    metrics::ProfileReport rep = prof.report(&sm);
-    std::cout << rep.render_table();
-    std::string error;
-    if (!metrics::write_chrome_trace_file(rep, args.trace_out, &error)) {
-      std::cerr << "hlsavc: " << error << "\n";
-      return 1;
-    }
-    std::cout << "chrome trace: " << args.trace_out
-              << " (load in Perfetto or chrome://tracing)\n";
-    if (!args.profile_json.empty()) {
-      std::ofstream os(args.profile_json);
-      if (!os) {
-        std::cerr << "hlsavc: cannot write " << args.profile_json << "\n";
-        return 1;
-      }
-      os << rep.to_json() << "\n";
-      std::cout << "profile json: " << args.profile_json << "\n";
-    }
-    return run_exit_code(r);
   }
   if (args.command == "trace") {
     sim::ExternRegistry externs;
-    trace::TraceConfig tc;
-    tc.capacity = args.trace_capacity;
-    tc.filter.processes = args.trace_procs;
-    trace::TraceEngine engine(design, tc);
+    trace::TraceEngine engine(design, ela_config());
 
     sim::SimOptions so;
     so.mode = args.software_mode ? sim::SimMode::kSoftware : sim::SimMode::kHardware;
@@ -616,48 +641,27 @@ int run(const Args& args) {
     }
     arm_deadline(so);  // after the golden run: the budget is the traced run's
     arm_engine(so);
-    sim::Simulator simulator(*program, externs, so);
-    report_engine(simulator);
-    simulator.set_failure_sink([](const assertions::Failure& f) {
-      std::cerr << f.message << "  [cycle " << f.cycle << "]\n";
-    });
-    for (const auto& [stream, values] : args.feeds) {
-      Status st = simulator.try_feed(stream, values);
-      if (!st.ok()) {
-        std::cerr << "hlsavc: " << st.to_string() << "\n";
-        return 1;
+    return run_once(*program, externs, so, [&](const sim::Simulator&, const sim::RunResult& r) {
+      print_run_status(r);
+      std::vector<trace::TraceRecord> window = engine.window();
+      std::string vcd = args.vcd_path.empty() ? "trace.vcd" : args.vcd_path;
+      trace::VcdWriter writer(design, engine.config().filter);
+      writer.write_file(vcd, window);
+      std::cout << "vcd: " << vcd << " (" << writer.signal_count() << " signals, "
+                << window.size() << " events retained, " << engine.dropped() << " overwritten)\n";
+      if (!args.bin_path.empty()) {
+        trace::write_binary_trace_file(args.bin_path, window);
+        std::cout << "binary trace: " << args.bin_path << "\n";
       }
-    }
-    sim::RunResult r = simulator.run();
-    print_run_status(r);
-
-    std::vector<trace::TraceRecord> window = engine.window();
-    std::string vcd = args.vcd_path.empty() ? "trace.vcd" : args.vcd_path;
-    trace::VcdWriter writer(design, tc.filter);
-    writer.write_file(vcd, window);
-    std::cout << "vcd: " << vcd << " (" << writer.signal_count() << " signals, " << window.size()
-              << " events retained, " << engine.dropped() << " overwritten)\n";
-    if (engine.capacity_clamped()) {
-      std::cerr << "hlsavc: trace capacity clamped to " << engine.config().capacity
-                << " entries/process (hard cap)\n";
-    }
-    if (!args.bin_path.empty()) {
-      trace::write_binary_trace_file(args.bin_path, window);
-      std::cout << "binary trace: " << args.bin_path << "\n";
-    }
-    trace::ReplayOptions ro;
-    ro.last_cycles = args.last_cycles;
-    ro.sm = &sm;
-    if (r.hang) ro.livelock_block = r.hang->livelock_block();
-    std::cout << trace::render_replay(design, window, ro);
-    std::cout << fpga::estimate_ela(engine).to_string(fpga::Device::ep2s180());
-    return run_exit_code(r);
+      print_replay(engine, window, r, std::cout);
+      std::cout << fpga::estimate_ela(engine).to_string(fpga::Device::ep2s180());
+      return run_exit_code(r);
+    });
   }
   if (args.command == "faultsim") {
     sim::ExternRegistry externs;
     sim::TraceRerunOptions topt;
-    topt.config.capacity = args.trace_capacity;
-    topt.config.filter.processes = args.trace_procs;
+    topt.config = ela_config();
     topt.dir = args.trace_dir;
     topt.last_cycles = args.last_cycles;
     topt.max_sites = args.trace_max_sites;
@@ -748,7 +752,6 @@ int run(const Args& args) {
       }
 
       sim::SimOptions so = copt.sim;
-      so.trace = args.trace;
       arm_site(so, *plan, one_site);
       arm_deadline(so);
       return simulate_and_report(*plan->program, externs, so);
@@ -796,33 +799,27 @@ int run(const Args& args) {
       so.ela = &engine;
       if (args.campaign_opts.max_cycles != 0) so.max_cycles = args.campaign_opts.max_cycles;
       arm_deadline(so);
-      sim::Simulator simulator(design, schedule, externs, so);
-      simulator.set_failure_sink([](const assertions::Failure& f) {
-        std::cerr << f.message << "  [cycle " << f.cycle << "]\n";
-      });
-      for (const auto& [stream, values] : args.feeds) {
-        Status st = simulator.try_feed(stream, values);
-        if (!st.ok()) {
-          std::cerr << "hlsavc: " << st.to_string() << "\n";
-          return 1;
+      // 0: the golden run completed cleanly and `window` holds it.
+      const int code = run_once(sim::Program(design, schedule), externs, so,
+                                [&](const sim::Simulator&, const sim::RunResult& r) {
+        if (r.status != sim::RunStatus::kCompleted || !r.failures.empty()) {
+          std::cerr << "hlsavc: the golden run must complete cleanly before anything can "
+                       "be mined from it\n";
+          print_run_status(r);
+          int rc = run_exit_code(r);
+          return rc == 0 ? 3 : rc;
         }
-      }
-      sim::RunResult r = simulator.run();
-      if (r.status != sim::RunStatus::kCompleted || !r.failures.empty()) {
-        std::cerr << "hlsavc: the golden run must complete cleanly before anything can "
-                     "be mined from it\n";
-        print_run_status(r);
-        int code = run_exit_code(r);
-        return code == 0 ? 3 : code;
-      }
-      window = engine.window();
-      if (engine.dropped() != 0) {
-        std::cerr << "hlsavc: capture overwrote " << engine.dropped()
-                  << " event(s); mined bounds only see the retained window "
-                     "(raise --trace-capacity)\n";
-      }
-      std::cout << "trace window: golden run, " << r.cycles << " cycles, " << window.size()
-                << " record(s)\n";
+        window = engine.window();
+        if (engine.dropped() != 0) {
+          std::cerr << "hlsavc: capture overwrote " << engine.dropped()
+                    << " event(s); mined bounds only see the retained window "
+                       "(raise --trace-capacity)\n";
+        }
+        std::cout << "trace window: golden run, " << r.cycles << " cycles, " << window.size()
+                  << " record(s)\n";
+        return 0;
+      });
+      if (code != 0) return code;
     }
 
     // ---- mine -> score ----
