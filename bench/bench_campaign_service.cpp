@@ -214,8 +214,10 @@ int main(int argc, char** argv) {
     sup.workers = workers;
     sup.backoff_base_ms = 1;
     sup.backoff_cap_ms = 20;
+    // A pool of its own: every row spawns its workers, as a first job does.
+    serve::WorkerPool pool;
     auto t0 = clock::now();
-    StatusOr<serve::SupervisedResult> res = serve::run_sharded_campaign(s, sup);
+    StatusOr<serve::SupervisedResult> res = serve::run_sharded_campaign(s, sup, pool);
     auto t1 = clock::now();
     if (!res.ok()) {
       std::cerr << config << ": " << res.status().to_string() << "\n";

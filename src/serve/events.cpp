@@ -60,6 +60,8 @@ EventFold::EventFold(std::string inc) : incarnation(std::move(inc)) {
   counters.jobs_drained = registry.counter("jobs_drained");
   counters.jobs_failed = registry.counter("jobs_failed");
   counters.worker_respawns = registry.counter("worker_respawns");
+  counters.workers_spawned = registry.counter("workers_spawned");
+  counters.workers_reused = registry.counter("workers_reused");
   counters.sites_quarantined = registry.counter("sites_quarantined");
   counters.sites_done = registry.counter("sites_done");
   counters.sites_compiled = registry.counter("sites_compiled");
@@ -187,6 +189,11 @@ EventFold::LogLine EventFold::apply(const JobEvent& e, std::uint64_t now_us) {
         rec->view.total = e.total;
       }
       return {};
+    case K::kWorkerAssigned:
+      (e.detail == "reused" ? counters.workers_reused : counters.workers_spawned)->add();
+      return {"worker-assigned",
+              {job, F::num("worker", static_cast<std::uint64_t>(e.worker < 0 ? 0 : e.worker)),
+               F::str("detail", e.detail)}};
     case K::kSiteDone:
       counters.sites_done->add();
       if (e.compiled) counters.sites_compiled->add();

@@ -60,16 +60,17 @@ struct JobEvent {
     kAborted,    // dequeued by shutdown before it ran; detail: reason
     // ---- a run (the supervisor emits kPhaseBegin..kQuarantined) ----
     kStarted,
-    kPhaseBegin,     // detail: compile | shard | merge
-    kPhaseEnd,       // detail: the phase
-    kProgress,       // done / total
-    kSiteStarted,    // site on worker
-    kSiteDone,       // site on worker; detail: outcome name; compiled
-    kWorkerCrashed,  // site: the blamed in-flight site; worker; detail: exit description
-    kQuarantined,    // site hit the crash cap and is classified worker-crashed
-    kReport,         // payload: the rendered report
-    kFinished,       // state: done | drained | error | deadline-expired; detail: message;
-                     // total: journal bytes; engine_note
+    kPhaseBegin,      // detail: compile | jit | shard | merge
+    kPhaseEnd,        // detail: the phase
+    kProgress,        // done / total
+    kWorkerAssigned,  // worker starts on the job; detail: spawned | reused (was parked)
+    kSiteStarted,     // site on worker
+    kSiteDone,        // site on worker; detail: outcome name; compiled
+    kWorkerCrashed,   // site: the blamed in-flight site; worker; detail: exit description
+    kQuarantined,     // site hit the crash cap and is classified worker-crashed
+    kReport,          // payload: the rendered report
+    kFinished,        // state: done | drained | error | deadline-expired; detail: message;
+                      // total: journal bytes; engine_note
     // ---- subscribers ----
     kWatchSubscribed,
     kWatchFrame,   // one frame about to be sent
@@ -173,6 +174,8 @@ struct EventFold {
     metrics::Counter* jobs_drained;
     metrics::Counter* jobs_failed;
     metrics::Counter* worker_respawns;
+    metrics::Counter* workers_spawned;
+    metrics::Counter* workers_reused;
     metrics::Counter* sites_quarantined;
     metrics::Counter* sites_done;
     metrics::Counter* sites_compiled;

@@ -147,6 +147,9 @@ void Service::emit(JobEvent e) {
     case K::kProgress:
       frame(encode_progress(id, e.done, e.total), WatchFrame::Cls::kProgress);
       break;
+    case K::kWorkerAssigned:
+      tracer_.instant(id, wtid, "worker " + e.detail);
+      break;
     case K::kSiteStarted:
       frame(encode_site_started(id, e.site, e.worker), WatchFrame::Cls::kSite);
       tracer_.begin_span(id, wtid, site);
@@ -273,7 +276,11 @@ Status Service::serve() {
   executors_.reserve(opt_.executors);
   for (unsigned i = 0; i < opt_.executors; ++i) {
     executors_.emplace_back([this] {
-      while (std::optional<Job> job = queue_.pop()) run_job(std::move(*job));
+      // This thread spawns and owns its pool's workers, so their
+      // PR_SET_PDEATHSIG fires with it; the pool's destructor retires
+      // the idle ones before the thread ends.
+      WorkerPool pool;
+      while (std::optional<Job> job = queue_.pop()) run_job(std::move(*job), pool);
     });
   }
 
@@ -548,7 +555,7 @@ void Service::handle_submit(int fd, const std::string& line) {
   (void)admit(std::move(job), fd, "submit", "aborted");
 }
 
-void Service::run_job(Job job) {
+void Service::run_job(Job job, WorkerPool& pool) {
   const std::uint64_t id = job.id;
   auto finish = [&](const std::string& state, const std::string& message,
                     std::uint64_t journal_bytes = 0, const std::string& engine_note = "") {
@@ -586,7 +593,7 @@ void Service::run_job(Job job) {
     emit(std::move(e));
   };
 
-  StatusOr<SupervisedResult> result = run_sharded_campaign(job.spec, sup);
+  StatusOr<SupervisedResult> result = run_sharded_campaign(job.spec, sup, pool);
   if (!result.ok()) return finish("error", result.status().to_string());
   // Persist the report before the terminal spool record can say "done":
   // a duplicate resubmit of a finished job replays these exact bytes,

@@ -38,6 +38,7 @@
 #include "serve/events.h"
 #include "serve/hub.h"
 #include "serve/queue.h"
+#include "serve/shard.h"
 #include "serve/spool.h"
 #include "serve/tracer.h"
 #include "support/status.h"
@@ -107,7 +108,8 @@ class Service {
   /// re-adopt; a bounced push leaves the job in `bounce_state`.
   bool admit(Job job, int fd, const std::string& origin, const std::string& bounce_state);
   void reject(int fd, const Status& st, std::uint64_t job, const std::string& state = "");
-  void run_job(Job job);
+  /// Runs `job` with the calling executor's worker pool.
+  void run_job(Job job, WorkerPool& pool);
   /// Streams a subscription's frames to `fd` until the job ends.
   void stream(int fd, std::shared_ptr<ProgressHub::Subscription> sub, std::uint64_t job,
               bool submitter);

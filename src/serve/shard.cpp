@@ -15,7 +15,7 @@
 #include "pipeline/compile.h"
 #include "sim/journal.h"
 #include "support/jsonl.h"
-#include "support/subprocess.h"
+#include "support/str.h"
 
 namespace hlsav::serve {
 
@@ -33,24 +33,49 @@ double ms_since(Clock::time_point t) {
 
 struct WorkerState {
   int index = 0;
+  /// Empty once the worker has exited and been reaped.
   std::optional<Subprocess> proc;
   std::string stdout_buf;
   Clock::time_point last_heartbeat;
   Clock::time_point respawn_at;
   unsigned attempts = 0;  // consecutive crash respawns (backoff exponent)
   bool pending_respawn = false;
-  bool complete = false;
   /// Sent a line that breaks the protocol; killed, then contained.
   bool broken = false;
-  /// Site handed to this worker and not yet reported; -1 when none
-  /// (its stdin is closed). The blame target when the worker dies.
+  /// Site handed to this worker and not yet reported; -1 when none.
+  /// The blame target when the worker dies.
   std::int64_t inflight = -1;
 };
 
+/// Closes `worker`'s stdin and reaps it: it exits 0 at EOF.
+void retire(Subprocess& worker) {
+  worker.close_stdin();
+  (void)worker.wait();
+}
+
 }  // namespace
 
+std::vector<Subprocess> WorkerPool::take(const std::string& key, std::size_t n) {
+  if (key != key_) {
+    close();
+    key_ = key;
+  }
+  std::vector<Subprocess> taken;
+  while (taken.size() < n && !idle_.empty()) {
+    Subprocess worker = std::move(idle_.back());
+    idle_.pop_back();
+    if (!worker.poll().has_value()) taken.push_back(std::move(worker));
+  }
+  return taken;
+}
+
+void WorkerPool::close() {
+  for (Subprocess& worker : idle_) retire(worker);
+  idle_.clear();
+}
+
 StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
-                                                const SupervisorOptions& opt) {
+                                                const SupervisorOptions& opt, WorkerPool& pool) {
   if (opt.worker_binary.empty()) {
     return Status::invalid_argument("supervisor needs a worker binary path");
   }
@@ -74,7 +99,10 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
   DiagnosticEngine diags(&sm);
   pipeline::CompileOptions copts;
   copts.assert_opts = *mode;
-  StatusOr<pipeline::Compiled> compiled = pipeline::compile_file(sm, diags, spec.design_path, copts);
+  const FileId file = sm.load_file(spec.design_path);
+  StatusOr<pipeline::Compiled> compiled =
+      file == 0 ? Status::io_error("cannot open '" + spec.design_path + "'")
+                : pipeline::compile_buffer(sm, diags, file, spec.design_path, copts);
   if (!compiled.ok()) {
     return Status::error(compiled.status().code(), "cannot compile '" + spec.design_path +
                                                        "': " + compiled.status().message() +
@@ -109,30 +137,71 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
   for (std::uint32_t id : plan->selected) {
     if (results.count(id) == 0) pending.push_back(id);
   }
-  if (!pending.empty()) {
-    // One host-compiler run per design, here, rather than one per
-    // worker on a cold cache: the workers then load the cached module.
-    // The supervisor never loads it (its golden run interprets). If the
-    // build fails, each worker fails the same way and names the reason.
+
+  // The worker argv fixes everything a worker computes; with a hash of
+  // the design bytes compiled above it is the fingerprint under which
+  // this job's workers park and parked ones are reused.
+  std::vector<std::string> argv = {
+      opt.worker_binary,
+      "worker",
+      "--design=" + spec.design_path,
+      "--max-cycles=" + std::to_string(plan->header.max_cycles),
+      "--golden-cycles=" + std::to_string(plan->golden.cycles),
+      "--assertions=" + spec.assertions,
+  };
+  if (spec.site_wall_ms > 0.0) {
+    argv.push_back("--site-wall-ms=" + std::to_string(spec.site_wall_ms));
+  }
+  if (!spec.feeds.empty()) argv.push_back("--feed=" + spec.feeds);
+  const bool test_faults = !spec.crash_at.empty() || !spec.stall_at.empty();
+  if (test_faults) {
+    argv.push_back("--fault-token-dir=" + opt.job_dir);
+    argv.push_back("--crash-limit=" + std::to_string(spec.crash_limit));
+    for (std::uint32_t id : spec.crash_at) {
+      argv.push_back("--crash-at-site=" + std::to_string(id));
+    }
+    for (std::uint32_t id : spec.stall_at) {
+      argv.push_back("--stall-at-site=" + std::to_string(id));
+    }
+  }
+  const std::string key =
+      join(argv, std::string_view("\0", 1)) + '\0' + std::to_string(fnv1a(sm.text(file)));
+
+  unsigned workers = std::max(1u, opt.workers);
+  workers = static_cast<unsigned>(std::min<std::size_t>(workers, pending.size()));
+  // A test fault schedule's key is never parked, so it takes nothing
+  // (and, as any other key does, retires the idle workers).
+  std::vector<Subprocess> parked = pool.take(key, workers);
+
+  bool prebuilt = false;
+  /// One host-compiler run per design, before the job's first fresh
+  /// spawn, rather than one per worker on a cold cache: the workers then
+  /// load the cached module. The supervisor never loads it (its golden
+  /// run interprets). If the build fails, each worker fails the same way
+  /// and names the reason. A job served by parked workers skips it.
+  auto prebuild_once = [&] {
+    if (prebuilt) return;
+    prebuilt = true;
     emit_phase(JobEvent::Kind::kPhaseBegin, "jit");
     (void)codegen::prebuild(design, compiled->schedule);
     emit_phase(JobEvent::Kind::kPhaseEnd, "jit");
-  }
-  unsigned workers = std::max(1u, opt.workers);
-  workers = static_cast<unsigned>(std::min<std::size_t>(workers, pending.size()));
-  std::vector<WorkerState> pool(workers);
-  for (unsigned w = 0; w < workers; ++w) pool[w].index = static_cast<int>(w);
-  // Every exit path, errors included, leaves no worker behind.
+  };
+  if (parked.size() < workers) prebuild_once();
+
+  std::vector<WorkerState> crew(workers);
+  for (unsigned w = 0; w < workers; ++w) crew[w].index = static_cast<int>(w);
+  // Every error path leaves no worker behind; the normal end parks or
+  // retires each live worker first.
   struct Reaper {
-    std::vector<WorkerState>& pool;
+    std::vector<WorkerState>& crew;
     ~Reaper() {
-      for (WorkerState& w : pool) {
-        if (!w.proc.has_value() || w.proc->poll().has_value()) continue;
+      for (WorkerState& w : crew) {
+        if (!w.proc.has_value()) continue;
         w.proc->kill(SIGKILL);
         (void)w.proc->wait();
       }
     }
-  } reaper{pool};
+  } reaper{crew};
 
   SupervisedResult result;
   std::set<std::uint32_t> quarantined;
@@ -147,42 +216,32 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
     emit({.kind = JobEvent::Kind::kProgress, .done = done, .total = plan->selected.size()});
   };
 
-  /// Hands `w` its next site, or EOF when none is left to hand out.
+  /// Hands idle `w` its next site, if one is left to hand out.
   auto dispatch = [&](WorkerState& w) {
-    if (pending.empty() || draining) {
-      w.proc->close_stdin();
-      return;
-    }
+    if (pending.empty() || draining) return;
     w.inflight = pending.front();
     pending.pop_front();
+    w.last_heartbeat = Clock::now();  // a parked worker's silence is not a stall
     // A failed write means the worker is gone; its death path requeues
     // the site.
     (void)w.proc->write_stdin(std::to_string(w.inflight) + "\n");
   };
 
+  /// Puts `proc` (fresh or parked) to work as worker `w`.
+  auto assign = [&](WorkerState& w, Subprocess proc, bool reused) {
+    w.proc.emplace(std::move(proc));
+    w.stdout_buf.clear();
+    w.inflight = -1;
+    w.broken = false;
+    w.pending_respawn = false;
+    emit({.kind = JobEvent::Kind::kWorkerAssigned,
+          .worker = w.index,
+          .detail = reused ? "reused" : "spawned"});
+    dispatch(w);
+  };
+
   auto spawn_worker = [&](WorkerState& w) -> Status {
-    std::vector<std::string> argv = {
-        opt.worker_binary,
-        "worker",
-        "--design=" + spec.design_path,
-        "--max-cycles=" + std::to_string(plan->header.max_cycles),
-        "--golden-cycles=" + std::to_string(plan->golden.cycles),
-        "--assertions=" + spec.assertions,
-    };
-    if (spec.site_wall_ms > 0.0) {
-      argv.push_back("--site-wall-ms=" + std::to_string(spec.site_wall_ms));
-    }
-    if (!spec.feeds.empty()) argv.push_back("--feed=" + spec.feeds);
-    if (!spec.crash_at.empty() || !spec.stall_at.empty()) {
-      argv.push_back("--fault-token-dir=" + opt.job_dir);
-      argv.push_back("--crash-limit=" + std::to_string(spec.crash_limit));
-      for (std::uint32_t id : spec.crash_at) {
-        argv.push_back("--crash-at-site=" + std::to_string(id));
-      }
-      for (std::uint32_t id : spec.stall_at) {
-        argv.push_back("--stall-at-site=" + std::to_string(id));
-      }
-    }
+    prebuild_once();
     // kill_on_parent_death: if the daemon itself dies (kill -9), its
     // workers must not keep running sites a restarted daemon will hand
     // out again.
@@ -190,13 +249,7 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
                                                   /*kill_on_parent_death=*/true,
                                                   /*pipe_stdin=*/true);
     HLSAV_RETURN_IF_ERROR(proc.status());
-    w.proc.emplace(std::move(*proc));
-    w.stdout_buf.clear();
-    w.inflight = -1;
-    w.broken = false;
-    w.last_heartbeat = Clock::now();
-    w.pending_respawn = false;
-    dispatch(w);
+    assign(w, std::move(*proc), /*reused=*/false);
     return Status::ok_status();
   };
 
@@ -218,10 +271,7 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
     } else {
       pending.push_front(blamed);
     }
-    if (pending.empty() || draining) {
-      w.complete = true;
-      return;
-    }
+    if (pending.empty() || draining) return;
     std::uint64_t backoff = opt.backoff_base_ms << std::min(w.attempts, 20u);
     backoff = std::min(backoff, opt.backoff_cap_ms);
     w.attempts++;
@@ -282,7 +332,14 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
 
   emit_progress();
   emit_phase(JobEvent::Kind::kPhaseBegin, "shard");
-  for (WorkerState& w : pool) HLSAV_RETURN_IF_ERROR(spawn_worker(w));
+  for (WorkerState& w : crew) {
+    if (parked.empty()) {
+      HLSAV_RETURN_IF_ERROR(spawn_worker(w));
+    } else {
+      assign(w, std::move(parked.back()), /*reused=*/true);
+      parked.pop_back();
+    }
+  }
 
   std::vector<pollfd> fds;
   for (;;) {
@@ -291,41 +348,44 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
       // 21; no site is handed out after this.
       draining = true;
       result.drained = true;
-      for (WorkerState& w : pool) {
-        if (w.proc.has_value() && !w.complete) w.proc->kill(SIGTERM);
+      for (WorkerState& w : crew) {
+        if (w.proc.has_value()) w.proc->kill(SIGTERM);
       }
     }
-    bool all_complete = true;
+    // The job ends when no site is in flight and none is left to hand
+    // out; it does not wait for idle workers to exit.
+    bool busy = false;
     fds.clear();
-    for (WorkerState& w : pool) {
-      if (w.complete) continue;
+    for (WorkerState& w : crew) {
       if (w.pending_respawn) {
         if (draining || pending.empty()) {
-          w.complete = true;  // nothing left for it, or stop retrying
+          w.pending_respawn = false;  // nothing left for it, or stop retrying
           continue;
         }
         if (Clock::now() < w.respawn_at) {
-          all_complete = false;
+          busy = true;
           continue;
         }
         HLSAV_RETURN_IF_ERROR(spawn_worker(w));
       }
-      all_complete = false;
+      if (!w.proc.has_value()) continue;
+      if (w.inflight < 0) dispatch(w);  // an idle worker takes a requeued site
+      if (w.inflight >= 0) busy = true;
       if (w.proc->stdout_fd() >= 0) fds.push_back({w.proc->stdout_fd(), POLLIN, 0});
     }
     emit_progress();
-    if (all_complete) break;
+    if (!busy) break;
     (void)::poll(fds.data(), fds.size(), kTickMs);
 
-    for (WorkerState& w : pool) {
-      if (w.complete || w.pending_respawn) continue;
+    for (WorkerState& w : crew) {
+      if (!w.proc.has_value()) continue;
       bool open = w.proc->read_stdout(w.stdout_buf);
       HLSAV_RETURN_IF_ERROR(handle_lines(w));
       if (open) {
         // Heartbeat watchdog: a silent worker (stalled site, livelock
         // the in-process backstops missed) dies by SIGKILL; its pipe
         // then reaches EOF and it takes the crash path.
-        if (opt.heartbeat_timeout_ms > 0.0 &&
+        if (w.inflight >= 0 && opt.heartbeat_timeout_ms > 0.0 &&
             ms_since(w.last_heartbeat) > opt.heartbeat_timeout_ms) {
           w.proc->kill(SIGKILL);
           w.last_heartbeat = Clock::now();  // one kill per overrun
@@ -334,6 +394,7 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
       }
       // EOF: the worker is exiting (it never closes stdout otherwise).
       ExitInfo ended = w.proc->wait();
+      w.proc.reset();
       if (!ended.signaled && ended.value == kWorkerGoldenMismatchExit) {
         // Not a site's fault: every worker would refuse the same way.
         return Status::internal(
@@ -344,14 +405,21 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
       }
       bool orderly = !w.broken && !ended.signaled &&
                      (ended.value == 0 || ended.value == kWorkerDrainedExit);
-      if (w.inflight < 0 || (orderly && draining)) {
-        w.complete = true;
-      } else {
-        // A crash, or an exit with a site still owed (a broken worker):
-        // either way quarantine bounds it.
-        contain_death(w, ended);
-      }
+      // A crash, or an exit with a site still owed (a broken worker):
+      // either way quarantine bounds it.
+      if (w.inflight >= 0 && !(orderly && draining)) contain_death(w, ended);
     }
+  }
+  // Park each worker that ended cleanly for the next job with this
+  // fingerprint; drained and test-schedule workers are retired.
+  for (WorkerState& w : crew) {
+    if (!w.proc.has_value()) continue;
+    if (draining || test_faults || w.broken) {
+      retire(*w.proc);
+    } else {
+      pool.park(std::move(*w.proc));
+    }
+    w.proc.reset();
   }
   emit_phase(JobEvent::Kind::kPhaseEnd, "shard");
 

@@ -5,14 +5,27 @@
 // runner does (sim::plan_campaign), and hands the selected sites out
 // one at a time: each worker reads a site id on its stdin, runs it, and
 // prints the result, and gets its next id as soon as that result is
-// journaled. A slow site never holds back the sites behind it.
+// journaled. A slow site never holds back the sites behind it. The job
+// ends when every site is classified and no worker has one in flight.
 //
 // Workers run their sites on the compiled engine where it applies. The
-// supervisor builds the design into the JIT cache before it spawns them
-// (one host-compiler run on a miss) but loads no generated code, and
-// its golden run interprets, so each worker's golden-cycles check
-// compares the two engines; a worker that fails it fails the job.
+// supervisor builds the design into the JIT cache before it spawns a
+// fresh worker (one host-compiler run on a miss) but loads no generated
+// code, and its golden run interprets, so each worker's golden-cycles
+// check compares the two engines; a worker that fails it fails the job.
 //
+//  * A worker outlives its job. Its argv fixes everything it computes
+//    (design path, backstop, golden cycles, assertions mode, site
+//    budget, feeds), so the job's fingerprint is that argv plus a hash
+//    of the design bytes the supervisor compiled. A worker that ends
+//    its job cleanly -- not crashed, broken, drained or awaiting a
+//    respawn, and with no site in flight -- is parked in the caller's
+//    WorkerPool under that fingerprint, its stdin still open, and the
+//    next job with the same fingerprint hands its sites to it instead
+//    of spawning. Every parked worker passed the golden check of its
+//    fingerprint, so the cross-engine check holds for every job. A job
+//    with a test fault schedule (--crash-at-site, --stall-at-site)
+//    never parks a worker and never takes one.
 //  * The supervisor is the only journal writer. JOB_DIR/journal.jsonl
 //    is an ordinary campaign journal (sim/journal.h): same header
 //    fingerprint, fsync per site, torn-tail truncation and resume as
@@ -21,26 +34,31 @@
 //  * A worker that segfaults, gets OOM-killed, is kill -9'ed, overruns
 //    its heartbeat watchdog, or reports a site it was not handed is
 //    *contained*: the supervisor blames its in-flight site, requeues
-//    it, and respawns the worker after a capped exponential backoff.
+//    it, and respawns the worker after a capped exponential backoff. A
+//    parked worker that died while idle owes no site: the next job
+//    drops it and spawns a fresh one, blaming nothing.
 //  * A site that keeps killing workers is quarantined after
 //    `quarantine_cap` crashes and classified worker-crashed -- one
 //    poisonous site can never pin a campaign or respawn forever.
 //
 // The report renders byte-identically to an uninterrupted
 // single-process sweep: CampaignReport::render depends only on
-// seed/site outcomes, never on worker count or completion order.
+// seed/site outcomes, never on worker count, completion order or which
+// workers were reused.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/events.h"
 #include "serve/protocol.h"
 #include "sim/campaign.h"
 #include "support/status.h"
+#include "support/subprocess.h"
 
 namespace hlsav::serve {
 
@@ -89,10 +107,41 @@ struct SupervisedResult {
   std::uint64_t journal_bytes = 0;
 };
 
-/// Runs one campaign across worker subprocesses. Compile
+/// Idle workers between jobs, all parked under one fingerprint. The
+/// thread that owns a pool must be the one that runs its jobs: workers
+/// are spawned with PR_SET_PDEATHSIG, which fires when the *spawning
+/// thread* ends, so a pool's workers die with its thread and never
+/// outlive a daemon killed by -9. Destroying the pool closes every idle
+/// worker's stdin and reaps it.
+class WorkerPool {
+ public:
+  WorkerPool() = default;
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
+  ~WorkerPool() { close(); }
+
+  /// Up to `n` live workers parked under `key`, which becomes the
+  /// pool's key. Another key first closes and reaps every idle worker.
+  /// A worker that exited while parked is reaped and dropped: it owed
+  /// no site.
+  [[nodiscard]] std::vector<Subprocess> take(const std::string& key, std::size_t n);
+  /// Parks a worker that ended its job -- the one that last called
+  /// take() -- cleanly.
+  void park(Subprocess worker) { idle_.push_back(std::move(worker)); }
+  /// Closes every idle worker's stdin (it exits 0 at EOF) and reaps it.
+  void close();
+
+ private:
+  std::string key_;
+  std::vector<Subprocess> idle_;
+};
+
+/// Runs one campaign across worker subprocesses, taking parked workers
+/// from `pool` and parking the clean ones there at the end. Compile
 /// errors, unusable specs and supervision failures come back as
 /// Status; worker deaths do not -- those are contained and classified.
 [[nodiscard]] StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
-                                                              const SupervisorOptions& opt);
+                                                              const SupervisorOptions& opt,
+                                                              WorkerPool& pool);
 
 }  // namespace hlsav::serve

@@ -62,6 +62,8 @@ TEST(EventFold, ScriptedJobKeepsCountersEventsAndViewInAgreement) {
   EXPECT_EQ(r.fold.key_info("k1")->state, "running");
   r.feed({.kind = K::kPhaseBegin, .job = 1, .detail = "shard"});
   r.feed({.kind = K::kProgress, .job = 1, .done = 3, .total = 20});
+  r.feed({.kind = K::kWorkerAssigned, .job = 1, .worker = 0, .detail = "reused"});
+  r.feed({.kind = K::kWorkerAssigned, .job = 1, .worker = 1, .detail = "spawned"});
   r.feed({.kind = K::kSiteStarted, .job = 1, .site = 4, .worker = 1});
   r.feed({.kind = K::kWorkerCrashed, .job = 1, .site = 4, .worker = 1, .detail = "signal 9"});
   r.feed({.kind = K::kQuarantined, .job = 1, .site = 4, .worker = 1});
@@ -78,7 +80,8 @@ TEST(EventFold, ScriptedJobKeepsCountersEventsAndViewInAgreement) {
   r.feed({.kind = K::kWatchClosed, .job = 1, .done = 4, .total = 2});
 
   EXPECT_EQ(r.names, (std::vector<std::string>{"job-submitted", "watch-subscribed",
-                                               "job-started", "worker-crashed",
+                                               "job-started", "worker-assigned",
+                                               "worker-assigned", "worker-crashed",
                                                "site-quarantined", "job-completed",
                                                "watch-closed"}));
   // Each counter agrees with its event-log line count.
@@ -87,6 +90,9 @@ TEST(EventFold, ScriptedJobKeepsCountersEventsAndViewInAgreement) {
   EXPECT_EQ(r.counter("worker_respawns"), r.logged("worker-crashed"));
   EXPECT_EQ(r.counter("sites_quarantined"), r.logged("site-quarantined"));
   EXPECT_EQ(r.counter("watch_subscribers"), r.logged("watch-subscribed"));
+  EXPECT_EQ(r.counter("workers_spawned") + r.counter("workers_reused"),
+            r.logged("worker-assigned"));
+  EXPECT_EQ(r.counter("workers_reused"), 1u);
   // The submitter is neither a watch subscriber nor a watch frame sink.
   EXPECT_EQ(r.counter("watch_subscribers"), 1u);
   EXPECT_EQ(r.counter("watch_frames_sent"), 4u);

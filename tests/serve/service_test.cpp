@@ -294,7 +294,14 @@ TEST(Service, ShutdownMidJobDrainsInsteadOfDropping) {
 
   int rc = -1;
   std::thread job([&] { rc = submit_job(d.socket, spec, temp_path("svc_drain.txt"), true); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  // The worker writes this token as it reaches the stalled site: from
+  // then on the job is provably mid-sweep.
+  const std::string stalled = d.work_dir + "/job_1/stall_0.token";
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!std::filesystem::exists(stalled) && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(std::filesystem::exists(stalled)) << "the worker never reached the stalled site";
   ExitInfo info = d.shutdown();
   job.join();
   EXPECT_TRUE(info.clean()) << info.describe();
@@ -464,7 +471,8 @@ TEST(Service, AWorkerGoldenMismatchFailsTheJobInsteadOfBlamingSites) {
   sopt.workers = 2;
   std::vector<JobEvent::Kind> kinds;
   sopt.event_sink = [&](JobEvent e) { kinds.push_back(e.kind); };
-  StatusOr<SupervisedResult> r = run_sharded_campaign(clamp_spec(design), sopt);
+  WorkerPool pool;
+  StatusOr<SupervisedResult> r = run_sharded_campaign(clamp_spec(design), sopt, pool);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("golden run disagreed with the supervisor's interpreted one"),
             std::string::npos)
@@ -473,6 +481,140 @@ TEST(Service, AWorkerGoldenMismatchFailsTheJobInsteadOfBlamingSites) {
   for (JobEvent::Kind k : kinds) {
     EXPECT_NE(k, JobEvent::Kind::kWorkerCrashed);
     EXPECT_NE(k, JobEvent::Kind::kQuarantined);
+  }
+}
+
+/// The fields of /proc/<pid>/stat after the command name: state first,
+/// then the parent pid. Empty once the process is gone.
+std::string proc_stat_fields(pid_t pid) {
+  std::string stat = slurp("/proc/" + std::to_string(pid) + "/stat");
+  std::size_t close = stat.rfind(") ");
+  return close == std::string::npos ? "" : stat.substr(close + 2);
+}
+
+/// The live `hlsavd worker` children of `parent`.
+std::vector<pid_t> worker_pids(pid_t parent) {
+  std::vector<pid_t> pids;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc", ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find_first_not_of("0123456789") != std::string::npos) continue;
+    const pid_t pid = std::stoi(name);
+    std::istringstream fields(proc_stat_fields(pid));
+    char state = 0;
+    pid_t ppid = 0;
+    if (!(fields >> state >> ppid) || ppid != parent || state == 'Z') continue;
+    const std::string cmdline = slurp("/proc/" + name + "/cmdline");
+    if (cmdline.find(std::string("\0worker\0", 8)) != std::string::npos) pids.push_back(pid);
+  }
+  return pids;
+}
+
+/// True once `pid` has exited (a zombie counts: its parent has not
+/// reaped it yet), waiting up to 10 s for it.
+bool await_exit(pid_t pid) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    const std::string fields = proc_stat_fields(pid);
+    if (fields.empty() || fields[0] == 'Z') return true;
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+}
+
+TEST(Service, RepeatedJobReusesParkedWorkers) {
+  const std::string args = " --campaign --seed=7 --feed clamp.in=1,2,3,300,5,6";
+  std::string design = write_temp("svc_reuse.c", kClampSrc);
+  const std::string ref = run_hlsavc("faultsim " + design + args);
+  ASSERT_NE(ref.find("Fault-injection campaign"), std::string::npos) << ref;
+
+  Daemon d({"--backoff-base-ms=1", "--backoff-cap-ms=10"});
+  CampaignSpec spec = clamp_spec(design);
+  spec.workers = 2;
+  const std::string out = temp_path("svc_reuse_report.txt");
+  for (int job = 1; job <= 3; ++job) {
+    ASSERT_EQ(submit_job(d.socket, spec, out, /*quiet=*/true), 0) << "job " << job;
+    EXPECT_EQ(slurp(out), ref) << "job " << job;
+  }
+  // Job 1 spawned both workers; jobs 2 and 3 ran on them.
+  EXPECT_EQ(metric(d.socket, "workers_spawned"), 2);
+  EXPECT_EQ(metric(d.socket, "workers_reused"), 4);
+  // Each worker's track marks how it joined the job.
+  StatusOr<std::string> trace = fetch_trace(d.socket, 2);
+  ASSERT_TRUE(trace.ok()) << trace.status().to_string();
+  EXPECT_NE(trace->find("\"worker reused\""), std::string::npos) << *trace;
+  EXPECT_EQ(trace->find("\"worker spawned\""), std::string::npos) << *trace;
+
+  // The same path with other bytes: the golden run keeps its 33 cycles,
+  // so every worker flag is unchanged and only the design hash tells the
+  // parked workers (which compiled the old bytes) apart.
+  std::string clamp100 = kClampSrc;
+  for (std::size_t at; (at = clamp100.find("255")) != std::string::npos;) {
+    clamp100.replace(at, 3, "100");
+  }
+  ASSERT_EQ(write_temp("svc_reuse.c", clamp100), design);
+  const std::string ref100 = run_hlsavc("faultsim " + design + args);
+  ASSERT_NE(ref100.find("Fault-injection campaign"), std::string::npos) << ref100;
+  ASSERT_NE(ref100, ref);
+  ASSERT_EQ(submit_job(d.socket, spec, out, /*quiet=*/true), 0);
+  EXPECT_EQ(slurp(out), ref100);
+  EXPECT_EQ(metric(d.socket, "workers_spawned"), 4);
+  EXPECT_EQ(metric(d.socket, "workers_reused"), 4);
+
+  // A test fault schedule takes no parked worker and parks none: its
+  // crash still respawns, and the clean job after it spawns afresh.
+  CampaignSpec crash = spec;
+  crash.crash_at = {3};
+  ASSERT_EQ(submit_job(d.socket, crash, out, /*quiet=*/true), 0);
+  EXPECT_EQ(slurp(out), ref100);
+  EXPECT_EQ(metric(d.socket, "worker_respawns"), 1);
+  // Two fresh workers, plus the respawn unless the other worker emptied
+  // the queue within its backoff.
+  const long long spawned = metric(d.socket, "workers_spawned");
+  EXPECT_GE(spawned, 4 + 2);
+  ASSERT_EQ(submit_job(d.socket, spec, out, /*quiet=*/true), 0);
+  EXPECT_EQ(slurp(out), ref100);
+  EXPECT_EQ(metric(d.socket, "workers_spawned"), spawned + 2);
+  EXPECT_EQ(metric(d.socket, "workers_reused"), 4);
+  EXPECT_TRUE(d.shutdown().clean());
+}
+
+TEST(Service, ParkedWorkerKilledWhileIdleIsReplacedNotBlamed) {
+  std::string design = write_temp("svc_reuse_kill.c", kClampSrc);
+  const std::string ref =
+      run_hlsavc("faultsim " + design + " --campaign --seed=7 --feed clamp.in=1,2,3,300,5,6");
+  ASSERT_NE(ref.find("Fault-injection campaign"), std::string::npos) << ref;
+
+  Daemon d({"--jobs=1", "--backoff-base-ms=1", "--backoff-cap-ms=10"});
+  CampaignSpec spec = clamp_spec(design);
+  spec.workers = 2;
+  const std::string out = temp_path("svc_reuse_kill_report.txt");
+  ASSERT_EQ(submit_job(d.socket, spec, out, /*quiet=*/true), 0);
+  EXPECT_EQ(slurp(out), ref);
+
+  std::vector<pid_t> parked = worker_pids(d.proc->pid());
+  ASSERT_EQ(parked.size(), 2u) << "the job's two workers are parked";
+  const long long respawns = metric(d.socket, "worker_respawns");
+  const long long spawned = metric(d.socket, "workers_spawned");
+  ASSERT_EQ(::kill(parked[0], SIGKILL), 0);
+  ASSERT_TRUE(await_exit(parked[0]));
+
+  ASSERT_EQ(submit_job(d.socket, spec, out, /*quiet=*/true), 0);
+  EXPECT_EQ(slurp(out), ref);
+  // The dead worker owed no site: it was dropped and replaced, and no
+  // site was blamed.
+  EXPECT_EQ(metric(d.socket, "worker_respawns"), respawns);
+  EXPECT_EQ(metric(d.socket, "workers_spawned"), spawned + 1);
+  EXPECT_EQ(metric(d.socket, "workers_reused"), 1);
+
+  std::vector<pid_t> seen = worker_pids(d.proc->pid());
+  EXPECT_EQ(seen.size(), 2u);
+  seen.insert(seen.end(), parked.begin(), parked.end());
+  ExitInfo info = d.shutdown();
+  EXPECT_TRUE(info.clean()) << info.describe();
+  // Shutdown retires the parked workers: none outlives the daemon.
+  for (pid_t pid : seen) {
+    EXPECT_EQ(proc_stat_fields(pid), "") << "worker " << pid << " outlived the daemon";
   }
 }
 

@@ -261,6 +261,19 @@ TEST(Hlsavc, SimulateTraceReplaysFromTheEla) {
   }
 }
 
+TEST(Hlsavc, TraceIsAUsageErrorWhereNoRunIsReplayed) {
+  std::string f = write_temp("good.c", kGoodSrc);
+  for (const std::string& run : {"profile " + f + " --feed f.in=1,2,3",
+                                 "faultsim " + f + " --campaign --feed f.in=1,2,3"}) {
+    CmdResult r = run_cmd(run + " --trace");
+    EXPECT_EQ(r.exit_code, 2) << run << ": " << r.output;
+    EXPECT_NE(r.output.find("--trace applies only to simulate and faultsim --site=N"),
+              std::string::npos)
+        << run << ": " << r.output;
+    EXPECT_EQ(r.output.find("Fault-injection campaign"), std::string::npos) << r.output;
+  }
+}
+
 TEST(Hlsavc, OneSiteReproStopsAtTheCampaignBackstop) {
   // The inner loop's stuck-taken branch never exits, and its store keeps
   // it from being a provable livelock: only the cycle backstop ends that

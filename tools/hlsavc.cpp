@@ -196,8 +196,9 @@ void print_usage(std::ostream& os) {
         "  --assertions=ndebug|unoptimized|optimized\n"
         "  --no-parallelize --no-replicate --no-share --nabort\n"
         "  --chain-depth=N --sw --optimize --trace --feed stream=v1,v2,...\n"
-        "  --trace:  simulate and faultsim --site=N also print the source-level replay\n"
-        "            of the ELA window on stderr, as trace does (trace options apply)\n"
+        "  --trace:  simulate and faultsim --site=N only: also print the source-level\n"
+        "            replay of the ELA window on stderr, as trace does (trace options\n"
+        "            apply)\n"
         "  --engine=interpreter|compiled|auto: simulation engine (default\n"
         "            interpreter). compiled AOT-translates the scheduled design\n"
         "            to native code via the host C compiler; configurations the\n"
@@ -390,6 +391,15 @@ bool parse_args(int argc, char** argv, Args& args) {
       std::cerr << "unknown option: " << a << "\n";
       return false;
     }
+  }
+  // --trace replays one run; any other command would ignore it.
+  const bool one_run = args.command == "simulate" ||
+                       (args.command == "faultsim" && !args.campaign &&
+                        args.site != sim::FaultSpec::kNoSite &&
+                        args.trace_site == sim::FaultSpec::kNoSite);
+  if (args.trace && !one_run) {
+    std::cerr << "--trace applies only to simulate and faultsim --site=N\n";
+    return false;
   }
   return true;
 }

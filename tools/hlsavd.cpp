@@ -81,11 +81,14 @@
 // interprets, so this compares the two engines' cycle counts on every
 // job, and the supervisor fails the job -- then runs one site per stdin
 // line and prints the protocol.h lines for it, each result naming the
-// engine that ran the site and, if it interpreted, why. A crash in
-// generated code is a worker crash like any other. It writes no files
-// outside the JIT cache. Exit 0 at stdin EOF, 1 error, 2 bad usage, 21
-// drained on SIGTERM after reporting its in-flight site, 22 golden
-// mismatch.
+// engine that ran the site and, if it interpreted, why. Its argv fixes
+// its plan, so one worker may serve many jobs: between jobs the
+// supervisor parks it with its stdin open and sends the next job with
+// the same argv and design bytes its site ids (serve/shard.h). A crash
+// in generated code is a worker crash like any other. It writes no
+// files outside the JIT cache. Exit 0 at stdin EOF, 1 error, 2 bad
+// usage, 21 drained on SIGTERM after reporting its in-flight site, 22
+// golden mismatch.
 #include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
