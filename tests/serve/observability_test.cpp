@@ -4,91 +4,27 @@
 // trace export, the metrics snapshot, and the append-only event log.
 #include <gtest/gtest.h>
 
-#include <signal.h>
-
 #include <chrono>
-#include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/test_util.h"
+#include "common/daemon.h"
 #include "metrics/chrometrace.h"
-#include "serve/client.h"
-#include "serve/protocol.h"
-#include "support/subprocess.h"
-
-#ifndef HLSAVD_PATH
-#define HLSAVD_PATH "hlsavd"
-#endif
 
 namespace hlsav::serve {
 namespace {
 
-using hlsav::testing::daemon_work_dir;
+using hlsav::testing::clamp_reference;
+using hlsav::testing::clamp_spec;
+using hlsav::testing::Daemon;
+using hlsav::testing::kClampSrc;
+using hlsav::testing::ScopedEnv;
+using hlsav::testing::slurp;
 using hlsav::testing::temp_path;
 using hlsav::testing::write_temp;
-using hlsav::testing::slurp;
-
-const char* kClampSrc = R"(
-void clamp(stream_in<32> in, stream_out<32> out) {
-  for (uint32 i = 0; i < 6; i++) {
-    uint32 v = stream_read(in);
-    uint32 y = v;
-    if (y > 255) { y = 255; }
-    assert(y <= 255);
-    stream_write(out, y);
-  }
-}
-)";
-
-/// A live hlsavd daemon for one test (same shape as service_test's).
-struct Daemon {
-  explicit Daemon(std::vector<std::string> extra_flags = {}) {
-    socket = temp_path("obs_" + std::to_string(counter_++) + ".sock");
-    work_dir = daemon_work_dir("obs_work_" + std::to_string(counter_));
-    std::vector<std::string> argv = {HLSAVD_PATH, "serve", "--socket=" + socket,
-                                     "--work-dir=" + work_dir};
-    for (std::string& f : extra_flags) argv.push_back(std::move(f));
-    StatusOr<Subprocess> p = Subprocess::spawn(argv, /*capture_stdout=*/false);
-    EXPECT_TRUE(p.ok()) << p.status().to_string();
-    if (p.ok()) proc.emplace(std::move(*p));
-    for (int i = 0; i < 500 && !std::filesystem::exists(socket); ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    EXPECT_TRUE(std::filesystem::exists(socket)) << "daemon never bound " << socket;
-  }
-
-  ~Daemon() {
-    if (!proc.has_value()) return;
-    if (!proc->poll().has_value()) {
-      (void)request_shutdown(socket);
-      for (int i = 0; i < 500 && !proc->poll().has_value(); ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-    }
-    if (!proc->poll().has_value()) proc->kill(SIGKILL);
-    (void)proc->wait();
-  }
-
-  std::string socket;
-  std::string work_dir;
-  std::optional<Subprocess> proc;
-  static int counter_;
-};
-
-int Daemon::counter_ = 0;
-
-CampaignSpec clamp_spec(const std::string& design_path) {
-  CampaignSpec spec;
-  spec.design_path = design_path;
-  spec.feeds = "clamp.in=1,2,3,300,5,6";
-  spec.seed = 7;
-  return spec;
-}
 
 /// First integer value of `key` in a flat-ish JSON string ("key": N or
 /// "key":N), or -1 when absent.
@@ -120,31 +56,36 @@ std::size_t count_events(const std::string& jsonl, const std::string& event) {
 
 TEST(Observability, ConcurrentWatchersIncludingASlowOneGetByteIdenticalReports) {
   std::string design = write_temp("obs_clamp.c", kClampSrc);
-  Daemon d;
+  std::string ref = clamp_reference(design);
+  ASSERT_NE(ref.find("Fault-injection campaign"), std::string::npos) << ref;
+  Daemon d({"--backoff-base-ms=1", "--backoff-cap-ms=10"});
   CampaignSpec spec = clamp_spec(design);
   spec.workers = 2;
+  spec.crash_at = {3};  // each job loses a worker mid-sweep
 
-  // Watcher-less reference run: job 1.
+  // Watcher-less run: job 1.
   std::string ref_out = temp_path("obs_ref.txt");
   ASSERT_EQ(submit_job(d.socket, spec, ref_out, /*quiet=*/true), 0);
-  std::string ref = slurp(ref_out);
-  ASSERT_NE(ref.find("Fault-injection campaign"), std::string::npos) << ref;
+  EXPECT_EQ(slurp(ref_out), ref);
 
-  // Job 2 runs with three concurrent watchers attached before it is
-  // even submitted (wait_ms lets them win the race), one of which
+  // Job 2 runs with eight concurrent watchers attached before it is
+  // even submitted (wait_ms lets them win the race), the last of which
   // deliberately refuses to read for longer than the whole campaign.
-  std::vector<std::string> watch_outs = {temp_path("obs_w0.txt"), temp_path("obs_w1.txt"),
-                                         temp_path("obs_w2.txt")};
-  std::vector<int> watch_rcs(3, -1);
+  constexpr std::size_t kWatchers = 8;
+  std::vector<std::string> watch_outs;
+  for (std::size_t i = 0; i < kWatchers; ++i) {
+    watch_outs.push_back(temp_path("obs_w" + std::to_string(i) + ".txt"));
+  }
+  std::vector<int> watch_rcs(kWatchers, -1);
   std::vector<std::thread> watchers;
-  for (int i = 0; i < 3; ++i) {
+  for (std::size_t i = 0; i < kWatchers; ++i) {
     watchers.emplace_back([&, i] {
       WatchOptions wopt;
       wopt.wait_ms = 10'000;
       wopt.quiet = true;
-      wopt.out_path = watch_outs[static_cast<std::size_t>(i)];
-      if (i == 2) wopt.stall_reads_ms = 4000;  // the slow reader
-      watch_rcs[static_cast<std::size_t>(i)] = watch_job(d.socket, 2, wopt);
+      wopt.out_path = watch_outs[i];
+      if (i == kWatchers - 1) wopt.stall_reads_ms = 4000;  // the slow reader
+      watch_rcs[i] = watch_job(d.socket, 2, wopt);
     });
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -161,10 +102,15 @@ TEST(Observability, ConcurrentWatchersIncludingASlowOneGetByteIdenticalReports) 
   // The watched run's report is byte-identical to the watcher-less one,
   // and every watcher -- slow reader included -- got those same bytes.
   EXPECT_EQ(slurp(out), ref);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(watch_rcs[static_cast<std::size_t>(i)], 0) << "watcher " << i;
-    EXPECT_EQ(slurp(watch_outs[static_cast<std::size_t>(i)]), ref) << "watcher " << i;
+  for (std::size_t i = 0; i < kWatchers; ++i) {
+    EXPECT_EQ(watch_rcs[i], 0) << "watcher " << i;
+    EXPECT_EQ(slurp(watch_outs[i]), ref) << "watcher " << i;
   }
+  // Each watcher subscribed once: a watch of a job not yet submitted is
+  // rejected, not counted.
+  StatusOr<std::string> snap = query_metrics(d.socket);
+  ASSERT_TRUE(snap.ok()) << snap.status().to_string();
+  EXPECT_EQ(json_int(*snap, "watch_subscribers"), static_cast<long long>(kWatchers));
 }
 
 TEST(Observability, LateWatcherOfAFinishedJobReplaysSnapshotAndReport) {
@@ -217,12 +163,15 @@ TEST(Observability, MetricsSnapshotReconcilesWithTheEventLog) {
   std::string design = write_temp("obs_metrics.c", kClampSrc);
   std::string events = temp_path("obs_events.jsonl");
   {
-    Daemon d({"--events-out=" + events, "--backoff-base-ms=1", "--backoff-cap-ms=10"});
+    Daemon d({"--events-out=" + events, "--quarantine-cap=2", "--backoff-base-ms=1",
+              "--backoff-cap-ms=10"});
     CampaignSpec spec = clamp_spec(design);
     ASSERT_EQ(submit_job(d.socket, spec, temp_path("obs_m1.txt"), /*quiet=*/true), 0);
+    // Site 3 kills every worker that runs it, so it ends quarantined.
     CampaignSpec crash = clamp_spec(design);
     crash.workers = 2;
     crash.crash_at = {3};
+    crash.crash_limit = 10;
     ASSERT_EQ(submit_job(d.socket, crash, temp_path("obs_m2.txt"), /*quiet=*/true), 0);
 
     WatchOptions wopt;
@@ -236,20 +185,25 @@ TEST(Observability, MetricsSnapshotReconcilesWithTheEventLog) {
     EXPECT_EQ(json_int(*snap, "jobs_completed"), 2);
     EXPECT_EQ(json_int(*snap, "jobs_failed"), 0);
     EXPECT_GE(json_int(*snap, "worker_respawns"), 1);
+    EXPECT_EQ(json_int(*snap, "sites_quarantined"), 1);
     EXPECT_GE(json_int(*snap, "sites_done"), 1);
     EXPECT_GT(json_int(*snap, "journal_bytes"), 0);
     EXPECT_GE(json_int(*snap, "watch_subscribers"), 1);
     EXPECT_GT(json_int(*snap, "watch_frames_sent"), 0);
     EXPECT_GE(json_int(*snap, "events_logged"), 1);
 
-    // The counters agree with the flight recorder while it is live.
+    // Each counter is a fold of the flight recorder while it is live:
+    // it equals the number of lines its event left in the log.
     std::string text = slurp(events);
-    EXPECT_EQ(count_events(text, "job-submitted"),
-              static_cast<std::size_t>(json_int(*snap, "jobs_submitted")));
-    EXPECT_EQ(count_events(text, "job-completed"),
-              static_cast<std::size_t>(json_int(*snap, "jobs_completed")));
-    EXPECT_EQ(count_events(text, "worker-crashed"),
-              static_cast<std::size_t>(json_int(*snap, "worker_respawns")));
+    for (auto [counter, event] : {std::pair{"jobs_submitted", "job-submitted"},
+                                  {"jobs_completed", "job-completed"},
+                                  {"worker_respawns", "worker-crashed"},
+                                  {"sites_quarantined", "site-quarantined"},
+                                  {"watch_subscribers", "watch-subscribed"}}) {
+      EXPECT_EQ(count_events(text, event), static_cast<std::size_t>(json_int(*snap, counter)))
+          << counter;
+    }
+    EXPECT_TRUE(d.shutdown().clean());
   }
   // Daemon gone: the log ends with daemon-stop and seq stays monotonic.
   std::string text = slurp(events);
@@ -281,6 +235,10 @@ TEST(Observability, FinishedWatcherThreadsAreReaped) {
   // was never joined keeps its stack mapped, so a daemon serving many
   // watches would grow without bound.
   std::string design = write_temp("obs_reap.c", kClampSrc);
+  // One malloc arena in the daemon. Otherwise a watcher thread that
+  // starts before the last one has let go of its arena gets a new
+  // 64 MiB one: VmSize growth that is not a leaked stack.
+  ScopedEnv one_arena("MALLOC_ARENA_MAX", "1");
   Daemon d;
   ASSERT_EQ(submit_job(d.socket, clamp_spec(design), temp_path("obs_reap.txt"), true), 0);
   WatchOptions wopt;

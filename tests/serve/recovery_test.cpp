@@ -6,140 +6,37 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
-#include <unistd.h>
 
-#include <array>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/test_util.h"
-#include "serve/client.h"
-#include "serve/protocol.h"
-#include "support/subprocess.h"
-
-#ifndef HLSAVD_PATH
-#define HLSAVD_PATH "hlsavd"
-#endif
-#ifndef HLSAVC_PATH
-#define HLSAVC_PATH "hlsavc"
-#endif
+#include "common/daemon.h"
 
 namespace hlsav::serve {
 namespace {
 
-using hlsav::testing::daemon_work_dir;
+using hlsav::testing::clamp_reference;
+using hlsav::testing::clamp_spec;
+using hlsav::testing::Daemon;
+using hlsav::testing::kClampFeed;
+using hlsav::testing::kClampSrc;
+using hlsav::testing::run_hlsavc;
+using hlsav::testing::slurp;
 using hlsav::testing::temp_path;
 using hlsav::testing::write_temp;
-using hlsav::testing::slurp;
-
-const char* kClampSrc = R"(
-void clamp(stream_in<32> in, stream_out<32> out) {
-  for (uint32 i = 0; i < 6; i++) {
-    uint32 v = stream_read(in);
-    uint32 y = v;
-    if (y > 255) { y = 255; }
-    assert(y <= 255);
-    stream_write(out, y);
-  }
-}
-)";
-
-std::string run_hlsavc(const std::string& args) {
-  std::string cmd = std::string(HLSAVC_PATH) + " " + args + " 2>/dev/null";
-  std::array<char, 4096> buf{};
-  std::string out;
-  FILE* pipe = popen(cmd.c_str(), "r");
-  if (pipe == nullptr) return out;
-  while (fgets(buf.data(), static_cast<int>(buf.size()), pipe) != nullptr) out += buf.data();
-  pclose(pipe);
-  return out;
-}
-
-CampaignSpec clamp_spec(const std::string& design_path) {
-  CampaignSpec spec;
-  spec.design_path = design_path;
-  spec.feeds = "clamp.in=1,2,3,300,5,6";
-  spec.seed = 7;
-  return spec;
-}
-
-/// A daemon meant to die and come back: fixed socket/work/spool paths
-/// so a restart resumes the same state. Readiness is a status round
-/// trip, never the socket file -- a stale socket survives kill -9.
-struct CrashDaemon {
-  explicit CrashDaemon(const std::string& tag, std::vector<std::string> extra_flags = {})
-      : flags(std::move(extra_flags)) {
-    socket = temp_path("rec_" + tag + ".sock");
-    work_dir = daemon_work_dir("recwork_" + tag);
-    start();
-  }
-
-  void start() {
-    std::vector<std::string> argv = {HLSAVD_PATH, "serve", "--socket=" + socket,
-                                     "--work-dir=" + work_dir};
-    for (const std::string& f : flags) argv.push_back(f);
-    StatusOr<Subprocess> p = Subprocess::spawn(argv, /*capture_stdout=*/false);
-    EXPECT_TRUE(p.ok()) << p.status().to_string();
-    if (p.ok()) proc.emplace(std::move(*p));
-    bool ready = false;
-    for (int i = 0; i < 1000 && !ready; ++i) {
-      ready = query_status(socket).ok();
-      if (!ready) std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    EXPECT_TRUE(ready) << "daemon never answered status on " << socket;
-  }
-
-  /// Blocks until the daemon's self-inflicted SIGKILL lands.
-  ExitInfo wait_killed() {
-    for (int i = 0; i < 3000 && !proc->poll().has_value(); ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    EXPECT_TRUE(proc->poll().has_value()) << "daemon outlived its --die-at phase";
-    if (!proc->poll().has_value()) proc->kill(SIGKILL);
-    return proc->wait();
-  }
-
-  /// New incarnation, identical flags: the durable die-at token makes
-  /// it immune to the phase that killed its predecessor.
-  void restart() {
-    (void)proc->wait();
-    start();
-  }
-
-  ~CrashDaemon() {
-    if (!proc.has_value()) return;
-    if (!proc->poll().has_value()) {
-      (void)request_shutdown(socket);
-      for (int i = 0; i < 500 && !proc->poll().has_value(); ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-    }
-    if (!proc->poll().has_value()) proc->kill(SIGKILL);
-    (void)proc->wait();
-  }
-
-  std::string socket;
-  std::string work_dir;
-  std::vector<std::string> flags;
-  std::optional<Subprocess> proc;
-};
 
 /// The core property: kill -9 at `phase`, restart, blindly resubmit the
 /// same idempotency key with --retry semantics, and the report must be
 /// byte-identical to the uninterrupted single-process reference.
 void crash_and_recover(const std::string& phase, bool job_spooled_before_death) {
   std::string design = write_temp("rec_clamp_" + phase + ".c", kClampSrc);
-  std::string ref =
-      run_hlsavc("faultsim " + design + " --campaign --seed=7 --feed clamp.in=1,2,3,300,5,6");
+  std::string ref = clamp_reference(design);
   ASSERT_NE(ref.find("Fault-injection campaign"), std::string::npos) << ref;
 
-  CrashDaemon d("phase_" + phase,
-                {"--die-at=" + phase, "--backoff-base-ms=1", "--backoff-cap-ms=10"});
+  Daemon d({"--die-at=" + phase, "--backoff-base-ms=1", "--backoff-cap-ms=10"});
   CampaignSpec spec = clamp_spec(design);
   spec.key = "crash-" + phase;
 
@@ -172,6 +69,27 @@ void crash_and_recover(const std::string& phase, bool job_spooled_before_death) 
     EXPECT_NE(status->find("recovered 1 job(s) at boot"), std::string::npos) << *status;
   }
   EXPECT_TRUE(std::filesystem::exists(d.work_dir + "/spool"));
+
+  // One journal per job and no per-worker ones. It is an ordinary
+  // campaign journal: hlsavc resumes it without running a site (the
+  // file does not grow) and renders the same report.
+  namespace fs = std::filesystem;
+  std::vector<std::string> journals;
+  for (const fs::directory_entry& e : fs::recursive_directory_iterator(d.work_dir)) {
+    const std::string name = e.path().filename().string();
+    EXPECT_FALSE(name.starts_with("shard_") && name.ends_with(".jsonl")) << e.path();
+    if (name == "journal.jsonl" && e.path().parent_path().parent_path() == d.work_dir &&
+        e.path().parent_path().filename().string().starts_with("job_")) {
+      journals.push_back(e.path().string());
+    }
+  }
+  ASSERT_EQ(journals.size(), 1u);
+  const std::uintmax_t bytes = fs::file_size(journals[0]);
+  EXPECT_EQ(run_hlsavc("faultsim " + design + " --campaign --resume --seed=7 --feed " +
+                       kClampFeed + " --journal=" + journals[0]),
+            ref);
+  EXPECT_EQ(fs::file_size(journals[0]), bytes) << "hlsavc re-ran sites";
+  EXPECT_TRUE(d.shutdown().clean());
 }
 
 TEST(Recovery, DieAtAcceptThenRetriedSubmitMatchesReference) {
@@ -198,11 +116,10 @@ TEST(Recovery, DieAtPreDoneThenRestartStillYieldsTheExactReport) {
 
 TEST(Recovery, DuplicateSubmitNeverDoubleRunsAndReplaysTheReport) {
   std::string design = write_temp("rec_dup.c", kClampSrc);
-  std::string ref =
-      run_hlsavc("faultsim " + design + " --campaign --seed=7 --feed clamp.in=1,2,3,300,5,6");
+  std::string ref = clamp_reference(design);
   ASSERT_NE(ref.find("Fault-injection campaign"), std::string::npos) << ref;
 
-  CrashDaemon d("dup");
+  Daemon d;
   CampaignSpec spec = clamp_spec(design);
   spec.key = "dup-key";
 
@@ -224,7 +141,7 @@ TEST(Recovery, DuplicateSubmitNeverDoubleRunsAndReplaysTheReport) {
 
 TEST(Recovery, SameKeyWithADifferentSpecIsATypedRejection) {
   std::string design = write_temp("rec_dupbad.c", kClampSrc);
-  CrashDaemon d("dupbad");
+  Daemon d;
   CampaignSpec spec = clamp_spec(design);
   spec.key = "contested-key";
   SubmitOptions opt;
@@ -242,8 +159,8 @@ TEST(Recovery, DeadlineExpiredWhileQueuedExitsEight) {
   std::string design = write_temp("rec_deadline.c", kClampSrc);
   // One executor, deterministically busy: job 1 stalls its worker on
   // site 0 until the 3s heartbeat watchdog clears it.
-  CrashDaemon d("deadline", {"--jobs=1", "--workers=1", "--heartbeat-timeout-ms=3000",
-                             "--backoff-base-ms=1", "--backoff-cap-ms=10"});
+  Daemon d({"--jobs=1", "--workers=1", "--heartbeat-timeout-ms=3000", "--backoff-base-ms=1",
+            "--backoff-cap-ms=10"});
   CampaignSpec stall = clamp_spec(design);
   stall.workers = 1;
   stall.stall_at = {0};

@@ -5,10 +5,8 @@
 
 #include <signal.h>
 
-#include <array>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <optional>
@@ -18,128 +16,43 @@
 #include <vector>
 
 #include "codegen/jit.h"
-#include "common/test_util.h"
+#include "common/daemon.h"
 #include "pipeline/compile.h"
-#include "serve/client.h"
-#include "serve/protocol.h"
 #include "serve/service.h"
 #include "serve/shard.h"
 #include "sim/campaign.h"
 #include "support/jsonl.h"
-#include "support/subprocess.h"
 #include "support/wal.h"
-
-#ifndef HLSAVD_PATH
-#define HLSAVD_PATH "hlsavd"
-#endif
-#ifndef HLSAVC_PATH
-#define HLSAVC_PATH "hlsavc"
-#endif
 
 namespace hlsav::serve {
 namespace {
 
+using hlsav::testing::clamp_reference;
+using hlsav::testing::clamp_spec;
+using hlsav::testing::Daemon;
 using hlsav::testing::daemon_work_dir;
+using hlsav::testing::kClampSrc;
 using hlsav::testing::ScopedEnv;
+using hlsav::testing::slurp;
 using hlsav::testing::temp_path;
 using hlsav::testing::write_temp;
-using hlsav::testing::slurp;
-
-const char* kClampSrc = R"(
-void clamp(stream_in<32> in, stream_out<32> out) {
-  for (uint32 i = 0; i < 6; i++) {
-    uint32 v = stream_read(in);
-    uint32 y = v;
-    if (y > 255) { y = 255; }
-    assert(y <= 255);
-    stream_write(out, y);
-  }
-}
-)";
-
-/// Runs hlsavc and captures stdout+stderr (the single-process campaign
-/// reference the service must match byte for byte).
-std::string run_hlsavc(const std::string& args) {
-  std::string cmd = std::string(HLSAVC_PATH) + " " + args + " 2>/dev/null";
-  std::array<char, 4096> buf{};
-  std::string out;
-  FILE* pipe = popen(cmd.c_str(), "r");
-  if (pipe == nullptr) return out;
-  while (fgets(buf.data(), static_cast<int>(buf.size()), pipe) != nullptr) out += buf.data();
-  pclose(pipe);
-  return out;
-}
-
-/// A live hlsavd daemon for one test: spawned on construction, torn
-/// down (gracefully if possible, SIGKILL as a backstop) on destruction.
-struct Daemon {
-  explicit Daemon(std::vector<std::string> extra_flags = {}) {
-    socket = temp_path("svc_" + std::to_string(counter_++) + ".sock");
-    work_dir = daemon_work_dir("svcwork_" + std::to_string(counter_));
-    std::vector<std::string> argv = {HLSAVD_PATH, "serve", "--socket=" + socket,
-                                     "--work-dir=" + work_dir};
-    for (std::string& f : extra_flags) argv.push_back(std::move(f));
-    StatusOr<Subprocess> p = Subprocess::spawn(argv, /*capture_stdout=*/false);
-    EXPECT_TRUE(p.ok()) << p.status().to_string();
-    if (p.ok()) proc.emplace(std::move(*p));
-    // The daemon prints its listening line after binding; the socket
-    // file appearing is the readiness signal.
-    for (int i = 0; i < 500 && !std::filesystem::exists(socket); ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    EXPECT_TRUE(std::filesystem::exists(socket)) << "daemon never bound " << socket;
-  }
-
-  ~Daemon() {
-    if (!proc.has_value()) return;
-    if (!proc->poll().has_value()) {
-      (void)request_shutdown(socket);
-      for (int i = 0; i < 500 && !proc->poll().has_value(); ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-    }
-    if (!proc->poll().has_value()) proc->kill(SIGKILL);
-    (void)proc->wait();
-  }
-
-  /// Graceful shutdown; returns the daemon's own exit info.
-  ExitInfo shutdown() {
-    EXPECT_TRUE(request_shutdown(socket).ok());
-    return proc->wait();
-  }
-
-  std::string socket;
-  std::string work_dir;
-  std::optional<Subprocess> proc;
-  static int counter_;
-};
-
-int Daemon::counter_ = 0;
-
-CampaignSpec clamp_spec(const std::string& design_path) {
-  CampaignSpec spec;
-  spec.design_path = design_path;
-  spec.feeds = "clamp.in=1,2,3,300,5,6";
-  spec.seed = 7;
-  return spec;
-}
 
 TEST(Service, CrashedWorkersAreContainedAndTheReportStaysByteIdentical) {
   std::string design = write_temp("svc_clamp.c", kClampSrc);
   // Single-process reference sweep: the identical design *path* matters
   // (the report names it), so both runs use the same string.
-  std::string ref = run_hlsavc("faultsim " + design +
-                               " --campaign --seed=7 --feed clamp.in=1,2,3,300,5,6");
+  std::string ref = clamp_reference(design);
   ASSERT_NE(ref.find("Fault-injection campaign"), std::string::npos) << ref;
 
   Daemon d;
-  CampaignSpec spec = clamp_spec(design);
-  spec.workers = 2;
-  spec.crash_at = {3, 7};  // two workers die by SIGKILL mid-sweep
-  std::string out = temp_path("svc_crash_report.txt");
-  int rc = submit_job(d.socket, spec, out, /*quiet=*/true);
-  EXPECT_EQ(rc, 0);
-  EXPECT_EQ(slurp(out), ref);
+  for (unsigned workers : {1u, 2u, 4u}) {
+    CampaignSpec spec = clamp_spec(design);
+    spec.workers = workers;
+    spec.crash_at = {3, 7};  // two workers die by SIGKILL mid-sweep
+    std::string out = temp_path("svc_crash_report_w" + std::to_string(workers) + ".txt");
+    EXPECT_EQ(submit_job(d.socket, spec, out, /*quiet=*/true), 0) << workers << " workers";
+    EXPECT_EQ(slurp(out), ref) << workers << " workers";
+  }
 }
 
 TEST(Service, QuarantineClassifiesARepeatKillerAsWorkerCrashed) {
@@ -188,8 +101,7 @@ std::optional<TraceEvent> parse_trace_line(const std::string& line) {
 
 TEST(Service, StalledWorkerDoesNotHoldBackOtherSites) {
   std::string design = write_temp("svc_clamp_stall.c", kClampSrc);
-  std::string ref = run_hlsavc("faultsim " + design +
-                               " --campaign --seed=7 --feed clamp.in=1,2,3,300,5,6");
+  std::string ref = clamp_reference(design);
   ASSERT_NE(ref.find("Fault-injection campaign"), std::string::npos) << ref;
 
   // Site 0 stalls its worker until the 3 s heartbeat watchdog kills it.
@@ -222,8 +134,7 @@ TEST(Service, StalledWorkerDoesNotHoldBackOtherSites) {
 
 TEST(Service, OverloadIsATypedRejectionNeverAHang) {
   std::string design = write_temp("svc_busy.c", kClampSrc);
-  std::string ref = run_hlsavc("faultsim " + design +
-                               " --campaign --seed=7 --feed clamp.in=1,2,3,300,5,6");
+  std::string ref = clamp_reference(design);
   ASSERT_NE(ref.find("Fault-injection campaign"), std::string::npos) << ref;
   // One executor, queue of one. Job 1 stalls its worker on site 0 until
   // the 3s heartbeat watchdog clears it -- a deterministic window in
@@ -523,9 +434,8 @@ bool await_exit(pid_t pid) {
 }
 
 TEST(Service, RepeatedJobReusesParkedWorkers) {
-  const std::string args = " --campaign --seed=7 --feed clamp.in=1,2,3,300,5,6";
   std::string design = write_temp("svc_reuse.c", kClampSrc);
-  const std::string ref = run_hlsavc("faultsim " + design + args);
+  const std::string ref = clamp_reference(design);
   ASSERT_NE(ref.find("Fault-injection campaign"), std::string::npos) << ref;
 
   Daemon d({"--backoff-base-ms=1", "--backoff-cap-ms=10"});
@@ -553,7 +463,7 @@ TEST(Service, RepeatedJobReusesParkedWorkers) {
     clamp100.replace(at, 3, "100");
   }
   ASSERT_EQ(write_temp("svc_reuse.c", clamp100), design);
-  const std::string ref100 = run_hlsavc("faultsim " + design + args);
+  const std::string ref100 = clamp_reference(design);
   ASSERT_NE(ref100.find("Fault-injection campaign"), std::string::npos) << ref100;
   ASSERT_NE(ref100, ref);
   ASSERT_EQ(submit_job(d.socket, spec, out, /*quiet=*/true), 0);
@@ -581,8 +491,7 @@ TEST(Service, RepeatedJobReusesParkedWorkers) {
 
 TEST(Service, ParkedWorkerKilledWhileIdleIsReplacedNotBlamed) {
   std::string design = write_temp("svc_reuse_kill.c", kClampSrc);
-  const std::string ref =
-      run_hlsavc("faultsim " + design + " --campaign --seed=7 --feed clamp.in=1,2,3,300,5,6");
+  const std::string ref = clamp_reference(design);
   ASSERT_NE(ref.find("Fault-injection campaign"), std::string::npos) << ref;
 
   Daemon d({"--jobs=1", "--backoff-base-ms=1", "--backoff-cap-ms=10"});

@@ -210,6 +210,7 @@ void expect_same_report(const CampaignReport& a, CampaignReport b, const ir::Des
 
 TEST(Journal, KillThenResumeRendersByteIdentical) {
   H h = make_clamp();
+  const CampaignReport unjournaled = run_campaign(h.design, h.schedule, h.externs, h.feeds);
   for (unsigned resume_threads : {1u, 4u}) {
     SCOPED_TRACE("resume threads " + std::to_string(resume_threads));
     std::string path =
@@ -219,6 +220,8 @@ TEST(Journal, KillThenResumeRendersByteIdentical) {
     opt.journal = path;
     CampaignReport uninterrupted = run_campaign(h.design, h.schedule, h.externs, h.feeds, opt);
     ASSERT_GT(uninterrupted.results.size(), 4u);
+    // Journaling changes no report byte.
+    expect_same_report(unjournaled, uninterrupted, h.design);
 
     // Keep half the sites, leave a torn line: the SIGKILL disk state.
     simulate_kill(path, uninterrupted.results.size() / 2, /*torn_tail=*/true);

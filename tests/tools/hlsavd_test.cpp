@@ -13,16 +13,9 @@
 #include <string>
 #include <vector>
 
-#include "common/test_util.h"
+#include "common/daemon.h"
 #include "serve/protocol.h"
 #include "sim/journal.h"
-
-#ifndef HLSAVD_PATH
-#define HLSAVD_PATH "hlsavd"
-#endif
-#ifndef HLSAVC_PATH
-#define HLSAVC_PATH "hlsavc"
-#endif
 
 namespace {
 
@@ -52,22 +45,10 @@ CmdResult run_hlsavd(const std::string& args) {
   return run_raw(std::string(HLSAVD_PATH) + " " + args);
 }
 
+using hlsav::testing::kClampFeed;
+using hlsav::testing::kClampSrc;
 using hlsav::testing::temp_path;
 using hlsav::testing::write_temp;
-
-const char* kClampSrc = R"(
-void clamp(stream_in<32> in, stream_out<32> out) {
-  for (uint32 i = 0; i < 6; i++) {
-    uint32 v = stream_read(in);
-    uint32 y = v;
-    if (y > 255) { y = 255; }
-    assert(y <= 255);
-    stream_write(out, y);
-  }
-}
-)";
-
-constexpr const char* kFeed = "clamp.in=1,2,3,300,5,6";
 
 /// Builds the full-campaign reference journal with hlsavc: its header
 /// carries the resolved backstop and golden cycle count a supervisor
@@ -75,7 +56,7 @@ constexpr const char* kFeed = "clamp.in=1,2,3,300,5,6";
 hlsav::sim::JournalContents reference_journal(const std::string& design,
                                               const std::string& journal) {
   CmdResult r = run_raw(std::string(HLSAVC_PATH) + " faultsim " + design +
-                        " --campaign --feed " + kFeed + " --journal=" + journal);
+                        " --campaign --feed " + kClampFeed + " --journal=" + journal);
   EXPECT_EQ(r.exit_code, 0) << r.output;
   auto loaded = hlsav::sim::load_journal(journal);
   EXPECT_TRUE(loaded.ok()) << loaded.status().to_string();
@@ -89,7 +70,7 @@ CmdResult run_worker(const std::string& site_ids, const std::string& design,
   hlsav::testing::use_private_jit_cache();
   return run_raw("printf '" + site_ids + "' | " + HLSAVD_PATH + " worker --design=" + design +
                  " --max-cycles=" + std::to_string(h.max_cycles) +
-                 " --golden-cycles=" + std::to_string(h.golden_cycles) + " --feed " + kFeed +
+                 " --golden-cycles=" + std::to_string(h.golden_cycles) + " --feed " + kClampFeed +
                  extra);
 }
 
