@@ -39,6 +39,7 @@ struct PreparedSim {
 struct CampaignRow {
   std::string name;
   std::string config;
+  sim::CampaignPlan plan;
   sim::CampaignReport report;
 };
 
@@ -97,20 +98,18 @@ std::vector<PreparedSim> workloads(bool quick) {
   return out;
 }
 
-/// Reruns one faulted variant verbatim and prints the hang report --
-/// the §5.1 debugging workflow: the wait-for-graph names the stuck
-/// process and stream instead of leaving the user with a dead board.
-void show_hang_localization(const PreparedSim& p, const sim::FaultSpec& fault) {
-  sim::ExternRegistry ext;
-  sim::SimOptions so;
-  so.mode = sim::SimMode::kHardware;
-  so.faults.add(fault);
-  sim::Simulator s(p.design, p.schedule, ext, so);
-  for (const auto& [stream, values] : p.feeds) s.feed(stream, values);
-  sim::RunResult r = s.run();
-  std::cout << "hang localization (" << p.name << "/" << p.config << ", s" << fault.id << ": "
-            << fault.describe(p.design) << "):\n"
-            << r.hang_report;
+/// Reruns one site of `row`'s campaign as the campaign ran it and
+/// prints the hang report -- the §5.1 debugging workflow: the
+/// wait-for-graph names the stuck process and stream instead of leaving
+/// the user with a dead board.
+void show_hang_localization(const CampaignRow& row, const sim::FaultSpec& fault) {
+  const sim::CampaignPlan& plan = row.plan;
+  sim::SiteObserver obs;
+  (void)sim::run_fault(*plan.program, *plan.externs, *plan.feeds, plan.golden, fault, {},
+                       plan.header.max_cycles, nullptr, 0.0, &obs);
+  std::cout << "hang localization (" << row.name << "/" << row.config << ", s" << fault.id
+            << ": " << fault.describe(plan.program->design()) << "):\n"
+            << obs.run.hang_report;
 }
 
 void write_campaign_json(const std::string& path, const std::vector<CampaignRow>& rows) {
@@ -167,8 +166,13 @@ int main(int argc, char** argv) {
     copt.progress = progress;
     copt.profile = profile;
     if (quick) copt.max_faults = 12;  // seeded sample, site ids stay stable
-    rows.push_back(
-        {p.name, p.config, sim::run_campaign(p.design, p.schedule, ext, p.feeds, copt)});
+    StatusOr<sim::CampaignPlan> plan =
+        sim::plan_campaign(p.design, p.schedule, ext, p.feeds, copt);
+    StatusOr<sim::CampaignReport> report = plan.ok()
+                                               ? sim::run_campaign_st(*plan, copt)
+                                               : StatusOr<sim::CampaignReport>(plan.status());
+    HLSAV_CHECK(report.ok(), "campaign failed: " + report.status().to_string());
+    rows.push_back({p.name, p.config, *std::move(plan), *std::move(report)});
   }
   if (!rows.empty()) {
     std::cout << "campaign workers: " << rows.front().report.threads << "\n";
@@ -209,7 +213,7 @@ int main(int argc, char** argv) {
     }
     if (hang != nullptr) {
       std::cout << "\n";
-      show_hang_localization(ws[i], hang->site);
+      show_hang_localization(rows[i], hang->site);
       break;
     }
   }

@@ -7,7 +7,8 @@
 //  (b) an external HDL function whose C simulation model disagrees with
 //      the silicon.
 // In both cases the program passes software simulation and fails in
-// circuit; in-circuit assertions are what surface the bug.
+// circuit; in-circuit assertions are what surface the bug. Exits 1
+// unless every software run completes and every in-circuit run aborts.
 #include <iostream>
 
 #include "apps/appbuild.h"
@@ -20,7 +21,8 @@ namespace {
 
 using namespace hlsav;
 
-void report(const char* label, const sim::RunResult& r) {
+/// Prints how the run ended; true when it ended with `expected`.
+bool report(const char* label, const sim::RunResult& r, sim::RunStatus expected) {
   std::cout << label << ": ";
   switch (r.status) {
     case sim::RunStatus::kCompleted: std::cout << "completed, assertion passed"; break;
@@ -31,6 +33,7 @@ void report(const char* label, const sim::RunResult& r) {
     case sim::RunStatus::kDeadline: std::cout << "stopped by the wall-clock deadline"; break;
   }
   std::cout << '\n';
+  return r.status == expected;
 }
 
 }  // namespace
@@ -54,6 +57,7 @@ int main() {
   )";
   auto app = apps::compile_app("fig3", "fig3.c", narrow_src);
   sim::ExternRegistry externs;
+  bool ok = true;
 
   {
     // Software simulation executes source semantics: passes.
@@ -63,7 +67,7 @@ int main() {
     so.mode = sim::SimMode::kSoftware;
     sim::Simulator s(d, sch, externs, so);
     s.feed("f.in", {4294967286u});
-    report("(a) software simulation          ", s.run());
+    ok &= report("(a) software simulation          ", s.run(), sim::RunStatus::kCompleted);
   }
   {
     // In circuit, with the translation fault injected on the guard
@@ -76,7 +80,7 @@ int main() {
     so.faults.add(sim::FaultSpec::narrow_compare("f", 9, 5));
     sim::Simulator s(d, sch, externs, so);
     s.feed("f.in", {4294967286u});
-    report("(a) in-circuit (narrowed compare)", s.run());
+    ok &= report("(a) in-circuit (narrowed compare)", s.run(), sim::RunStatus::kAborted);
   }
 
   // (b) External HDL function with a divergent C model.
@@ -105,7 +109,7 @@ int main() {
     so.mode = sim::SimMode::kSoftware;
     sim::Simulator s(d, sch, ext2, so);
     s.feed("g.in", {600});
-    report("(b) software simulation          ", s.run());
+    ok &= report("(b) software simulation          ", s.run(), sim::RunStatus::kCompleted);
   }
   {
     ir::Design d = app2->design.clone();
@@ -114,10 +118,10 @@ int main() {
     sched::DesignSchedule sch = sched::schedule_design(d);
     sim::Simulator s(d, sch, ext2, {});
     s.feed("g.in", {600});
-    report("(b) in-circuit (real HDL core)   ", s.run());
+    ok &= report("(b) in-circuit (real HDL core)   ", s.run(), sim::RunStatus::kAborted);
   }
 
   std::cout << "\nboth bugs are invisible to software simulation and caught by the same\n"
                "source-level assert() once it executes in circuit.\n";
-  return 0;
+  return ok ? 0 : 1;
 }

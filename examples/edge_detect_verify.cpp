@@ -5,7 +5,9 @@
 // through the fixed-size 5x5 window kernel, and the edge map comes back
 // as edge_output.bmp. The kernel's two in-circuit assertions check that
 // the streamed image's width and height match the hardware
-// configuration; feeding a wrongly-sized image trips them.
+// configuration; feeding a wrongly-sized image trips them. Exits 1
+// unless the edge map matches the golden model and the wrong size is
+// caught.
 #include <iostream>
 
 #include "apps/appbuild.h"
@@ -35,12 +37,14 @@ int main() {
   }
 
   // Matching image: clean run, output compared against the golden model.
+  bool ok = true;
   {
     sim::Simulator s(design, schedule, externs, {});
     s.feed("edge.in", edge::to_word_stream(input));
     sim::RunResult r = s.run();
     img::Image hw = edge::from_word_stream(s.received("edge.out"), kW, kH);
     img::Image gold = edge::golden_edge(input);
+    ok = ok && hw.pixels == gold.pixels;
     std::cout << "edge map computed in " << r.cycles << " FPGA cycles; "
               << (hw.pixels == gold.pixels ? "matches golden model" : "MISMATCH") << "\n";
     // Scale the response into 0..255 for viewing.
@@ -60,10 +64,11 @@ int main() {
     });
     s.feed("edge.in", edge::to_word_stream(wrong));
     sim::RunResult r = s.run();
+    ok = ok && r.status == sim::RunStatus::kAborted;
     std::cout << "wrong-size run: "
               << (r.status == sim::RunStatus::kAborted ? "aborted (size mismatch caught)"
                                                        : "completed (?)")
               << "\n";
   }
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -6,6 +6,7 @@
 // idealized reasoning but hangs in circuit. assert(0) markers with
 // NABORT act as a breadcrumb trail: the last marker reached, compared
 // between runs, pinpoints the hanging statement -- no HDL needed.
+// Exits 1 unless the correct pipeline completes and the buggy one hangs.
 #include <iostream>
 
 #include "apps/appbuild.h"
@@ -43,7 +44,7 @@ std::string pipeline_source(bool extra_read) {
   )";
 }
 
-void run_pipeline(bool buggy) {
+sim::RunStatus run_pipeline(bool buggy) {
   auto app = apps::compile_app(buggy ? "buggy" : "correct", "pipeline.c",
                                pipeline_source(buggy));
   ir::StreamId link = app->design.find_process("feeder")->find_port("link")->stream;
@@ -74,19 +75,20 @@ void run_pipeline(bool buggy) {
     std::cout << r.hang_report;
   }
   std::cout << '\n';
+  return r.status;
 }
 
 }  // namespace
 
 int main() {
   // Reference run: every marker fires, including the one after the loop.
-  run_pipeline(/*buggy=*/false);
+  const bool completed = run_pipeline(/*buggy=*/false) == sim::RunStatus::kCompleted;
   // Buggy run: the post-loop marker never fires and the hang report
   // names the exact blocking statement -- the paper's methodology.
-  run_pipeline(/*buggy=*/true);
+  const bool hung = run_pipeline(/*buggy=*/true) == sim::RunStatus::kHung;
   std::cout << "diagnosis: the marker after the loop was never reached in the buggy run,\n"
                "and the hang report points at the extra blocking stream_read -- the same\n"
                "procedure that located the read-instead-of-write bug in the paper's DES\n"
                "case study, without touching any HDL.\n";
-  return 0;
+  return completed && hung ? 0 : 1;
 }

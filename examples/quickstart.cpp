@@ -8,6 +8,7 @@
 // 5. Run it in the cycle simulator: first a clean run, then one where
 //    the assertion fires and the CPU-side notification function prints
 //    the standard ANSI-C failure message.
+// Exits 1 unless the clean run completes and the failing one aborts.
 #include <iostream>
 
 #include "apps/appbuild.h"
@@ -66,10 +67,12 @@ int main() {
 
   // 5a. Clean run.
   sim::ExternRegistry externs;
+  bool ok = true;
   {
     sim::Simulator s(design, schedule, externs, {});
     s.feed("clamp.in", {1, 2, 3, 4, 2000, 6, 7, 8});
     sim::RunResult r = s.run();
+    ok = ok && r.completed();
     std::cout << "clean run: " << (r.completed() ? "completed" : "failed") << " in "
               << r.cycles << " cycles; outputs:";
     for (std::uint64_t v : s.received("clamp.out")) std::cout << ' ' << v;
@@ -85,8 +88,9 @@ int main() {
     });
     s.feed("clamp.in", {1, 2, 42, 4, 5, 6, 7, 8});
     sim::RunResult r = s.run();
+    ok = ok && r.status == sim::RunStatus::kAborted;
     std::cout << "failing run: " << (r.status == sim::RunStatus::kAborted ? "aborted" : "??")
               << " after " << r.failures.size() << " failure(s)\n";
   }
-  return 0;
+  return ok ? 0 : 1;
 }

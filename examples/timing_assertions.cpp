@@ -5,6 +5,7 @@
 // free on the application's state machine -- a micro-checker process
 // carries the counter, comparator and failure channel -- so performance
 // contracts can be verified in circuit the same way value invariants are.
+// Exits 1 unless the run completes with exactly the two violations.
 #include <iostream>
 
 #include "apps/appbuild.h"
@@ -59,5 +60,5 @@ int main() {
   for (std::uint64_t v : s.received("worker.out")) std::cout << ' ' << v;
   std::cout << "\n\nthe markers cost zero application states: the same design without\n"
                "them completes in exactly the same number of cycles.\n";
-  return 0;
+  return r.completed() && r.failures.size() == 2 ? 0 : 1;
 }

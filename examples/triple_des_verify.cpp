@@ -6,6 +6,7 @@
 // decrypted character as printable ASCII. A corrupted ciphertext block
 // shows the failure path: the assertion fires in circuit and the
 // notification function names the file, line, function and expression.
+// Exits 1 unless the round trip is exact and the corrupted run aborts.
 #include <iostream>
 
 #include "apps/appbuild.h"
@@ -40,16 +41,19 @@ int main() {
   std::cout << "encrypted " << blocks.size() << " blocks (" << text.size() << " chars)\n";
 
   // Decrypt in circuit.
+  bool ok = true;
   {
     sim::Simulator s(design, schedule, externs, {});
     s.feed("des3.in", des::to_word_stream(cipher));
     sim::RunResult r = s.run();
     std::string out;
     for (std::uint64_t c : s.received("des3.txt")) out.push_back(static_cast<char>(c));
+    const bool round_trip = out.substr(0, text.size()) == text;
+    ok = ok && round_trip;
     std::cout << "decrypted in " << r.cycles << " FPGA cycles, "
               << r.failures.size() << " assertion failures\n"
               << "plaintext: " << out.substr(0, 60) << "...\n"
-              << "round-trip " << (out.substr(0, text.size()) == text ? "OK" : "FAILED") << "\n\n";
+              << "round-trip " << (round_trip ? "OK" : "FAILED") << "\n\n";
   }
 
   // Corrupt one ciphertext block: the decrypted garbage violates the
@@ -63,10 +67,11 @@ int main() {
     });
     s.feed("des3.in", des::to_word_stream(corrupted));
     sim::RunResult r = s.run();
+    ok = ok && r.status == sim::RunStatus::kAborted;
     std::cout << "corrupted run: "
               << (r.status == sim::RunStatus::kAborted ? "aborted (bug caught in circuit)"
                                                        : "completed (?)")
               << "\n";
   }
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -47,10 +47,8 @@ class CompiledDesign {
 
 /// Emits, compiles (or pulls from cache) and loads the scheduled design.
 /// Errors (no compiler, unwritable cache, failed compile, every process
-/// declined) come back as Status -- the caller decides whether that
-/// means "fall back to the interpreter" (hlsavc --engine=auto) or "fail
-/// loudly" (--engine=compiled with no interpreter to fall back on still
-/// falls back, but reports the reason).
+/// declined) come back as Status; arm_engine turns them into a logged
+/// fallback to the interpreter.
 [[nodiscard]] StatusOr<std::unique_ptr<CompiledDesign>> prepare(
     const ir::Design& design, const sched::DesignSchedule& schedule,
     const PrepareOptions& opt = {});

@@ -28,8 +28,12 @@ struct FdCloser {
 /// resubmit can safely repeat: a connection lost mid-stream (daemon
 /// killed; the spool has the job) and a typed kUnavailable rejection
 /// (back-pressure, drain). `unknown` turns true (instead of a printed
-/// error) when the daemon does not know the watched job id yet.
-int stream_frames(int fd, const std::string& out_path, bool quiet, bool& retryable,
+/// error) when the daemon does not know the watched job id yet. A
+/// positive `stall_ms` stops reading for that long once the daemon has
+/// accepted a watch (its snapshot frame): a deliberately slow
+/// subscriber of a live job, which the daemon's coalescing buffers
+/// (and the campaign's immunity to them) exist for.
+int stream_frames(int fd, const std::string& out_path, bool quiet, int stall_ms, bool& retryable,
                   bool& unknown) {
   LineReader reader(fd);
   std::string report;
@@ -60,6 +64,9 @@ int stream_frames(int fd, const std::string& out_path, bool quiet, bool& retryab
       std::cerr << "hlsavd: rejected (" << code << "): " << message << "\n";
       retryable = code == "unavailable";
       return 7;
+    }
+    if (type == "snapshot" && stall_ms > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms));
     }
     if (type == "report") {
       std::uint64_t bytes = 0;
@@ -129,8 +136,8 @@ int stream_frames(int fd, const std::string& out_path, bool quiet, bool& retryab
   }
 }
 
-/// One connection: sends `request`, optionally stalls (the watch
-/// slow-reader hook), then streams the job's frames.
+/// One connection: sends `request`, then streams the job's frames
+/// (stalling `stall_ms` after a watch's snapshot).
 int request_stream(const std::string& socket_path, const std::string& request,
                    const std::string& out_path, bool quiet, int stall_ms, bool& retryable,
                    bool& unknown) {
@@ -149,12 +156,7 @@ int request_stream(const std::string& socket_path, const std::string& request,
     retryable = true;
     return 1;
   }
-  if (stall_ms > 0) {
-    // Deliberate slow reader: the daemon's coalescing buffers (and the
-    // campaign's immunity to them) are what this hook exists to test.
-    std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms));
-  }
-  return stream_frames(*fd, out_path, quiet, retryable, unknown);
+  return stream_frames(*fd, out_path, quiet, stall_ms, retryable, unknown);
 }
 
 /// A process-unique idempotency key for auto-keyed retries.

@@ -56,8 +56,9 @@ struct WatchOptions {
   /// Keep retrying an unknown job id for this long (a watcher racing
   /// its own submit); 0 = fail immediately.
   int wait_ms = 0;
-  /// Test hook: sleep this long before reading any frame -- a
-  /// deliberately slow subscriber for back-pressure coverage.
+  /// Test hook: once the daemon has accepted the watch (its snapshot
+  /// frame), sleep this long before reading on -- a deliberately slow
+  /// subscriber of a live job, for back-pressure coverage.
   int stall_reads_ms = 0;
   /// Where the job's final report bytes go; empty = stdout.
   std::string out_path;

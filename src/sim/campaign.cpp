@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <mutex>
 #include <optional>
 #include <random>
@@ -15,9 +14,6 @@
 #include "assertions/coverage.h"
 #include "sim/journal.h"
 #include "support/table.h"
-#include "trace/binary.h"
-#include "trace/replay.h"
-#include "trace/vcd.h"
 
 namespace hlsav::sim {
 
@@ -56,13 +52,8 @@ std::string format_campaign_heartbeat(std::size_t done, std::size_t total, doubl
   return os.str();
 }
 
-namespace {
-
-/// CPU-visible data outputs in stream-id order (the comparison basis
-/// for silent-corruption classification).
-std::vector<std::pair<std::string, std::vector<std::uint64_t>>> collect_outputs(
-    const ir::Design& design, const Simulator& sim) {
-  std::vector<std::pair<std::string, std::vector<std::uint64_t>>> out;
+CpuOutputs cpu_outputs(const ir::Design& design, const Simulator& sim) {
+  CpuOutputs out;
   for (ir::StreamId id : design.live_stream_ids()) {
     const ir::Stream& s = design.stream(id);
     if (s.consumer.kind != ir::StreamEndpoint::Kind::kCpu) continue;
@@ -71,6 +62,8 @@ std::vector<std::pair<std::string, std::vector<std::uint64_t>>> collect_outputs(
   }
   return out;
 }
+
+namespace {
 
 /// Campaign runs keep only the attribution totals: timelines would cost
 /// memory per site and nobody loads a thousand traces.
@@ -150,7 +143,7 @@ GoldenRef golden_run(const Program& program, const ExternRegistry& externs,
                   "' — the fault-free run must complete cleanly before a sweep can classify sites");
   GoldenRef g;
   g.cycles = r.cycles;
-  g.outputs = collect_outputs(design, sim);
+  g.outputs = cpu_outputs(design, sim);
   return g;
 }
 
@@ -158,7 +151,7 @@ FaultResult run_fault(const Program& program, const ExternRegistry& externs,
                       const std::map<std::string, std::vector<std::uint64_t>>& feeds,
                       const GoldenRef& golden, const FaultSpec& fault, const SimOptions& base,
                       std::uint64_t max_cycles, metrics::ProfileSummary* profile_out,
-                      double site_wall_ms) {
+                      double site_wall_ms, SiteObserver* observer) {
   const ir::Design& design = program.design();
   SimOptions opts = base;
   opts.mode = SimMode::kHardware;  // faults model circuit behaviour
@@ -178,6 +171,7 @@ FaultResult run_fault(const Program& program, const ExternRegistry& externs,
     prof.emplace(design, program.schedule(), campaign_profile_config());
     opts.profile = &*prof;
   }
+  if (observer != nullptr) opts.ela = observer->ela;
 
   Simulator sim(program, externs, std::move(opts));
   for (const auto& [name, values] : feeds) sim.feed(name, values);
@@ -212,12 +206,16 @@ FaultResult run_fault(const Program& program, const ExternRegistry& externs,
     case RunStatus::kCompleted:
       if (!r.failures.empty()) {
         res.outcome = FaultOutcome::kDetected;  // NABORT: reported, kept running
-      } else if (collect_outputs(design, sim) == golden.outputs) {
+      } else if (cpu_outputs(design, sim) == golden.outputs) {
         res.outcome = FaultOutcome::kBenign;
       } else {
         res.outcome = FaultOutcome::kSilentCorruption;
       }
       break;
+  }
+  if (observer != nullptr) {
+    observer->run = std::move(r);
+    observer->outputs = cpu_outputs(design, sim);
   }
   return res;
 }
@@ -268,12 +266,13 @@ FaultResult run_site(const CampaignPlan& plan, const FaultSpec& site, const Camp
                      metrics::ProfileSummary* profile_out) {
   // A retry never changes what a site *is*: a deterministic failure
   // fails again. It gives a flaky host a second chance.
+  constexpr unsigned kSiteRetries = 2;
   for (unsigned attempt = 0;; ++attempt) {
     try {
       return run_fault(*plan.program, *plan.externs, *plan.feeds, plan.golden, site, opt.sim,
                        plan.header.max_cycles, profile_out, opt.site_wall_ms);
     } catch (...) {
-      if (attempt >= opt.site_retries) throw;
+      if (attempt >= kSiteRetries) throw;
       std::this_thread::sleep_for(std::chrono::milliseconds(1u << attempt));
     }
   }
@@ -521,73 +520,6 @@ std::string CampaignReport::render(const ir::Design& design) const {
     }
   }
   return os.str();
-}
-
-std::vector<TraceArtifact> trace_nonbenign_sites(const CampaignPlan& plan,
-                                                 const CampaignReport& report,
-                                                 const CampaignOptions& opt,
-                                                 const TraceRerunOptions& trace_opt) {
-  const ir::Design& design = plan.program->design();
-  std::vector<TraceArtifact> out;
-  std::filesystem::create_directories(trace_opt.dir);
-
-  for (const FaultResult& r : report.results) {
-    if (r.outcome == FaultOutcome::kBenign) continue;
-    if (trace_opt.max_sites != 0 && out.size() >= trace_opt.max_sites) break;
-
-    // Same deterministic run as the sweep, this time with capture armed
-    // (the engine only observes; outcomes cannot shift).
-    trace::TraceEngine engine(design, trace_opt.config);
-    SimOptions opts = opt.sim;
-    opts.mode = SimMode::kHardware;
-    opts.max_cycles = plan.header.max_cycles;
-    opts.faults = FaultEngine{};
-    opts.faults.add(r.site);
-    opts.ela = &engine;
-    Simulator sim(*plan.program, *plan.externs, opts);
-    for (const auto& [name, values] : *plan.feeds) sim.feed(name, values);
-    RunResult rr = sim.run();
-    std::vector<trace::TraceRecord> window = engine.window();
-
-    TraceArtifact art;
-    art.site = r.site;
-    art.outcome = r.outcome;
-    std::string base = (std::filesystem::path(trace_opt.dir) /
-                        (trace_opt.stem + "_s" + std::to_string(r.site.id)))
-                           .string();
-    art.vcd_path = base + ".vcd";
-    trace::VcdWriter writer(design, trace_opt.config.filter);
-    writer.write_file(art.vcd_path, window);
-    if (trace_opt.write_binary) {
-      art.bin_path = base + ".bin";
-      trace::write_binary_trace_file(art.bin_path, window);
-    }
-
-    std::ostringstream os;
-    os << "site s" << r.site.id << " (" << r.site.describe(design)
-       << "): " << fault_outcome_name(r.outcome) << "\n";
-    trace::ReplayOptions ro;
-    ro.last_cycles = trace_opt.last_cycles;
-    ro.sm = trace_opt.sm;
-    if (rr.hang) ro.livelock_block = rr.hang->livelock_block();
-    os << trace::render_replay(design, window, ro);
-    if (r.outcome == FaultOutcome::kSilentCorruption) {
-      auto outputs = collect_outputs(design, sim);
-      const auto& golden = plan.golden.outputs;
-      for (std::size_t i = 0; i < outputs.size() && i < golden.size(); ++i) {
-        if (outputs[i] != golden[i]) {
-          os << "first divergent output stream: '" << outputs[i].first << "' ("
-             << outputs[i].second.size() << " words vs golden "
-             << golden[i].second.size() << ")\n";
-          break;
-        }
-      }
-    }
-    if (rr.status == RunStatus::kHung) os << rr.hang_report;
-    art.replay = os.str();
-    out.push_back(std::move(art));
-  }
-  return out;
 }
 
 }  // namespace hlsav::sim

@@ -40,7 +40,6 @@
 #include "sched/schedule.h"
 #include "sim/fault.h"
 #include "sim/simulator.h"
-#include "trace/trace.h"
 
 namespace hlsav::sim {
 
@@ -121,9 +120,6 @@ struct CampaignOptions {
   /// error) and the sweep moves on -- one pathological site can no
   /// longer pin the whole campaign.
   double site_wall_ms = 0.0;
-  /// Bounded retries (with exponential backoff) when a site run throws
-  /// a transient failure; after the last attempt the error propagates.
-  unsigned site_retries = 2;
   /// Path of the append-only crash-recovery journal (sim/journal.h);
   /// empty = no journal.
   std::string journal;
@@ -149,11 +145,17 @@ struct CampaignOptions {
   SimOptions sim;
 };
 
-/// The golden (un-faulted) reference: completion cycles plus every
-/// CPU-visible data word, per output stream in id order.
+/// Every CPU-visible data word of a run, per output stream in id order
+/// (the comparison basis for silent-corruption classification).
+using CpuOutputs = std::vector<std::pair<std::string, std::vector<std::uint64_t>>>;
+
+/// The CPU outputs `sim` received (valid after its run).
+[[nodiscard]] CpuOutputs cpu_outputs(const ir::Design& design, const Simulator& sim);
+
+/// The golden (un-faulted) reference: completion cycles and outputs.
 struct GoldenRef {
   std::uint64_t cycles = 0;
-  std::vector<std::pair<std::string, std::vector<std::uint64_t>>> outputs;
+  CpuOutputs outputs;
 };
 
 /// Version of what a simulated site reports: bump it whenever a
@@ -188,12 +190,12 @@ struct JournalHeader {
 };
 
 /// What one campaign runs, computed once by plan_campaign() for every
-/// caller (the in-process sweep, trace reruns, hlsavc's one-site
-/// repros, the hlsavd supervisor and its workers). It points at the
+/// caller (the in-process sweep, hlsavc's one-site repros and traced
+/// sites, the hlsavd supervisor and its workers). It points at the
 /// inputs it was built from; they must outlive it.
 struct CampaignPlan {
-  /// The design's one Program: the golden run, every site and every
-  /// trace rerun borrow it (workers share it read-only).
+  /// The design's one Program: the golden run and every site run
+  /// borrow it (workers share it read-only).
   std::shared_ptr<const Program> program;
   const ExternRegistry* externs = nullptr;
   const std::map<std::string, std::vector<std::uint64_t>>* feeds = nullptr;
@@ -248,17 +250,30 @@ struct CampaignReport {
                                    const SimOptions& base,
                                    metrics::ProfileSummary* profile_out = nullptr);
 
-/// Runs one fault variant and classifies it against `golden`. When
-/// `profile_out` is non-null the run is profiled (timeline off) and its
-/// attribution summary stored there. A positive `site_wall_ms` arms the
-/// simulator's wall-clock watchdog; an expired budget classifies as
-/// FaultOutcome::kBudgetExceeded.
+/// A caller watching one faulted run (run_fault's `observer`): the ELA
+/// to arm, and what the run leaves behind. A sweep passes none.
+struct SiteObserver {
+  /// Armed for the run when non-null (borrowed).
+  trace::TraceEngine* ela = nullptr;
+  /// Filled by run_fault: the run's result and CPU outputs.
+  RunResult run;
+  CpuOutputs outputs;
+};
+
+/// Runs one fault variant and classifies it against `golden`: the one
+/// code that arms a campaign site and runs it. When `profile_out` is
+/// non-null the run is profiled (timeline off) and its attribution
+/// summary stored there. A positive `site_wall_ms` arms the simulator's
+/// wall-clock watchdog; an expired budget classifies as
+/// FaultOutcome::kBudgetExceeded. A non-null `observer` arms its ELA
+/// and receives the run.
 [[nodiscard]] FaultResult run_fault(const Program& program, const ExternRegistry& externs,
                                     const std::map<std::string, std::vector<std::uint64_t>>& feeds,
                                     const GoldenRef& golden, const FaultSpec& fault,
                                     const SimOptions& base, std::uint64_t max_cycles,
                                     metrics::ProfileSummary* profile_out = nullptr,
-                                    double site_wall_ms = 0.0);
+                                    double site_wall_ms = 0.0,
+                                    SiteObserver* observer = nullptr);
 
 /// Builds the design's Program, runs the golden run on it, resolves the
 /// backstop (max_cycles, or 16 golden runs' worth of cycles and at least
@@ -271,8 +286,8 @@ struct CampaignReport {
     const CampaignOptions& opt);
 
 /// Runs one site of `plan` as every campaign does: with
-/// CampaignOptions::site_wall_ms as its budget, and site_retries
-/// retries with backoff when it throws (then the error propagates).
+/// CampaignOptions::site_wall_ms as its budget, and two retries with
+/// backoff when it throws (then the error propagates).
 [[nodiscard]] FaultResult run_site(const CampaignPlan& plan, const FaultSpec& site,
                                    const CampaignOptions& opt,
                                    metrics::ProfileSummary* profile_out = nullptr);
@@ -300,45 +315,5 @@ struct CampaignReport {
     const ExternRegistry& externs,
     const std::map<std::string, std::vector<std::uint64_t>>& feeds,
     const CampaignOptions& opt = {});
-
-// ------------------------------------------------- trace & replay reruns --
-
-/// How to re-run non-benign sites with the ELA armed (see
-/// trace_nonbenign_sites).
-struct TraceRerunOptions {
-  trace::TraceConfig config;
-  /// Output directory for .vcd/.bin artifacts (must already exist, or be
-  /// creatable); files are named "<stem>_s<site>.vcd".
-  std::string dir = ".";
-  std::string stem = "fault";
-  /// Cycles of the window the replay narrates.
-  std::size_t last_cycles = 16;
-  /// Cap on re-traced sites, in site order; 0 = every non-benign site.
-  std::size_t max_sites = 0;
-  /// Also write the compact binary trace next to each VCD.
-  bool write_binary = false;
-  /// Resolves source file ids in the replay text; may be null.
-  const SourceManager* sm = nullptr;
-};
-
-/// One re-traced site: where its artifacts went and the rendered
-/// source-level replay (which names the implicated assertion/stream,
-/// the first divergent output stream for silent corruption, and the
-/// hang diagnosis for hangs).
-struct TraceArtifact {
-  FaultSpec site;
-  FaultOutcome outcome = FaultOutcome::kBenign;
-  std::string vcd_path;
-  std::string bin_path;  // empty unless write_binary
-  std::string replay;
-};
-
-/// Re-runs every non-benign site of `report` (a campaign of `plan`)
-/// with a TraceEngine armed and exports the surviving capture window:
-/// the campaign sweep stays cheap (tracing off), and only the
-/// interesting sites pay for capture.
-[[nodiscard]] std::vector<TraceArtifact> trace_nonbenign_sites(
-    const CampaignPlan& plan, const CampaignReport& report, const CampaignOptions& opt,
-    const TraceRerunOptions& trace_opt = {});
 
 }  // namespace hlsav::sim

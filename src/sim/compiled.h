@@ -51,7 +51,6 @@ inline constexpr std::uint32_t kCompiledAbiVersion = 4;
 enum class SimEngine : std::uint8_t {
   kInterpreter,  // always interpret (the default)
   kCompiled,     // use attached compiled functions; interpret what they decline
-  kAuto,         // same as kCompiled when a handle is attached, else interpret
 };
 
 // ---- per-process state words (the `st` argument) -----------------------

@@ -124,7 +124,7 @@ struct SimOptions {
   /// pattern as `ela`/`profile`: disabled costs one branch per site.
   const Deadline* deadline = nullptr;
   FaultEngine faults;
-  /// Execution engine. kCompiled/kAuto use the functions in `compiled`
+  /// Execution engine. kCompiled uses the functions in `compiled`
   /// for the processes they cover and interpret the rest; the simulator
   /// itself falls back to full interpretation (and says why in
   /// engine_note()) when no handle is attached or when an armed

@@ -393,7 +393,7 @@ TEST(Differential, CampaignCoverageTablesIdentical) {
       sim::run_campaign(rig.design, rig.schedule, rig.externs, feeds, interp_opt);
 
   sim::CampaignOptions comp_opt = interp_opt;
-  comp_opt.sim.engine = sim::SimEngine::kAuto;
+  comp_opt.sim.engine = sim::SimEngine::kCompiled;
   comp_opt.sim.compiled = rig.compiled->handle();
   sim::CampaignReport comp =
       sim::run_campaign(rig.design, rig.schedule, rig.externs, feeds, comp_opt);

@@ -101,18 +101,19 @@ TEST(Fallback, ArmEngineNotesAFailedPreparationAndTriesAgainNextCall) {
   std::vector<std::string> notes;
   {
     hlsav::testing::ScopedEnv no_cc("HLSAV_CC", "/nonexistent/hlsav-cc-for-tests");
-    notes = arm_engine(so, sim::SimEngine::kAuto, rig.design, rig.schedule, prepared);
+    notes = arm_engine(so, sim::SimEngine::kCompiled, rig.design, rig.schedule, prepared);
   }
   ASSERT_EQ(notes.size(), 1u);
   EXPECT_EQ(notes[0].rfind("compiled engine unavailable (", 0), 0u) << notes[0];
-  EXPECT_EQ(so.engine, sim::SimEngine::kAuto);
+  EXPECT_EQ(so.engine, sim::SimEngine::kCompiled);
   EXPECT_EQ(so.compiled, nullptr);
   EXPECT_EQ(prepared, nullptr);
 
   // Nothing was kept from the failure: with a compiler, the next call
   // prepares and attaches.
   if (find_compiler().empty()) return;
-  EXPECT_TRUE(arm_engine(so, sim::SimEngine::kAuto, rig.design, rig.schedule, prepared).empty());
+  EXPECT_TRUE(
+      arm_engine(so, sim::SimEngine::kCompiled, rig.design, rig.schedule, prepared).empty());
   ASSERT_NE(prepared, nullptr);
   EXPECT_EQ(so.compiled, prepared->handle());
 }
@@ -133,11 +134,6 @@ TEST(Fallback, CompiledRequestWithoutHandleInterprets) {
   EXPECT_FALSE(comp.engine_active);
   EXPECT_NE(comp.engine_note.find("no compiled design"), std::string::npos) << comp.engine_note;
   expect_identical(interp, comp);
-  // kAuto without a handle is the quiet everyday path: interpret, no
-  // complaint needed but a note is still recorded.
-  EngineRun aut = run_engine(bare, sim::SimEngine::kAuto, feeds, {"f.out"});
-  EXPECT_FALSE(aut.engine_active);
-  expect_identical(interp, aut);
 }
 
 TEST(Fallback, MixedDesignCompilesWhatItCanInterpretsTheRest) {

@@ -58,7 +58,8 @@ TEST(Observability, ConcurrentWatchersIncludingASlowOneGetByteIdenticalReports) 
   std::string design = write_temp("obs_clamp.c", kClampSrc);
   std::string ref = clamp_reference(design);
   ASSERT_NE(ref.find("Fault-injection campaign"), std::string::npos) << ref;
-  Daemon d({"--backoff-base-ms=1", "--backoff-cap-ms=10"});
+  std::string events = temp_path("obs_watch_events.jsonl");
+  Daemon d({"--backoff-base-ms=1", "--backoff-cap-ms=10", "--events-out=" + events});
   CampaignSpec spec = clamp_spec(design);
   spec.workers = 2;
   spec.crash_at = {3};  // each job loses a worker mid-sweep
@@ -70,7 +71,8 @@ TEST(Observability, ConcurrentWatchersIncludingASlowOneGetByteIdenticalReports) 
 
   // Job 2 runs with eight concurrent watchers attached before it is
   // even submitted (wait_ms lets them win the race), the last of which
-  // deliberately refuses to read for longer than the whole campaign.
+  // deliberately stops reading, once subscribed, for longer than the
+  // whole campaign.
   constexpr std::size_t kWatchers = 8;
   std::vector<std::string> watch_outs;
   for (std::size_t i = 0; i < kWatchers; ++i) {
@@ -111,6 +113,21 @@ TEST(Observability, ConcurrentWatchersIncludingASlowOneGetByteIdenticalReports) 
   StatusOr<std::string> snap = query_metrics(d.socket);
   ASSERT_TRUE(snap.ok()) << snap.status().to_string();
   EXPECT_EQ(json_int(*snap, "watch_subscribers"), static_cast<long long>(kWatchers));
+  // Every watcher, the slow one included, subscribed while job 2 ran:
+  // all its watch-subscribed events come before its job-completed.
+  std::istringstream log(slurp(events));
+  std::size_t subscribed = 0;
+  bool completed = false;
+  for (std::string line; std::getline(log, line);) {
+    if (json_int(line, "job") != 2) continue;
+    if (line.find("\"event\":\"watch-subscribed\"") != std::string::npos) {
+      EXPECT_FALSE(completed) << "a watcher subscribed after job 2 completed: " << line;
+      ++subscribed;
+    }
+    if (line.find("\"event\":\"job-completed\"") != std::string::npos) completed = true;
+  }
+  EXPECT_TRUE(completed);
+  EXPECT_EQ(subscribed, kWatchers);
 }
 
 TEST(Observability, LateWatcherOfAFinishedJobReplaysSnapshotAndReport) {

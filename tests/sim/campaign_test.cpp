@@ -2,7 +2,7 @@
 // and sane outcome classification against the golden run.
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <algorithm>
 
 #include "apps/loopback.h"
 #include "assertions/options.h"
@@ -10,6 +10,8 @@
 #include "codegen/codegen_test_util.h"
 #include "common/test_util.h"
 #include "sim/campaign.h"
+#include "trace/replay.h"
+#include "trace/trace.h"
 
 namespace hlsav::sim {
 namespace {
@@ -362,38 +364,40 @@ TEST(Campaign, ProfiledParallelMatchesSerial) {
   EXPECT_EQ(a.render(h.design), b.render(h.design));
 }
 
-TEST(Campaign, TraceRerunsProduceArtifactsForNonBenignSites) {
+TEST(Campaign, ObservedSiteRunIsTheRunThatClassifiesIt) {
+  // An observer arms the ELA on a site's run and receives that run: it
+  // classifies the site as the sweep did, and its capture implicates
+  // the assertion that detected it. `hlsavc trace --site=N` and
+  // `faultsim --campaign --trace-nonbenign` export exactly this run.
   H h = make_clamp(assertions::Options::optimized());
-  CampaignReport report = run_campaign(h.design, h.schedule, h.externs, h.feeds, {});
-  std::size_t nonbenign = report.results.size() - report.count(FaultOutcome::kBenign);
-  ASSERT_GT(nonbenign, 0u);
-
   StatusOr<CampaignPlan> plan = plan_campaign(h.design, h.schedule, h.externs, h.feeds, {});
   ASSERT_TRUE(plan.ok()) << plan.status().to_string();
-  TraceRerunOptions topt;
-  topt.dir = ::testing::TempDir() + "campaign_traces";
-  topt.stem = "clamp";
-  topt.write_binary = true;
-  std::vector<TraceArtifact> arts = trace_nonbenign_sites(*plan, report, {}, topt);
-  ASSERT_EQ(arts.size(), nonbenign);
-  for (const TraceArtifact& a : arts) {
-    EXPECT_NE(a.outcome, FaultOutcome::kBenign);
-    EXPECT_TRUE(std::filesystem::exists(a.vcd_path)) << a.vcd_path;
-    EXPECT_TRUE(std::filesystem::exists(a.bin_path)) << a.bin_path;
-    // The replay names the site, its outcome, and the capture story.
-    EXPECT_NE(a.replay.find("s" + std::to_string(a.site.id)), std::string::npos);
-    EXPECT_NE(a.replay.find(fault_outcome_name(a.outcome)), std::string::npos);
-    EXPECT_NE(a.replay.find("source-level replay:"), std::string::npos);
-    // Detected sites implicate the assertion that caught them.
-    if (a.outcome == FaultOutcome::kDetected) {
-      EXPECT_NE(a.replay.find("implicated assertion:"), std::string::npos);
+  StatusOr<CampaignReport> report = run_campaign_st(*plan, {});
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  ASSERT_GT(report->results.size(), report->count(FaultOutcome::kBenign));
+  ASSERT_GT(report->count(FaultOutcome::kDetected), 0u);
+  for (const FaultResult& swept : report->results) {
+    SCOPED_TRACE("site s" + std::to_string(swept.site.id));
+    trace::TraceEngine ela(h.design, {});
+    SiteObserver obs;
+    obs.ela = &ela;
+    FaultResult r = run_fault(*plan->program, h.externs, h.feeds, plan->golden, swept.site, {},
+                              plan->header.max_cycles, nullptr, 0.0, &obs);
+    EXPECT_EQ(r.outcome, swept.outcome);
+    EXPECT_EQ(r.cycles, swept.cycles);
+    EXPECT_EQ(r.detected_by, swept.detected_by);
+    EXPECT_EQ(obs.run.cycles, r.cycles);
+    const std::vector<trace::TraceRecord> window = ela.window();
+    EXPECT_FALSE(window.empty());
+    if (r.outcome == FaultOutcome::kBenign || r.outcome == FaultOutcome::kSilentCorruption) {
+      EXPECT_EQ(obs.outputs == plan->golden.outputs, r.outcome == FaultOutcome::kBenign);
+    }
+    if (r.outcome == FaultOutcome::kDetected) {
+      const std::uint32_t implicated = trace::implicated_assertion(window);
+      EXPECT_NE(std::find(r.detected_by.begin(), r.detected_by.end(), implicated),
+                r.detected_by.end());
     }
   }
-  // max_sites caps the rerun list in site order.
-  topt.max_sites = 1;
-  std::vector<TraceArtifact> one = trace_nonbenign_sites(*plan, report, {}, topt);
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_EQ(one[0].site.id, arts[0].site.id);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -192,14 +193,25 @@ TEST(Hlsavc, TraceWritesVcdReplayAndElaReport) {
   EXPECT_NE(doc.find("assert_0_fail"), std::string::npos);
 }
 
-TEST(Hlsavc, FaultsimTraceSiteEmitsArtifactsForNonBenignSite) {
+TEST(Hlsavc, TraceSiteEmitsArtifactsAndOutcomeForNonBenignSite) {
   std::string f = write_temp("good.c", kGoodSrc);
-  std::string dir = temp_path("hlsavc_traces");
+  std::string vcd = temp_path("hlsavc_site1.vcd");
+  std::string bin = temp_path("hlsavc_site1.bin");
   // Site s1 (stream-drop on f.out) is silent corruption in this design.
-  CmdResult r = run_cmd("faultsim " + f + " --feed f.in=1,2,3 --trace-site=1 --trace-dir=" + dir);
+  CmdResult r = run_cmd("trace " + f + " --feed f.in=1,2,3 --site=1 --vcd=" + vcd +
+                        " --bin=" + bin);
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("source-level replay:"), std::string::npos);
-  EXPECT_NE(r.output.find(".vcd"), std::string::npos);
+  EXPECT_NE(r.output.find("vcd: " + vcd + "\n"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("site s1 (drop word 0 written to 'f.out'): silent-corruption\n"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("first divergent output stream: 'f.out' (2 words vs golden 3)"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("ela:"), std::string::npos);
+  EXPECT_TRUE(std::filesystem::exists(vcd)) << vcd;
+  EXPECT_TRUE(std::filesystem::exists(bin)) << bin;
 }
 
 // ---- --trace: the ELA's replay on stderr ----
@@ -217,13 +229,15 @@ SplitResult run_split(const std::string& args) {
   return {r.exit_code, r.output, hlsav::testing::slurp(err_path)};
 }
 
-/// The source-level replay in `text`: from its header to the end, or to
-/// the `ela:` area report that follows it in `trace`'s stdout.
+/// The source-level replay in `text`: from its header through the last
+/// `implicated ...` line that ends it (a traced site's hang report and
+/// `trace`'s `ela:` area report follow it).
 std::string replay_in(const std::string& text) {
   const std::size_t begin = text.find("source-level replay:");
   if (begin == std::string::npos) return "";
-  const std::size_t end = text.find("\nela: ", begin);
-  return text.substr(begin, end == std::string::npos ? end : end + 1 - begin);
+  const std::size_t last = text.rfind("\nimplicated ");
+  if (last == std::string::npos || last < begin) return text.substr(begin);
+  return text.substr(begin, text.find('\n', last + 1) + 1 - begin);
 }
 
 TEST(Hlsavc, SimulateTraceReplaysFromTheEla) {
@@ -414,15 +428,76 @@ void f(stream_in<32> in, stream_out<32> out) {
 }
 
 TEST(Hlsavc, CampaignTraceNonbenignListsTracedSites) {
-  std::string f = write_temp("good.c", kGoodSrc);
-  std::string dir = temp_path("hlsavc_campaign_traces");
-  CmdResult r = run_cmd("faultsim " + f +
-                        " --feed f.in=1,2,3 --campaign --trace-nonbenign --threads=2 "
-                        "--trace-max-sites=2 --trace-dir=" +
-                        dir);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("traced 2 non-benign site(s)"), std::string::npos);
-  EXPECT_NE(r.output.find("source-level replay:"), std::string::npos);
+  // A clamp whose campaign has detected sites as well as silent and
+  // hung ones.
+  std::string f = write_temp("trace_clamp.c", R"(
+void clamp(stream_in<32> in, stream_out<32> out) {
+  for (uint32 i = 0; i < 6; i++) {
+    uint32 v = stream_read(in);
+    uint32 y = v;
+    if (y > 255) { y = 255; }
+    assert(y <= 255);
+    stream_write(out, y);
+  }
+}
+)");
+  const std::string campaign = "faultsim " + f +
+                               " --feed clamp.in=1,2,3,300,5,6 --campaign --trace-nonbenign "
+                               "--threads=2";
+  const std::string dir = temp_path("hlsavc_every_trace");
+  CmdResult r = run_cmd(campaign + " --trace-dir=" + dir, "/dev/null");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  // Rows: "| sN | fault | outcome | detected by | cycles |".
+  auto trim = [](std::string x) {
+    x.erase(0, x.find_first_not_of(' '));
+    x.erase(x.find_last_not_of(' ') + 1);
+    return x;
+  };
+  std::vector<std::pair<std::string, std::string>> nonbenign;  // site id, outcome
+  std::istringstream rows(r.output);
+  for (std::string row; std::getline(rows, row) && row.rfind("traced ", 0) != 0;) {
+    std::vector<std::string> cols;
+    std::istringstream cells(row);
+    for (std::string c; std::getline(cells, c, '|');) cols.push_back(trim(c));
+    if (cols.size() != 6 || cols[1].rfind('s', 0) != 0 || cols[3] == "benign") continue;
+    if (cols[3] == "outcome") continue;
+    nonbenign.emplace_back(cols[1].substr(1), cols[3]);
+  }
+  ASSERT_FALSE(nonbenign.empty()) << r.output;
+  EXPECT_NE(r.output.find("traced " + std::to_string(nonbenign.size()) + " non-benign site(s)"),
+            std::string::npos)
+      << r.output;
+  bool any_detected = false;
+  for (const auto& [site, outcome] : nonbenign) {
+    SCOPED_TRACE("site s" + site);
+    const std::string base = dir + "/fault_s" + site;
+    EXPECT_TRUE(std::filesystem::exists(base + ".vcd"));
+    EXPECT_TRUE(std::filesystem::exists(base + ".bin"));
+    // The site's block: its outcome line, then its replay.
+    const std::string header = "--- " + base + ".vcd ---\n";
+    const std::size_t at = r.output.find(header);
+    ASSERT_NE(at, std::string::npos) << r.output;
+    std::string block = r.output.substr(at + header.size());
+    block = block.substr(0, block.find("\n--- "));
+    EXPECT_EQ(block.rfind("site s" + site + " (", 0), 0u) << block;
+    EXPECT_NE(block.find("): " + outcome + "\n"), std::string::npos) << block;
+    EXPECT_NE(block.find("source-level replay:"), std::string::npos) << block;
+    if (outcome == "detected") {
+      any_detected = true;
+      EXPECT_NE(block.find("implicated assertion:"), std::string::npos) << block;
+    }
+  }
+  EXPECT_TRUE(any_detected) << r.output;
+  // --trace-max-sites caps the traced sites in site order.
+  ASSERT_GT(nonbenign.size(), 2u);
+  const std::string two_dir = temp_path("hlsavc_first_traces");
+  CmdResult two = run_cmd(campaign + " --trace-max-sites=2 --trace-dir=" + two_dir, "/dev/null");
+  ASSERT_EQ(two.exit_code, 0) << two.output;
+  EXPECT_NE(two.output.find("traced 2 non-benign site(s)"), std::string::npos) << two.output;
+  for (std::size_t i = 0; i < nonbenign.size(); ++i) {
+    const std::string header = "--- " + two_dir + "/fault_s" + nonbenign[i].first + ".vcd ---";
+    EXPECT_EQ(two.output.find(header) != std::string::npos, i < 2) << header << "\n" << two.output;
+  }
 }
 
 // ---- provenance ----

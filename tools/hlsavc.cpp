@@ -34,8 +34,8 @@
 //                                               faultsim controls
 //   --journal=FILE --resume --site-wall-ms=N    campaign crash recovery and
 //                                               per-site watchdog budgets
-//   --trace-site=N --trace-nonbenign --trace-dir=DIR
-//                                               faultsim trace reruns
+//   --trace-nonbenign --trace-dir=DIR           trace a campaign's
+//                                               non-benign sites
 //   --vcd=FILE --bin=FILE --last-cycles=N --trace-capacity=N
 //   --trace-procs=p1,p2 --trace-max-sites=N     trace controls
 //   --trace-out=FILE --profile-json=FILE        profile outputs
@@ -55,11 +55,10 @@
 // pipeline::compile_file (Status-carrying, no stage throws for user
 // errors) and main() backstops any residual exception.
 #include <atomic>
-#include <charconv>
 #include <csignal>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
-#include <limits>
 #include <optional>
 #include <iostream>
 #include <map>
@@ -71,6 +70,7 @@
 #include "assertions/options.h"
 #include "assertions/synthesize.h"
 #include "codegen/engine.h"
+#include "flags.h"
 #include "fpga/area.h"
 #include "fpga/ela.h"
 #include "fpga/timing.h"
@@ -106,6 +106,7 @@
 namespace {
 
 using namespace hlsav;
+using namespace hlsav::tools;
 
 // Cooperative-cancel flag for --campaign: the handler only stores an
 // atomic (async-signal-safe); the sweep polls it between sites.
@@ -127,8 +128,7 @@ struct Args {
   bool campaign = false;
   std::uint32_t site = sim::FaultSpec::kNoSite;
   sim::CampaignOptions campaign_opts;
-  // trace controls (the `trace` command and faultsim trace reruns)
-  std::uint32_t trace_site = sim::FaultSpec::kNoSite;
+  // trace controls (the `trace` command and traced campaign sites)
   bool trace_nonbenign = false;
   std::string vcd_path;
   std::string bin_path;
@@ -151,43 +151,6 @@ struct Args {
   double site_wall_ms = 0.0;
 };
 
-// ---- flag-value parsing. std::sto* throws on junk; a malformed flag
-// ---- value is a usage error (exit 2), never a crash, so every numeric
-// ---- flag goes through these.
-
-bool parse_u64_flag(std::string_view text, std::uint64_t& out) {
-  auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc() && p == text.data() + text.size() && !text.empty();
-}
-
-bool parse_u32_flag(std::string_view text, std::uint32_t& out) {
-  std::uint64_t v = 0;
-  if (!parse_u64_flag(text, v) || v > std::numeric_limits<std::uint32_t>::max()) return false;
-  out = static_cast<std::uint32_t>(v);
-  return true;
-}
-
-bool parse_size_flag(std::string_view text, std::size_t& out) {
-  std::uint64_t v = 0;
-  if (!parse_u64_flag(text, v)) return false;
-  out = static_cast<std::size_t>(v);
-  return true;
-}
-
-bool parse_unsigned_flag(std::string_view text, unsigned& out) {
-  std::uint64_t v = 0;
-  if (!parse_u64_flag(text, v) || v > std::numeric_limits<unsigned>::max()) return false;
-  out = static_cast<unsigned>(v);
-  return true;
-}
-
-bool parse_double_flag(const std::string& text, double& out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  out = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size();
-}
-
 void print_usage(std::ostream& os) {
   os << "usage: hlsavc <compile|verilog|ir|schedule|simulate|faultsim|trace|profile|mine> "
         "<file.c> [options]\n"
@@ -199,14 +162,13 @@ void print_usage(std::ostream& os) {
         "  --trace:  simulate and faultsim --site=N only: also print the source-level\n"
         "            replay of the ELA window on stderr, as trace does (trace options\n"
         "            apply)\n"
-        "  --engine=interpreter|compiled|auto: simulation engine (default\n"
+        "  --engine=interpreter|compiled: simulation engine (default\n"
         "            interpreter). compiled AOT-translates the scheduled design\n"
         "            to native code via the host C compiler; configurations the\n"
         "            backend cannot serve fall back to the interpreter with a\n"
         "            logged reason, never an error\n"
-        "  faultsim: --site=N | --trace-site=N |\n"
-        "            --campaign [--seed=N --max-faults=N --max-cycles=N --threads=N\n"
-        "                        --trace-nonbenign --progress --profile\n"
+        "  faultsim: --site=N | --campaign [--seed=N --max-faults=N --max-cycles=N\n"
+        "                        --threads=N --trace-nonbenign --progress --profile\n"
         "                        --journal=FILE --resume --site-wall-ms=N]\n"
         "  --journal=FILE: append-only crash-recovery journal; --resume skips\n"
         "            sites it already classified. --site-wall-ms=N caps each\n"
@@ -214,7 +176,8 @@ void print_usage(std::ostream& os) {
         "            runs; an exceeded budget exits 5)\n"
         "  trace:    run with the embedded-logic-analyzer capture armed, write a VCD\n"
         "            (--vcd=FILE, default trace.vcd) plus a source-level replay of the\n"
-        "            last captured cycles; --site=N injects one fault first\n"
+        "            last captured cycles; --site=N traces that campaign site\n"
+        "            and prints its outcome, as --trace-nonbenign does per site\n"
         "  trace options: --vcd=FILE --bin=FILE --last-cycles=N --trace-capacity=N\n"
         "                 --trace-procs=p1,p2 --trace-dir=DIR --trace-max-sites=N\n"
         "  profile:  run with the cycle-attribution profiler armed, print source-level\n"
@@ -302,10 +265,8 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.engine = sim::SimEngine::kInterpreter;
     } else if (a == "--engine=compiled") {
       args.engine = sim::SimEngine::kCompiled;
-    } else if (a == "--engine=auto") {
-      args.engine = sim::SimEngine::kAuto;
     } else if (starts_with(a, "--engine=")) {
-      std::cerr << "unknown engine (use interpreter, compiled or auto): " << a << "\n";
+      std::cerr << "unknown engine (use interpreter or compiled): " << a << "\n";
       return false;
     } else if (a == "--sw") {
       args.software_mode = true;
@@ -331,8 +292,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.profile_json = a.substr(15);
     } else if (starts_with(a, "--site=")) {
       if (!parse_u32_flag(a.substr(7), args.site)) return bad_value(a);
-    } else if (starts_with(a, "--trace-site=")) {
-      if (!parse_u32_flag(a.substr(13), args.trace_site)) return bad_value(a);
     } else if (starts_with(a, "--seed=")) {
       if (!parse_u64_flag(a.substr(7), args.campaign_opts.seed)) return bad_value(a);
     } else if (starts_with(a, "--max-faults=")) {
@@ -395,8 +354,7 @@ bool parse_args(int argc, char** argv, Args& args) {
   // --trace replays one run; any other command would ignore it.
   const bool one_run = args.command == "simulate" ||
                        (args.command == "faultsim" && !args.campaign &&
-                        args.site != sim::FaultSpec::kNoSite &&
-                        args.trace_site == sim::FaultSpec::kNoSite);
+                        args.site != sim::FaultSpec::kNoSite);
   if (args.trace && !one_run) {
     std::cerr << "--trace applies only to simulate and faultsim --site=N\n";
     return false;
@@ -453,7 +411,7 @@ int run(const Args& args) {
     so.deadline = &*run_deadline;
   };
 
-  // --engine=compiled/auto: AOT-compile the scheduled design once and
+  // --engine=compiled: AOT-compile the scheduled design once and
   // attach the handle to every run this invocation makes. Preparation
   // failures (no host compiler, unwritable cache, every process
   // declined) log a reason and leave the interpreter in charge.
@@ -463,6 +421,9 @@ int run(const Args& args) {
          codegen::arm_engine(so, args.engine, design, schedule, compiled_design)) {
       std::cerr << "hlsavc: " << note << "\n";
     }
+  };
+  auto print_failure = [](const assertions::Failure& f) {
+    std::cerr << f.message << "  [cycle " << f.cycle << "]\n";
   };
   // One run of `program`: reports an engine fallback, prints each
   // assertion failure on stderr as it is decoded, feeds every --feed and
@@ -474,9 +435,7 @@ int run(const Args& args) {
     if (!simulator.engine_note().empty()) {
       std::cerr << "hlsavc: " << simulator.engine_note() << "\n";
     }
-    simulator.set_failure_sink([](const assertions::Failure& f) {
-      std::cerr << f.message << "  [cycle " << f.cycle << "]\n";
-    });
+    simulator.set_failure_sink(print_failure);
     for (const auto& [stream, values] : args.feeds) {
       Status st = simulator.try_feed(stream, values);
       if (!st.ok()) {
@@ -485,6 +444,15 @@ int run(const Args& args) {
       }
     }
     return report(simulator, simulator.run());
+  };
+  // The CPU-visible outputs of a run, one line per stream that got any.
+  auto print_outputs = [](const sim::CpuOutputs& outputs) {
+    for (const auto& [stream, values] : outputs) {
+      if (values.empty()) continue;
+      std::cout << stream << ":";
+      for (std::uint64_t v : values) std::cout << ' ' << v;
+      std::cout << '\n';
+    }
   };
 
   // The ELA that `trace`, `simulate --trace` and `faultsim --site=N
@@ -511,7 +479,7 @@ int run(const Args& args) {
     os << trace::render_replay(design, window, ro);
   };
 
-  // A one-site repro (`faultsim --site=N` or `--trace-site=N`, `trace
+  // A campaign site run on its own (`faultsim --site=N`, `trace
   // --site=N`) runs against its campaign's plan, so it injects the
   // campaign's fault and stops at the backstop the campaign row reports.
   // Prints the injected fault; on a bad site or plan, prints why and
@@ -533,10 +501,47 @@ int run(const Args& args) {
     std::cout << "injecting s" << fault.id << ": " << fault.describe(design) << "\n";
     return *std::move(plan);
   };
-  auto arm_site = [](sim::SimOptions& so, const sim::CampaignPlan& plan, std::size_t site) {
-    so.mode = sim::SimMode::kHardware;  // faults model circuit behaviour
-    so.max_cycles = plan.header.max_cycles;
-    so.faults.add(plan.sites[site]);
+  // Site `site` of `plan` as its campaign runs it (sim::run_fault: the
+  // site's fault, the plan's backstop, --site-wall-ms), observed by `obs`.
+  auto run_plan_site = [](const sim::CampaignPlan& plan, const sim::CampaignOptions& copt,
+                          std::uint32_t site, sim::SiteObserver& obs) {
+    return sim::run_fault(*plan.program, *plan.externs, *plan.feeds, plan.golden,
+                          plan.sites[site], copt.sim, plan.header.max_cycles, nullptr,
+                          copt.site_wall_ms, &obs);
+  };
+  // What run_once reports on stderr, for a site run through run_fault.
+  auto print_site_notes = [&](const sim::FaultResult& res, const sim::RunResult& r) {
+    if (!res.engine_note.empty()) std::cerr << "hlsavc: " << res.engine_note << "\n";
+    for (const assertions::Failure& f : r.failures) print_failure(f);
+  };
+  // Traces site `site` of `plan` (`trace --site=N`, and each site of
+  // `faultsim --campaign --trace-nonbenign`): one run with `obs.ela`
+  // armed, which also classifies the site. Writes the captured window
+  // to `vcd` and, unless `bin` is empty, `bin`; prints the site's
+  // outcome, the source-level replay, then the first divergent output
+  // stream (silent corruption) or the hang report.
+  auto trace_site = [&](const sim::CampaignPlan& plan, const sim::CampaignOptions& copt,
+                        std::uint32_t site, sim::SiteObserver& obs, const std::string& vcd,
+                        const std::string& bin) {
+    const sim::FaultResult res = run_plan_site(plan, copt, site, obs);
+    const std::vector<trace::TraceRecord> window = obs.ela->window();
+    trace::VcdWriter(design, obs.ela->config().filter).write_file(vcd, window);
+    if (!bin.empty()) trace::write_binary_trace_file(bin, window);
+    std::cout << "site s" << res.site.id << " (" << res.site.describe(design)
+              << "): " << sim::fault_outcome_name(res.outcome) << "\n";
+    print_replay(*obs.ela, window, obs.run, std::cout);
+    if (res.outcome == sim::FaultOutcome::kSilentCorruption) {
+      const sim::CpuOutputs& golden = plan.golden.outputs;
+      for (std::size_t i = 0; i < obs.outputs.size() && i < golden.size(); ++i) {
+        if (obs.outputs[i] == golden[i]) continue;
+        std::cout << "first divergent output stream: '" << obs.outputs[i].first << "' ("
+                  << obs.outputs[i].second.size() << " words vs golden "
+                  << golden[i].second.size() << ")\n";
+        break;
+      }
+    }
+    if (obs.run.status == sim::RunStatus::kHung) std::cout << obs.run.hang_report;
+    return res;
   };
 
   if (args.command == "ir") {
@@ -566,36 +571,22 @@ int run(const Args& args) {
               << " ns)\n";
     return 0;
   }
-  // One run with its status, CPU-visible outputs and exit code: a
-  // `simulate`, or a `faultsim --site=N` repro with its fault armed.
-  // --trace arms the ELA and prints its replay on stderr.
-  auto simulate_and_report = [&](const sim::Program& program, const sim::ExternRegistry& externs,
-                                 sim::SimOptions so) {
-    std::optional<trace::TraceEngine> ela;
-    if (args.trace) so.ela = &ela.emplace(design, ela_config());
-    return run_once(program, externs, so, [&](const sim::Simulator& simulator,
-                                              const sim::RunResult& r) {
-      print_run_status(r);
-      for (const ir::Stream& s : design.streams) {
-        if (s.dead || s.consumer.kind != ir::StreamEndpoint::Kind::kCpu) continue;
-        if (s.role != ir::StreamRole::kData) continue;
-        std::vector<std::uint64_t> out = simulator.received(s.name);
-        if (out.empty()) continue;
-        std::cout << s.name << ":";
-        for (std::uint64_t v : out) std::cout << ' ' << v;
-        std::cout << '\n';
-      }
-      if (ela) print_replay(*ela, ela->window(), r, std::cerr);
-      return run_exit_code(r);
-    });
-  };
   if (args.command == "simulate") {
     sim::ExternRegistry externs;
     sim::SimOptions so;
     so.mode = args.software_mode ? sim::SimMode::kSoftware : sim::SimMode::kHardware;
+    // --trace arms the ELA and prints its replay on stderr.
+    std::optional<trace::TraceEngine> ela;
+    if (args.trace) so.ela = &ela.emplace(design, ela_config());
     arm_deadline(so);
     arm_engine(so);
-    return simulate_and_report(sim::Program(design, schedule), externs, so);
+    return run_once(sim::Program(design, schedule), externs, so,
+                    [&](const sim::Simulator& simulator, const sim::RunResult& r) {
+      print_run_status(r);
+      print_outputs(sim::cpu_outputs(design, simulator));
+      if (ela) print_replay(*ela, ela->window(), r, std::cerr);
+      return run_exit_code(r);
+    });
   }
   if (args.command == "profile") {
     sim::ExternRegistry externs;
@@ -633,28 +624,31 @@ int run(const Args& args) {
   if (args.command == "trace") {
     sim::ExternRegistry externs;
     trace::TraceEngine engine(design, ela_config());
-
-    sim::SimOptions so;
-    so.mode = args.software_mode ? sim::SimMode::kSoftware : sim::SimMode::kHardware;
-    so.ela = &engine;
-    if (args.campaign_opts.max_cycles != 0) so.max_cycles = args.campaign_opts.max_cycles;
-    std::shared_ptr<const sim::Program> program;
+    const std::string vcd = args.vcd_path.empty() ? "trace.vcd" : args.vcd_path;
     if (args.site != sim::FaultSpec::kNoSite) {
       sim::CampaignOptions copt = args.campaign_opts;
       arm_engine(copt.sim);
       std::optional<sim::CampaignPlan> plan = plan_one_site(args.site, externs, copt);
       if (!plan) return 1;
-      arm_site(so, *plan, args.site);
-      program = plan->program;
-    } else {
-      program = std::make_shared<const sim::Program>(design, schedule);
+      std::cout << "vcd: " << vcd << "\n";
+      if (!args.bin_path.empty()) std::cout << "binary trace: " << args.bin_path << "\n";
+      sim::SiteObserver obs;
+      obs.ela = &engine;
+      print_site_notes(trace_site(*plan, copt, args.site, obs, vcd, args.bin_path), obs.run);
+      std::cout << fpga::estimate_ela(engine).to_string(fpga::Device::ep2s180());
+      return run_exit_code(obs.run);
     }
-    arm_deadline(so);  // after the golden run: the budget is the traced run's
+
+    sim::SimOptions so;
+    so.mode = args.software_mode ? sim::SimMode::kSoftware : sim::SimMode::kHardware;
+    so.ela = &engine;
+    if (args.campaign_opts.max_cycles != 0) so.max_cycles = args.campaign_opts.max_cycles;
+    arm_deadline(so);
     arm_engine(so);
-    return run_once(*program, externs, so, [&](const sim::Simulator&, const sim::RunResult& r) {
+    return run_once(sim::Program(design, schedule), externs, so,
+                    [&](const sim::Simulator&, const sim::RunResult& r) {
       print_run_status(r);
       std::vector<trace::TraceRecord> window = engine.window();
-      std::string vcd = args.vcd_path.empty() ? "trace.vcd" : args.vcd_path;
       trace::VcdWriter writer(design, engine.config().filter);
       writer.write_file(vcd, window);
       std::cout << "vcd: " << vcd << " (" << writer.signal_count() << " signals, "
@@ -670,14 +664,6 @@ int run(const Args& args) {
   }
   if (args.command == "faultsim") {
     sim::ExternRegistry externs;
-    sim::TraceRerunOptions topt;
-    topt.config = ela_config();
-    topt.dir = args.trace_dir;
-    topt.last_cycles = args.last_cycles;
-    topt.max_sites = args.trace_max_sites;
-    topt.write_binary = true;
-    topt.sm = &sm;
-
     if (args.campaign) {
       sim::CampaignOptions copt = args.campaign_opts;
       // The compiled engine serves the golden run and every faulted
@@ -690,7 +676,7 @@ int run(const Args& args) {
       copt.cancel = &g_interrupted;
       std::signal(SIGINT, handle_interrupt);
       std::signal(SIGTERM, handle_interrupt);
-      // One plan, so the sweep and the trace reruns share one Program.
+      // One plan, so the sweep and the traced sites share one Program.
       StatusOr<sim::CampaignPlan> plan =
           sim::plan_campaign(design, schedule, externs, args.feeds, copt);
       StatusOr<sim::CampaignReport> rep_or =
@@ -722,49 +708,46 @@ int run(const Args& args) {
       }
       std::cout << rep.render(design);
       if (args.trace_nonbenign) {
-        std::vector<sim::TraceArtifact> arts = sim::trace_nonbenign_sites(*plan, rep, copt, topt);
-        std::cout << "traced " << arts.size() << " non-benign site(s) into " << args.trace_dir
+        // The sweep ran with tracing off; only the non-benign sites (the
+        // first --trace-max-sites of them) run again with the ELA armed.
+        std::vector<std::uint32_t> traced;
+        for (const sim::FaultResult& r : rep.results) {
+          if (r.outcome == sim::FaultOutcome::kBenign) continue;
+          if (args.trace_max_sites != 0 && traced.size() >= args.trace_max_sites) break;
+          traced.push_back(r.site.id);
+        }
+        std::filesystem::create_directories(args.trace_dir);
+        std::cout << "traced " << traced.size() << " non-benign site(s) into " << args.trace_dir
                   << "/\n";
-        for (const sim::TraceArtifact& art : arts) {
-          std::cout << "--- " << art.vcd_path << " ---\n" << art.replay;
+        for (std::uint32_t site : traced) {
+          const std::string base =
+              (std::filesystem::path(args.trace_dir) / ("fault_s" + std::to_string(site)))
+                  .string();
+          std::cout << "--- " << base << ".vcd ---\n";
+          trace::TraceEngine ela(design, ela_config());
+          sim::SiteObserver obs;
+          obs.ela = &ela;
+          (void)trace_site(*plan, copt, site, obs, base + ".vcd", base + ".bin");
         }
       }
       return 0;
     }
 
-    std::size_t one_site = args.trace_site != sim::FaultSpec::kNoSite ? args.trace_site : args.site;
-    if (one_site != sim::FaultSpec::kNoSite) {
+    if (args.site != sim::FaultSpec::kNoSite) {
       sim::CampaignOptions copt = args.campaign_opts;
       arm_engine(copt.sim);
-      std::optional<sim::CampaignPlan> plan = plan_one_site(one_site, externs, copt);
+      std::optional<sim::CampaignPlan> plan = plan_one_site(args.site, externs, copt);
       if (!plan) return 1;
-      const sim::FaultSpec& fault = plan->sites[one_site];
-
-      if (args.trace_site != sim::FaultSpec::kNoSite) {
-        // Classify the one site against the golden run, then re-run it
-        // with the ELA armed -- the same path --campaign
-        // --trace-nonbenign takes, for a single site.
-        sim::CampaignReport rep;
-        rep.results.push_back(sim::run_site(*plan, fault, copt));
-        std::vector<sim::TraceArtifact> arts =
-            sim::trace_nonbenign_sites(*plan, rep, copt, topt);
-        if (arts.empty()) {
-          std::cout << "site s" << fault.id
-                    << " is benign (outputs match golden); no trace emitted\n";
-          return 0;
-        }
-        for (const sim::TraceArtifact& art : arts) {
-          std::cout << "vcd: " << art.vcd_path << "\n";
-          if (!art.bin_path.empty()) std::cout << "binary trace: " << art.bin_path << "\n";
-          std::cout << art.replay;
-        }
-        return 0;
-      }
-
-      sim::SimOptions so = copt.sim;
-      arm_site(so, *plan, one_site);
-      arm_deadline(so);
-      return simulate_and_report(*plan->program, externs, so);
+      // The site's status and outputs; --trace also arms the ELA and
+      // prints its replay on stderr.
+      std::optional<trace::TraceEngine> ela;
+      sim::SiteObserver obs;
+      if (args.trace) obs.ela = &ela.emplace(design, ela_config());
+      print_site_notes(run_plan_site(*plan, copt, args.site, obs), obs.run);
+      print_run_status(obs.run);
+      print_outputs(obs.outputs);
+      if (ela) print_replay(*ela, ela->window(), obs.run, std::cerr);
+      return run_exit_code(obs.run);
     }
 
     std::vector<sim::FaultSpec> sites = sim::enumerate_fault_sites(design, schedule);

@@ -74,7 +74,7 @@
 //             8 deadline-expired (--deadline-ms passed while queued).
 // Worker contract (internal; serve/shard.h is the other side): `hlsavd
 // worker --design=F --max-cycles=N --golden-cycles=N ...` compiles F and
-// arms the compiled engine (sim::SimEngine::kAuto; the supervisor has
+// arms the compiled engine (sim::SimEngine::kCompiled; the supervisor has
 // already built F into the JIT cache, so this loads it; work the engine
 // cannot take interprets). It refuses with exit 22 if its golden run
 // disagrees with --golden-cycles -- the supervisor's golden run
@@ -94,7 +94,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -102,7 +101,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -112,6 +110,7 @@
 #include <vector>
 
 #include "codegen/engine.h"
+#include "flags.h"
 #include "pipeline/compile.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -130,36 +129,11 @@
 namespace {
 
 using namespace hlsav;
+using namespace hlsav::tools;
 
 std::atomic<bool> g_cancel{false};
 
 void handle_signal(int) { g_cancel.store(true, std::memory_order_relaxed); }
-
-bool parse_u64_flag(std::string_view text, std::uint64_t& out) {
-  auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc() && p == text.data() + text.size() && !text.empty();
-}
-
-bool parse_u32_flag(std::string_view text, std::uint32_t& out) {
-  std::uint64_t v = 0;
-  if (!parse_u64_flag(text, v) || v > std::numeric_limits<std::uint32_t>::max()) return false;
-  out = static_cast<std::uint32_t>(v);
-  return true;
-}
-
-bool parse_unsigned_flag(std::string_view text, unsigned& out) {
-  std::uint64_t v = 0;
-  if (!parse_u64_flag(text, v) || v > std::numeric_limits<unsigned>::max()) return false;
-  out = static_cast<unsigned>(v);
-  return true;
-}
-
-bool parse_double_flag(const std::string& text, double& out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  out = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size();
-}
 
 void print_usage(std::ostream& os) {
   os << "usage: hlsavd serve    --socket=PATH [--queue-cap=N --jobs=N --workers=N\n"
@@ -310,7 +284,7 @@ int run_worker(const WorkerArgs& args) {
   // The golden run and every site run compiled where the engine can;
   // the rest interprets, and the reports are the same either way.
   std::unique_ptr<codegen::CompiledDesign> engine;
-  std::vector<std::string> notes = codegen::arm_engine(copt.sim, sim::SimEngine::kAuto,
+  std::vector<std::string> notes = codegen::arm_engine(copt.sim, sim::SimEngine::kCompiled,
                                                        compiled->design, compiled->schedule,
                                                        engine);
   for (const std::string& note : notes) std::cerr << "hlsavd worker: " << note << "\n";
