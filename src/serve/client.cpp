@@ -86,11 +86,6 @@ int stream_frames(int fd, const std::string& out_path, bool quiet, int stall_ms,
         std::cerr << "hlsavd: job failed: " << message << "\n";
         return 1;
       }
-      if (status == "deadline-expired") {
-        std::cerr << "hlsavd: job deadline expired before it ran"
-                  << (message.empty() ? "" : ": " + message) << "\n";
-        return 8;
-      }
       if (have_report) {
         if (out_path.empty()) {
           std::cout << report;
@@ -235,15 +230,9 @@ StatusOr<std::string> query_status(const std::string& socket_path) {
            std::to_string(static_cast<std::uint64_t>(uptime_ms)) + "ms, recovered " +
            std::to_string(recovered) + " job(s) at boot";
   }
-  // Compact "P:D;P:D" / "W:R/Q;W:R/Q" wire fields -> one line each.
-  std::string depths, workers;
-  (void)jsonl::parse_string(*line, "depths", depths);
+  // The compact "W:R/Q;W:R/Q" wire field -> one line per worker.
+  std::string workers;
   (void)jsonl::parse_string(*line, "workers", workers);
-  for (const std::string& part : split(depths, ';')) {
-    std::size_t colon = part.find(':');
-    if (colon == std::string::npos) continue;
-    out += "\n  priority " + part.substr(0, colon) + ": depth " + part.substr(colon + 1);
-  }
   for (const std::string& part : split(workers, ';')) {
     std::size_t colon = part.find(':');
     std::size_t slash = part.find('/', colon);

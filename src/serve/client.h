@@ -32,8 +32,7 @@ struct SubmitOptions {
 /// (empty = stdout). Returns the process exit code:
 ///   0 = done ok;  1 = job or transport error;  6 = drained (daemon
 ///   shut down mid-job; journals are resumable);  7 = rejected by
-///   back-pressure or validation (typed, resubmit later);  8 = the
-///   job's --deadline-ms passed while it was still queued.
+///   back-pressure or validation (typed, resubmit later).
 [[nodiscard]] int submit_job(const std::string& socket_path, CampaignSpec spec,
                              const SubmitOptions& opt);
 
@@ -42,9 +41,9 @@ struct SubmitOptions {
                              const std::string& out_path, bool quiet);
 
 /// Daemon status. The first line keeps the historic aggregate form
-/// ("queued=N running=N completed=N rejected=N"); when the daemon has
-/// per-priority queue depth or per-worker respawn/quarantine tallies,
-/// they follow as indented lines.
+/// ("queued=N running=N completed=N rejected=N"); the daemon's
+/// incarnation and per-worker respawn/quarantine tallies follow as
+/// indented lines.
 [[nodiscard]] StatusOr<std::string> query_status(const std::string& socket_path);
 
 /// Asks the daemon to shut down gracefully.

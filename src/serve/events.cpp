@@ -71,7 +71,6 @@ EventFold::EventFold(std::string inc) : incarnation(std::move(inc)) {
   counters.watch_frames_coalesced = registry.counter("watch_frames_coalesced");
   counters.jobs_recovered = registry.counter("jobs_recovered");
   counters.jobs_duplicate = registry.counter("jobs_duplicate");
-  counters.jobs_deadline_expired = registry.counter("jobs_deadline_expired");
   counters.spool_quarantined = registry.counter("spool_quarantined");
   counters.job_wall_ms = registry.histogram("job_wall_ms");
 }
@@ -112,7 +111,6 @@ EventFold::LogLine EventFold::apply(const JobEvent& e, std::uint64_t now_us) {
       counters.spool_quarantined->add(e.done);
       return {"daemon-recovered",
               {F::str("incarnation", incarnation), F::num("requeued", recovered),
-               F::num("expired", counters.jobs_deadline_expired->value),
                F::num("quarantined", e.done), F::num("torn_tails", e.total)}};
     case K::kDaemonStop:
       return {"daemon-stop",
@@ -126,14 +124,11 @@ EventFold::LogLine EventFold::apply(const JobEvent& e, std::uint64_t now_us) {
       return {};
     case K::kSettled:
       if (auto k = keys_.find(e.key); k != keys_.end()) k->second.state = e.state;
-      if (e.state != "deadline-expired") return {};
-      counters.jobs_deadline_expired->add();
-      return {"job-deadline-expired", {job}};
+      return {};
     case K::kAdmitted: {
       JobRecord& r = jobs_[e.job];
       r = JobRecord{};
       r.view.id = e.job;
-      r.view.priority = e.spec->priority;
       r.view.design = e.spec->design_path;
       r.key = e.spec->key;
       keys_[r.key] = KeyInfo{e.job, encode_submit(*e.spec), "queued"};
@@ -149,9 +144,7 @@ EventFold::LogLine EventFold::apply(const JobEvent& e, std::uint64_t now_us) {
       }
       if (rec == nullptr) return {};
       if (e.detail != "submit") return {"job-requeued", {job, F::str("key", rec->key)}};
-      return {"job-submitted",
-              {job, F{"priority", std::to_string(rec->view.priority), /*raw=*/true},
-               F::str("design", rec->view.design)}};
+      return {"job-submitted", {job, F::str("design", rec->view.design)}};
     case K::kRejected: {
       ++rejected;
       counters.jobs_rejected->add();
@@ -212,10 +205,9 @@ EventFold::LogLine EventFold::apply(const JobEvent& e, std::uint64_t now_us) {
       counters.sites_quarantined->add();
       return {"site-quarantined", {job, F::num("site", e.site)}};
     case K::kFinished: {
-      // A job whose deadline passed in the queue finishes without
-      // ever starting.
-      bool ran = rec != nullptr && rec->run_start_us.has_value();
-      --(ran ? running : queued);
+      // Every job finishes after its kStarted: one that never runs
+      // leaves the queue by kAborted instead.
+      --running;
       ++completed;
       if (e.state == "done") {
         counters.jobs_completed->add();
@@ -224,9 +216,10 @@ EventFold::LogLine EventFold::apply(const JobEvent& e, std::uint64_t now_us) {
       } else {
         counters.jobs_failed->add();
       }
-      if (e.state == "deadline-expired") counters.jobs_deadline_expired->add();
       counters.journal_bytes->add(e.total);
-      counters.job_wall_ms->record(ran ? (now_us - *rec->run_start_us) / 1000 : 0);
+      counters.job_wall_ms->record(rec != nullptr && rec->run_start_us
+                                       ? (now_us - *rec->run_start_us) / 1000
+                                       : 0);
       set_state(e.state);
       LogLine line{"job-completed",
                    {job, F::str("status", e.state), F::num("done", rec ? rec->view.done : 0),

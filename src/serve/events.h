@@ -69,8 +69,8 @@ struct JobEvent {
     kWorkerCrashed,   // site: the blamed in-flight site; worker; detail: exit description
     kQuarantined,     // site hit the crash cap and is classified worker-crashed
     kReport,          // payload: the rendered report
-    kFinished,        // state: done | drained | error | deadline-expired; detail: message;
-                      // total: journal bytes; engine_note
+    kFinished,        // state: done | drained | error; detail: message; total: journal
+                      // bytes; engine_note
     // ---- subscribers ----
     kWatchSubscribed,
     kWatchFrame,   // one frame about to be sent
@@ -185,7 +185,6 @@ struct EventFold {
     metrics::Counter* watch_frames_coalesced;
     metrics::Counter* jobs_recovered;
     metrics::Counter* jobs_duplicate;
-    metrics::Counter* jobs_deadline_expired;
     metrics::Counter* spool_quarantined;
     metrics::Histogram* job_wall_ms;
   } counters{};

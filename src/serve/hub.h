@@ -43,7 +43,6 @@ namespace hlsav::serve {
 /// What a late subscriber learns about a job the moment it attaches.
 struct JobView {
   std::uint64_t id = 0;
-  int priority = 0;
   std::string design;
   /// queued | running | merging | done | drained | error | aborted.
   std::string state = "queued";

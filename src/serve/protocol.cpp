@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <cmath>
 #include <cstdlib>
 
 #include "assertions/options.h"
@@ -21,7 +22,6 @@ std::string encode_submit(const CampaignSpec& spec) {
   out += ",\"max_cycles\":" + std::to_string(spec.max_cycles);
   out += ",\"site_wall_ms\":" + jsonl::format_double(spec.site_wall_ms);
   out += ",\"workers\":" + std::to_string(spec.workers);
-  out += ",\"priority\":" + std::to_string(spec.priority);
   out += ",\"crash_at\":";
   jsonl::append_u32_list(out, spec.crash_at);
   out += ",\"crash_limit\":" + std::to_string(spec.crash_limit);
@@ -29,7 +29,6 @@ std::string encode_submit(const CampaignSpec& spec) {
   jsonl::append_u32_list(out, spec.stall_at);
   out += ",\"key\":";
   jsonl::append_escaped(out, spec.key);
-  out += ",\"deadline_ms\":" + std::to_string(spec.deadline_ms);
   out += '}';
   return out;
 }
@@ -48,17 +47,17 @@ StatusOr<CampaignSpec> decode_submit(const std::string& line) {
   (void)jsonl::parse_u64(line, "max_faults", spec.max_faults);
   (void)jsonl::parse_u64(line, "max_cycles", spec.max_cycles);
   (void)jsonl::parse_double(line, "site_wall_ms", spec.site_wall_ms);
+  if (!std::isfinite(spec.site_wall_ms) || spec.site_wall_ms < 0) {
+    return Status::invalid_argument("site_wall_ms must be a finite number >= 0");
+  }
   std::uint64_t v = 0;
   if (jsonl::parse_u64(line, "workers", v)) spec.workers = static_cast<unsigned>(v);
-  double prio = 0.0;
-  if (jsonl::parse_double(line, "priority", prio)) spec.priority = static_cast<int>(prio);
   (void)jsonl::parse_u32_list(line, "crash_at", spec.crash_at);
   if (jsonl::parse_u64(line, "crash_limit", v)) {
     spec.crash_limit = static_cast<std::uint32_t>(v);
   }
   (void)jsonl::parse_u32_list(line, "stall_at", spec.stall_at);
   (void)jsonl::parse_string(line, "key", spec.key);
-  (void)jsonl::parse_u64(line, "deadline_ms", spec.deadline_ms);
   return spec;
 }
 
@@ -149,7 +148,6 @@ std::string encode_snapshot(const JobView& view) {
   jsonl::append_escaped(out, view.state);
   out += ",\"design\":";
   jsonl::append_escaped(out, view.design);
-  out += ",\"priority\":" + std::to_string(view.priority);
   out += ",\"done\":" + std::to_string(view.done);
   out += ",\"total\":" + std::to_string(view.total);
   out += ",\"respawns\":" + std::to_string(view.respawns);

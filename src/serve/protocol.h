@@ -54,8 +54,6 @@ struct CampaignSpec {
   /// Worker subprocesses to run the sites on; 0 = service
   /// default.
   unsigned workers = 0;
-  /// Higher runs first; equal priorities stay FIFO.
-  int priority = 0;
   /// Test-only fault schedule: sites whose worker dies by SIGKILL the
   /// moment the site starts (once per site, see --crash-limit).
   std::vector<std::uint32_t> crash_at;
@@ -70,17 +68,15 @@ struct CampaignSpec {
   /// the original job id (and result) to any resubmit, so a client may
   /// blindly retry across daemon restarts.
   std::string key;
-  /// Per-job TTL in milliseconds (0 = none). A job still *queued* when
-  /// its deadline passes ends in the terminal "deadline-expired" state
-  /// -- reported, never silently dropped.
-  std::uint64_t deadline_ms = 0;
 };
 
 /// Serializes `spec` as the submit request line (no trailing newline).
 [[nodiscard]] std::string encode_submit(const CampaignSpec& spec);
 
 /// Parses a submit request line. kInvalidArgument when the design path
-/// is missing or a field is malformed.
+/// is missing, the assertions mode unknown or site_wall_ms negative or
+/// not finite. Unknown keys are ignored, so the lines an older daemon
+/// spooled still decode.
 [[nodiscard]] StatusOr<CampaignSpec> decode_submit(const std::string& line);
 
 /// Parses the CLI/wire feed spec ("in=1,2,3;other=4") into the map the

@@ -1,7 +1,5 @@
 #include "serve/queue.h"
 
-#include <algorithm>
-
 namespace hlsav::serve {
 
 Status JobQueue::push(Job job, bool force) {
@@ -10,7 +8,6 @@ Status JobQueue::push(Job job, bool force) {
   if (!force && jobs_.size() >= capacity_) {
     return Status::unavailable("queue full (cap " + std::to_string(capacity_) + ")");
   }
-  job.seq = next_seq_++;
   jobs_.push_back(std::move(job));
   cv_.notify_one();
   return Status::ok_status();
@@ -20,52 +17,20 @@ std::optional<Job> JobQueue::pop() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [&] { return closed_ || !jobs_.empty(); });
   if (closed_) return std::nullopt;  // close() already drained the backlog
-  auto best = std::min_element(jobs_.begin(), jobs_.end(), [](const Job& a, const Job& b) {
-    if (a.spec.priority != b.spec.priority) return a.spec.priority > b.spec.priority;
-    return a.seq < b.seq;
-  });
-  Job job = std::move(*best);
-  jobs_.erase(best);
+  Job job = std::move(jobs_.front());
+  jobs_.pop_front();
   return job;
 }
 
-std::vector<Job> JobQueue::close() {
-  std::vector<Job> drained;
+std::deque<Job> JobQueue::close() {
+  std::deque<Job> drained;
   {
     std::lock_guard<std::mutex> lock(mu_);
     closed_ = true;
-    drained = std::move(jobs_);
-    jobs_.clear();
+    drained.swap(jobs_);
   }
   cv_.notify_all();
-  // Aborted jobs go back in submission order, not priority order.
-  std::sort(drained.begin(), drained.end(),
-            [](const Job& a, const Job& b) { return a.seq < b.seq; });
   return drained;
-}
-
-std::size_t JobQueue::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return jobs_.size();
-}
-
-std::vector<std::pair<int, std::size_t>> JobQueue::depth_by_priority() const {
-  std::vector<std::pair<int, std::size_t>> depths;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const Job& job : jobs_) {
-      auto it = std::find_if(depths.begin(), depths.end(),
-                             [&](const auto& p) { return p.first == job.spec.priority; });
-      if (it == depths.end()) {
-        depths.emplace_back(job.spec.priority, 1);
-      } else {
-        ++it->second;
-      }
-    }
-  }
-  std::sort(depths.begin(), depths.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  return depths;
 }
 
 }  // namespace hlsav::serve

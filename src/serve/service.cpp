@@ -175,7 +175,6 @@ void Service::emit(JobEvent e) {
       break;
     case K::kFinished: {
       std::string done_line = encode_done(id, e.state == "done" ? "ok" : e.state, e.detail);
-      tracer_.end_span(id, life, "queued");
       tracer_.end_span(id, life, "run");
       // Counters (folded above) and the terminal spool record land
       // before the done frame: once a client has read "done", a status
@@ -207,15 +206,6 @@ std::optional<EventFold::KeyInfo> Service::key_info(const std::string& key) {
   return fold_.key_info(key);
 }
 
-std::string Service::depths_field() {
-  std::string out;
-  for (const auto& [priority, depth] : queue_.depth_by_priority()) {
-    if (!out.empty()) out += ';';
-    out += std::to_string(priority) + ":" + std::to_string(depth);
-  }
-  return out;
-}
-
 std::string Service::workers_field() {
   std::string out;
   for (std::size_t w = 0; w < fold_.worker_stats.size(); ++w) {
@@ -237,8 +227,6 @@ std::string Service::status_reply() {
   reply += ",\"uptime_ms\":" +
            jsonl::format_double(static_cast<double>(tracer_.now_us()) / 1000.0);
   reply += ",\"recovered\":" + std::to_string(fold_.recovered);
-  reply += ",\"depths\":";
-  jsonl::append_escaped(reply, depths_field());
   reply += ",\"workers\":";
   jsonl::append_escaped(reply, workers_field());
   reply += '}';
@@ -252,8 +240,6 @@ std::string Service::metrics_snapshot() {
                     jsonl::format_double(static_cast<double>(uptime_us) / 1000.0);
   out += ",\"jobs_queued_now\":" + std::to_string(fold_.queued);
   out += ",\"jobs_running_now\":" + std::to_string(fold_.running);
-  out += ",\"queue_depths\":";
-  jsonl::append_escaped(out, depths_field());
   out += ",\"worker_tallies\":";
   jsonl::append_escaped(out, workers_field());
   out += ",\"watch_subscribers_now\":" + std::to_string(hub_.subscriber_count());
@@ -271,7 +257,7 @@ Status Service::serve() {
   emit({.kind = K::kDaemonStart, .detail = opt_.socket_path});
   // Re-adopt spooled jobs *before* the executors start: recovered work
   // is already in the queue when the first pop happens, so boot order
-  // (recovered first, FIFO within priority) is deterministic.
+  // (recovered jobs first, in job-id order) is deterministic.
   HLSAV_RETURN_IF_ERROR(recover_jobs());
   executors_.reserve(opt_.executors);
   for (unsigned i = 0; i < opt_.executors; ++i) {
@@ -426,29 +412,20 @@ Status Service::recover_jobs() {
   std::uint64_t max_id = 0;
   for (const SpoolEntry& e : scan->entries) {
     max_id = std::max(max_id, e.job);
-    emit({.kind = K::kRestored, .job = e.job, .state = e.state, .detail = e.submit_line,
-          .key = e.key});
+    // The key table holds the line as this daemon encodes it, so a keyed
+    // resubmit still matches an entry that an older daemon spooled.
+    StatusOr<CampaignSpec> spec = decode_submit(e.submit_line);
+    emit({.kind = K::kRestored, .job = e.job, .state = e.state,
+          .detail = spec.ok() ? encode_submit(*spec) : e.submit_line, .key = e.key});
     // A key already owned by an earlier entry stays on disk but is
     // never re-adopted.
     if (e.terminal() || key_info(e.key)->job != e.job) continue;
-    StatusOr<CampaignSpec> spec = decode_submit(e.submit_line);
     if (!spec.ok()) {
       emit({.kind = K::kSettled, .job = e.job, .state = "error",
             .detail = "unreadable spooled spec: " + spec.status().message(), .key = e.key});
       continue;
     }
-    if (e.deadline_ms > 0 && unix_ms() > e.submitted_unix_ms + e.deadline_ms) {
-      // Expired while the daemon was down: typed terminal state, never
-      // a silent drop -- a resubmit with the key learns what happened.
-      emit({.kind = K::kSettled, .job = e.job, .state = "deadline-expired",
-            .detail = "deadline passed while the daemon was down", .key = e.key});
-      continue;
-    }
-    Job job;
-    job.id = e.job;
-    job.spec = std::move(*spec);
-    if (e.deadline_ms > 0) job.deadline_unix_ms = e.submitted_unix_ms + e.deadline_ms;
-    if (!admit(std::move(job), -1, "re-adopt", e.state)) break;  // shutting down
+    if (!admit(Job{e.job, std::move(*spec)}, -1, "re-adopt", e.state)) break;  // shutting down
   }
   if (max_id >= next_job_id_.load()) next_job_id_.store(max_id + 1);
   emit({.kind = K::kRecovered, .done = scan->quarantined, .total = scan->torn_tails});
@@ -504,10 +481,8 @@ void Service::handle_submit(int fd, const std::string& line) {
                 std::to_string(tracer_.now_us());
   }
   const std::string canonical = encode_submit(*spec);
-  const std::uint64_t now_ms = unix_ms();
   Job job;
   job.spec = std::move(*spec);
-  if (job.spec.deadline_ms > 0) job.deadline_unix_ms = now_ms + job.spec.deadline_ms;
 
   if (std::optional<EventFold::KeyInfo> known = key_info(job.spec.key)) {
     if (known->submit_line != canonical) {
@@ -530,7 +505,7 @@ void Service::handle_submit(int fd, const std::string& line) {
         stream(fd, sub, id, /*submitter=*/true);
       });
     } else {
-      // Terminal failure (error/aborted/drained/deadline-expired):
+      // Terminal failure (error/aborted/drained):
       // requeue the *same* job id -- its job journal resumes
       // byte-identically behind the fingerprint gate.
       job.id = known->job;
@@ -547,9 +522,6 @@ void Service::handle_submit(int fd, const std::string& line) {
   entry.job = job.id;
   entry.key = job.spec.key;
   entry.submit_line = canonical;
-  entry.priority = job.spec.priority;
-  entry.deadline_ms = job.spec.deadline_ms;
-  entry.submitted_unix_ms = now_ms;
   Status spooled = spool_.record_accepted(entry);
   if (!spooled.ok()) return reject(fd, spooled, job.id);
   (void)admit(std::move(job), fd, "submit", "aborted");
@@ -562,12 +534,6 @@ void Service::run_job(Job job, WorkerPool& pool) {
     emit({.kind = K::kFinished, .job = id, .total = journal_bytes, .state = state,
           .detail = message, .engine_note = engine_note});
   };
-  // A deadline that passed while the job sat in the queue is a typed
-  // terminal outcome, never a silent drop.
-  if (job.deadline_unix_ms > 0 && unix_ms() > job.deadline_unix_ms) {
-    return finish("deadline-expired", "deadline of " + std::to_string(job.spec.deadline_ms) +
-                                          "ms passed while the job was queued");
-  }
   emit({.kind = K::kStarted, .job = id});
 
   std::string job_dir = opt_.work_dir + "/job_" + std::to_string(id);

@@ -114,9 +114,8 @@ class Service {
   void stream(int fd, std::shared_ptr<ProgressHub::Subscription> sub, std::uint64_t job,
               bool submitter);
   /// Boot-time spool recovery: re-adopts every non-terminal spooled job
-  /// (force-pushed past the queue cap -- they were already accepted
-  /// once), registers every idempotency key, and expires overdue queued
-  /// jobs.
+  /// in job-id order (force-pushed past the queue cap -- they were
+  /// already accepted once) and registers every idempotency key.
   [[nodiscard]] Status recover_jobs();
   /// Durable-token crash injection: first pass through the configured
   /// phase writes a token and raises SIGKILL; the token makes the
@@ -129,16 +128,14 @@ class Service {
   /// has finished (an exited, unjoined thread keeps its stack mapped).
   void spawn_watcher(std::function<void()> body);
   [[nodiscard]] std::optional<EventFold::KeyInfo> key_info(const std::string& key);
-  /// One-line status reply JSON (aggregate counts + per-priority queue
-  /// depths + per-worker respawn/quarantine tallies).
+  /// One-line status reply JSON (aggregate counts + per-worker
+  /// respawn/quarantine tallies).
   [[nodiscard]] std::string status_reply();
   /// One-line metrics snapshot JSON ({"type":"metrics",...}).
   [[nodiscard]] std::string metrics_snapshot();
-  /// Compact "P:D;P:D" / "W:R/Q;W:R/Q" renderings for the flat-JSON
-  /// status + metrics replies (jsonl parsing keeps keys unique, so
-  /// repeated-key arrays are off the table by design). workers_field
-  /// expects emit_mu_ held.
-  [[nodiscard]] std::string depths_field();
+  /// Compact "W:R/Q;W:R/Q" rendering for the flat-JSON status + metrics
+  /// replies (jsonl parsing keeps keys unique, so repeated-key arrays
+  /// are off the table by design). Expects emit_mu_ held.
   [[nodiscard]] std::string workers_field();
 
   ServiceOptions opt_;

@@ -27,19 +27,14 @@ Status make_dir(const std::string& dir) {
 }
 
 /// Parses the spool header line into `e`. False on any malformed or
-/// missing field -- the caller quarantines the whole entry.
+/// missing field -- the caller quarantines the whole entry. Other keys
+/// (an older daemon wrote more) are ignored.
 bool parse_header(const std::string& line, SpoolEntry& e) {
   std::string type;
   if (!jsonl::parse_string(line, "type", type) || type != "spool") return false;
   if (!jsonl::parse_u64(line, "job", e.job)) return false;
   if (!jsonl::parse_string(line, "key", e.key) || e.key.empty()) return false;
-  if (!jsonl::parse_string(line, "submit", e.submit_line) || e.submit_line.empty()) return false;
-  double prio = 0.0;
-  if (!jsonl::parse_double(line, "priority", prio)) return false;
-  e.priority = static_cast<int>(prio);
-  if (!jsonl::parse_u64(line, "deadline_ms", e.deadline_ms)) return false;
-  if (!jsonl::parse_u64(line, "submitted_unix_ms", e.submitted_unix_ms)) return false;
-  return true;
+  return jsonl::parse_string(line, "submit", e.submit_line) && !e.submit_line.empty();
 }
 
 /// Parses one state record. False = torn/corrupt: stop and truncate.
@@ -75,8 +70,7 @@ void quarantine_entry(const std::string& dir, const std::string& path,
 bool SpoolEntry::terminal() const { return JobSpool::state_terminal(state); }
 
 bool JobSpool::state_terminal(const std::string& state) {
-  return state == "done" || state == "error" || state == "aborted" || state == "drained" ||
-         state == "deadline-expired";
+  return state != "queued" && state != "running";
 }
 
 StatusOr<JobSpool> JobSpool::open(std::string dir) {
@@ -95,9 +89,6 @@ Status JobSpool::record_accepted(const SpoolEntry& entry) const {
   std::string line = "{\"type\":\"spool\",\"v\":1,\"job\":" + std::to_string(entry.job);
   line += ",\"key\":";
   jsonl::append_escaped(line, entry.key);
-  line += ",\"priority\":" + std::to_string(entry.priority);
-  line += ",\"deadline_ms\":" + std::to_string(entry.deadline_ms);
-  line += ",\"submitted_unix_ms\":" + std::to_string(entry.submitted_unix_ms);
   // The submit line nests as an escaped string: every quote inside is
   // backslash-prefixed, so flat key lookup over this line stays
   // unambiguous.

@@ -3,9 +3,9 @@
 // Every job hlsavd accepts is recorded here *before* the accept line
 // reaches the client, so the accept is a promise that survives the
 // daemon: one file per job holding an atomically-written header (the
-// canonical submit line, idempotency key, priority, deadline) followed
-// by fsync'd append records for each state transition
-// (queued -> running -> done/error/aborted/drained/deadline-expired).
+// canonical submit line and idempotency key) followed by fsync'd append
+// records for each state transition
+// (queued -> running -> done/error/aborted/drained).
 // Each entry is a support/wal log, like the campaign journal: a crash
 // can only tear the last record, so a loader that stops at the first
 // unparseable line -- and truncates it away -- recovers exactly what
@@ -32,13 +32,9 @@ struct SpoolEntry {
   /// Canonical submit request line (encode_submit of the decoded spec):
   /// re-decoded on recovery, byte-compared on duplicate submits.
   std::string submit_line;
-  int priority = 0;
-  /// TTL relative to submitted_unix_ms; 0 = none.
-  std::uint64_t deadline_ms = 0;
-  std::uint64_t submitted_unix_ms = 0;
-  /// queued | running | done | error | aborted | drained |
-  /// deadline-expired. Header-only entries are "queued": the daemon
-  /// died after spooling but before (or during) the run.
+  /// queued | running | done | error | aborted | drained. Header-only
+  /// entries are "queued": the daemon died after spooling but before
+  /// (or during) the run.
   std::string state = "queued";
   /// Free-text detail from the last state record (error messages).
   std::string detail;
@@ -81,6 +77,8 @@ class JobSpool {
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
+  /// Every state but queued and running: one this daemon does not write
+  /// (an older daemon's) is never re-run unprompted either.
   [[nodiscard]] static bool state_terminal(const std::string& state);
 
  private:

@@ -40,7 +40,6 @@ struct Stream {
 CampaignSpec clamp_spec() {
   CampaignSpec spec;
   spec.design_path = "/tmp/clamp.c";
-  spec.priority = 2;
   spec.key = "k1";
   return spec;
 }
@@ -105,7 +104,6 @@ TEST(EventFold, ScriptedJobKeepsCountersEventsAndViewInAgreement) {
   ASSERT_NE(v, nullptr);
   EXPECT_EQ(v->state, "done");
   EXPECT_EQ(v->design, "/tmp/clamp.c");
-  EXPECT_EQ(v->priority, 2);
   EXPECT_EQ(v->done, 3u);
   EXPECT_EQ(v->total, 20u);
   EXPECT_EQ(v->respawns, 1u);
@@ -158,19 +156,19 @@ TEST(EventFold, JobsThatNeverRunLeaveTheQueueNotTheRunningCount) {
   r.feed({.kind = K::kQueued, .job = 1, .detail = "submit"});
   r.feed({.kind = K::kAdmitted, .job = 2, .detail = "submit", .spec = &b});
   r.feed({.kind = K::kQueued, .job = 2, .detail = "submit"});
-  r.feed({.kind = K::kFinished, .job = 1, .state = "deadline-expired", .detail = "late"});
+  // Shutdown aborts both before either starts.
+  r.feed({.kind = K::kAborted, .job = 1, .detail = "shutting down"});
   r.feed({.kind = K::kAborted, .job = 2, .detail = "shutting down"});
   EXPECT_EQ(r.fold.queued, 0u);
   EXPECT_EQ(r.fold.running, 0u);
-  EXPECT_EQ(r.fold.completed, 1u);
-  EXPECT_EQ(r.fold.rejected, 1u);
-  EXPECT_EQ(r.counter("jobs_deadline_expired"), 1u);
-  EXPECT_EQ(r.counter("jobs_failed"), 1u);
-  EXPECT_EQ(r.counter("jobs_rejected"), 1u);
-  EXPECT_EQ(r.fold.key_info("k1")->state, "deadline-expired");
+  EXPECT_EQ(r.fold.completed, 0u);
+  EXPECT_EQ(r.fold.rejected, 2u);
+  EXPECT_EQ(r.counter("jobs_failed"), 0u);
+  EXPECT_EQ(r.counter("jobs_rejected"), 2u);
+  EXPECT_EQ(r.fold.key_info("k1")->state, "aborted");
   EXPECT_EQ(r.fold.key_info("k2")->state, "aborted");
   EXPECT_EQ(r.fold.view(2)->state, "aborted");
-  EXPECT_EQ(r.logged("job-aborted"), 1u);
+  EXPECT_EQ(r.logged("job-aborted"), 2u);
 }
 
 TEST(EventFold, BootRecoveryRestoresKeysAndFlagsDuplicates) {
@@ -179,12 +177,13 @@ TEST(EventFold, BootRecoveryRestoresKeysAndFlagsDuplicates) {
   r.feed({.kind = K::kRestored, .job = 5, .state = "queued", .detail = "{other}", .key = "k"});
   EXPECT_EQ(r.fold.key_info("k")->job, 3u);  // the earliest job owns the key
   EXPECT_EQ(r.fold.key_info("k")->submit_line, "{line}");
-  r.feed({.kind = K::kSettled, .job = 7, .state = "deadline-expired", .key = "gone"});
+  // A spooled spec that no longer decodes settles without running.
+  r.feed({.kind = K::kRestored, .job = 7, .state = "queued", .detail = "{bad}", .key = "gone"});
+  r.feed({.kind = K::kSettled, .job = 7, .state = "error", .key = "gone"});
+  EXPECT_EQ(r.fold.key_info("gone")->state, "error");
   r.feed({.kind = K::kRecovered, .done = 2, .total = 1});
-  EXPECT_EQ(r.names, (std::vector<std::string>{"spool-duplicate-key", "job-deadline-expired",
-                                               "daemon-recovered"}));
+  EXPECT_EQ(r.names, (std::vector<std::string>{"spool-duplicate-key", "daemon-recovered"}));
   EXPECT_EQ(r.counter("spool_quarantined"), 2u);
-  EXPECT_EQ(r.counter("jobs_deadline_expired"), 1u);
 }
 
 }  // namespace

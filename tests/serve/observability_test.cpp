@@ -273,7 +273,7 @@ TEST(Observability, FinishedWatcherThreadsAreReaped) {
   EXPECT_LT(after - before, 20 * 1024) << "VmSize " << before << " kB -> " << after << " kB";
 }
 
-TEST(Observability, StatusReportsQueueDepthsAndWorkerTallies) {
+TEST(Observability, StatusReportsQueuedCountAndWorkerTallies) {
   std::string design = write_temp("obs_status.c", kClampSrc);
   // One executor so queued jobs are observable; quick respawns.
   Daemon d({"--jobs=1", "--workers=1", "--heartbeat-timeout-ms=1500", "--backoff-base-ms=1",
@@ -285,29 +285,23 @@ TEST(Observability, StatusReportsQueueDepthsAndWorkerTallies) {
   crash.crash_at = {3};
   ASSERT_EQ(submit_job(d.socket, crash, temp_path("obs_s1.txt"), /*quiet=*/true), 0);
 
-  // Pin the executor with a stalled job, then queue two more at
-  // distinct priorities so the per-priority depths are visible.
+  // Pin the executor with a stalled job, then queue two more behind it.
   CampaignSpec stall = clamp_spec(design);
   stall.workers = 1;
   stall.stall_at = {0};
   int rc1 = -1, rc2 = -1, rc3 = -1;
   std::thread j1([&] { rc1 = submit_job(d.socket, stall, temp_path("obs_s2.txt"), true); });
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  CampaignSpec queued_hi = clamp_spec(design);
-  queued_hi.priority = 5;
-  CampaignSpec queued_lo = clamp_spec(design);
-  queued_lo.priority = -1;
-  std::thread j2([&] { rc2 = submit_job(d.socket, queued_hi, temp_path("obs_s3.txt"), true); });
-  std::thread j3([&] { rc3 = submit_job(d.socket, queued_lo, temp_path("obs_s4.txt"), true); });
+  CampaignSpec queued = clamp_spec(design);
+  std::thread j2([&] { rc2 = submit_job(d.socket, queued, temp_path("obs_s3.txt"), true); });
+  std::thread j3([&] { rc3 = submit_job(d.socket, queued, temp_path("obs_s4.txt"), true); });
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
   StatusOr<std::string> status = query_status(d.socket);
   ASSERT_TRUE(status.ok()) << status.status().to_string();
-  // Historic first line intact, then the new depth/tally detail.
-  EXPECT_NE(status->find("queued=2"), std::string::npos) << *status;
-  EXPECT_NE(status->find("priority 5: depth 1"), std::string::npos) << *status;
-  EXPECT_NE(status->find("priority -1: depth 1"), std::string::npos) << *status;
-  EXPECT_NE(status->find("respawns="), std::string::npos) << *status;
+  // Historic first line intact, then the per-worker tallies.
+  EXPECT_NE(status->find("queued=2 running=1"), std::string::npos) << *status;
+  EXPECT_NE(status->find("worker 0: respawns="), std::string::npos) << *status;
 
   j1.join();
   j2.join();

@@ -19,7 +19,6 @@ TEST(Protocol, SubmitRoundTripsEveryField) {
   spec.max_cycles = 123456;
   spec.site_wall_ms = 2.5;
   spec.workers = 3;
-  spec.priority = -2;
   spec.crash_at = {7, 11};
   spec.crash_limit = 4;
   spec.stall_at = {5};
@@ -34,7 +33,6 @@ TEST(Protocol, SubmitRoundTripsEveryField) {
   EXPECT_EQ(back->max_cycles, spec.max_cycles);
   EXPECT_EQ(back->site_wall_ms, spec.site_wall_ms);
   EXPECT_EQ(back->workers, spec.workers);
-  EXPECT_EQ(back->priority, spec.priority);
   EXPECT_EQ(back->crash_at, spec.crash_at);
   EXPECT_EQ(back->crash_limit, spec.crash_limit);
   EXPECT_EQ(back->stall_at, spec.stall_at);
@@ -47,7 +45,6 @@ TEST(Protocol, SubmitDefaultsSurviveMinimalLine) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->assertions, "optimized");
   EXPECT_EQ(back->seed, 1u);
-  EXPECT_EQ(back->priority, 0);
   EXPECT_TRUE(back->crash_at.empty());
 }
 
@@ -64,6 +61,18 @@ TEST(Protocol, SubmitWithBogusAssertionModeIsInvalid) {
   StatusOr<CampaignSpec> back = decode_submit(encode_submit(spec));
   ASSERT_FALSE(back.ok());
   EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(Protocol, SubmitWithANegativeOrNonFiniteSiteWallMsIsInvalid) {
+  // Such a budget would reach the job journal's header, and nan or inf
+  // there is not JSON.
+  for (const char* value : {"-5", "nan", "inf", "-inf", "1e999"}) {
+    StatusOr<CampaignSpec> back = decode_submit(
+        std::string("{\"type\":\"submit\",\"design\":\"d.c\",\"site_wall_ms\":") + value + "}");
+    ASSERT_FALSE(back.ok()) << value;
+    EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument) << value;
+  }
+  EXPECT_TRUE(decode_submit("{\"type\":\"submit\",\"design\":\"d.c\",\"site_wall_ms\":0}").ok());
 }
 
 TEST(Protocol, FeedSpecParsesMultipleStreams) {

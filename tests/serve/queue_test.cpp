@@ -1,4 +1,4 @@
-// Bounded priority job queue: back-pressure, ordering, shutdown.
+// Bounded FIFO job queue: back-pressure, ordering, shutdown.
 #include "serve/queue.h"
 
 #include <gtest/gtest.h>
@@ -8,10 +8,9 @@
 namespace hlsav::serve {
 namespace {
 
-Job make_job(std::uint64_t id, int priority = 0) {
+Job make_job(std::uint64_t id) {
   Job j;
   j.id = id;
-  j.spec.priority = priority;
   return j;
 }
 
@@ -25,22 +24,24 @@ TEST(JobQueue, FullQueueRejectsWithTypedUnavailable) {
   EXPECT_NE(st.message().find("queue full (cap 2)"), std::string::npos) << st.message();
 }
 
-TEST(JobQueue, HigherPriorityPopsFirstFifoWithin) {
-  JobQueue q(8);
-  ASSERT_TRUE(q.push(make_job(1, 0)).ok());
-  ASSERT_TRUE(q.push(make_job(2, 5)).ok());
-  ASSERT_TRUE(q.push(make_job(3, 5)).ok());
-  ASSERT_TRUE(q.push(make_job(4, 0)).ok());
+TEST(JobQueue, PopsInSubmissionOrder) {
+  JobQueue q(2);
+  // A forced push (boot re-adoption) past the cap keeps its place too.
+  ASSERT_TRUE(q.push(make_job(4)).ok());
+  ASSERT_TRUE(q.push(make_job(2)).ok());
+  ASSERT_TRUE(q.push(make_job(9), /*force=*/true).ok());
   std::vector<std::uint64_t> order;
-  for (int i = 0; i < 4; ++i) order.push_back(q.pop()->id);
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{2, 3, 1, 4}));
+  for (int i = 0; i < 2; ++i) order.push_back(q.pop()->id);
+  ASSERT_TRUE(q.push(make_job(1)).ok());
+  for (int i = 0; i < 2; ++i) order.push_back(q.pop()->id);
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{4, 2, 9, 1}));
 }
 
 TEST(JobQueue, CloseDrainsPendingAndWakesBlockedPop) {
   JobQueue q(4);
   ASSERT_TRUE(q.push(make_job(7)).ok());
   ASSERT_TRUE(q.push(make_job(8)).ok());
-  std::vector<Job> drained = q.close();
+  std::deque<Job> drained = q.close();
   ASSERT_EQ(drained.size(), 2u);
   EXPECT_EQ(drained[0].id, 7u);  // submission order for the abort replies
   EXPECT_EQ(drained[1].id, 8u);

@@ -2,18 +2,21 @@
 // every interesting phase of a job's life, restarted on the same
 // socket/work/spool dirs, and the idempotent-resubmit contract -- the
 // retried submit must yield a report byte-identical to an uninterrupted
-// single-process run, and a duplicate key must never double-run.
+// single-process run, and a duplicate key must never double-run. A
+// spool that an older daemon wrote is re-adopted in job-id order.
 #include <gtest/gtest.h>
 
 #include <signal.h>
 
-#include <chrono>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/daemon.h"
+#include "support/jsonl.h"
 
 namespace hlsav::serve {
 namespace {
@@ -155,32 +158,93 @@ TEST(Recovery, SameKeyWithADifferentSpecIsATypedRejection) {
   EXPECT_EQ(submit_job(d.socket, other, opt), 7);
 }
 
-TEST(Recovery, DeadlineExpiredWhileQueuedExitsEight) {
-  std::string design = write_temp("rec_deadline.c", kClampSrc);
-  // One executor, deterministically busy: job 1 stalls its worker on
-  // site 0 until the 3s heartbeat watchdog clears it.
-  Daemon d({"--jobs=1", "--workers=1", "--heartbeat-timeout-ms=3000", "--backoff-base-ms=1",
-            "--backoff-cap-ms=10"});
-  CampaignSpec stall = clamp_spec(design);
-  stall.workers = 1;
-  stall.stall_at = {0};
+/// Writes spool entry `job` as a daemon from before FIFO order wrote
+/// it: the header also carries a priority, a deadline and a submit time,
+/// and its canonical submit line carries the first two as well.
+void write_old_spool_entry(const std::string& spool_dir, std::uint64_t job, int priority,
+                           const std::string& design, const std::string& state) {
+  std::string submit = "{\"type\":\"submit\",\"design\":";
+  jsonl::append_escaped(submit, design);
+  submit += ",\"feeds\":\"" + std::string(kClampFeed) +
+            "\",\"assertions\":\"optimized\",\"seed\":7,\"max_faults\":0,\"max_cycles\":0,"
+            "\"site_wall_ms\":0,\"workers\":0,\"priority\":" + std::to_string(priority) +
+            ",\"crash_at\":[],\"crash_limit\":1,\"stall_at\":[],\"key\":\"old-" +
+            std::to_string(job) + "\",\"deadline_ms\":0}";
+  std::string header = "{\"type\":\"spool\",\"v\":1,\"job\":" + std::to_string(job) +
+                       ",\"key\":\"old-" + std::to_string(job) + "\",\"priority\":" +
+                       std::to_string(priority) +
+                       ",\"deadline_ms\":0,\"submitted_unix_ms\":1754600000000,\"submit\":";
+  jsonl::append_escaped(header, submit);
+  header += "}\n";
+  if (!state.empty()) header += "{\"type\":\"st\",\"state\":\"" + state + "\"}\n";
+  char name[32];
+  std::snprintf(name, sizeof name, "/job_%08llu.spool", static_cast<unsigned long long>(job));
+  std::ofstream(spool_dir + name, std::ios::binary) << header;
+}
 
-  std::thread j1([&] {
-    SubmitOptions opt;
-    opt.quiet = true;
-    opt.out_path = temp_path("rec_deadline1.txt");
-    EXPECT_EQ(submit_job(d.socket, stall, opt), 0);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+/// Job ids of `event` lines in the event log, in log order.
+std::vector<std::uint64_t> jobs_logged(const std::string& log, const std::string& event) {
+  std::vector<std::uint64_t> jobs;
+  std::istringstream in(log);
+  std::string line, name;
+  std::uint64_t job = 0;
+  while (std::getline(in, line)) {
+    if (jsonl::parse_string(line, "event", name) && name == event &&
+        jsonl::parse_u64(line, "job", job)) {
+      jobs.push_back(job);
+    }
+  }
+  return jobs;
+}
 
-  CampaignSpec late = clamp_spec(design);
-  late.key = "too-late";
-  late.deadline_ms = 500;  // expires long before the executor frees up
+TEST(Recovery, OlderSpoolIsReAdoptedFirstInJobOrderAndItsKeysStillMatch) {
+  std::string design = write_temp("rec_old.c", kClampSrc);
+  std::string ref = clamp_reference(design);
+  ASSERT_NE(ref.find("Fault-injection campaign"), std::string::npos) << ref;
+  std::string events = temp_path("rec_old_events.jsonl");
+  std::filesystem::remove(events);
+
+  // One executor, so the queue order is the run order.
+  Daemon d({"--jobs=1", "--events-out=" + events});
+  ASSERT_TRUE(d.shutdown().clean());
+  // Two unfinished jobs, the later one spooled at a higher priority,
+  // and one that finished with its report on disk.
+  const std::string spool = d.work_dir + "/spool";
+  write_old_spool_entry(spool, 1, 0, design, "");
+  write_old_spool_entry(spool, 2, 5, design, "running");
+  write_old_spool_entry(spool, 3, 0, design, "done");
+  std::filesystem::create_directories(d.work_dir + "/job_3");
+  std::ofstream(d.work_dir + "/job_3/report.txt", std::ios::binary) << ref;
+  d.restart();
+
+  // A new job queues behind both re-adopted ones.
+  CampaignSpec fresh = clamp_spec(design);
   SubmitOptions opt;
   opt.quiet = true;
-  opt.out_path = temp_path("rec_deadline2.txt");
-  EXPECT_EQ(submit_job(d.socket, late, opt), 8);
-  j1.join();
+  opt.out_path = temp_path("rec_old_fresh.txt");
+  EXPECT_EQ(submit_job(d.socket, fresh, opt), 0);
+  EXPECT_EQ(slurp(opt.out_path), ref);
+  StatusOr<std::string> status = query_status(d.socket);
+  ASSERT_TRUE(status.ok()) << status.status().to_string();
+  EXPECT_NE(status->find("completed=3"), std::string::npos) << *status;
+  EXPECT_NE(status->find("recovered 2 job(s) at boot"), std::string::npos) << *status;
+  EXPECT_FALSE(std::filesystem::exists(spool + "/quarantine"));
+
+  // Resubmitting an old key attaches to its job: a re-adopted one and
+  // the one finished before the restart both replay their report.
+  for (std::uint64_t job : {1u, 3u}) {
+    CampaignSpec again = clamp_spec(design);
+    again.key = "old-" + std::to_string(job);
+    opt.out_path = temp_path("rec_old_again" + std::to_string(job) + ".txt");
+    EXPECT_EQ(submit_job(d.socket, again, opt), 0) << job;
+    EXPECT_EQ(slurp(opt.out_path), ref) << job;
+  }
+  EXPECT_TRUE(d.shutdown().clean());
+
+  const std::string log = slurp(events);
+  EXPECT_EQ(jobs_logged(log, "job-started"), (std::vector<std::uint64_t>{1, 2, 4}));
+  EXPECT_EQ(jobs_logged(log, "job-duplicate"), (std::vector<std::uint64_t>{1, 3}));
+  EXPECT_EQ(slurp(d.work_dir + "/job_2/report.txt"), ref);
 }
 
 }  // namespace

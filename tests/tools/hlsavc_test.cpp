@@ -171,6 +171,26 @@ TEST(Hlsavc, UnknownOptionExitsTwo) {
   CmdResult r = run_cmd("simulate " + f + " --no-such-flag");
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("usage:"), std::string::npos);
+  // An option the command would ignore is refused the same way, and
+  // nothing runs or is written.
+  const std::string dir = temp_path("ignored_trace_dir");
+  const std::string vcd = temp_path("ignored.vcd");
+  const std::string journal = temp_path("ignored.jsonl");
+  for (const std::string& call :
+       {"trace " + f + " --feed f.in=1,2,3 --vcd=" + vcd + " --trace-dir=" + dir,
+        "faultsim " + f + " --feed f.in=1,2,3 --site=1 --vcd=" + vcd,
+        "simulate " + f + " --feed f.in=1,2,3 --top=3 --journal=" + journal}) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::remove(vcd);
+    std::filesystem::remove(journal);
+    r = run_cmd(call);
+    EXPECT_EQ(r.exit_code, 2) << call << ": " << r.output;
+    EXPECT_NE(r.output.find(" applies only to "), std::string::npos) << call << ": " << r.output;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos) << call;
+    EXPECT_FALSE(std::filesystem::exists(dir) || std::filesystem::exists(vcd) ||
+                 std::filesystem::exists(journal))
+        << call;
+  }
 }
 
 // ---- trace command ----
@@ -641,7 +661,8 @@ TEST(Hlsavc, MalformedFlagValueExitsTwo) {
   std::string f = write_temp("good.c", kGoodSrc);
   for (const char* flag :
        {"--seed=banana", "--max-cycles=12potatoes", "--threads=", "--site-wall-ms=abc",
-        "--feed f.in=1,banana,3", "--site-wall-ms=-5"}) {
+        "--feed f.in=1,banana,3", "--site-wall-ms=-5", "--site-wall-ms=nan",
+        "--site-wall-ms=inf", "--site-wall-ms=1e999"}) {
     CmdResult r = run_cmd("faultsim " + f + " --campaign --feed f.in=1,2,3 " + flag);
     EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.output;
     EXPECT_NE(r.output.find("usage:"), std::string::npos) << flag;

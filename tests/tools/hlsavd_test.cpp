@@ -175,6 +175,18 @@ TEST(Hlsavd, SubmitWithoutSocketIsUsage) {
   EXPECT_EQ(r.exit_code, 2);
 }
 
+TEST(Hlsavd, BadSubmitOptionIsUsage) {
+  // Options the daemon does not know and budgets the worker would
+  // journal as garbage are refused before any connection is made.
+  for (const char* flag : {"--priority=1", "--deadline-ms=500", "--site-wall-ms=-5",
+                           "--site-wall-ms=nan", "--site-wall-ms=inf"}) {
+    CmdResult r = run_hlsavd("submit --socket=" + temp_path("no_daemon.sock") + " --design=" +
+                             temp_path("nothing.c") + " " + flag);
+    EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.output;
+    EXPECT_NE(r.output.find("usage: hlsavd"), std::string::npos) << flag;
+  }
+}
+
 TEST(Hlsavd, SubmitToADeadSocketIsAnErrorNotAHang) {
   CmdResult r = run_hlsavd("submit --socket=" + temp_path("no_daemon.sock") +
                            " --design=" + temp_path("nothing.c"));

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -39,11 +40,13 @@ inline bool parse_unsigned_flag(std::string_view text, unsigned& out) {
   return true;
 }
 
+/// Finite values only: `nan` and `inf` would reach journals and spool
+/// lines as text that is not JSON.
 inline bool parse_double_flag(const std::string& text, double& out) {
   if (text.empty()) return false;
   char* end = nullptr;
   out = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size();
+  return end == text.c_str() + text.size() && std::isfinite(out);
 }
 
 }  // namespace hlsav::tools

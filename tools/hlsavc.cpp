@@ -43,7 +43,8 @@
 //   --min-support=N --candidates=N --top=K      mine controls
 //   --emit=FILE --trace-in=FILE
 //
-// Exit codes: 0 success, 1 compile/internal error, 2 bad usage,
+// Exit codes: 0 success, 1 compile/internal error, 2 bad usage (also an
+//               option the command would ignore: see kOptions),
 //             3 halted by an assertion failure, 4 hang,
 //             5 wall-clock budget exceeded,
 //             6 campaign interrupted by SIGINT/SIGTERM (journal flushed;
@@ -127,6 +128,7 @@ struct Args {
   // faultsim controls
   bool campaign = false;
   std::uint32_t site = sim::FaultSpec::kNoSite;
+  // Its site_wall_ms also caps simulate/profile/trace/mine runs.
   sim::CampaignOptions campaign_opts;
   // trace controls (the `trace` command and traced campaign sites)
   bool trace_nonbenign = false;
@@ -147,8 +149,6 @@ struct Args {
   // profile outputs
   std::string trace_out = "profile.trace.json";
   std::string profile_json;
-  // wall-clock watchdog (simulate/profile/trace runs and campaign sites)
-  double site_wall_ms = 0.0;
 };
 
 void print_usage(std::ostream& os) {
@@ -194,7 +194,8 @@ void print_usage(std::ostream& os) {
         "                campaign controls (--seed --max-faults --max-cycles\n"
         "                --threads) and --trace-capacity for the live capture\n"
         "  checktrace: validate a Chrome trace-event JSON file (exit 0 valid, 1 not)\n"
-        "exit codes: 0 ok, 1 compile/internal error, 2 bad usage,\n"
+        "exit codes: 0 ok, 1 compile/internal error, 2 bad usage (also an option\n"
+        "              the command would ignore),\n"
         "            3 assertion failure halted the run, 4 hang,\n"
         "            5 wall-clock budget exceeded,\n"
         "            6 campaign interrupted by SIGINT/SIGTERM (journal\n"
@@ -238,125 +239,193 @@ void print_run_status(const sim::RunResult& r) {
   }
 }
 
-bool bad_value(const std::string& flag) {
-  std::cerr << "malformed value in option: " << flag << "\n";
-  return false;
+/// The runs an invocation can make: its command, with `trace` and
+/// `faultsim` split by the options that pick what they run.
+enum Run : unsigned {
+  kCompile = 1u << 0,
+  kVerilog = 1u << 1,
+  kIr = 1u << 2,
+  kSchedule = 1u << 3,
+  kSimulate = 1u << 4,
+  kProfile = 1u << 5,
+  kTrace = 1u << 6,
+  kTraceSite = 1u << 7,
+  kFaultList = 1u << 8,
+  kFaultSite = 1u << 9,
+  kCampaign = 1u << 10,
+  kMine = 1u << 11,
+  kCheckTrace = 1u << 12,
+};
+/// Each run's name, by bit.
+constexpr const char* kRunNames[] = {
+    "compile", "verilog", "ir", "schedule", "simulate", "profile", "trace", "trace --site=N",
+    "faultsim", "faultsim --site=N", "faultsim --campaign", "mine", "checktrace"};
+constexpr unsigned kBuilds = kCheckTrace - 1;  // every run that compiles the design
+constexpr unsigned kSiteRuns = kTraceSite | kFaultSite;
+constexpr unsigned kPlans = kSiteRuns | kCampaign;                  // runs that plan a campaign
+constexpr unsigned kRuns = kSimulate | kProfile | kTrace | kPlans;  // runs that simulate
+constexpr unsigned kElas = kSimulate | kTrace | kPlans;             // runs that can arm the ELA
+
+using V = const std::string&;
+
+/// One option: its name (ending in '=' when it takes a value; `--feed`
+/// takes the next argument), the runs it has an effect on, and how it
+/// sets Args -- `parse` a value, or `set` a switch. Any other run
+/// rejects it: an option that a run would ignore is a usage error,
+/// never a silent no-op.
+struct Option {
+  const char* name;
+  unsigned runs;
+  bool (*parse)(Args& a, V value);
+  void (*set)(Args& a) = nullptr;
+};
+
+/// Stores a path or name; every value is well-formed.
+bool assign(std::string& field, V value) {
+  field = value;
+  return true;
+}
+
+const Option kOptions[] = {
+    {"--assertions=", kBuilds,
+     [](Args& a, V v) {
+       std::optional<assertions::Options> mode = assertions::Options::by_name(v);
+       if (mode.has_value()) a.assert_opts = *mode;
+       return mode.has_value();
+     }},
+    {"--no-parallelize", kBuilds, nullptr, [](Args& a) { a.assert_opts.parallelize = false; }},
+    {"--no-replicate", kBuilds, nullptr, [](Args& a) { a.assert_opts.replicate = false; }},
+    {"--no-share", kBuilds, nullptr, [](Args& a) { a.assert_opts.share_channels = false; }},
+    {"--nabort", kBuilds, nullptr, [](Args& a) { a.assert_opts.nabort = true; }},
+    {"--chain-depth=", kBuilds,
+     [](Args& a, V v) { return parse_unsigned_flag(v, a.sched_opts.chain_depth); }},
+    {"--optimize", kBuilds, nullptr, [](Args& a) { a.optimize_ir = true; }},
+    {"-O", kBuilds, nullptr, [](Args& a) { a.optimize_ir = true; }},
+    {"--engine=", kRuns,
+     [](Args& a, V v) {
+       a.engine = v == "compiled" ? sim::SimEngine::kCompiled : sim::SimEngine::kInterpreter;
+       return v == "compiled" || v == "interpreter";
+     }},
+    {"--sw", kSimulate | kProfile | kTrace, nullptr, [](Args& a) { a.software_mode = true; }},
+    {"--trace", kSimulate | kFaultSite, nullptr, [](Args& a) { a.trace = true; }},
+    {"--feed", kRuns | kMine,
+     [](Args& a, V spec) {
+       std::size_t eq = spec.find('=');
+       if (eq == std::string::npos) return false;
+       std::vector<std::uint64_t> values;
+       for (const std::string& v : split(spec.substr(eq + 1), ',')) {
+         if (!v.empty() && !parse_u64_flag(v, values.emplace_back())) return false;
+       }
+       a.feeds[spec.substr(0, eq)] = values;
+       return true;
+     }},
+    {"--site-wall-ms=", kRuns | kMine,
+     [](Args& a, V v) {
+       double& ms = a.campaign_opts.site_wall_ms;
+       return parse_double_flag(v, ms) && ms >= 0;
+     }},
+    // faultsim controls
+    {"--campaign", kCampaign, nullptr, [](Args& a) { a.campaign = true; }},
+    {"--site=", kSiteRuns, [](Args& a, V v) { return parse_u32_flag(v, a.site); }},
+    {"--seed=", kPlans | kMine,
+     [](Args& a, V v) { return parse_u64_flag(v, a.campaign_opts.seed); }},
+    {"--max-faults=", kPlans | kMine,
+     [](Args& a, V v) { return parse_size_flag(v, a.campaign_opts.max_faults); }},
+    {"--max-cycles=", kPlans | kMine | kProfile | kTrace,
+     [](Args& a, V v) { return parse_u64_flag(v, a.campaign_opts.max_cycles); }},
+    {"--threads=", kCampaign | kMine,
+     [](Args& a, V v) { return parse_unsigned_flag(v, a.campaign_opts.threads); }},
+    {"--progress", kCampaign, nullptr, [](Args& a) { a.campaign_opts.progress = true; }},
+    {"--profile", kCampaign, nullptr, [](Args& a) { a.campaign_opts.profile = true; }},
+    {"--journal=", kCampaign, [](Args& a, V v) { return assign(a.campaign_opts.journal, v); }},
+    {"--resume", kCampaign, nullptr, [](Args& a) { a.campaign_opts.resume = true; }},
+    // trace controls
+    {"--trace-nonbenign", kCampaign, nullptr, [](Args& a) { a.trace_nonbenign = true; }},
+    {"--trace-dir=", kCampaign, [](Args& a, V v) { return assign(a.trace_dir, v); }},
+    {"--trace-max-sites=", kCampaign,
+     [](Args& a, V v) { return parse_size_flag(v, a.trace_max_sites); }},
+    {"--vcd=", kTrace | kTraceSite, [](Args& a, V v) { return assign(a.vcd_path, v); }},
+    {"--bin=", kTrace | kTraceSite, [](Args& a, V v) { return assign(a.bin_path, v); }},
+    {"--last-cycles=", kElas, [](Args& a, V v) { return parse_size_flag(v, a.last_cycles); }},
+    {"--trace-capacity=", kElas | kMine,
+     [](Args& a, V v) {
+       a.trace_capacity_set = true;
+       return parse_size_flag(v, a.trace_capacity);
+     }},
+    {"--trace-procs=", kElas,
+     [](Args& a, V v) {
+       for (const std::string& p : split(v, ',')) {
+         if (!p.empty()) a.trace_procs.push_back(p);
+       }
+       return true;
+     }},
+    // profile outputs
+    {"--trace-out=", kProfile, [](Args& a, V v) { return assign(a.trace_out, v); }},
+    {"--profile-json=", kProfile, [](Args& a, V v) { return assign(a.profile_json, v); }},
+    // mine controls
+    {"--min-support=", kMine, [](Args& a, V v) { return parse_u64_flag(v, a.min_support); }},
+    {"--candidates=", kMine, [](Args& a, V v) { return parse_size_flag(v, a.mine_candidates); }},
+    {"--top=", kMine, [](Args& a, V v) { return parse_size_flag(v, a.mine_top); }},
+    {"--emit=", kMine, [](Args& a, V v) { return assign(a.emit_path, v); }},
+    {"--trace-in=", kMine, [](Args& a, V v) { return assign(a.trace_in, v); }},
+};
+
+/// The runs in `runs`, named for a message: "a, b and c".
+std::string run_names(unsigned runs) {
+  std::vector<std::string> names;
+  for (unsigned bit = 0; bit < std::size(kRunNames); ++bit) {
+    if ((runs >> bit) & 1u) names.emplace_back(kRunNames[bit]);
+  }
+  std::string out = names.empty() ? "" : names.front();
+  for (std::size_t i = 1; i < names.size(); ++i) {
+    out += (i + 1 == names.size() ? " and " : ", ") + names[i];
+  }
+  return out;
 }
 
 bool parse_args(int argc, char** argv, Args& args) {
   if (argc < 3) return false;
   args.command = argv[1];
   args.file = argv[2];
+  std::vector<const Option*> given;
   for (int i = 3; i < argc; ++i) {
-    std::string a = argv[i];
-    std::optional<assertions::Options> mode;
-    if (a.rfind("--assertions=", 0) == 0) mode = assertions::Options::by_name(a.substr(13));
-    if (mode.has_value()) {
-      args.assert_opts = *mode;
-    } else if (a == "--no-parallelize") {
-      args.assert_opts.parallelize = false;
-    } else if (a == "--no-replicate") {
-      args.assert_opts.replicate = false;
-    } else if (a == "--no-share") {
-      args.assert_opts.share_channels = false;
-    } else if (a == "--nabort") {
-      args.assert_opts.nabort = true;
-    } else if (a == "--engine=interpreter") {
-      args.engine = sim::SimEngine::kInterpreter;
-    } else if (a == "--engine=compiled") {
-      args.engine = sim::SimEngine::kCompiled;
-    } else if (starts_with(a, "--engine=")) {
-      std::cerr << "unknown engine (use interpreter or compiled): " << a << "\n";
-      return false;
-    } else if (a == "--sw") {
-      args.software_mode = true;
-    } else if (a == "--optimize" || a == "-O") {
-      args.optimize_ir = true;
-    } else if (a == "--trace") {
-      args.trace = true;
-    } else if (a == "--campaign") {
-      args.campaign = true;
-    } else if (a == "--trace-nonbenign") {
-      args.trace_nonbenign = true;
-    } else if (a == "--progress") {
-      args.campaign_opts.progress = true;
-    } else if (a == "--profile") {
-      args.campaign_opts.profile = true;
-    } else if (a == "--resume") {
-      args.campaign_opts.resume = true;
-    } else if (starts_with(a, "--journal=")) {
-      args.campaign_opts.journal = a.substr(10);
-    } else if (starts_with(a, "--trace-out=")) {
-      args.trace_out = a.substr(12);
-    } else if (starts_with(a, "--profile-json=")) {
-      args.profile_json = a.substr(15);
-    } else if (starts_with(a, "--site=")) {
-      if (!parse_u32_flag(a.substr(7), args.site)) return bad_value(a);
-    } else if (starts_with(a, "--seed=")) {
-      if (!parse_u64_flag(a.substr(7), args.campaign_opts.seed)) return bad_value(a);
-    } else if (starts_with(a, "--max-faults=")) {
-      if (!parse_size_flag(a.substr(13), args.campaign_opts.max_faults)) return bad_value(a);
-    } else if (starts_with(a, "--max-cycles=")) {
-      if (!parse_u64_flag(a.substr(13), args.campaign_opts.max_cycles)) return bad_value(a);
-    } else if (starts_with(a, "--threads=")) {
-      if (!parse_unsigned_flag(a.substr(10), args.campaign_opts.threads)) return bad_value(a);
-    } else if (starts_with(a, "--site-wall-ms=")) {
-      if (!parse_double_flag(a.substr(15), args.site_wall_ms) || args.site_wall_ms < 0) {
-        return bad_value(a);
-      }
-      args.campaign_opts.site_wall_ms = args.site_wall_ms;
-    } else if (starts_with(a, "--vcd=")) {
-      args.vcd_path = a.substr(6);
-    } else if (starts_with(a, "--bin=")) {
-      args.bin_path = a.substr(6);
-    } else if (starts_with(a, "--trace-dir=")) {
-      args.trace_dir = a.substr(12);
-    } else if (starts_with(a, "--last-cycles=")) {
-      if (!parse_size_flag(a.substr(14), args.last_cycles)) return bad_value(a);
-    } else if (starts_with(a, "--trace-capacity=")) {
-      if (!parse_size_flag(a.substr(17), args.trace_capacity)) return bad_value(a);
-      args.trace_capacity_set = true;
-    } else if (starts_with(a, "--min-support=")) {
-      if (!parse_u64_flag(a.substr(14), args.min_support)) return bad_value(a);
-    } else if (starts_with(a, "--candidates=")) {
-      if (!parse_size_flag(a.substr(13), args.mine_candidates)) return bad_value(a);
-    } else if (starts_with(a, "--top=")) {
-      if (!parse_size_flag(a.substr(6), args.mine_top)) return bad_value(a);
-    } else if (starts_with(a, "--emit=")) {
-      args.emit_path = a.substr(7);
-    } else if (starts_with(a, "--trace-in=")) {
-      args.trace_in = a.substr(11);
-    } else if (starts_with(a, "--trace-max-sites=")) {
-      if (!parse_size_flag(a.substr(18), args.trace_max_sites)) return bad_value(a);
-    } else if (starts_with(a, "--trace-procs=")) {
-      for (const std::string& p : split(a.substr(14), ',')) {
-        if (!p.empty()) args.trace_procs.push_back(p);
-      }
-    } else if (starts_with(a, "--chain-depth=")) {
-      if (!parse_unsigned_flag(a.substr(14), args.sched_opts.chain_depth)) return bad_value(a);
-    } else if (a == "--feed" && i + 1 < argc) {
-      std::string spec = argv[++i];
-      std::size_t eq = spec.find('=');
-      if (eq == std::string::npos) return false;
-      std::vector<std::uint64_t> values;
-      for (const std::string& v : split(spec.substr(eq + 1), ',')) {
-        if (v.empty()) continue;
-        std::uint64_t value = 0;
-        if (!parse_u64_flag(v, value)) return bad_value("--feed " + spec);
-        values.push_back(value);
-      }
-      args.feeds[spec.substr(0, eq)] = values;
-    } else {
+    const std::string a = argv[i];
+    const std::size_t eq = a.find('=');
+    const std::string name = eq == std::string::npos ? a : a.substr(0, eq + 1);
+    const Option* opt = nullptr;
+    for (const Option& o : kOptions) {
+      if (name == o.name) opt = &o;
+    }
+    if (opt == nullptr || (name == "--feed" && i + 1 == argc)) {
       std::cerr << "unknown option: " << a << "\n";
       return false;
     }
+    const std::string value = name == "--feed" ? argv[++i] : a.substr(name.size());
+    if (opt->set != nullptr) {
+      opt->set(args);
+    } else if (!opt->parse(args, value)) {
+      std::cerr << "malformed value in option: " << a << (name == "--feed" ? " " + value : "")
+                << "\n";
+      return false;
+    }
+    given.push_back(opt);
   }
-  // --trace replays one run; any other command would ignore it.
-  const bool one_run = args.command == "simulate" ||
-                       (args.command == "faultsim" && !args.campaign &&
-                        args.site != sim::FaultSpec::kNoSite);
-  if (args.trace && !one_run) {
-    std::cerr << "--trace applies only to simulate and faultsim --site=N\n";
+  unsigned run = 0;
+  for (unsigned bit = 0; bit < std::size(kRunNames); ++bit) {
+    if (args.command == kRunNames[bit]) run = 1u << bit;
+  }
+  const bool site = args.site != sim::FaultSpec::kNoSite;
+  if (run == kTrace && site) run = kTraceSite;
+  if (run == kFaultList) run = args.campaign ? kCampaign : site ? kFaultSite : kFaultList;
+  if (run == 0) {
+    std::cerr << "unknown command: " << args.command << "\n";
+    return false;
+  }
+  for (const Option* opt : given) {
+    if ((opt->runs & run) != 0) continue;
+    std::string name = opt->name;
+    if (name.back() == '=') name.pop_back();
+    std::cerr << name << " applies only to " << run_names(opt->runs) << "\n";
     return false;
   }
   return true;
@@ -406,8 +475,8 @@ int run(const Args& args) {
   // too (simulate/profile/trace); campaigns hand it to each site.
   std::optional<sim::Deadline> run_deadline;
   auto arm_deadline = [&](sim::SimOptions& so) {
-    if (args.site_wall_ms <= 0.0) return;
-    run_deadline = sim::Deadline::in_ms(args.site_wall_ms);
+    if (args.campaign_opts.site_wall_ms <= 0.0) return;
+    run_deadline = sim::Deadline::in_ms(args.campaign_opts.site_wall_ms);
     so.deadline = &*run_deadline;
   };
 

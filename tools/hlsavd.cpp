@@ -6,8 +6,8 @@
 //                                             progress, print the report
 //   hlsavd watch    --socket=PATH --job=N     attach to a job: snapshot,
 //                                             then its live frame stream
-//   hlsavd status   --socket=PATH             daemon status (aggregate +
-//                                             queue depths + worker tallies)
+//   hlsavd status   --socket=PATH             daemon status (counts +
+//                                             worker tallies)
 //   hlsavd metrics  --socket=PATH             one-shot JSON metrics snapshot
 //   hlsavd trace-out --socket=PATH --job=N    Chrome trace JSON of the
 //                                             job's span tree (0 = all jobs)
@@ -18,8 +18,8 @@
 //                                             for use by hand)
 //
 // serve options:
-//   --queue-cap=N            bounded job queue; a full queue rejects with
-//                            a typed error (default 4)
+//   --queue-cap=N            bounded FIFO job queue; a full queue rejects
+//                            with a typed error (default 4)
 //   --jobs=N                 concurrent campaigns (default 1)
 //   --workers=N              default worker subprocesses per job (default 2)
 //   --quarantine-cap=N       crashes one site may cause before it is
@@ -49,7 +49,7 @@
 // submit options:
 //   --design=FILE --feed stream=v1,v2,... --assertions=MODE --seed=N
 //   --max-faults=N --max-cycles=N --site-wall-ms=N --workers=N
-//   --priority=N --out=FILE --quiet
+//   --out=FILE --quiet
 //   --crash-at-site=N --crash-limit=K --stall-at-site=N
 //                            test-only worker fault schedule (documented
 //                            for the kill tests; compiled in always)
@@ -62,16 +62,12 @@
 //                            backoff; auto-generates a key when none
 //                            was given so retries stay idempotent
 //   --retry-base-ms=T        first backoff delay (default 200ms)
-//   --deadline-ms=T          give up if the job is still queued T ms
-//                            after accept; the daemon marks it
-//                            deadline-expired (exit 8), never runs it
 //
 // Exit codes: 0 ok, 1 error, 2 bad usage,
 //             6 job drained (daemon shut down mid-job; its journal is
 //               flushed and resumable),
 //             7 rejected (back-pressure or validation) -- typed, resubmit
-//               later,
-//             8 deadline-expired (--deadline-ms passed while queued).
+//               later.
 // Worker contract (internal; serve/shard.h is the other side): `hlsavd
 // worker --design=F --max-cycles=N --golden-cycles=N ...` compiles F and
 // arms the compiled engine (sim::SimEngine::kCompiled; the supervisor has
@@ -93,17 +89,16 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -141,8 +136,8 @@ void print_usage(std::ostream& os) {
         "                        --events-out=FILE --spool-dir=DIR --die-at=PHASE]\n"
         "       hlsavd submit   --socket=PATH --design=FILE [--feed stream=v1,v2,...\n"
         "                        --assertions=MODE --seed=N --max-faults=N --max-cycles=N\n"
-        "                        --site-wall-ms=N --workers=N --priority=N --out=FILE --quiet\n"
-        "                        --key=K --retry[=N] --retry-base-ms=T --deadline-ms=T\n"
+        "                        --site-wall-ms=N --workers=N --out=FILE --quiet --key=K\n"
+        "                        --retry[=N] --retry-base-ms=T\n"
         "                        --crash-at-site=N --crash-limit=K --stall-at-site=N]\n"
         "       hlsavd watch    --socket=PATH --job=N [--wait-ms=T --stall-reads-ms=T\n"
         "                        --out=FILE --quiet]\n"
@@ -153,8 +148,7 @@ void print_usage(std::ostream& os) {
         "       hlsavd --version\n"
         "exit codes: 0 ok, 1 error, 2 bad usage, 6 job drained by daemon\n"
         "            shutdown (journals resumable), 7 rejected (typed\n"
-        "            back-pressure; resubmit later), 8 deadline-expired\n"
-        "            (--deadline-ms passed while the job was queued)\n";
+        "            back-pressure; resubmit later)\n";
 }
 
 int usage() {
@@ -199,34 +193,29 @@ void write_token_count(const std::string& path, std::uint32_t count) {
   (void)::close(fd);
 }
 
+/// A worker runs the sites of the campaign `spec` names; the other two
+/// flags are its own.
 struct WorkerArgs {
-  std::string design;
-  std::uint64_t max_cycles = 0;
+  serve::CampaignSpec spec;
   std::uint64_t golden_cycles = 0;
-  double site_wall_ms = 0.0;
-  std::string assertions = "optimized";
-  std::string feed_spec;
   std::string fault_token_dir;
-  std::uint32_t crash_limit = 1;
-  std::set<std::uint32_t> crash_at;
-  std::set<std::uint32_t> stall_at;
 };
 
 /// The test-only fault schedule (--crash-at-site, --stall-at-site),
 /// applied just before `site` runs.
 void inject_test_faults(const WorkerArgs& args, std::uint32_t site) {
   if (args.fault_token_dir.empty()) return;
-  if (args.crash_at.count(site) != 0) {
+  if (std::ranges::count(args.spec.crash_at, site) != 0) {
     std::string token = args.fault_token_dir + "/crash_" + std::to_string(site) + ".token";
     std::uint32_t count = read_token_count(token);
-    if (count < args.crash_limit) {
+    if (count < args.spec.crash_limit) {
       write_token_count(token, count + 1);
       // True kill -9 semantics: no atexit, no stack unwind, and the
       // site's result never reaches the supervisor.
       (void)::raise(SIGKILL);
     }
   }
-  if (args.stall_at.count(site) != 0) {
+  if (std::ranges::count(args.spec.stall_at, site) != 0) {
     std::string token = args.fault_token_dir + "/stall_" + std::to_string(site) + ".token";
     if (read_token_count(token) < 1) {
       write_token_count(token, 1);
@@ -244,7 +233,8 @@ void say(const std::string& line) {
 }
 
 int run_worker(const WorkerArgs& args) {
-  if (args.design.empty()) return usage();
+  const serve::CampaignSpec& spec = args.spec;
+  if (spec.design_path.empty()) return usage();
 
   // SIGTERM = drain: finish and report the in-flight site, then exit 21
   // so the supervisor knows this was a drain, not a crash. No
@@ -255,16 +245,17 @@ int run_worker(const WorkerArgs& args) {
   (void)::sigaction(SIGTERM, &sa, nullptr);
   (void)::sigaction(SIGINT, &sa, nullptr);
 
-  std::optional<assertions::Options> mode = assertions::Options::by_name(args.assertions);
+  std::optional<assertions::Options> mode = assertions::Options::by_name(spec.assertions);
   if (!mode.has_value()) {
-    std::cerr << "hlsavd worker: unknown assertions mode '" << args.assertions << "'\n";
+    std::cerr << "hlsavd worker: unknown assertions mode '" << spec.assertions << "'\n";
     return 2;
   }
   SourceManager sm;
   DiagnosticEngine diags(&sm);
   pipeline::CompileOptions copts;
   copts.assert_opts = *mode;
-  StatusOr<pipeline::Compiled> compiled = pipeline::compile_file(sm, diags, args.design, copts);
+  StatusOr<pipeline::Compiled> compiled =
+      pipeline::compile_file(sm, diags, spec.design_path, copts);
   if (!compiled.ok()) {
     std::cerr << diags.render();
     std::cerr << "hlsavd worker: " << compiled.status().to_string() << "\n";
@@ -272,15 +263,15 @@ int run_worker(const WorkerArgs& args) {
   }
 
   StatusOr<std::map<std::string, std::vector<std::uint64_t>>> feeds =
-      serve::parse_feed_spec(args.feed_spec);
+      serve::parse_feed_spec(spec.feeds);
   if (!feeds.ok()) {
     std::cerr << "hlsavd worker: " << feeds.status().to_string() << "\n";
     return 1;
   }
 
   sim::CampaignOptions copt;
-  copt.max_cycles = args.max_cycles;
-  copt.site_wall_ms = args.site_wall_ms;
+  copt.max_cycles = spec.max_cycles;
+  copt.site_wall_ms = spec.site_wall_ms;
   // The golden run and every site run compiled where the engine can;
   // the rest interprets, and the reports are the same either way.
   std::unique_ptr<codegen::CompiledDesign> engine;
@@ -373,8 +364,8 @@ int main(int argc, char** argv) {
 
   std::string socket_path;
   serve::ServiceOptions sopt;
-  serve::CampaignSpec spec;
   WorkerArgs wargs;
+  serve::CampaignSpec& spec = wargs.spec;
   std::string out_path;
   bool quiet = false;
   serve::SubmitOptions subopt;
@@ -422,44 +413,33 @@ int main(int argc, char** argv) {
       sopt.work_dir = val("--work-dir=");
     } else if (a.rfind("--design=", 0) == 0) {
       spec.design_path = val("--design=");
-      wargs.design = spec.design_path;
     } else if (a.rfind("--seed=", 0) == 0) {
       if (!parse_u64_flag(val("--seed="), spec.seed)) return bad_value(a);
     } else if (a.rfind("--max-faults=", 0) == 0) {
       if (!parse_u64_flag(val("--max-faults="), spec.max_faults)) return bad_value(a);
     } else if (a.rfind("--max-cycles=", 0) == 0) {
       if (!parse_u64_flag(val("--max-cycles="), spec.max_cycles)) return bad_value(a);
-      wargs.max_cycles = spec.max_cycles;
     } else if (a.rfind("--golden-cycles=", 0) == 0) {
       if (!parse_u64_flag(val("--golden-cycles="), wargs.golden_cycles)) return bad_value(a);
     } else if (a.rfind("--site-wall-ms=", 0) == 0) {
-      if (!parse_double_flag(val("--site-wall-ms="), spec.site_wall_ms)) return bad_value(a);
-      wargs.site_wall_ms = spec.site_wall_ms;
+      if (!parse_double_flag(val("--site-wall-ms="), spec.site_wall_ms) ||
+          spec.site_wall_ms < 0) {
+        return bad_value(a);
+      }
     } else if (a.rfind("--assertions=", 0) == 0) {
       spec.assertions = val("--assertions=");
-      wargs.assertions = spec.assertions;
     } else if (a.rfind("--feed=", 0) == 0) {
       feed_parts.push_back(val("--feed="));
-    } else if (a.rfind("--priority=", 0) == 0) {
-      std::string v = val("--priority=");
-      errno = 0;
-      char* end = nullptr;
-      long prio = std::strtol(v.c_str(), &end, 10);
-      if (end != v.c_str() + v.size() || v.empty() || errno != 0) return bad_value(a);
-      spec.priority = static_cast<int>(prio);
     } else if (a.rfind("--crash-at-site=", 0) == 0) {
       std::uint32_t id = 0;
       if (!parse_u32_flag(val("--crash-at-site="), id)) return bad_value(a);
       spec.crash_at.push_back(id);
-      wargs.crash_at.insert(id);
     } else if (a.rfind("--crash-limit=", 0) == 0) {
       if (!parse_u32_flag(val("--crash-limit="), spec.crash_limit)) return bad_value(a);
-      wargs.crash_limit = spec.crash_limit;
     } else if (a.rfind("--stall-at-site=", 0) == 0) {
       std::uint32_t id = 0;
       if (!parse_u32_flag(val("--stall-at-site="), id)) return bad_value(a);
       spec.stall_at.push_back(id);
-      wargs.stall_at.insert(id);
     } else if (a.rfind("--fault-token-dir=", 0) == 0) {
       wargs.fault_token_dir = val("--fault-token-dir=");
     } else if (a.rfind("--events-out=", 0) == 0) {
@@ -470,8 +450,6 @@ int main(int argc, char** argv) {
       sopt.die_at = val("--die-at=");
     } else if (a.rfind("--key=", 0) == 0) {
       spec.key = val("--key=");
-    } else if (a.rfind("--deadline-ms=", 0) == 0) {
-      if (!parse_u64_flag(val("--deadline-ms="), spec.deadline_ms)) return bad_value(a);
     } else if (a == "--retry") {
       subopt.retries = 5;
     } else if (a.rfind("--retry=", 0) == 0) {
@@ -513,7 +491,6 @@ int main(int argc, char** argv) {
     if (!parse(i, argv)) return usage();
   }
   spec.feeds = join(feed_parts, ";");
-  wargs.feed_spec = spec.feeds;
 
   try {
     if (command == "worker") return run_worker(wargs);
