@@ -30,14 +30,6 @@ StatusOr<EmitResult> emit_compilable(const ir::Design& design,
   return emitted;
 }
 
-CompileOptions compile_options(const PrepareOptions& opt) {
-  CompileOptions copt;
-  copt.compiler = opt.compiler;
-  copt.cache_dir = opt.cache_dir;
-  copt.keep_source = opt.keep_source;
-  return copt;
-}
-
 }  // namespace
 
 StatusOr<std::unique_ptr<CompiledDesign>> prepare(const ir::Design& design,
@@ -45,7 +37,7 @@ StatusOr<std::unique_ptr<CompiledDesign>> prepare(const ir::Design& design,
                                                   const PrepareOptions& opt) {
   StatusOr<EmitResult> emitted = emit_compilable(design, schedule);
   if (!emitted.ok()) return emitted.status();
-  StatusOr<LoadedModule> module = compile_module(emitted->source, compile_options(opt));
+  StatusOr<LoadedModule> module = compile_module(emitted->source, opt);
   if (!module.ok()) return module.status();
 
   const auto* rows = static_cast<const EntryRow*>(module_symbol(*module, "hlsav_entries"));
@@ -59,7 +51,6 @@ StatusOr<std::unique_ptr<CompiledDesign>> prepare(const ir::Design& design,
   }
 
   sim::CompiledDesignHandle handle;
-  handle.key = module->key;
   handle.procs.reserve(*count);
   for (std::uint32_t i = 0; i < *count; ++i) {
     if (rows[i].name == nullptr || rows[i].fn == nullptr) {
@@ -79,7 +70,7 @@ StatusOr<BuiltModule> prebuild(const ir::Design& design, const sched::DesignSche
                                const PrepareOptions& opt) {
   StatusOr<EmitResult> emitted = emit_compilable(design, schedule);
   if (!emitted.ok()) return emitted.status();
-  return build_module(emitted->source, compile_options(opt));
+  return build_module(emitted->source, opt);
 }
 
 std::vector<std::string> arm_engine(sim::SimOptions& so, sim::SimEngine engine,

@@ -17,12 +17,6 @@
 
 namespace hlsav::codegen {
 
-struct PrepareOptions {
-  std::string compiler;      // empty = find_compiler()
-  std::string cache_dir;     // empty = default_cache_dir()
-  bool keep_source = false;  // keep the generated .c next to the cached .so
-};
-
 /// Owns the loaded shared object and exposes the simulator-facing view.
 /// Must outlive every Simulator its handle() is attached to.
 class CompiledDesign {
@@ -36,8 +30,6 @@ class CompiledDesign {
   /// Per-process emission outcomes (declined processes carry a reason).
   [[nodiscard]] const std::vector<ProcEmit>& procs() const { return procs_; }
   [[nodiscard]] bool from_cache() const { return module_.from_cache; }
-  [[nodiscard]] const std::string& key() const { return handle_.key; }
-  [[nodiscard]] const std::string& so_path() const { return module_.path; }
 
  private:
   LoadedModule module_;

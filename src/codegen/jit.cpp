@@ -14,6 +14,7 @@
 
 #include "sim/compiled.h"
 #include "support/io.h"
+#include "support/str.h"
 #include "support/subprocess.h"
 
 #ifndef HLSAV_GIT_SHA
@@ -49,14 +50,6 @@ std::string path_lookup(const std::string& name) {
     if (executable_at(cand)) return cand;
   }
   return {};
-}
-
-std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 std::string read_log_tail(const std::string& path) {
@@ -136,21 +129,20 @@ std::string default_cache_dir() {
 
 std::string content_key(const std::string& source, const std::string& compiler,
                         std::span<const std::string_view> flags) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnv1a(h, source);
-  h = fnv1a(h, compiler);
+  std::uint64_t h = fnv1a(source);
+  h = fnv1a(compiler, h);
   for (std::string_view f : flags) {
-    h = fnv1a(h, f);
-    h = fnv1a(h, std::string_view("\0", 1));  // {"-O1", "x"} is not {"-O1x"}
+    h = fnv1a(f, h);
+    h = fnv1a(std::string_view("\0", 1), h);  // {"-O1", "x"} is not {"-O1x"}
   }
-  h = fnv1a(h, HLSAV_GIT_SHA);
-  h = fnv1a(h, std::to_string(sim::kCompiledAbiVersion));
+  h = fnv1a(HLSAV_GIT_SHA, h);
+  h = fnv1a(std::to_string(sim::kCompiledAbiVersion), h);
   std::ostringstream os;
   os << std::hex << h;
   return os.str();
 }
 
-StatusOr<BuiltModule> build_module(const std::string& source, const CompileOptions& opt) {
+StatusOr<BuiltModule> build_module(const std::string& source, const PrepareOptions& opt) {
   std::string compiler = opt.compiler.empty() ? find_compiler() : opt.compiler;
   if (compiler.empty()) {
     return Status::error(StatusCode::kSimError,
@@ -230,7 +222,7 @@ StatusOr<BuiltModule> build_module(const std::string& source, const CompileOptio
   return built;
 }
 
-StatusOr<LoadedModule> compile_module(const std::string& source, const CompileOptions& opt) {
+StatusOr<LoadedModule> compile_module(const std::string& source, const PrepareOptions& opt) {
   StatusOr<BuiltModule> built = build_module(source, opt);
   if (!built.ok()) return built.status();
   StatusOr<void*> dl = open_and_check(built->path, built->key);

@@ -57,9 +57,9 @@ struct LoadedModule {
   ~LoadedModule();
 };
 
-struct CompileOptions {
-  std::string compiler;   // empty = find_compiler()
-  std::string cache_dir;  // empty = default_cache_dir()
+struct PrepareOptions {
+  std::string compiler;      // empty = find_compiler()
+  std::string cache_dir;     // empty = default_cache_dir()
   bool keep_source = false;  // leave <key>.c next to the .so for inspection
 };
 
@@ -76,12 +76,12 @@ struct BuiltModule {
 /// rebuilds) a corrupt one. For a process that must never load
 /// generated code but leaves a warm cache for the processes that do.
 [[nodiscard]] StatusOr<BuiltModule> build_module(const std::string& source,
-                                                 const CompileOptions& opt);
+                                                 const PrepareOptions& opt);
 
 /// build_module, then dlopen the result; a cached entry that does not
 /// load is removed and rebuilt once.
 [[nodiscard]] StatusOr<LoadedModule> compile_module(const std::string& source,
-                                                    const CompileOptions& opt);
+                                                    const PrepareOptions& opt);
 
 /// Resolves `symbol` in a loaded module; null when absent.
 [[nodiscard]] void* module_symbol(const LoadedModule& m, const char* symbol);

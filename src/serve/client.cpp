@@ -255,7 +255,9 @@ int watch_job(const std::string& socket_path, std::uint64_t job, const WatchOpti
       std::cerr << "hlsavd: unknown job " << job << "\n";
       return 1;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    // Short against a job's run, so a watcher that loses the race with
+    // its own submit by one poll still subscribes while the job runs.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 }
 

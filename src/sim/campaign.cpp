@@ -73,9 +73,9 @@ metrics::ProfileConfig campaign_profile_config() {
   return pc;
 }
 
-/// Shared heartbeat state for the serial and parallel sweeps. Emission
-/// is mutex-serialized; tallies update under the same lock, so a line
-/// never reports a torn classification count.
+/// Shared heartbeat state for the serial and parallel sweeps. Not
+/// thread-safe: a sweep calls it under its own mutex, so a line never
+/// reports a torn classification count.
 class Heartbeat {
  public:
   Heartbeat(const CampaignOptions& opt, std::size_t total)
@@ -84,7 +84,6 @@ class Heartbeat {
 
   void site_done(FaultOutcome o) {
     if (!opt_.progress) return;
-    std::lock_guard<std::mutex> lock(mu_);
     ++done_;
     ++tally_[static_cast<std::size_t>(o)];
     auto now = std::chrono::steady_clock::now();
@@ -112,7 +111,6 @@ class Heartbeat {
   std::size_t total_;
   std::chrono::steady_clock::time_point start_;
   std::chrono::steady_clock::time_point last_emit_;
-  std::mutex mu_;
   std::size_t done_ = 0;
   std::size_t tally_[kNumFaultOutcomes] = {};
 };
@@ -345,7 +343,11 @@ StatusOr<CampaignReport> run_campaign_st(const CampaignPlan& plan, const Campaig
   // Journal durability gates everything downstream of a site run: the
   // sink and heartbeat only see a site once its record can no longer be
   // lost, and a failed write/fsync stops the sweep with the path named.
+  // One mutex holds across the append, the sink and the heartbeat, so
+  // the sink sees sites one at a time, in journal order.
+  std::mutex sweep_mu;
   auto record = [&](std::size_t i) -> Status {
+    std::lock_guard<std::mutex> lock(sweep_mu);
     if (journal != nullptr) {
       Status st = journal->append(report.results[i]);
       if (!st.ok()) {
@@ -382,6 +384,7 @@ StatusOr<CampaignReport> run_campaign_st(const CampaignPlan& plan, const Campaig
       std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= order.size()) return;
       if (restored[i] != 0) {
+        std::lock_guard<std::mutex> lock(sweep_mu);
         heartbeat.site_done(report.results[i].outcome);
         continue;
       }

@@ -136,8 +136,8 @@ struct CampaignOptions {
   /// the report comes back with `interrupted` set. Null = never.
   const std::atomic<bool>* cancel = nullptr;
   /// Called after each freshly-run site is classified AND durably
-  /// journaled (restored sites are skipped). Serialized by the journal
-  /// append order.
+  /// journaled (restored sites are skipped). Calls never overlap, and
+  /// they come in the journal's append order.
   std::function<void(const FaultResult&)> site_sink;
   /// Called just before each freshly-run site starts.
   std::function<void(std::uint32_t site_id)> site_start_hook;

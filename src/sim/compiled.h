@@ -255,9 +255,6 @@ struct CompiledDesignHandle {
   /// codegen declined some). Matched by name; unmatched processes
   /// interpret as usual.
   std::vector<CompiledProc> procs;
-  /// Content-address of the generated source (cache key component);
-  /// informational.
-  std::string key;
 };
 
 }  // namespace hlsav::sim

@@ -14,9 +14,10 @@ namespace hlsav {
 [[nodiscard]] std::string join(const std::vector<std::string>& parts, std::string_view sep);
 [[nodiscard]] std::string to_lower(std::string_view s);
 
-/// FNV-1a 64-bit hash; deterministic across runs/platforms.
-[[nodiscard]] constexpr std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+/// FNV-1a 64-bit hash; deterministic across runs/platforms. Pass one
+/// call's result as the next one's `h` to hash the concatenated input.
+[[nodiscard]] constexpr std::uint64_t fnv1a(std::string_view s,
+                                            std::uint64_t h = 0xcbf29ce484222325ull) {
   for (char c : s) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ull;

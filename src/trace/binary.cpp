@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstring>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -98,12 +97,6 @@ void write_binary_trace_file(const std::string& path, const std::vector<TraceRec
   write_binary_trace(os, window);
   Status st = write_file_atomic(path, os.str());
   HLSAV_CHECK(st.ok(), "error writing binary trace file: " + st.to_string());
-}
-
-std::vector<TraceRecord> read_binary_trace_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  HLSAV_CHECK(is.good(), "cannot open binary trace file '" + path + "'");
-  return read_binary_trace(is);
 }
 
 }  // namespace hlsav::trace

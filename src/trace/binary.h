@@ -29,6 +29,5 @@ void write_binary_trace_file(const std::string& path, const std::vector<TraceRec
 
 /// Throws InternalError on a truncated or corrupt stream.
 [[nodiscard]] std::vector<TraceRecord> read_binary_trace(std::istream& is);
-[[nodiscard]] std::vector<TraceRecord> read_binary_trace_file(const std::string& path);
 
 }  // namespace hlsav::trace

@@ -133,7 +133,7 @@ std::string stub_module_source() {
 
 TEST(Jit, SecondBuildHitsCache) {
   HLSAV_REQUIRE_COMPILER();
-  CompileOptions opt;
+  PrepareOptions opt;
   opt.cache_dir = test_cache_dir() + "/hit-" + std::to_string(::getpid());
   StatusOr<LoadedModule> first = compile_module(stub_module_source(), opt);
   ASSERT_TRUE(first.ok()) << first.status().message();
@@ -147,7 +147,7 @@ TEST(Jit, SecondBuildHitsCache) {
 
 TEST(Jit, KeepSourceLeavesGeneratedC) {
   HLSAV_REQUIRE_COMPILER();
-  CompileOptions opt;
+  PrepareOptions opt;
   opt.cache_dir = test_cache_dir() + "/keep-" + std::to_string(::getpid());
   opt.keep_source = true;
   StatusOr<LoadedModule> m = compile_module(stub_module_source(), opt);
@@ -158,7 +158,7 @@ TEST(Jit, KeepSourceLeavesGeneratedC) {
 
 TEST(Jit, CorruptCacheEntryIsRebuilt) {
   HLSAV_REQUIRE_COMPILER();
-  CompileOptions opt;
+  PrepareOptions opt;
   opt.cache_dir = test_cache_dir() + "/corrupt-" + std::to_string(::getpid());
   std::string so_path;
   {
@@ -177,7 +177,7 @@ TEST(Jit, CorruptCacheEntryIsRebuilt) {
 
 TEST(Jit, CompilerErrorSurfacesDiagnostics) {
   HLSAV_REQUIRE_COMPILER();
-  CompileOptions opt;
+  PrepareOptions opt;
   opt.cache_dir = test_cache_dir() + "/err-" + std::to_string(::getpid());
   StatusOr<LoadedModule> m = compile_module("this is not C at all @@@;\n", opt);
   ASSERT_FALSE(m.ok());
@@ -202,7 +202,7 @@ TEST(Jit, CompilerPathWithSpaceAndQuoteBuilds) {
     out << "#!/bin/sh\nexec \"" << real << "\" \"$@\"\n";
   }
   std::filesystem::permissions(wrapper, std::filesystem::perms::owner_all);
-  CompileOptions opt;
+  PrepareOptions opt;
   opt.compiler = wrapper;
   opt.cache_dir = dir + "/cache";
   StatusOr<LoadedModule> m = compile_module(stub_module_source(), opt);
@@ -214,7 +214,7 @@ TEST(Jit, CompilerPathWithSpaceAndQuoteBuilds) {
 // argument fails to exec, and the error names the contract.
 TEST(Jit, CompilerWithArgumentsFailsWithAClearMessage) {
   HLSAV_REQUIRE_COMPILER();
-  CompileOptions opt;
+  PrepareOptions opt;
   opt.compiler = find_compiler() + " -Wall";
   opt.cache_dir = test_cache_dir() + "/args-" + std::to_string(::getpid());
   StatusOr<LoadedModule> m = compile_module(stub_module_source(), opt);

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -125,6 +126,27 @@ TEST(CampaignRobustness, SiteSinkFiresOncePerSiteAfterJournaling) {
   EXPECT_EQ(started.size(), r->results.size());
   EXPECT_EQ(sunk.size(), r->results.size());
   EXPECT_EQ(started, sunk);  // serial sweep: start order == journal order
+}
+
+TEST(CampaignRobustness, ThreadedSinkSeesSitesOneAtATimeInJournalOrder) {
+  H h = make_clamp();
+  std::string journal = temp_path("mt_sink.jsonl");
+  std::vector<std::string> sunk;  // unlocked: the sweep serializes its sink
+  CampaignOptions opt;
+  opt.journal = journal;
+  opt.threads = 4;
+  opt.site_sink = [&](const FaultResult& r) { sunk.push_back(journal_line(r)); };
+  StatusOr<CampaignReport> r =
+      run_campaign_st(h.design, h.schedule, h.externs, h.feeds, opt);
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  EXPECT_EQ(r->threads, 4u);
+  std::istringstream file(hlsav::testing::slurp(journal));
+  std::string line;
+  std::getline(file, line);  // the header
+  std::vector<std::string> sites;
+  while (std::getline(file, line)) sites.push_back(line);
+  EXPECT_EQ(sites.size(), r->results.size());
+  EXPECT_EQ(sunk, sites);
 }
 
 TEST(CampaignRobustness, ResumedSitesDoNotRefireTheSink) {

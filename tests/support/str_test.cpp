@@ -36,6 +36,8 @@ TEST(Str, Fnv1aDeterministic) {
   static_assert(h != 0);
   EXPECT_EQ(fnv1a("triple_des"), h);
   EXPECT_NE(fnv1a("triple_des"), fnv1a("triple_dss"));
+  // Chained calls hash the concatenated input.
+  EXPECT_EQ(fnv1a("_des", fnv1a("triple")), h);
 }
 
 TEST(SplitMix, DeterministicSequence) {

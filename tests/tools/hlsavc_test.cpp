@@ -176,10 +176,15 @@ TEST(Hlsavc, UnknownOptionExitsTwo) {
   const std::string dir = temp_path("ignored_trace_dir");
   const std::string vcd = temp_path("ignored.vcd");
   const std::string journal = temp_path("ignored.jsonl");
+  // ELA options are refused where no ELA is armed.
   for (const std::string& call :
        {"trace " + f + " --feed f.in=1,2,3 --vcd=" + vcd + " --trace-dir=" + dir,
         "faultsim " + f + " --feed f.in=1,2,3 --site=1 --vcd=" + vcd,
-        "simulate " + f + " --feed f.in=1,2,3 --top=3 --journal=" + journal}) {
+        "simulate " + f + " --feed f.in=1,2,3 --top=3 --journal=" + journal,
+        "simulate " + f + " --feed f.in=1,2,3 --last-cycles=4 --trace-procs=zz",
+        "faultsim " + f + " --feed f.in=1,2,3 --site=1 --trace-capacity=8",
+        "faultsim " + f + " --feed f.in=1,2,3 --campaign --trace-dir=" + dir +
+            " --trace-max-sites=2"}) {
     std::filesystem::remove_all(dir);
     std::filesystem::remove(vcd);
     std::filesystem::remove(journal);
@@ -264,25 +269,26 @@ TEST(Hlsavc, SimulateTraceReplaysFromTheEla) {
   std::string f = write_temp("good.c", kGoodSrc);
   const std::string vcd = " --vcd=" + temp_path("trace_replay.vcd");
   struct Case {
-    std::string run;    // traced with --trace appended
+    std::string run;    // traced with `ela` and --trace appended
+    std::string ela;    // options only the traced run takes
     std::string trace;  // the `trace` command on the same run
     int exit_code;
     std::string implicates;
   };
   const std::vector<Case> cases = {
       // The assertion fails on the second word.
-      {"simulate " + f + " --feed f.in=1,99,3", "trace " + f + " --feed f.in=1,99,3", 3,
+      {"simulate " + f + " --feed f.in=1,99,3", "", "trace " + f + " --feed f.in=1,99,3", 3,
        "implicated assertion: #0 `v < 50' (process f, " + f + ":6)\n"},
       // s11 skips the loop body: a proven livelock, replayed over its
       // last 4 cycles.
-      {"faultsim " + f + " --site=11 --last-cycles=4 --feed f.in=1,2,3",
+      {"faultsim " + f + " --site=11 --feed f.in=1,2,3", " --last-cycles=4",
        "trace " + f + " --site=11 --last-cycles=4 --feed f.in=1,2,3", 4,
        "implicated block: 'for_body2' (livelock)\n"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.run);
     SplitResult plain = run_split(c.run);
-    SplitResult traced = run_split(c.run + " --trace");
+    SplitResult traced = run_split(c.run + c.ela + " --trace");
     EXPECT_EQ(plain.exit_code, c.exit_code) << plain.err;
     EXPECT_EQ(traced.exit_code, c.exit_code) << traced.err;
     EXPECT_EQ(traced.out, plain.out);

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -184,6 +185,25 @@ TEST(Hlsavd, BadSubmitOptionIsUsage) {
                              temp_path("nothing.c") + " " + flag);
     EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.output;
     EXPECT_NE(r.output.find("usage: hlsavd"), std::string::npos) << flag;
+  }
+}
+
+TEST(Hlsavd, AnOptionItsSubcommandWouldIgnoreIsUsage) {
+  // Each subcommand takes only its own options: another's is refused
+  // before a daemon starts, a connection is made or a file is written.
+  const std::string sock = temp_path("ignored.sock");
+  const std::string work = temp_path("ignored_work");
+  for (const std::string& call :
+       {"serve --socket=" + sock + " --work-dir=" + work + " --key=K",
+        "serve --socket=" + sock + " --work-dir=" + work + " --golden-cycles=5",
+        "status --socket=" + sock + " --design=x.c --queue-cap=3 --key=k",
+        "submit --socket=" + sock + " --design=x.c --queue-cap=4",
+        "watch --socket=" + sock + " --job=1 --seed=3"}) {
+    CmdResult r = run_hlsavd(call);
+    EXPECT_EQ(r.exit_code, 2) << call << ": " << r.output;
+    EXPECT_NE(r.output.find(" applies only to "), std::string::npos) << call << ": " << r.output;
+    EXPECT_NE(r.output.find("usage: hlsavd"), std::string::npos) << call;
+    EXPECT_FALSE(std::filesystem::exists(sock) || std::filesystem::exists(work)) << call;
   }
 }
 

@@ -180,6 +180,9 @@ void print_usage(std::ostream& os) {
         "            and prints its outcome, as --trace-nonbenign does per site\n"
         "  trace options: --vcd=FILE --bin=FILE --last-cycles=N --trace-capacity=N\n"
         "                 --trace-procs=p1,p2 --trace-dir=DIR --trace-max-sites=N\n"
+        "                 (only on runs that arm the ELA: trace, --trace and\n"
+        "                 --trace-nonbenign; --trace-dir and --trace-max-sites\n"
+        "                 only with --trace-nonbenign)\n"
         "  profile:  run with the cycle-attribution profiler armed, print source-level\n"
         "            tables and write a Chrome trace (--trace-out=FILE, default\n"
         "            profile.trace.json; load it in Perfetto or chrome://tracing);\n"
@@ -240,53 +243,42 @@ void print_run_status(const sim::RunResult& r) {
 }
 
 /// The runs an invocation can make: its command, with `trace` and
-/// `faultsim` split by the options that pick what they run.
+/// `faultsim` split by the options that pick what they run. A run that
+/// arms the ELA on request is its untraced run plus its traced twin's
+/// bit, so it takes the untraced run's options and the ELA's.
 enum Run : unsigned {
   kCompile = 1u << 0,
   kVerilog = 1u << 1,
   kIr = 1u << 2,
   kSchedule = 1u << 3,
   kSimulate = 1u << 4,
-  kProfile = 1u << 5,
-  kTrace = 1u << 6,
-  kTraceSite = 1u << 7,
-  kFaultList = 1u << 8,
-  kFaultSite = 1u << 9,
-  kCampaign = 1u << 10,
-  kMine = 1u << 11,
-  kCheckTrace = 1u << 12,
+  kSimulateTraced = 1u << 5,
+  kProfile = 1u << 6,
+  kTrace = 1u << 7,
+  kTraceSite = 1u << 8,
+  kFaultList = 1u << 9,
+  kFaultSite = 1u << 10,
+  kFaultSiteTraced = 1u << 11,
+  kCampaign = 1u << 12,
+  kCampaignTraced = 1u << 13,
+  kMine = 1u << 14,
+  kCheckTrace = 1u << 15,
 };
 /// Each run's name, by bit.
 constexpr const char* kRunNames[] = {
-    "compile", "verilog", "ir", "schedule", "simulate", "profile", "trace", "trace --site=N",
-    "faultsim", "faultsim --site=N", "faultsim --campaign", "mine", "checktrace"};
+    "compile", "verilog", "ir", "schedule", "simulate", "simulate --trace", "profile", "trace",
+    "trace --site=N", "faultsim", "faultsim --site=N", "faultsim --site=N --trace",
+    "faultsim --campaign", "faultsim --campaign --trace-nonbenign", "mine", "checktrace"};
 constexpr unsigned kBuilds = kCheckTrace - 1;  // every run that compiles the design
 constexpr unsigned kSiteRuns = kTraceSite | kFaultSite;
 constexpr unsigned kPlans = kSiteRuns | kCampaign;                  // runs that plan a campaign
 constexpr unsigned kRuns = kSimulate | kProfile | kTrace | kPlans;  // runs that simulate
-constexpr unsigned kElas = kSimulate | kTrace | kPlans;             // runs that can arm the ELA
+constexpr unsigned kElas =                                          // runs that arm the ELA
+    kSimulateTraced | kTrace | kTraceSite | kFaultSiteTraced | kCampaignTraced;
 
 using V = const std::string&;
 
-/// One option: its name (ending in '=' when it takes a value; `--feed`
-/// takes the next argument), the runs it has an effect on, and how it
-/// sets Args -- `parse` a value, or `set` a switch. Any other run
-/// rejects it: an option that a run would ignore is a usage error,
-/// never a silent no-op.
-struct Option {
-  const char* name;
-  unsigned runs;
-  bool (*parse)(Args& a, V value);
-  void (*set)(Args& a) = nullptr;
-};
-
-/// Stores a path or name; every value is well-formed.
-bool assign(std::string& field, V value) {
-  field = value;
-  return true;
-}
-
-const Option kOptions[] = {
+const Option<Args> kOptions[] = {
     {"--assertions=", kBuilds,
      [](Args& a, V v) {
        std::optional<assertions::Options> mode = assertions::Options::by_name(v);
@@ -307,6 +299,7 @@ const Option kOptions[] = {
        return v == "compiled" || v == "interpreter";
      }},
     {"--sw", kSimulate | kProfile | kTrace, nullptr, [](Args& a) { a.software_mode = true; }},
+    // --trace and --trace-nonbenign turn the run they name into its twin.
     {"--trace", kSimulate | kFaultSite, nullptr, [](Args& a) { a.trace = true; }},
     {"--feed", kRuns | kMine,
      [](Args& a, V spec) {
@@ -341,8 +334,8 @@ const Option kOptions[] = {
     {"--resume", kCampaign, nullptr, [](Args& a) { a.campaign_opts.resume = true; }},
     // trace controls
     {"--trace-nonbenign", kCampaign, nullptr, [](Args& a) { a.trace_nonbenign = true; }},
-    {"--trace-dir=", kCampaign, [](Args& a, V v) { return assign(a.trace_dir, v); }},
-    {"--trace-max-sites=", kCampaign,
+    {"--trace-dir=", kCampaignTraced, [](Args& a, V v) { return assign(a.trace_dir, v); }},
+    {"--trace-max-sites=", kCampaignTraced,
      [](Args& a, V v) { return parse_size_flag(v, a.trace_max_sites); }},
     {"--vcd=", kTrace | kTraceSite, [](Args& a, V v) { return assign(a.vcd_path, v); }},
     {"--bin=", kTrace | kTraceSite, [](Args& a, V v) { return assign(a.bin_path, v); }},
@@ -370,65 +363,25 @@ const Option kOptions[] = {
     {"--trace-in=", kMine, [](Args& a, V v) { return assign(a.trace_in, v); }},
 };
 
-/// The runs in `runs`, named for a message: "a, b and c".
-std::string run_names(unsigned runs) {
-  std::vector<std::string> names;
-  for (unsigned bit = 0; bit < std::size(kRunNames); ++bit) {
-    if ((runs >> bit) & 1u) names.emplace_back(kRunNames[bit]);
-  }
-  std::string out = names.empty() ? "" : names.front();
-  for (std::size_t i = 1; i < names.size(); ++i) {
-    out += (i + 1 == names.size() ? " and " : ", ") + names[i];
-  }
-  return out;
-}
-
 bool parse_args(int argc, char** argv, Args& args) {
   if (argc < 3) return false;
   args.command = argv[1];
   args.file = argv[2];
-  std::vector<const Option*> given;
-  for (int i = 3; i < argc; ++i) {
-    const std::string a = argv[i];
-    const std::size_t eq = a.find('=');
-    const std::string name = eq == std::string::npos ? a : a.substr(0, eq + 1);
-    const Option* opt = nullptr;
-    for (const Option& o : kOptions) {
-      if (name == o.name) opt = &o;
-    }
-    if (opt == nullptr || (name == "--feed" && i + 1 == argc)) {
-      std::cerr << "unknown option: " << a << "\n";
-      return false;
-    }
-    const std::string value = name == "--feed" ? argv[++i] : a.substr(name.size());
-    if (opt->set != nullptr) {
-      opt->set(args);
-    } else if (!opt->parse(args, value)) {
-      std::cerr << "malformed value in option: " << a << (name == "--feed" ? " " + value : "")
-                << "\n";
-      return false;
-    }
-    given.push_back(opt);
-  }
-  unsigned run = 0;
-  for (unsigned bit = 0; bit < std::size(kRunNames); ++bit) {
-    if (args.command == kRunNames[bit]) run = 1u << bit;
-  }
-  const bool site = args.site != sim::FaultSpec::kNoSite;
-  if (run == kTrace && site) run = kTraceSite;
-  if (run == kFaultList) run = args.campaign ? kCampaign : site ? kFaultSite : kFaultList;
-  if (run == 0) {
+  const unsigned command = find_run(kRunNames, args.command);
+  if (command == 0) {
     std::cerr << "unknown command: " << args.command << "\n";
     return false;
   }
-  for (const Option* opt : given) {
-    if ((opt->runs & run) != 0) continue;
-    std::string name = opt->name;
-    if (name.back() == '=') name.pop_back();
-    std::cerr << name << " applies only to " << run_names(opt->runs) << "\n";
-    return false;
-  }
-  return true;
+  return parse_options(std::span(argv + 3, argv + argc), kOptions, kRunNames, args,
+                       [command](const Args& a) -> unsigned {
+    const bool site = a.site != sim::FaultSpec::kNoSite;
+    if (command == kTrace && site) return kTraceSite;
+    if (command == kSimulate && a.trace) return kSimulate | kSimulateTraced;
+    if (command != kFaultList) return command;
+    if (a.campaign) return a.trace_nonbenign ? kCampaign | kCampaignTraced : kCampaign;
+    if (site) return a.trace ? kFaultSite | kFaultSiteTraced : kFaultSite;
+    return kFaultList;
+  });
 }
 
 int run(const Args& args) {

@@ -12,7 +12,7 @@
 //   hlsavd trace-out --socket=PATH --job=N    Chrome trace JSON of the
 //                                             job's span tree (0 = all jobs)
 //   hlsavd shutdown --socket=PATH             graceful daemon shutdown
-//   hlsavd worker   ...                       internal: runs the sites of
+//   hlsavd worker   --design=FILE ...         internal: runs the sites of
 //                                             one campaign that the
 //                                             supervisor hands it (not
 //                                             for use by hand)
@@ -63,28 +63,30 @@
 //                            was given so retries stay idempotent
 //   --retry-base-ms=T        first backoff delay (default 200ms)
 //
-// Exit codes: 0 ok, 1 error, 2 bad usage,
-//             6 job drained (daemon shut down mid-job; its journal is
-//               flushed and resumable),
-//             7 rejected (back-pressure or validation) -- typed, resubmit
-//               later.
+// Exit codes: 0 ok, 1 error, 2 bad usage (also an option the subcommand
+//             would ignore), 6 job drained (daemon shut down mid-job; its
+//             journal is flushed and resumable), 7 rejected (back-pressure
+//             or validation) -- typed, resubmit later.
 // Worker contract (internal; serve/shard.h is the other side): `hlsavd
-// worker --design=F --max-cycles=N --golden-cycles=N ...` compiles F and
-// arms the compiled engine (sim::SimEngine::kCompiled; the supervisor has
-// already built F into the JIT cache, so this loads it; work the engine
-// cannot take interprets). It refuses with exit 22 if its golden run
-// disagrees with --golden-cycles -- the supervisor's golden run
-// interprets, so this compares the two engines' cycle counts on every
-// job, and the supervisor fails the job -- then runs one site per stdin
-// line and prints the protocol.h lines for it, each result naming the
-// engine that ran the site and, if it interpreted, why. Its argv fixes
-// its plan, so one worker may serve many jobs: between jobs the
-// supervisor parks it with its stdin open and sends the next job with
-// the same argv and design bytes its site ids (serve/shard.h). A crash
-// in generated code is a worker crash like any other. It writes no
-// files outside the JIT cache. Exit 0 at stdin EOF, 1 error, 2 bad
-// usage, 21 drained on SIGTERM after reporting its in-flight site, 22
-// golden mismatch.
+// worker --design=F --max-cycles=N --golden-cycles=N ...` takes submit's
+// campaign options (--design --assertions --max-cycles --site-wall-ms
+// --feed --crash-at-site --crash-limit --stall-at-site) and two of its
+// own, --golden-cycles and --fault-token-dir (the test fault schedule's
+// durable tokens). It compiles F and arms the compiled engine
+// (sim::SimEngine::kCompiled; the supervisor has already built F into the
+// JIT cache, so this loads it; work the engine cannot take interprets). It
+// refuses with exit 22 if its golden run disagrees with --golden-cycles --
+// the supervisor's golden run interprets, so this compares the two
+// engines' cycle counts on every job, and the supervisor fails the job --
+// then runs one site per stdin line and prints the protocol.h lines for
+// it, each result naming the engine that ran the site and, if it
+// interpreted, why. Its argv fixes its plan, so one worker may serve many
+// jobs: between jobs the supervisor parks it with its stdin open and sends
+// the next job with the same argv and design bytes its site ids
+// (serve/shard.h). A crash in generated code is a worker crash like any
+// other. It writes no files outside the JIT cache. Exit 0 at stdin EOF, 1
+// error, 2 bad usage, 21 drained on SIGTERM after reporting its in-flight
+// site, 22 golden mismatch.
 #include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
@@ -94,7 +96,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -145,10 +146,13 @@ void print_usage(std::ostream& os) {
         "       hlsavd metrics  --socket=PATH\n"
         "       hlsavd trace-out --socket=PATH --job=N [--out=FILE]   (job 0 = all jobs)\n"
         "       hlsavd shutdown --socket=PATH\n"
+        "       hlsavd worker   --golden-cycles=N --fault-token-dir=DIR and submit's\n"
+        "                        --design --assertions --max-cycles --site-wall-ms --feed\n"
+        "                        and --crash/--stall options   (internal)\n"
         "       hlsavd --version\n"
-        "exit codes: 0 ok, 1 error, 2 bad usage, 6 job drained by daemon\n"
-        "            shutdown (journals resumable), 7 rejected (typed\n"
-        "            back-pressure; resubmit later)\n";
+        "exit codes: 0 ok, 1 error, 2 bad usage (also an option the subcommand\n"
+        "            would ignore), 6 job drained by daemon shutdown (journals\n"
+        "            resumable), 7 rejected (typed back-pressure; resubmit later)\n";
 }
 
 int usage() {
@@ -193,17 +197,24 @@ void write_token_count(const std::string& path, std::uint32_t count) {
   (void)::close(fd);
 }
 
-/// A worker runs the sites of the campaign `spec` names; the other two
-/// flags are its own.
-struct WorkerArgs {
+/// Every option's value, whichever subcommand takes it (kOptions).
+struct Args {
+  serve::ServiceOptions service;  // its socket_path is also every client's
+  /// The campaign submit sends and a worker runs; a worker's own two
+  /// flags follow.
   serve::CampaignSpec spec;
+  std::vector<std::string> feeds;  // ';'-joined into spec.feeds
   std::uint64_t golden_cycles = 0;
   std::string fault_token_dir;
+  serve::SubmitOptions submit;
+  serve::WatchOptions watch;
+  std::optional<std::uint64_t> job;
+  std::string out_path;  // submit's and watch's report, trace-out's trace
 };
 
 /// The test-only fault schedule (--crash-at-site, --stall-at-site),
 /// applied just before `site` runs.
-void inject_test_faults(const WorkerArgs& args, std::uint32_t site) {
+void inject_test_faults(const Args& args, std::uint32_t site) {
   if (args.fault_token_dir.empty()) return;
   if (std::ranges::count(args.spec.crash_at, site) != 0) {
     std::string token = args.fault_token_dir + "/crash_" + std::to_string(site) + ".token";
@@ -232,9 +243,8 @@ void say(const std::string& line) {
   std::fflush(stdout);
 }
 
-int run_worker(const WorkerArgs& args) {
+int run_worker(const Args& args) {
   const serve::CampaignSpec& spec = args.spec;
-  if (spec.design_path.empty()) return usage();
 
   // SIGTERM = drain: finish and report the in-flight site, then exit 21
   // so the supervisor knows this was a drain, not a crash. No
@@ -348,6 +358,103 @@ int run_serve(const serve::ServiceOptions& opt) {
   return 0;
 }
 
+// ------------------------------------------------------------ options --
+
+/// Each subcommand is a run.
+enum Run : unsigned {
+  kServe = 1u << 0,
+  kSubmit = 1u << 1,
+  kWatch = 1u << 2,
+  kStatus = 1u << 3,
+  kMetrics = 1u << 4,
+  kTraceOut = 1u << 5,
+  kShutdown = 1u << 6,
+  kWorker = 1u << 7,
+};
+/// Each run's name, by bit.
+constexpr const char* kRunNames[] = {"serve",   "submit",    "watch",    "status",
+                                     "metrics", "trace-out", "shutdown", "worker"};
+constexpr unsigned kSockets = kWorker - 1;       // the daemon and its clients
+constexpr unsigned kCampaign = kSubmit | kWorker;  // runs that take the campaign spec
+
+using V = const std::string&;
+
+/// A positive count.
+bool parse_positive(V v, unsigned& out) { return parse_unsigned_flag(v, out) && out != 0; }
+
+/// A count from 0 to `max`.
+bool parse_int(V v, int& out, unsigned max = std::numeric_limits<int>::max()) {
+  unsigned n = 0;
+  if (!parse_unsigned_flag(v, n) || n > max) return false;
+  out = static_cast<int>(n);
+  return true;
+}
+
+const Option<Args> kOptions[] = {
+    {"--socket=", kSockets, [](Args& a, V v) { return assign(a.service.socket_path, v); }},
+    {"--workers=", kServe | kSubmit,
+     [](Args& a, V v) {
+       unsigned& n = a.spec.workers;
+       if (!parse_unsigned_flag(v, n)) return false;
+       a.service.default_workers = std::max(1u, n);
+       return true;
+     }},
+    // the campaign: submit sends it, a worker runs its sites
+    {"--design=", kCampaign, [](Args& a, V v) { return assign(a.spec.design_path, v); }},
+    {"--assertions=", kCampaign, [](Args& a, V v) { return assign(a.spec.assertions, v); }},
+    {"--max-cycles=", kCampaign, [](Args& a, V v) { return parse_u64_flag(v, a.spec.max_cycles); }},
+    {"--site-wall-ms=", kCampaign,
+     [](Args& a, V v) {
+       double& ms = a.spec.site_wall_ms;
+       return parse_double_flag(v, ms) && ms >= 0;
+     }},
+    {"--feed", kCampaign, [](Args& a, V v) { return assign(a.feeds.emplace_back(), v); }},
+    {"--feed=", kCampaign, [](Args& a, V v) { return assign(a.feeds.emplace_back(), v); }},
+    {"--crash-at-site=", kCampaign,
+     [](Args& a, V v) { return parse_u32_flag(v, a.spec.crash_at.emplace_back()); }},
+    {"--crash-limit=", kCampaign,
+     [](Args& a, V v) { return parse_u32_flag(v, a.spec.crash_limit); }},
+    {"--stall-at-site=", kCampaign,
+     [](Args& a, V v) { return parse_u32_flag(v, a.spec.stall_at.emplace_back()); }},
+    {"--seed=", kSubmit, [](Args& a, V v) { return parse_u64_flag(v, a.spec.seed); }},
+    {"--max-faults=", kSubmit, [](Args& a, V v) { return parse_u64_flag(v, a.spec.max_faults); }},
+    {"--key=", kSubmit, [](Args& a, V v) { return assign(a.spec.key, v); }},
+    {"--retry", kSubmit, nullptr, [](Args& a) { a.submit.retries = 5; }},
+    {"--retry=", kSubmit, [](Args& a, V v) { return parse_int(v, a.submit.retries, 1000); }},
+    {"--retry-base-ms=", kSubmit,
+     [](Args& a, V v) {
+       return parse_u64_flag(v, a.submit.retry_base_ms) && a.submit.retry_base_ms != 0;
+     }},
+    // a worker's own
+    {"--golden-cycles=", kWorker, [](Args& a, V v) { return parse_u64_flag(v, a.golden_cycles); }},
+    {"--fault-token-dir=", kWorker, [](Args& a, V v) { return assign(a.fault_token_dir, v); }},
+    // watch and trace-out
+    {"--job=", kWatch | kTraceOut, [](Args& a, V v) { return parse_u64_flag(v, a.job.emplace()); }},
+    {"--out=", kSubmit | kWatch | kTraceOut, [](Args& a, V v) { return assign(a.out_path, v); }},
+    {"--quiet", kSubmit | kWatch, nullptr, [](Args& a) { a.submit.quiet = a.watch.quiet = true; }},
+    {"--wait-ms=", kWatch, [](Args& a, V v) { return parse_int(v, a.watch.wait_ms); }},
+    {"--stall-reads-ms=", kWatch,
+     [](Args& a, V v) { return parse_int(v, a.watch.stall_reads_ms); }},
+    // the daemon
+    {"--queue-cap=", kServe,
+     [](Args& a, V v) {
+       return parse_size_flag(v, a.service.queue_cap) && a.service.queue_cap != 0;
+     }},
+    {"--jobs=", kServe, [](Args& a, V v) { return parse_positive(v, a.service.executors); }},
+    {"--quarantine-cap=", kServe,
+     [](Args& a, V v) { return parse_positive(v, a.service.quarantine_cap); }},
+    {"--heartbeat-timeout-ms=", kServe,
+     [](Args& a, V v) { return parse_double_flag(v, a.service.heartbeat_timeout_ms); }},
+    {"--backoff-base-ms=", kServe,
+     [](Args& a, V v) { return parse_u64_flag(v, a.service.backoff_base_ms); }},
+    {"--backoff-cap-ms=", kServe,
+     [](Args& a, V v) { return parse_u64_flag(v, a.service.backoff_cap_ms); }},
+    {"--work-dir=", kServe, [](Args& a, V v) { return assign(a.service.work_dir, v); }},
+    {"--events-out=", kServe, [](Args& a, V v) { return assign(a.service.events_out, v); }},
+    {"--spool-dir=", kServe, [](Args& a, V v) { return assign(a.service.spool_dir, v); }},
+    {"--die-at=", kServe, [](Args& a, V v) { return assign(a.service.die_at, v); }},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -360,205 +467,68 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (argc < 2) return usage();
-  std::string command = argv[1];
-
-  std::string socket_path;
-  serve::ServiceOptions sopt;
-  WorkerArgs wargs;
-  serve::CampaignSpec& spec = wargs.spec;
-  std::string out_path;
-  bool quiet = false;
-  serve::SubmitOptions subopt;
-  std::vector<std::string> feed_parts;
-  std::uint64_t watch_job_id = 0;
-  bool have_job_id = false;
-  serve::WatchOptions wopt;
-
-  auto bad_value = [](const std::string& flag) {
-    std::cerr << "hlsavd: bad value for " << flag << "\n";
-    return false;
-  };
-  auto parse = [&](int i, char** argv_) -> bool {
-    std::string a = argv_[i];
-    auto val = [&](const char* prefix) { return a.substr(std::strlen(prefix)); };
-    if (a.rfind("--socket=", 0) == 0) {
-      socket_path = val("--socket=");
-    } else if (a.rfind("--queue-cap=", 0) == 0) {
-      std::uint64_t v = 0;
-      if (!parse_u64_flag(val("--queue-cap="), v) || v == 0) return bad_value(a);
-      sopt.queue_cap = static_cast<std::size_t>(v);
-    } else if (a.rfind("--jobs=", 0) == 0) {
-      if (!parse_unsigned_flag(val("--jobs="), sopt.executors) || sopt.executors == 0) {
-        return bad_value(a);
-      }
-    } else if (a.rfind("--workers=", 0) == 0) {
-      unsigned v = 0;
-      if (!parse_unsigned_flag(val("--workers="), v)) return bad_value(a);
-      sopt.default_workers = std::max(1u, v);
-      spec.workers = v;
-    } else if (a.rfind("--quarantine-cap=", 0) == 0) {
-      if (!parse_unsigned_flag(val("--quarantine-cap="), sopt.quarantine_cap) ||
-          sopt.quarantine_cap == 0) {
-        return bad_value(a);
-      }
-    } else if (a.rfind("--heartbeat-timeout-ms=", 0) == 0) {
-      if (!parse_double_flag(val("--heartbeat-timeout-ms="), sopt.heartbeat_timeout_ms)) {
-        return bad_value(a);
-      }
-    } else if (a.rfind("--backoff-base-ms=", 0) == 0) {
-      if (!parse_u64_flag(val("--backoff-base-ms="), sopt.backoff_base_ms)) return bad_value(a);
-    } else if (a.rfind("--backoff-cap-ms=", 0) == 0) {
-      if (!parse_u64_flag(val("--backoff-cap-ms="), sopt.backoff_cap_ms)) return bad_value(a);
-    } else if (a.rfind("--work-dir=", 0) == 0) {
-      sopt.work_dir = val("--work-dir=");
-    } else if (a.rfind("--design=", 0) == 0) {
-      spec.design_path = val("--design=");
-    } else if (a.rfind("--seed=", 0) == 0) {
-      if (!parse_u64_flag(val("--seed="), spec.seed)) return bad_value(a);
-    } else if (a.rfind("--max-faults=", 0) == 0) {
-      if (!parse_u64_flag(val("--max-faults="), spec.max_faults)) return bad_value(a);
-    } else if (a.rfind("--max-cycles=", 0) == 0) {
-      if (!parse_u64_flag(val("--max-cycles="), spec.max_cycles)) return bad_value(a);
-    } else if (a.rfind("--golden-cycles=", 0) == 0) {
-      if (!parse_u64_flag(val("--golden-cycles="), wargs.golden_cycles)) return bad_value(a);
-    } else if (a.rfind("--site-wall-ms=", 0) == 0) {
-      if (!parse_double_flag(val("--site-wall-ms="), spec.site_wall_ms) ||
-          spec.site_wall_ms < 0) {
-        return bad_value(a);
-      }
-    } else if (a.rfind("--assertions=", 0) == 0) {
-      spec.assertions = val("--assertions=");
-    } else if (a.rfind("--feed=", 0) == 0) {
-      feed_parts.push_back(val("--feed="));
-    } else if (a.rfind("--crash-at-site=", 0) == 0) {
-      std::uint32_t id = 0;
-      if (!parse_u32_flag(val("--crash-at-site="), id)) return bad_value(a);
-      spec.crash_at.push_back(id);
-    } else if (a.rfind("--crash-limit=", 0) == 0) {
-      if (!parse_u32_flag(val("--crash-limit="), spec.crash_limit)) return bad_value(a);
-    } else if (a.rfind("--stall-at-site=", 0) == 0) {
-      std::uint32_t id = 0;
-      if (!parse_u32_flag(val("--stall-at-site="), id)) return bad_value(a);
-      spec.stall_at.push_back(id);
-    } else if (a.rfind("--fault-token-dir=", 0) == 0) {
-      wargs.fault_token_dir = val("--fault-token-dir=");
-    } else if (a.rfind("--events-out=", 0) == 0) {
-      sopt.events_out = val("--events-out=");
-    } else if (a.rfind("--spool-dir=", 0) == 0) {
-      sopt.spool_dir = val("--spool-dir=");
-    } else if (a.rfind("--die-at=", 0) == 0) {
-      sopt.die_at = val("--die-at=");
-    } else if (a.rfind("--key=", 0) == 0) {
-      spec.key = val("--key=");
-    } else if (a == "--retry") {
-      subopt.retries = 5;
-    } else if (a.rfind("--retry=", 0) == 0) {
-      std::uint64_t v = 0;
-      if (!parse_u64_flag(val("--retry="), v) || v > 1000) return bad_value(a);
-      subopt.retries = static_cast<int>(v);
-    } else if (a.rfind("--retry-base-ms=", 0) == 0) {
-      if (!parse_u64_flag(val("--retry-base-ms="), subopt.retry_base_ms) ||
-          subopt.retry_base_ms == 0) {
-        return bad_value(a);
-      }
-    } else if (a.rfind("--job=", 0) == 0) {
-      if (!parse_u64_flag(val("--job="), watch_job_id)) return bad_value(a);
-      have_job_id = true;
-    } else if (a.rfind("--wait-ms=", 0) == 0) {
-      unsigned v = 0;
-      if (!parse_unsigned_flag(val("--wait-ms="), v)) return bad_value(a);
-      wopt.wait_ms = static_cast<int>(v);
-    } else if (a.rfind("--stall-reads-ms=", 0) == 0) {
-      unsigned v = 0;
-      if (!parse_unsigned_flag(val("--stall-reads-ms="), v)) return bad_value(a);
-      wopt.stall_reads_ms = static_cast<int>(v);
-    } else if (a.rfind("--out=", 0) == 0) {
-      out_path = val("--out=");
-    } else if (a == "--quiet") {
-      quiet = true;
-    } else {
-      std::cerr << "hlsavd: unknown option " << a << "\n";
-      return false;
-    }
-    return true;
-  };
-  for (int i = 2; i < argc; ++i) {
-    // --feed with a separate value argument, hlsavc-style.
-    if (std::string(argv[i]) == "--feed" && i + 1 < argc) {
-      feed_parts.push_back(argv[++i]);
-      continue;
-    }
-    if (!parse(i, argv)) return usage();
+  const unsigned run = find_run(kRunNames, argv[1]);
+  if (run == 0) {
+    std::cerr << "hlsavd: unknown command '" << argv[1] << "'\n";
+    return usage();
   }
-  spec.feeds = join(feed_parts, ";");
+  Args args;
+  if (!parse_options(std::span(argv + 2, argv + argc), kOptions, kRunNames, args,
+                     [run](const Args&) { return run; }) ||
+      (run != kWorker && args.service.socket_path.empty()) ||
+      (run == kSubmit && args.spec.design_path.empty())) {
+    return usage();
+  }
+  args.spec.feeds = join(args.feeds, ";");
+  const std::string& socket_path = args.service.socket_path;
 
   try {
-    if (command == "worker") return run_worker(wargs);
-    if (command == "serve") {
-      if (socket_path.empty()) return usage();
-      sopt.socket_path = socket_path;
-      sopt.worker_binary = self_binary(argv[0]);
-      return run_serve(sopt);
-    }
-    if (command == "submit") {
-      if (socket_path.empty() || spec.design_path.empty()) return usage();
-      subopt.out_path = out_path;
-      subopt.quiet = quiet;
-      return serve::submit_job(socket_path, spec, subopt);
-    }
-    if (command == "watch") {
-      if (socket_path.empty() || !have_job_id || watch_job_id == 0) return usage();
-      wopt.out_path = out_path;
-      wopt.quiet = quiet;
-      return serve::watch_job(socket_path, watch_job_id, wopt);
-    }
-    if (command == "metrics") {
-      if (socket_path.empty()) return usage();
-      StatusOr<std::string> snap = serve::query_metrics(socket_path);
-      if (!snap.ok()) {
-        std::cerr << "hlsavd: " << snap.status().to_string() << "\n";
-        return 1;
-      }
-      std::cout << *snap << "\n";
-      return 0;
-    }
-    if (command == "trace-out") {
-      if (socket_path.empty() || !have_job_id) return usage();
-      StatusOr<std::string> trace = serve::fetch_trace(socket_path, watch_job_id);
-      if (!trace.ok()) {
-        std::cerr << "hlsavd: " << trace.status().to_string() << "\n";
-        return 1;
-      }
-      if (out_path.empty()) {
-        std::cout << *trace;
-      } else {
-        std::ofstream out(out_path, std::ios::binary);
-        if (!out) {
-          std::cerr << "hlsavd: cannot open " << out_path << "\n";
+    switch (run) {
+      case kWorker: return run_worker(args);
+      case kServe:
+        args.service.worker_binary = self_binary(argv[0]);
+        return run_serve(args.service);
+      case kSubmit:
+        args.submit.out_path = args.out_path;
+        return serve::submit_job(socket_path, args.spec, args.submit);
+      case kWatch:
+        if (args.job.value_or(0) == 0) return usage();
+        args.watch.out_path = args.out_path;
+        return serve::watch_job(socket_path, *args.job, args.watch);
+      case kTraceOut: {
+        if (!args.job) return usage();
+        StatusOr<std::string> trace = serve::fetch_trace(socket_path, *args.job);
+        if (!trace.ok()) {
+          std::cerr << "hlsavd: " << trace.status().to_string() << "\n";
           return 1;
         }
-        out << *trace;
+        std::ofstream file;
+        if (!args.out_path.empty()) file.open(args.out_path, std::ios::binary);
+        if (!args.out_path.empty() && !file) {
+          std::cerr << "hlsavd: cannot open " << args.out_path << "\n";
+          return 1;
+        }
+        (args.out_path.empty() ? std::cout : file) << *trace;
+        return 0;
       }
-      return 0;
-    }
-    if (command == "status") {
-      if (socket_path.empty()) return usage();
-      StatusOr<std::string> status = serve::query_status(socket_path);
-      if (!status.ok()) {
-        std::cerr << "hlsavd: " << status.status().to_string() << "\n";
-        return 1;
+      case kShutdown: {
+        Status st = serve::request_shutdown(socket_path);
+        if (!st.ok()) {
+          std::cerr << "hlsavd: " << st.to_string() << "\n";
+          return 1;
+        }
+        return 0;
       }
-      std::cout << *status << "\n";
-      return 0;
-    }
-    if (command == "shutdown") {
-      if (socket_path.empty()) return usage();
-      Status st = serve::request_shutdown(socket_path);
-      if (!st.ok()) {
-        std::cerr << "hlsavd: " << st.to_string() << "\n";
-        return 1;
+      default: {  // status, metrics: one reply line
+        StatusOr<std::string> reply = run == kStatus ? serve::query_status(socket_path)
+                                                     : serve::query_metrics(socket_path);
+        if (!reply.ok()) {
+          std::cerr << "hlsavd: " << reply.status().to_string() << "\n";
+          return 1;
+        }
+        std::cout << *reply << "\n";
+        return 0;
       }
-      return 0;
     }
   } catch (const InternalError& e) {
     std::cerr << "hlsavd: " << e.what() << "\n";
@@ -567,6 +537,4 @@ int main(int argc, char** argv) {
     std::cerr << "hlsavd: internal error: " << e.what() << "\n";
     return 1;
   }
-  std::cerr << "hlsavd: unknown command '" << command << "'\n";
-  return usage();
 }
